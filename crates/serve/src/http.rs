@@ -31,8 +31,12 @@
 //! | `POST /admin/reload/<id>` | — | atomic hot-swap of `<id>` to the current contents of its checkpoint file: `200 {"model", "version"}`, `404 unknown_model`, `400 not_reloadable`, `503 reload_failed` (+`Retry-After`) |
 //! | `GET /healthz` | — | liveness: `{"status": "ok"}` whenever the process can answer at all |
 //! | `GET /readyz` | — | readiness: `200` while accepting work, `503` once draining ([`HttpServer::begin_drain`]) or shut down, or with dead prediction workers (any tenant) |
-//! | `GET /stats` | — | queue depth, worker/pool counters, per-endpoint request counters, a per-model object, per-stage latency quantiles and per-domain drift scores (see [`crate::telemetry`]) |
+//! | `GET /stats` | — | queue depth, worker/pool counters, per-endpoint request counters, a per-model object, per-stage and per-kernel latency quantiles and per-domain drift scores (see [`crate::telemetry`]) |
 //! | `GET /metrics` | — | Prometheus text exposition (format 0.0.4, `text/plain`) of the same counters, histograms and drift gauges, plus `model`-labelled per-tenant families |
+//!
+//! `/stats`, `/metrics` and the shared fields of `/model` are rendered from
+//! one declaration of the serving counters (`surface.rs`), so every scalar
+//! in `/stats` has a `/metrics` sample of the same value.
 //!
 //! Request and prediction objects are specified in [`crate::json`]. Every
 //! error response carries `{"error": <code>, "message": <text>}`; statuses:
@@ -62,15 +66,15 @@
 //! drains its queue through its own [`PredictServer::shutdown`] sequence.
 
 use crate::json::{self, Json};
-use crate::prom::{MetricKind, PromText};
 use crate::server::{PredictError, PredictServer};
 use crate::session::Prediction;
-use crate::telemetry::{DomainDrift, Stage};
+use crate::surface::{self, HttpCounter, HttpStats, Snapshot, TenantSnapshot};
+use crate::telemetry::Stage;
 use crate::zoo::{ModelZoo, ReloadError, Tenant, TenantModel};
 use dtdbd_data::EncodedRequest;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -507,293 +511,6 @@ fn keep_alive(version: Version, headers: &[(String, String)]) -> bool {
     }
 }
 
-/// Per-endpoint and per-connection counters surfaced by `GET /stats`.
-#[derive(Debug, Default)]
-pub struct HttpStats {
-    pub(crate) connections: AtomicU64,
-    pub(crate) connections_rejected: AtomicU64,
-    /// Connections currently open (accepted and not yet closed).
-    pub(crate) open_connections: AtomicU64,
-    /// Requests cut at `request_timeout` (slow-loris guard; answered `408`
-    /// while a wire exists, silent close for a stalled response reader).
-    pub(crate) request_timeouts: AtomicU64,
-    /// Idle keep-alive connections closed at `read_timeout`.
-    pub(crate) idle_timeouts: AtomicU64,
-    /// Entries resident in the event loop's timer wheel (a small
-    /// overestimate of live deadlines — lazily cancelled entries linger
-    /// until their tick passes; 0 under the pool model).
-    pub(crate) timers_armed: AtomicU64,
-    predict_calls: AtomicU64,
-    items_predicted: AtomicU64,
-    healthz_calls: AtomicU64,
-    readyz_calls: AtomicU64,
-    stats_calls: AtomicU64,
-    metrics_calls: AtomicU64,
-    model_calls: AtomicU64,
-    reload_calls: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
-}
-
-impl HttpStats {
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_response(&self, status: u16) {
-        match status {
-            200..=299 => Self::bump(&self.responses_2xx),
-            400..=499 => Self::bump(&self.responses_4xx),
-            _ => Self::bump(&self.responses_5xx),
-        }
-    }
-
-    fn render(&self, ctx: &Ctx) -> Json {
-        // Top-level counters keep their single-model shape by reporting the
-        // default tenant; the `models` object below carries every tenant.
-        let predict = ctx.zoo.default_model();
-        let serving = predict.stats();
-        let num = |v: u64| Json::Num(v as f64);
-        let mut fields = vec![
-            ("ready".to_string(), Json::Bool(is_ready(ctx))),
-            ("queue_depth".into(), num(serving.queue_depth as u64)),
-            ("requests_served".into(), num(serving.requests_served)),
-            ("batches".into(), num(serving.batches)),
-            ("workers".into(), num(serving.workers as u64)),
-            ("workers_alive".into(), num(predict.workers_alive() as u64)),
-            ("threads".into(), num(serving.threads as u64)),
-            (
-                "precision".into(),
-                Json::Str(serving.precision.name().to_string()),
-            ),
-            (
-                "pool".into(),
-                Json::Obj(vec![
-                    ("reuse_hits".into(), num(serving.pool_reuse_hits)),
-                    ("alloc_misses".into(), num(serving.pool_alloc_misses)),
-                ]),
-            ),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), num(serving.cache.hits)),
-                    ("misses".into(), num(serving.cache.misses)),
-                    ("evictions".into(), num(serving.cache.evictions)),
-                    ("entries".into(), num(serving.cache.entries as u64)),
-                    ("capacity".into(), num(serving.cache.capacity as u64)),
-                ]),
-            ),
-            (
-                "sharding".into(),
-                Json::Obj(vec![
-                    (
-                        "embedding_shards".into(),
-                        num(serving.embedding_shards as u64),
-                    ),
-                    // Process-wide: tenants sharing a byte-identical frozen
-                    // table contribute its pool bytes once, not per tenant.
-                    (
-                        "shard_pool_bytes".into(),
-                        num(ctx.zoo.shard_pool_bytes_deduped()),
-                    ),
-                    (
-                        "resident_param_bytes_per_worker".into(),
-                        num(serving.resident_param_bytes_per_worker),
-                    ),
-                    (
-                        "quantized_param_bytes_per_worker".into(),
-                        num(serving.quantized_param_bytes_per_worker),
-                    ),
-                ]),
-            ),
-            (
-                "routing".into(),
-                Json::Obj(vec![
-                    (
-                        "specialist_queues".into(),
-                        num(serving.routing.specialist_queues as u64),
-                    ),
-                    (
-                        "routed_specialist".into(),
-                        num(serving.routing.routed_specialist),
-                    ),
-                    ("routed_shared".into(), num(serving.routing.routed_shared)),
-                ]),
-            ),
-            (
-                "supervision".into(),
-                Json::Obj(vec![
-                    ("worker_panics".into(), num(serving.worker_panics)),
-                    ("worker_restarts".into(), num(serving.worker_restarts)),
-                    (
-                        "requests_deadline_dropped".into(),
-                        num(serving.requests_deadline_dropped),
-                    ),
-                ]),
-            ),
-            (
-                "models".into(),
-                Json::Obj(
-                    ctx.zoo
-                        .tenants()
-                        .iter()
-                        .map(|tenant| {
-                            let model = tenant.model();
-                            let stats = model.stats();
-                            (
-                                tenant.id().to_string(),
-                                Json::Obj(vec![
-                                    ("version".into(), num(model.version())),
-                                    ("reloads".into(), num(tenant.reloads())),
-                                    (
-                                        "requests_served_total".into(),
-                                        num(tenant.requests_served_total()),
-                                    ),
-                                    ("requests_served_active".into(), num(stats.requests_served)),
-                                    ("queue_depth".into(), num(stats.queue_depth as u64)),
-                                    ("workers".into(), num(stats.workers as u64)),
-                                    ("workers_alive".into(), num(model.workers_alive() as u64)),
-                                    ("arch".into(), Json::Str(model.arch().to_string())),
-                                    (
-                                        "precision".into(),
-                                        Json::Str(stats.precision.name().to_string()),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "endpoints".into(),
-                Json::Obj(vec![
-                    (
-                        "predict".into(),
-                        num(self.predict_calls.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "healthz".into(),
-                        num(self.healthz_calls.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "readyz".into(),
-                        num(self.readyz_calls.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "stats".into(),
-                        num(self.stats_calls.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "metrics".into(),
-                        num(self.metrics_calls.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "model".into(),
-                        num(self.model_calls.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "reload".into(),
-                        num(self.reload_calls.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "http".into(),
-                Json::Obj(vec![
-                    (
-                        "connection_model".into(),
-                        Json::Str(ctx.connection_model.to_string()),
-                    ),
-                    (
-                        "connections".into(),
-                        num(self.connections.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "connections_rejected".into(),
-                        num(self.connections_rejected.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "open_connections".into(),
-                        num(self.open_connections.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "request_timeouts".into(),
-                        num(self.request_timeouts.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "idle_timeouts".into(),
-                        num(self.idle_timeouts.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "timer_wheel_armed".into(),
-                        num(self.timers_armed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "items_predicted".into(),
-                        num(self.items_predicted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "responses_2xx".into(),
-                        num(self.responses_2xx.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "responses_4xx".into(),
-                        num(self.responses_4xx.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "responses_5xx".into(),
-                        num(self.responses_5xx.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-        ];
-        if let Some(telemetry) = predict.telemetry() {
-            let snap = telemetry.snapshot();
-            let stages = Stage::ALL
-                .iter()
-                .map(|&stage| {
-                    let total = snap.stage_total(stage);
-                    let us = |ns: f64| Json::Num(ns / 1_000.0);
-                    (
-                        stage.name().to_string(),
-                        Json::Obj(vec![
-                            ("count".into(), num(total.count)),
-                            ("mean_us".into(), us(total.mean_ns())),
-                            ("p50_us".into(), us(total.quantile_ns(0.5))),
-                            ("p90_us".into(), us(total.quantile_ns(0.9))),
-                            ("p99_us".into(), us(total.quantile_ns(0.99))),
-                        ]),
-                    )
-                })
-                .collect();
-            fields.push(("stages".into(), Json::Obj(stages)));
-            fields.push((
-                "drift".into(),
-                Json::Arr(snap.drift.iter().map(drift_json).collect()),
-            ));
-            fields.push((
-                "predictions_non_finite".into(),
-                num(snap.predictions_non_finite),
-            ));
-        }
-        Json::Obj(fields)
-    }
-}
-
-fn drift_json(d: &DomainDrift) -> Json {
-    let opt = |v: Option<f64>| v.map(Json::Num).unwrap_or(Json::Null);
-    Json::Obj(vec![
-        ("domain".into(), Json::Num(d.domain as f64)),
-        ("live_count".into(), Json::Num(d.live_count as f64)),
-        ("live_mean".into(), opt(d.live_mean)),
-        ("baseline_count".into(), Json::Num(d.baseline_count as f64)),
-        ("baseline_mean".into(), opt(d.baseline_mean)),
-        ("mean_shift".into(), opt(d.mean_shift)),
-        ("score".into(), opt(d.score)),
-    ])
-}
-
 pub(crate) struct Ctx {
     pub(crate) zoo: Arc<ModelZoo>,
     pub(crate) stats: HttpStats,
@@ -833,19 +550,9 @@ impl Ctx {
     }
 }
 
-/// Readiness as `GET /readyz` reports it: not draining, not shut down, and
-/// every prediction worker of **every** tenant still alive.
-fn is_ready(ctx: &Ctx) -> bool {
-    if ctx.draining_or_shutdown() {
-        return false;
-    }
-    let (alive, configured) = ctx.zoo.workers_health();
-    alive == configured
-}
-
 /// The HTTP listener wrapping a [`PredictServer`].
 pub struct HttpServer {
-    ctx: Arc<Ctx>,
+    pub(crate) ctx: Arc<Ctx>,
     local_addr: SocketAddr,
     backend: Backend,
 }
@@ -918,9 +625,13 @@ impl HttpServer {
                         Ok(stream) => stream,
                         Err(_) => return, // acceptor gone and queue drained
                     };
-                    ctx.stats.open_connections.fetch_add(1, Ordering::Relaxed);
+                    ctx.stats
+                        .get(HttpCounter::OpenConnections)
+                        .fetch_add(1, Ordering::Relaxed);
                     handle_connection(stream, &ctx);
-                    ctx.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+                    ctx.stats
+                        .get(HttpCounter::OpenConnections)
+                        .fetch_sub(1, Ordering::Relaxed);
                 })
             })
             .collect();
@@ -936,7 +647,7 @@ impl HttpServer {
                         Ok(stream) => stream,
                         Err(_) => continue,
                     };
-                    HttpStats::bump(&ctx.stats.connections);
+                    ctx.stats.bump(HttpCounter::Connections);
                     // Bounded pool saturated (or every worker dead): shed
                     // load with a 503 instead of spawning unbounded threads
                     // or silently dropping the socket.
@@ -944,7 +655,7 @@ impl HttpServer {
                         TrySendError::Full(mut stream) | TrySendError::Disconnected(mut stream),
                     ) = tx.try_send(stream)
                     {
-                        HttpStats::bump(&ctx.stats.connections_rejected);
+                        ctx.stats.bump(HttpCounter::ConnectionsRejected);
                         ctx.stats.count_response(503);
                         let body = error_body("overloaded", "connection pool saturated");
                         let retry = [(
@@ -1136,13 +847,13 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
                         ctx.config.read_timeout
                     };
                     if idle_since.elapsed() >= idle_deadline {
-                        HttpStats::bump(&ctx.stats.idle_timeouts);
+                        ctx.stats.bump(HttpCounter::IdleTimeouts);
                         return;
                     }
                 } else {
                     let started = *request_started.get_or_insert_with(Instant::now);
                     if started.elapsed() > ctx.config.request_timeout {
-                        HttpStats::bump(&ctx.stats.request_timeouts);
+                        ctx.stats.bump(HttpCounter::RequestTimeouts);
                         ctx.stats.count_response(408);
                         let body = error_body("request_timeout", "request took too long to arrive");
                         let _ =
@@ -1207,7 +918,7 @@ pub(crate) fn retry_after_secs(queue_depth: usize, draining: bool) -> u64 {
 /// is taken once and pins the version for the whole request: a hot-swap
 /// flipping this tenant mid-request never changes the model it runs on.
 fn predict_route(request: &HttpRequest, ctx: &Ctx, tenant: &Tenant) -> Routed {
-    HttpStats::bump(&ctx.stats.predict_calls);
+    ctx.stats.bump(HttpCounter::Predict);
     let model = tenant.model();
     match handle_predict(&request.body, ctx, &model) {
         Ok(body) => (200, body, CONTENT_TYPE_JSON, Vec::new()),
@@ -1226,42 +937,6 @@ fn predict_route(request: &HttpRequest, ctx: &Ctx, tenant: &Tenant) -> Routed {
             )
         }
     }
-}
-
-/// The descriptor `GET /model` / `GET /model/<id>` reports for one tenant.
-fn model_descriptor(tenant: &Tenant, ctx: &Ctx) -> Json {
-    let model = tenant.model();
-    let stats = model.stats();
-    Json::Obj(vec![
-        ("model".into(), Json::Str(tenant.id().to_string())),
-        ("arch".into(), Json::Str(model.arch().to_string())),
-        ("version".into(), Json::Num(model.version() as f64)),
-        (
-            "precision".into(),
-            Json::Str(stats.precision.name().to_string()),
-        ),
-        (
-            "default".into(),
-            Json::Bool(tenant.id() == ctx.zoo.default_id()),
-        ),
-        ("reloadable".into(), Json::Bool(tenant.reloadable())),
-        ("reloads".into(), Json::Num(tenant.reloads() as f64)),
-        (
-            "side_state".into(),
-            Json::Arr(
-                model
-                    .side_state_tags()
-                    .iter()
-                    .map(|tag| Json::Str(tag.clone()))
-                    .collect(),
-            ),
-        ),
-        ("workers".into(), Json::Num(stats.workers as f64)),
-        (
-            "requests_served_total".into(),
-            Json::Num(tenant.requests_served_total() as f64),
-        ),
-    ])
 }
 
 fn unknown_model(id: &str) -> Routed {
@@ -1286,7 +961,7 @@ fn method_not_allowed(allow: &'static str, hint: &str) -> Routed {
 }
 
 fn reload_route(id: &str, ctx: &Ctx) -> Routed {
-    HttpStats::bump(&ctx.stats.reload_calls);
+    ctx.stats.bump(HttpCounter::Reload);
     match ctx.zoo.reload(id) {
         Ok(version) => (
             200,
@@ -1341,13 +1016,9 @@ pub(crate) fn route(request: &HttpRequest, ctx: &Ctx) -> Routed {
         return match method {
             "GET" => match ctx.zoo.tenant(id) {
                 Some(tenant) => {
-                    HttpStats::bump(&ctx.stats.model_calls);
-                    (
-                        200,
-                        model_descriptor(tenant, ctx).render(),
-                        CONTENT_TYPE_JSON,
-                        Vec::new(),
-                    )
+                    ctx.stats.bump(HttpCounter::Model);
+                    let descriptor = TenantSnapshot::capture(tenant, ctx).descriptor();
+                    (200, descriptor.render(), CONTENT_TYPE_JSON, Vec::new())
                 }
                 None => unknown_model(id),
             },
@@ -1363,29 +1034,13 @@ pub(crate) fn route(request: &HttpRequest, ctx: &Ctx) -> Routed {
     match (method, path) {
         ("POST", "/predict") => predict_route(request, ctx, ctx.zoo.default_tenant()),
         ("GET", "/model") => {
-            HttpStats::bump(&ctx.stats.model_calls);
-            let body = Json::Obj(vec![
-                (
-                    "default".into(),
-                    Json::Str(ctx.zoo.default_id().to_string()),
-                ),
-                (
-                    "models".into(),
-                    Json::Arr(
-                        ctx.zoo
-                            .tenants()
-                            .iter()
-                            .map(|tenant| model_descriptor(tenant, ctx))
-                            .collect(),
-                    ),
-                ),
-            ])
-            .render();
+            ctx.stats.bump(HttpCounter::Model);
+            let body = surface::model_listing(ctx).render();
             (200, body, CONTENT_TYPE_JSON, Vec::new())
         }
         (_, "/model") => method_not_allowed("GET", "use GET /model"),
         ("GET", "/healthz") => {
-            HttpStats::bump(&ctx.stats.healthz_calls);
+            ctx.stats.bump(HttpCounter::Healthz);
             (
                 200,
                 Json::Obj(vec![("status".into(), Json::Str("ok".into()))]).render(),
@@ -1394,46 +1049,20 @@ pub(crate) fn route(request: &HttpRequest, ctx: &Ctx) -> Routed {
             )
         }
         ("GET", "/readyz") => {
-            HttpStats::bump(&ctx.stats.readyz_calls);
-            let ready = is_ready(ctx);
-            let num = |v: u64| Json::Num(v as f64);
-            let (alive, configured) = ctx.zoo.workers_health();
-            let queue_depth: usize = ctx
-                .zoo
-                .tenants()
-                .iter()
-                .map(|t| t.model().queue_depth())
-                .sum();
-            let body = Json::Obj(vec![
-                ("ready".into(), Json::Bool(ready)),
-                (
-                    "draining".into(),
-                    Json::Bool(ctx.draining.load(Ordering::SeqCst)),
-                ),
-                ("queue_depth".into(), num(queue_depth as u64)),
-                ("workers_alive".into(), num(alive as u64)),
-                ("workers".into(), num(configured as u64)),
-            ])
-            .render();
-            (
-                if ready { 200 } else { 503 },
-                body,
-                CONTENT_TYPE_JSON,
-                Vec::new(),
-            )
+            ctx.stats.bump(HttpCounter::Readyz);
+            let (ready, body) = surface::readyz_json(ctx);
+            let status = if ready { 200 } else { 503 };
+            (status, body.render(), CONTENT_TYPE_JSON, Vec::new())
         }
         ("GET", "/stats") => {
-            HttpStats::bump(&ctx.stats.stats_calls);
-            (
-                200,
-                ctx.stats.render(ctx).render(),
-                CONTENT_TYPE_JSON,
-                Vec::new(),
-            )
+            ctx.stats.bump(HttpCounter::Stats);
+            let body = surface::stats_json(&Snapshot::capture(ctx)).render();
+            (200, body, CONTENT_TYPE_JSON, Vec::new())
         }
         ("GET", "/metrics") => {
-            HttpStats::bump(&ctx.stats.metrics_calls);
-            (200, render_metrics(ctx), CONTENT_TYPE_PROM, Vec::new())
+            ctx.stats.bump(HttpCounter::Metrics);
+            let page = surface::metrics_text(&Snapshot::capture(ctx));
+            (200, page, CONTENT_TYPE_PROM, Vec::new())
         }
         (_, "/predict") => (
             405,
@@ -1454,461 +1083,6 @@ pub(crate) fn route(request: &HttpRequest, ctx: &Ctx) -> Routed {
             Vec::new(),
         ),
     }
-}
-
-/// The `GET /metrics` page: every serving counter, stage/kernel latency
-/// histogram and per-domain drift score in Prometheus text exposition
-/// format 0.0.4 (held to [`crate::prom::lint`] by the wire tests).
-fn render_metrics(ctx: &Ctx) -> String {
-    // Unlabelled families keep their single-model meaning by reporting the
-    // default tenant; the `dtdbd_model_*` families below carry every tenant.
-    let default_model = ctx.zoo.default_model();
-    let serving = default_model.stats();
-    let http = &ctx.stats;
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-    let mut page = PromText::new();
-
-    page.family(
-        "dtdbd_http_connections_total",
-        MetricKind::Counter,
-        "TCP connections accepted by the listener.",
-    );
-    page.sample("dtdbd_http_connections_total", &[], load(&http.connections));
-    page.family(
-        "dtdbd_http_connections_rejected_total",
-        MetricKind::Counter,
-        "Connections shed with 503 because the handler pool was saturated.",
-    );
-    page.sample(
-        "dtdbd_http_connections_rejected_total",
-        &[],
-        load(&http.connections_rejected),
-    );
-    page.family(
-        "dtdbd_http_open_connections",
-        MetricKind::Gauge,
-        "Connections currently open (accepted and not yet closed).",
-    );
-    page.sample(
-        "dtdbd_http_open_connections",
-        &[],
-        load(&http.open_connections),
-    );
-    page.family(
-        "dtdbd_http_connection_model",
-        MetricKind::Gauge,
-        "1 for the connection model serving this listener (epoll or pool).",
-    );
-    page.sample(
-        "dtdbd_http_connection_model",
-        &[("model", ctx.connection_model)],
-        1.0,
-    );
-    page.family(
-        "dtdbd_http_timeouts_total",
-        MetricKind::Counter,
-        "Connections cut by a deadline: kind=request is the slow-loris \
-         request_timeout (408), kind=idle the keep-alive read_timeout.",
-    );
-    for (kind, counter) in [
-        ("request", &http.request_timeouts),
-        ("idle", &http.idle_timeouts),
-    ] {
-        page.sample(
-            "dtdbd_http_timeouts_total",
-            &[("kind", kind)],
-            load(counter),
-        );
-    }
-    page.family(
-        "dtdbd_http_timer_wheel_armed",
-        MetricKind::Gauge,
-        "Entries resident in the event loop's timer wheel, including \
-         lazily-cancelled ones awaiting their tick (0 under the pool model).",
-    );
-    page.sample(
-        "dtdbd_http_timer_wheel_armed",
-        &[],
-        load(&http.timers_armed),
-    );
-    page.family(
-        "dtdbd_http_responses_total",
-        MetricKind::Counter,
-        "HTTP responses by status class.",
-    );
-    for (class, counter) in [
-        ("2xx", &http.responses_2xx),
-        ("4xx", &http.responses_4xx),
-        ("5xx", &http.responses_5xx),
-    ] {
-        page.sample(
-            "dtdbd_http_responses_total",
-            &[("class", class)],
-            load(counter),
-        );
-    }
-    page.family(
-        "dtdbd_http_requests_total",
-        MetricKind::Counter,
-        "Requests by endpoint.",
-    );
-    for (endpoint, counter) in [
-        ("predict", &http.predict_calls),
-        ("healthz", &http.healthz_calls),
-        ("readyz", &http.readyz_calls),
-        ("stats", &http.stats_calls),
-        ("metrics", &http.metrics_calls),
-        ("model", &http.model_calls),
-        ("reload", &http.reload_calls),
-    ] {
-        page.sample(
-            "dtdbd_http_requests_total",
-            &[("endpoint", endpoint)],
-            load(counter),
-        );
-    }
-    page.family(
-        "dtdbd_items_predicted_total",
-        MetricKind::Counter,
-        "Prediction items received over the wire (batch bodies count each item).",
-    );
-    page.sample(
-        "dtdbd_items_predicted_total",
-        &[],
-        load(&http.items_predicted),
-    );
-
-    page.family(
-        "dtdbd_requests_served_total",
-        MetricKind::Counter,
-        "Requests answered by the prediction workers.",
-    );
-    page.sample(
-        "dtdbd_requests_served_total",
-        &[],
-        serving.requests_served as f64,
-    );
-    page.family(
-        "dtdbd_batches_total",
-        MetricKind::Counter,
-        "Coalesced batches dispatched to the prediction workers.",
-    );
-    page.sample("dtdbd_batches_total", &[], serving.batches as f64);
-    page.family(
-        "dtdbd_queue_depth",
-        MetricKind::Gauge,
-        "Requests currently queued for the prediction workers.",
-    );
-    page.sample("dtdbd_queue_depth", &[], serving.queue_depth as f64);
-    page.family(
-        "dtdbd_workers",
-        MetricKind::Gauge,
-        "Configured prediction workers.",
-    );
-    page.sample("dtdbd_workers", &[], serving.workers as f64);
-    page.family(
-        "dtdbd_workers_alive",
-        MetricKind::Gauge,
-        "Prediction workers whose threads are still running.",
-    );
-    page.sample(
-        "dtdbd_workers_alive",
-        &[],
-        default_model.workers_alive() as f64,
-    );
-    page.family(
-        "dtdbd_ready",
-        MetricKind::Gauge,
-        "1 while GET /readyz answers 200, else 0.",
-    );
-    page.sample("dtdbd_ready", &[], if is_ready(ctx) { 1.0 } else { 0.0 });
-    page.family(
-        "dtdbd_worker_panics_total",
-        MetricKind::Counter,
-        "Prediction-worker batch-loop panics caught by the supervisor.",
-    );
-    page.sample(
-        "dtdbd_worker_panics_total",
-        &[],
-        serving.worker_panics as f64,
-    );
-    page.family(
-        "dtdbd_worker_restarts_total",
-        MetricKind::Counter,
-        "Prediction workers respawned with a fresh session after a panic.",
-    );
-    page.sample(
-        "dtdbd_worker_restarts_total",
-        &[],
-        serving.worker_restarts as f64,
-    );
-    page.family(
-        "dtdbd_requests_deadline_dropped_total",
-        MetricKind::Counter,
-        "Requests shed before inference because their deadline budget \
-         expired in the micro-batch queue.",
-    );
-    page.sample(
-        "dtdbd_requests_deadline_dropped_total",
-        &[],
-        serving.requests_deadline_dropped as f64,
-    );
-
-    page.family(
-        "dtdbd_cache_requests_total",
-        MetricKind::Counter,
-        "Prediction cache lookups by outcome.",
-    );
-    for (outcome, v) in [("hit", serving.cache.hits), ("miss", serving.cache.misses)] {
-        page.sample(
-            "dtdbd_cache_requests_total",
-            &[("outcome", outcome)],
-            v as f64,
-        );
-    }
-    page.family(
-        "dtdbd_cache_evictions_total",
-        MetricKind::Counter,
-        "Prediction cache LRU evictions.",
-    );
-    page.sample(
-        "dtdbd_cache_evictions_total",
-        &[],
-        serving.cache.evictions as f64,
-    );
-    page.family(
-        "dtdbd_cache_entries",
-        MetricKind::Gauge,
-        "Prediction cache entries resident.",
-    );
-    page.sample("dtdbd_cache_entries", &[], serving.cache.entries as f64);
-    page.family(
-        "dtdbd_pool_reuse_hits_total",
-        MetricKind::Counter,
-        "Activation buffers recycled from the per-worker pools.",
-    );
-    page.sample(
-        "dtdbd_pool_reuse_hits_total",
-        &[],
-        serving.pool_reuse_hits as f64,
-    );
-    page.family(
-        "dtdbd_pool_alloc_misses_total",
-        MetricKind::Counter,
-        "Activation buffers freshly allocated by the per-worker pools.",
-    );
-    page.sample(
-        "dtdbd_pool_alloc_misses_total",
-        &[],
-        serving.pool_alloc_misses as f64,
-    );
-    page.family(
-        "dtdbd_routed_total",
-        MetricKind::Counter,
-        "Requests routed to a specialist queue vs the shared fallback.",
-    );
-    for (queue, v) in [
-        ("specialist", serving.routing.routed_specialist),
-        ("shared", serving.routing.routed_shared),
-    ] {
-        page.sample("dtdbd_routed_total", &[("queue", queue)], v as f64);
-    }
-    page.family(
-        "dtdbd_precision",
-        MetricKind::Gauge,
-        "1 for the numeric precision the prediction workers run at \
-         (fp32 or int8).",
-    );
-    page.sample(
-        "dtdbd_precision",
-        &[("precision", serving.precision.name())],
-        1.0,
-    );
-    page.family(
-        "dtdbd_quantized_param_bytes_per_worker",
-        MetricKind::Gauge,
-        "Mean bytes of int8 parameter codes + scales resident per worker \
-         (0 under fp32).",
-    );
-    page.sample(
-        "dtdbd_quantized_param_bytes_per_worker",
-        &[],
-        serving.quantized_param_bytes_per_worker as f64,
-    );
-
-    // Per-tenant families: one consistent snapshot of each tenant's active
-    // model feeds every family, so a scrape racing a hot-swap stays
-    // self-consistent per model id.
-    let tenants: Vec<(String, u64, u64, u64, usize, usize)> = ctx
-        .zoo
-        .tenants()
-        .iter()
-        .map(|tenant| {
-            let model = tenant.model();
-            let stats = model.stats();
-            (
-                tenant.id().to_string(),
-                model.version(),
-                tenant.reloads(),
-                tenant.requests_served_total(),
-                model.workers_alive(),
-                stats.queue_depth,
-            )
-        })
-        .collect();
-    page.family(
-        "dtdbd_model_version",
-        MetricKind::Gauge,
-        "Checkpoint version ordinal each model id serves (1-based, +1 per \
-         hot-swap).",
-    );
-    for (id, version, ..) in &tenants {
-        page.sample("dtdbd_model_version", &[("model", id)], *version as f64);
-    }
-    page.family(
-        "dtdbd_model_reloads_total",
-        MetricKind::Counter,
-        "Successful zero-downtime hot-swaps per model id.",
-    );
-    for (id, _, reloads, ..) in &tenants {
-        page.sample(
-            "dtdbd_model_reloads_total",
-            &[("model", id)],
-            *reloads as f64,
-        );
-    }
-    page.family(
-        "dtdbd_model_requests_served_total",
-        MetricKind::Counter,
-        "Requests served per model id, monotone across checkpoint versions \
-         (retired versions fold their counts in at swap time).",
-    );
-    for (id, _, _, served, ..) in &tenants {
-        page.sample(
-            "dtdbd_model_requests_served_total",
-            &[("model", id)],
-            *served as f64,
-        );
-    }
-    page.family(
-        "dtdbd_model_workers_alive",
-        MetricKind::Gauge,
-        "Live prediction workers of each model id's active version.",
-    );
-    for (id, _, _, _, alive, _) in &tenants {
-        page.sample("dtdbd_model_workers_alive", &[("model", id)], *alive as f64);
-    }
-    page.family(
-        "dtdbd_model_queue_depth",
-        MetricKind::Gauge,
-        "Requests queued for each model id's active version.",
-    );
-    for (id, _, _, _, _, depth) in &tenants {
-        page.sample("dtdbd_model_queue_depth", &[("model", id)], *depth as f64);
-    }
-
-    if let Some(telemetry) = default_model.telemetry() {
-        let snap = telemetry.snapshot();
-        let arch = snap.arch;
-        page.family(
-            "dtdbd_stage_latency_seconds",
-            MetricKind::Histogram,
-            "Wall-clock time per request stage; recorder is \"http\" for the \
-             connection threads or a prediction worker index.",
-        );
-        for (recorder, stages) in &snap.recorders {
-            for (stage, h) in stages {
-                if h.count == 0 {
-                    continue; // wire stages on workers (and vice versa) stay structurally empty
-                }
-                page.histogram(
-                    "dtdbd_stage_latency_seconds",
-                    &[
-                        ("arch", arch),
-                        ("recorder", recorder),
-                        ("stage", stage.name()),
-                    ],
-                    h,
-                );
-            }
-        }
-        page.family(
-            "dtdbd_kernel_latency_seconds",
-            MetricKind::Histogram,
-            "Wall-clock time per tensor kernel invocation.",
-        );
-        for (kernel, h) in &snap.kernels {
-            if h.count == 0 {
-                continue;
-            }
-            page.histogram(
-                "dtdbd_kernel_latency_seconds",
-                &[("arch", arch), ("kernel", kernel)],
-                h,
-            );
-        }
-
-        page.family(
-            "dtdbd_predictions_non_finite_total",
-            MetricKind::Counter,
-            "Predictions whose probability was NaN or infinite; counted here \
-             and excluded from the drift buckets and mean-shift.",
-        );
-        page.sample(
-            "dtdbd_predictions_non_finite_total",
-            &[("arch", arch)],
-            snap.predictions_non_finite as f64,
-        );
-        page.family(
-            "dtdbd_domain_predictions_total",
-            MetricKind::Counter,
-            "Predictions observed per domain by the drift tracker.",
-        );
-        for d in &snap.drift {
-            let domain = d.domain.to_string();
-            page.sample(
-                "dtdbd_domain_predictions_total",
-                &[("arch", arch), ("domain", &domain)],
-                d.live_count as f64,
-            );
-        }
-        if snap.drift.iter().any(|d| d.mean_shift.is_some()) {
-            page.family(
-                "dtdbd_domain_mean_shift",
-                MetricKind::Gauge,
-                "Absolute shift of the mean fake-probability against the training baseline.",
-            );
-            for d in &snap.drift {
-                if let Some(shift) = d.mean_shift {
-                    let domain = d.domain.to_string();
-                    page.sample(
-                        "dtdbd_domain_mean_shift",
-                        &[("arch", arch), ("domain", &domain)],
-                        shift,
-                    );
-                }
-            }
-        }
-        if snap.drift.iter().any(|d| d.score.is_some()) {
-            page.family(
-                "dtdbd_domain_drift_score",
-                MetricKind::Gauge,
-                "Bucketed total-variation distance of the live fake-probability \
-                 distribution against the training baseline, in [0, 1].",
-            );
-            for d in &snap.drift {
-                if let Some(score) = d.score {
-                    let domain = d.domain.to_string();
-                    page.sample(
-                        "dtdbd_domain_drift_score",
-                        &[("arch", arch), ("domain", &domain)],
-                        score,
-                    );
-                }
-            }
-        }
-    }
-    page.into_string()
 }
 
 fn handle_predict(body: &[u8], ctx: &Ctx, model: &TenantModel) -> Result<String, WireError> {
@@ -1980,7 +1154,7 @@ fn predict_all(
     model: &TenantModel,
 ) -> Result<Vec<Prediction>, WireError> {
     ctx.stats
-        .items_predicted
+        .get(HttpCounter::ItemsPredicted)
         .fetch_add(encoded.len() as u64, Ordering::Relaxed);
     // The wire-level timeout doubles as the inference deadline budget: a
     // request that already waited out its budget in the micro-batch queue is

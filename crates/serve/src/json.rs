@@ -162,6 +162,37 @@ impl Json {
     }
 }
 
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Self {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Self {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+/// `None` becomes `null`.
+impl From<Option<f64>> for Json {
+    fn from(v: Option<f64>) -> Self {
+        v.map_or(Json::Null, Json::Num)
+    }
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

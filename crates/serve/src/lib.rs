@@ -70,6 +70,7 @@ pub mod routing;
 pub mod server;
 pub mod session;
 pub mod shards;
+mod surface;
 pub mod telemetry;
 pub mod timer;
 pub mod zoo;

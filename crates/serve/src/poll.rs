@@ -52,9 +52,10 @@
 //! dispatch channel then releases the dispatcher threads.
 
 use crate::http::{
-    error_body, response_bytes, route, Ctx, HttpRequest, HttpStats, ParseOutcome, RequestParser,
+    error_body, response_bytes, route, Ctx, HttpRequest, ParseOutcome, RequestParser,
     CONTENT_TYPE_JSON, DRAIN_IDLE_DEADLINE,
 };
+use crate::surface::HttpCounter;
 use crate::telemetry::{Stage, TraceContext};
 use crate::timer::TimerWheel;
 use std::io::{self, Read, Write};
@@ -558,7 +559,7 @@ impl EventLoop {
         loop {
             self.ctx
                 .stats
-                .timers_armed
+                .get(HttpCounter::TimersArmed)
                 .store(self.wheel.armed() as u64, Ordering::Relaxed);
             let timeout = match self.wheel.poll_timeout_ms(Instant::now()) {
                 Some(ms) => ms.min(i32::MAX as u64) as i32,
@@ -643,7 +644,7 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    HttpStats::bump(&self.ctx.stats.connections);
+                    self.ctx.stats.bump(HttpCounter::Connections);
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -672,7 +673,7 @@ impl EventLoop {
                     }
                     self.ctx
                         .stats
-                        .open_connections
+                        .get(HttpCounter::OpenConnections)
                         .fetch_add(1, Ordering::Relaxed);
                     self.arm_timer(idx, self.ctx.config.read_timeout);
                 }
@@ -796,7 +797,7 @@ impl EventLoop {
                 if self.dispatch_tx.try_send(job).is_err() {
                     // Dispatch queue saturated (or dispatchers dead): shed
                     // with a 503, mirroring the pool backend's accept shed.
-                    HttpStats::bump(&self.ctx.stats.connections_rejected);
+                    self.ctx.stats.bump(HttpCounter::ConnectionsRejected);
                     self.ctx.stats.count_response(503);
                     let body = error_body("overloaded", "dispatch queue saturated");
                     let retry = [(
@@ -952,11 +953,11 @@ impl EventLoop {
         };
         match state {
             State::Idle => {
-                HttpStats::bump(&self.ctx.stats.idle_timeouts);
+                self.ctx.stats.bump(HttpCounter::IdleTimeouts);
                 self.close(idx);
             }
             State::ReadingHead | State::ReadingBody => {
-                HttpStats::bump(&self.ctx.stats.request_timeouts);
+                self.ctx.stats.bump(HttpCounter::RequestTimeouts);
                 self.ctx.stats.count_response(408);
                 let body = error_body("request_timeout", "request took too long to arrive");
                 let bytes = response_bytes(408, &body, CONTENT_TYPE_JSON, false, &[]);
@@ -1006,7 +1007,7 @@ impl EventLoop {
             let _ = self.poller.delete(conn.fd);
             self.ctx
                 .stats
-                .open_connections
+                .get(HttpCounter::OpenConnections)
                 .fetch_sub(1, Ordering::Relaxed);
             // Dropping `conn` closes the socket.
         }

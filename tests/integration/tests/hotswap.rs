@@ -20,12 +20,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// Mid-traffic hot-swaps per battery. `CI_QUICK=1` (the sub-minute
-/// inner-loop gate, see scripts/ci.sh) shrinks the battery; the full run —
-/// the workspace test suite and the dedicated CI stage — performs the
-/// twenty-reload contract the test names.
+/// Mid-traffic hot-swaps per battery. `CI_QUICK` set to anything but empty
+/// or `"0"` (the sub-minute inner-loop gate, see scripts/ci.sh) shrinks the
+/// battery; the full run performs the twenty-reload contract the test
+/// names.
 fn reloads() -> u64 {
-    if std::env::var("CI_QUICK").as_deref() == Ok("1") {
+    if std::env::var("CI_QUICK").is_ok_and(|v| !v.is_empty() && v != "0") {
         6
     } else {
         20
@@ -361,4 +361,62 @@ fn byte_identical_tables_share_one_shard_pool_across_tenants() {
         2 * baseline_bytes,
         "distinct tables are both resident"
     );
+}
+
+/// `(unlabelled, labelled)` served counters of the default tenant from one
+/// `/metrics` scrape, which must pass the strict exposition lint.
+fn served_counters(client: &mut HttpClient) -> (f64, f64) {
+    let page = client.get("/metrics").expect("scrape").body;
+    dtdbd_serve::prom::lint(&page).unwrap_or_else(|e| panic!("{e}\n---\n{page}"));
+    let sample = |series: &str| -> f64 {
+        let line = page.lines().find_map(|l| l.strip_prefix(series));
+        line.and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {series} sample\n---\n{page}"))
+    };
+    (
+        sample("dtdbd_requests_served_total "),
+        sample("dtdbd_model_requests_served_total{model=\"student\"} "),
+    )
+}
+
+#[test]
+fn unlabelled_served_counter_never_drops_when_the_default_tenant_swaps() {
+    let (v1, v2, ds) = two_checkpoints();
+    let path = temp_checkpoint_path("counters");
+    v1.save(&path).expect("write v1 checkpoint");
+    let server = ServerBuilder::new()
+        .batching(batching())
+        .tenant_from_path("student", &path)
+        .tenant("other", &v2)
+        .default_model_id("student")
+        .try_start_http_zoo()
+        .expect("start zoo");
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    for item in ds.items().iter().take(8) {
+        let request = InferenceRequest::new(item.tokens.clone(), item.domain);
+        let body = json::encode_request(&request).render();
+        assert_eq!(client.post("/predict", &body).unwrap().status, 200);
+        assert_eq!(client.post("/predict/other", &body).unwrap().status, 200);
+    }
+
+    let before = served_counters(&mut client);
+    assert_eq!(before.0, before.1);
+    v2.save(&path).expect("flip checkpoint file");
+    assert_eq!(
+        client.post("/admin/reload/student", "").unwrap().status,
+        200
+    );
+    // The two-tenant, post-reload page lints and the unlabelled counter is
+    // the folded total, not the fresh version's.
+    let after = served_counters(&mut client);
+    assert!(after.0 >= before.0, "{before:?} -> {after:?}");
+    assert_eq!(after.0, after.1);
+    let stats = client.get("/stats").unwrap().json().unwrap();
+    let student = stats.get("models").and_then(|m| m.get("student")).unwrap();
+    assert_eq!(
+        stats.get("requests_served"),
+        student.get("requests_served_total")
+    );
+    drop(server);
+    std::fs::remove_file(&path).ok();
 }
