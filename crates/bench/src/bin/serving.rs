@@ -203,10 +203,11 @@ fn bench_server(
             .batching(config.clone())
             .threads(INTRA_THREADS)
             .cache_capacity(cache_capacity)
-            .start({
+            .try_start({
                 let checkpoint = checkpoint.clone();
                 move |_| session_from_checkpoint(&checkpoint).expect("restore")
-            }),
+            })
+            .expect("valid configuration"),
     );
 
     let per_client = total_requests / clients;

@@ -18,8 +18,8 @@ use dtdbd_metrics::TableBuilder;
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::{
-    json, session_from_checkpoint, BatchingConfig, Checkpoint, ConnectionModel, FaultPlan,
-    HttpConfig, HttpServer, Precision, ServerBuilder, ServingStats,
+    json, session_from_checkpoint, BatchingConfig, Checkpoint, FaultPlan, HttpConfig, HttpServer,
+    Precision, ServerBuilder, ServingStats,
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
@@ -186,10 +186,12 @@ fn main() {
         Ok(None) => {}
         Err(e) => panic!("DTDBD_FAULTS: {e}"),
     }
-    let predict = builder.start({
-        let checkpoint = checkpoint.clone();
-        move |_| session_from_checkpoint(&checkpoint).expect("restore")
-    });
+    let predict = builder
+        .try_start({
+            let checkpoint = checkpoint.clone();
+            move |_| session_from_checkpoint(&checkpoint).expect("restore")
+        })
+        .expect("valid configuration");
     let serving = predict.stats();
     let server = HttpServer::start(
         predict,
@@ -229,10 +231,11 @@ fn main() {
         .precision(precision)
         .cache_capacity(0)
         .telemetry(false)
-        .start({
+        .try_start({
             let checkpoint = checkpoint.clone();
             move |_| session_from_checkpoint(&checkpoint).expect("restore")
-        });
+        })
+        .expect("valid configuration");
     let server_off = HttpServer::start(
         predict_off,
         HttpConfig {
@@ -274,31 +277,32 @@ fn main() {
     );
 
     // The c1024 mostly-idle keep-alive level needs the epoll connection
-    // model — the thread-per-connection pool cannot hold a thousand open
-    // sockets — so it gets its own server with deadlines long enough that
-    // an idle-but-healthy connection is never cut mid-level.
-    let keepalive = if ConnectionModel::Epoll.resolved() == "epoll" {
+    // driver — the blocking thread pool cannot hold a thousand open sockets
+    // — so it gets its own server with deadlines long enough that an
+    // idle-but-healthy connection is never cut mid-level, and runs only
+    // where that server reports epoll.
+    let predict_ka = ServerBuilder::new()
+        .batching(batching.clone())
+        .threads(INTRA_THREADS)
+        .precision(precision)
+        .cache_capacity(0)
+        .try_start({
+            let checkpoint = checkpoint.clone();
+            move |_| session_from_checkpoint(&checkpoint).expect("restore")
+        })
+        .expect("valid configuration");
+    let server_ka = HttpServer::start(
+        predict_ka,
+        HttpConfig {
+            backlog: 64,
+            read_timeout: Duration::from_secs(120),
+            request_timeout: Duration::from_secs(120),
+            ..HttpConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let keepalive = if server_ka.connection_model() == "epoll" {
         eprintln!("[serving_http] c1024 mostly-idle keep-alive level (epoll)...");
-        let predict_ka = ServerBuilder::new()
-            .batching(batching.clone())
-            .threads(INTRA_THREADS)
-            .precision(precision)
-            .cache_capacity(0)
-            .start({
-                let checkpoint = checkpoint.clone();
-                move |_| session_from_checkpoint(&checkpoint).expect("restore")
-            });
-        let server_ka = HttpServer::start(
-            predict_ka,
-            HttpConfig {
-                connection_model: ConnectionModel::Epoll,
-                backlog: 64,
-                read_timeout: Duration::from_secs(120),
-                request_timeout: Duration::from_secs(120),
-                ..HttpConfig::default()
-            },
-        )
-        .expect("bind ephemeral port");
         let addr_ka = server_ka.local_addr();
         {
             let mut client = HttpClient::connect(addr_ka).expect("connect");
@@ -308,7 +312,6 @@ fn main() {
             }
         }
         let level = run_idle_keepalive_level(addr_ka, &bodies, 1024, requests_per_level);
-        server_ka.shutdown();
         assert!(
             level.server_open_connections >= level.connections as u64,
             "server reports {} open connections with a fleet of {} held open",
@@ -327,10 +330,12 @@ fn main() {
         Some(level)
     } else {
         eprintln!(
-            "[serving_http] c1024 keep-alive level skipped (epoll unavailable on this platform)"
+            "[serving_http] c1024 keep-alive level skipped (the {} driver runs on this platform)",
+            server_ka.connection_model()
         );
         None
     };
+    server_ka.shutdown();
 
     eprintln!("[serving_http] two-model zoo level (equal total workers)...");
     let zoo = run_zoo_level(&checkpoint, precision, &bodies, requests_per_level);

@@ -9,7 +9,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::fault::FaultPlan;
-use crate::http::{ConnectionModel, HttpConfig, HttpServer};
+use crate::http::{HttpConfig, HttpServer};
 use crate::routing::DomainRouting;
 use crate::server::{BatchingConfig, PredictServer, ServerTuning};
 use crate::session::InferenceSession;
@@ -126,6 +126,9 @@ pub enum ConfigError {
         /// The id registered twice.
         id: String,
     },
+    /// `HttpConfig::connection_workers == 0`: the HTTP front-end would have
+    /// no thread to answer a request on.
+    ZeroConnectionWorkers,
 }
 
 impl fmt::Display for ConfigError {
@@ -194,6 +197,9 @@ impl fmt::Display for ConfigError {
             Self::NoTenants => write!(f, "a model zoo needs at least one registered tenant"),
             Self::DuplicateModelId { id } => {
                 write!(f, "model id {id:?} registered more than once")
+            }
+            Self::ZeroConnectionWorkers => {
+                write!(f, "the HTTP front-end needs at least one connection worker")
             }
         }
     }
@@ -314,10 +320,11 @@ pub fn session_from_checkpoint(
 ///   worker; predictions stay bit-identical (0 = full replicas).
 /// * **`domain_routing`** — pin domains to specialist worker groups with a
 ///   shared fallback queue for everything else.
-/// * **`http` / `http_addr` / `connection_model`** — configuration of the
-///   optional HTTP front-end started by the `*_http` constructors,
-///   including the connection scheduling model (epoll event loop on Linux,
-///   thread-per-connection pool elsewhere).
+/// * **`http` / `http_addr`** — configuration of the optional HTTP
+///   front-end started by the `*_http` constructors (bind address, worker
+///   and backlog sizing, wire limits, deadlines). The build platform picks
+///   its connection driver: the epoll event loop on Linux x86-64/aarch64,
+///   a blocking thread pool elsewhere.
 ///
 /// ```no_run
 /// # use dtdbd_serve::{Checkpoint, DomainRouting, ServerBuilder};
@@ -366,8 +373,7 @@ impl ServerBuilder {
     /// (1 intra-op thread, 1024-entry prediction cache in 8 lock
     /// partitions, full replicas, no routing). The HTTP front-end (only
     /// started by the `*_http` constructors) defaults to
-    /// [`HttpConfig::default`]: an ephemeral loopback port and
-    /// [`ConnectionModel::Auto`].
+    /// [`HttpConfig::default`]: an ephemeral loopback port.
     pub fn new() -> Self {
         Self {
             batching: BatchingConfig::default(),
@@ -464,8 +470,9 @@ impl ServerBuilder {
     }
 
     /// Replace the whole HTTP front-end configuration (bind address,
-    /// connection model, worker/backlog sizing, wire limits, deadlines).
-    /// Only consulted by the `*_http` constructors.
+    /// worker/backlog sizing, wire limits, deadlines). Only consulted by the
+    /// `*_http` constructors, which reject `connection_workers == 0` with
+    /// [`ConfigError::ZeroConnectionWorkers`] before any thread spawns.
     pub fn http(mut self, config: HttpConfig) -> Self {
         self.http = config;
         self
@@ -476,19 +483,6 @@ impl ServerBuilder {
     /// constructors.
     pub fn http_addr(mut self, addr: impl Into<String>) -> Self {
         self.http.addr = addr.into();
-        self
-    }
-
-    /// How the HTTP front-end schedules connections: a single epoll event
-    /// loop with timer-wheel deadlines ([`ConnectionModel::Epoll`], the
-    /// Linux default) or a thread-per-connection pool
-    /// ([`ConnectionModel::Pool`], the portable fallback and the default
-    /// elsewhere). [`ConnectionModel::Auto`] picks per platform and honours
-    /// the `DTDBD_CONNECTION_MODEL` environment override. Predictions are
-    /// bit-identical under either model — this is a scheduling knob, not a
-    /// semantic one.
-    pub fn connection_model(mut self, model: ConnectionModel) -> Self {
-        self.http.connection_model = model;
         self
     }
 
@@ -576,7 +570,7 @@ impl ServerBuilder {
     /// `POST /predict/<id>` routes per tenant, `GET /model` lists the zoo,
     /// `POST /admin/reload/<id>` hot-swaps file-backed tenants.
     pub fn try_start_http_zoo(self) -> Result<HttpServer, StartError> {
-        let http = self.http.clone();
+        let http = self.checked_http()?;
         let zoo = self.try_start_zoo()?;
         Ok(HttpServer::start_zoo(zoo, http)?)
     }
@@ -592,20 +586,6 @@ impl ServerBuilder {
         F: FnMut(usize) -> InferenceSession<M> + Send + 'static,
     {
         PredictServer::start_tuned(self.batching, self.tuning, factory)
-    }
-
-    /// Start the server with a per-worker session factory.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration; use [`ServerBuilder::try_start`]
-    /// for the typed-error form.
-    pub fn start<M, F>(self, factory: F) -> PredictServer
-    where
-        M: FakeNewsModel + Send + 'static,
-        F: FnMut(usize) -> InferenceSession<M> + Send + 'static,
-    {
-        self.try_start(factory)
-            .unwrap_or_else(|e| panic!("invalid server configuration: {e}"))
     }
 
     /// Start the server with every worker restoring the same checkpoint,
@@ -633,29 +613,9 @@ impl ServerBuilder {
         })?)
     }
 
-    /// Start the server with every worker restoring the same checkpoint.
-    ///
-    /// # Panics
-    /// Panics on an invalid builder configuration (checkpoint problems stay
-    /// typed); use [`ServerBuilder::try_start_from_checkpoint`] for the
-    /// fully typed form.
-    pub fn start_from_checkpoint(
-        self,
-        checkpoint: &Checkpoint,
-    ) -> Result<PredictServer, CheckpointError> {
-        match self.try_start_from_checkpoint(checkpoint) {
-            Ok(server) => Ok(server),
-            Err(StartError::Checkpoint(e)) => Err(e),
-            Err(StartError::Config(e)) => panic!("invalid server configuration: {e}"),
-            Err(StartError::Io(e)) => {
-                unreachable!("no http listener is started here: {e}")
-            }
-        }
-    }
-
     /// Start the tuned [`PredictServer`] *and* an [`HttpServer`] in front of
     /// it, configured by [`ServerBuilder::http`] /
-    /// [`ServerBuilder::http_addr`] / [`ServerBuilder::connection_model`].
+    /// [`ServerBuilder::http_addr`].
     /// The returned front-end owns the predict server; shut it down with
     /// [`HttpServer::shutdown`].
     pub fn try_start_http<M, F>(self, factory: F) -> Result<HttpServer, StartError>
@@ -663,7 +623,7 @@ impl ServerBuilder {
         M: FakeNewsModel + Send + 'static,
         F: FnMut(usize) -> InferenceSession<M> + Send + 'static,
     {
-        let http = self.http.clone();
+        let http = self.checked_http()?;
         let predict = self.try_start(factory)?;
         Ok(HttpServer::start(predict, http)?)
     }
@@ -675,8 +635,17 @@ impl ServerBuilder {
         self,
         checkpoint: &Checkpoint,
     ) -> Result<HttpServer, StartError> {
-        let http = self.http.clone();
+        let http = self.checked_http()?;
         let predict = self.try_start_from_checkpoint(checkpoint)?;
         Ok(HttpServer::start(predict, http)?)
+    }
+
+    /// The HTTP configuration, validated before any prediction worker
+    /// starts (so a bad front-end config never leaves threads behind).
+    fn checked_http(&self) -> Result<HttpConfig, ConfigError> {
+        if self.http.connection_workers == 0 {
+            return Err(ConfigError::ZeroConnectionWorkers);
+        }
+        Ok(self.http.clone())
     }
 }

@@ -1,24 +1,26 @@
 //! Dependency-free HTTP/1.1 front-end for the micro-batching server.
 //!
-//! [`HttpServer`] puts a real wire in front of [`PredictServer`] through one
-//! of two **connection models** (selected by [`HttpConfig::connection_model`]
-//! / [`crate::ServerBuilder::connection_model`]):
+//! [`HttpServer`] puts a real wire in front of [`PredictServer`]. Every
+//! connection speaks HTTP/1.1 with keep-alive through one socket-free
+//! protocol state machine (`conn.rs`: parsing with the incremental
+//! [`RequestParser`] below, keep-alive and drain rules, deadlines, timeout
+//! and error replies). The build platform picks the driver that runs it:
 //!
-//! * **epoll** (Linux default, see [`crate::poll`]) — one event-loop thread
+//! * **epoll** (Linux x86-64/aarch64, `poll.rs`) — one event-loop thread
 //!   multiplexes every connection nonblocking through a raw-syscall epoll
 //!   instance; complete requests are handed to `connection_workers`
-//!   dispatcher threads, and both HTTP deadlines live on a
+//!   dispatcher threads, and deadlines live on a
 //!   [`crate::timer::TimerWheel`]. Tens of thousands of mostly-idle
 //!   keep-alive sockets cost a slab slot each, not a thread.
-//! * **pool** (portable fallback, default elsewhere) — a blocking
-//!   `std::net::TcpListener` accept loop feeding a bounded pool of
-//!   connection-handler threads (`connection_workers` threads behind a
-//!   `backlog`-deep hand-off queue; when both are full the acceptor answers
-//!   `503` instead of piling up threads).
+//! * **pool** (every other platform, `blocking.rs`) — a blocking
+//!   `std::net::TcpListener` accept loop feeding `connection_workers`
+//!   handler threads behind a `backlog`-deep hand-off queue (when both are
+//!   full the acceptor answers `503` instead of piling up threads), with
+//!   the machine's deadlines applied as socket timeouts.
 //!
-//! Either way each connection speaks HTTP/1.1 with keep-alive, parsed by the
-//! incremental [`RequestParser`] below, and predictions are **bit-identical**
-//! across models — the model only changes how sockets are scheduled.
+//! [`HttpServer::connection_model`], `/stats` (`http.connection_model`) and
+//! `/metrics` (`dtdbd_http_connection_model`) name the driver. Both put the
+//! same bytes on the wire, so predictions are **bit-identical** either way.
 //!
 //! # Wire protocol
 //!
@@ -65,86 +67,18 @@
 //! every connection worker is joined, and the wrapped [`PredictServer`] then
 //! drains its queue through its own [`PredictServer::shutdown`] sequence.
 
+use crate::builder::ConfigError;
 use crate::json::{self, Json};
 use crate::server::{PredictError, PredictServer};
 use crate::session::Prediction;
 use crate::surface::{self, HttpCounter, HttpStats, Snapshot, TenantSnapshot};
-use crate::telemetry::Stage;
 use crate::zoo::{ModelZoo, ReloadError, Tenant, TenantModel};
 use dtdbd_data::EncodedRequest;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How [`HttpServer`] schedules its connections.
-///
-/// | Model | Mechanism | Idle keep-alive cost |
-/// |-------|-----------|----------------------|
-/// | `Epoll` | one event-loop thread, readiness polling ([`crate::poll`]) | a slab slot + a timer-wheel entry |
-/// | `Pool`  | thread-per-connection behind a bounded hand-off queue | a pool thread each |
-///
-/// **Platform defaults:** `Auto` resolves to `Epoll` on Linux
-/// (x86_64/aarch64, where the raw-syscall shims exist) and to `Pool`
-/// everywhere else. The environment variable `DTDBD_CONNECTION_MODEL`
-/// (`"epoll"` or `"pool"`) overrides `Auto` only — an explicit choice in
-/// code wins. Asking for `Epoll` on a platform without epoll support falls
-/// back to `Pool` rather than failing. The resolved model is surfaced in
-/// `/stats` (`http.connection_model`) and `/metrics`
-/// (`dtdbd_http_connection_model`).
-///
-/// Predictions are bit-identical under either model; `connection_workers`
-/// sizes the dispatcher pool (epoll) or the handler pool (pool), and
-/// `backlog` bounds the queued work in front of it either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnectionModel {
-    /// `DTDBD_CONNECTION_MODEL` if set, else the platform default
-    /// (`Epoll` on supported Linux, `Pool` elsewhere).
-    #[default]
-    Auto,
-    /// Readiness-polling event loop (falls back to `Pool` where
-    /// unsupported).
-    Epoll,
-    /// Thread-per-connection behind the bounded accept pool.
-    Pool,
-}
-
-/// Whether this build carries the epoll backend at all.
-const EPOLL_SUPPORTED: bool = cfg!(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
-impl ConnectionModel {
-    /// The model a server started with this setting will actually run
-    /// (`"epoll"` or `"pool"`), after the environment override and the
-    /// platform fallback.
-    pub fn resolved(self) -> &'static str {
-        let wanted = match self {
-            ConnectionModel::Epoll => "epoll",
-            ConnectionModel::Pool => "pool",
-            ConnectionModel::Auto => match std::env::var("DTDBD_CONNECTION_MODEL").as_deref() {
-                Ok("pool") => "pool",
-                Ok("epoll") => "epoll",
-                _ => {
-                    if EPOLL_SUPPORTED {
-                        "epoll"
-                    } else {
-                        "pool"
-                    }
-                }
-            },
-        };
-        if wanted == "epoll" && !EPOLL_SUPPORTED {
-            "pool"
-        } else {
-            wanted
-        }
-    }
-}
 
 /// Tuning knobs of the HTTP listener.
 #[derive(Debug, Clone)]
@@ -152,29 +86,28 @@ pub struct HttpConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`HttpServer::local_addr`]).
     pub addr: String,
-    /// Connection scheduling: epoll event loop vs thread-per-connection
-    /// pool (see [`ConnectionModel`] for the platform defaults).
-    pub connection_model: ConnectionModel,
-    /// Size of the connection-handler thread pool (pool model) or of the
-    /// dispatcher pool behind the event loop (epoll model).
+    /// Size of the dispatcher pool behind the event loop (epoll) or of the
+    /// connection-handler thread pool (pool); at least 1
+    /// ([`crate::ConfigError::ZeroConnectionWorkers`] otherwise).
     pub connection_workers: usize,
-    /// Accepted connections (pool) / parsed requests (epoll) that may wait
-    /// for a free handler before the server starts answering `503`.
+    /// Parsed requests (epoll) / accepted connections (pool) that may wait
+    /// for a free worker before the server starts answering `503`.
     pub backlog: usize,
     /// Largest request head (request line + headers) accepted; `431` beyond.
     pub max_head_bytes: usize,
     /// Largest declared body accepted; `413` beyond.
     pub max_body_bytes: usize,
     /// Idle keep-alive deadline: a connection with no request in progress is
-    /// closed after this long without bytes. Under the pool model this is
-    /// also the per-read socket timeout; under epoll it is a timer-wheel
-    /// deadline (granularity 10 ms, never early).
+    /// closed after this long without bytes (100 ms once the server drains).
+    /// Under epoll it is a timer-wheel deadline (granularity 10 ms, never
+    /// early); the pool checks it between reads of at most 100 ms.
     pub read_timeout: Duration,
     /// Overall deadline for one request to arrive completely (first byte to
     /// final body byte). Guards against slow-loris clients that keep each
-    /// individual read under `read_timeout`; `408` beyond. Under epoll this
-    /// also bounds how long a response may sit unflushed against a stalled
-    /// reader (cut without a status — there is no wire left to answer on).
+    /// individual read under `read_timeout`; `408` beyond. It also bounds
+    /// how long a response may sit unflushed against a stalled reader (cut
+    /// without a status — there is no wire left to answer on), and is the
+    /// prediction deadline of each request in the micro-batch queue.
     pub request_timeout: Duration,
 }
 
@@ -182,7 +115,6 @@ impl Default for HttpConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            connection_model: ConnectionModel::Auto,
             connection_workers: 8,
             backlog: 32,
             max_head_bytes: 8 * 1024,
@@ -515,18 +447,18 @@ pub(crate) struct Ctx {
     pub(crate) zoo: Arc<ModelZoo>,
     pub(crate) stats: HttpStats,
     pub(crate) config: HttpConfig,
-    /// The model this server resolved to (`"epoll"` or `"pool"`).
+    /// The driver serving this listener (`"epoll"` or `"pool"`).
     pub(crate) connection_model: &'static str,
-    // Shared with the acceptor AND the connection workers: a busy
-    // keep-alive connection checks it between requests so shutdown is
-    // never blocked behind a client that keeps the wire warm.
+    // Read by the driver and every connection: a busy keep-alive connection
+    // closes at its next response so shutdown is never blocked behind a
+    // client that keeps the wire warm.
     pub(crate) shutdown: AtomicBool,
     // Readiness only (`GET /readyz` answers 503): requests in flight still
     // complete, the listener stays up, `/healthz` keeps saying ok. Lets a
     // load balancer stop routing here before the hard shutdown starts.
-    // The epoll loop additionally drops its accept interest and both
-    // backends release keep-alive clients (`Connection: close` on the next
-    // response, shortened idle deadlines).
+    // The epoll loop additionally drops its accept interest, and every
+    // connection releases its keep-alive client (`Connection: close` on the
+    // next response, shortened idle deadline).
     pub(crate) draining: AtomicBool,
 }
 
@@ -550,32 +482,45 @@ impl Ctx {
     }
 }
 
+/// A running connection driver, as [`HttpServer`] controls it.
+pub(crate) trait Driver: Send + Sync {
+    /// Let the driver notice a drain or shutdown flag flipped just now.
+    fn wake(&self);
+    /// Join every driver thread; called once, after the shutdown flag is
+    /// set.
+    fn join(&mut self);
+}
+
+/// Starts a driver over a bound listener.
+type StartDriver = fn(TcpListener, &Arc<Ctx>) -> io::Result<Box<dyn Driver>>;
+
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+use crate::poll as platform;
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+use crate::blocking as platform;
+
 /// The HTTP listener wrapping a [`PredictServer`].
 pub struct HttpServer {
     pub(crate) ctx: Arc<Ctx>,
     local_addr: SocketAddr,
-    backend: Backend,
-}
-
-/// The running connection backend's thread handles.
-enum Backend {
-    Pool {
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Epoll(crate::poll::EpollBackend),
+    driver: Box<dyn Driver>,
 }
 
 impl HttpServer {
-    /// Bind `config.addr` and start serving `predict` over HTTP, under the
-    /// connection model `config.connection_model` resolves to. The server
+    /// Bind `config.addr` and start serving `predict` over HTTP. The server
     /// runs as a single-tenant [`ModelZoo`] under
     /// [`crate::zoo::DEFAULT_MODEL_ID`], so the whole multi-model surface
     /// (`/predict/<id>`, `/model`, per-model stats) answers consistently.
+    ///
+    /// `connection_workers == 0` is an `InvalidInput` error wrapping
+    /// [`crate::ConfigError::ZeroConnectionWorkers`].
     pub fn start(predict: PredictServer, config: HttpConfig) -> io::Result<Self> {
         Self::start_zoo(ModelZoo::single(predict), config)
     }
@@ -585,10 +530,35 @@ impl HttpServer {
     /// the zoo's default id, and `POST /admin/reload/<id>` hot-swaps
     /// file-backed tenants without dropping traffic.
     pub fn start_zoo(zoo: ModelZoo, config: HttpConfig) -> io::Result<Self> {
-        assert!(config.connection_workers > 0, "need at least one worker");
+        Self::launch(zoo, config, platform::NAME, platform::start)
+    }
+
+    /// [`HttpServer::start`] under the blocking driver, which Linux builds
+    /// otherwise never run.
+    #[cfg(test)]
+    pub(crate) fn start_blocking(predict: PredictServer, config: HttpConfig) -> io::Result<Self> {
+        Self::launch(
+            ModelZoo::single(predict),
+            config,
+            crate::blocking::NAME,
+            crate::blocking::start,
+        )
+    }
+
+    fn launch(
+        zoo: ModelZoo,
+        config: HttpConfig,
+        connection_model: &'static str,
+        start: StartDriver,
+    ) -> io::Result<Self> {
+        if config.connection_workers == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                ConfigError::ZeroConnectionWorkers,
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let connection_model = config.connection_model.resolved();
         let ctx = Arc::new(Ctx {
             zoo: Arc::new(zoo),
             stats: HttpStats::default(),
@@ -597,89 +567,12 @@ impl HttpServer {
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
         });
-        let backend = match connection_model {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            "epoll" => Backend::Epoll(crate::poll::start(listener, Arc::clone(&ctx))?),
-            _ => Self::start_pool(listener, &ctx),
-        };
+        let driver = start(listener, &ctx)?;
         Ok(Self {
             ctx,
             local_addr,
-            backend,
+            driver,
         })
-    }
-
-    fn start_pool(listener: TcpListener, ctx: &Arc<Ctx>) -> Backend {
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(ctx.config.backlog);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..ctx.config.connection_workers)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let ctx = Arc::clone(ctx);
-                thread::spawn(move || loop {
-                    // Hold the lock only to pull the next connection.
-                    let stream = match rx.lock().expect("hand-off poisoned").recv() {
-                        Ok(stream) => stream,
-                        Err(_) => return, // acceptor gone and queue drained
-                    };
-                    ctx.stats
-                        .get(HttpCounter::OpenConnections)
-                        .fetch_add(1, Ordering::Relaxed);
-                    handle_connection(stream, &ctx);
-                    ctx.stats
-                        .get(HttpCounter::OpenConnections)
-                        .fetch_sub(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-
-        let acceptor = {
-            let ctx = Arc::clone(ctx);
-            thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if ctx.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match stream {
-                        Ok(stream) => stream,
-                        Err(_) => continue,
-                    };
-                    ctx.stats.bump(HttpCounter::Connections);
-                    // Bounded pool saturated (or every worker dead): shed
-                    // load with a 503 instead of spawning unbounded threads
-                    // or silently dropping the socket.
-                    if let Err(
-                        TrySendError::Full(mut stream) | TrySendError::Disconnected(mut stream),
-                    ) = tx.try_send(stream)
-                    {
-                        ctx.stats.bump(HttpCounter::ConnectionsRejected);
-                        ctx.stats.count_response(503);
-                        let body = error_body("overloaded", "connection pool saturated");
-                        let retry = [(
-                            "Retry-After",
-                            ctx.retry_after(&ctx.default_model()).to_string(),
-                        )];
-                        let _ = write_response(
-                            &mut stream,
-                            503,
-                            &body,
-                            CONTENT_TYPE_JSON,
-                            false,
-                            &retry,
-                        );
-                    }
-                }
-                // Dropping `tx` here releases the workers' recv loops.
-            })
-        };
-
-        Backend::Pool {
-            acceptor: Some(acceptor),
-            workers,
-        }
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
@@ -700,19 +593,19 @@ impl HttpServer {
         &self.ctx.zoo
     }
 
-    /// The connection model actually serving this listener (`"epoll"` or
-    /// `"pool"`), after `Auto` resolution and platform fallback.
+    /// The connection driver serving this listener: `"epoll"` on Linux
+    /// x86-64/aarch64, `"pool"` elsewhere.
     pub fn connection_model(&self) -> &'static str {
         self.ctx.connection_model
     }
 
-    /// Stop accepting, join the acceptor and every connection worker, then
-    /// drain the wrapped [`PredictServer`] (its [`PredictServer::shutdown`]
-    /// runs when the last reference drops here). Dropping the listener calls
-    /// this too. Open keep-alive connections are released at their next
-    /// request boundary (busy clients get `Connection: close`) or within one
-    /// `read_timeout` (idle clients), so the join is bounded even under
-    /// sustained client traffic.
+    /// Stop accepting, join the driver's threads, then drain the wrapped
+    /// [`PredictServer`] (its [`PredictServer::shutdown`] runs when the last
+    /// reference drops here). Dropping the listener calls this too. Open
+    /// keep-alive connections are released at their next request boundary
+    /// (busy clients get `Connection: close`) or at once (idle clients), and
+    /// a response stuck behind a client that stopped reading is cut at
+    /// `request_timeout`, so the join is bounded whatever the clients do.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -720,19 +613,13 @@ impl HttpServer {
     /// Flip `GET /readyz` to `503`: in-flight and new requests on open
     /// connections still complete and `/healthz` still answers ok, but a
     /// load balancer polling readiness stops sending traffic here. Under
-    /// the epoll model the event loop additionally drops its **accept
-    /// interest** — open state machines run to completion while no new
-    /// connections are admitted. Call it ahead of [`HttpServer::shutdown`]
-    /// to drain cleanly.
+    /// the epoll driver the event loop additionally drops its **accept
+    /// interest** — open connections run to completion while no new ones
+    /// are admitted. Call it ahead of [`HttpServer::shutdown`] to drain
+    /// cleanly.
     pub fn begin_drain(&self) {
         self.ctx.draining.store(true, Ordering::SeqCst);
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        if let Backend::Epoll(backend) = &self.backend {
-            backend.waker.wake(); // let the loop observe the flag now
-        }
+        self.driver.wake();
     }
 
     fn shutdown_impl(&mut self) {
@@ -740,164 +627,20 @@ impl HttpServer {
         if self.ctx.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        match &mut self.backend {
-            Backend::Pool { acceptor, workers } => {
-                // The acceptor blocks in accept(); a no-op connection wakes
-                // it so it can observe the flag.
-                let _ = TcpStream::connect(self.local_addr);
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                for worker in workers.drain(..) {
-                    let _ = worker.join();
-                }
-            }
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Epoll(backend) => {
-                backend.waker.wake();
-                // The loop closes idle connections, finishes in-flight
-                // requests (responses carry `Connection: close`) and exits;
-                // dropping its dispatch channel then releases the
-                // dispatchers.
-                if let Some(event_loop) = backend.event_loop.take() {
-                    let _ = event_loop.join();
-                }
-                for dispatcher in backend.dispatchers.drain(..) {
-                    let _ = dispatcher.join();
-                }
-            }
-        }
+        self.driver.join();
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown_impl();
-        // After the handler threads are gone, `self.ctx` is (usually) the
+        // After the driver threads are gone, `self.ctx` is (usually) the
         // last reference: dropping it drains and joins the PredictServer.
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
-    // Each blocking read is capped at a short poll interval rather than the
-    // full `read_timeout`, so a thread parked on an idle keep-alive socket
-    // observes drain/shutdown within one tick instead of one read_timeout.
-    // The idle deadline itself is tracked explicitly against `idle_since`.
-    let poll_cap = ctx.config.read_timeout.min(READ_POLL_INTERVAL);
-    let _ = stream.set_read_timeout(Some(poll_cap));
-    let _ = stream.set_nodelay(true);
-    let trace = ctx.default_model().trace();
-    let mut parser = RequestParser::new(ctx.config.max_head_bytes, ctx.config.max_body_bytes);
-    let mut chunk = [0u8; 8192];
-    // Overall per-request deadline, armed from the first buffered byte of
-    // each request. The per-read timeout alone would let a slow-loris
-    // client trickle one byte per read forever, pinning a pool worker.
-    let mut request_started: Option<Instant> = None;
-    // Telemetry only: from the first socket read of a request to its
-    // complete parse (so it includes the client's own trickle time; a
-    // pipelined request parsed straight out of the buffer records nothing).
-    let mut parse_started: Option<Instant> = None;
-    let mut idle_since = Instant::now();
-    loop {
-        match parser.poll() {
-            ParseOutcome::Request(request) => {
-                if let Some(t0) = parse_started.take() {
-                    trace.record_ns(Stage::HttpParse, t0.elapsed().as_nanos() as u64);
-                }
-                request_started = None;
-                let (status, body, content_type, extra) = route(&request, ctx);
-                ctx.stats.count_response(status);
-                // During drain or shutdown the response still goes out, but
-                // with `Connection: close` so a busy keep-alive client
-                // cannot hold this worker (and the shutdown join) hostage
-                // or keep hammering a drained listener.
-                let keep = request.keep_alive && !ctx.draining_or_shutdown();
-                let write_started = trace.is_enabled().then(Instant::now);
-                let wrote =
-                    write_response(&mut stream, status, &body, content_type, keep, &extra).is_ok();
-                if let Some(t0) = write_started {
-                    trace.record_ns(Stage::ResponseWrite, t0.elapsed().as_nanos() as u64);
-                }
-                if !wrote || !keep {
-                    return;
-                }
-                idle_since = Instant::now();
-            }
-            ParseOutcome::Failed(e) => {
-                ctx.stats.count_response(e.status);
-                let body = error_body(e.code, &e.message);
-                let _ = write_response(&mut stream, e.status, &body, CONTENT_TYPE_JSON, false, &[]);
-                return;
-            }
-            ParseOutcome::NeedMore => {
-                // Between requests, an idle connection is released as soon
-                // as shutdown starts; while draining it gets the shortened
-                // drain deadline instead of the full read_timeout (a fresh
-                // request racing the drain flag still gets its answer).
-                if parser.buffered() == 0 {
-                    if ctx.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let idle_deadline = if ctx.draining.load(Ordering::SeqCst) {
-                        DRAIN_IDLE_DEADLINE.min(ctx.config.read_timeout)
-                    } else {
-                        ctx.config.read_timeout
-                    };
-                    if idle_since.elapsed() >= idle_deadline {
-                        ctx.stats.bump(HttpCounter::IdleTimeouts);
-                        return;
-                    }
-                } else {
-                    let started = *request_started.get_or_insert_with(Instant::now);
-                    if started.elapsed() > ctx.config.request_timeout {
-                        ctx.stats.bump(HttpCounter::RequestTimeouts);
-                        ctx.stats.count_response(408);
-                        let body = error_body("request_timeout", "request took too long to arrive");
-                        let _ =
-                            write_response(&mut stream, 408, &body, CONTENT_TYPE_JSON, false, &[]);
-                        return;
-                    }
-                }
-                match stream.read(&mut chunk) {
-                    Ok(0) => return, // peer closed
-                    Ok(n) => {
-                        if parse_started.is_none() && trace.is_enabled() {
-                            parse_started = Some(Instant::now());
-                        }
-                        parser.feed(&chunk[..n]);
-                        idle_since = Instant::now();
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        // Poll tick: loop around to re-check the deadlines
-                        // and the drain/shutdown flags.
-                    }
-                    Err(_) => return, // reset: close quietly
-                }
-            }
-        }
     }
 }
 
 pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
 const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4";
-
-/// Cap on a pool thread's blocking socket read, so drain/shutdown flags are
-/// observed within one tick even on a completely idle keep-alive socket.
-const READ_POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// While draining, idle keep-alive connections are released after this much
-/// quiet time instead of the full `read_timeout` — both backends use it (the
-/// epoll loop re-arms its timer-wheel idle deadlines to this on the drain
-/// transition).
-pub(crate) const DRAIN_IDLE_DEADLINE: Duration = Duration::from_millis(100);
 
 pub(crate) type Routed = (u16, String, &'static str, Vec<(&'static str, String)>);
 
@@ -1064,18 +807,10 @@ pub(crate) fn route(request: &HttpRequest, ctx: &Ctx) -> Routed {
             let page = surface::metrics_text(&Snapshot::capture(ctx));
             (200, page, CONTENT_TYPE_PROM, Vec::new())
         }
-        (_, "/predict") => (
-            405,
-            error_body("method_not_allowed", "use POST /predict"),
-            CONTENT_TYPE_JSON,
-            vec![("Allow", "POST".to_string())],
-        ),
-        (_, path @ ("/healthz" | "/readyz" | "/stats" | "/metrics")) => (
-            405,
-            error_body("method_not_allowed", &format!("use GET {path}")),
-            CONTENT_TYPE_JSON,
-            vec![("Allow", "GET".to_string())],
-        ),
+        (_, "/predict") => method_not_allowed("POST", "use POST /predict"),
+        (_, path @ ("/healthz" | "/readyz" | "/stats" | "/metrics")) => {
+            method_not_allowed("GET", &format!("use GET {path}"))
+        }
         (_, path) => (
             404,
             error_body("not_found", &format!("no such endpoint {path:?}")),
@@ -1212,10 +947,8 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Render a complete response — head and body — to one byte buffer. Shared
-/// by the pool backend's blocking writer and the event loop's outgoing
-/// connection buffers, so both models put bit-identical responses on the
-/// wire.
+/// Render a complete response — head and body — to one byte buffer, the
+/// only way a response reaches the wire.
 pub(crate) fn response_bytes(
     status: u16,
     body: &str,
@@ -1239,24 +972,6 @@ pub(crate) fn response_bytes(
     let mut bytes = head.into_bytes();
     bytes.extend_from_slice(body.as_bytes());
     bytes
-}
-
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    content_type: &str,
-    keep_alive: bool,
-    extra_headers: &[(&'static str, String)],
-) -> io::Result<()> {
-    stream.write_all(&response_bytes(
-        status,
-        body,
-        content_type,
-        keep_alive,
-        extra_headers,
-    ))?;
-    stream.flush()
 }
 
 /// A minimal blocking HTTP/1.1 client with keep-alive, for tests, examples
@@ -1407,6 +1122,7 @@ mod tests {
     use dtdbd_models::{ModelConfig, TextCnnModel};
     use dtdbd_tensor::rng::Prng;
     use dtdbd_tensor::ParamStore;
+    use std::thread;
 
     fn parse_bytes(bytes: &[u8]) -> ParseOutcome {
         let mut parser = RequestParser::new(8 * 1024, 1024 * 1024);
@@ -1822,17 +1538,11 @@ mod tests {
     #[test]
     fn readyz_flips_to_503_when_draining_while_healthz_stays_ok() {
         let ds = dataset();
-        // Pool model: the listener keeps accepting while draining (the
+        // Blocking driver: the listener keeps accepting while draining (the
         // readiness flip is the only signal a load balancer needs), which
         // lets this test prove liveness on fresh connections. Under epoll
         // the drain additionally drops the accept interest.
-        let server = start_http_as(
-            &ds,
-            HttpConfig {
-                connection_model: ConnectionModel::Pool,
-                ..HttpConfig::default()
-            },
-        );
+        let server = start_blocking_as(&ds, HttpConfig::default());
         let mut client = HttpClient::connect(server.local_addr()).unwrap();
 
         let ready = client.get("/readyz").unwrap();
@@ -1865,14 +1575,17 @@ mod tests {
         assert_eq!(probe.post("/predict", &body).unwrap().status, 200);
     }
 
-    fn drain_releases_idle_keep_alive_promptly(model: ConnectionModel) {
+    /// Starts a server under one driver: [`start_http_as`] (this build's)
+    /// or [`start_blocking_as`].
+    type Start = fn(&MultiDomainDataset, HttpConfig) -> HttpServer;
+
+    fn drain_releases_idle_keep_alive_promptly(start: Start) {
         let ds = dataset();
         // A read_timeout far beyond what the test tolerates: the prompt cut
         // below can only come from the shortened drain deadline.
-        let server = start_http_as(
+        let server = start(
             &ds,
             HttpConfig {
-                connection_model: model,
                 read_timeout: Duration::from_secs(30),
                 ..HttpConfig::default()
             },
@@ -1905,12 +1618,12 @@ mod tests {
 
     #[test]
     fn drain_releases_idle_keep_alive_promptly_under_epoll() {
-        drain_releases_idle_keep_alive_promptly(ConnectionModel::Epoll);
+        drain_releases_idle_keep_alive_promptly(start_http_as);
     }
 
     #[test]
     fn drain_releases_idle_keep_alive_promptly_under_pool() {
-        drain_releases_idle_keep_alive_promptly(ConnectionModel::Pool);
+        drain_releases_idle_keep_alive_promptly(start_blocking_as);
     }
 
     #[test]
@@ -2056,14 +1769,23 @@ mod tests {
         assert!(client.join().unwrap(), "client never saw the close");
     }
 
-    fn start_http_as(ds: &MultiDomainDataset, config: HttpConfig) -> HttpServer {
+    fn predict_server(ds: &MultiDomainDataset) -> PredictServer {
         let cfg = ModelConfig::tiny(ds);
-        let predict = PredictServer::start(BatchingConfig::default(), move |_| {
+        PredictServer::start(BatchingConfig::default(), move |_| {
             let mut store = ParamStore::new();
             let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
             InferenceSession::new(model, store)
-        });
-        HttpServer::start(predict, config).expect("bind ephemeral port")
+        })
+    }
+
+    /// A server under this build's driver.
+    fn start_http_as(ds: &MultiDomainDataset, config: HttpConfig) -> HttpServer {
+        HttpServer::start(predict_server(ds), config).expect("bind ephemeral port")
+    }
+
+    /// A server under the blocking driver, whatever the platform.
+    fn start_blocking_as(ds: &MultiDomainDataset, config: HttpConfig) -> HttpServer {
+        HttpServer::start_blocking(predict_server(ds), config).expect("bind ephemeral port")
     }
 
     fn stats_u64(server: &HttpServer, field: &str) -> u64 {
@@ -2076,12 +1798,11 @@ mod tests {
             .unwrap_or_else(|| panic!("missing http.{field}"))
     }
 
-    fn slow_loris_is_cut_at_request_timeout(model: ConnectionModel) {
+    fn slow_loris_is_cut_at_request_timeout(start: Start) {
         let ds = dataset();
-        let server = start_http_as(
+        let server = start(
             &ds,
             HttpConfig {
-                connection_model: model,
                 read_timeout: Duration::from_millis(500),
                 request_timeout: Duration::from_millis(100),
                 ..HttpConfig::default()
@@ -2108,22 +1829,21 @@ mod tests {
 
     #[test]
     fn slow_loris_requests_hit_the_overall_deadline_under_epoll() {
-        // On platforms without the epoll backend this resolves to the pool
-        // model — the deadline semantics are identical either way.
-        slow_loris_is_cut_at_request_timeout(ConnectionModel::Epoll);
+        // On platforms without the epoll backend this runs the blocking
+        // driver — the deadline semantics are identical either way.
+        slow_loris_is_cut_at_request_timeout(start_http_as);
     }
 
     #[test]
     fn slow_loris_requests_hit_the_overall_deadline_under_pool() {
-        slow_loris_is_cut_at_request_timeout(ConnectionModel::Pool);
+        slow_loris_is_cut_at_request_timeout(start_blocking_as);
     }
 
-    fn idle_keep_alive_is_cut_at_read_timeout(model: ConnectionModel) {
+    fn idle_keep_alive_is_cut_at_read_timeout(start: Start) {
         let ds = dataset();
-        let server = start_http_as(
+        let server = start(
             &ds,
             HttpConfig {
-                connection_model: model,
                 read_timeout: Duration::from_millis(150),
                 request_timeout: Duration::from_secs(5),
                 ..HttpConfig::default()
@@ -2161,31 +1881,158 @@ mod tests {
 
     #[test]
     fn idle_keep_alive_connections_are_cut_under_epoll() {
-        idle_keep_alive_is_cut_at_read_timeout(ConnectionModel::Epoll);
+        idle_keep_alive_is_cut_at_read_timeout(start_http_as);
     }
 
     #[test]
     fn idle_keep_alive_connections_are_cut_under_pool() {
-        idle_keep_alive_is_cut_at_read_timeout(ConnectionModel::Pool);
+        idle_keep_alive_is_cut_at_read_timeout(start_blocking_as);
+    }
+
+    fn stalled_reader_is_cut_at_request_timeout(start: Start) {
+        let ds = dataset();
+        let server = start(
+            &ds,
+            HttpConfig {
+                request_timeout: Duration::from_millis(500),
+                ..HttpConfig::default()
+            },
+        );
+        let addr = server.local_addr();
+        let item = json::encode_request(&dtdbd_data::InferenceRequest::new(vec![1], 0));
+        // Warm the cache so every item of the batches below is a hit.
+        let mut client = HttpClient::connect(addr).unwrap();
+        let warm = client.post("/predict", &item.render()).unwrap();
+        assert_eq!(warm.status, 200, "{}", warm.body);
+        drop(client);
+        // ~0.1 MB of request for ~0.4 MB of response, pipelined 48 times:
+        // far more response than the socket buffers hold, none of it read.
+        let batch = Json::Obj(vec![("items".into(), Json::Arr(vec![item; 4096]))]).render();
+        let request = format!(
+            "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{batch}",
+            batch.len()
+        );
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let sender = thread::spawn(move || {
+            for _ in 0..48 {
+                if writer.write_all(request.as_bytes()).is_err() {
+                    return; // the server cut the connection
+                }
+            }
+        });
+        // The server answers until its writes stall, then cuts the
+        // connection one request_timeout later; only the probe stays open.
+        let t0 = Instant::now();
+        while stats_u64(&server, "open_connections") > 1 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(20),
+                "a client that stopped reading still holds its connection"
+            );
+            thread::sleep(Duration::from_millis(50));
+        }
+        sender.join().unwrap();
+        let t0 = Instant::now();
+        server.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "shutdown blocked behind a stalled reader"
+        );
+        drop(stream);
+    }
+
+    #[test]
+    fn a_stalled_reader_is_cut_at_request_timeout_under_epoll() {
+        stalled_reader_is_cut_at_request_timeout(start_http_as);
+    }
+
+    #[test]
+    fn a_stalled_reader_is_cut_at_request_timeout_under_pool() {
+        stalled_reader_is_cut_at_request_timeout(start_blocking_as);
+    }
+
+    #[test]
+    fn concurrent_clients_match_in_process_predictions_under_pool() {
+        // The blocking driver's bit-parity battery: many keep-alive clients
+        // at once, every wire answer equal to the in-process one.
+        let ds = dataset();
+        let server = start_blocking_as(
+            &ds,
+            HttpConfig {
+                connection_workers: 16,
+                backlog: 16,
+                ..HttpConfig::default()
+            },
+        );
+        let addr = server.local_addr();
+        let items: Arc<Vec<(Vec<u32>, usize)>> = Arc::new(
+            ds.items()
+                .iter()
+                .map(|item| (item.tokens.clone(), item.domain))
+                .collect(),
+        );
+        let (n_clients, per_client) = (16, 8);
+        let clients: Vec<_> = (0..n_clients)
+            .map(|c| {
+                let items = Arc::clone(&items);
+                thread::spawn(move || {
+                    let mut client = HttpClient::connect(addr).expect("connect");
+                    (0..per_client)
+                        .map(|i| {
+                            let idx = (c * per_client + i * 17) % items.len();
+                            let (tokens, domain) = items[idx].clone();
+                            let body = json::encode_request(&dtdbd_data::InferenceRequest::new(
+                                tokens, domain,
+                            ))
+                            .render();
+                            let response = client.post("/predict", &body).expect("request");
+                            assert_eq!(response.status, 200, "{}", response.body);
+                            let prediction = json::decode_prediction(&response.json().unwrap())
+                                .expect("prediction object");
+                            (idx, prediction)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut answers = 0;
+        for client in clients {
+            for (idx, wire) in client.join().expect("client thread") {
+                let (tokens, domain) = items[idx].clone();
+                let local = server
+                    .predict_server()
+                    .predict(&dtdbd_data::InferenceRequest::new(tokens, domain))
+                    .unwrap();
+                assert_eq!(
+                    wire.fake_prob.to_bits(),
+                    local.fake_prob.to_bits(),
+                    "item {idx}"
+                );
+                assert_eq!(wire.logits[0].to_bits(), local.logits[0].to_bits());
+                assert_eq!(wire.logits[1].to_bits(), local.logits[1].to_bits());
+                answers += 1;
+            }
+        }
+        assert_eq!(answers, n_clients * per_client);
+        assert_eq!(server.connection_model(), "pool");
     }
 
     #[test]
     fn epoll_holds_many_idle_connections_above_its_dispatcher_count() {
-        if ConnectionModel::Epoll.resolved() != "epoll" {
-            return; // no epoll backend on this platform
-        }
         let ds = dataset();
         // 2 dispatchers, 50 concurrent keep-alive connections: under the
-        // pool model this count would exhaust the handler threads.
+        // blocking driver this count would exhaust the handler threads.
         let server = start_http_as(
             &ds,
             HttpConfig {
-                connection_model: ConnectionModel::Epoll,
                 connection_workers: 2,
                 read_timeout: Duration::from_secs(30),
                 ..HttpConfig::default()
             },
         );
+        if server.connection_model() != "epoll" {
+            return; // no epoll backend on this platform
+        }
         let mut clients: Vec<HttpClient> = (0..50)
             .map(|_| HttpClient::connect(server.local_addr()).unwrap())
             .collect();

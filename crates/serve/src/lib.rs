@@ -35,10 +35,11 @@
 //! 5. **HTTP/1.1 front-end** ([`http`], with its JSON codec in [`json`]) —
 //!    [`HttpServer`] binds a `TcpListener` and serves `POST /predict`
 //!    (per-tenant: `POST /predict/<id>`), `GET /model`, `GET /healthz` and
-//!    `GET /stats` over real sockets: a bounded connection-worker pool,
-//!    incremental request parsing with hard head/body limits, keep-alive,
-//!    and JSON whose `f32` round trips are bit-exact. See the [`http`]
-//!    module docs for the full wire protocol.
+//!    `GET /stats` over real sockets: one protocol state machine per
+//!    connection (incremental request parsing with hard head/body limits,
+//!    keep-alive, deadlines) run by an epoll event loop on Linux and a
+//!    blocking thread pool elsewhere, and JSON whose `f32` round trips are
+//!    bit-exact. See the [`http`] module docs for the full wire protocol.
 //!
 //! The typical round trip:
 //!
@@ -54,9 +55,18 @@
 //!                               server.predict(&request)?.fake_prob
 //! ```
 
+#[cfg(any(
+    test,
+    not(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))
+))]
+mod blocking;
 pub mod builder;
 pub mod cache;
 pub mod checkpoint;
+mod conn;
 pub mod fault;
 pub mod http;
 pub mod json;
@@ -89,7 +99,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC, MIN_FOR
 pub use dtdbd_models::{SideState, SideStateError};
 pub use dtdbd_tensor::Precision;
 pub use fault::{FaultParseError, FaultPlan};
-pub use http::{ClientResponse, ConnectionModel, HttpClient, HttpConfig, HttpServer};
+pub use http::{ClientResponse, HttpClient, HttpConfig, HttpServer};
 pub use routing::DomainRouting;
 pub use server::{
     BatchingConfig, PredictError, PredictServer, PredictionHandle, RoutingStats, ServingStats,

@@ -1,60 +1,29 @@
-//! Readiness-polled connection backend: epoll via raw syscalls.
-//!
-//! This is the Linux default selected by
-//! [`crate::http::ConnectionModel`]: one **event-loop thread** owns the
-//! listener and every connection socket nonblocking, multiplexed through an
-//! epoll instance built directly on the `epoll_create1` / `epoll_ctl` /
+//! The epoll connection driver (Linux x86-64/aarch64; elsewhere
+//! `blocking.rs` runs): one **event-loop thread** owns the listener and
+//! every connection socket nonblocking, multiplexed through an epoll
+//! instance built directly on the `epoll_create1` / `epoll_ctl` /
 //! `epoll_pwait` syscalls (no `libc` — the workspace builds with zero
-//! external crates, so the three shims below go through `core::arch::asm!`).
-//! Idle keep-alive sockets cost one slab slot and one epoll registration
-//! each, nothing else: tens of thousands of mostly-idle connections sit at
-//! flat memory where the thread-per-connection pool would need as many
-//! threads.
+//! external crates, so the shims below go through `core::arch::asm!`).
+//! An idle keep-alive socket costs one slab slot and one registration,
+//! not a thread.
 //!
-//! # Per-connection state machine
+//! The loop does I/O only; each socket's [`crate::conn::Connection`]
+//! decides what happens next. The loop reads and writes, keeps the
+//! machine's deadline on a [`crate::timer::TimerWheel`] (lazily cancelled
+//! through per-connection generations), sets the epoll interest to what the
+//! machine waits for, and hands complete requests to a **dispatcher pool**
+//! (`connection_workers` threads) that routes them — blocking on the
+//! prediction — and sends the response back through a TCP self-pipe
+//! waker. A full dispatch queue (`backlog` requests beyond one per
+//! dispatcher) is answered `503 overloaded`.
 //!
-//! ```text
-//!             accept                    head complete
-//!   [idle] ----------> [reading-head] ----------------> [reading-body]
-//!     ^  \__ first byte __/       |                           |
-//!     |                           |   complete request        |
-//!     |                           v                           v
-//!  keep-alive <------------- [writing] <--------------- [dispatching]
-//!  (buffered bytes re-enter reading;     response bytes from a dispatcher
-//!   close instead when the response
-//!   said `Connection: close`)
-//! ```
-//!
-//! The loop feeds raw reads into the unchanged incremental
-//! [`crate::http::RequestParser`]; a complete request is handed to a small
-//! **dispatcher pool** (`connection_workers` threads) that runs the routing
-//! and the blocking predict wait, then pushes the rendered response bytes
-//! back for the event loop to write. One request is in flight per
-//! connection at a time — pipelined bytes stay buffered in the parser until
-//! the response is flushed, which also keeps responses in request order.
-//!
-//! # Deadlines
-//!
-//! Per-socket `set_read_timeout` cannot guard a nonblocking socket, so both
-//! HTTP deadlines live on a [`crate::timer::TimerWheel`] owned by the loop:
-//! the idle keep-alive `read_timeout` (fires → silent close) and the
-//! slow-loris `request_timeout` (fires mid-request → `408`, fires mid-write
-//! → close). Cancellation is lazy via per-connection generation counters.
-//!
-//! # Drain and shutdown
-//!
-//! [`crate::HttpServer::begin_drain`] wakes the loop (TCP self-pipe) and the
-//! loop deregisters its **accept interest**: no new connections, while every
-//! in-flight state machine — including open keep-alive connections — keeps
-//! running. Shutdown additionally closes idle/reading connections, lets
-//! dispatching/writing ones finish (their responses carry
-//! `Connection: close`), and exits once the slab is empty; dropping the
-//! dispatch channel then releases the dispatcher threads.
+//! Draining drops the **accept interest**: no new connections, while open
+//! ones keep running under the machine's drain rules. Shutdown then closes
+//! connections with no request in flight, lets the others finish, and
+//! exits once the slab is empty, which releases the dispatchers.
 
-use crate::http::{
-    error_body, response_bytes, route, Ctx, HttpRequest, ParseOutcome, RequestParser,
-    CONTENT_TYPE_JSON, DRAIN_IDLE_DEADLINE,
-};
+use crate::conn::{self, Action, Answer, Connection, Env};
+use crate::http::{Ctx, Driver, HttpRequest};
 use crate::surface::HttpCounter;
 use crate::telemetry::{Stage, TraceContext};
 use crate::timer::TimerWheel;
@@ -290,39 +259,20 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
-/// Where a connection is in its request lifecycle (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Keep-alive between requests; only the idle deadline is armed.
-    Idle,
-    /// Bytes of a request head are (expected to be) arriving.
-    ReadingHead,
-    /// The head is complete; body bytes are arriving.
-    ReadingBody,
-    /// A parsed request sits with the dispatcher pool; no read interest, so
-    /// pipelined bytes wait in the kernel buffer.
-    Dispatching,
-    /// Response bytes are being flushed.
-    Writing,
-}
-
+/// One open socket and the protocol state machine it feeds.
 struct Conn {
     stream: TcpStream,
     fd: RawFd,
-    parser: RequestParser,
-    state: State,
+    http: Connection,
+    /// Interest mask currently registered with the poller: `EPOLLIN` while
+    /// the machine waits for bytes, `EPOLLOUT` while a flush waits for
+    /// room, empty while a request is dispatched.
+    interest: u32,
+    /// The deadline currently on the wheel, if any.
+    armed: Option<Instant>,
     /// Timer-wheel generation: bumped on every re-arm/cancel, so stale
     /// wheel entries are ignored when they fire.
     timer_gen: u64,
-    /// Interest mask currently registered with the poller.
-    interest: u32,
-    out: Vec<u8>,
-    out_pos: usize,
-    keep_after_write: bool,
-    /// First socket read of the current request (telemetry `http_parse`).
-    parse_started: Option<Instant>,
-    /// Response queued → flushed (telemetry `response_write`).
-    write_started: Option<Instant>,
 }
 
 /// Slot-reusing connection store. Tokens are `index | generation << 32`:
@@ -394,6 +344,11 @@ impl Slab {
     }
 }
 
+/// Split a token into its slab index and slot generation.
+fn split_token(token: u64) -> (usize, u32) {
+    ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
+}
+
 // ---------------------------------------------------------------------------
 // Dispatcher pool
 // ---------------------------------------------------------------------------
@@ -407,16 +362,8 @@ struct Job {
     enqueued: Option<Instant>,
 }
 
-struct Done {
-    token: u64,
-    bytes: Vec<u8>,
-    keep: bool,
-}
-
-#[derive(Default)]
-struct Completions {
-    done: Mutex<Vec<Done>>,
-}
+/// Answered requests waiting for the event loop: (token, answer).
+type Completions = Mutex<Vec<(u64, Answer)>>;
 
 fn dispatcher(
     ctx: Arc<Ctx>,
@@ -434,22 +381,9 @@ fn dispatcher(
         if let Some(enqueued) = job.enqueued {
             trace.record_ns(Stage::QueueWait, enqueued.elapsed().as_nanos() as u64);
         }
-        let (status, body, content_type, extra) = route(&job.request, &ctx);
-        ctx.stats.count_response(status);
-        // During drain or shutdown the response still goes out, but with
-        // `Connection: close` so a busy keep-alive client cannot hold the
-        // event loop's exit hostage or keep hammering a drained listener.
-        let keep = job.request.keep_alive && !ctx.draining_or_shutdown();
-        let bytes = response_bytes(status, &body, content_type, keep, &extra);
-        completions
-            .done
-            .lock()
-            .expect("completions poisoned")
-            .push(Done {
-                token: job.token,
-                bytes,
-                keep,
-            });
+        let answer = conn::respond(&job.request, &ctx);
+        let done = (job.token, answer);
+        completions.lock().expect("completions poisoned").push(done);
         waker.wake();
     }
 }
@@ -459,11 +393,33 @@ fn dispatcher(
 // ---------------------------------------------------------------------------
 
 /// Handles of a running epoll backend, joined by `HttpServer::shutdown`.
-pub(crate) struct EpollBackend {
-    pub(crate) event_loop: Option<JoinHandle<()>>,
-    pub(crate) dispatchers: Vec<JoinHandle<()>>,
-    pub(crate) waker: Arc<Waker>,
+struct EpollBackend {
+    event_loop: Option<JoinHandle<()>>,
+    dispatchers: Vec<JoinHandle<()>>,
+    waker: Arc<Waker>,
 }
+
+impl Driver for EpollBackend {
+    fn wake(&self) {
+        self.waker.wake();
+    }
+
+    fn join(&mut self) {
+        self.waker.wake();
+        // The loop closes idle connections, finishes in-flight requests
+        // (responses carry `Connection: close`) and exits; dropping its
+        // dispatch channel then releases the dispatchers.
+        if let Some(event_loop) = self.event_loop.take() {
+            let _ = event_loop.join();
+        }
+        for dispatcher in self.dispatchers.drain(..) {
+            let _ = dispatcher.join();
+        }
+    }
+}
+
+/// The connection model `/stats` reports for this driver.
+pub(crate) const NAME: &str = "epoll";
 
 /// Firing granularity of the connection deadlines (both timeouts are
 /// rounded up to the next 10 ms boundary — the usual timer-wheel trade).
@@ -475,21 +431,21 @@ const MAX_READS_PER_EVENT: usize = 16;
 
 /// Spawn the event loop and its dispatcher pool over an already-bound
 /// listener.
-pub(crate) fn start(listener: TcpListener, ctx: Arc<Ctx>) -> io::Result<EpollBackend> {
+pub(crate) fn start(listener: TcpListener, ctx: &Arc<Ctx>) -> io::Result<Box<dyn Driver>> {
     let poller = Poller::new()?;
     let (wake_rx, wake_tx) = wake_pair()?;
     let waker = Arc::new(Waker {
         writer: Mutex::new(wake_tx),
     });
     let completions = Arc::new(Completions::default());
-    // Same shed threshold as the pool backend: `backlog` queued requests on
-    // top of one in flight per dispatcher, 503 beyond.
+    // `backlog` queued requests on top of one in flight per dispatcher,
+    // 503 beyond.
     let capacity = ctx.config.backlog + ctx.config.connection_workers;
     let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Job>(capacity);
     let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
     let dispatchers = (0..ctx.config.connection_workers)
         .map(|_| {
-            let ctx = Arc::clone(&ctx);
+            let ctx = Arc::clone(ctx);
             let rx = Arc::clone(&dispatch_rx);
             let completions = Arc::clone(&completions);
             let waker = Arc::clone(&waker);
@@ -497,13 +453,12 @@ pub(crate) fn start(listener: TcpListener, ctx: Arc<Ctx>) -> io::Result<EpollBac
         })
         .collect();
     let event_loop = {
-        let trace = ctx.default_model().trace();
         let mut event_loop = EventLoop {
             listener,
             wake_rx,
             poller,
-            ctx,
-            trace,
+            ctx: Arc::clone(ctx),
+            trace: ctx.default_model().trace(),
             slab: Slab::new(),
             wheel: TimerWheel::new(TIMER_TICK, TIMER_SLOTS),
             dispatch_tx,
@@ -513,11 +468,11 @@ pub(crate) fn start(listener: TcpListener, ctx: Arc<Ctx>) -> io::Result<EpollBac
         };
         thread::spawn(move || event_loop.run())
     };
-    Ok(EpollBackend {
+    Ok(Box::new(EpollBackend {
         event_loop: Some(event_loop),
         dispatchers,
         waker,
-    })
+    }))
 }
 
 struct EventLoop {
@@ -576,50 +531,33 @@ impl EventLoop {
                     _ => self.conn_event(token, bits),
                 }
             }
-            let done: Vec<Done> = {
-                let mut guard = self.completions.done.lock().expect("completions poisoned");
-                guard.drain(..).collect()
-            };
-            for d in done {
-                self.apply_completion(d);
+            let done = std::mem::take(&mut *self.completions.lock().expect("completions poisoned"));
+            for (token, answer) in done {
+                self.apply_completion(token, answer);
             }
-            for (token, gen) in self.wheel.expired(Instant::now()) {
-                self.fire_timer(token, gen);
+            let now = Instant::now();
+            for (token, gen) in self.wheel.expired(now) {
+                self.fire_timer(token, gen, now);
             }
+            let Env {
+                draining, shutdown, ..
+            } = Env::of(&self.ctx, &self.trace);
             // Drain (or shutdown) drops the accept interest: no new
             // connections, in-flight state machines keep running. Idle
-            // keep-alive connections must not sit out the full read_timeout
-            // against a drained listener, so their wheel deadlines are
-            // re-armed to the short drain window — safe under the lazy
-            // cancellation scheme (the superseded entry fires into a stale
-            // timer generation and is ignored).
-            let draining = self.ctx.draining_or_shutdown();
+            // connections move to the machine's shorter drain deadline.
             if self.accepting && draining {
                 let _ = self.poller.delete(listener_fd);
                 self.accepting = false;
-                let drain_idle = DRAIN_IDLE_DEADLINE.min(self.ctx.config.read_timeout);
                 for idx in self.slab.live_indices() {
-                    let idle = self
-                        .slab
-                        .conn_mut(idx)
-                        .is_some_and(|conn| conn.state == State::Idle);
-                    if idle {
-                        self.arm_timer(idx, drain_idle);
-                    }
+                    self.sync_timer(idx);
                 }
             }
             if accept_ready && self.accepting {
                 self.accept_ready();
             }
-            if self.ctx.shutdown.load(Ordering::SeqCst) {
+            if shutdown {
                 for idx in self.slab.live_indices() {
-                    let state = match self.slab.conn_mut(idx) {
-                        Some(conn) => conn.state,
-                        None => continue,
-                    };
-                    if matches!(state, State::Idle | State::ReadingHead | State::ReadingBody) {
-                        self.close(idx);
-                    }
+                    self.check(idx, now);
                 }
                 if self.slab.live == 0 && self.in_flight == 0 {
                     return;
@@ -653,18 +591,10 @@ impl EventLoop {
                     let conn = Conn {
                         stream,
                         fd,
-                        parser: RequestParser::new(
-                            self.ctx.config.max_head_bytes,
-                            self.ctx.config.max_body_bytes,
-                        ),
-                        state: State::Idle,
-                        timer_gen: 0,
+                        http: Connection::new(&self.ctx.config, Instant::now()),
                         interest: EPOLLIN,
-                        out: Vec::new(),
-                        out_pos: 0,
-                        keep_after_write: false,
-                        parse_started: None,
-                        write_started: None,
+                        armed: None,
+                        timer_gen: 0,
                     };
                     let (idx, token) = self.slab.insert(conn);
                     if self.poller.add(fd, token, EPOLLIN).is_err() {
@@ -675,7 +605,7 @@ impl EventLoop {
                         .stats
                         .get(HttpCounter::OpenConnections)
                         .fetch_add(1, Ordering::Relaxed);
-                    self.arm_timer(idx, self.ctx.config.read_timeout);
+                    self.sync_timer(idx);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return, // WouldBlock (drained) or transient accept error
@@ -684,303 +614,172 @@ impl EventLoop {
     }
 
     fn conn_event(&mut self, token: u64, bits: u32) {
-        let idx = (token & 0xFFFF_FFFF) as usize;
-        let gen = (token >> 32) as u32;
-        let state = match self.slab.get_checked(idx, gen) {
-            Some(conn) => conn.state,
+        let (idx, gen) = split_token(token);
+        let interest = match self.slab.get_checked(idx, gen) {
+            Some(conn) => conn.interest,
             None => return,
         };
-        let readable = bits & EPOLLIN != 0;
-        let writable = bits & EPOLLOUT != 0;
-        let broken = bits & (EPOLLERR | EPOLLHUP) != 0;
-        match state {
-            // Readable data is processed even alongside ERR/HUP: the read
-            // path sees the error/EOF itself once the buffered bytes are
-            // consumed, so nothing parseable is dropped.
-            State::Idle | State::ReadingHead | State::ReadingBody if readable => self.do_read(idx),
-            State::Writing if writable => self.try_write(idx),
-            _ if broken => self.close(idx),
-            _ => {}
+        // Readable data is processed even alongside ERR/HUP: the read path
+        // sees the error/EOF itself once the buffered bytes are consumed,
+        // so nothing parseable is dropped.
+        if bits & EPOLLIN != 0 && interest == EPOLLIN {
+            self.do_read(idx);
+        } else if bits & EPOLLOUT != 0 && interest == EPOLLOUT {
+            self.step(idx, Action::Write);
+        } else if bits & (EPOLLERR | EPOLLHUP) != 0 {
+            self.close(idx);
         }
     }
 
     fn do_read(&mut self, idx: usize) {
         let mut buf = [0u8; 8192];
         for _ in 0..MAX_READS_PER_EVENT {
-            let res = match self.slab.conn_mut(idx) {
-                Some(conn) => conn.stream.read(&mut buf),
-                None => return,
+            let Some(conn) = self.slab.conn_mut(idx) else {
+                return;
             };
-            match res {
-                Ok(0) => {
-                    // Peer closed. Like the pool backend, a partial request
-                    // dies with its connection.
-                    self.close(idx);
-                    return;
-                }
+            let (action, more) = match conn.stream.read(&mut buf) {
+                // Peer closed: a partial request dies with its connection.
+                Ok(0) => (Action::Close, false),
                 Ok(n) => {
-                    let short = n < buf.len();
-                    let was_idle = {
-                        let trace_on = self.trace.is_enabled();
-                        let conn = match self.slab.conn_mut(idx) {
-                            Some(conn) => conn,
-                            None => return,
-                        };
-                        if conn.parse_started.is_none() && trace_on {
-                            conn.parse_started = Some(Instant::now());
-                        }
-                        conn.parser.feed(&buf[..n]);
-                        let was_idle = conn.state == State::Idle;
-                        if was_idle {
-                            conn.state = State::ReadingHead;
-                        }
-                        if conn.state == State::ReadingHead && conn.parser.head_complete() {
-                            conn.state = State::ReadingBody;
-                        }
-                        was_idle
-                    };
-                    if was_idle {
-                        // First byte of a request: the idle deadline becomes
-                        // the slow-loris deadline.
-                        self.arm_timer(idx, self.ctx.config.request_timeout);
-                    }
-                    if self.advance_parse(idx) {
-                        return;
-                    }
-                    if short {
-                        return;
-                    }
+                    let env = Env::of(&self.ctx, &self.trace);
+                    let action = conn.http.read(&buf[..n], Instant::now(), &env);
+                    let more = n == buf.len() && matches!(action, Action::Read);
+                    (action, more)
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(idx);
-                    return;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => (Action::Close, false),
+            };
+            self.step(idx, action);
+            if !more {
+                return;
             }
         }
     }
 
-    /// Try to parse one request out of the connection's buffer and move the
-    /// state machine along. Returns `true` when the connection left the
-    /// reading states (dispatched, answering an error, or closed).
-    fn advance_parse(&mut self, idx: usize) -> bool {
-        let outcome = match self.slab.conn_mut(idx) {
-            Some(conn) => conn.parser.poll(),
-            None => return true,
-        };
-        match outcome {
-            ParseOutcome::NeedMore => false,
-            ParseOutcome::Request(request) => {
-                let parse_ns = self
-                    .slab
-                    .conn_mut(idx)
-                    .and_then(|c| c.parse_started.take())
-                    .map(|t0| t0.elapsed().as_nanos() as u64);
-                if let Some(ns) = parse_ns {
-                    self.trace.record_ns(Stage::HttpParse, ns);
-                }
-                self.cancel_timer(idx);
-                if let Some(conn) = self.slab.conn_mut(idx) {
-                    conn.state = State::Dispatching;
-                }
-                // No read interest while a request is in flight: pipelined
-                // bytes wait in the kernel buffer instead of waking the loop.
-                self.set_interest(idx, 0);
-                let token = self.slab.token_of(idx);
-                let enqueued = self.trace.is_enabled().then(Instant::now);
-                let job = Job {
-                    token,
-                    request,
-                    enqueued,
-                };
-                if self.dispatch_tx.try_send(job).is_err() {
-                    // Dispatch queue saturated (or dispatchers dead): shed
-                    // with a 503, mirroring the pool backend's accept shed.
-                    self.ctx.stats.bump(HttpCounter::ConnectionsRejected);
-                    self.ctx.stats.count_response(503);
-                    let body = error_body("overloaded", "dispatch queue saturated");
-                    let retry = [(
-                        "Retry-After",
-                        self.ctx.retry_after(&self.ctx.default_model()).to_string(),
-                    )];
-                    let bytes = response_bytes(503, &body, CONTENT_TYPE_JSON, false, &retry);
-                    self.queue_response(idx, bytes, false, false);
-                } else {
-                    self.in_flight += 1;
-                }
-                true
-            }
-            ParseOutcome::Failed(e) => {
-                self.ctx.stats.count_response(e.status);
-                let body = error_body(e.code, &e.message);
-                let bytes = response_bytes(e.status, &body, CONTENT_TYPE_JSON, false, &[]);
-                self.queue_response(idx, bytes, false, false);
-                true
-            }
-        }
-    }
-
-    fn apply_completion(&mut self, done: Done) {
+    fn apply_completion(&mut self, token: u64, answer: Answer) {
         self.in_flight = self.in_flight.saturating_sub(1);
-        let idx = (done.token & 0xFFFF_FFFF) as usize;
-        let gen = (done.token >> 32) as u32;
-        if self.slab.get_checked(idx, gen).is_none() {
+        let (idx, gen) = split_token(token);
+        let Some(conn) = self.slab.get_checked(idx, gen) else {
             return; // connection died while its request was in flight
-        }
-        self.queue_response(idx, done.bytes, done.keep, true);
+        };
+        let env = Env::of(&self.ctx, &self.trace);
+        let action = conn.http.answered(answer, Instant::now(), &env);
+        self.step(idx, action);
     }
 
-    /// Install response bytes and start flushing. `measure` arms the
-    /// telemetry `response_write` span (routed responses only, matching the
-    /// pool backend).
-    fn queue_response(&mut self, idx: usize, bytes: Vec<u8>, keep: bool, measure: bool) {
-        {
-            let trace_on = self.trace.is_enabled();
-            let conn = match self.slab.conn_mut(idx) {
-                Some(conn) => conn,
-                None => return,
-            };
-            conn.out = bytes;
-            conn.out_pos = 0;
-            conn.keep_after_write = keep;
-            conn.state = State::Writing;
-            conn.write_started = (measure && trace_on).then(Instant::now);
-        }
-        // A stalled reader is cut like a stalled sender.
-        self.arm_timer(idx, self.ctx.config.request_timeout);
-        self.set_interest(idx, 0);
-        self.try_write(idx);
-    }
-
-    fn try_write(&mut self, idx: usize) {
+    /// Carry out the machine's action, and every action that follows from
+    /// it without waiting on the socket.
+    fn step(&mut self, idx: usize, mut action: Action) {
         loop {
-            let res = match self.slab.conn_mut(idx) {
-                Some(conn) => {
-                    let pos = conn.out_pos;
-                    conn.stream.write(&conn.out[pos..])
+            action = match action {
+                Action::Read => {
+                    self.sync_timer(idx);
+                    self.set_interest(idx, EPOLLIN);
+                    return;
                 }
-                None => return,
-            };
-            match res {
-                Ok(0) => {
+                Action::Dispatch(request) => {
+                    self.sync_timer(idx);
+                    // No read interest while a request is in flight:
+                    // pipelined bytes wait in the kernel buffer.
+                    self.set_interest(idx, 0);
+                    let job = Job {
+                        token: self.slab.token_of(idx),
+                        request,
+                        enqueued: self.trace.is_enabled().then(Instant::now),
+                    };
+                    if self.dispatch_tx.try_send(job).is_ok() {
+                        self.in_flight += 1;
+                        return;
+                    }
+                    let answer = conn::shed(&self.ctx, "dispatch queue saturated");
+                    let env = Env::of(&self.ctx, &self.trace);
+                    match self.slab.conn_mut(idx) {
+                        Some(conn) => conn.http.answered(answer, Instant::now(), &env),
+                        None => return,
+                    }
+                }
+                Action::Write => {
+                    self.sync_timer(idx);
+                    match self.flush(idx) {
+                        Some(next) => next,
+                        None => return,
+                    }
+                }
+                Action::Close => {
                     self.close(idx);
                     return;
                 }
+            };
+        }
+    }
+
+    /// Write until the response is out (returning the machine's next
+    /// action) or the socket is full (`None`, waiting on `EPOLLOUT`).
+    fn flush(&mut self, idx: usize) -> Option<Action> {
+        loop {
+            let conn = self.slab.conn_mut(idx)?;
+            match conn.stream.write(conn.http.unflushed()) {
+                Ok(0) => return Some(Action::Close),
                 Ok(n) => {
-                    let flushed = match self.slab.conn_mut(idx) {
-                        Some(conn) => {
-                            conn.out_pos += n;
-                            conn.out_pos >= conn.out.len()
-                        }
-                        None => return,
-                    };
-                    if flushed {
-                        self.finish_response(idx);
-                        return;
+                    let env = Env::of(&self.ctx, &self.trace);
+                    if let Some(next) = conn.http.wrote(n, Instant::now(), &env) {
+                        return Some(next);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.set_interest(idx, EPOLLOUT);
-                    return;
+                    return None;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(idx);
-                    return;
-                }
+                Err(_) => return Some(Action::Close),
             }
         }
     }
 
-    fn finish_response(&mut self, idx: usize) {
-        let keep = {
-            let conn = match self.slab.conn_mut(idx) {
-                Some(conn) => conn,
-                None => return,
-            };
-            if let Some(t0) = conn.write_started.take() {
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.trace.record_ns(Stage::ResponseWrite, ns);
-            }
-            conn.out = Vec::new();
-            conn.out_pos = 0;
-            // Responses built before the drain flag flipped may still say
-            // keep-alive; closing anyway is the benign race — a drained
-            // listener releases every connection at its next response.
-            conn.keep_after_write && !self.ctx.draining_or_shutdown()
-        };
-        if !keep {
-            self.close(idx);
-            return;
+    fn fire_timer(&mut self, token: u64, gen: u64, now: Instant) {
+        let (idx, slab_gen) = split_token(token);
+        match self.slab.get_checked(idx, slab_gen) {
+            Some(conn) if conn.timer_gen == gen => conn.armed = None,
+            _ => return, // stale deadline: connection re-armed or is gone
         }
-        self.cancel_timer(idx);
-        let buffered = match self.slab.conn_mut(idx) {
-            Some(conn) => {
-                conn.parse_started = None;
-                conn.parser.buffered()
-            }
+        self.check(idx, now);
+    }
+
+    /// Let the machine act on shutdown or a passed deadline; otherwise keep
+    /// its deadline on the wheel.
+    fn check(&mut self, idx: usize, now: Instant) {
+        let env = Env::of(&self.ctx, &self.trace);
+        let action = match self.slab.conn_mut(idx) {
+            Some(conn) => conn.http.check(now, &env),
             None => return,
         };
-        if buffered > 0 {
-            // Pipelined bytes: re-enter the reading states immediately (a
-            // request parsed straight out of the buffer records no
-            // http_parse span, matching the pool backend).
-            if let Some(conn) = self.slab.conn_mut(idx) {
-                conn.state = State::ReadingHead;
-                if conn.parser.head_complete() {
-                    conn.state = State::ReadingBody;
-                }
-            }
-            self.arm_timer(idx, self.ctx.config.request_timeout);
-            self.set_interest(idx, EPOLLIN);
-            self.advance_parse(idx);
-        } else {
-            if let Some(conn) = self.slab.conn_mut(idx) {
-                conn.state = State::Idle;
-            }
-            self.arm_timer(idx, self.ctx.config.read_timeout);
-            self.set_interest(idx, EPOLLIN);
+        match action {
+            Some(action) => self.step(idx, action),
+            None => self.sync_timer(idx),
         }
     }
 
-    fn fire_timer(&mut self, token: u64, gen: u64) {
-        let idx = (token & 0xFFFF_FFFF) as usize;
-        let slab_gen = (token >> 32) as u32;
-        let state = match self.slab.get_checked(idx, slab_gen) {
-            Some(conn) if conn.timer_gen == gen => conn.state,
-            _ => return, // stale deadline: connection re-armed or is gone
-        };
-        match state {
-            State::Idle => {
-                self.ctx.stats.bump(HttpCounter::IdleTimeouts);
-                self.close(idx);
-            }
-            State::ReadingHead | State::ReadingBody => {
-                self.ctx.stats.bump(HttpCounter::RequestTimeouts);
-                self.ctx.stats.count_response(408);
-                let body = error_body("request_timeout", "request took too long to arrive");
-                let bytes = response_bytes(408, &body, CONTENT_TYPE_JSON, false, &[]);
-                self.queue_response(idx, bytes, false, false);
-            }
-            // A response the peer refuses to drain is cut without ceremony.
-            State::Writing => self.close(idx),
-            State::Dispatching => {} // no deadline while predicting
-        }
-    }
-
-    fn arm_timer(&mut self, idx: usize, after: Duration) {
+    /// Put the machine's current deadline on the wheel if it moved (lazy
+    /// cancellation: the superseded entry fires into a stale generation).
+    fn sync_timer(&mut self, idx: usize) {
+        let env = Env::of(&self.ctx, &self.trace);
         let token = self.slab.token_of(idx);
-        if let Some(conn) = self.slab.conn_mut(idx) {
-            conn.timer_gen += 1;
-            let gen = conn.timer_gen;
-            self.wheel.schedule(Instant::now(), after, token, gen);
+        let Some(conn) = self.slab.conn_mut(idx) else {
+            return;
+        };
+        let deadline = conn.http.deadline(&env);
+        if deadline == conn.armed {
+            return;
         }
-    }
-
-    fn cancel_timer(&mut self, idx: usize) {
-        if let Some(conn) = self.slab.conn_mut(idx) {
-            conn.timer_gen += 1; // the wheel entry fires into a stale gen
+        conn.armed = deadline;
+        conn.timer_gen += 1;
+        if let Some(at) = deadline {
+            // A deadline already behind us (a drain cutting an old idle
+            // gap) fires on the next tick.
+            let now = Instant::now();
+            let after = at.saturating_duration_since(now);
+            self.wheel.schedule(now, after, token, conn.timer_gen);
         }
     }
 
@@ -1075,15 +874,10 @@ mod tests {
             Conn {
                 stream,
                 fd,
-                parser: RequestParser::new(1024, 1024),
-                state: State::Idle,
-                timer_gen: 0,
+                http: Connection::new(&crate::HttpConfig::default(), Instant::now()),
                 interest: EPOLLIN,
-                out: Vec::new(),
-                out_pos: 0,
-                keep_after_write: false,
-                parse_started: None,
-                write_started: None,
+                armed: None,
+                timer_gen: 0,
             }
         };
         let (idx, token) = slab.insert(mk());

@@ -831,7 +831,9 @@ impl PredictServer {
         self.shutdown_impl();
     }
 
-    fn shutdown_impl(&mut self) {
+    /// The shutdown sequence without consuming the server; running it again
+    /// is a no-op (the workers are already joined).
+    pub(crate) fn shutdown_impl(&mut self) {
         for slot in &self.shared.queues {
             let mut state = slot.state.lock().expect("queue poisoned");
             state.shutdown = true;
@@ -1314,11 +1316,12 @@ mod tests {
                 .workers(1)
                 .threads(threads)
                 .cache_capacity(cache)
-                .start(move |_| {
+                .try_start(move |_| {
                     let mut store = ParamStore::new();
                     let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
                     InferenceSession::new(model, store)
                 })
+                .expect("valid configuration")
         };
         let uncached = build(1, 0);
         let request = request_for(&ds, 0);
@@ -1363,7 +1366,8 @@ mod tests {
         let plain = ServerBuilder::new()
             .workers(2)
             .cache_capacity(0)
-            .start(factory());
+            .try_start(factory())
+            .expect("valid configuration");
 
         let mut specialist = 0u64;
         let mut shared = 0u64;

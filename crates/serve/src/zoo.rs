@@ -27,14 +27,20 @@
 //! ```text
 //! serving vN ──load──▶ vN+1 built beside vN (own workers, fresh cache)
 //!            ──warm──▶ one synthetic request through vN+1 (pools warm)
-//!            ──flip──▶ the tenant's active Arc now points at vN+1;
-//!                      every *new* request snapshots vN+1
+//!            ──flip──▶ under the swap lock: vN's served count is folded
+//!                      into the tenant's retired total and the active Arc
+//!                      points at vN+1; every *new* request snapshots vN+1
 //!            ──drain─▶ wait for in-flight snapshots of vN to resolve
 //!                      (each request runs entirely on the version it
 //!                      snapshotted — batch-boundary granularity)
-//!            ──retire▶ vN's served count is folded into the tenant's
-//!                      retired total, its queues drained, workers joined
+//!            ──retire▶ vN's queues drained, workers joined, and what it
+//!                      served since the flip folded in too
 //! ```
+//!
+//! Folding at the flip keeps `requests_served_total` monotone for a scrape
+//! racing the reload; folding the drain delta when vN is finally dropped —
+//! by the reload, or by the last request still holding it past the retire
+//! deadline — loses none of vN's answers.
 //!
 //! Zero requests are dropped (the old server's shutdown drains every queued
 //! job) and none are mis-versioned (a request holds its `Arc` snapshot from
@@ -49,15 +55,15 @@ use dtdbd_data::InferenceRequest;
 use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// The model id bare `/predict` serves when the deployment never names one.
 pub const DEFAULT_MODEL_ID: &str = "default";
 
 /// How long [`ModelZoo::reload`] waits for in-flight requests against the
-/// retired version to resolve before giving up on folding its counters in
-/// eagerly (the last in-flight holder still drains it on drop).
+/// retired version to resolve before leaving its retirement (drain, join,
+/// final counter fold) to the last in-flight holder's drop.
 const RETIRE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// One version of one tenant's model: the serving core plus the descriptor
@@ -70,6 +76,9 @@ pub struct TenantModel {
     version: u64,
     /// Side-state chunk tags the checkpoint carried (model chunks only).
     side_state_tags: Vec<String>,
+    /// Set when a reload flips this version out: the tenant's retired
+    /// total and the served count already folded into it at the flip.
+    retired: OnceLock<(Arc<AtomicU64>, u64)>,
 }
 
 impl TenantModel {
@@ -79,6 +88,7 @@ impl TenantModel {
             server,
             version,
             side_state_tags,
+            retired: OnceLock::new(),
         }
     }
 
@@ -90,6 +100,17 @@ impl TenantModel {
     /// Side-state chunk tags of the checkpoint this model restored.
     pub fn side_state_tags(&self) -> &[String] {
         &self.side_state_tags
+    }
+}
+
+impl Drop for TenantModel {
+    fn drop(&mut self) {
+        if let Some((total, folded)) = self.retired.get() {
+            // Drain first: queued requests still count as served by vN.
+            self.server.shutdown_impl();
+            let served = self.server.stats().requests_served;
+            total.fetch_add(served.saturating_sub(*folded), Ordering::Relaxed);
+        }
     }
 }
 
@@ -115,9 +136,10 @@ pub struct Tenant {
     reload_lock: Mutex<()>,
     /// Successful hot-swaps performed.
     reloads: AtomicU64,
-    /// Requests served by retired versions (folded in at retirement), so
+    /// Requests served by retired versions (folded in at the flip, plus
+    /// each version's drain delta at retirement), so
     /// `requests_served_total` is monotone across swaps.
-    retired_requests: AtomicU64,
+    retired_requests: Arc<AtomicU64>,
 }
 
 impl Tenant {
@@ -144,9 +166,12 @@ impl Tenant {
     }
 
     /// Requests served across every version: the active server's count plus
-    /// everything folded in from retired versions.
+    /// everything folded in from retired versions. Both terms are read under
+    /// the swap lock, so a scrape never sees the fresh version's count
+    /// without the retired one's.
     pub fn requests_served_total(&self) -> u64 {
-        self.retired_requests.load(Ordering::Relaxed) + self.model().stats().requests_served
+        let active = self.active.read().expect("swap point poisoned");
+        self.retired_requests.load(Ordering::Relaxed) + active.stats().requests_served
     }
 }
 
@@ -220,7 +245,7 @@ impl ModelZoo {
                 active: RwLock::new(Arc::new(TenantModel::new(server, 1, Vec::new()))),
                 reload_lock: Mutex::new(()),
                 reloads: AtomicU64::new(0),
-                retired_requests: AtomicU64::new(0),
+                retired_requests: Arc::new(AtomicU64::new(0)),
             })],
             default_index: 0,
             rebuild: None,
@@ -249,7 +274,7 @@ impl ModelZoo {
                 active: RwLock::new(Arc::new(model)),
                 reload_lock: Mutex::new(()),
                 reloads: AtomicU64::new(0),
-                retired_requests: AtomicU64::new(0),
+                retired_requests: Arc::new(AtomicU64::new(0)),
             }));
         }
         let default_index = tenants.iter().position(|t| t.id == default_id).unwrap_or(0);
@@ -357,41 +382,36 @@ impl ModelZoo {
         // the new version's served total — exactly one per reload, which
         // the parity battery reconciles against.
         let _ = fresh.predict(&warm_request());
-        let fresh = Arc::new(fresh);
         {
             let mut active = tenant.active.write().expect("swap point poisoned");
-            *active = Arc::clone(&fresh);
+            let folded = old.stats().requests_served;
+            tenant.retired_requests.fetch_add(folded, Ordering::Relaxed);
+            let _ = old
+                .retired
+                .set((Arc::clone(&tenant.retired_requests), folded));
+            *active = Arc::new(fresh);
         }
         // Drain: in-flight requests hold their own snapshots of vN; once
-        // the last one resolves, ours is the only reference left. The old
-        // server's drop then drains its queues and joins its workers.
+        // the last one resolves, ours is the only reference left, and
+        // dropping it retires vN (see `TenantModel`'s `Drop`). Past the
+        // deadline the last holder retires it instead.
         let deadline = Instant::now() + RETIRE_DEADLINE;
-        let old = {
-            let mut old = old;
-            loop {
-                match Arc::try_unwrap(old) {
-                    Ok(model) => break Some(model),
-                    Err(still_shared) => {
-                        if Instant::now() >= deadline {
-                            // Give up on eager retirement; the last holder
-                            // drains it on drop. Counter folding happens
-                            // here regardless so totals stay monotone.
-                            tenant
-                                .retired_requests
-                                .fetch_add(still_shared.stats().requests_served, Ordering::Relaxed);
-                            break None;
-                        }
-                        old = still_shared;
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
+        let mut old = old;
+        loop {
+            match Arc::try_unwrap(old) {
+                Ok(model) => {
+                    drop(model);
+                    break;
+                }
+                Err(still_shared) if Instant::now() >= deadline => {
+                    drop(still_shared);
+                    break;
+                }
+                Err(still_shared) => {
+                    old = still_shared;
+                    std::thread::sleep(Duration::from_millis(1));
                 }
             }
-        };
-        if let Some(model) = old {
-            tenant
-                .retired_requests
-                .fetch_add(model.stats().requests_served, Ordering::Relaxed);
-            drop(model); // drains queues, joins vN's workers
         }
         tenant.reloads.fetch_add(1, Ordering::Relaxed);
         self.prune_pools();
@@ -467,4 +487,78 @@ fn build_tenant_model(
         session_from_checkpoint(&retained).expect("checkpoint probed above")
     })?;
     Ok(TenantModel::new(server, version, side_state_tags))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::ServerBuilder;
+    use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
+    use dtdbd_models::{ModelConfig, TextCnnModel};
+    use dtdbd_tensor::rng::Prng;
+    use dtdbd_tensor::ParamStore;
+
+    #[test]
+    fn the_served_total_never_dips_while_a_retired_version_drains() {
+        let ds =
+            NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(4, 0.02);
+        let cfg = ModelConfig::tiny(&ds);
+        let mut store = ParamStore::new();
+        let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
+        let path = std::env::temp_dir().join(format!(
+            "dtdbd-zoo-served-fold-{}.dtdbd",
+            std::process::id()
+        ));
+        Checkpoint::capture(&model, &store)
+            .save(&path)
+            .expect("write checkpoint");
+        let zoo = Arc::new(
+            ServerBuilder::new()
+                .workers(1)
+                .cache_capacity(0)
+                .tenant_from_path("m", &path)
+                .try_start_zoo()
+                .expect("start zoo"),
+        );
+        let tenant = Arc::clone(zoo.tenant("m").expect("registered"));
+        let request = |i: usize| {
+            let item = &ds.items()[i];
+            InferenceRequest::new(item.tokens.clone(), item.domain)
+        };
+        const N: u64 = 5;
+        for i in 0..N as usize {
+            tenant.model().predict(&request(i)).expect("v1 answers");
+        }
+        assert_eq!(tenant.requests_served_total(), N);
+
+        // Pin v1 the way an in-flight request does, then reload beside it.
+        let pinned = tenant.model();
+        let reload = {
+            let zoo = Arc::clone(&zoo);
+            std::thread::spawn(move || zoo.reload("m").map_err(|e| e.to_string()))
+        };
+        let t0 = Instant::now();
+        while tenant.model().version() != 2 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "reload never flipped"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // v2 has served only its warm request; v1's N must still count.
+        let during = tenant.requests_served_total();
+        assert!(
+            during > N,
+            "served total dipped to {during} while v1 drains (expected >= {})",
+            N + 1
+        );
+        // What v1 serves after the flip is folded in when it retires.
+        pinned
+            .predict(&request(0))
+            .expect("pinned v1 still answers");
+        drop(pinned);
+        assert_eq!(reload.join().expect("reload thread"), Ok(2));
+        assert_eq!(tenant.requests_served_total(), N + 1 + 1);
+        std::fs::remove_file(&path).ok();
+    }
 }

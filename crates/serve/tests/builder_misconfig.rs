@@ -6,7 +6,10 @@ use dtdbd_data::{
     weibo21_spec, Batch, GeneratorConfig, InferenceRequest, MultiDomainDataset, NewsGenerator,
 };
 use dtdbd_models::{FakeNewsModel, ModelConfig, ModelOutput, TextCnnModel};
-use dtdbd_serve::{ConfigError, DomainRouting, InferenceSession, Precision, ServerBuilder};
+use dtdbd_serve::{
+    Checkpoint, ConfigError, DomainRouting, HttpConfig, HttpServer, InferenceSession, Precision,
+    ServerBuilder, StartError,
+};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{Graph, ParamStore, Tensor};
 
@@ -98,6 +101,52 @@ fn absurd_shard_counts_are_typed_errors() {
         .try_start(factory(&cfg))
         .expect("one row per shard is extreme but valid");
     assert_eq!(server.stats().embedding_shards, vocab);
+}
+
+#[test]
+fn zero_connection_workers_is_a_typed_error_before_any_thread_starts() {
+    let ds = dataset();
+    let cfg = ModelConfig::tiny(&ds);
+    let mut store = ParamStore::new();
+    let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
+    let checkpoint = Checkpoint::capture(&model, &store);
+    let no_workers = || HttpConfig {
+        connection_workers: 0,
+        ..HttpConfig::default()
+    };
+    let expect_config_error = |result: Result<HttpServer, StartError>, what: &str| match result {
+        Err(StartError::Config(e)) => assert_eq!(e, ConfigError::ZeroConnectionWorkers, "{what}"),
+        Err(other) => panic!("{what}: expected a config error, got {other}"),
+        Ok(_) => panic!("{what}: zero connection workers must be rejected"),
+    };
+    expect_config_error(
+        ServerBuilder::new()
+            .http(no_workers())
+            .try_start_http_from_checkpoint(&checkpoint),
+        "try_start_http_from_checkpoint",
+    );
+    expect_config_error(
+        ServerBuilder::new()
+            .http(no_workers())
+            .try_start_http(factory(&cfg)),
+        "try_start_http",
+    );
+    expect_config_error(
+        ServerBuilder::new()
+            .http(no_workers())
+            .tenant("m", &checkpoint)
+            .try_start_http_zoo(),
+        "try_start_http_zoo",
+    );
+    // The listener's own constructor refuses too, as an I/O-style error.
+    let predict = ServerBuilder::new()
+        .workers(1)
+        .try_start(factory(&cfg))
+        .expect("valid predict server");
+    match HttpServer::start(predict, no_workers()) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(_) => panic!("HttpServer::start must reject zero connection workers"),
+    }
 }
 
 #[test]
@@ -268,4 +317,6 @@ fn config_errors_render_actionable_messages() {
     }
     .to_string();
     assert!(msg.contains("constant") && msg.contains("int8"), "{msg}");
+    let msg = ConfigError::ZeroConnectionWorkers.to_string();
+    assert!(msg.contains("connection worker"), "{msg}");
 }

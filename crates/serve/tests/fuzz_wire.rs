@@ -13,7 +13,7 @@ use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::{ParseOutcome, RequestParser};
 use dtdbd_serve::json::{self, Json};
-use dtdbd_serve::{ConnectionModel, HttpClient, InferenceSession, ServerBuilder};
+use dtdbd_serve::{HttpClient, InferenceSession, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::io::{Read, Write};
@@ -184,7 +184,6 @@ fn live_server_survives_randomly_fragmented_traffic() {
     let cfg = ModelConfig::tiny(&dataset);
     let server = ServerBuilder::new()
         .workers(1)
-        .connection_model(ConnectionModel::Epoll)
         .try_start_http(move |_| {
             let mut store = ParamStore::new();
             let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));

@@ -107,10 +107,11 @@ fn main() {
             .threads(4)
             .shards(2)
             .domain_routing(DomainRouting::new().assign(society, 0))
-            .start({
+            .try_start({
                 let checkpoint = checkpoint.clone();
                 move |_| session_from_checkpoint(&checkpoint).expect("rebuild model")
-            }),
+            })
+            .expect("valid configuration"),
     );
     let clients = 4usize;
     let started = Instant::now();

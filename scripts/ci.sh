@@ -19,12 +19,13 @@
 #          predictions bit-identical to themselves across {1,4} intra-op
 #          threads x {1,4} shard counts, with routing + cache on top;
 #        - hot-swap + zoo (tests/integration/tests/hotswap.rs): 20
-#          mid-traffic reloads under both connection models with bit-exact
-#          answers and reconciled counters, plus shard-pool dedup.
-#      CI_QUICK (non-empty and not "0") shrinks all three. On Linux the
-#      HTTP integration battery is then re-run pinned to the
-#      thread-per-connection pool model, so both connection layers (epoll
-#      event loop + portable pool) stay covered.
+#          mid-traffic reloads with bit-exact answers and reconciled
+#          counters, plus shard-pool dedup.
+#      CI_QUICK (non-empty and not "0") shrinks all three. The wire
+#      batteries run the build's connection driver (epoll on Linux); the
+#      blocking driver every other platform runs is covered in the same
+#      stage by dtdbd-serve's unit tests (the `_under_pool` socket tests
+#      and a multi-client bit-parity test), and clippy below lints it.
 #   3. kernel-parity smoke: the blocked/parallel GEMM must stay bit-identical
 #      to the naive reference on a fixed seed (threads 1/2/4), and the int8
 #      quantized GEMM bit-identical to itself across thread counts
@@ -98,16 +99,6 @@ fi
 
 stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo + sharding parity, chaos, int8 determinism, hot-swap + zoo)" \
   cargo test -q --workspace
-
-# On Linux the workspace run above exercised the HTTP battery under the
-# default epoll event loop; re-run it pinned to the portable
-# thread-per-connection pool so both connection models stay bit-parity
-# clean. (Elsewhere the pool is the default and the epoll path doesn't
-# exist, so one run covers everything.)
-if [ "$(uname -s)" = "Linux" ]; then
-  stage "http battery under the pool connection model (DTDBD_CONNECTION_MODEL=pool)" \
-    env DTDBD_CONNECTION_MODEL=pool cargo test -q -p dtdbd-integration --test http
-fi
 
 if [ "$quick" != "1" ]; then
   stage "kernel parity smoke (blocked/parallel GEMM vs naive reference)" \

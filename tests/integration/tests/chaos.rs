@@ -12,8 +12,10 @@
 //! * **capacity recovery** — a post-recovery wave through the healed server
 //!   is not drastically slower than the same wave through a fault-free twin.
 //!
-//! Both connection models run the same battery. `CI_QUICK=1` shrinks the
-//! client count, not the assertions.
+//! The battery runs under this build's connection driver (epoll on Linux);
+//! the driver-independent protocol rules it leans on are unit-tested in
+//! `dtdbd-serve` against both drivers. `CI_QUICK=1` shrinks the client
+//! count, not the assertions.
 
 use dtdbd_core::{train_model, TrainConfig};
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
@@ -21,9 +23,7 @@ use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::json::{self, Json};
 use dtdbd_serve::session::Prediction;
-use dtdbd_serve::{
-    BatchingConfig, Checkpoint, ConnectionModel, FaultPlan, HttpConfig, HttpServer, ServerBuilder,
-};
+use dtdbd_serve::{BatchingConfig, Checkpoint, FaultPlan, HttpConfig, HttpServer, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::net::SocketAddr;
@@ -63,11 +63,7 @@ fn trained_checkpoint() -> (Checkpoint, dtdbd_data::MultiDomainDataset) {
 /// Small batches (not the default 32) so every worker sees enough lifetime
 /// batch ordinals for its armed panic to fire even in a quick run. The
 /// cache stays off: a cache hit would mask a worker answering wrongly.
-fn start_server(
-    checkpoint: &Checkpoint,
-    model: ConnectionModel,
-    plan: Option<FaultPlan>,
-) -> HttpServer {
+fn start_server(checkpoint: &Checkpoint, plan: Option<FaultPlan>) -> HttpServer {
     let mut builder = ServerBuilder::new()
         .batching(BatchingConfig {
             max_batch_size: 4,
@@ -84,7 +80,6 @@ fn start_server(
     HttpServer::start(
         predict,
         HttpConfig {
-            connection_model: model,
             connection_workers: if quick() { 16 } else { 64 },
             backlog: 64,
             ..HttpConfig::default()
@@ -217,13 +212,13 @@ fn drain_armed_panics(addr: SocketAddr, items: &[(Vec<u32>, usize)], expected: u
     }
 }
 
-fn chaos_battery(model: ConnectionModel) {
+fn chaos_battery() {
     let (checkpoint, ds) = trained_checkpoint();
     let mut plan = FaultPlan::seeded(0xC4A05);
     for (worker, batch) in PANICS {
         plan = plan.panic_worker(worker, batch);
     }
-    let server = Arc::new(start_server(&checkpoint, model, Some(plan)));
+    let server = Arc::new(start_server(&checkpoint, Some(plan)));
     let addr = server.local_addr();
     let items: Arc<Vec<(Vec<u32>, usize)>> = Arc::new(
         ds.items()
@@ -276,7 +271,7 @@ fn chaos_battery(model: ConnectionModel) {
     }
 
     // --- capacity recovery: the healed server against a fault-free twin -
-    let clean = start_server(&checkpoint, model, None);
+    let clean = start_server(&checkpoint, None);
     let t0 = Instant::now();
     let (clean_ok, clean_shed) = storm(clean.local_addr(), &items, n_clients / 2, per_client);
     let clean_elapsed = t0.elapsed();
@@ -305,21 +300,16 @@ fn chaos_battery(model: ConnectionModel) {
 }
 
 #[test]
-fn chaos_battery_pool() {
-    chaos_battery(ConnectionModel::Pool);
-}
-
-#[test]
 fn chaos_battery_epoll() {
-    // On platforms without epoll support this resolves to the pool backend;
-    // the battery still has to hold there.
-    chaos_battery(ConnectionModel::Epoll);
+    // Runs this build's connection driver: epoll on Linux, the blocking
+    // pool elsewhere. The battery has to hold under either.
+    chaos_battery();
 }
 
 /// The `/readyz` degraded window, observed on the wire: with every worker's
 /// first batch armed to panic and a long respawn backoff, the first request
 /// flips the server to degraded (`503`) and the supervisor flips it back.
-fn readyz_degraded_window(model: ConnectionModel) {
+fn readyz_degraded_window() {
     let (checkpoint, ds) = trained_checkpoint();
     let item = &ds.items()[0];
     let body =
@@ -341,7 +331,6 @@ fn readyz_degraded_window(model: ConnectionModel) {
     let server = HttpServer::start(
         predict,
         HttpConfig {
-            connection_model: model,
             connection_workers: 4,
             backlog: 8,
             ..HttpConfig::default()
@@ -386,11 +375,6 @@ fn readyz_degraded_window(model: ConnectionModel) {
 }
 
 #[test]
-fn readyz_degraded_window_pool() {
-    readyz_degraded_window(ConnectionModel::Pool);
-}
-
-#[test]
 fn readyz_degraded_window_epoll() {
-    readyz_degraded_window(ConnectionModel::Epoll);
+    readyz_degraded_window();
 }

@@ -2,14 +2,14 @@
 //! keep-alive clients stream prediction traffic, and every wire answer must
 //! be bit-identical to exactly one of the two checkpoints that ever lived on
 //! disk — no 5xx, no dropped requests, no mis-versioned responses. The
-//! battery runs under both connection models, and a second scenario proves
-//! that byte-identical frozen tables are deduplicated into a single shared
-//! shard pool across tenants (and that *different* bytes are not).
+//! battery runs under this build's connection driver, and a second scenario
+//! proves that byte-identical frozen tables are deduplicated into a single
+//! shared shard pool across tenants (and that *different* bytes are not).
 
 use dtdbd_core::{train_model, TrainConfig};
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
 use dtdbd_models::{ModelConfig, TextCnnModel};
-use dtdbd_serve::http::{ConnectionModel, HttpClient};
+use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::json::{self, Json};
 use dtdbd_serve::{BatchingConfig, Checkpoint, HttpServer, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
@@ -105,7 +105,7 @@ fn temp_checkpoint_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dtdbd-hotswap-{}-{tag}.dtdbd", std::process::id()))
 }
 
-fn hot_swap_parity(model: ConnectionModel, tag: &str) {
+fn hot_swap_parity(tag: &str) {
     let (v1, v2, ds) = two_checkpoints();
     let path = temp_checkpoint_path(tag);
     v1.save(&path).expect("write v1 checkpoint");
@@ -114,7 +114,6 @@ fn hot_swap_parity(model: ConnectionModel, tag: &str) {
         ServerBuilder::new()
             .batching(batching())
             .shards(2)
-            .connection_model(model)
             .tenant_from_path("student", &path)
             .try_start_http_zoo()
             .expect("start zoo"),
@@ -273,17 +272,10 @@ fn hot_swap_parity(model: ConnectionModel, tag: &str) {
 }
 
 #[test]
-fn twenty_mid_traffic_hot_swaps_never_drop_or_misversion_under_pool() {
-    hot_swap_parity(ConnectionModel::Pool, "pool");
-}
-
-#[test]
 fn twenty_mid_traffic_hot_swaps_never_drop_or_misversion_under_epoll() {
-    if ConnectionModel::Epoll.resolved() != "epoll" {
-        eprintln!("epoll backend unavailable on this platform; skipping");
-        return;
-    }
-    hot_swap_parity(ConnectionModel::Epoll, "epoll");
+    // This build's connection driver: epoll on Linux, the blocking pool
+    // elsewhere.
+    hot_swap_parity("epoll");
 }
 
 /// Stats for one zoo: (`sharding.shard_pool_bytes` from `/stats`, per-tenant
