@@ -263,22 +263,6 @@ impl RequestEncoder {
         }
     }
 
-    /// Per-domain request counts over a traffic slice: `result[d]` is how
-    /// many of `requests` name domain `d`. The domain router and the
-    /// sharding bench use this to quantify traffic skew (and to size
-    /// specialist groups against real request mixes), and the serving
-    /// drift telemetry compares the live version of this mix — plus the
-    /// per-domain prediction distributions — against a training-time
-    /// `DomainBaseline` frozen into the checkpoint (`dtdbd-serve`'s
-    /// `telemetry` module).
-    pub fn domain_histogram(&self, requests: &[EncodedRequest]) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_domains];
-        for request in requests {
-            counts[request.domain] += 1;
-        }
-        counts
-    }
-
     /// Assemble encoded requests into the [`Batch`] form the models consume.
     /// Veracity labels are unknown at serving time and filled with zeros
     /// (they only feed training losses, never a forward pass).
@@ -454,17 +438,6 @@ mod tests {
         let lower = InferenceRequest::for_named_domain(vec![1], "sOcIeTy", &spec).unwrap();
         assert_eq!(lower.domain, 8);
         assert!(InferenceRequest::for_named_domain(vec![1], "Sports", &spec).is_none());
-    }
-
-    #[test]
-    fn domain_histogram_counts_the_traffic_mix() {
-        let enc = encoder();
-        let requests: Vec<EncodedRequest> = [0usize, 1, 1, 2, 2, 2]
-            .iter()
-            .map(|&d| enc.encode(&InferenceRequest::new(vec![1], d)).unwrap())
-            .collect();
-        assert_eq!(enc.domain_histogram(&requests), vec![1, 2, 3]);
-        assert_eq!(enc.domain_histogram(&[]), vec![0, 0, 0]);
     }
 
     #[test]

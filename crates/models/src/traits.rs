@@ -3,10 +3,7 @@
 use crate::config::ModelConfig;
 use crate::side_state::{SideState, SideStateError};
 use dtdbd_data::Batch;
-use dtdbd_tensor::{
-    BufferPool, Graph, KernelTimers, ParamId, ParamStore, QuantizedParams, ShardedTable, Tensor,
-    Var,
-};
+use dtdbd_tensor::{BufferPool, Graph, KernelTimers, ParamStore, QuantizedParams, Tensor, Var};
 use std::fmt;
 use std::sync::Arc;
 
@@ -71,26 +68,21 @@ impl InferenceOutput {
 /// Tuning of a tape-free inference pass ([`FakeNewsModel::infer_with_opts`]).
 ///
 /// Every knob preserves the engine's determinism contract: outputs are
-/// bit-identical at any `threads` setting and whether an embedding table is
-/// served from the store or from external shards.
+/// bit-identical at any `threads` setting.
 #[derive(Clone, Default)]
 pub struct InferOptions {
     /// Intra-op threads the compute kernels may fan out to (clamped ≥ 1).
     pub threads: usize,
-    /// Serve embedding lookups of the given table parameter from external
-    /// read-only row shards instead of the store's resident value (which may
-    /// then be empty — sharded serving drops the per-worker table copy).
-    /// Cloning a [`ShardedTable`] clones `Arc`s, never rows.
-    pub embedding_shards: Option<(ParamId, ShardedTable)>,
     /// Optional wall-clock sink the inference graph reports per-kernel
     /// durations to (see [`dtdbd_tensor::KernelTimers`]). `None` — the
     /// default — reads no clock; timing never changes computed bits.
     pub kernel_timers: Option<Arc<dyn KernelTimers>>,
-    /// Int8 registry for the model's quantizable weights: linear/conv
-    /// layers with an entry run the fused quantize → i32 GEMM → dequantize
-    /// kernel (see [`dtdbd_tensor::QuantizedParams`]). `None` — the default
-    /// — serves full f32. Int8 outputs differ from f32 within quantization
-    /// error but are bit-identical to themselves at any thread/shard count.
+    /// Int8 registry for the model's quantized weights: linear/conv layers
+    /// with an entry run the fused quantize → i32 GEMM → dequantize kernel,
+    /// and an embedding table with an entry gathers dequantized int8 rows
+    /// (see [`dtdbd_tensor::QuantizedParams`]). `None` — the default —
+    /// serves full f32. Int8 outputs differ from f32 within quantization
+    /// error but are bit-identical to themselves at any thread count.
     pub quantized: Option<Arc<QuantizedParams>>,
 }
 
@@ -98,7 +90,6 @@ impl fmt::Debug for InferOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("InferOptions")
             .field("threads", &self.threads)
-            .field("embedding_shards", &self.embedding_shards)
             .field("kernel_timers", &self.kernel_timers.is_some())
             .field("quantized", &self.quantized.is_some())
             .finish()
@@ -220,13 +211,11 @@ pub trait FakeNewsModel {
     }
 
     /// [`FakeNewsModel::infer`] with the full option set — the entry point
-    /// the sharded serving path uses. Without embedding shards or a kernel
-    /// timing sink this delegates to [`FakeNewsModel::infer_with_threads`],
-    /// so a model with a hand-fused override keeps serving replica
-    /// deployments; otherwise it runs the default graph path with the
-    /// shard-served lookup and/or timing sink installed (outputs stay
-    /// bit-identical — gathering is row copying either way, and timing is
-    /// observation only).
+    /// the serving path uses. Without a kernel timing sink or an int8
+    /// registry this delegates to [`FakeNewsModel::infer_with_threads`], so
+    /// a model with a hand-fused override keeps serving; otherwise it runs
+    /// the default graph path with the timing sink and/or registry installed
+    /// (timing is observation only and never changes bits).
     fn infer_with_opts(
         &self,
         store: &mut ParamStore,
@@ -234,10 +223,7 @@ pub trait FakeNewsModel {
         batch: &Batch,
         opts: &InferOptions,
     ) -> InferenceOutput {
-        if opts.embedding_shards.is_none()
-            && opts.kernel_timers.is_none()
-            && opts.quantized.is_none()
-        {
+        if opts.kernel_timers.is_none() && opts.quantized.is_none() {
             self.infer_with_threads(store, pool, batch, opts.threads)
         } else {
             run_default_infer(self, store, pool, batch, opts)
@@ -257,9 +243,6 @@ fn run_default_infer<M: FakeNewsModel + ?Sized>(
 ) -> InferenceOutput {
     let mut g = Graph::inference(store, pool);
     g.set_threads(opts.threads);
-    if let Some((table, shards)) = &opts.embedding_shards {
-        g.set_row_shards(*table, shards.clone());
-    }
     g.set_kernel_timers(opts.kernel_timers.clone());
     g.set_quantized_params(opts.quantized.clone());
     let out = model.forward(&mut g, batch);
@@ -418,38 +401,6 @@ pub(crate) mod test_support {
                 "{}: steady-state inference must not allocate fresh buffers",
                 model.name()
             );
-
-            // Sharded-lookup contract: serving the frozen pre-trained table
-            // from external row shards (the per-worker store keeps only a
-            // shard-free stub in sharded deployments) is bit-identical to
-            // the resident-table path at any shard/thread count.
-            let table_id = store
-                .iter()
-                .filter(|(_, p)| {
-                    !p.trainable && p.value.ndim() == 2 && p.value.shape()[0] == cfg.vocab_size
-                })
-                .max_by_key(|(_, p)| p.value.numel())
-                .map(|(id, _)| id);
-            if let Some(table_id) = table_id {
-                use dtdbd_tensor::ShardedTable;
-                for n_shards in [1usize, 3] {
-                    let shards = ShardedTable::from_tensor(store.value(table_id), n_shards);
-                    let opts = InferOptions {
-                        threads: 2,
-                        embedding_shards: Some((table_id, shards)),
-                        ..InferOptions::default()
-                    };
-                    let sharded = model.infer_with_opts(&mut store, &mut pool, &batch, &opts);
-                    for (a, b) in sharded.logits.data().iter().zip(inferred.logits.data()) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{}: shard-served logits diverge at {n_shards} shards",
-                            model.name()
-                        );
-                    }
-                }
-            }
         }
 
         // Training contract: the *classification* loss decreases over a few

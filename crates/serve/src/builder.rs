@@ -10,7 +10,6 @@
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::fault::FaultPlan;
 use crate::http::{HttpConfig, HttpServer};
-use crate::routing::DomainRouting;
 use crate::server::{BatchingConfig, PredictServer, ServerTuning};
 use crate::session::InferenceSession;
 use crate::telemetry::DomainBaseline;
@@ -57,52 +56,6 @@ pub enum ConfigError {
     ZeroWorkers,
     /// `max_batch_size == 0`: no batch could ever be assembled.
     ZeroMaxBatchSize,
-    /// Embedding shard count of zero or more shards than table rows.
-    BadShardCount {
-        /// The rejected shard count.
-        requested: usize,
-        /// Rows of the table being sharded.
-        rows: usize,
-    },
-    /// Sharding was requested but the model registers no frozen 2-D
-    /// parameter with the corpus's vocabulary rows to shard.
-    NoShardableTable {
-        /// Expected row count (the corpus vocabulary size).
-        vocab_rows: usize,
-    },
-    /// A session's store has no parameter under the shard pool's table name
-    /// (a pool built from a different architecture's checkpoint).
-    MissingShardParam {
-        /// Table name the pool was built from.
-        param: String,
-    },
-    /// A session's copy of the sharded table disagrees with the pool's
-    /// geometry (a pool built from a different checkpoint, for example).
-    ShardGeometryMismatch {
-        /// Name of the table parameter.
-        param: String,
-        /// Rows the pool holds.
-        expected_rows: usize,
-        /// Row width the pool holds.
-        expected_dim: usize,
-        /// Shape found in the session's store.
-        found: Vec<usize>,
-    },
-    /// Domain routing declares more queues (specialist groups + the shared
-    /// fallback) than there are workers to staff them.
-    RoutingUnderprovisioned {
-        /// Queues the routing requires (groups + 1).
-        queues: usize,
-        /// Workers configured.
-        workers: usize,
-    },
-    /// Domain routing assigns a domain the corpus does not have.
-    RoutingDomainOutOfRange {
-        /// The offending domain id.
-        domain: usize,
-        /// Number of domains of the corpus.
-        n_domains: usize,
-    },
     /// A drift baseline covers a different number of domains than the
     /// model's corpus — scoring live traffic against it would compare
     /// unrelated domains.
@@ -136,48 +89,6 @@ impl fmt::Display for ConfigError {
         match self {
             Self::ZeroWorkers => write!(f, "need at least one worker"),
             Self::ZeroMaxBatchSize => write!(f, "max_batch_size must be positive"),
-            Self::BadShardCount { requested, rows } => {
-                write!(
-                    f,
-                    "embedding shard count {requested} out of range (1..={rows} table rows)"
-                )
-            }
-            Self::NoShardableTable { vocab_rows } => {
-                write!(
-                    f,
-                    "no frozen 2-D parameter with {vocab_rows} vocabulary rows to shard"
-                )
-            }
-            Self::MissingShardParam { param } => {
-                write!(
-                    f,
-                    "session has no parameter named {param:?} to serve from the shard pool \
-                     (pool built from a different model layout?)"
-                )
-            }
-            Self::ShardGeometryMismatch {
-                param,
-                expected_rows,
-                expected_dim,
-                found,
-            } => {
-                write!(
-                    f,
-                    "shard pool geometry mismatch for {param}: pool holds [{expected_rows}, {expected_dim}], session has {found:?}"
-                )
-            }
-            Self::RoutingUnderprovisioned { queues, workers } => {
-                write!(
-                    f,
-                    "domain routing needs {queues} queues (specialist groups + shared fallback) but only {workers} workers are configured"
-                )
-            }
-            Self::RoutingDomainOutOfRange { domain, n_domains } => {
-                write!(
-                    f,
-                    "domain routing assigns domain {domain}, corpus has {n_domains} domains"
-                )
-            }
             Self::DriftBaselineGeometry {
                 baseline_domains,
                 n_domains,
@@ -312,14 +223,10 @@ pub fn session_from_checkpoint(
 /// * **`threads`** — intra-op parallelism of each worker's compute kernels.
 ///   Predictions are bit-identical at any setting (the kernels' determinism
 ///   contract), so this is purely a throughput knob.
-/// * **`cache_capacity`** / **`cache_shards`** — bound of the content-hash →
-///   prediction LRU in front of the queues (0 disables caching) and its
-///   lock-partition count.
-/// * **`shards`** — row-range embedding shards: the dominant frozen table is
-///   held once in a process-wide [`crate::ShardStore`] instead of per
-///   worker; predictions stay bit-identical (0 = full replicas).
-/// * **`domain_routing`** — pin domains to specialist worker groups with a
-///   shared fallback queue for everything else.
+/// * **`cache_capacity`** — bound of the content-hash → prediction LRU in
+///   front of the queue (0 disables caching).
+/// * **`precision`** — fp32 (the default) or int8 weights and embedding
+///   table in every worker.
 /// * **`http` / `http_addr`** — configuration of the optional HTTP
 ///   front-end started by the `*_http` constructors (bind address, worker
 ///   and backlog sizing, wire limits, deadlines). The build platform picks
@@ -327,14 +234,13 @@ pub fn session_from_checkpoint(
 ///   a blocking thread pool elsewhere.
 ///
 /// ```no_run
-/// # use dtdbd_serve::{Checkpoint, DomainRouting, ServerBuilder};
+/// # use dtdbd_serve::{Checkpoint, Precision, ServerBuilder};
 /// # fn demo(checkpoint: &Checkpoint) -> Result<(), dtdbd_serve::StartError> {
 /// let server = ServerBuilder::new()
 ///     .workers(4)
 ///     .threads(4)
 ///     .cache_capacity(8192)
-///     .shards(4)
-///     .domain_routing(DomainRouting::new().assign(8, 0))
+///     .precision(Precision::Int8)
 ///     .try_start_from_checkpoint(checkpoint)?;
 /// # drop(server); Ok(()) }
 /// ```
@@ -371,7 +277,7 @@ impl Default for ServerBuilder {
 impl ServerBuilder {
     /// A builder with [`BatchingConfig::default`] and the default tuning
     /// (1 intra-op thread, 1024-entry prediction cache in 8 lock
-    /// partitions, full replicas, no routing). The HTTP front-end (only
+    /// partitions, fp32, telemetry on). The HTTP front-end (only
     /// started by the `*_http` constructors) defaults to
     /// [`HttpConfig::default`]: an ephemeral loopback port.
     pub fn new() -> Self {
@@ -422,38 +328,13 @@ impl ServerBuilder {
         self
     }
 
-    /// Lock partitions of the prediction cache (clamped to `1..=capacity`).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.tuning.cache_shards = shards;
-        self
-    }
-
-    /// Split the dominant frozen embedding table into `shards` row-range
-    /// shards held once process-wide instead of per worker. 0 (the default)
-    /// keeps full replicas; a count exceeding the table rows is a
-    /// [`ConfigError::BadShardCount`].
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.tuning.embedding_shards = shards;
-        self
-    }
-
-    /// Dispatch requests to per-domain specialist worker groups (plus a
-    /// shared fallback queue for unassigned domains). An empty routing is
-    /// the documented "routing disabled" fallback.
-    pub fn domain_routing(mut self, routing: DomainRouting) -> Self {
-        self.tuning.routing = Some(routing);
-        self
-    }
-
     /// Inference numeric precision. [`Precision::Fp32`] (the default) is
     /// the exact training-time arithmetic; [`Precision::Int8`] quantizes
     /// every worker's weight matrices and the frozen embedding table to
     /// per-row int8 + scale form at start-up — ~4× less resident parameter
     /// memory, predictions within quantization error of f32 and
-    /// bit-identical to themselves at any thread/shard count. Composes with
-    /// [`ServerBuilder::shards`]: an int8 sharded pool is both shared and
-    /// quantized. An arch with nothing to quantize is a
-    /// [`ConfigError::NoQuantizableParams`].
+    /// bit-identical to themselves at any thread count. An arch with
+    /// nothing to quantize is a [`ConfigError::NoQuantizableParams`].
     pub fn precision(mut self, precision: Precision) -> Self {
         self.tuning.precision = precision;
         self
@@ -540,8 +421,7 @@ impl ServerBuilder {
     }
 
     /// Start every registered tenant as a [`crate::ModelZoo`]: one
-    /// [`PredictServer`] per tenant (same batching/tuning across the zoo),
-    /// byte-identical frozen tables deduped into shared shard pools.
+    /// [`PredictServer`] per tenant (same batching/tuning across the zoo).
     pub fn try_start_zoo(self) -> Result<crate::ModelZoo, StartError> {
         if self.tenants.is_empty() {
             return Err(ConfigError::NoTenants.into());

@@ -15,23 +15,20 @@
 //!    forward passes on [`dtdbd_tensor::Graph::inference`] graphs: no
 //!    autograd tape, and after the first request every activation buffer is
 //!    recycled through a [`dtdbd_tensor::BufferPool`], so the steady-state
-//!    hot path performs no activation allocation.
+//!    hot path performs no activation allocation. Int8 precision quantizes
+//!    every weight matrix and the frozen embedding table into one
+//!    [`dtdbd_tensor::QuantizedParams`] registry per session.
 //! 3. **Micro-batching server core** ([`server`]) — [`PredictServer`]
-//!    coalesces concurrent single-item requests into batches
+//!    coalesces concurrent single-item requests from one queue into batches
 //!    (`max_batch_size` / `max_wait`) dispatched to a pool of worker
-//!    threads, each owning a private session. Scaling features configured
-//!    through [`ServerBuilder`]: a lock-sharded prediction cache
-//!    ([`cache`]), **embedding sharding** ([`shards`]: the dominant frozen
-//!    table held once process-wide instead of per worker, bit-identical
-//!    predictions) and **domain routing** ([`routing`]: per-domain
-//!    specialist queues with a shared fallback).
+//!    threads, each a full replica owning a private session. In front of
+//!    the queue sits a lock-sharded prediction cache ([`cache`]); the knobs
+//!    are set through [`ServerBuilder`].
 //! 4. **Multi-model zoo** ([`zoo`]) — [`ModelZoo`] keeps several resident
-//!    models keyed by id (each with its own worker group, queues, cache and
-//!    supervision), dedups byte-identical frozen shard pools across tenants
-//!    by content digest, and hot-swaps a file-backed tenant to a new
-//!    checkpoint version without dropping or mis-versioning a single
-//!    request (build beside, warm, `Arc` flip at a batch boundary, drain,
-//!    retire).
+//!    models keyed by id (each with its own worker group, queue, cache and
+//!    supervision) and hot-swaps a file-backed tenant to a new checkpoint
+//!    version without dropping or mis-versioning a single request (build
+//!    beside, warm, `Arc` flip at a batch boundary, drain, retire).
 //! 5. **HTTP/1.1 front-end** ([`http`], with its JSON codec in [`json`]) —
 //!    [`HttpServer`] binds a `TcpListener` and serves `POST /predict`
 //!    (per-tenant: `POST /predict/<id>`), `GET /model`, `GET /healthz` and
@@ -76,10 +73,8 @@ pub mod json;
 ))]
 pub(crate) mod poll;
 pub mod prom;
-pub mod routing;
 pub mod server;
 pub mod session;
-pub mod shards;
 mod surface;
 pub mod telemetry;
 pub mod timer;
@@ -100,12 +95,8 @@ pub use dtdbd_models::{SideState, SideStateError};
 pub use dtdbd_tensor::Precision;
 pub use fault::{FaultParseError, FaultPlan};
 pub use http::{ClientResponse, HttpClient, HttpConfig, HttpServer};
-pub use routing::DomainRouting;
-pub use server::{
-    BatchingConfig, PredictError, PredictServer, PredictionHandle, RoutingStats, ServingStats,
-};
+pub use server::{BatchingConfig, PredictError, PredictServer, PredictionHandle, ServingStats};
 pub use session::{InferenceSession, Prediction};
-pub use shards::ShardStore;
 pub use telemetry::{
     DomainBaseline, DomainDrift, DriftTracker, HistogramSnapshot, LatencyHistogram, Stage,
     Telemetry, TelemetrySnapshot, TraceContext, BASELINE_TAG,

@@ -9,25 +9,15 @@
 //! forward pass, and fans the per-item [`Prediction`]s back out to the
 //! waiting clients.
 //!
-//! In front of the queues sits a bounded, **lock-sharded prediction cache**
+//! Every worker is a full replica: it owns a private [`InferenceSession`]
+//! with its own copy of the model, and all workers pull from one shared
+//! queue.
+//!
+//! In front of the queue sits a bounded, **lock-sharded prediction cache**
 //! ([`crate::cache::ShardedPredictionCache`]): a request whose canonical
 //! content was answered before resolves immediately — bit-identical to a
 //! fresh forward pass, because the engine is deterministic — without
-//! touching a queue or a worker.
-//!
-//! Two scaling features configured through [`crate::ServerBuilder`]:
-//!
-//! * **Embedding sharding** — instead of every worker holding a full model
-//!   replica, the dominant frozen embedding table is held **once** in a
-//!   process-wide [`crate::ShardStore`] (row-range shards behind `Arc`s) and
-//!   workers gather from the shared shards. Predictions stay bit-identical
-//!   to the replica path; per-worker resident parameters shrink to the
-//!   non-embedding layers.
-//! * **Domain routing** — a [`crate::DomainRouting`] assignment splits the
-//!   single queue into per-domain specialist queues plus a shared fallback
-//!   queue; the submit path dispatches by the request's domain. Routing
-//!   moves requests between identical workers, so it changes batching
-//!   locality and queueing, never bits.
+//! touching the queue or a worker.
 //!
 //! Shutdown is graceful: [`PredictServer::shutdown`] (also invoked by drop)
 //! stops intake, lets the workers drain every queued request, and joins them.
@@ -37,8 +27,8 @@
 //! in-flight batch's requests — their handles resolve to a typed
 //! [`PredictError::WorkerCrashed`], never a client-side panic — and the
 //! shell respawns the worker with capped exponential backoff: a fresh
-//! [`InferenceSession`] from the retained factory, shard view re-attached,
-//! kernel-timer sink re-wired. While a worker is down `workers_alive` drops
+//! [`InferenceSession`] from the retained factory, re-quantized and with
+//! its kernel-timer sink re-wired. While a worker is down `workers_alive` drops
 //! below `workers` (so `/readyz` reports 503); once the respawn lands the
 //! probe flips back to 200. Requests can also carry a **deadline**
 //! ([`PredictServer::submit_encoded_with_deadline`]): a worker drops
@@ -47,9 +37,7 @@
 
 use crate::cache::{CacheKey, CacheStats, ShardedPredictionCache, DEFAULT_CACHE_SHARDS};
 use crate::fault::{FaultPlan, WorkerFaults};
-use crate::routing::DomainRouting;
 use crate::session::{InferenceSession, Prediction};
-use crate::shards::ShardStore;
 use crate::telemetry::{DomainBaseline, Stage, Telemetry, TraceContext};
 use dtdbd_data::{EncodedRequest, InferenceRequest, RequestEncoder, RequestError};
 use dtdbd_models::FakeNewsModel;
@@ -106,19 +94,6 @@ pub(crate) struct ServerTuning {
     pub threads: usize,
     /// Prediction-cache bound in entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Lock partitions of the prediction cache.
-    pub cache_shards: usize,
-    /// Row-range shards of the shared embedding table (0 = replica mode:
-    /// every worker keeps its private full copy).
-    pub embedding_shards: usize,
-    /// A pre-built shard pool to attach instead of building one from worker
-    /// 0's store. The multi-tenant zoo injects this so tenants whose frozen
-    /// tables are byte-identical (equal [`ShardStore::digest`]) share one
-    /// resident pool. Ignored when `embedding_shards == 0`.
-    pub shard_pool: Option<ShardStore>,
-    /// Domain → specialist-group assignment (`None` or empty = one shared
-    /// queue).
-    pub routing: Option<DomainRouting>,
     /// Whether to run the full telemetry pipeline (stage histograms, kernel
     /// timing hooks, drift tracking). Telemetry is wall-clock observation
     /// only — predictions are bit-identical either way — so the default is
@@ -131,7 +106,7 @@ pub(crate) struct ServerTuning {
     /// default) compiles to no hooks at all on the hot path.
     pub fault_plan: Option<FaultPlan>,
     /// Inference numeric precision: [`Precision::Int8`] quantizes every
-    /// worker session (and the shard pool, when sharding) at start-up.
+    /// worker session at start-up.
     pub precision: Precision,
 }
 
@@ -140,10 +115,6 @@ impl Default for ServerTuning {
         Self {
             threads: 1,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            cache_shards: DEFAULT_CACHE_SHARDS,
-            embedding_shards: 0,
-            shard_pool: None,
-            routing: None,
             telemetry: true,
             drift_baseline: None,
             fault_plan: None,
@@ -193,7 +164,7 @@ struct Job {
     /// cache after predicting. `None` when the cache is disabled.
     key: Option<CacheKey>,
     reply: mpsc::Sender<Result<Prediction, PredictError>>,
-    /// When the request entered its queue; `None` with telemetry off (the
+    /// When the request entered the queue; `None` with telemetry off (the
     /// disabled path never reads the clock).
     enqueued_at: Option<Instant>,
     /// Drop-dead time: a worker sheds the request with
@@ -206,15 +177,6 @@ struct Job {
 struct QueueState {
     jobs: VecDeque<Job>,
     shutdown: bool,
-}
-
-/// One micro-batch queue: the shared fallback queue (index 0) or a
-/// specialist group's queue. Each has its own mutex + condvar, so specialist
-/// traffic never contends with the shared pool's lock.
-#[derive(Default)]
-struct QueueSlot {
-    state: Mutex<QueueState>,
-    available: Condvar,
 }
 
 /// Lock-free per-worker counters, written by the worker after every batch
@@ -288,22 +250,15 @@ impl WorkerCounters {
 }
 
 struct Shared {
-    /// Queue 0 is the shared fallback; queue `g + 1` belongs to specialist
-    /// group `g`. A server without routing has exactly one queue.
-    queues: Vec<QueueSlot>,
-    /// Dense `domain -> queue index` table (empty when routing is off;
-    /// every request then uses queue 0).
-    route_table: Vec<usize>,
+    /// The one micro-batch queue every worker pulls from.
+    queue: Mutex<QueueState>,
+    /// Signalled when a job is queued or shutdown begins.
+    available: Condvar,
     counters: Vec<WorkerCounters>,
-    /// Lock-sharded content-hash → prediction cache in front of the queues;
+    /// Lock-sharded content-hash → prediction cache in front of the queue;
     /// `None` when disabled. Each partition locks independently, so
     /// concurrent submitters only contend on key-hash collisions' partitions.
     cache: Option<ShardedPredictionCache>,
-    /// Requests dispatched to a specialist queue (only counted when routing
-    /// is active).
-    routed_specialist: AtomicU64,
-    /// Requests that fell back to the shared queue under active routing.
-    routed_shared: AtomicU64,
     /// The telemetry registry (`None` when telemetry is off).
     telemetry: Option<Arc<Telemetry>>,
     /// Per-worker liveness, maintained by the supervisor shells: false
@@ -318,29 +273,11 @@ struct Shared {
     deadline_dropped: AtomicU64,
 }
 
-impl Shared {
-    fn queue_for(&self, domain: usize) -> usize {
-        self.route_table.get(domain).copied().unwrap_or(0)
-    }
-}
-
-/// Domain-routing counters reported in [`ServingStats`] (all zeros when
-/// routing is disabled).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoutingStats {
-    /// Specialist queues in front of the worker pool (0 = routing off).
-    pub specialist_queues: usize,
-    /// Requests dispatched to a specialist queue.
-    pub routed_specialist: u64,
-    /// Requests that fell back to the shared queue while routing was active.
-    pub routed_shared: u64,
-}
-
 /// A point-in-time snapshot of the serving core's load and memory behaviour,
 /// aggregated over every worker (what `GET /stats` reports).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServingStats {
-    /// Requests queued but not yet picked up by a worker (all queues).
+    /// Requests queued but not yet picked up by a worker.
     pub queue_depth: usize,
     /// Items answered so far: worker forward passes plus cache hits.
     pub requests_served: u64,
@@ -356,17 +293,9 @@ pub struct ServingStats {
     pub threads: usize,
     /// Prediction-cache counters (all zeros when the cache is disabled).
     pub cache: CacheStats,
-    /// Row-range shards of the shared embedding table (0 = replica mode).
-    pub embedding_shards: usize,
-    /// Bytes of the shared shard pool, resident once per process (0 in
-    /// replica mode).
-    pub shard_pool_bytes: u64,
-    /// Mean bytes of parameter values resident in each worker's private
-    /// store. In replica mode this includes the full embedding table; in
-    /// sharded mode the table lives in the shared pool instead.
+    /// Mean bytes of parameters resident in each worker's session, the
+    /// embedding table and (under int8) the quantized registry included.
     pub resident_param_bytes_per_worker: u64,
-    /// Domain-routing dispatch counters.
-    pub routing: RoutingStats,
     /// Worker batch-loop panics caught by the supervisor shells.
     pub worker_panics: u64,
     /// Successful worker respawns after a panic.
@@ -409,9 +338,6 @@ pub struct PredictServer {
     encoder: RequestEncoder,
     arch: String,
     threads: usize,
-    embedding_shards: usize,
-    shard_pool_bytes: u64,
-    shard_pool_digest: Option<u64>,
     resident_param_bytes_per_worker: u64,
     quantized_param_bytes_per_worker: u64,
     precision: Precision,
@@ -421,12 +347,12 @@ pub struct PredictServer {
 impl PredictServer {
     /// Start `config.workers` worker threads with the default tuning: one
     /// intra-op thread per worker, a [`DEFAULT_CACHE_CAPACITY`]-entry
-    /// prediction cache, full model replicas and no domain routing.
+    /// prediction cache and fp32 inference.
     /// `factory` is called once per worker (with the worker index) to build
     /// that worker's private [`InferenceSession`]; sessions never share
     /// mutable state, so no lock is held during a forward pass. Use
     /// [`crate::ServerBuilder`] for the full knob set (cache bound,
-    /// intra-op threads, embedding sharding, domain routing).
+    /// intra-op threads, precision, telemetry, fault injection).
     ///
     /// # Panics
     /// Panics if `config.workers` or `config.max_batch_size` is zero (the
@@ -460,35 +386,13 @@ impl PredictServer {
             return Err(ConfigError::ZeroMaxBatchSize);
         }
         let threads = tuning.threads.max(1);
-        // An empty routing is the documented "routing disabled" fallback.
-        let routing = tuning.routing.filter(|r| !r.is_empty());
-        let n_queues = routing.as_ref().map_or(1, |r| r.groups() + 1);
-        if config.workers < n_queues {
-            return Err(ConfigError::RoutingUnderprovisioned {
-                queues: n_queues,
-                workers: config.workers,
-            });
-        }
 
         // Build every session on the caller's thread so misconfiguration
-        // surfaces as an error before any worker thread spawns. Worker 0 is
-        // built first and, in sharded mode, donates its table to the
-        // process-wide pool *before* the remaining sessions are built and
-        // attached one at a time — peak memory stays at one full table (plus
-        // the pool), never `workers` replicas of it.
+        // surfaces as an error before any worker thread spawns.
         let mut session0 = factory(0);
         session0.set_threads(threads);
         let encoder = session0.encoder().clone();
         let arch = session0.model().name().to_string();
-
-        if let Some(max_domain) = routing.as_ref().and_then(DomainRouting::max_domain) {
-            if max_domain >= encoder.n_domains() {
-                return Err(ConfigError::RoutingDomainOutOfRange {
-                    domain: max_domain,
-                    n_domains: encoder.n_domains(),
-                });
-            }
-        }
 
         if let Some(baseline) = tuning.drift_baseline.as_ref() {
             if baseline.n_domains() != encoder.n_domains() {
@@ -507,42 +411,12 @@ impl PredictServer {
             ))
         });
 
-        // Sharded mode: lift the dominant frozen embedding table out of
-        // worker 0's store into the process-wide pool; every session then
-        // swaps its private copy for the shared shards as soon as it exists.
-        let shard_pool = if tuning.embedding_shards > 0 {
-            // An injected pool (the zoo's digest-deduped registry) wins;
-            // otherwise build a private pool from worker 0's table.
-            let pool = match tuning.shard_pool {
-                Some(pool) => pool,
-                None => {
-                    let vocab_rows = session0.model().config().vocab_size;
-                    ShardStore::build_with_precision(
-                        session0.store(),
-                        vocab_rows,
-                        tuning.embedding_shards,
-                        tuning.precision,
-                    )?
-                }
-            };
-            session0.attach_embedding_shards(&pool)?;
-            Some(pool)
-        } else {
-            None
-        };
-        // Quantization runs after shard attachment so a shared (possibly
-        // int8) pool owns the table and the session only rewrites its
-        // private weights; in replica mode the session quantizes its own
-        // table copy too.
         session0.quantize(tuning.precision)?;
         let mut sessions = Vec::with_capacity(config.workers);
         sessions.push(session0);
         for worker_id in 1..config.workers {
             let mut session = factory(worker_id);
             session.set_threads(threads);
-            if let Some(pool) = shard_pool.as_ref() {
-                session.attach_embedding_shards(pool)?;
-            }
             session.quantize(tuning.precision)?;
             sessions.push(session);
         }
@@ -563,20 +437,14 @@ impl PredictServer {
             .sum::<u64>()
             / sessions.len() as u64;
 
-        let route_table = routing
-            .as_ref()
-            .map(|r| r.queue_table(encoder.n_domains()))
-            .unwrap_or_default();
         let shared = Arc::new(Shared {
-            queues: (0..n_queues).map(|_| QueueSlot::default()).collect(),
-            route_table,
+            queue: Mutex::new(QueueState::default()),
+            available: Condvar::new(),
             counters: (0..config.workers)
                 .map(|_| WorkerCounters::default())
                 .collect(),
             cache: (tuning.cache_capacity > 0)
-                .then(|| ShardedPredictionCache::new(tuning.cache_capacity, tuning.cache_shards)),
-            routed_specialist: AtomicU64::new(0),
-            routed_shared: AtomicU64::new(0),
+                .then(|| ShardedPredictionCache::new(tuning.cache_capacity, DEFAULT_CACHE_SHARDS)),
             telemetry: telemetry.clone(),
             // Workers count as alive from the moment the server exists, so
             // a readiness probe racing the thread spawns never sees a
@@ -586,15 +454,11 @@ impl PredictServer {
             worker_restarts: AtomicU64::new(0),
             deadline_dropped: AtomicU64::new(0),
         });
-        let embedding_shards = shard_pool.as_ref().map_or(0, ShardStore::n_shards);
-        let shard_pool_bytes = shard_pool.as_ref().map_or(0, ShardStore::total_bytes);
-        let shard_pool_digest = shard_pool.as_ref().map(ShardStore::digest);
         // Everything a supervisor shell needs to rebuild a crashed worker:
-        // the session factory plus the re-attachment state `start_tuned`
-        // applies to a fresh session.
+        // the session factory plus the wiring `start_tuned` applies to a
+        // fresh session.
         let respawn = Arc::new(Respawn {
             factory: Mutex::new(factory),
-            shard_pool,
             threads,
             kernel_timers: telemetry
                 .as_ref()
@@ -619,17 +483,11 @@ impl PredictServer {
             .zip(fault_tables)
             .enumerate()
             .map(|(worker_id, (session, faults))| {
-                // Workers are dealt round-robin over the queues, so every
-                // queue (shared + each specialist group) owns at least one
-                // worker whenever `workers >= n_queues` (validated above).
-                let queue = worker_id % n_queues;
                 let shared = Arc::clone(&shared);
                 let respawn = Arc::clone(&respawn);
                 let config = config.clone();
                 thread::spawn(move || {
-                    worker_shell(
-                        &shared, &respawn, session, &config, worker_id, queue, faults,
-                    )
+                    worker_shell(&shared, &respawn, session, &config, worker_id, faults)
                 })
             })
             .collect();
@@ -638,9 +496,6 @@ impl PredictServer {
             encoder,
             arch,
             threads,
-            embedding_shards,
-            shard_pool_bytes,
-            shard_pool_digest,
             resident_param_bytes_per_worker,
             quantized_param_bytes_per_worker,
             precision: tuning.precision,
@@ -658,9 +513,7 @@ impl PredictServer {
     /// Enqueue an already-validated request (the HTTP front-end validates
     /// whole batches up front and then submits them with this). A request
     /// whose content is in the prediction cache resolves immediately —
-    /// bit-identical to a fresh forward pass — without entering a queue;
-    /// otherwise the request is dispatched to its domain's specialist queue
-    /// (or the shared fallback).
+    /// bit-identical to a fresh forward pass — without entering the queue.
     pub fn submit_encoded(&self, request: EncodedRequest) -> PredictionHandle {
         self.submit_encoded_with_deadline(request, None)
     }
@@ -693,18 +546,8 @@ impl PredictServer {
             }
             None => None,
         };
-        let queue = self.shared.queue_for(request.domain());
-        if self.shared.queues.len() > 1 {
-            let counter = if queue == 0 {
-                &self.shared.routed_shared
-            } else {
-                &self.shared.routed_specialist
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-        let slot = &self.shared.queues[queue];
         {
-            let mut state = slot.state.lock().expect("queue poisoned");
+            let mut state = self.shared.queue.lock().expect("queue poisoned");
             state.jobs.push_back(Job {
                 request,
                 key,
@@ -713,7 +556,7 @@ impl PredictServer {
                 deadline,
             });
         }
-        slot.available.notify_one();
+        self.shared.available.notify_one();
         PredictionHandle { reply: rx }
     }
 
@@ -722,26 +565,14 @@ impl PredictServer {
         self.submit(request).map_err(PredictError::Invalid)?.wait()
     }
 
-    /// Requests currently queued (not yet picked up by a worker), summed
-    /// over the shared and every specialist queue.
+    /// Requests currently queued (not yet picked up by a worker).
     pub fn queue_depth(&self) -> usize {
-        self.shared
-            .queues
-            .iter()
-            .map(|slot| slot.state.lock().expect("queue poisoned").jobs.len())
-            .sum()
+        self.shared.queue.lock().expect("queue poisoned").jobs.len()
     }
 
     /// The encoder used to validate incoming requests.
     pub fn encoder(&self) -> &RequestEncoder {
         &self.encoder
-    }
-
-    /// Content digest of the attached shard pool's source table (`None` in
-    /// replica mode). Two tenants reporting the same digest share one
-    /// resident pool — the `/stats` sharding object counts its bytes once.
-    pub fn shard_pool_digest(&self) -> Option<u64> {
-        self.shard_pool_digest
     }
 
     /// Canonical architecture name of the model the workers serve (what
@@ -778,8 +609,8 @@ impl PredictServer {
             .count()
     }
 
-    /// Aggregate load, buffer-pool, prediction-cache, sharding and routing
-    /// statistics over every worker.
+    /// Aggregate load, buffer-pool, prediction-cache, memory and
+    /// supervision statistics over every worker.
     pub fn stats(&self) -> ServingStats {
         let queue_depth = self.queue_depth();
         let cache = self
@@ -797,14 +628,7 @@ impl PredictServer {
             workers: self.shared.counters.len(),
             threads: self.threads,
             cache,
-            embedding_shards: self.embedding_shards,
-            shard_pool_bytes: self.shard_pool_bytes,
             resident_param_bytes_per_worker: self.resident_param_bytes_per_worker,
-            routing: RoutingStats {
-                specialist_queues: self.shared.queues.len() - 1,
-                routed_specialist: self.shared.routed_specialist.load(Ordering::Relaxed),
-                routed_shared: self.shared.routed_shared.load(Ordering::Relaxed),
-            },
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
             worker_restarts: self.shared.worker_restarts.load(Ordering::Relaxed),
             requests_deadline_dropped: self.shared.deadline_dropped.load(Ordering::Relaxed),
@@ -834,12 +658,8 @@ impl PredictServer {
     /// The shutdown sequence without consuming the server; running it again
     /// is a no-op (the workers are already joined).
     pub(crate) fn shutdown_impl(&mut self) {
-        for slot in &self.shared.queues {
-            let mut state = slot.state.lock().expect("queue poisoned");
-            state.shutdown = true;
-            drop(state);
-            slot.available.notify_all();
-        }
+        self.shared.queue.lock().expect("queue poisoned").shutdown = true;
+        self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -855,10 +675,9 @@ impl Drop for PredictServer {
 /// Everything a supervisor shell needs to rebuild a crashed worker's
 /// session exactly the way [`PredictServer::start_tuned`] built the
 /// original: the retained factory plus the post-construction wiring
-/// (intra-op threads, shared shard view, kernel-timer sink).
+/// (intra-op threads, precision, kernel-timer sink).
 struct Respawn<F> {
     factory: Mutex<F>,
-    shard_pool: Option<ShardStore>,
     threads: usize,
     kernel_timers: Option<Arc<dyn KernelTimers>>,
     initial_backoff: Duration,
@@ -876,7 +695,6 @@ fn worker_shell<M, F>(
     mut session: InferenceSession<M>,
     config: &BatchingConfig,
     worker_id: usize,
-    queue: usize,
     faults: Option<WorkerFaults>,
 ) where
     M: FakeNewsModel,
@@ -896,7 +714,6 @@ fn worker_shell<M, F>(
                 &mut session,
                 config,
                 worker_id,
-                queue,
                 faults.as_ref(),
                 &mut batches_done,
             )
@@ -912,7 +729,7 @@ fn worker_shell<M, F>(
             backoff = respawn.initial_backoff;
         }
         loop {
-            if !backoff_sleep(shared, queue, backoff) {
+            if !backoff_sleep(shared, backoff) {
                 return; // shutdown arrived during the backoff
             }
             backoff = (backoff * 2).min(MAX_RESPAWN_BACKOFF);
@@ -928,11 +745,6 @@ fn worker_shell<M, F>(
             }));
             let Ok(mut fresh) = rebuilt else { continue };
             fresh.set_threads(respawn.threads);
-            if let Some(pool) = respawn.shard_pool.as_ref() {
-                if fresh.attach_embedding_shards(pool).is_err() {
-                    continue;
-                }
-            }
             if fresh.quantize(respawn.precision).is_err() {
                 continue;
             }
@@ -949,11 +761,10 @@ fn worker_shell<M, F>(
 /// one poll tick. Returns false when shutdown was requested. Deliberately a
 /// plain sleep, not a condvar wait: a supervisor parked on the queue's
 /// condvar would steal `notify_one` wakeups meant for live workers.
-fn backoff_sleep(shared: &Shared, queue: usize, backoff: Duration) -> bool {
-    let slot = &shared.queues[queue];
+fn backoff_sleep(shared: &Shared, backoff: Duration) -> bool {
     let deadline = Instant::now() + backoff;
     loop {
-        if slot.state.lock().expect("queue poisoned").shutdown {
+        if shared.queue.lock().expect("queue poisoned").shutdown {
             return false;
         }
         let now = Instant::now();
@@ -969,11 +780,9 @@ fn worker_loop<M: FakeNewsModel>(
     session: &mut InferenceSession<M>,
     config: &BatchingConfig,
     worker_id: usize,
-    queue: usize,
     faults: Option<&WorkerFaults>,
     batches_done: &mut u64,
 ) {
-    let slot = &shared.queues[queue];
     let trace = shared
         .telemetry
         .as_ref()
@@ -981,7 +790,7 @@ fn worker_loop<M: FakeNewsModel>(
         .unwrap_or_default();
     loop {
         let (jobs, assembly_ns) = {
-            let mut state = slot.state.lock().expect("queue poisoned");
+            let mut state = shared.queue.lock().expect("queue poisoned");
             // Sleep until there is work (or we are told to stop and the
             // queue has drained).
             loop {
@@ -991,7 +800,7 @@ fn worker_loop<M: FakeNewsModel>(
                 if state.shutdown {
                     return;
                 }
-                state = slot.available.wait(state).expect("queue poisoned");
+                state = shared.available.wait(state).expect("queue poisoned");
             }
             // Batch assembly starts the moment this worker owns its first
             // request and ends when the batch is drained below.
@@ -1005,7 +814,7 @@ fn worker_loop<M: FakeNewsModel>(
                     if now >= deadline {
                         break;
                     }
-                    let (next, timeout) = slot
+                    let (next, timeout) = shared
                         .available
                         .wait_timeout(state, deadline - now)
                         .expect("queue poisoned");
@@ -1267,11 +1076,7 @@ mod tests {
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.queue_depth, 0);
         assert!(stats.pool_alloc_misses > 0, "first batch allocates");
-        // Replica deployment: no shard pool, no specialist queues.
-        assert_eq!(stats.embedding_shards, 0);
-        assert_eq!(stats.shard_pool_bytes, 0);
         assert!(stats.resident_param_bytes_per_worker > 0);
-        assert_eq!(stats.routing, RoutingStats::default());
     }
 
     #[test]
@@ -1339,59 +1144,6 @@ mod tests {
         let parallel = threaded.predict(&request).unwrap();
         assert_eq!(threaded.stats().threads, 4);
         assert_eq!(first.fake_prob.to_bits(), parallel.fake_prob.to_bits());
-    }
-
-    #[test]
-    fn domain_routing_dispatches_to_specialist_queues_without_changing_bits() {
-        use crate::builder::ServerBuilder;
-        let ds = dataset();
-        let cfg = ModelConfig::tiny(&ds);
-        let factory = || {
-            let cfg = cfg.clone();
-            move |_: usize| {
-                let mut store = ParamStore::new();
-                let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-                InferenceSession::new(model, store)
-            }
-        };
-        // Domain 8 (Society, the hottest Weibo21 domain) gets a specialist
-        // group; everything else shares. Cache off so every request really
-        // flows through its queue.
-        let routed = ServerBuilder::new()
-            .workers(2)
-            .cache_capacity(0)
-            .domain_routing(DomainRouting::new().assign(8, 0))
-            .try_start(factory())
-            .expect("valid routing");
-        let plain = ServerBuilder::new()
-            .workers(2)
-            .cache_capacity(0)
-            .try_start(factory())
-            .expect("valid configuration");
-
-        let mut specialist = 0u64;
-        let mut shared = 0u64;
-        for i in 0..ds.len().min(60) {
-            let request = request_for(&ds, i);
-            if request.domain == 8 {
-                specialist += 1;
-            } else {
-                shared += 1;
-            }
-            let a = routed.predict(&request).unwrap();
-            let b = plain.predict(&request).unwrap();
-            assert_eq!(
-                a.fake_prob.to_bits(),
-                b.fake_prob.to_bits(),
-                "routing must never change prediction bits"
-            );
-        }
-        let stats = routed.stats();
-        assert_eq!(stats.routing.specialist_queues, 1);
-        assert_eq!(stats.routing.routed_specialist, specialist);
-        assert_eq!(stats.routing.routed_shared, shared);
-        assert!(specialist > 0, "dataset should contain Society items");
-        assert_eq!(plain.stats().routing, RoutingStats::default());
     }
 
     #[test]

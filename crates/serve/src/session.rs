@@ -8,14 +8,22 @@
 //! and maps the batch outputs back to per-item [`Prediction`]s.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::shards::ShardStore;
 use dtdbd_data::{Batch, EncodedRequest, RequestEncoder};
 use dtdbd_models::{FakeNewsModel, InferOptions, ModelConfig};
 use dtdbd_tensor::{
     BufferPool, KernelTimers, ParamId, ParamStore, Precision, QuantizedMatrix, QuantizedParams,
-    ShardedTable, Tensor,
+    Tensor,
 };
+use std::cmp::Ordering;
 use std::sync::Arc;
+
+/// The dominant-table rule int8 quantization uses to find the frozen
+/// embedding table: the larger element count wins, and on equal counts the
+/// lexicographically smallest parameter name, so the choice never depends
+/// on `ParamStore` insertion order.
+fn dominant_table_rank(a: (usize, &str), b: (usize, &str)) -> Ordering {
+    a.0.cmp(&b.0).then_with(|| b.1.cmp(a.1))
+}
 
 /// Per-item serving result.
 #[derive(Debug, Clone)]
@@ -43,10 +51,6 @@ pub struct InferenceSession<M> {
     encoder: RequestEncoder,
     requests_served: u64,
     threads: usize,
-    /// When attached (sharded serving), embedding lookups of this parameter
-    /// gather from the shared read-only shards and the store's own table
-    /// value is dropped to a `[0, dim]` stub — the per-worker memory win.
-    embedding_shards: Option<(ParamId, ShardedTable)>,
     /// Optional per-kernel duration sink threaded into every forward pass
     /// (the serving telemetry registry). `None` keeps the kernels free of
     /// clock reads; the sink never changes prediction bits either way.
@@ -55,13 +59,9 @@ pub struct InferenceSession<M> {
     /// [`InferenceSession::quantize`]; [`Precision::Fp32`] otherwise.
     precision: Precision,
     /// Int8 registry built by [`InferenceSession::quantize`]: the quantized
-    /// forms of every quantizable weight, threaded into each forward pass.
+    /// forms of every quantizable weight and of the frozen embedding table,
+    /// threaded into each forward pass.
     quantized: Option<Arc<QuantizedParams>>,
-    /// Bytes of a *private* quantized embedding table (replica-mode int8:
-    /// the table leaves the store for a one-shard int8 view held by this
-    /// session alone, so it still counts as per-worker resident memory —
-    /// unlike a shared [`ShardStore`] pool, which counts once per process).
-    private_table_bytes: u64,
 }
 
 impl<M: FakeNewsModel> InferenceSession<M> {
@@ -76,11 +76,9 @@ impl<M: FakeNewsModel> InferenceSession<M> {
             encoder,
             requests_served: 0,
             threads: 1,
-            embedding_shards: None,
             kernel_timers: None,
             precision: Precision::Fp32,
             quantized: None,
-            private_table_bytes: 0,
         }
     }
 
@@ -149,22 +147,10 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         (self.pool.reuse_hits(), self.pool.alloc_misses())
     }
 
-    /// Borrow the session's parameter store (the shard pool builder reads
-    /// the embedding table out of it before it is dropped).
-    pub fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
     /// Bytes of parameter values resident in this session's private store,
-    /// plus — after [`InferenceSession::quantize`] — the int8 registry and
-    /// any private (replica-mode) quantized table. After
-    /// [`InferenceSession::attach_embedding_shards`] the dominant embedding
-    /// table no longer counts here — it lives once in the shared
-    /// [`ShardStore`], not per worker.
+    /// plus — after [`InferenceSession::quantize`] — the int8 registry.
     pub fn resident_param_bytes(&self) -> u64 {
-        self.store.num_scalars() as u64 * std::mem::size_of::<f32>() as u64
-            + self.quantized.as_ref().map_or(0, |q| q.bytes())
-            + self.private_table_bytes
+        self.store.num_scalars() as u64 * std::mem::size_of::<f32>() as u64 + self.quantized_bytes()
     }
 
     /// Inference precision of this session's forward passes.
@@ -172,25 +158,25 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         self.precision
     }
 
-    /// Bytes of int8 weight matrices (codes + per-row scales) resident in
-    /// this session, including a private replica-mode quantized table; zero
-    /// before [`InferenceSession::quantize`].
+    /// Bytes of int8 matrices (codes + per-row scales) resident in this
+    /// session, the embedding table included; zero before
+    /// [`InferenceSession::quantize`].
     pub fn quantized_bytes(&self) -> u64 {
-        self.quantized.as_ref().map_or(0, |q| q.bytes()) + self.private_table_bytes
+        self.quantized.as_ref().map_or(0, |q| q.bytes())
     }
 
     /// Quantize this session to the given precision. [`Precision::Fp32`] is
     /// the identity. [`Precision::Int8`] rewrites every quantizable weight
     /// (linear/conv matrices, marked by the layers that registered them)
-    /// into per-row int8 + scale form, drops the f32 originals to empty
-    /// stubs, and — in replica mode, i.e. before any shared shard pool is
-    /// attached — moves the frozen embedding table into a private one-shard
-    /// int8 view. In sharded mode the table is the (already attached)
-    /// shared pool's concern and is left alone here.
+    /// and the frozen embedding table (the largest non-trainable 2-D
+    /// parameter with vocabulary rows) into per-row int8 + scale form in
+    /// one [`QuantizedParams`] registry, and drops the f32 originals to
+    /// empty stubs.
     ///
     /// Subsequent forward passes run the fused quantize → i32 GEMM →
-    /// dequantize kernel: predictions differ from f32 within quantization
-    /// error but are bit-identical to themselves at any thread/shard count.
+    /// dequantize kernel and gather `code × row_scale` embedding rows:
+    /// predictions differ from f32 within quantization error but are
+    /// bit-identical to themselves at any thread count.
     ///
     /// Fails with [`ConfigError::NoQuantizableParams`] when the model has
     /// neither a quantizable weight nor a frozen embedding table — an int8
@@ -200,43 +186,38 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         if precision == Precision::Fp32 {
             return Ok(());
         }
+        let vocab_rows = self.model.config().vocab_size;
+        let table_id = self
+            .store
+            .iter()
+            .filter(|(_, p)| {
+                !p.trainable && p.value.ndim() == 2 && p.value.shape()[0] == vocab_rows
+            })
+            .max_by(|(_, a), (_, b)| {
+                dominant_table_rank((a.value.numel(), &a.name), (b.value.numel(), &b.name))
+            })
+            .map(|(id, _)| id);
         let mut registry = QuantizedParams::new();
         let mut stubs: Vec<(ParamId, Vec<usize>)> = Vec::new();
         for (id, p) in self.store.iter() {
-            if !p.quantizable {
+            let matrix = if Some(id) == table_id {
+                let (rows, dim) = (p.value.shape()[0], p.value.shape()[1]);
+                QuantizedMatrix::from_rows(rows, dim, p.value.data())
+            } else if !p.quantizable {
                 continue;
-            }
-            let matrix = match p.value.ndim() {
-                2 => QuantizedMatrix::from_linear(&p.value),
-                3 => QuantizedMatrix::from_conv(&p.value),
-                _ => continue,
+            } else {
+                match p.value.ndim() {
+                    2 => QuantizedMatrix::from_linear(&p.value),
+                    3 => QuantizedMatrix::from_conv(&p.value),
+                    _ => continue,
+                }
             };
             registry.insert(id, Arc::new(matrix));
             let mut stub = p.value.shape().to_vec();
             stub[0] = 0;
             stubs.push((id, stub));
         }
-        // Replica mode only: move the frozen table (the same discovery rule
-        // the shard pool uses) into a private one-shard int8 view. With a
-        // shared pool attached the store already holds a stub.
-        let table_id = if self.embedding_shards.is_none() {
-            let vocab_rows = self.model.config().vocab_size;
-            self.store
-                .iter()
-                .filter(|(_, p)| {
-                    !p.trainable && p.value.ndim() == 2 && p.value.shape()[0] == vocab_rows
-                })
-                .max_by(|(_, a), (_, b)| {
-                    crate::shards::dominant_table_rank(
-                        (a.value.numel(), &a.name),
-                        (b.value.numel(), &b.name),
-                    )
-                })
-                .map(|(id, _)| id)
-        } else {
-            None
-        };
-        if registry.is_empty() && table_id.is_none() && self.embedding_shards.is_none() {
+        if registry.is_empty() {
             return Err(ConfigError::NoQuantizableParams {
                 arch: self.model.name().to_string(),
             });
@@ -244,65 +225,15 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         for (id, stub) in stubs {
             self.store.get_mut(id).value = Tensor::zeros(&stub);
         }
-        if let Some(id) = table_id {
-            let table = ShardedTable::from_tensor_quantized(self.store.value(id), 1);
-            let dim = table.dim();
-            self.private_table_bytes = table.total_bytes() as u64;
-            self.store.get_mut(id).value = Tensor::zeros(&[0, dim]);
-            self.embedding_shards = Some((id, table));
-        }
         self.quantized = Some(Arc::new(registry));
         self.precision = Precision::Int8;
         Ok(())
-    }
-
-    /// Serve embedding lookups of the pool's table from the shared shards
-    /// and drop this session's private copy of the table (its store keeps a
-    /// `[0, dim]` stub so checkpoint-restored layouts stay addressable).
-    /// Predictions are bit-identical to the replica path — gathering is row
-    /// copying from the same values, wherever they reside.
-    ///
-    /// Fails if this session has no parameter matching the pool's table
-    /// name, or if the shapes disagree (a pool built from a different
-    /// checkpoint). Re-attaching a (matching) pool is permitted.
-    pub fn attach_embedding_shards(
-        &mut self,
-        pool: &ShardStore,
-    ) -> Result<(), crate::builder::ConfigError> {
-        use crate::builder::ConfigError;
-        let id = self
-            .store
-            .iter()
-            .find(|(_, p)| p.name == pool.param_name())
-            .map(|(id, _)| id)
-            .ok_or_else(|| ConfigError::MissingShardParam {
-                param: pool.param_name().to_string(),
-            })?;
-        let shape = self.store.value(id).shape().to_vec();
-        let attached_stub = shape == [0, pool.dim()];
-        if shape != [pool.rows(), pool.dim()] && !attached_stub {
-            return Err(ConfigError::ShardGeometryMismatch {
-                param: pool.param_name().to_string(),
-                expected_rows: pool.rows(),
-                expected_dim: pool.dim(),
-                found: shape,
-            });
-        }
-        self.store.get_mut(id).value = Tensor::zeros(&[0, pool.dim()]);
-        self.embedding_shards = Some((id, pool.shards().clone()));
-        Ok(())
-    }
-
-    /// The attached shard view, if this session serves a sharded table.
-    pub fn embedding_shards(&self) -> Option<&ShardedTable> {
-        self.embedding_shards.as_ref().map(|(_, shards)| shards)
     }
 
     /// Run tape-free inference on a pre-assembled batch.
     pub fn predict_batch(&mut self, batch: &Batch) -> Vec<Prediction> {
         let opts = InferOptions {
             threads: self.threads,
-            embedding_shards: self.embedding_shards.clone(),
             kernel_timers: self.kernel_timers.clone(),
             quantized: self.quantized.clone(),
         };
@@ -375,6 +306,23 @@ mod tests {
         let (hits, misses) = session.pool_stats();
         assert_eq!(misses, misses_after_first, "steady state allocates nothing");
         assert!(hits > 0);
+    }
+
+    #[test]
+    fn tied_tables_resolve_by_name_not_insertion_order() {
+        assert_eq!(
+            dominant_table_rank((400, "alpha.table"), (400, "omega.table")),
+            Ordering::Greater
+        );
+        assert_eq!(
+            dominant_table_rank((400, "omega.table"), (400, "alpha.table")),
+            Ordering::Less
+        );
+        // Size decides first.
+        assert_eq!(
+            dominant_table_rank((401, "omega.table"), (400, "alpha.table")),
+            Ordering::Greater
+        );
     }
 
     #[test]

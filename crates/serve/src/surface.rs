@@ -139,9 +139,6 @@ impl TenantSnapshot {
 pub(crate) struct Snapshot {
     ready: bool,
     connection_model: &'static str,
-    /// Process-wide shard-pool bytes, each pool shared by several tenants
-    /// counted once.
-    shard_pool_bytes: u64,
     http: [u64; COUNTERS],
     tenants: Vec<TenantSnapshot>,
     /// Index of the default tenant in `tenants`.
@@ -162,7 +159,6 @@ impl Snapshot {
         Self {
             ready: is_ready(ctx),
             connection_model: ctx.connection_model,
-            shard_pool_bytes: ctx.zoo.shard_pool_bytes_deduped(),
             http: std::array::from_fn(|i| ctx.stats.0[i].load(Ordering::Relaxed)),
             telemetry: tenants[default].model.telemetry().map(|t| t.snapshot()),
             tenants,
@@ -247,22 +243,12 @@ static ROWS: &[Row<Snapshot>] = &[
         "Prediction cache entries resident."),
     row(Gauge, "dtdbd_cache_capacity", "", "cache.capacity", |s| s.top().stats.cache.capacity.into(),
         "Prediction cache capacity bound (0 when the cache is off)."),
-    row(Gauge, "dtdbd_embedding_shards", "", "sharding.embedding_shards", |s| s.top().stats.embedding_shards.into(),
-        "Row-range shards of the shared embedding table (0 = replica mode)."),
-    row(Gauge, "dtdbd_shard_pool_bytes", "", "sharding.shard_pool_bytes", |s| s.shard_pool_bytes.into(),
-        "Bytes of shared shard pools resident in the process; a pool several models share counts once."),
-    row(Gauge, "dtdbd_resident_param_bytes_per_worker", "", "sharding.resident_param_bytes_per_worker",
+    row(Gauge, "dtdbd_resident_param_bytes_per_worker", "", "memory.resident_param_bytes_per_worker",
         |s| s.top().stats.resident_param_bytes_per_worker.into(),
-        "Mean bytes of parameter values resident in each worker's private store."),
-    row(Gauge, "dtdbd_quantized_param_bytes_per_worker", "", "sharding.quantized_param_bytes_per_worker",
+        "Mean bytes of parameters resident in each worker's session (int8 codes + scales included)."),
+    row(Gauge, "dtdbd_quantized_param_bytes_per_worker", "", "memory.quantized_param_bytes_per_worker",
         |s| s.top().stats.quantized_param_bytes_per_worker.into(),
         "Mean bytes of int8 parameter codes + scales resident per worker (0 under fp32)."),
-    row(Gauge, "dtdbd_specialist_queues", "", "routing.specialist_queues", |s| s.top().stats.routing.specialist_queues.into(),
-        "Domain-specialist queues in front of the worker pool (0 = routing off)."),
-    row(Counter, "dtdbd_routed_total", "queue=specialist", "routing.routed_specialist",
-        |s| s.top().stats.routing.routed_specialist.into(),
-        "Requests routed to a specialist queue vs the shared fallback (active version)."),
-    row(Counter, "dtdbd_routed_total", "queue=shared", "routing.routed_shared", |s| s.top().stats.routing.routed_shared.into(), ""),
     row(Counter, "dtdbd_worker_panics_total", "", "supervision.worker_panics", |s| s.top().stats.worker_panics.into(),
         "Prediction-worker batch-loop panics caught by the supervisor (active version)."),
     row(Counter, "dtdbd_worker_restarts_total", "", "supervision.worker_restarts", |s| s.top().stats.worker_restarts.into(),

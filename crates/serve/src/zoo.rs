@@ -1,6 +1,6 @@
 //! The multi-tenant model zoo: several resident checkpoints keyed by model
 //! id, each with its own [`PredictServer`] (worker group, micro-batch
-//! queues, prediction cache, supervision counters), plus zero-downtime
+//! queue, prediction cache, supervision counters), plus zero-downtime
 //! hot-swap.
 //!
 //! # Routing
@@ -9,16 +9,6 @@
 //! `<id>`; bare `POST /predict` serves the zoo's configured default id, so
 //! single-model deployments keep their wire protocol unchanged. `GET
 //! /model` lists every tenant; `GET /model/<id>` describes one.
-//!
-//! # Shard-pool dedup
-//!
-//! Tenants whose frozen embedding tables are **byte-identical** share one
-//! resident [`ShardStore`]. Identity is the table's content digest
-//! ([`ShardStore::digest`]: shape + raw f32 bits) together with its
-//! parameter name — never the parameter name alone, which two different
-//! checkpoints can reuse for different values. The registry is consulted at
-//! tenant registration and again on every reload; entries no longer
-//! referenced by any live tenant are pruned.
 //!
 //! # Hot-swap state machine
 //!
@@ -33,7 +23,7 @@
 //!            ──drain─▶ wait for in-flight snapshots of vN to resolve
 //!                      (each request runs entirely on the version it
 //!                      snapshotted — batch-boundary granularity)
-//!            ──retire▶ vN's queues drained, workers joined, and what it
+//!            ──retire▶ vN's queue drained, workers joined, and what it
 //!                      served since the flip folded in too
 //! ```
 //!
@@ -50,7 +40,6 @@
 use crate::builder::{session_from_checkpoint, StartError};
 use crate::checkpoint::Checkpoint;
 use crate::server::{BatchingConfig, PredictServer, ServerTuning};
-use crate::shards::ShardStore;
 use dtdbd_data::InferenceRequest;
 use std::ops::Deref;
 use std::path::PathBuf;
@@ -204,32 +193,22 @@ impl std::fmt::Display for ReloadError {
 
 impl std::error::Error for ReloadError {}
 
-/// A pool the registry holds for live tenants. Sharing key: content digest
-/// plus parameter name (the digest decides identity; the name is required
-/// for sessions to locate their own copy to drop).
-struct PoolEntry {
-    digest: u64,
-    param_name: String,
-    pool: ShardStore,
-}
-
 /// The template a zoo rebuilds tenants from on reload: the same batching
-/// and tuning every tenant was started with (drift baseline and shard pool
-/// are per-tenant and re-derived from the incoming checkpoint).
+/// and tuning every tenant was started with (the drift baseline is
+/// per-tenant and re-derived from the incoming checkpoint).
 struct RebuildSpec {
     batching: BatchingConfig,
     tuning: ServerTuning,
 }
 
-/// Several resident models keyed by id, sharing byte-identical shard pools,
-/// each hot-swappable without dropping traffic.
+/// Several resident models keyed by id, each hot-swappable without
+/// dropping traffic.
 pub struct ModelZoo {
     tenants: Vec<Arc<Tenant>>,
     default_index: usize,
     /// `None` for zoos wrapped around a pre-started [`PredictServer`]
     /// (the single-model compatibility path): no template, no reloads.
     rebuild: Option<RebuildSpec>,
-    pools: Mutex<Vec<PoolEntry>>,
 }
 
 impl ModelZoo {
@@ -249,13 +228,11 @@ impl ModelZoo {
             })],
             default_index: 0,
             rebuild: None,
-            pools: Mutex::new(Vec::new()),
         }
     }
 
     /// Build a zoo from registered tenant specs. Called by
-    /// [`crate::ServerBuilder::try_start_zoo`]; tenants sharing
-    /// byte-identical frozen tables come out sharing one pool.
+    /// [`crate::ServerBuilder::try_start_zoo`].
     pub(crate) fn from_specs(
         specs: Vec<(String, Checkpoint, Option<PathBuf>)>,
         default_id: &str,
@@ -263,11 +240,9 @@ impl ModelZoo {
         tuning: ServerTuning,
     ) -> Result<Self, StartError> {
         let rebuild = RebuildSpec { batching, tuning };
-        let pools = Mutex::new(Vec::new());
         let mut tenants = Vec::with_capacity(specs.len());
         for (id, checkpoint, source) in &specs {
-            let model =
-                build_tenant_model(checkpoint, &rebuild.batching, &rebuild.tuning, &pools, 1)?;
+            let model = build_tenant_model(checkpoint, &rebuild.batching, &rebuild.tuning, 1)?;
             tenants.push(Arc::new(Tenant {
                 id: id.clone(),
                 source: source.clone(),
@@ -282,7 +257,6 @@ impl ModelZoo {
             tenants,
             default_index,
             rebuild: Some(rebuild),
-            pools,
         })
     }
 
@@ -311,24 +285,6 @@ impl ModelZoo {
     /// families — serve).
     pub fn default_model(&self) -> Arc<TenantModel> {
         self.default_tenant().model()
-    }
-
-    /// Shard-pool bytes resident in the process, counting each distinct
-    /// pool (by content digest) **once** however many tenants share it.
-    pub fn shard_pool_bytes_deduped(&self) -> u64 {
-        let mut seen: Vec<u64> = Vec::new();
-        let mut total = 0u64;
-        for tenant in &self.tenants {
-            let model = tenant.model();
-            let Some(digest) = model.shard_pool_digest() else {
-                continue;
-            };
-            if !seen.contains(&digest) {
-                seen.push(digest);
-                total += model.stats().shard_pool_bytes;
-            }
-        }
-        total
     }
 
     /// Workers alive across every tenant, against the total configured —
@@ -368,14 +324,8 @@ impl ModelZoo {
             Checkpoint::load(source).map_err(|e| ReloadError::Failed(StartError::Checkpoint(e)))?;
         let old = tenant.model();
         let next_version = old.version() + 1;
-        let fresh = build_tenant_model(
-            &checkpoint,
-            &spec.batching,
-            &spec.tuning,
-            &self.pools,
-            next_version,
-        )
-        .map_err(ReloadError::Failed)?;
+        let fresh = build_tenant_model(&checkpoint, &spec.batching, &spec.tuning, next_version)
+            .map_err(ReloadError::Failed)?;
         // Warm the new version before it takes traffic: one synthetic
         // request forces the first forward pass (buffer pools allocate,
         // caches prime) off the serving path. The warm request counts in
@@ -414,20 +364,7 @@ impl ModelZoo {
             }
         }
         tenant.reloads.fetch_add(1, Ordering::Relaxed);
-        self.prune_pools();
         Ok(next_version)
-    }
-
-    /// Drop registry entries no live tenant references any more (a reload
-    /// that changed the table leaves the old pool orphaned).
-    fn prune_pools(&self) {
-        let live: Vec<u64> = self
-            .tenants
-            .iter()
-            .filter_map(|t| t.model().shard_pool_digest())
-            .collect();
-        let mut pools = self.pools.lock().expect("pool registry poisoned");
-        pools.retain(|entry| live.contains(&entry.digest));
     }
 }
 
@@ -439,13 +376,11 @@ fn warm_request() -> InferenceRequest {
 }
 
 /// Build one tenant version from a checkpoint: probe the restore, wire the
-/// drift baseline, dedup the shard pool through the registry, start the
-/// worker group.
+/// drift baseline, start the worker group.
 fn build_tenant_model(
     checkpoint: &Checkpoint,
     batching: &BatchingConfig,
     tuning: &ServerTuning,
-    pools: &Mutex<Vec<PoolEntry>>,
     version: u64,
 ) -> Result<TenantModel, StartError> {
     // Fail fast on a bad checkpoint instead of panicking in a worker
@@ -455,30 +390,6 @@ fn build_tenant_model(
     let mut tuning = tuning.clone();
     if tuning.drift_baseline.is_none() {
         tuning.drift_baseline = checkpoint.telemetry_baseline()?;
-    }
-    if tuning.embedding_shards > 0 {
-        let candidate = ShardStore::build_with_precision(
-            &checkpoint.params,
-            checkpoint.config.vocab_size,
-            tuning.embedding_shards,
-            tuning.precision,
-        )?;
-        let mut pools = pools.lock().expect("pool registry poisoned");
-        let pool = match pools
-            .iter()
-            .find(|e| e.digest == candidate.digest() && e.param_name == candidate.param_name())
-        {
-            Some(entry) => entry.pool.clone(),
-            None => {
-                pools.push(PoolEntry {
-                    digest: candidate.digest(),
-                    param_name: candidate.param_name().to_string(),
-                    pool: candidate.clone(),
-                });
-                candidate
-            }
-        };
-        tuning.shard_pool = Some(pool);
     }
     let model_chunks = checkpoint.side_state.model_chunks();
     let side_state_tags: Vec<String> = model_chunks.tags().map(String::from).collect();

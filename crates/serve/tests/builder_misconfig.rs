@@ -7,8 +7,8 @@ use dtdbd_data::{
 };
 use dtdbd_models::{FakeNewsModel, ModelConfig, ModelOutput, TextCnnModel};
 use dtdbd_serve::{
-    Checkpoint, ConfigError, DomainRouting, HttpConfig, HttpServer, InferenceSession, Precision,
-    ServerBuilder, StartError,
+    Checkpoint, ConfigError, HttpConfig, HttpServer, InferenceSession, Precision, ServerBuilder,
+    StartError,
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{Graph, ParamStore, Tensor};
@@ -59,48 +59,6 @@ fn zero_max_batch_size_is_a_typed_error() {
         "zero max_batch_size must be rejected",
     );
     assert_eq!(err, ConfigError::ZeroMaxBatchSize);
-}
-
-#[test]
-fn zero_shards_is_the_documented_replica_fallback() {
-    let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
-    let server = ServerBuilder::new()
-        .workers(1)
-        .shards(0)
-        .try_start(factory(&cfg))
-        .expect("shards(0) means replica mode, not an error");
-    let stats = server.stats();
-    assert_eq!(stats.embedding_shards, 0);
-    assert_eq!(stats.shard_pool_bytes, 0);
-}
-
-#[test]
-fn absurd_shard_counts_are_typed_errors() {
-    let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
-    let vocab = cfg.vocab_size;
-    let err = err_of(
-        ServerBuilder::new()
-            .workers(1)
-            .shards(vocab + 1)
-            .try_start(factory(&cfg)),
-        "more shards than table rows must be rejected",
-    );
-    assert_eq!(
-        err,
-        ConfigError::BadShardCount {
-            requested: vocab + 1,
-            rows: vocab,
-        }
-    );
-    // The largest sane count — one row per shard — still works.
-    let server = ServerBuilder::new()
-        .workers(1)
-        .shards(vocab)
-        .try_start(factory(&cfg))
-        .expect("one row per shard is extreme but valid");
-    assert_eq!(server.stats().embedding_shards, vocab);
 }
 
 #[test]
@@ -173,70 +131,8 @@ fn cache_capacity_zero_disables_the_cache_with_zero_counters() {
     assert_eq!(stats.requests_served, 5, "every request ran a forward pass");
 }
 
-#[test]
-fn empty_domain_routing_is_the_documented_disabled_fallback() {
-    let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
-    let server = ServerBuilder::new()
-        .workers(1)
-        .domain_routing(DomainRouting::new())
-        .try_start(factory(&cfg))
-        .expect("an empty domain map disables routing, not the server");
-    let item = &ds.items()[0];
-    server
-        .predict(&InferenceRequest::new(item.tokens.clone(), item.domain))
-        .expect("valid request");
-    let stats = server.stats();
-    assert_eq!(stats.routing.specialist_queues, 0);
-    assert_eq!(stats.routing.routed_specialist, 0);
-    assert_eq!(stats.routing.routed_shared, 0);
-}
-
-#[test]
-fn underprovisioned_routing_is_a_typed_error() {
-    let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
-    // Two specialist groups + the shared fallback = 3 queues, but only 2
-    // workers to staff them.
-    let err = err_of(
-        ServerBuilder::new()
-            .workers(2)
-            .domain_routing(DomainRouting::new().assign(8, 0).assign(4, 1))
-            .try_start(factory(&cfg)),
-        "routing must not leave a queue unstaffed",
-    );
-    assert_eq!(
-        err,
-        ConfigError::RoutingUnderprovisioned {
-            queues: 3,
-            workers: 2,
-        }
-    );
-}
-
-#[test]
-fn routing_an_unknown_domain_is_a_typed_error() {
-    let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
-    let n_domains = cfg.n_domains;
-    let err = err_of(
-        ServerBuilder::new()
-            .workers(2)
-            .domain_routing(DomainRouting::new().assign(n_domains, 0))
-            .try_start(factory(&cfg)),
-        "a domain the corpus lacks must be rejected",
-    );
-    assert_eq!(
-        err,
-        ConfigError::RoutingDomainOutOfRange {
-            domain: n_domains,
-            n_domains,
-        }
-    );
-}
-
-/// A degenerate model with no parameters at all: nothing to quantize, no
-/// frozen table to shard. Int8 on this arch must be a typed error, not a
+/// A degenerate model with no parameters at all: no weight matrix and no
+/// frozen table to quantize. Int8 on this arch must be a typed error, not a
 /// silently-fp32 deployment.
 struct ConstantModel {
     cfg: ModelConfig,
@@ -294,20 +190,8 @@ fn int8_without_quantizable_params_is_a_typed_error() {
 fn config_errors_render_actionable_messages() {
     // The Display impls are part of the operator surface (they end up in
     // process logs); pin that each names the offending numbers.
-    let msg = ConfigError::BadShardCount {
-        requested: 9,
-        rows: 4,
-    }
-    .to_string();
-    assert!(msg.contains('9') && msg.contains('4'), "{msg}");
-    let msg = ConfigError::RoutingUnderprovisioned {
-        queues: 3,
-        workers: 2,
-    }
-    .to_string();
-    assert!(msg.contains('3') && msg.contains('2'), "{msg}");
-    let msg = ConfigError::RoutingDomainOutOfRange {
-        domain: 12,
+    let msg = ConfigError::DriftBaselineGeometry {
+        baseline_domains: 12,
         n_domains: 9,
     }
     .to_string();

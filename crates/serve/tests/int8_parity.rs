@@ -1,23 +1,25 @@
 //! The int8 serving determinism contract: quantized predictions are
 //! **bit-identical to themselves** across every intra-op thread count ×
-//! shard count × worker count combination, with and without domain routing
-//! and the prediction cache in front. Int8 may round differently from fp32
-//! (the CI agreement gate bounds that drift); what it may never do is vary
-//! with the deployment shape — the i32 ascending-k accumulation order is
-//! fixed, so parallelism and sharding cannot perturb a single bit.
+//! worker count combination, with and without the prediction cache in
+//! front. Int8 may round differently from fp32 (the CI agreement gate
+//! bounds that drift); what it may never do is vary with the deployment
+//! shape — the i32 ascending-k accumulation order is fixed and the int8
+//! embedding gather is element-wise, so parallelism cannot perturb a
+//! single bit.
 //!
 //! Also pins the memory contract (quantization shrinks per-worker resident
-//! parameter bytes >3x) and the cache-key contract (fp32 and int8 entries
+//! parameter bytes >3x, on the tiny test config and on the deployed
+//! TextCNN-S student) and the cache-key contract (fp32 and int8 entries
 //! never alias).
 //!
-//! `CI_QUICK=1` trims the matrix corners; the {1,4} threads x {1,4} shards
-//! core the CI stage advertises always runs.
+//! `CI_QUICK=1` halves the request count; the {1,4} threads × {1,2,4}
+//! workers × cache on/off matrix always runs in full.
 
 use dtdbd_data::{
     weibo21_spec, GeneratorConfig, InferenceRequest, MultiDomainDataset, NewsGenerator,
 };
 use dtdbd_models::{ModelConfig, TextCnnModel};
-use dtdbd_serve::{Checkpoint, DomainRouting, Precision, ServerBuilder};
+use dtdbd_serve::{Checkpoint, Precision, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 
@@ -30,9 +32,12 @@ fn dataset() -> MultiDomainDataset {
 }
 
 fn checkpoint(ds: &MultiDomainDataset) -> Checkpoint {
-    let cfg = ModelConfig::tiny(ds);
+    student_checkpoint(&ModelConfig::tiny(ds))
+}
+
+fn student_checkpoint(cfg: &ModelConfig) -> Checkpoint {
     let mut store = ParamStore::new();
-    let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(23));
+    let model = TextCnnModel::student(&mut store, cfg, &mut Prng::new(23));
     let ckpt = Checkpoint::capture(&model, &store);
     Checkpoint::from_bytes(&ckpt.to_bytes()).expect("self round trip")
 }
@@ -56,17 +61,13 @@ fn int8_bits(
     reqs: &[InferenceRequest],
     workers: usize,
     threads: usize,
-    shards: usize,
+    cache_capacity: usize,
 ) -> Vec<[u32; 3]> {
-    let mut builder = ServerBuilder::new()
+    let server = ServerBuilder::new()
         .workers(workers)
         .threads(threads)
-        .cache_capacity(0)
-        .precision(Precision::Int8);
-    if shards > 0 {
-        builder = builder.shards(shards);
-    }
-    let server = builder
+        .cache_capacity(cache_capacity)
+        .precision(Precision::Int8)
         .try_start_from_checkpoint(ckpt)
         .expect("valid int8 configuration");
     let stats = server.stats();
@@ -95,19 +96,18 @@ fn int8_predictions_are_bit_identical_across_the_deployment_matrix() {
     let ds = dataset();
     let ckpt = checkpoint(&ds);
     let reqs = requests(&ds, if quick() { 24 } else { 48 });
-    // Ground truth: the smallest int8 deployment (1 worker, 1 thread,
-    // full replica). Every other shape must reproduce it exactly.
+    // Ground truth: the smallest int8 deployment (1 worker, 1 thread, no
+    // cache). Every other shape must reproduce it exactly.
     let reference = int8_bits(&ckpt, &reqs, 1, 1, 0);
 
-    let workers: &[usize] = if quick() { &[1] } else { &[1, 4] };
-    for &w in workers {
+    for w in [1usize, 2, 4] {
         for threads in [1usize, 4] {
-            for shards in [0usize, 1, 4] {
-                let got = int8_bits(&ckpt, &reqs, w, threads, shards);
+            for cache_capacity in [0usize, 256] {
+                let got = int8_bits(&ckpt, &reqs, w, threads, cache_capacity);
                 assert_eq!(
                     got, reference,
-                    "{w} workers / {threads} threads / {shards} shards: \
-                     int8 predictions diverged from the 1w/1t/replica run"
+                    "{w} workers / {threads} threads / cache {cache_capacity}: \
+                     int8 predictions diverged from the 1w/1t/uncached run"
                 );
             }
         }
@@ -115,22 +115,20 @@ fn int8_predictions_are_bit_identical_across_the_deployment_matrix() {
 }
 
 #[test]
-fn int8_with_routing_and_cache_stays_self_identical() {
+fn int8_cache_hits_stay_self_identical() {
     let ds = dataset();
     let ckpt = checkpoint(&ds);
     let reqs = requests(&ds, 60);
     let reference = int8_bits(&ckpt, &reqs, 1, 1, 0);
 
-    // Society (8) and Politics (4) get specialists; cache on, so the
-    // second round exercises the hit path with precision-tagged keys.
+    // Cache on, so the second round exercises the hit path with
+    // precision-tagged keys.
     let server = ServerBuilder::new()
         .workers(3)
-        .shards(4)
         .cache_capacity(256)
         .precision(Precision::Int8)
-        .domain_routing(DomainRouting::new().assign(8, 0).assign(4, 1))
         .try_start_from_checkpoint(&ckpt)
-        .expect("valid routed + sharded int8 configuration");
+        .expect("valid cached int8 configuration");
 
     for round in 0..2 {
         for (i, (request, want)) in reqs.iter().zip(&reference).enumerate() {
@@ -138,42 +136,52 @@ fn int8_with_routing_and_cache_stays_self_identical() {
             assert_eq!(
                 p.fake_prob.to_bits(),
                 want[0],
-                "round {round} item {i}: routed+sharded+cached int8 diverged"
+                "round {round} item {i}: cached int8 diverged"
             );
         }
     }
     let stats = server.stats();
-    assert_eq!(stats.routing.specialist_queues, 2);
     assert!(stats.cache.hits >= reqs.len() as u64, "second round hits");
 }
 
 #[test]
 fn int8_workers_shed_at_least_three_quarters_of_resident_bytes() {
-    let ds = dataset();
-    let ckpt = checkpoint(&ds);
+    // The tiny test config at 2 workers, and the deployed shape: the
+    // TextCNN-S student at `ModelConfig::for_dataset` size at 8 workers.
+    let deployed =
+        NewsGenerator::new(weibo21_spec(), GeneratorConfig::default()).generate_scaled(42, 0.03);
+    let shapes = [
+        ("tiny", checkpoint(&dataset()), 2),
+        (
+            "deployed",
+            student_checkpoint(&ModelConfig::for_dataset(&deployed)),
+            8,
+        ),
+    ];
+    for (shape, ckpt, workers) in shapes {
+        let fp32 = ServerBuilder::new()
+            .workers(workers)
+            .try_start_from_checkpoint(&ckpt)
+            .expect("fp32 replica");
+        let int8 = ServerBuilder::new()
+            .workers(workers)
+            .precision(Precision::Int8)
+            .try_start_from_checkpoint(&ckpt)
+            .expect("int8 replica");
 
-    let fp32 = ServerBuilder::new()
-        .workers(2)
-        .try_start_from_checkpoint(&ckpt)
-        .expect("fp32 replica");
-    let int8 = ServerBuilder::new()
-        .workers(2)
-        .precision(Precision::Int8)
-        .try_start_from_checkpoint(&ckpt)
-        .expect("int8 replica");
-
-    let f = fp32.stats();
-    let q = int8.stats();
-    assert_eq!(f.precision, Precision::Fp32);
-    assert_eq!(f.quantized_param_bytes_per_worker, 0);
-    assert!(
-        q.resident_param_bytes_per_worker * 3 < f.resident_param_bytes_per_worker,
-        "int8 resident bytes per worker ({}) should be >3x below fp32 ({})",
-        q.resident_param_bytes_per_worker,
-        f.resident_param_bytes_per_worker
-    );
-    assert!(q.quantized_param_bytes_per_worker > 0);
-    assert!(q.quantized_param_bytes_per_worker <= q.resident_param_bytes_per_worker);
+        let f = fp32.stats();
+        let q = int8.stats();
+        assert_eq!(f.precision, Precision::Fp32);
+        assert_eq!(f.quantized_param_bytes_per_worker, 0);
+        assert!(
+            q.resident_param_bytes_per_worker * 3 < f.resident_param_bytes_per_worker,
+            "{shape}: int8 resident bytes per worker ({}) should be >3x below fp32 ({})",
+            q.resident_param_bytes_per_worker,
+            f.resident_param_bytes_per_worker
+        );
+        assert!(q.quantized_param_bytes_per_worker > 0);
+        assert!(q.quantized_param_bytes_per_worker <= q.resident_param_bytes_per_worker);
+    }
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! the restored memory bank must equal the saved one field-for-field, a
 //! checkpoint stripped of its memory must be refused rather than served
 //! half-restored, and the served predictions must stay bit-identical across
-//! the whole deployment matrix ({1,2,4} workers × {1,2,4} shards × routing
-//! on/off). Version-1 files of every arch that predates the side-state
+//! the whole deployment matrix ({1,2,4} workers × {1,4} intra-op threads).
+//! Version-1 files of every arch that predates the side-state
 //! section must load and serve unchanged through the v2 reader.
 
 mod common;
@@ -19,8 +19,8 @@ use dtdbd_data::{
 };
 use dtdbd_models::{FakeNewsModel, M3Fend, ModelConfig};
 use dtdbd_serve::{
-    build_model, session_from_checkpoint, BoxedModel, Checkpoint, CheckpointError, DomainRouting,
-    InferenceSession, ServerBuilder, StartError, SUPPORTED_ARCHS,
+    build_model, session_from_checkpoint, BoxedModel, Checkpoint, CheckpointError,
+    InferenceSession, ServerBuilder, SUPPORTED_ARCHS,
 };
 use dtdbd_tensor::optim::{Adam, Optimizer};
 use dtdbd_tensor::rng::Prng;
@@ -225,43 +225,24 @@ fn m3fend_serves_bit_identically_across_the_deployment_matrix() {
     let mut in_process = InferenceSession::new(model, store);
     let want = prediction_bits(&mut in_process, &reqs);
 
-    let society = weibo21_spec()
-        .domain_index("Society")
-        .expect("known domain");
     for workers in [1usize, 2, 4] {
-        for shards in [1usize, 2, 4] {
-            for routed in [false, true] {
-                let mut builder = ServerBuilder::new()
-                    .workers(workers)
-                    .shards(shards)
-                    .cache_capacity(0);
-                if routed {
-                    builder = builder.domain_routing(DomainRouting::new().assign(society, 0));
-                }
-                let server = match builder.try_start_from_checkpoint(&ckpt) {
-                    Ok(server) => server,
-                    Err(StartError::Config(_)) if routed && workers == 1 => {
-                        // Routing needs a specialist queue plus the shared
-                        // fallback — documented as unprovisionable on a
-                        // single worker.
-                        continue;
-                    }
-                    Err(e) => panic!("{workers}w/{shards}s/routed={routed}: {e}"),
-                };
-                for (i, (request, want)) in reqs.iter().zip(&want).enumerate() {
-                    let p = server.predict(request).expect("valid request");
-                    let got = [
-                        p.fake_prob.to_bits(),
-                        p.logits[0].to_bits(),
-                        p.logits[1].to_bits(),
-                    ];
-                    assert_eq!(
-                        &got, want,
-                        "{workers}w/{shards}s/routed={routed}: item {i} diverged"
-                    );
-                }
-                server.shutdown();
+        for threads in [1usize, 4] {
+            let server = ServerBuilder::new()
+                .workers(workers)
+                .threads(threads)
+                .cache_capacity(0)
+                .try_start_from_checkpoint(&ckpt)
+                .unwrap_or_else(|e| panic!("{workers}w/{threads}t: {e}"));
+            for (i, (request, want)) in reqs.iter().zip(&want).enumerate() {
+                let p = server.predict(request).expect("valid request");
+                let got = [
+                    p.fake_prob.to_bits(),
+                    p.logits[0].to_bits(),
+                    p.logits[1].to_bits(),
+                ];
+                assert_eq!(&got, want, "{workers}w/{threads}t: item {i} diverged");
             }
+            server.shutdown();
         }
     }
 }

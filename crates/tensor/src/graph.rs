@@ -29,7 +29,6 @@ use crate::params::{ParamId, ParamStore};
 use crate::pool::BufferPool;
 use crate::rng::Prng;
 use crate::shape::{as_rows_cols, fmt_shape, numel};
-use crate::shard::ShardedTable;
 use crate::tensor::Tensor;
 use crate::timers::{KernelSpan, KernelTimers};
 use std::sync::Arc;
@@ -135,20 +134,15 @@ pub struct Graph<'s> {
     /// bit-identical at any setting (see [`crate::kernels`]); this is purely
     /// a throughput knob. Defaults to 1.
     threads: usize,
-    /// External read-only row shards serving [`Graph::embedding`] lookups of
-    /// specific table parameters instead of the store's own value (which may
-    /// then be empty). Registered via [`Graph::set_row_shards`]; empty for
-    /// ordinary graphs. Gathers from shards are bit-identical to gathers
-    /// from the store-resident table.
-    row_shards: Vec<(ParamId, ShardedTable)>,
     /// Optional wall-clock sink for the heavy kernels (GEMM, conv1d,
     /// embedding gather). `None` — the default — skips every clock read;
     /// timing is observation only and never changes computed values.
     kernel_timers: Option<Arc<dyn KernelTimers>>,
-    /// Int8 registry for [`Graph::linear_param`] / [`Graph::conv1d_param`]:
-    /// weights with an entry run the fused quantize → i32 GEMM → dequantize
-    /// kernel instead of the f32 path. Inference graphs only (the tape
-    /// cannot differentiate through the integer kernel).
+    /// Int8 registry for [`Graph::linear_param`] / [`Graph::conv1d_param`] /
+    /// [`Graph::embedding`]: weights with an entry run the fused quantize →
+    /// i32 GEMM → dequantize kernel, and a table with an entry gathers
+    /// dequantized int8 rows, instead of the f32 path. Inference graphs only
+    /// (the tape cannot differentiate through the integer kernel).
     quantized: Option<Arc<crate::quant::QuantizedParams>>,
 }
 
@@ -164,7 +158,6 @@ impl<'s> Graph<'s> {
             pool: None,
             rng: Prng::new(seed),
             threads: 1,
-            row_shards: Vec::new(),
             kernel_timers: None,
             quantized: None,
         }
@@ -182,27 +175,8 @@ impl<'s> Graph<'s> {
             pool: Some(pool),
             rng: Prng::new(0),
             threads: 1,
-            row_shards: Vec::new(),
             kernel_timers: None,
             quantized: None,
-        }
-    }
-
-    /// Serve [`Graph::embedding`] lookups of `table` from external read-only
-    /// row `shards` instead of the store's resident value (which may then be
-    /// dropped to reclaim per-worker memory — sharded serving's whole point).
-    /// The store must still hold the parameter entry (possibly with an empty
-    /// value); only non-trainable tables may be shard-served on a tape graph,
-    /// since no gradient can flow into an external shard.
-    pub fn set_row_shards(&mut self, table: ParamId, shards: ShardedTable) {
-        assert!(
-            !(self.tape && self.store.get(table).trainable),
-            "parameter {:?} is trainable; external row shards only serve frozen tables on tape graphs",
-            self.store.get(table).name
-        );
-        match self.row_shards.iter_mut().find(|(p, _)| *p == table) {
-            Some(slot) => slot.1 = shards,
-            None => self.row_shards.push((table, shards)),
         }
     }
 
@@ -220,7 +194,8 @@ impl<'s> Graph<'s> {
     }
 
     /// Serve [`Graph::linear_param`] / [`Graph::conv1d_param`] weights with
-    /// an entry in `quantized` through the fused int8 kernel. Inference
+    /// an entry in `quantized` through the fused int8 kernel, and
+    /// [`Graph::embedding`] tables with an entry from their int8 rows. Inference
     /// graphs only: the tape cannot differentiate through integer
     /// arithmetic, so training graphs reject the registry outright.
     pub fn set_quantized_params(&mut self, quantized: Option<Arc<crate::quant::QuantizedParams>>) {
@@ -736,38 +711,24 @@ impl<'s> Graph<'s> {
     // ------------------------------------------------------------------
 
     /// Embedding lookup. `table` must be a `[vocab, emb]` parameter; `ids`
-    /// has `batch * seq` entries; the output is `[batch, seq, emb]`.
+    /// has `batch * seq` entries; the output is `[batch, seq, emb]`. When
+    /// `table` has an entry in the quantized registry the rows are gathered
+    /// as `code × row_scale` from its int8 form (the store may hold only a
+    /// `[0, emb]` stub) and one tape-free node is recorded.
     pub fn embedding(&mut self, table: ParamId, ids: &[u32], batch: usize, seq: usize) -> Var {
         let timers = self.kernel_timers.clone();
         let _timer = KernelSpan::start(timers.as_ref(), "embedding");
         assert_eq!(ids.len(), batch * seq, "embedding: ids length mismatch");
-        // Shard-served tables gather from the external read-only shards and
-        // never touch the store's value (which sharded serving leaves empty).
-        if let Some(pos) = self.row_shards.iter().position(|(p, _)| *p == table) {
-            let (vocab, emb) = {
-                let shards = &self.row_shards[pos].1;
-                (shards.rows(), shards.dim())
-            };
+        if let Some(qm) = self.quantized.as_ref().and_then(|q| q.get(table)) {
+            let qm = Arc::clone(qm);
+            let (vocab, emb) = (qm.rows(), qm.cols());
             if let Some(&id) = ids.iter().find(|&&id| id as usize >= vocab) {
                 panic!("token id {id} out of vocabulary ({vocab})");
             }
             let mut data = self.alloc_for_overwrite(batch * seq * emb);
-            self.row_shards[pos]
-                .1
-                .gather_into(ids, &mut data, self.threads);
+            qm.gather_rows_into(ids, &mut data, self.threads);
             let value = Tensor::new(vec![batch, seq, emb], data);
-            // set_row_shards rejects trainable tables on tape graphs, so no
-            // gradient ever needs to route back through this node.
-            return self.push(
-                value,
-                Op::Embedding {
-                    table,
-                    ids: Vec::new(),
-                },
-                &[],
-                None,
-                false,
-            );
+            return self.push(value, Op::Leaf, &[], None, false);
         }
         assert_eq!(
             self.store.value(table).ndim(),
@@ -1488,6 +1449,7 @@ fn rowwise_softmax(x: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::params::ParamStore;
+    use crate::quant::{QuantizedMatrix, QuantizedParams};
 
     fn approx(a: f32, b: f32, tol: f32) -> bool {
         (a - b).abs() < tol
@@ -1654,64 +1616,79 @@ mod tests {
         assert_eq!(store.grad(table).row(2), &[1.0, 1.0]);
     }
 
-    #[test]
-    fn shard_served_embedding_matches_the_resident_table_bit_for_bit() {
-        use crate::shard::ShardedTable;
-        let rows = Tensor::from_rows(&[
-            vec![1.0, 0.5],
-            vec![0.0, 1.0],
-            vec![2.0, 2.0],
-            vec![-3.5, 0.25],
-        ]);
-        let ids = [2u32, 0, 3, 1, 1, 2];
-
-        // Reference: the ordinary store-resident lookup.
-        let mut store = ParamStore::new();
-        let table = store.add_frozen("emb", rows.clone());
-        let mut pool = BufferPool::new();
-        let reference = {
-            let mut g = Graph::inference(&mut store, &mut pool);
-            let e = g.embedding(table, &ids, 3, 2);
-            g.value(e).clone()
-        };
-
-        // Shard-served: the store's table value is dropped entirely and the
-        // lookup gathers from external shards instead.
-        for n_shards in [1usize, 2, 4] {
-            let mut empty_store = ParamStore::new();
-            let t = empty_store.add_frozen("emb", Tensor::zeros(&[0, 2]));
-            let shards = ShardedTable::from_tensor(&rows, n_shards);
-            let mut pool = BufferPool::new();
-            for threads in [1usize, 2, 4] {
-                let mut g = Graph::inference(&mut empty_store, &mut pool);
-                g.set_threads(threads);
-                g.set_row_shards(t, shards.clone());
-                let e = g.embedding(t, &ids, 3, 2);
-                assert_eq!(g.value(e).shape(), &[3, 2, 2]);
-                for (a, b) in g.value(e).data().iter().zip(reference.data()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{n_shards} shards / {threads} threads"
-                    );
-                }
-                g.finish();
-            }
+    /// A random int8 table in a `QuantizedParams` registry behind a
+    /// `[0, dim]` store stub (as an int8 session keeps it), random ids, and
+    /// the bits of those rows dequantized by hand.
+    fn quantized_embedding_fixture(
+        vocab: usize,
+        dim: usize,
+    ) -> (
+        ParamStore,
+        ParamId,
+        Arc<QuantizedParams>,
+        Vec<u32>,
+        Vec<u32>,
+    ) {
+        let mut rng = Prng::new(7);
+        let rows: Vec<f32> = (0..vocab * dim).map(|_| rng.normal()).collect();
+        let ids: Vec<u32> = (0..2000)
+            .map(|_| (rng.next_u64() % vocab as u64) as u32)
+            .collect();
+        let qm = QuantizedMatrix::from_rows(vocab, dim, &rows);
+        let mut want = vec![0f32; ids.len() * dim];
+        for (slot, &id) in want.chunks_exact_mut(dim).zip(&ids) {
+            qm.dequantize_row(id as usize, slot);
         }
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        let mut store = ParamStore::new();
+        let table = store.add_frozen("emb", Tensor::zeros(&[0, dim]));
+        let mut registry = QuantizedParams::new();
+        registry.insert(table, Arc::new(qm));
+        (store, table, Arc::new(registry), ids, want)
+    }
+
+    fn gather_quantized_bits(
+        store: &mut ParamStore,
+        pool: &mut BufferPool,
+        registry: &Arc<QuantizedParams>,
+        table: ParamId,
+        ids: &[u32],
+        threads: usize,
+    ) -> Vec<u32> {
+        let mut g = Graph::inference(store, pool);
+        g.set_threads(threads);
+        g.set_quantized_params(Some(Arc::clone(registry)));
+        let e = g.embedding(table, ids, 40, 50);
+        assert_eq!(g.value(e).shape(), &[40, 50, 16]);
+        let got = g.value(e).data().iter().map(|v| v.to_bits()).collect();
+        g.finish();
+        got
     }
 
     #[test]
-    fn shard_serving_a_trainable_table_on_a_tape_graph_is_rejected() {
-        use crate::shard::ShardedTable;
-        let rows = Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let mut store = ParamStore::new();
-        let table = store.add("emb", rows.clone());
-        let shards = ShardedTable::from_tensor(&rows, 2);
+    fn quantized_embedding_gathers_the_dequantized_registry_rows() {
+        let vocab = 211;
+        let (mut store, table, registry, ids, want) = quantized_embedding_fixture(vocab, 16);
+        let mut pool = BufferPool::new();
+        let got = gather_quantized_bits(&mut store, &mut pool, &registry, table, &ids, 1);
+        assert_eq!(got, want);
+
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut g = Graph::new(&mut store, false, 0);
-            g.set_row_shards(table, shards);
+            let mut g = Graph::inference(&mut store, &mut pool);
+            g.set_quantized_params(Some(Arc::clone(&registry)));
+            g.embedding(table, &[vocab as u32], 1, 1);
         }));
-        assert!(result.is_err(), "trainable table must be rejected");
+        assert!(result.is_err(), "an out-of-vocabulary id must panic");
+    }
+
+    #[test]
+    fn quantized_embedding_gathers_identically_at_any_thread_count() {
+        let (mut store, table, registry, ids, want) = quantized_embedding_fixture(211, 16);
+        let mut pool = BufferPool::new();
+        for threads in [1usize, 2, 4] {
+            let got = gather_quantized_bits(&mut store, &mut pool, &registry, table, &ids, threads);
+            assert_eq!(got, want, "{threads} threads");
+        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod pool;
 pub mod quant;
 pub mod rng;
 pub mod shape;
-pub mod shard;
 pub mod tensor;
 pub mod timers;
 
@@ -43,6 +42,5 @@ pub use graph::{Graph, Var};
 pub use params::{Param, ParamId, ParamStore};
 pub use pool::BufferPool;
 pub use quant::{Precision, QuantizedMatrix, QuantizedParams};
-pub use shard::ShardedTable;
 pub use tensor::Tensor;
 pub use timers::{KernelSpan, KernelTimers};

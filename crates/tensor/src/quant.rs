@@ -78,7 +78,9 @@ pub fn quantize_row(src: &[f32], dst: &mut [i8]) -> f32 {
 /// are *output* features (the f32 `[in, out]` weight is transposed at
 /// quantization time); for a conv branch they are channels (the
 /// `[oc, k, d]` weight flattened to `[oc, k·d]`). Either way the GEMM runs
-/// in `A·Bᵀ` form over contiguous rows of both operands.
+/// in `A·Bᵀ` form over contiguous rows of both operands. For the embedding
+/// table the rows are vocabulary rows, read by
+/// [`QuantizedMatrix::gather_rows_into`].
 #[derive(Debug, Clone)]
 pub struct QuantizedMatrix {
     rows: usize,
@@ -147,8 +149,8 @@ impl QuantizedMatrix {
             + std::mem::size_of_val(self.scales.as_slice())) as u64
     }
 
-    /// Dequantize row `r` into `dst` (used by tests and the naive
-    /// reference; the serving path never materializes f32 weights).
+    /// Dequantize row `r` into `dst` (the int8 embedding gather, tests and
+    /// the naive reference; the GEMM path never materializes f32 weights).
     pub fn dequantize_row(&self, r: usize, dst: &mut [f32]) {
         let scale = self.scales[r];
         for (d, &q) in dst
@@ -157,6 +159,27 @@ impl QuantizedMatrix {
         {
             *d = q as f32 * scale;
         }
+    }
+
+    /// Int8 embedding gather: `dst` row `r` becomes row `ids[r]` dequantized
+    /// element-wise (`code × row_scale`, no reduction), so the output is
+    /// bit-identical at any `threads`. Work splits like
+    /// [`crate::kernels::gather_rows`]; every id must already be validated
+    /// against [`QuantizedMatrix::rows`].
+    pub fn gather_rows_into(&self, ids: &[u32], dst: &mut [f32], threads: usize) {
+        let cols = self.cols;
+        assert_eq!(dst.len(), ids.len() * cols, "gather: destination mismatch");
+        let min_rows = (8192 / cols.max(1)).max(1);
+        let ptr = SendMutPtr(dst.as_mut_ptr());
+        par::for_each_chunk(ids.len(), min_rows, threads, &|range: Range<usize>| {
+            // SAFETY: `for_each_chunk` hands every call a disjoint range of
+            // `0..ids.len()`, `dst` holds `ids.len() * cols` floats (asserted
+            // above) and outlives the call, so the slices never overlap.
+            let out = unsafe { ptr.slice_mut(range.start * cols..range.end * cols) };
+            for (slot, &id) in out.chunks_exact_mut(cols).zip(&ids[range]) {
+                self.dequantize_row(id as usize, slot);
+            }
+        });
     }
 
     /// Fused quantized layer: quantize each f32 activation row of
@@ -200,7 +223,8 @@ impl QuantizedMatrix {
 }
 
 /// The int8 side of a quantized model: one [`QuantizedMatrix`] per
-/// quantizable parameter, indexed by [`ParamId`]. Shared (`Arc`) between an
+/// quantized parameter (linear and conv weights, and the frozen embedding
+/// table), indexed by [`ParamId`]. Shared (`Arc`) between an
 /// `InferenceSession` and the graphs it builds; parameters without an entry
 /// fall back to the f32 path.
 #[derive(Debug, Default, Clone)]

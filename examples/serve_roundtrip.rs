@@ -13,9 +13,7 @@ use dtdbd_bench::harness::{fmt_ns, percentile};
 use dtdbd_core::{train_model, TrainConfig};
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
 use dtdbd_models::{FakeNewsModel, ModelConfig, TextCnnModel};
-use dtdbd_serve::{
-    session_from_checkpoint, BatchingConfig, Checkpoint, DomainRouting, ServerBuilder,
-};
+use dtdbd_serve::{session_from_checkpoint, BatchingConfig, Checkpoint, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{Graph, ParamStore};
 use std::sync::Arc;
@@ -90,13 +88,8 @@ fn main() {
     //    4 intra-op kernel threads each (bit-identical to any other thread
     //    count), and the default prediction cache in front of the queue —
     //    the request stream repeats items, exactly the traffic shape the
-    //    cache exists for. The embedding table is sharded: held once in a
-    //    process-wide pool instead of once per worker, and Society (the
-    //    hottest Weibo21 domain) gets a specialist worker — both knobs are
-    //    bit-transparent, which step 6 verifies against the tape forward.
-    let society = weibo21_spec()
-        .domain_index("Society")
-        .expect("known domain");
+    //    cache exists for. Every worker is a full replica of the model;
+    //    step 6 verifies the served answers against the tape forward.
     let server = Arc::new(
         ServerBuilder::new()
             .batching(BatchingConfig {
@@ -105,8 +98,6 @@ fn main() {
                 workers: 2,
             })
             .threads(4)
-            .shards(2)
-            .domain_routing(DomainRouting::new().assign(society, 0))
             .try_start({
                 let checkpoint = checkpoint.clone();
                 move |_| session_from_checkpoint(&checkpoint).expect("rebuild model")
@@ -180,13 +171,9 @@ fn main() {
         stats.cache.entries,
     );
     println!(
-        "sharding: {} embedding shards | pool {} KiB (once per process) | {} KiB private per worker \
-         | routing: {} to Society's specialist, {} shared",
-        stats.embedding_shards,
-        stats.shard_pool_bytes / 1024,
+        "replicas: {} workers, each holding the full model ({} KiB resident parameters per worker)",
+        stats.workers,
         stats.resident_param_bytes_per_worker / 1024,
-        stats.routing.routed_specialist,
-        stats.routing.routed_shared,
     );
     println!("max |batched - unbatched| fake-probability gap: {worst:.2e}");
     assert!(

@@ -5,22 +5,23 @@
 #   1. release build of every crate, binary, bench and example target
 #   2. the full test suite, which runs every battery exactly once
 #      (dtdbd-integration is a workspace member, so the cross-crate
-#      scenarios and the HTTP wire battery run here; the sharded serving
-#      parity matrix, builder misconfiguration battery, checkpoint
-#      corruption + side-state fuzz battery (checkpoint_corruption.rs), the
-#      committed v1/v2 byte-fixture compat pins (compat_fixtures.rs) and the
-#      zoo-wide train->save->load->serve bit-parity test (zoo_roundtrip.rs)
-#      live in crates/serve/tests). Three batteries get named in the stage
-#      label because they gate whole layers:
+#      scenarios and the HTTP wire battery run here; the builder
+#      misconfiguration battery, checkpoint corruption + side-state fuzz
+#      battery (checkpoint_corruption.rs), the committed v1/v2 byte-fixture
+#      compat pins (compat_fixtures.rs) and the zoo-wide
+#      train->save->load->serve bit-parity test (zoo_roundtrip.rs) live in
+#      crates/serve/tests). Three batteries get named in the stage label
+#      because they gate whole layers:
 #        - chaos (tests/integration/tests/chaos.rs): a seeded fault plan
 #          kills three prediction workers mid-storm; supervision must heal
 #          the server with zero wrong predictions;
 #        - int8 determinism (crates/serve/tests/int8_parity.rs): quantized
 #          predictions bit-identical to themselves across {1,4} intra-op
-#          threads x {1,4} shard counts, with routing + cache on top;
+#          threads x {1,2,4} workers, cache on and off, plus the >3x int8
+#          memory win on the deployed TextCNN-S student;
 #        - hot-swap + zoo (tests/integration/tests/hotswap.rs): 20
 #          mid-traffic reloads with bit-exact answers and reconciled
-#          counters, plus shard-pool dedup.
+#          counters.
 #      CI_QUICK (non-empty and not "0") shrinks all three. The wire
 #      batteries run the build's connection driver (epoll on Linux); the
 #      blocking driver every other platform runs is covered in the same
@@ -34,11 +35,9 @@
 #      dropped more than BENCH_GATE_TOLERANCE percent (default 25) below the
 #      committed BENCH_kernels.json / BENCH_serving.json baselines, or if the
 #      serving p99 rose more than the tolerance above its baseline; also runs
-#      the sharding bench for its parity assertions and replica-vs-sharded
-#      log, the fp32-vs-int8 agreement report with absolute gates
-#      (agreement >= 99.5%, macro-F1 delta <= 0.005, >=3x int8 memory win),
-#      and the two-model zoo routing gate (multi-tenant throughput >= 0.9x
-#      single-tenant at equal total workers)
+#      the fp32-vs-int8 agreement report with absolute gates (agreement
+#      >= 99.5%, macro-F1 delta <= 0.005) and the two-model zoo throughput gate
+#      (multi-tenant throughput >= 0.9x single-tenant at equal total workers)
 #   5. the http_roundtrip end-to-end example (real TCP serving; also scrapes
 #      GET /metrics mid-run, holds the page to the strict exposition lint,
 #      and walks the /readyz drain sequence before shutdown)
@@ -97,14 +96,14 @@ else
     cargo build --release --workspace --all-targets
 fi
 
-stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo + sharding parity, chaos, int8 determinism, hot-swap + zoo)" \
+stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, int8 determinism + memory, hot-swap + zoo)" \
   cargo test -q --workspace
 
 if [ "$quick" != "1" ]; then
   stage "kernel parity smoke (blocked/parallel GEMM vs naive reference)" \
     cargo run --release -q -p dtdbd-bench --bin kernels -- --parity-smoke
 
-  stage "bench regression gate (kernels/serving vs committed baselines + sharding)" \
+  stage "bench regression gate (kernels/serving/http vs committed baselines + int8 agreement)" \
     scripts/check_bench.sh
 
   stage "http_roundtrip example (train -> checkpoint -> serve over TCP, /metrics lint, /readyz drain)" \

@@ -3,15 +3,15 @@
 //! be bit-identical to exactly one of the two checkpoints that ever lived on
 //! disk — no 5xx, no dropped requests, no mis-versioned responses. The
 //! battery runs under this build's connection driver, and a second scenario
-//! proves that byte-identical frozen tables are deduplicated into a single
-//! shared shard pool across tenants (and that *different* bytes are not).
+//! checks that the default tenant's served counter never drops across a
+//! swap.
 
 use dtdbd_core::{train_model, TrainConfig};
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::json::{self, Json};
-use dtdbd_serve::{BatchingConfig, Checkpoint, HttpServer, ServerBuilder};
+use dtdbd_serve::{BatchingConfig, Checkpoint, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::path::PathBuf;
@@ -83,7 +83,6 @@ type ProbeItem = ((Vec<u32>, usize), Bits, Bits);
 fn reference_bits(checkpoint: &Checkpoint, items: &[(Vec<u32>, usize)]) -> Vec<Bits> {
     let server = ServerBuilder::new()
         .batching(batching())
-        .shards(2)
         .try_start_from_checkpoint(checkpoint)
         .expect("reference server");
     items
@@ -113,7 +112,6 @@ fn hot_swap_parity(tag: &str) {
     let server = Arc::new(
         ServerBuilder::new()
             .batching(batching())
-            .shards(2)
             .tenant_from_path("student", &path)
             .try_start_http_zoo()
             .expect("start zoo"),
@@ -276,83 +274,6 @@ fn twenty_mid_traffic_hot_swaps_never_drop_or_misversion_under_epoll() {
     // This build's connection driver: epoll on Linux, the blocking pool
     // elsewhere.
     hot_swap_parity("epoll");
-}
-
-/// Stats for one zoo: (`sharding.shard_pool_bytes` from `/stats`, per-tenant
-/// shard-pool digests via the in-process handle).
-fn zoo_pool_stats(server: &HttpServer) -> (u64, Vec<u64>) {
-    let mut client = HttpClient::connect(server.local_addr()).unwrap();
-    let stats = client.get("/stats").unwrap().json().unwrap();
-    let bytes = stats
-        .get("sharding")
-        .and_then(|s| s.get("shard_pool_bytes"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    let digests = server
-        .zoo()
-        .tenants()
-        .iter()
-        .map(|t| t.model().shard_pool_digest().expect("sharded tenant"))
-        .collect();
-    (bytes, digests)
-}
-
-#[test]
-fn byte_identical_tables_share_one_shard_pool_across_tenants() {
-    let (v1, v2, ds) = two_checkpoints();
-    // Both students above share one frozen table (same `emb_seed`); a third
-    // built over a *different* frozen encoder has the same shapes and
-    // parameter name but different bytes — the case dedup must never merge.
-    let mut other_encoder = ModelConfig::tiny(&ds);
-    other_encoder.emb_seed ^= 0x5EED;
-    let v3 = train_student(&ds, &other_encoder, 5);
-
-    let single = ServerBuilder::new()
-        .batching(batching())
-        .shards(2)
-        .tenant("a", &v1)
-        .try_start_http_zoo()
-        .expect("single-tenant zoo");
-    let (baseline_bytes, _) = zoo_pool_stats(&single);
-    assert!(baseline_bytes > 0);
-    drop(single);
-
-    // Two *differently trained* students over the same frozen encoder: the
-    // table bytes are identical, so the zoo keeps one resident pool and
-    // `/stats` counts its bytes once.
-    let duplicated = ServerBuilder::new()
-        .batching(batching())
-        .shards(2)
-        .tenant("a", &v1)
-        .tenant("b", &v2)
-        .try_start_http_zoo()
-        .expect("duplicated zoo");
-    let (dup_bytes, dup_digests) = zoo_pool_stats(&duplicated);
-    assert_eq!(
-        dup_bytes, baseline_bytes,
-        "byte-identical tables must share exactly one pool"
-    );
-    assert_eq!(dup_digests[0], dup_digests[1]);
-    drop(duplicated);
-
-    // Same parameter *name*, different bytes: never shared.
-    let mixed = ServerBuilder::new()
-        .batching(batching())
-        .shards(2)
-        .tenant("a", &v1)
-        .tenant("b", &v3)
-        .try_start_http_zoo()
-        .expect("mixed zoo");
-    let (mixed_bytes, mixed_digests) = zoo_pool_stats(&mixed);
-    assert_ne!(
-        mixed_digests[0], mixed_digests[1],
-        "differently-trained tables must digest differently"
-    );
-    assert_eq!(
-        mixed_bytes,
-        2 * baseline_bytes,
-        "distinct tables are both resident"
-    );
 }
 
 /// `(unlabelled, labelled)` served counters of the default tenant from one

@@ -10,9 +10,7 @@ use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator}
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::json::{self, Json};
-use dtdbd_serve::{
-    BatchingConfig, Checkpoint, DomainRouting, HttpConfig, HttpServer, ServerBuilder,
-};
+use dtdbd_serve::{BatchingConfig, Checkpoint, HttpConfig, HttpServer, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::io::{Read, Write};
@@ -43,21 +41,16 @@ fn trained_checkpoint() -> (Checkpoint, dtdbd_data::MultiDomainDataset) {
 }
 
 fn start_http(checkpoint: &Checkpoint, connection_workers: usize) -> HttpServer {
-    // The wire battery runs against the *sharded, domain-routed* deployment
-    // shape: the embedding table lives once in the shared shard pool and
-    // Society (domain 8) has a specialist queue. Both are bit-transparent,
-    // so the bit-for-bit wire assertions below double as an end-to-end
-    // parity check of sharded serving over real TCP.
+    // The wire battery runs against the replica deployment: every worker
+    // owns a full copy of the model and pulls from one queue.
     let predict = ServerBuilder::new()
         .batching(BatchingConfig {
             max_batch_size: 16,
             max_wait: Duration::from_millis(1),
             workers: 2,
         })
-        .shards(2)
-        .domain_routing(DomainRouting::new().assign(8, 0))
         .try_start_from_checkpoint(checkpoint)
-        .expect("valid sharded configuration");
+        .expect("valid configuration");
     HttpServer::start(
         predict,
         HttpConfig {
@@ -143,32 +136,20 @@ fn sixty_four_concurrent_clients_match_in_process_predictions_bit_for_bit() {
     );
     assert_eq!(stats.get("queue_depth").and_then(Json::as_u64), Some(0));
 
-    // The sharded, routed deployment surfaces its shape on the wire.
-    let sharding = stats.get("sharding").expect("sharding object");
-    assert_eq!(
-        sharding.get("embedding_shards").and_then(Json::as_u64),
-        Some(2)
-    );
-    assert!(sharding.get("shard_pool_bytes").and_then(Json::as_u64) > Some(0));
+    // The replica deployment reports its per-worker memory on the wire.
+    let memory = stats.get("memory").expect("memory object");
     assert!(
-        sharding
+        memory
             .get("resident_param_bytes_per_worker")
             .and_then(Json::as_u64)
             > Some(0)
     );
-    let routing = stats.get("routing").expect("routing object");
     assert_eq!(
-        routing.get("specialist_queues").and_then(Json::as_u64),
-        Some(1)
-    );
-    let specialist = routing
-        .get("routed_specialist")
-        .and_then(Json::as_u64)
-        .unwrap();
-    let shared = routing.get("routed_shared").and_then(Json::as_u64).unwrap();
-    assert!(
-        specialist + shared > 0,
-        "routing counters must see the storm"
+        memory
+            .get("quantized_param_bytes_per_worker")
+            .and_then(Json::as_u64),
+        Some(0),
+        "fp32 workers hold no int8 codes"
     );
 }
 
