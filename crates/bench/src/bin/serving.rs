@@ -203,10 +203,7 @@ fn bench_server(
             .batching(config.clone())
             .threads(INTRA_THREADS)
             .cache_capacity(cache_capacity)
-            .try_start({
-                let checkpoint = checkpoint.clone();
-                move |_| session_from_checkpoint(&checkpoint).expect("restore")
-            })
+            .try_start_from_checkpoint(checkpoint)
             .expect("valid configuration"),
     );
 

@@ -18,8 +18,7 @@ use dtdbd_metrics::TableBuilder;
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::{
-    json, session_from_checkpoint, BatchingConfig, Checkpoint, FaultPlan, HttpConfig, HttpServer,
-    Precision, ServerBuilder, ServingStats,
+    json, BatchingConfig, Checkpoint, FaultPlan, HttpConfig, Precision, ServerBuilder, ServingStats,
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
@@ -186,22 +185,15 @@ fn main() {
         Ok(None) => {}
         Err(e) => panic!("DTDBD_FAULTS: {e}"),
     }
-    let predict = builder
-        .try_start({
-            let checkpoint = checkpoint.clone();
-            move |_| session_from_checkpoint(&checkpoint).expect("restore")
-        })
-        .expect("valid configuration");
-    let serving = predict.stats();
-    let server = HttpServer::start(
-        predict,
-        HttpConfig {
+    let server = builder
+        .http(HttpConfig {
             connection_workers: *CONCURRENCY.iter().max().expect("non-empty"),
             backlog: 64,
             ..HttpConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
+        })
+        .try_start_http_from_checkpoint(&checkpoint)
+        .expect("valid configuration");
+    let serving = server.predict_server().stats();
     let addr = server.local_addr();
     eprintln!("[serving_http] listening on http://{addr}");
 
@@ -225,26 +217,19 @@ fn main() {
     // of the two telemetry-on runs keeps scheduler noise from reading as
     // telemetry overhead.
     eprintln!("[serving_http] measuring telemetry overhead at 32 connections...");
-    let predict_off = ServerBuilder::new()
+    let server_off = ServerBuilder::new()
         .batching(batching.clone())
         .threads(INTRA_THREADS)
         .precision(precision)
         .cache_capacity(0)
         .telemetry(false)
-        .try_start({
-            let checkpoint = checkpoint.clone();
-            move |_| session_from_checkpoint(&checkpoint).expect("restore")
-        })
-        .expect("valid configuration");
-    let server_off = HttpServer::start(
-        predict_off,
-        HttpConfig {
+        .http(HttpConfig {
             connection_workers: *CONCURRENCY.iter().max().expect("non-empty"),
             backlog: 64,
             ..HttpConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
+        })
+        .try_start_http_from_checkpoint(&checkpoint)
+        .expect("valid configuration");
     let addr_off = server_off.local_addr();
     {
         let mut client = HttpClient::connect(addr_off).expect("connect");
@@ -281,26 +266,19 @@ fn main() {
     // — so it gets its own server with deadlines long enough that an
     // idle-but-healthy connection is never cut mid-level, and runs only
     // where that server reports epoll.
-    let predict_ka = ServerBuilder::new()
+    let server_ka = ServerBuilder::new()
         .batching(batching.clone())
         .threads(INTRA_THREADS)
         .precision(precision)
         .cache_capacity(0)
-        .try_start({
-            let checkpoint = checkpoint.clone();
-            move |_| session_from_checkpoint(&checkpoint).expect("restore")
-        })
-        .expect("valid configuration");
-    let server_ka = HttpServer::start(
-        predict_ka,
-        HttpConfig {
+        .http(HttpConfig {
             backlog: 64,
             read_timeout: Duration::from_secs(120),
             request_timeout: Duration::from_secs(120),
             ..HttpConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
+        })
+        .try_start_http_from_checkpoint(&checkpoint)
+        .expect("valid configuration");
     let keepalive = if server_ka.connection_model() == "epoll" {
         eprintln!("[serving_http] c1024 mostly-idle keep-alive level (epoll)...");
         let addr_ka = server_ka.local_addr();
@@ -518,7 +496,7 @@ fn run_zoo_level(
         .cache_capacity(0)
         .http(http.clone())
         .tenant("a", checkpoint)
-        .try_start_http_zoo()
+        .try_start_http()
         .expect("single-tenant zoo");
     warmup(single.local_addr());
     let single_level = run_level_on(
@@ -538,7 +516,7 @@ fn run_zoo_level(
         .http(http)
         .tenant("a", checkpoint)
         .tenant("b", checkpoint)
-        .try_start_http_zoo()
+        .try_start_http()
         .expect("two-tenant zoo");
     warmup(zoo.local_addr());
     let zoo_level = run_level_on(

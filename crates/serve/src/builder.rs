@@ -13,6 +13,7 @@ use crate::http::{HttpConfig, HttpServer};
 use crate::server::{BatchingConfig, PredictServer, ServerTuning};
 use crate::session::InferenceSession;
 use crate::telemetry::DomainBaseline;
+use crate::zoo::{ModelZoo, DEFAULT_MODEL_ID};
 use dtdbd_models::{
     BiGruModel, Eann, Eddfn, FakeNewsModel, M3Fend, Mdfend, ModelConfig, TextCnnModel,
 };
@@ -118,9 +119,9 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Why [`ServerBuilder::try_start_from_checkpoint`] (or one of the
-/// `*_http` variants) failed: the checkpoint could not be restored, the
-/// builder configuration is invalid, or the HTTP listener could not bind.
+/// Why one of the [`ServerBuilder`] start methods failed: a checkpoint
+/// could not be loaded or restored, the builder configuration is invalid,
+/// or the HTTP listener could not bind.
 #[derive(Debug)]
 pub enum StartError {
     /// Checkpoint decode/restore failure.
@@ -215,10 +216,20 @@ pub fn session_from_checkpoint(
     })
 }
 
-/// Fluent construction of a tuned [`PredictServer`].
+/// Fluent construction of a tuned server from checkpoints.
 ///
-/// [`PredictServer::start`] covers the default deployment; the builder adds
-/// the scaling knobs:
+/// Every server starts from a checkpoint, in one of three ways:
+///
+/// * [`ServerBuilder::try_start_from_checkpoint`] — an in-process
+///   [`PredictServer`];
+/// * [`ServerBuilder::try_start_http_from_checkpoint`] — that checkpoint
+///   behind the HTTP front-end, as a one-tenant zoo under
+///   [`DEFAULT_MODEL_ID`];
+/// * [`ServerBuilder::try_start_http`] — every tenant registered with
+///   [`ServerBuilder::tenant`] / [`ServerBuilder::tenant_from_path`] behind
+///   the HTTP front-end.
+///
+/// The knobs apply to every worker of every tenant:
 ///
 /// * **`threads`** — intra-op parallelism of each worker's compute kernels.
 ///   Predictions are bit-identical at any setting (the kernels' determinism
@@ -227,9 +238,9 @@ pub fn session_from_checkpoint(
 ///   front of the queue (0 disables caching).
 /// * **`precision`** — fp32 (the default) or int8 weights and embedding
 ///   table in every worker.
-/// * **`http` / `http_addr`** — configuration of the optional HTTP
-///   front-end started by the `*_http` constructors (bind address, worker
-///   and backlog sizing, wire limits, deadlines). The build platform picks
+/// * **`http` / `http_addr`** — configuration of the HTTP front-end the
+///   two `try_start_http*` methods start (bind address, worker and backlog
+///   sizing, wire limits, deadlines). The build platform picks
 ///   its connection driver: the epoll event loop on Linux x86-64/aarch64,
 ///   a blocking thread pool elsewhere.
 ///
@@ -278,7 +289,7 @@ impl ServerBuilder {
     /// A builder with [`BatchingConfig::default`] and the default tuning
     /// (1 intra-op thread, 1024-entry prediction cache in 8 lock
     /// partitions, fp32, telemetry on). The HTTP front-end (only
-    /// started by the `*_http` constructors) defaults to
+    /// started by the `try_start_http*` methods) defaults to
     /// [`HttpConfig::default`]: an ephemeral loopback port.
     pub fn new() -> Self {
         Self {
@@ -352,25 +363,25 @@ impl ServerBuilder {
 
     /// Replace the whole HTTP front-end configuration (bind address,
     /// worker/backlog sizing, wire limits, deadlines). Only consulted by the
-    /// `*_http` constructors, which reject `connection_workers == 0` with
-    /// [`ConfigError::ZeroConnectionWorkers`] before any thread spawns.
+    /// `try_start_http*` methods, which reject `connection_workers == 0`
+    /// with [`ConfigError::ZeroConnectionWorkers`] before any thread spawns.
     pub fn http(mut self, config: HttpConfig) -> Self {
         self.http = config;
         self
     }
 
     /// Bind address of the HTTP front-end (e.g. `"127.0.0.1:8080"`;
-    /// port 0 picks an ephemeral port). Only consulted by the `*_http`
-    /// constructors.
+    /// port 0 picks an ephemeral port). Only consulted by the
+    /// `try_start_http*` methods.
     pub fn http_addr(mut self, addr: impl Into<String>) -> Self {
         self.http.addr = addr.into();
         self
     }
 
     /// Score live per-domain prediction distributions against this
-    /// training-time baseline. [`ServerBuilder::try_start_from_checkpoint`]
-    /// wires the checkpoint's own `telemetry.baseline` chunk automatically;
-    /// an explicitly set baseline wins over the checkpoint's.
+    /// training-time baseline. Every start method wires each checkpoint's
+    /// own `telemetry.baseline` chunk automatically; an explicitly set
+    /// baseline wins over the checkpoint's.
     pub fn drift_baseline(mut self, baseline: DomainBaseline) -> Self {
         self.tuning.drift_baseline = Some(baseline);
         self
@@ -420,9 +431,46 @@ impl ServerBuilder {
         self
     }
 
-    /// Start every registered tenant as a [`crate::ModelZoo`]: one
-    /// [`PredictServer`] per tenant (same batching/tuning across the zoo).
-    pub fn try_start_zoo(self) -> Result<crate::ModelZoo, StartError> {
+    /// Start a [`PredictServer`] with every worker restoring `checkpoint`,
+    /// surfacing both checkpoint and configuration problems as typed
+    /// errors before any worker thread spawns. Registered tenants play no
+    /// part here.
+    pub fn try_start_from_checkpoint(
+        self,
+        checkpoint: &Checkpoint,
+    ) -> Result<PredictServer, StartError> {
+        PredictServer::from_checkpoint(checkpoint, self.batching, self.tuning)
+    }
+
+    /// Serve `checkpoint` over HTTP: shorthand for registering it as the
+    /// tenant [`DEFAULT_MODEL_ID`] and calling
+    /// [`ServerBuilder::try_start_http`].
+    pub fn try_start_http_from_checkpoint(
+        self,
+        checkpoint: &Checkpoint,
+    ) -> Result<HttpServer, StartError> {
+        self.tenant(DEFAULT_MODEL_ID, checkpoint).try_start_http()
+    }
+
+    /// Start every registered tenant (one [`PredictServer`] each, same
+    /// batching and tuning across the zoo) behind an [`HttpServer`]
+    /// configured by [`ServerBuilder::http`] / [`ServerBuilder::http_addr`]:
+    /// `POST /predict/<id>` routes per tenant, `GET /model` lists the zoo,
+    /// `POST /admin/reload/<id>` hot-swaps file-backed tenants. The
+    /// returned front-end owns the zoo; shut it down with
+    /// [`HttpServer::shutdown`].
+    pub fn try_start_http(self) -> Result<HttpServer, StartError> {
+        // Checked before any prediction worker starts, so a bad front-end
+        // config never leaves threads behind.
+        if self.http.connection_workers == 0 {
+            return Err(ConfigError::ZeroConnectionWorkers.into());
+        }
+        let http = self.http.clone();
+        Ok(HttpServer::launch(self.build_zoo()?, http)?)
+    }
+
+    /// Start every registered tenant as a [`ModelZoo`].
+    pub(crate) fn build_zoo(self) -> Result<ModelZoo, StartError> {
         if self.tenants.is_empty() {
             return Err(ConfigError::NoTenants.into());
         }
@@ -443,89 +491,6 @@ impl ServerBuilder {
             specs.push((spec.id, checkpoint, source));
         }
         let default_id = self.default_id.unwrap_or_else(|| specs[0].0.clone());
-        crate::ModelZoo::from_specs(specs, &default_id, self.batching, self.tuning)
-    }
-
-    /// [`ServerBuilder::try_start_zoo`] with the HTTP front-end in front:
-    /// `POST /predict/<id>` routes per tenant, `GET /model` lists the zoo,
-    /// `POST /admin/reload/<id>` hot-swaps file-backed tenants.
-    pub fn try_start_http_zoo(self) -> Result<HttpServer, StartError> {
-        let http = self.checked_http()?;
-        let zoo = self.try_start_zoo()?;
-        Ok(HttpServer::start_zoo(zoo, http)?)
-    }
-
-    /// Start the server with a per-worker session factory, surfacing
-    /// misconfiguration as a typed [`ConfigError`] instead of panicking.
-    /// The factory is retained for the lifetime of the server: the
-    /// supervisor calls it again to rebuild a worker's session after a
-    /// panic (hence `Send + 'static`).
-    pub fn try_start<M, F>(self, factory: F) -> Result<PredictServer, ConfigError>
-    where
-        M: FakeNewsModel + Send + 'static,
-        F: FnMut(usize) -> InferenceSession<M> + Send + 'static,
-    {
-        PredictServer::start_tuned(self.batching, self.tuning, factory)
-    }
-
-    /// Start the server with every worker restoring the same checkpoint,
-    /// surfacing both checkpoint and configuration problems as typed
-    /// errors.
-    pub fn try_start_from_checkpoint(
-        mut self,
-        checkpoint: &Checkpoint,
-    ) -> Result<PredictServer, StartError> {
-        // Restore once up front so a bad checkpoint fails fast instead of
-        // panicking inside a worker factory.
-        let probe = session_from_checkpoint(checkpoint)?;
-        drop(probe);
-        // Auto-wire the checkpoint's drift baseline unless the caller set
-        // one explicitly. A malformed chunk is a typed checkpoint error.
-        if self.tuning.drift_baseline.is_none() {
-            self.tuning.drift_baseline = checkpoint.telemetry_baseline()?;
-        }
-        // The factory keeps its own copy of the checkpoint: the supervisor
-        // restores crashed workers from it long after the caller's borrow
-        // is gone.
-        let checkpoint = checkpoint.clone();
-        Ok(self.try_start(move |_| {
-            session_from_checkpoint(&checkpoint).expect("checkpoint probed above")
-        })?)
-    }
-
-    /// Start the tuned [`PredictServer`] *and* an [`HttpServer`] in front of
-    /// it, configured by [`ServerBuilder::http`] /
-    /// [`ServerBuilder::http_addr`].
-    /// The returned front-end owns the predict server; shut it down with
-    /// [`HttpServer::shutdown`].
-    pub fn try_start_http<M, F>(self, factory: F) -> Result<HttpServer, StartError>
-    where
-        M: FakeNewsModel + Send + 'static,
-        F: FnMut(usize) -> InferenceSession<M> + Send + 'static,
-    {
-        let http = self.checked_http()?;
-        let predict = self.try_start(factory)?;
-        Ok(HttpServer::start(predict, http)?)
-    }
-
-    /// Start the predict server from a checkpoint (as
-    /// [`ServerBuilder::try_start_from_checkpoint`]) and an [`HttpServer`]
-    /// in front of it.
-    pub fn try_start_http_from_checkpoint(
-        self,
-        checkpoint: &Checkpoint,
-    ) -> Result<HttpServer, StartError> {
-        let http = self.checked_http()?;
-        let predict = self.try_start_from_checkpoint(checkpoint)?;
-        Ok(HttpServer::start(predict, http)?)
-    }
-
-    /// The HTTP configuration, validated before any prediction worker
-    /// starts (so a bad front-end config never leaves threads behind).
-    fn checked_http(&self) -> Result<HttpConfig, ConfigError> {
-        if self.http.connection_workers == 0 {
-            return Err(ConfigError::ZeroConnectionWorkers);
-        }
-        Ok(self.http.clone())
+        ModelZoo::from_specs(specs, &default_id, self.batching, self.tuning)
     }
 }

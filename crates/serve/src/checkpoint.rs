@@ -339,8 +339,8 @@ impl Checkpoint {
     /// carries in its [`BASELINE_TAG`] side-state chunk. The chunk lives in
     /// the `telemetry.` container namespace: it travels with the model's
     /// own side state but is stripped before `import_side_state`, so models
-    /// never see it. [`crate::ServerBuilder::try_start_from_checkpoint`]
-    /// wires it into the serving drift tracker automatically.
+    /// never see it. Every [`crate::ServerBuilder`] start method wires it
+    /// into the serving drift tracker automatically.
     pub fn set_telemetry_baseline(&mut self, baseline: &DomainBaseline) {
         self.side_state.remove(BASELINE_TAG);
         self.side_state

@@ -1,6 +1,7 @@
 //! Dependency-free HTTP/1.1 front-end for the micro-batching server.
 //!
-//! [`HttpServer`] puts a real wire in front of [`PredictServer`]. Every
+//! [`HttpServer`] puts a real wire in front of a [`ModelZoo`] of
+//! [`PredictServer`]s (a single-model server is a zoo of one). Every
 //! connection speaks HTTP/1.1 with keep-alive through one socket-free
 //! protocol state machine (`conn.rs`: parsing with the incremental
 //! [`RequestParser`] below, keep-alive and drain rules, deadlines, timeout
@@ -64,10 +65,10 @@
 //! and honour HTTP/1.0-vs-1.1 keep-alive defaults plus `Connection: close`.
 //!
 //! Shutdown is graceful and runs on drop: intake stops, the acceptor and
-//! every connection worker is joined, and the wrapped [`PredictServer`] then
-//! drains its queue through its own [`PredictServer::shutdown`] sequence.
+//! every connection worker is joined, and each tenant's [`PredictServer`]
+//! then drains its queue through its own [`PredictServer::shutdown`]
+//! sequence.
 
-use crate::builder::ConfigError;
 use crate::json::{self, Json};
 use crate::server::{PredictError, PredictServer};
 use crate::session::Prediction;
@@ -87,8 +88,9 @@ pub struct HttpConfig {
     /// [`HttpServer::local_addr`]).
     pub addr: String,
     /// Size of the dispatcher pool behind the event loop (epoll) or of the
-    /// connection-handler thread pool (pool); at least 1
-    /// ([`crate::ConfigError::ZeroConnectionWorkers`] otherwise).
+    /// connection-handler thread pool (pool); at least 1 (the
+    /// [`crate::ServerBuilder`] start methods return
+    /// [`crate::ConfigError::ZeroConnectionWorkers`] otherwise).
     pub connection_workers: usize,
     /// Parsed requests (epoll) / accepted connections (pool) that may wait
     /// for a free worker before the server starts answering `503`.
@@ -506,7 +508,9 @@ use crate::poll as platform;
 )))]
 use crate::blocking as platform;
 
-/// The HTTP listener wrapping a [`PredictServer`].
+/// The HTTP listener in front of a [`ModelZoo`]; start it with
+/// [`crate::ServerBuilder::try_start_http`] or
+/// [`crate::ServerBuilder::try_start_http_from_checkpoint`].
 pub struct HttpServer {
     pub(crate) ctx: Arc<Ctx>,
     local_addr: SocketAddr,
@@ -514,49 +518,28 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Bind `config.addr` and start serving `predict` over HTTP. The server
-    /// runs as a single-tenant [`ModelZoo`] under
-    /// [`crate::zoo::DEFAULT_MODEL_ID`], so the whole multi-model surface
-    /// (`/predict/<id>`, `/model`, per-model stats) answers consistently.
-    ///
-    /// `connection_workers == 0` is an `InvalidInput` error wrapping
-    /// [`crate::ConfigError::ZeroConnectionWorkers`].
-    pub fn start(predict: PredictServer, config: HttpConfig) -> io::Result<Self> {
-        Self::start_zoo(ModelZoo::single(predict), config)
+    /// Bind `config.addr` and serve `zoo` under this build's connection
+    /// driver: `POST /predict/<id>` routes per tenant, bare `POST /predict`
+    /// serves the zoo's default id, and `POST /admin/reload/<id>` hot-swaps
+    /// file-backed tenants without dropping traffic. Started through
+    /// [`crate::ServerBuilder`], which has already checked `config`.
+    pub(crate) fn launch(zoo: ModelZoo, config: HttpConfig) -> io::Result<Self> {
+        Self::launch_on(zoo, config, platform::NAME, platform::start)
     }
 
-    /// Bind `config.addr` and serve a multi-tenant [`ModelZoo`]:
-    /// `POST /predict/<id>` routes per tenant, bare `POST /predict` serves
-    /// the zoo's default id, and `POST /admin/reload/<id>` hot-swaps
-    /// file-backed tenants without dropping traffic.
-    pub fn start_zoo(zoo: ModelZoo, config: HttpConfig) -> io::Result<Self> {
-        Self::launch(zoo, config, platform::NAME, platform::start)
-    }
-
-    /// [`HttpServer::start`] under the blocking driver, which Linux builds
+    /// [`HttpServer::launch`] under the blocking driver, which Linux builds
     /// otherwise never run.
     #[cfg(test)]
-    pub(crate) fn start_blocking(predict: PredictServer, config: HttpConfig) -> io::Result<Self> {
-        Self::launch(
-            ModelZoo::single(predict),
-            config,
-            crate::blocking::NAME,
-            crate::blocking::start,
-        )
+    pub(crate) fn start_blocking(zoo: ModelZoo, config: HttpConfig) -> io::Result<Self> {
+        Self::launch_on(zoo, config, crate::blocking::NAME, crate::blocking::start)
     }
 
-    fn launch(
+    fn launch_on(
         zoo: ModelZoo,
         config: HttpConfig,
         connection_model: &'static str,
         start: StartDriver,
     ) -> io::Result<Self> {
-        if config.connection_workers == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                ConfigError::ZeroConnectionWorkers,
-            ));
-        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let ctx = Arc::new(Ctx {
@@ -1116,8 +1099,9 @@ impl HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::BatchingConfig;
-    use crate::session::InferenceSession;
+    use crate::builder::ServerBuilder;
+    use crate::checkpoint::Checkpoint;
+    use crate::zoo::DEFAULT_MODEL_ID;
     use dtdbd_data::{weibo21_spec, GeneratorConfig, MultiDomainDataset, NewsGenerator};
     use dtdbd_models::{ModelConfig, TextCnnModel};
     use dtdbd_tensor::rng::Prng;
@@ -1283,13 +1267,7 @@ mod tests {
     }
 
     fn start_http(ds: &MultiDomainDataset) -> HttpServer {
-        let cfg = ModelConfig::tiny(ds);
-        let predict = PredictServer::start(BatchingConfig::default(), move |_| {
-            let mut store = ParamStore::new();
-            let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-            InferenceSession::new(model, store)
-        });
-        HttpServer::start(predict, HttpConfig::default()).expect("bind ephemeral port")
+        start_http_as(ds, HttpConfig::default())
     }
 
     #[test]
@@ -1769,23 +1747,25 @@ mod tests {
         assert!(client.join().unwrap(), "client never saw the close");
     }
 
-    fn predict_server(ds: &MultiDomainDataset) -> PredictServer {
-        let cfg = ModelConfig::tiny(ds);
-        PredictServer::start(BatchingConfig::default(), move |_| {
-            let mut store = ParamStore::new();
-            let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-            InferenceSession::new(model, store)
-        })
+    /// The seed-7 tiny TextCNN-S student as a one-tenant zoo under the
+    /// default id, with the builder's default batching and tuning.
+    fn zoo(ds: &MultiDomainDataset) -> ModelZoo {
+        let mut store = ParamStore::new();
+        let model = TextCnnModel::student(&mut store, &ModelConfig::tiny(ds), &mut Prng::new(7));
+        ServerBuilder::new()
+            .tenant(DEFAULT_MODEL_ID, &Checkpoint::capture(&model, &store))
+            .build_zoo()
+            .expect("valid configuration")
     }
 
     /// A server under this build's driver.
     fn start_http_as(ds: &MultiDomainDataset, config: HttpConfig) -> HttpServer {
-        HttpServer::start(predict_server(ds), config).expect("bind ephemeral port")
+        HttpServer::launch(zoo(ds), config).expect("bind ephemeral port")
     }
 
     /// A server under the blocking driver, whatever the platform.
     fn start_blocking_as(ds: &MultiDomainDataset, config: HttpConfig) -> HttpServer {
-        HttpServer::start_blocking(predict_server(ds), config).expect("bind ephemeral port")
+        HttpServer::start_blocking(zoo(ds), config).expect("bind ephemeral port")
     }
 
     fn stats_u64(server: &HttpServer, field: &str) -> u64 {

@@ -22,13 +22,15 @@
 //!    coalesces concurrent single-item requests from one queue into batches
 //!    (`max_batch_size` / `max_wait`) dispatched to a pool of worker
 //!    threads, each a full replica owning a private session. In front of
-//!    the queue sits a lock-sharded prediction cache ([`cache`]); the knobs
-//!    are set through [`ServerBuilder`].
+//!    the queue sits a lock-sharded prediction cache ([`cache`]). Every
+//!    server starts from a [`Checkpoint`] through [`ServerBuilder`], which
+//!    also sets the knobs.
 //! 4. **Multi-model zoo** ([`zoo`]) — [`ModelZoo`] keeps several resident
 //!    models keyed by id (each with its own worker group, queue, cache and
 //!    supervision) and hot-swaps a file-backed tenant to a new checkpoint
 //!    version without dropping or mis-versioning a single request (build
-//!    beside, warm, `Arc` flip at a batch boundary, drain, retire).
+//!    beside, warm, `Arc` flip at a batch boundary, drain, retire). A
+//!    single-model HTTP server is a zoo of one.
 //! 5. **HTTP/1.1 front-end** ([`http`], with its JSON codec in [`json`]) —
 //!    [`HttpServer`] binds a `TcpListener` and serves `POST /predict`
 //!    (per-tenant: `POST /predict/<id>`), `GET /model`, `GET /healthz` and
@@ -47,8 +49,8 @@
 //!                                   .save("student.dtdbd")
 //!                               ...fresh process...
 //!                               let ckpt = Checkpoint::load("student.dtdbd")?;
-//!                               let server = PredictServer::start(cfg, |_|
-//!                                   session_from_checkpoint(&ckpt).unwrap());
+//!                               let server = ServerBuilder::new()
+//!                                   .try_start_from_checkpoint(&ckpt)?;
 //!                               server.predict(&request)?.fake_prob
 //! ```
 

@@ -27,20 +27,21 @@
 //! in-flight batch's requests — their handles resolve to a typed
 //! [`PredictError::WorkerCrashed`], never a client-side panic — and the
 //! shell respawns the worker with capped exponential backoff: a fresh
-//! [`InferenceSession`] from the retained factory, re-quantized and with
-//! its kernel-timer sink re-wired. While a worker is down `workers_alive` drops
-//! below `workers` (so `/readyz` reports 503); once the respawn lands the
-//! probe flips back to 200. Requests can also carry a **deadline**
+//! [`InferenceSession`] restored from the retained checkpoint, re-quantized
+//! and with its kernel-timer sink re-wired. While a worker is down
+//! `workers_alive` drops below `workers` (so `/readyz` reports 503); once
+//! the respawn lands the probe flips back to 200. Requests can also carry a **deadline**
 //! ([`PredictServer::submit_encoded_with_deadline`]): a worker drops
 //! expired requests with [`PredictError::DeadlineExceeded`] before wasting
 //! a forward pass on them.
 
+use crate::builder::{session_from_checkpoint, BoxedModel, ConfigError, StartError};
 use crate::cache::{CacheKey, CacheStats, ShardedPredictionCache, DEFAULT_CACHE_SHARDS};
+use crate::checkpoint::Checkpoint;
 use crate::fault::{FaultPlan, WorkerFaults};
 use crate::session::{InferenceSession, Prediction};
 use crate::telemetry::{DomainBaseline, Stage, Telemetry, TraceContext};
 use dtdbd_data::{EncodedRequest, InferenceRequest, RequestEncoder, RequestError};
-use dtdbd_models::FakeNewsModel;
 use dtdbd_tensor::{KernelTimers, Precision};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -50,8 +51,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Prediction-cache bound [`PredictServer::start`] uses; `ServerBuilder`
-/// overrides it (0 disables the cache).
+/// Prediction-cache bound of a [`crate::ServerBuilder`] left at its
+/// defaults; `ServerBuilder::cache_capacity` overrides it (0 disables the
+/// cache).
 pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 /// First respawn delay after a worker panic (a `FaultPlan` backoff override
@@ -86,8 +88,8 @@ impl Default for BatchingConfig {
     }
 }
 
-/// The tuning [`crate::ServerBuilder`] hands to [`PredictServer::start_tuned`]
-/// on top of the [`BatchingConfig`].
+/// The tuning [`crate::ServerBuilder`] hands to
+/// [`PredictServer::from_checkpoint`] on top of the [`BatchingConfig`].
 #[derive(Debug, Clone)]
 pub(crate) struct ServerTuning {
     /// Intra-op threads of each worker's compute kernels.
@@ -345,86 +347,70 @@ pub struct PredictServer {
 }
 
 impl PredictServer {
-    /// Start `config.workers` worker threads with the default tuning: one
-    /// intra-op thread per worker, a [`DEFAULT_CACHE_CAPACITY`]-entry
-    /// prediction cache and fp32 inference.
-    /// `factory` is called once per worker (with the worker index) to build
-    /// that worker's private [`InferenceSession`]; sessions never share
-    /// mutable state, so no lock is held during a forward pass. Use
-    /// [`crate::ServerBuilder`] for the full knob set (cache bound,
-    /// intra-op threads, precision, telemetry, fault injection).
+    /// Start `config.workers` worker threads serving `checkpoint`. This is
+    /// what [`crate::ServerBuilder`] and the zoo call; misconfiguration and
+    /// a bad checkpoint come back as a typed [`StartError`] before any
+    /// worker thread spawns.
     ///
-    /// # Panics
-    /// Panics if `config.workers` or `config.max_batch_size` is zero (the
-    /// builder's `try_start` returns these as typed errors instead).
-    pub fn start<M, F>(config: BatchingConfig, factory: F) -> Self
-    where
-        M: FakeNewsModel + Send + 'static,
-        F: FnMut(usize) -> InferenceSession<M> + Send + 'static,
-    {
-        Self::start_tuned(config, ServerTuning::default(), factory)
-            .unwrap_or_else(|e| panic!("invalid server configuration: {e}"))
-    }
-
-    /// [`PredictServer::start`] with the full tuning set. This is what
-    /// [`crate::ServerBuilder`] calls; misconfiguration comes back as a
-    /// typed [`crate::ConfigError`] before any worker thread spawns.
-    pub(crate) fn start_tuned<M, F>(
+    /// The checkpoint is restored once per worker, and the first restore is
+    /// also the up-front validity check. Its drift baseline is wired unless
+    /// `tuning` already carries one. The server keeps its own copy of the
+    /// checkpoint: supervisors restore crashed workers from it.
+    pub(crate) fn from_checkpoint(
+        checkpoint: &Checkpoint,
         config: BatchingConfig,
-        tuning: ServerTuning,
-        mut factory: F,
-    ) -> Result<Self, crate::builder::ConfigError>
-    where
-        M: FakeNewsModel + Send + 'static,
-        F: FnMut(usize) -> InferenceSession<M> + Send + 'static,
-    {
-        use crate::builder::ConfigError;
+        mut tuning: ServerTuning,
+    ) -> Result<Self, StartError> {
         if config.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
+            return Err(ConfigError::ZeroWorkers.into());
         }
         if config.max_batch_size == 0 {
-            return Err(ConfigError::ZeroMaxBatchSize);
+            return Err(ConfigError::ZeroMaxBatchSize.into());
+        }
+        let session0 = session_from_checkpoint(checkpoint)?;
+        if tuning.drift_baseline.is_none() {
+            tuning.drift_baseline = checkpoint.telemetry_baseline()?;
         }
         let threads = tuning.threads.max(1);
-
-        // Build every session on the caller's thread so misconfiguration
-        // surfaces as an error before any worker thread spawns.
-        let mut session0 = factory(0);
-        session0.set_threads(threads);
         let encoder = session0.encoder().clone();
-        let arch = session0.model().name().to_string();
+        let name = session0.model().name();
 
         if let Some(baseline) = tuning.drift_baseline.as_ref() {
             if baseline.n_domains() != encoder.n_domains() {
                 return Err(ConfigError::DriftBaselineGeometry {
                     baseline_domains: baseline.n_domains(),
                     n_domains: encoder.n_domains(),
-                });
+                }
+                .into());
             }
         }
         let telemetry = tuning.telemetry.then(|| {
             Arc::new(Telemetry::new(
-                session0.model().name(),
+                name,
                 config.workers,
                 encoder.n_domains(),
                 tuning.drift_baseline.clone(),
             ))
         });
-
-        session0.quantize(tuning.precision)?;
+        // Everything a supervisor shell needs to rebuild a crashed worker,
+        // and the wiring every worker's session gets, the first ones too.
+        let respawn = Arc::new(Respawn {
+            checkpoint: checkpoint.clone(),
+            threads,
+            kernel_timers: telemetry
+                .as_ref()
+                .map(|t| Arc::clone(t) as Arc<dyn KernelTimers>),
+            initial_backoff: tuning
+                .fault_plan
+                .as_ref()
+                .and_then(FaultPlan::backoff_override)
+                .unwrap_or(DEFAULT_RESPAWN_BACKOFF),
+            precision: tuning.precision,
+        });
         let mut sessions = Vec::with_capacity(config.workers);
-        sessions.push(session0);
-        for worker_id in 1..config.workers {
-            let mut session = factory(worker_id);
-            session.set_threads(threads);
-            session.quantize(tuning.precision)?;
-            sessions.push(session);
-        }
-        if let Some(t) = telemetry.as_ref() {
-            let sink: Arc<dyn KernelTimers> = Arc::clone(t) as Arc<dyn KernelTimers>;
-            for session in &mut sessions {
-                session.set_kernel_timers(Some(Arc::clone(&sink)));
-            }
+        sessions.push(respawn.wire(session0)?);
+        for _ in 1..config.workers {
+            sessions.push(respawn.restore()?);
         }
         let resident_param_bytes_per_worker = sessions
             .iter()
@@ -454,22 +440,6 @@ impl PredictServer {
             worker_restarts: AtomicU64::new(0),
             deadline_dropped: AtomicU64::new(0),
         });
-        // Everything a supervisor shell needs to rebuild a crashed worker:
-        // the session factory plus the wiring `start_tuned` applies to a
-        // fresh session.
-        let respawn = Arc::new(Respawn {
-            factory: Mutex::new(factory),
-            threads,
-            kernel_timers: telemetry
-                .as_ref()
-                .map(|t| Arc::clone(t) as Arc<dyn KernelTimers>),
-            initial_backoff: tuning
-                .fault_plan
-                .as_ref()
-                .and_then(FaultPlan::backoff_override)
-                .unwrap_or(DEFAULT_RESPAWN_BACKOFF),
-            precision: tuning.precision,
-        });
         let fault_tables: Vec<Option<WorkerFaults>> = match tuning.fault_plan.as_ref() {
             Some(plan) => plan
                 .compile(config.workers)
@@ -494,7 +464,7 @@ impl PredictServer {
         Ok(Self {
             shared,
             encoder,
-            arch,
+            arch: name.to_string(),
             threads,
             resident_param_bytes_per_worker,
             quantized_param_bytes_per_worker,
@@ -673,33 +643,49 @@ impl Drop for PredictServer {
 }
 
 /// Everything a supervisor shell needs to rebuild a crashed worker's
-/// session exactly the way [`PredictServer::start_tuned`] built the
-/// original: the retained factory plus the post-construction wiring
+/// session exactly the way [`PredictServer::from_checkpoint`] built the
+/// original: the retained checkpoint plus the wiring every session gets
 /// (intra-op threads, precision, kernel-timer sink).
-struct Respawn<F> {
-    factory: Mutex<F>,
+struct Respawn {
+    checkpoint: Checkpoint,
     threads: usize,
     kernel_timers: Option<Arc<dyn KernelTimers>>,
     initial_backoff: Duration,
     precision: Precision,
 }
 
+impl Respawn {
+    /// Apply the server's wiring to a freshly restored session.
+    fn wire(
+        &self,
+        mut session: InferenceSession<BoxedModel>,
+    ) -> Result<InferenceSession<BoxedModel>, ConfigError> {
+        session.set_threads(self.threads);
+        session.quantize(self.precision)?;
+        session.set_kernel_timers(self.kernel_timers.clone());
+        Ok(session)
+    }
+
+    /// A session restored from the retained checkpoint and wired like
+    /// every other worker's.
+    fn restore(&self) -> Result<InferenceSession<BoxedModel>, StartError> {
+        Ok(self.wire(session_from_checkpoint(&self.checkpoint)?)?)
+    }
+}
+
 /// The supervisor around one worker's batch loop: run the loop under
 /// `catch_unwind`; a clean return is shutdown, a panic publishes
 /// `worker_panics`, marks the slot dead for the readiness probe, backs off
 /// (exponentially, capped) and respawns a fresh session from the retained
-/// factory before re-entering the loop.
-fn worker_shell<M, F>(
+/// checkpoint before re-entering the loop.
+fn worker_shell(
     shared: &Shared,
-    respawn: &Respawn<F>,
-    mut session: InferenceSession<M>,
+    respawn: &Respawn,
+    mut session: InferenceSession<BoxedModel>,
     config: &BatchingConfig,
     worker_id: usize,
     faults: Option<WorkerFaults>,
-) where
-    M: FakeNewsModel,
-    F: FnMut(usize) -> InferenceSession<M>,
-{
+) {
     // Lifetime batch ordinal: deliberately *not* reset on respawn so a
     // `panic=W@B` fault fires exactly once instead of re-killing every
     // incarnation at its Bth batch.
@@ -733,22 +719,10 @@ fn worker_shell<M, F>(
                 return; // shutdown arrived during the backoff
             }
             backoff = (backoff * 2).min(MAX_RESPAWN_BACKOFF);
-            // The factory is caller code: a panicking or misbehaving
-            // rebuild must not kill the supervisor, only schedule the next
-            // (longer) attempt.
-            let rebuilt = catch_unwind(AssertUnwindSafe(|| {
-                let mut factory = respawn
-                    .factory
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                factory(worker_id)
-            }));
-            let Ok(mut fresh) = rebuilt else { continue };
-            fresh.set_threads(respawn.threads);
-            if fresh.quantize(respawn.precision).is_err() {
-                continue;
-            }
-            fresh.set_kernel_timers(respawn.kernel_timers.clone());
+            // A failed or panicking rebuild must not kill the supervisor,
+            // only schedule the next (longer) attempt.
+            let rebuilt = catch_unwind(AssertUnwindSafe(|| respawn.restore()));
+            let Ok(Ok(fresh)) = rebuilt else { continue };
             session = fresh;
             shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
             break;
@@ -775,9 +749,9 @@ fn backoff_sleep(shared: &Shared, backoff: Duration) -> bool {
     }
 }
 
-fn worker_loop<M: FakeNewsModel>(
+fn worker_loop(
     shared: &Shared,
-    session: &mut InferenceSession<M>,
+    session: &mut InferenceSession<BoxedModel>,
     config: &BatchingConfig,
     worker_id: usize,
     faults: Option<&WorkerFaults>,
@@ -948,15 +922,23 @@ mod tests {
         NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(8, 0.02)
     }
 
+    /// The seed-7 tiny TextCNN-S student every test serves.
+    fn checkpoint(ds: &MultiDomainDataset) -> Checkpoint {
+        let mut store = ParamStore::new();
+        let model = TextCnnModel::student(&mut store, &ModelConfig::tiny(ds), &mut Prng::new(7));
+        Checkpoint::capture(&model, &store)
+    }
+
+    fn start_with(
+        ds: &MultiDomainDataset,
+        config: BatchingConfig,
+        tuning: ServerTuning,
+    ) -> PredictServer {
+        PredictServer::from_checkpoint(&checkpoint(ds), config, tuning).expect("valid tuning")
+    }
+
     fn start_server(ds: &MultiDomainDataset, config: BatchingConfig) -> PredictServer {
-        let cfg = ModelConfig::tiny(ds);
-        PredictServer::start(config, move |worker_id| {
-            let mut store = ParamStore::new();
-            // Same seed per worker: all workers hold identical weights.
-            let _ = worker_id;
-            let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-            InferenceSession::new(model, store)
-        })
+        start_with(ds, config, ServerTuning::default())
     }
 
     fn request_for(ds: &MultiDomainDataset, idx: usize) -> InferenceRequest {
@@ -1114,18 +1096,13 @@ mod tests {
     fn builder_can_disable_the_cache_and_raise_threads() {
         use crate::builder::ServerBuilder;
         let ds = dataset();
-        let cfg = ModelConfig::tiny(&ds);
+        let checkpoint = checkpoint(&ds);
         let build = |threads: usize, cache: usize| {
-            let cfg = cfg.clone();
             ServerBuilder::new()
                 .workers(1)
                 .threads(threads)
                 .cache_capacity(cache)
-                .try_start(move |_| {
-                    let mut store = ParamStore::new();
-                    let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-                    InferenceSession::new(model, store)
-                })
+                .try_start_from_checkpoint(&checkpoint)
                 .expect("valid configuration")
         };
         let uncached = build(1, 0);
@@ -1155,8 +1132,8 @@ mod tests {
         // yet) breaks it — the seqlock in WorkerCounters must never let 16
         // concurrent readers observe that in-between state.
         let ds = Arc::new(dataset());
-        let cfg = ModelConfig::tiny(&ds);
-        let server = PredictServer::start_tuned(
+        let server = Arc::new(start_with(
+            &ds,
             BatchingConfig {
                 max_batch_size: 1,
                 workers: 2,
@@ -1166,14 +1143,7 @@ mod tests {
                 cache_capacity: 0,
                 ..ServerTuning::default()
             },
-            move |_| {
-                let mut store = ParamStore::new();
-                let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-                InferenceSession::new(model, store)
-            },
-        )
-        .expect("valid tuning");
-        let server = Arc::new(server);
+        ));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..16)
             .map(|_| {
@@ -1204,8 +1174,8 @@ mod tests {
     /// Single worker, cache off, one request per batch — the fault plan's
     /// batch ordinals map 1:1 onto sequential `predict` calls.
     fn start_faulted(ds: &MultiDomainDataset, workers: usize, plan: FaultPlan) -> PredictServer {
-        let cfg = ModelConfig::tiny(ds);
-        PredictServer::start_tuned(
+        start_with(
+            ds,
             BatchingConfig {
                 max_batch_size: 1,
                 max_wait: Duration::ZERO,
@@ -1216,13 +1186,7 @@ mod tests {
                 fault_plan: Some(plan),
                 ..ServerTuning::default()
             },
-            move |_| {
-                let mut store = ParamStore::new();
-                let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-                InferenceSession::new(model, store)
-            },
         )
-        .expect("valid tuning")
     }
 
     #[test]

@@ -636,7 +636,7 @@ mod tests {
             .tenant_from_path("a", &path)
             .tenant("b", &checkpoint(9))
             .default_model_id("a")
-            .try_start_http_zoo()
+            .try_start_http()
             .expect("start zoo");
         let mut client = HttpClient::connect(server.local_addr()).unwrap();
         for reload in [true, false] {

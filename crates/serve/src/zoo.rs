@@ -37,7 +37,7 @@
 //! encode to reply). Reloads of one tenant serialize behind a per-tenant
 //! lock; other tenants keep serving untouched throughout.
 
-use crate::builder::{session_from_checkpoint, StartError};
+use crate::builder::StartError;
 use crate::checkpoint::Checkpoint;
 use crate::server::{BatchingConfig, PredictServer, ServerTuning};
 use dtdbd_data::InferenceRequest;
@@ -71,16 +71,6 @@ pub struct TenantModel {
 }
 
 impl TenantModel {
-    /// Wrap an already-started server as version `version` of a tenant.
-    pub(crate) fn new(server: PredictServer, version: u64, side_state_tags: Vec<String>) -> Self {
-        Self {
-            server,
-            version,
-            side_state_tags,
-            retired: OnceLock::new(),
-        }
-    }
-
     /// Checkpoint version ordinal of this model (1-based, +1 per reload).
     pub fn version(&self) -> u64 {
         self.version
@@ -193,46 +183,42 @@ impl std::fmt::Display for ReloadError {
 
 impl std::error::Error for ReloadError {}
 
-/// The template a zoo rebuilds tenants from on reload: the same batching
-/// and tuning every tenant was started with (the drift baseline is
-/// per-tenant and re-derived from the incoming checkpoint).
+/// The template a zoo builds tenant versions from, at start and on reload:
+/// the same batching and tuning for every tenant (the drift baseline is
+/// per-tenant and re-derived from each incoming checkpoint).
 struct RebuildSpec {
     batching: BatchingConfig,
     tuning: ServerTuning,
 }
 
+impl RebuildSpec {
+    /// Start version `version` of a tenant from `checkpoint`, recording the
+    /// checkpoint's model side-state tags for `GET /model`.
+    fn build(&self, checkpoint: &Checkpoint, version: u64) -> Result<TenantModel, StartError> {
+        let server =
+            PredictServer::from_checkpoint(checkpoint, self.batching.clone(), self.tuning.clone())?;
+        let model_chunks = checkpoint.side_state.model_chunks();
+        Ok(TenantModel {
+            server,
+            version,
+            side_state_tags: model_chunks.tags().map(String::from).collect(),
+            retired: OnceLock::new(),
+        })
+    }
+}
+
 /// Several resident models keyed by id, each hot-swappable without
-/// dropping traffic.
+/// dropping traffic. A single-model server is a zoo of one tenant under
+/// [`DEFAULT_MODEL_ID`].
 pub struct ModelZoo {
     tenants: Vec<Arc<Tenant>>,
     default_index: usize,
-    /// `None` for zoos wrapped around a pre-started [`PredictServer`]
-    /// (the single-model compatibility path): no template, no reloads.
-    rebuild: Option<RebuildSpec>,
+    rebuild: RebuildSpec,
 }
 
 impl ModelZoo {
-    /// Wrap one pre-started server as a single-tenant zoo under
-    /// [`DEFAULT_MODEL_ID`]. The compatibility path behind
-    /// [`crate::HttpServer::start`]: routing, `/model` and per-model stats
-    /// all work; reloads report the tenant as not reloadable.
-    pub fn single(server: PredictServer) -> Self {
-        Self {
-            tenants: vec![Arc::new(Tenant {
-                id: DEFAULT_MODEL_ID.to_string(),
-                source: None,
-                active: RwLock::new(Arc::new(TenantModel::new(server, 1, Vec::new()))),
-                reload_lock: Mutex::new(()),
-                reloads: AtomicU64::new(0),
-                retired_requests: Arc::new(AtomicU64::new(0)),
-            })],
-            default_index: 0,
-            rebuild: None,
-        }
-    }
-
-    /// Build a zoo from registered tenant specs. Called by
-    /// [`crate::ServerBuilder::try_start_zoo`].
+    /// Build a zoo from registered tenant specs: `(id, checkpoint, file the
+    /// tenant reloads from)`. Called by [`crate::ServerBuilder`].
     pub(crate) fn from_specs(
         specs: Vec<(String, Checkpoint, Option<PathBuf>)>,
         default_id: &str,
@@ -242,7 +228,7 @@ impl ModelZoo {
         let rebuild = RebuildSpec { batching, tuning };
         let mut tenants = Vec::with_capacity(specs.len());
         for (id, checkpoint, source) in &specs {
-            let model = build_tenant_model(checkpoint, &rebuild.batching, &rebuild.tuning, 1)?;
+            let model = rebuild.build(checkpoint, 1)?;
             tenants.push(Arc::new(Tenant {
                 id: id.clone(),
                 source: source.clone(),
@@ -256,7 +242,7 @@ impl ModelZoo {
         Ok(Self {
             tenants,
             default_index,
-            rebuild: Some(rebuild),
+            rebuild,
         })
     }
 
@@ -316,15 +302,13 @@ impl ModelZoo {
             .source
             .as_ref()
             .ok_or_else(|| ReloadError::NotReloadable(id.to_string()))?;
-        let spec = self
-            .rebuild
-            .as_ref()
-            .ok_or_else(|| ReloadError::NotReloadable(id.to_string()))?;
         let checkpoint =
             Checkpoint::load(source).map_err(|e| ReloadError::Failed(StartError::Checkpoint(e)))?;
         let old = tenant.model();
         let next_version = old.version() + 1;
-        let fresh = build_tenant_model(&checkpoint, &spec.batching, &spec.tuning, next_version)
+        let fresh = self
+            .rebuild
+            .build(&checkpoint, next_version)
             .map_err(ReloadError::Failed)?;
         // Warm the new version before it takes traffic: one synthetic
         // request forces the first forward pass (buffer pools allocate,
@@ -375,31 +359,6 @@ fn warm_request() -> InferenceRequest {
     InferenceRequest::new(vec![0], 0)
 }
 
-/// Build one tenant version from a checkpoint: probe the restore, wire the
-/// drift baseline, start the worker group.
-fn build_tenant_model(
-    checkpoint: &Checkpoint,
-    batching: &BatchingConfig,
-    tuning: &ServerTuning,
-    version: u64,
-) -> Result<TenantModel, StartError> {
-    // Fail fast on a bad checkpoint instead of panicking in a worker
-    // factory (same discipline as `try_start_from_checkpoint`).
-    let probe = session_from_checkpoint(checkpoint)?;
-    drop(probe);
-    let mut tuning = tuning.clone();
-    if tuning.drift_baseline.is_none() {
-        tuning.drift_baseline = checkpoint.telemetry_baseline()?;
-    }
-    let model_chunks = checkpoint.side_state.model_chunks();
-    let side_state_tags: Vec<String> = model_chunks.tags().map(String::from).collect();
-    let retained = checkpoint.clone();
-    let server = PredictServer::start_tuned(batching.clone(), tuning, move |_| {
-        session_from_checkpoint(&retained).expect("checkpoint probed above")
-    })?;
-    Ok(TenantModel::new(server, version, side_state_tags))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,7 +387,7 @@ mod tests {
                 .workers(1)
                 .cache_capacity(0)
                 .tenant_from_path("m", &path)
-                .try_start_zoo()
+                .build_zoo()
                 .expect("start zoo"),
         );
         let tenant = Arc::clone(zoo.tenant("m").expect("registered"));

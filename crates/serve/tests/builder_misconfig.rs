@@ -7,8 +7,8 @@ use dtdbd_data::{
 };
 use dtdbd_models::{FakeNewsModel, ModelConfig, ModelOutput, TextCnnModel};
 use dtdbd_serve::{
-    Checkpoint, ConfigError, HttpConfig, HttpServer, InferenceSession, Precision, ServerBuilder,
-    StartError,
+    Checkpoint, ConfigError, HttpConfig, HttpServer, InferenceSession, Precision, PredictServer,
+    ServerBuilder, StartError,
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{Graph, ParamStore, Tensor};
@@ -17,32 +17,30 @@ fn dataset() -> MultiDomainDataset {
     NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(4, 0.02)
 }
 
-/// `expect_err` needs `Debug` on the success type; `PredictServer`
-/// deliberately has none, so unwrap the error by hand.
-fn err_of(result: Result<dtdbd_serve::PredictServer, ConfigError>, what: &str) -> ConfigError {
-    match result {
-        Err(e) => e,
-        Ok(_) => panic!("{what}"),
-    }
+/// The seed-7 tiny TextCNN-S student every test serves.
+fn checkpoint(ds: &MultiDomainDataset) -> Checkpoint {
+    let mut store = ParamStore::new();
+    let model = TextCnnModel::student(&mut store, &ModelConfig::tiny(ds), &mut Prng::new(7));
+    Checkpoint::capture(&model, &store)
 }
 
-fn factory(
-    cfg: &ModelConfig,
-) -> impl FnMut(usize) -> InferenceSession<TextCnnModel> + Send + 'static {
-    let cfg = cfg.clone();
-    move |_| {
-        let mut store = ParamStore::new();
-        let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-        InferenceSession::new(model, store)
+/// `expect_err` needs `Debug` on the success type; `PredictServer`
+/// deliberately has none, so unwrap the error by hand.
+fn config_err_of(result: Result<PredictServer, StartError>, what: &str) -> ConfigError {
+    match result {
+        Err(StartError::Config(e)) => e,
+        Err(other) => panic!("{what}: expected a config error, got {other}"),
+        Ok(_) => panic!("{what}"),
     }
 }
 
 #[test]
 fn zero_workers_is_a_typed_error() {
     let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
-    let err = err_of(
-        ServerBuilder::new().workers(0).try_start(factory(&cfg)),
+    let err = config_err_of(
+        ServerBuilder::new()
+            .workers(0)
+            .try_start_from_checkpoint(&checkpoint(&ds)),
         "zero workers must be rejected",
     );
     assert_eq!(err, ConfigError::ZeroWorkers);
@@ -51,11 +49,10 @@ fn zero_workers_is_a_typed_error() {
 #[test]
 fn zero_max_batch_size_is_a_typed_error() {
     let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
-    let err = err_of(
+    let err = config_err_of(
         ServerBuilder::new()
             .max_batch_size(0)
-            .try_start(factory(&cfg)),
+            .try_start_from_checkpoint(&checkpoint(&ds)),
         "zero max_batch_size must be rejected",
     );
     assert_eq!(err, ConfigError::ZeroMaxBatchSize);
@@ -64,10 +61,7 @@ fn zero_max_batch_size_is_a_typed_error() {
 #[test]
 fn zero_connection_workers_is_a_typed_error_before_any_thread_starts() {
     let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
-    let mut store = ParamStore::new();
-    let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-    let checkpoint = Checkpoint::capture(&model, &store);
+    let checkpoint = checkpoint(&ds);
     let no_workers = || HttpConfig {
         connection_workers: 0,
         ..HttpConfig::default()
@@ -86,35 +80,19 @@ fn zero_connection_workers_is_a_typed_error_before_any_thread_starts() {
     expect_config_error(
         ServerBuilder::new()
             .http(no_workers())
-            .try_start_http(factory(&cfg)),
+            .tenant("m", &checkpoint)
+            .try_start_http(),
         "try_start_http",
     );
-    expect_config_error(
-        ServerBuilder::new()
-            .http(no_workers())
-            .tenant("m", &checkpoint)
-            .try_start_http_zoo(),
-        "try_start_http_zoo",
-    );
-    // The listener's own constructor refuses too, as an I/O-style error.
-    let predict = ServerBuilder::new()
-        .workers(1)
-        .try_start(factory(&cfg))
-        .expect("valid predict server");
-    match HttpServer::start(predict, no_workers()) {
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
-        Ok(_) => panic!("HttpServer::start must reject zero connection workers"),
-    }
 }
 
 #[test]
 fn cache_capacity_zero_disables_the_cache_with_zero_counters() {
     let ds = dataset();
-    let cfg = ModelConfig::tiny(&ds);
     let server = ServerBuilder::new()
         .workers(1)
         .cache_capacity(0)
-        .try_start(factory(&cfg))
+        .try_start_from_checkpoint(&checkpoint(&ds))
         .expect("cache 0 is the documented disabled fallback");
     let item = &ds.items()[0];
     let request = InferenceRequest::new(item.tokens.clone(), item.domain);
@@ -133,7 +111,9 @@ fn cache_capacity_zero_disables_the_cache_with_zero_counters() {
 
 /// A degenerate model with no parameters at all: no weight matrix and no
 /// frozen table to quantize. Int8 on this arch must be a typed error, not a
-/// silently-fp32 deployment.
+/// silently-fp32 deployment. No checkpoint can carry it (every servable
+/// architecture has parameters), so the test quantizes a session directly,
+/// as every server start does for each worker.
 struct ConstantModel {
     cfg: ModelConfig,
 }
@@ -157,33 +137,26 @@ impl FakeNewsModel for ConstantModel {
 fn int8_without_quantizable_params_is_a_typed_error() {
     let ds = dataset();
     let cfg = ModelConfig::tiny(&ds);
-    let make = {
-        let cfg = cfg.clone();
-        move |_| InferenceSession::new(ConstantModel { cfg: cfg.clone() }, ParamStore::new())
-    };
-    let err = err_of(
-        ServerBuilder::new()
-            .workers(1)
-            .precision(Precision::Int8)
-            .try_start(make),
-        "int8 with nothing to quantize must be rejected",
-    );
+    let session = || InferenceSession::new(ConstantModel { cfg: cfg.clone() }, ParamStore::new());
+    let mut int8 = session();
     assert_eq!(
-        err,
-        ConfigError::NoQuantizableParams {
+        int8.quantize(Precision::Int8),
+        Err(ConfigError::NoQuantizableParams {
             arch: "constant".into(),
-        }
+        }),
+        "int8 with nothing to quantize must be rejected"
     );
-    // Fp32 on the same arch still deploys: the error is about the knob,
+    assert_eq!(int8.precision(), Precision::Fp32, "no int8 label on f32");
+    // Fp32 on the same arch still serves: the error is about the knob,
     // not the model.
-    let make = {
-        let cfg = cfg.clone();
-        move |_| InferenceSession::new(ConstantModel { cfg: cfg.clone() }, ParamStore::new())
-    };
-    ServerBuilder::new()
-        .workers(1)
-        .try_start(make)
+    let mut fp32 = session();
+    fp32.quantize(Precision::Fp32)
         .expect("fp32 serving needs no quantizable params");
+    let item = &ds.items()[0];
+    let request = InferenceRequest::new(item.tokens.clone(), item.domain);
+    let encoded = fp32.encoder().encode(&request).expect("valid request");
+    let prediction = &fp32.predict_requests(&[encoded])[0];
+    assert_eq!(prediction.fake_prob.to_bits(), 0.5f32.to_bits());
 }
 
 #[test]

@@ -13,7 +13,7 @@ use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::{ParseOutcome, RequestParser};
 use dtdbd_serve::json::{self, Json};
-use dtdbd_serve::{HttpClient, InferenceSession, ServerBuilder};
+use dtdbd_serve::{Checkpoint, HttpClient, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::io::{Read, Write};
@@ -181,14 +181,11 @@ fn http_parser_accepts_unmutated_requests_under_any_chunking() {
 fn live_server_survives_randomly_fragmented_traffic() {
     let dataset =
         NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(4, 0.02);
-    let cfg = ModelConfig::tiny(&dataset);
+    let mut store = ParamStore::new();
+    let model = TextCnnModel::student(&mut store, &ModelConfig::tiny(&dataset), &mut Prng::new(7));
     let server = ServerBuilder::new()
         .workers(1)
-        .try_start_http(move |_| {
-            let mut store = ParamStore::new();
-            let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(7));
-            InferenceSession::new(model, store)
-        })
+        .try_start_http_from_checkpoint(&Checkpoint::capture(&model, &store))
         .expect("http server must start");
     let addr = server.local_addr();
 

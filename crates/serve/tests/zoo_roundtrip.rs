@@ -8,7 +8,8 @@
 //! the restored memory bank must equal the saved one field-for-field, a
 //! checkpoint stripped of its memory must be refused rather than served
 //! half-restored, and the served predictions must stay bit-identical across
-//! the whole deployment matrix ({1,2,4} workers × {1,4} intra-op threads).
+//! the whole deployment matrix ({1,2,4} workers × {1,4} intra-op threads,
+//! plus both HTTP starts, whose `GET /model` must list the memory bank).
 //! Version-1 files of every arch that predates the side-state
 //! section must load and serve unchanged through the v2 reader.
 
@@ -18,9 +19,10 @@ use dtdbd_data::{
     weibo21_spec, BatchIter, GeneratorConfig, InferenceRequest, MultiDomainDataset, NewsGenerator,
 };
 use dtdbd_models::{FakeNewsModel, M3Fend, ModelConfig};
+use dtdbd_serve::json::{self, Json};
 use dtdbd_serve::{
-    build_model, session_from_checkpoint, BoxedModel, Checkpoint, CheckpointError,
-    InferenceSession, ServerBuilder, SUPPORTED_ARCHS,
+    build_model, session_from_checkpoint, BoxedModel, Checkpoint, CheckpointError, HttpClient,
+    HttpServer, InferenceSession, ServerBuilder, StartError, DEFAULT_MODEL_ID, SUPPORTED_ARCHS,
 };
 use dtdbd_tensor::optim::{Adam, Optimizer};
 use dtdbd_tensor::rng::Prng;
@@ -244,6 +246,50 @@ fn m3fend_serves_bit_identically_across_the_deployment_matrix() {
             }
             server.shutdown();
         }
+    }
+
+    // Over the wire, through the single-model start and through a
+    // one-tenant zoo: the same bits, and the same `GET /model` descriptor,
+    // which must list the memory bank (the side state that makes this
+    // checkpoint the validated M3FEND).
+    type Start = fn(ServerBuilder, &Checkpoint) -> Result<HttpServer, StartError>;
+    let starts: [(&str, Start); 2] = [
+        ("single-model start", |builder, ckpt| {
+            builder.try_start_http_from_checkpoint(ckpt)
+        }),
+        ("one-tenant zoo", |builder, ckpt| {
+            builder.tenant(DEFAULT_MODEL_ID, ckpt).try_start_http()
+        }),
+    ];
+    for (what, start) in starts {
+        let server = start(ServerBuilder::new().cache_capacity(0), &ckpt)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+        let descriptor = client.get("/model/default").expect("GET /model/default");
+        assert_eq!(descriptor.status, 200, "{what}: {}", descriptor.body);
+        let doc = descriptor.json().expect("descriptor is JSON");
+        let tags: Vec<&str> = doc
+            .get("side_state")
+            .and_then(Json::as_array)
+            .unwrap_or_else(|| panic!("{what}: no side_state in {}", descriptor.body))
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(tags, ["m3fend.memory"], "{what}: {}", descriptor.body);
+        for (i, (request, want)) in reqs.iter().zip(&want).enumerate() {
+            let body = json::encode_request(request).render();
+            let response = client.post("/predict", &body).expect("POST /predict");
+            assert_eq!(response.status, 200, "{what}: {}", response.body);
+            let p = json::decode_prediction(&response.json().expect("prediction is JSON"))
+                .expect("prediction object");
+            let got = [
+                p.fake_prob.to_bits(),
+                p.logits[0].to_bits(),
+                p.logits[1].to_bits(),
+            ];
+            assert_eq!(&got, want, "{what}: item {i} diverged on the wire");
+        }
+        server.shutdown();
     }
 }
 

@@ -16,10 +16,7 @@ use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator}
 use dtdbd_models::{FakeNewsModel, ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::json::{self, Json};
-use dtdbd_serve::{
-    prom, session_from_checkpoint, Checkpoint, DomainBaseline, HttpConfig, HttpServer,
-    ServerBuilder,
-};
+use dtdbd_serve::{prom, session_from_checkpoint, Checkpoint, DomainBaseline, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::time::{Duration, Instant};
@@ -96,13 +93,12 @@ fn main() {
     checkpoint.set_telemetry_baseline(&baseline);
 
     // 4. Serve the same requests over real TCP.
-    let predict = ServerBuilder::new()
+    let server = ServerBuilder::new()
         .workers(2)
         .max_batch_size(32)
         .max_wait(Duration::from_millis(2))
-        .try_start_from_checkpoint(&checkpoint)
+        .try_start_http_from_checkpoint(&checkpoint)
         .expect("serve the checkpoint");
-    let server = HttpServer::start(predict, HttpConfig::default()).expect("bind");
     let addr = server.local_addr();
     println!("listening on http://{addr}");
 

@@ -13,7 +13,7 @@ use dtdbd_bench::harness::{fmt_ns, percentile};
 use dtdbd_core::{train_model, TrainConfig};
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
 use dtdbd_models::{FakeNewsModel, ModelConfig, TextCnnModel};
-use dtdbd_serve::{session_from_checkpoint, BatchingConfig, Checkpoint, ServerBuilder};
+use dtdbd_serve::{BatchingConfig, Checkpoint, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{Graph, ParamStore};
 use std::sync::Arc;
@@ -98,10 +98,7 @@ fn main() {
                 workers: 2,
             })
             .threads(4)
-            .try_start({
-                let checkpoint = checkpoint.clone();
-                move |_| session_from_checkpoint(&checkpoint).expect("rebuild model")
-            })
+            .try_start_from_checkpoint(&checkpoint)
             .expect("valid configuration"),
     );
     let clients = 4usize;

@@ -41,14 +41,19 @@
 #   5. the http_roundtrip end-to-end example (real TCP serving; also scrapes
 #      GET /metrics mid-run, holds the page to the strict exposition lint,
 #      and walks the /readyz drain sequence before shutdown)
-#   6. formatting check
-#   7. clippy with warnings promoted to errors
+#   6. the benchmark's release build and unit tests (`cargo test --release
+#      --offline --manifest-path perfbench/Cargo.toml`): perfbench has its
+#      own [workspace], so stages 1-2 never compile it, and a dtdbd-serve
+#      API change could otherwise pass CI and still break the benchmark run
+#   7. formatting check
+#   8. clippy with warnings promoted to errors
 #
 # Modes / knobs:
-#   CI_QUICK=1             skip every release-profile stage (1, 3-5: the
-#                          release build, parity smoke, bench gate and
-#                          example) for a sub-minute inner-loop gate on a
-#                          warm build cache — tests + fmt + clippy still run,
+#   CI_QUICK=1             skip every release-profile stage (1, 3-6: the
+#                          release build, parity smoke, bench gate, example
+#                          and perfbench build) for a sub-minute inner-loop
+#                          gate on a warm build cache — tests + fmt +
+#                          clippy still run,
 #                          and the dev-profile test suite includes the GEMM
 #                          bit-parity battery (crates/tensor/tests) plus the
 #                          checkpoint corruption/compat-fixture/zoo-parity
@@ -90,7 +95,7 @@ trap summary EXIT
 quick=${CI_QUICK:-0}
 
 if [ "$quick" = "1" ]; then
-  echo "==> CI_QUICK=1: skipping release build, parity smoke, bench gate and example"
+  echo "==> CI_QUICK=1: skipping release build, parity smoke, bench gate, example and perfbench"
 else
   stage "cargo build --release" \
     cargo build --release --workspace --all-targets
@@ -108,6 +113,9 @@ if [ "$quick" != "1" ]; then
 
   stage "http_roundtrip example (train -> checkpoint -> serve over TCP, /metrics lint, /readyz drain)" \
     cargo run --release -q -p dtdbd-bench --example http_roundtrip
+
+  stage "perfbench release build + unit tests (own workspace, not built by stage 1)" \
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 stage "cargo fmt --check" \

@@ -74,18 +74,14 @@ fn start_server(checkpoint: &Checkpoint, plan: Option<FaultPlan>) -> HttpServer 
     if let Some(plan) = plan {
         builder = builder.fault_plan(plan);
     }
-    let predict = builder
-        .try_start_from_checkpoint(checkpoint)
-        .expect("valid chaos configuration");
-    HttpServer::start(
-        predict,
-        HttpConfig {
+    builder
+        .http(HttpConfig {
             connection_workers: if quick() { 16 } else { 64 },
             backlog: 64,
             ..HttpConfig::default()
-        },
-    )
-    .expect("bind ephemeral port")
+        })
+        .try_start_http_from_checkpoint(checkpoint)
+        .expect("valid chaos configuration")
 }
 
 fn readyz_status(addr: SocketAddr) -> u16 {
@@ -318,7 +314,7 @@ fn readyz_degraded_window() {
         .panic_worker(0, 1)
         .panic_worker(1, 1)
         .respawn_backoff(Duration::from_millis(800));
-    let predict = ServerBuilder::new()
+    let server = ServerBuilder::new()
         .batching(BatchingConfig {
             max_batch_size: 4,
             max_wait: Duration::from_millis(1),
@@ -326,17 +322,13 @@ fn readyz_degraded_window() {
         })
         .cache_capacity(0)
         .fault_plan(plan)
-        .try_start_from_checkpoint(&checkpoint)
-        .expect("valid configuration");
-    let server = HttpServer::start(
-        predict,
-        HttpConfig {
+        .http(HttpConfig {
             connection_workers: 4,
             backlog: 8,
             ..HttpConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
+        })
+        .try_start_http_from_checkpoint(&checkpoint)
+        .expect("valid configuration");
     let addr = server.local_addr();
 
     assert_eq!(readyz_status(addr), 200, "healthy before the first batch");

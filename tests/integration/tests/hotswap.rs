@@ -113,7 +113,7 @@ fn hot_swap_parity(tag: &str) {
         ServerBuilder::new()
             .batching(batching())
             .tenant_from_path("student", &path)
-            .try_start_http_zoo()
+            .try_start_http()
             .expect("start zoo"),
     );
     let addr = server.local_addr();
@@ -302,7 +302,7 @@ fn unlabelled_served_counter_never_drops_when_the_default_tenant_swaps() {
         .tenant_from_path("student", &path)
         .tenant("other", &v2)
         .default_model_id("student")
-        .try_start_http_zoo()
+        .try_start_http()
         .expect("start zoo");
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
     for item in ds.items().iter().take(8) {

@@ -43,23 +43,19 @@ fn trained_checkpoint() -> (Checkpoint, dtdbd_data::MultiDomainDataset) {
 fn start_http(checkpoint: &Checkpoint, connection_workers: usize) -> HttpServer {
     // The wire battery runs against the replica deployment: every worker
     // owns a full copy of the model and pulls from one queue.
-    let predict = ServerBuilder::new()
+    ServerBuilder::new()
         .batching(BatchingConfig {
             max_batch_size: 16,
             max_wait: Duration::from_millis(1),
             workers: 2,
         })
-        .try_start_from_checkpoint(checkpoint)
-        .expect("valid configuration");
-    HttpServer::start(
-        predict,
-        HttpConfig {
+        .http(HttpConfig {
             connection_workers,
             backlog: connection_workers,
             ..HttpConfig::default()
-        },
-    )
-    .expect("bind ephemeral port")
+        })
+        .try_start_http_from_checkpoint(checkpoint)
+        .expect("valid configuration")
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use dtdbd_core::{predict_fake_probs, train_model, TrainConfig};
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
 use dtdbd_models::{ModelConfig, TextCnnModel};
-use dtdbd_serve::{session_from_checkpoint, BatchingConfig, Checkpoint, PredictServer};
+use dtdbd_serve::{BatchingConfig, Checkpoint, ServerBuilder};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::time::Duration;
@@ -35,17 +35,14 @@ fn trained_student_survives_checkpointing_and_serves_correctly() {
     // Deploy: byte-level checkpoint round trip into the server.
     let checkpoint = Checkpoint::capture(&model, &store);
     let checkpoint = Checkpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
-    let server = PredictServer::start(
-        BatchingConfig {
+    let server = ServerBuilder::new()
+        .batching(BatchingConfig {
             max_batch_size: 16,
             max_wait: Duration::from_millis(1),
             workers: 2,
-        },
-        {
-            let checkpoint = checkpoint.clone();
-            move |_| session_from_checkpoint(&checkpoint).unwrap()
-        },
-    );
+        })
+        .try_start_from_checkpoint(&checkpoint)
+        .unwrap();
 
     let n = split.test.len().min(100);
     let handles: Vec<_> = split.test.items()[..n]
