@@ -269,6 +269,41 @@ mod tests {
     }
 
     #[test]
+    fn wrapper_outputs_are_row_independent_in_evaluation_mode() {
+        // The distillation stage runs the unbiased teacher once per training
+        // item and gathers batch rows from the result, which is only exact
+        // if an item's outputs ignore the rest of its batch.
+        let ds = tiny_dataset();
+        let cfg = ModelConfig::tiny(&ds);
+        let dat = DatConfig {
+            train: TrainConfig {
+                epochs: 1,
+                batch_size: 32,
+                ..TrainConfig::default()
+            },
+            ..DatConfig::default()
+        };
+        let mut store = ParamStore::new();
+        let base = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(8));
+        let (teacher, _) =
+            train_unbiased_teacher(base, &mut store, &cfg, &dat, &ds, &mut Prng::new(9));
+        let batch = BatchIter::new(&ds, 16, 5, false).next().unwrap();
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut g = Graph::new(&mut store, false, 0);
+        let out = teacher.forward(&mut g, &batch);
+        let logits = g.value(out.logits).clone();
+        let features = g.value(out.features).clone();
+        drop(g);
+        for (row, &idx) in batch.indices.iter().enumerate() {
+            let single = Batch::from_items(&[&ds.items()[idx]], vec![idx], ds.seq_len());
+            let mut g = Graph::new(&mut store, false, 0);
+            let out = teacher.forward(&mut g, &single);
+            assert_eq!(bits(g.value(out.logits).data()), bits(logits.row(row)));
+            assert_eq!(bits(g.value(out.features).data()), bits(features.row(row)));
+        }
+    }
+
+    #[test]
     fn beta_is_a_fifth_of_alpha() {
         let dat = DatConfig {
             alpha: 2.5,

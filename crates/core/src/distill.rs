@@ -12,9 +12,16 @@
 //!
 //! with `ω_ADD` / `ω_DKD` rebalanced every epoch by the momentum-based
 //! dynamic adjustment algorithm using the student's validation F1 and bias.
+//!
+//! The teachers are frozen, so each active teacher runs once per training
+//! item, before the first epoch: its evaluation-mode outputs land in one
+//! `[n_train, width]` tensor, and every distillation step gathers its
+//! batch's rows from there. Every model's evaluation-mode forward pass is
+//! row-independent (the model contract tests check it bit for bit), so the
+//! gathered rows are exactly what a per-batch teacher pass would give.
 
 use crate::daa::DynamicAdjuster;
-use crate::trainer::evaluate;
+use crate::trainer::{evaluate, output_rows};
 use dtdbd_data::{Batch, BatchIter, MultiDomainDataset};
 use dtdbd_models::FakeNewsModel;
 use dtdbd_tensor::losses::{add_distillation_loss, kd_kl_loss};
@@ -138,7 +145,8 @@ impl DtdbdTrainer {
     ///
     /// Both teachers are only ever run in evaluation mode and their parameter
     /// stores receive no gradient, which realises the paper's frozen-teacher
-    /// setting.
+    /// setting. Each active teacher runs once per training item, before the
+    /// first epoch; an inactive one (ablation flags) never runs.
     #[allow(clippy::too_many_arguments)]
     pub fn distill<S, C, U>(
         &self,
@@ -161,6 +169,14 @@ impl DtdbdTrainer {
             cfg.use_add || cfg.use_dkd,
             "at least one teacher must be active"
         );
+        let targets = TeacherTargets::compute(
+            cfg,
+            clean_teacher,
+            clean_store,
+            unbiased_teacher,
+            unbiased_store,
+            train,
+        );
         let mut optimizer = Adam::new(cfg.learning_rate);
         let mut adjuster = DynamicAdjuster::new(cfg.momentum, cfg.initial_w_add);
         let mut report = DistillReport {
@@ -178,22 +194,13 @@ impl DtdbdTrainer {
 
             let mut epoch_loss = 0.0f32;
             let mut n_batches = 0usize;
-            let iter = BatchIter::new(
-                train,
-                cfg.batch_size,
-                cfg.seed ^ ((epoch as u64) << 8),
-                false,
-            );
-            for batch in iter {
+            for batch in epoch_batches(cfg, train, epoch) {
                 let step = (epoch * 100_000 + n_batches) as u64;
                 let loss = self.distill_step(
                     student,
                     student_store,
-                    clean_teacher,
-                    clean_store,
-                    unbiased_teacher,
-                    unbiased_store,
                     &batch,
+                    &targets,
                     (w_add, w_dkd),
                     &mut optimizer,
                     step,
@@ -233,40 +240,20 @@ impl DtdbdTrainer {
 
     /// One distillation step on a single batch; returns the batch loss.
     #[allow(clippy::too_many_arguments)]
-    fn distill_step<S, C, U>(
+    fn distill_step<S: FakeNewsModel>(
         &self,
         student: &mut S,
         student_store: &mut ParamStore,
-        clean_teacher: &C,
-        clean_store: &mut ParamStore,
-        unbiased_teacher: &U,
-        unbiased_store: &mut ParamStore,
         batch: &Batch,
+        targets: &TeacherTargets,
         weights: (f32, f32),
         optimizer: &mut impl Optimizer,
         step_seed: u64,
-    ) -> f32
-    where
-        S: FakeNewsModel,
-        C: FakeNewsModel,
-        U: FakeNewsModel,
-    {
+    ) -> f32 {
         let cfg = &self.config;
         let (w_add, w_dkd) = weights;
+        let (clean_logits, unbiased_features) = targets.for_batch(batch);
 
-        // Frozen teacher passes (no backward, evaluation mode).
-        let clean_logits: Option<Tensor> = cfg.use_dkd.then(|| {
-            let mut g = Graph::new(clean_store, false, 0);
-            let out = clean_teacher.forward(&mut g, batch);
-            g.value(out.logits).clone()
-        });
-        let unbiased_features: Option<Tensor> = cfg.use_add.then(|| {
-            let mut g = Graph::new(unbiased_store, false, 0);
-            let out = unbiased_teacher.forward(&mut g, batch);
-            g.value(out.features).clone()
-        });
-
-        // Student pass.
         student_store.zero_grad();
         let mut g = Graph::new(
             student_store,
@@ -299,6 +286,74 @@ impl DtdbdTrainer {
     }
 }
 
+/// The frozen teachers' outputs for every training item; row `i` belongs to
+/// item `i` of the training split. `None` for an inactive teacher.
+struct TeacherTargets {
+    /// Clean-teacher logits `[n_train, 2]`, the DKD target.
+    clean_logits: Option<Tensor>,
+    /// Unbiased-teacher features `[n_train, feature_dim]`, the ADD target.
+    unbiased_features: Option<Tensor>,
+}
+
+impl TeacherTargets {
+    /// Run each active teacher once over `train`, in evaluation mode.
+    fn compute<C: FakeNewsModel, U: FakeNewsModel>(
+        cfg: &DistillConfig,
+        clean_teacher: &C,
+        clean_store: &mut ParamStore,
+        unbiased_teacher: &U,
+        unbiased_store: &mut ParamStore,
+        train: &MultiDomainDataset,
+    ) -> Self {
+        Self {
+            clean_logits: cfg.use_dkd.then(|| {
+                output_rows(clean_teacher, clean_store, train, cfg.batch_size, |out| {
+                    out.logits
+                })
+            }),
+            unbiased_features: cfg.use_add.then(|| {
+                output_rows(
+                    unbiased_teacher,
+                    unbiased_store,
+                    train,
+                    cfg.batch_size,
+                    |out| out.features,
+                )
+            }),
+        }
+    }
+
+    /// The rows of `batch.indices`, in batch order.
+    fn for_batch(&self, batch: &Batch) -> (Option<Tensor>, Option<Tensor>) {
+        let gather = |all: &Tensor| {
+            let width = all.shape()[1];
+            let mut rows = Vec::with_capacity(batch.batch_size * width);
+            for &idx in &batch.indices {
+                rows.extend_from_slice(all.row(idx));
+            }
+            Tensor::new(vec![batch.batch_size, width], rows)
+        };
+        (
+            self.clean_logits.as_ref().map(gather),
+            self.unbiased_features.as_ref().map(gather),
+        )
+    }
+}
+
+/// The shuffled mini-batches of one distillation epoch.
+fn epoch_batches<'a>(
+    cfg: &DistillConfig,
+    train: &'a MultiDomainDataset,
+    epoch: usize,
+) -> BatchIter<'a> {
+    BatchIter::new(
+        train,
+        cfg.batch_size,
+        cfg.seed ^ ((epoch as u64) << 8),
+        false,
+    )
+}
+
 fn effective_weights(cfg: &DistillConfig, adjuster: &DynamicAdjuster) -> (f32, f32) {
     let (mut w_add, mut w_dkd) = adjuster.weights();
     if !cfg.use_add {
@@ -317,14 +372,97 @@ fn effective_weights(cfg: &DistillConfig, adjuster: &DynamicAdjuster) -> (f32, f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dat::{train_unbiased_teacher, DatConfig};
+    use crate::dat::{train_unbiased_teacher, AdversarialStudent, DatConfig};
     use crate::trainer::{train_model, TrainConfig};
-    use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
-    use dtdbd_models::{M3Fend, ModelConfig, TextCnnModel};
+    use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator, Split};
+    use dtdbd_models::{M3Fend, ModelConfig, ModelOutput, TextCnnModel};
     use dtdbd_tensor::rng::Prng;
+    use std::cell::Cell;
 
     fn tiny_dataset() -> MultiDomainDataset {
         NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(23, 0.05)
+    }
+
+    fn tiny_train_config() -> TrainConfig {
+        TrainConfig {
+            epochs: 3,
+            batch_size: 32,
+            ..TrainConfig::default()
+        }
+    }
+
+    /// The tiny corpus's split and both teachers trained on its training
+    /// part: M3FEND as the clean teacher, TextCNN-S + DAT-IE as the
+    /// unbiased one.
+    struct Teachers {
+        split: Split,
+        cfg: ModelConfig,
+        clean: M3Fend,
+        clean_store: ParamStore,
+        unbiased: AdversarialStudent<TextCnnModel>,
+        unbiased_store: ParamStore,
+    }
+
+    fn trained_teachers() -> Teachers {
+        let ds = tiny_dataset();
+        let split = ds.split(0.7, 0.1, 9);
+        let cfg = ModelConfig::tiny(&ds);
+        let tc = tiny_train_config();
+        let mut clean_store = ParamStore::new();
+        let mut clean = M3Fend::new(&mut clean_store, &cfg, &mut Prng::new(1));
+        train_model(&mut clean, &mut clean_store, &split.train, &tc);
+        let dat = DatConfig {
+            train: tc,
+            ..DatConfig::default()
+        };
+        let mut unbiased_store = ParamStore::new();
+        let base = TextCnnModel::student(&mut unbiased_store, &cfg, &mut Prng::new(2));
+        let (unbiased, _) = train_unbiased_teacher(
+            base,
+            &mut unbiased_store,
+            &cfg,
+            &dat,
+            &split.train,
+            &mut Prng::new(3),
+        );
+        Teachers {
+            split,
+            cfg,
+            clean,
+            clean_store,
+            unbiased,
+            unbiased_store,
+        }
+    }
+
+    /// `config` shortened to three epochs of 32-item batches.
+    fn tiny_distill_config(config: DistillConfig) -> DistillConfig {
+        DistillConfig {
+            epochs: 3,
+            batch_size: 32,
+            ..config
+        }
+    }
+
+    fn bits32(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits64(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// FNV-1a over the bits of every parameter value, in store order.
+    fn param_bits_hash(store: &ParamStore) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (_, p) in store.iter() {
+            for v in p.value.data() {
+                for b in v.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
     }
 
     #[test]
@@ -343,51 +481,30 @@ mod tests {
 
     #[test]
     fn full_dtdbd_run_produces_consistent_history_and_reduces_bias() {
-        let ds = tiny_dataset();
-        let split = ds.split(0.7, 0.1, 9);
-        let cfg = ModelConfig::tiny(&ds);
-        let tc = TrainConfig {
-            epochs: 3,
-            batch_size: 32,
-            ..TrainConfig::default()
-        };
-
-        // Clean teacher: M3FEND.
-        let mut clean_store = ParamStore::new();
-        let mut clean = M3Fend::new(&mut clean_store, &cfg, &mut Prng::new(1));
-        train_model(&mut clean, &mut clean_store, &split.train, &tc);
-
-        // Unbiased teacher: student architecture + DAT-IE.
-        let dat = DatConfig {
-            train: tc.clone(),
-            ..DatConfig::default()
-        };
-        let mut unbiased_store = ParamStore::new();
-        let base = TextCnnModel::student(&mut unbiased_store, &cfg, &mut Prng::new(2));
-        let (unbiased, _) = train_unbiased_teacher(
-            base,
-            &mut unbiased_store,
-            &cfg,
-            &dat,
-            &split.train,
-            &mut Prng::new(3),
-        );
+        let Teachers {
+            split,
+            cfg,
+            clean,
+            mut clean_store,
+            unbiased,
+            mut unbiased_store,
+        } = trained_teachers();
 
         // Plain student for reference.
         let mut plain_store = ParamStore::new();
         let mut plain = TextCnnModel::student(&mut plain_store, &cfg, &mut Prng::new(4));
-        train_model(&mut plain, &mut plain_store, &split.train, &tc);
+        train_model(
+            &mut plain,
+            &mut plain_store,
+            &split.train,
+            &tiny_train_config(),
+        );
         let plain_eval = evaluate(&plain, &mut plain_store, &split.test, 128);
 
         // DTDBD student.
         let mut student_store = ParamStore::new();
         let mut student = TextCnnModel::student(&mut student_store, &cfg, &mut Prng::new(4));
-        let distill_cfg = DistillConfig {
-            epochs: 3,
-            batch_size: 32,
-            ..DistillConfig::default()
-        };
-        let trainer = DtdbdTrainer::new(distill_cfg);
+        let trainer = DtdbdTrainer::new(tiny_distill_config(DistillConfig::default()));
         let report = trainer.distill(
             &mut student,
             &mut student_store,
@@ -421,6 +538,269 @@ mod tests {
             student_eval.bias().total(),
             plain_eval.bias().total()
         );
+    }
+
+    /// What a distillation step computed before the teacher outputs were
+    /// cached: a fresh evaluation-mode tape forward of each active teacher
+    /// on the batch.
+    fn per_batch_targets<C: FakeNewsModel, U: FakeNewsModel>(
+        cfg: &DistillConfig,
+        clean_teacher: &C,
+        clean_store: &mut ParamStore,
+        unbiased_teacher: &U,
+        unbiased_store: &mut ParamStore,
+        batch: &Batch,
+    ) -> (Option<Tensor>, Option<Tensor>) {
+        let clean_logits = cfg.use_dkd.then(|| {
+            let mut g = Graph::new(clean_store, false, 0);
+            let out = clean_teacher.forward(&mut g, batch);
+            g.value(out.logits).clone()
+        });
+        let unbiased_features = cfg.use_add.then(|| {
+            let mut g = Graph::new(unbiased_store, false, 0);
+            let out = unbiased_teacher.forward(&mut g, batch);
+            g.value(out.features).clone()
+        });
+        (clean_logits, unbiased_features)
+    }
+
+    #[test]
+    fn cached_teacher_rows_match_a_per_batch_teacher_pass_bit_for_bit() {
+        let Teachers {
+            split,
+            clean,
+            mut clean_store,
+            unbiased,
+            mut unbiased_store,
+            ..
+        } = trained_teachers();
+        let cfg = tiny_distill_config(DistillConfig::default());
+        let targets = TeacherTargets::compute(
+            &cfg,
+            &clean,
+            &mut clean_store,
+            &unbiased,
+            &mut unbiased_store,
+            &split.train,
+        );
+        let tensor_bits = |t: Option<Tensor>| t.map(|t| (t.shape().to_vec(), bits32(t.data())));
+        for epoch in 0..cfg.epochs {
+            for (i, batch) in epoch_batches(&cfg, &split.train, epoch).enumerate() {
+                let (logits, features) = targets.for_batch(&batch);
+                let (want_logits, want_features) = per_batch_targets(
+                    &cfg,
+                    &clean,
+                    &mut clean_store,
+                    &unbiased,
+                    &mut unbiased_store,
+                    &batch,
+                );
+                assert!(logits.is_some() && features.is_some());
+                assert_eq!(
+                    tensor_bits(logits),
+                    tensor_bits(want_logits),
+                    "clean logits, epoch {epoch} batch {i}"
+                );
+                assert_eq!(
+                    tensor_bits(features),
+                    tensor_bits(want_features),
+                    "unbiased features, epoch {epoch} batch {i}"
+                );
+            }
+        }
+    }
+
+    /// A fixed-seed tiny run's outcome, recorded when every distillation
+    /// step still ran both teachers on its own batch.
+    struct Golden {
+        params: u64,
+        epoch_losses: [f32; 3],
+        weight_history: [(f32, f32); 3],
+        val_f1: [f64; 3],
+        val_total: [f64; 3],
+    }
+
+    #[test]
+    fn cached_teachers_reproduce_the_per_batch_teacher_run_exactly() {
+        let Teachers {
+            split,
+            cfg,
+            clean,
+            mut clean_store,
+            unbiased,
+            mut unbiased_store,
+        } = trained_teachers();
+        let runs = [
+            (
+                "default",
+                DistillConfig::default(),
+                Golden {
+                    params: 0x2d01_602b_3272_e50a,
+                    epoch_losses: [1.0210017, 0.896904, 0.99521345],
+                    weight_history: [(0.5, 0.5), (0.5, 0.5), (1.0, 0.0)],
+                    val_f1: [0.5735887096774194, 0.723404255319149, 0.6323055683387022],
+                    val_total: [3.196014492753623, 7.25284679089027, 6.633022774327122],
+                },
+            ),
+            (
+                "only_add",
+                DistillConfig::only_add(),
+                Golden {
+                    params: 0xdf38_d46e_683f_3b35,
+                    epoch_losses: [1.0930208, 1.0083073, 0.9969967],
+                    weight_history: [(1.0, 0.0), (1.0, 0.0), (1.0, 0.0)],
+                    val_f1: [0.47639257294429704, 0.6657183499288761, 0.6802721088435375],
+                    val_total: [2.071014492753623, 4.519306418219462, 6.847049689440995],
+                },
+            ),
+            (
+                "only_dkd",
+                DistillConfig::only_dkd(),
+                Golden {
+                    params: 0x2c93_e9e7_24f8_b98e,
+                    epoch_losses: [0.95237386, 0.7908037, 0.7724663],
+                    weight_history: [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)],
+                    val_f1: [0.5735887096774194, 0.6802721088435375, 0.6713286713286712],
+                    val_total: [3.196014492753623, 6.847049689440995, 5.216356107660455],
+                },
+            ),
+        ];
+        for (name, config, want) in runs {
+            let mut student_store = ParamStore::new();
+            let mut student = TextCnnModel::student(&mut student_store, &cfg, &mut Prng::new(4));
+            let report = DtdbdTrainer::new(tiny_distill_config(config)).distill(
+                &mut student,
+                &mut student_store,
+                &clean,
+                &mut clean_store,
+                &unbiased,
+                &mut unbiased_store,
+                &split.train,
+                &split.val,
+            );
+            assert_eq!(
+                param_bits_hash(&student_store),
+                want.params,
+                "{name}: student parameters"
+            );
+            assert_eq!(
+                bits32(&report.epoch_losses),
+                bits32(&want.epoch_losses),
+                "{name}: epoch losses {:?}",
+                report.epoch_losses
+            );
+            let weight_bits = |h: &[(f32, f32)]| {
+                h.iter()
+                    .map(|&(add, dkd)| (add.to_bits(), dkd.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                weight_bits(&report.weight_history),
+                weight_bits(&want.weight_history),
+                "{name}: weight history {:?}",
+                report.weight_history
+            );
+            assert_eq!(
+                bits64(&report.val_f1),
+                bits64(&want.val_f1),
+                "{name}: validation F1 {:?}",
+                report.val_f1
+            );
+            assert_eq!(
+                bits64(&report.val_total),
+                bits64(&want.val_total),
+                "{name}: validation Total {:?}",
+                report.val_total
+            );
+        }
+    }
+
+    /// A model that counts its forward passes.
+    struct Counting<M> {
+        inner: M,
+        forwards: Cell<usize>,
+    }
+
+    impl<M> Counting<M> {
+        fn new(inner: M) -> Self {
+            Self {
+                inner,
+                forwards: Cell::new(0),
+            }
+        }
+
+        fn take(&self) -> usize {
+            self.forwards.replace(0)
+        }
+    }
+
+    impl<M: FakeNewsModel> FakeNewsModel for Counting<M> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn config(&self) -> &ModelConfig {
+            self.inner.config()
+        }
+
+        fn forward(&self, g: &mut Graph<'_>, batch: &Batch) -> ModelOutput {
+            self.forwards.set(self.forwards.get() + 1);
+            self.inner.forward(g, batch)
+        }
+    }
+
+    #[test]
+    fn each_active_teacher_runs_once_per_training_item_whatever_the_epoch_count() {
+        let ds = tiny_dataset();
+        let split = ds.split(0.7, 0.1, 9);
+        let cfg = ModelConfig::tiny(&ds);
+        let mut clean_store = ParamStore::new();
+        let clean = Counting::new(M3Fend::new(&mut clean_store, &cfg, &mut Prng::new(1)));
+        let mut unbiased_store = ParamStore::new();
+        let unbiased = Counting::new(TextCnnModel::student(
+            &mut unbiased_store,
+            &cfg,
+            &mut Prng::new(2),
+        ));
+        let batch_size = 32;
+        let passes = split.train.len().div_ceil(batch_size);
+        assert!(passes > 1, "the split must span several batches");
+        for (name, config, clean_passes, unbiased_passes) in [
+            ("default", DistillConfig::default(), passes, passes),
+            ("only_add", DistillConfig::only_add(), 0, passes),
+            ("only_dkd", DistillConfig::only_dkd(), passes, 0),
+        ] {
+            for epochs in [1, 3] {
+                let mut student_store = ParamStore::new();
+                let mut student =
+                    TextCnnModel::student(&mut student_store, &cfg, &mut Prng::new(3));
+                DtdbdTrainer::new(DistillConfig {
+                    epochs,
+                    batch_size,
+                    ..config.clone()
+                })
+                .distill(
+                    &mut student,
+                    &mut student_store,
+                    &clean,
+                    &mut clean_store,
+                    &unbiased,
+                    &mut unbiased_store,
+                    &split.train,
+                    &split.val,
+                );
+                assert_eq!(
+                    clean.take(),
+                    clean_passes,
+                    "{name}, {epochs} epochs: clean teacher forwards"
+                );
+                assert_eq!(
+                    unbiased.take(),
+                    unbiased_passes,
+                    "{name}, {epochs} epochs: unbiased teacher forwards"
+                );
+            }
+        }
     }
 
     #[test]

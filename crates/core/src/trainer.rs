@@ -2,9 +2,9 @@
 
 use dtdbd_data::{Batch, BatchIter, MultiDomainDataset};
 use dtdbd_metrics::DomainEvaluation;
-use dtdbd_models::FakeNewsModel;
+use dtdbd_models::{FakeNewsModel, ModelOutput};
 use dtdbd_tensor::optim::{Adam, Optimizer};
-use dtdbd_tensor::{Graph, ParamStore, Tensor};
+use dtdbd_tensor::{Graph, ParamStore, Tensor, Var};
 
 /// Hyper-parameters of plain supervised training.
 #[derive(Debug, Clone)]
@@ -215,26 +215,35 @@ pub fn extract_features<M: FakeNewsModel>(
     dataset: &MultiDomainDataset,
     batch_size: usize,
 ) -> (Tensor, Vec<usize>, Vec<usize>) {
-    let feat_dim = model.feature_dim();
-    let mut features = vec![0.0f32; dataset.len() * feat_dim];
-    let mut domains = vec![0usize; dataset.len()];
-    let mut labels = vec![0usize; dataset.len()];
+    let features = output_rows(model, store, dataset, batch_size, |out| out.features);
+    let domains = dataset.items().iter().map(|item| item.domain).collect();
+    let labels = dataset.items().iter().map(|item| item.label).collect();
+    (features, domains, labels)
+}
+
+/// One evaluation-mode forward pass over `dataset` in batches of
+/// `batch_size`, collecting the output `pick` selects into a
+/// `[dataset.len(), width]` tensor whose row `i` belongs to item `i`.
+pub(crate) fn output_rows<M: FakeNewsModel>(
+    model: &M,
+    store: &mut ParamStore,
+    dataset: &MultiDomainDataset,
+    batch_size: usize,
+    pick: impl Fn(&ModelOutput) -> Var,
+) -> Tensor {
+    let mut rows = Vec::new();
+    let mut width = 0;
     for batch in BatchIter::new(dataset, batch_size, 0, false) {
         let mut g = Graph::new(store, false, 0);
         let out = model.forward(&mut g, &batch);
-        let values = g.value(out.features);
+        let values = g.value(pick(&out));
+        width = values.shape()[1];
+        rows.resize(dataset.len() * width, 0.0);
         for (row, &idx) in batch.indices.iter().enumerate() {
-            features[idx * feat_dim..(idx + 1) * feat_dim]
-                .copy_from_slice(&values.data()[row * feat_dim..(row + 1) * feat_dim]);
-            domains[idx] = batch.domains[row];
-            labels[idx] = batch.labels[row];
+            rows[idx * width..(idx + 1) * width].copy_from_slice(values.row(row));
         }
     }
-    (
-        Tensor::new(vec![dataset.len(), feat_dim], features),
-        domains,
-        labels,
-    )
+    Tensor::new(vec![dataset.len(), width], rows)
 }
 
 #[cfg(test)]

@@ -343,9 +343,14 @@ pub(crate) mod test_support {
             .expect("non-empty dataset")
     }
 
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// Checks every contract of the `FakeNewsModel` interface on one batch:
-    /// output shapes, finite values, gradient flow, and that a few Adam steps
-    /// reduce the training loss.
+    /// output shapes, finite values, gradient flow, that a few Adam steps
+    /// reduce the training loss, and that evaluation-mode outputs are
+    /// row-independent.
     pub fn exercise_model<M, F>(build: F)
     where
         M: FakeNewsModel,
@@ -441,6 +446,35 @@ pub(crate) mod test_support {
             model.name()
         );
         assert!(last.is_finite());
+
+        // Row-independence contract, on the trained model (so M3FEND's
+        // memory bank is populated): an item's evaluation-mode outputs do
+        // not depend on which other items share its batch. Frozen-teacher
+        // caching, batched serving and the prediction cache all rest on it.
+        {
+            let mut g = Graph::new(&mut store, false, 0);
+            let out = model.forward(&mut g, &batch);
+            let logits = g.value(out.logits).clone();
+            let features = g.value(out.features).clone();
+            drop(g);
+            for (row, &idx) in batch.indices.iter().enumerate() {
+                let single = Batch::from_items(&[&ds.items()[idx]], vec![idx], ds.seq_len());
+                let mut g = Graph::new(&mut store, false, 0);
+                let out = model.forward(&mut g, &single);
+                assert_eq!(
+                    bits(g.value(out.logits).data()),
+                    bits(logits.row(row)),
+                    "{}: logits of item {row} alone differ from its batch row",
+                    model.name()
+                );
+                assert_eq!(
+                    bits(g.value(out.features).data()),
+                    bits(features.row(row)),
+                    "{}: features of item {row} alone differ from its batch row",
+                    model.name()
+                );
+            }
+        }
 
         // Side-state contract: exporting the (possibly trained) off-store
         // state and importing it into a freshly built twin must round-trip —

@@ -44,14 +44,19 @@
 #   6. the benchmark's release build and unit tests (`cargo test --release
 #      --offline --manifest-path perfbench/Cargo.toml`): perfbench has its
 #      own [workspace], so stages 1-2 never compile it, and a dtdbd-serve
-#      API change could otherwise pass CI and still break the benchmark run
+#      API change could otherwise pass CI and still break the benchmark run.
+#      Then one short benchmark run (`--workload zipf --seed 1 --seconds 2
+#      --trace 0`, about half a minute on 2 cores), which exits non-zero when
+#      any output check fails: wire bit parity, the DTDBD students' macro-F1
+#      floor of 0.7, or a failed operation. A broken distillation stage
+#      therefore fails CI, not the next benchmark run
 #   7. formatting check
 #   8. clippy with warnings promoted to errors
 #
 # Modes / knobs:
 #   CI_QUICK=1             skip every release-profile stage (1, 3-6: the
-#                          release build, parity smoke, bench gate, example
-#                          and perfbench build) for a sub-minute inner-loop
+#                          release build, parity smoke, bench gate, example,
+#                          perfbench build and run) for a sub-minute inner-loop
 #                          gate on a warm build cache — tests + fmt +
 #                          clippy still run,
 #                          and the dev-profile test suite includes the GEMM
@@ -92,10 +97,16 @@ summary() {
 }
 trap summary EXIT
 
+perfbench() {
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+  cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload zipf --seed 1 --seconds 2 --trace 0
+}
+
 quick=${CI_QUICK:-0}
 
 if [ "$quick" = "1" ]; then
-  echo "==> CI_QUICK=1: skipping release build, parity smoke, bench gate, example and perfbench"
+  echo "==> CI_QUICK=1: skipping release build, parity smoke, bench gate, example and perfbench build + run"
 else
   stage "cargo build --release" \
     cargo build --release --workspace --all-targets
@@ -114,8 +125,8 @@ if [ "$quick" != "1" ]; then
   stage "http_roundtrip example (train -> checkpoint -> serve over TCP, /metrics lint, /readyz drain)" \
     cargo run --release -q -p dtdbd-bench --example http_roundtrip
 
-  stage "perfbench release build + unit tests (own workspace, not built by stage 1)" \
-    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+  stage "perfbench release build + unit tests + one 2 s zipf run (own workspace, not built by stage 1)" \
+    perfbench
 fi
 
 stage "cargo fmt --check" \
