@@ -4,7 +4,7 @@ use dtdbd_data::{Batch, BatchIter, MultiDomainDataset};
 use dtdbd_metrics::DomainEvaluation;
 use dtdbd_models::{FakeNewsModel, ModelOutput};
 use dtdbd_tensor::optim::{Adam, Optimizer};
-use dtdbd_tensor::{Graph, ParamStore, Tensor, Var};
+use dtdbd_tensor::{BufferPool, Graph, ParamStore, Tensor, Var};
 
 /// Hyper-parameters of plain supervised training.
 #[derive(Debug, Clone)]
@@ -146,8 +146,8 @@ pub fn train_step<M: FakeNewsModel>(
     value
 }
 
-/// Evaluate a model on a dataset, producing the per-domain metrics used by
-/// every table of the paper.
+/// Evaluate a model on a dataset with tape-free forward passes, producing
+/// the per-domain metrics used by every table of the paper.
 pub fn evaluate<M: FakeNewsModel>(
     model: &M,
     store: &mut ParamStore,
@@ -157,11 +157,12 @@ pub fn evaluate<M: FakeNewsModel>(
     let mut predictions = Vec::with_capacity(dataset.len());
     let mut labels = Vec::with_capacity(dataset.len());
     let mut domains = Vec::with_capacity(dataset.len());
+    let mut pool = BufferPool::new();
     for batch in BatchIter::new(dataset, batch_size, 0, false) {
-        let mut g = Graph::new(store, false, 0);
+        let mut g = Graph::inference(store, &mut pool);
         let out = model.forward(&mut g, &batch);
-        let preds = g.value(out.logits).argmax_rows();
-        predictions.extend(preds);
+        predictions.extend(g.value(out.logits).argmax_rows());
+        g.finish();
         labels.extend(batch.labels.iter().copied());
         domains.extend(batch.domains.iter().copied());
     }
@@ -174,36 +175,26 @@ pub fn evaluate<M: FakeNewsModel>(
 }
 
 /// Predicted probability of the *fake* class for every item of a dataset
-/// (used by the Figure 3 case studies).
+/// in dataset order (used by the Figure 3 case studies).
 pub fn predict_fake_probs<M: FakeNewsModel>(
     model: &M,
     store: &mut ParamStore,
     dataset: &MultiDomainDataset,
     batch_size: usize,
 ) -> Vec<f32> {
-    let mut probs = Vec::with_capacity(dataset.len());
+    let mut probs = vec![0.0f32; dataset.len()];
+    let mut pool = BufferPool::new();
     for batch in BatchIter::new(dataset, batch_size, 0, false) {
-        let mut g = Graph::new(store, false, 0);
+        let mut g = Graph::inference(store, &mut pool);
         let out = model.forward(&mut g, &batch);
         let soft = g.softmax(out.logits);
         let values = g.value(soft);
-        // BatchIter shuffles with seed 0 deterministically; map back to
-        // dataset order using the carried indices.
         for (row, &idx) in batch.indices.iter().enumerate() {
-            let _ = idx;
-            probs.push(values.at2(row, 1));
+            probs[idx] = values.at2(row, 1);
         }
+        g.finish();
     }
-    // Reorder to dataset order.
-    let mut ordered = vec![0.0f32; probs.len()];
-    let mut cursor = 0usize;
-    for batch in BatchIter::new(dataset, batch_size, 0, false) {
-        for &idx in &batch.indices {
-            ordered[idx] = probs[cursor];
-            cursor += 1;
-        }
-    }
-    ordered
+    probs
 }
 
 /// Extract the intermediate features of every item (dataset order), together
@@ -221,7 +212,7 @@ pub fn extract_features<M: FakeNewsModel>(
     (features, domains, labels)
 }
 
-/// One evaluation-mode forward pass over `dataset` in batches of
+/// One tape-free evaluation-mode forward pass over `dataset` in batches of
 /// `batch_size`, collecting the output `pick` selects into a
 /// `[dataset.len(), width]` tensor whose row `i` belongs to item `i`.
 pub(crate) fn output_rows<M: FakeNewsModel>(
@@ -233,8 +224,9 @@ pub(crate) fn output_rows<M: FakeNewsModel>(
 ) -> Tensor {
     let mut rows = Vec::new();
     let mut width = 0;
+    let mut pool = BufferPool::new();
     for batch in BatchIter::new(dataset, batch_size, 0, false) {
-        let mut g = Graph::new(store, false, 0);
+        let mut g = Graph::inference(store, &mut pool);
         let out = model.forward(&mut g, &batch);
         let values = g.value(pick(&out));
         width = values.shape()[1];
@@ -242,6 +234,7 @@ pub(crate) fn output_rows<M: FakeNewsModel>(
         for (row, &idx) in batch.indices.iter().enumerate() {
             rows[idx * width..(idx + 1) * width].copy_from_slice(values.row(row));
         }
+        g.finish();
     }
     Tensor::new(vec![dataset.len(), width], rows)
 }

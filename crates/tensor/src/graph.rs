@@ -92,9 +92,15 @@ enum Op {
     SelectTime { t: usize },
     /// Mean over the time dimension: `[b, s, d] -> [b, d]`.
     MeanOverTime,
-    /// Max over the time dimension with remembered arg-max indices.
-    MaxOverTime { argmax: Vec<usize> },
+    /// Max over the time dimension. `argmax[i * c + j]` is the first time
+    /// step holding row `i`'s maximum in channel `j`; backward routes each
+    /// gradient element there and nowhere else.
+    MaxOverTime { argmax: Vec<u32> },
     /// 1-D convolution over the time dimension (inputs: x, weight, bias).
+    /// Backward skips zero output gradients (after ReLU and max-over-time at
+    /// most one time step per row and channel is nonzero) and builds `dx`
+    /// only when the input needs a gradient and `dw` only when the weight
+    /// does; a conv over a frozen embedding gets no `dx` at all.
     Conv1d,
     /// Pairwise squared Euclidean distances between rows: `[b, d] -> [b, b]`.
     PairwiseSqDist,
@@ -807,7 +813,9 @@ impl<'s> Graph<'s> {
     }
 
     /// Max over the time dimension: `[b, s, c] -> [b, c]` (max pooling over
-    /// time, as in TextCNN).
+    /// time, as in TextCNN), through the branch-free
+    /// [`kernels::max_over_time_into`]. The arg-max is only recorded when a
+    /// gradient will be routed through it.
     pub fn max_over_time(&mut self, x: Var) -> Var {
         let (b, s, c) = {
             let xv = &self.nodes[x.0].value;
@@ -815,32 +823,18 @@ impl<'s> Graph<'s> {
             (xv.shape()[0], xv.shape()[1], xv.shape()[2])
         };
         assert!(s > 0, "max_over_time over empty time dimension");
-        let mut data = self.alloc_empty(b * c);
-        data.resize(b * c, f32::NEG_INFINITY);
-        // The argmax indices are only needed to route gradients; tape-free
-        // graphs skip the bookkeeping allocation.
-        let mut argmax = if self.tape {
-            vec![0usize; b * c]
-        } else {
-            Vec::new()
-        };
-        let xd = self.nodes[x.0].value.data();
-        for i in 0..b {
-            for t in 0..s {
-                let off = i * s * c + t * c;
-                for j in 0..c {
-                    let v = xd[off + j];
-                    if v > data[i * c + j] {
-                        data[i * c + j] = v;
-                        if !argmax.is_empty() {
-                            argmax[i * c + j] = t;
-                        }
-                    }
-                }
-            }
-        }
-        let value = Tensor::new(vec![b, c], data);
         let rg = self.tape && self.nodes[x.0].requires_grad;
+        let mut data = self.alloc_for_overwrite(b * c);
+        let mut argmax = if rg { vec![0u32; b * c] } else { Vec::new() };
+        kernels::max_over_time_into(
+            b,
+            s,
+            c,
+            self.nodes[x.0].value.data(),
+            &mut data,
+            rg.then_some(argmax.as_mut_slice()),
+        );
+        let value = Tensor::new(vec![b, c], data);
         self.push(value, Op::MaxOverTime { argmax }, &[x.0], None, rg)
     }
 
@@ -1156,12 +1150,15 @@ impl<'s> Graph<'s> {
             Op::Matmul => {
                 // Fused-transpose GEMMs: bit-identical to the explicit
                 // `grad·bᵀ` / `aᵀ·grad` products, minus the transpose copies.
-                let a = &self.nodes[inputs[0]].value;
-                let b = &self.nodes[inputs[1]].value;
-                let da = grad.matmul_transb(b);
-                let db = a.matmul_transa(grad);
-                self.accumulate(grads, inputs[0], da);
-                self.accumulate(grads, inputs[1], db);
+                let (a, b) = (inputs[0], inputs[1]);
+                if self.nodes[a].requires_grad {
+                    let da = grad.matmul_transb(&self.nodes[b].value);
+                    self.accumulate(grads, a, da);
+                }
+                if self.nodes[b].requires_grad {
+                    let db = self.nodes[a].value.matmul_transa(grad);
+                    self.accumulate(grads, b, db);
+                }
             }
             Op::Relu => {
                 let y = &self.nodes[i].value;
@@ -1329,49 +1326,71 @@ impl<'s> Graph<'s> {
                 self.accumulate(grads, inputs[0], Tensor::new(x_shape, dx));
             }
             Op::MaxOverTime { argmax } => {
-                let argmax = argmax.clone();
                 let x_shape = self.nodes[inputs[0]].value.shape().to_vec();
                 let (b, s, c) = (x_shape[0], x_shape[1], x_shape[2]);
                 let mut dx = vec![0.0f32; b * s * c];
                 for i2 in 0..b {
                     for j in 0..c {
-                        let t = argmax[i2 * c + j];
+                        let t = argmax[i2 * c + j] as usize;
                         dx[i2 * s * c + t * c + j] += grad.data()[i2 * c + j];
                     }
                 }
                 self.accumulate(grads, inputs[0], Tensor::new(x_shape, dx));
             }
             Op::Conv1d => {
-                let xv = self.nodes[inputs[0]].value.clone();
-                let wv = self.nodes[inputs[1]].value.clone();
-                let (b, s, d) = (xv.shape()[0], xv.shape()[1], xv.shape()[2]);
-                let (oc, k, _) = (wv.shape()[0], wv.shape()[1], wv.shape()[2]);
-                let out_s = s - k + 1;
-                let gd = grad.data();
-                let mut dx = vec![0.0f32; b * s * d];
-                let mut dw = vec![0.0f32; oc * k * d];
+                let (x, w) = (&self.nodes[inputs[0]], &self.nodes[inputs[1]]);
+                let (b, s, d) = (x.value.shape()[0], x.value.shape()[1], x.value.shape()[2]);
+                let (oc, k) = (w.value.shape()[0], w.value.shape()[1]);
+                let (xd, wd, gd) = (x.value.data(), w.value.data(), grad.data());
+                let (out_s, width) = (s - k + 1, k * d);
+                let (need_dx, need_dw) = (x.requires_grad, w.requires_grad);
+                let mut dx = if need_dx {
+                    vec![0.0f32; b * s * d]
+                } else {
+                    Vec::new()
+                };
+                let mut dw = if need_dw {
+                    vec![0.0f32; oc * width]
+                } else {
+                    Vec::new()
+                };
                 let mut db = vec![0.0f32; oc];
+                // Per nonzero `(i2, t, o)` the `k·d` window of `x` and row
+                // `o` of `w` are both contiguous, and each element of the
+                // window meets one update — the `(i2, t, o, ki, j)` order of
+                // the plain nested loops, so the sums are bit-identical.
                 for i2 in 0..b {
                     for t in 0..out_s {
-                        for o in 0..oc {
-                            let g = gd[i2 * out_s * oc + t * oc + o];
+                        let x_off = i2 * s * d + t * d;
+                        let g_off = (i2 * out_s + t) * oc;
+                        for (o, &g) in gd[g_off..g_off + oc].iter().enumerate() {
                             if g == 0.0 {
                                 continue;
                             }
                             db[o] += g;
-                            for ki in 0..k {
-                                let x_off = i2 * s * d + (t + ki) * d;
-                                let w_off = o * k * d + ki * d;
-                                for j in 0..d {
-                                    dx[x_off + j] += g * wv.data()[w_off + j];
-                                    dw[w_off + j] += g * xv.data()[x_off + j];
+                            let w_row = &wd[o * width..(o + 1) * width];
+                            if need_dx {
+                                for (dv, &wv) in dx[x_off..x_off + width].iter_mut().zip(w_row) {
+                                    *dv += g * wv;
+                                }
+                            }
+                            if need_dw {
+                                let x_win = &xd[x_off..x_off + width];
+                                for (dv, &xv) in
+                                    dw[o * width..(o + 1) * width].iter_mut().zip(x_win)
+                                {
+                                    *dv += g * xv;
                                 }
                             }
                         }
                     }
                 }
-                self.accumulate(grads, inputs[0], Tensor::new(vec![b, s, d], dx));
-                self.accumulate(grads, inputs[1], Tensor::new(vec![oc, k, d], dw));
+                if need_dx {
+                    self.accumulate(grads, inputs[0], Tensor::new(vec![b, s, d], dx));
+                }
+                if need_dw {
+                    self.accumulate(grads, inputs[1], Tensor::new(vec![oc, k, d], dw));
+                }
                 self.accumulate(grads, inputs[2], Tensor::new(vec![oc], db));
             }
             Op::PairwiseSqDist => {
@@ -1719,6 +1738,147 @@ mod tests {
         let y = g.conv1d(x, w, b);
         assert_eq!(g.value(y).shape(), &[1, 2, 1]);
         assert_eq!(g.value(y).data(), &[3.5, 5.5]);
+    }
+
+    /// The nested `Op::Conv1d` backward loop the pruned one replaced,
+    /// always building `dx`, `dw` and `db`.
+    fn conv1d_backward_reference(x: &Tensor, w: &Tensor, grad: &Tensor) -> [Vec<f32>; 3] {
+        let (b, s, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let (oc, k) = (w.shape()[0], w.shape()[1]);
+        let out_s = s - k + 1;
+        let gd = grad.data();
+        let mut dx = vec![0.0f32; b * s * d];
+        let mut dw = vec![0.0f32; oc * k * d];
+        let mut db = vec![0.0f32; oc];
+        for i2 in 0..b {
+            for t in 0..out_s {
+                for o in 0..oc {
+                    let g = gd[i2 * out_s * oc + t * oc + o];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    db[o] += g;
+                    for ki in 0..k {
+                        let x_off = i2 * s * d + (t + ki) * d;
+                        let w_off = o * k * d + ki * d;
+                        for j in 0..d {
+                            dx[x_off + j] += g * w.data()[w_off + j];
+                            dw[w_off + j] += g * x.data()[x_off + j];
+                        }
+                    }
+                }
+            }
+        }
+        [dx, dw, db]
+    }
+
+    fn randn_tensor(shape: &[usize], rng: &mut crate::rng::Prng) -> Tensor {
+        let n = shape.iter().product();
+        Tensor::new(
+            shape.to_vec(),
+            (0..n).map(|_| rng.normal_with(0.0, 1.0)).collect(),
+        )
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Run one node's backward step alone with upstream gradient `grad`,
+    /// returning the gradient each node received (`None`: never built).
+    fn node_grads(g: &mut Graph<'_>, node: Var, grad: &Tensor) -> Vec<Option<Tensor>> {
+        let mut grads = vec![None; g.len()];
+        g.backprop_node(node.0, grad, &mut grads);
+        grads
+    }
+
+    #[test]
+    fn conv1d_backward_matches_the_nested_loop_bit_for_bit() {
+        let mut rng = crate::rng::Prng::new(21);
+        for &(b, s, d, oc, k) in &[(1, 3, 1, 1, 2), (3, 9, 5, 4, 3), (4, 24, 16, 7, 5)] {
+            let x = randn_tensor(&[b, s, d], &mut rng);
+            let w = randn_tensor(&[oc, k, d], &mut rng);
+            let bias = randn_tensor(&[oc], &mut rng);
+            // Mostly-zero upstream gradient, as after ReLU and max-over-time.
+            let mut grad = randn_tensor(&[b, s - k + 1, oc], &mut rng);
+            for v in grad.data_mut().iter_mut() {
+                if rng.chance(0.7) {
+                    *v = 0.0;
+                }
+            }
+            let [want_dx, want_dw, want_db] = conv1d_backward_reference(&x, &w, &grad);
+            let want = [
+                Tensor::new(vec![b, s, d], want_dx),
+                Tensor::new(vec![oc, k, d], want_dw),
+            ];
+            for trainable in [[true, true], [false, true], [true, false]] {
+                let mut store = ParamStore::new();
+                let leaf = |store: &mut ParamStore, name: &str, value: &Tensor, on: bool| {
+                    if on {
+                        store.add(name, value.clone())
+                    } else {
+                        store.add_frozen(name, value.clone())
+                    }
+                };
+                let xid = leaf(&mut store, "x", &x, trainable[0]);
+                let wid = leaf(&mut store, "w", &w, trainable[1]);
+                let bid = store.add("b", bias.clone());
+                let mut g = Graph::new(&mut store, true, 0);
+                let (xv, wv, bv) = (g.param(xid), g.param(wid), g.param(bid));
+                let y = g.conv1d(xv, wv, bv);
+                let grads = node_grads(&mut g, y, &grad);
+                let case = format!("({b},{s},{d},{oc},{k}) trainable [x, w] {trainable:?}");
+                let db = grads[bv.0].as_ref().expect("bias gradient");
+                assert_eq!(
+                    bits(db),
+                    bits(&Tensor::from_vec(want_db.clone())),
+                    "db {case}"
+                );
+                for ((name, v), (on, want)) in [("dx", xv), ("dw", wv)]
+                    .into_iter()
+                    .zip(trainable.into_iter().zip(&want))
+                {
+                    match &grads[v.0] {
+                        Some(got) => {
+                            assert!(on, "{name} built for a frozen operand: {case}");
+                            assert_eq!(bits(got), bits(want), "{name} {case}");
+                        }
+                        None => assert!(!on, "no {name} for a trainable operand: {case}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_backward_with_a_constant_lhs_gives_the_full_paths_db() {
+        let mut rng = crate::rng::Prng::new(23);
+        let a = randn_tensor(&[9, 6], &mut rng);
+        let b = randn_tensor(&[6, 5], &mut rng);
+        let grad = randn_tensor(&[9, 5], &mut rng);
+        let run = |trainable_lhs: bool| {
+            let mut store = ParamStore::new();
+            let aid = store.add("a", a.clone());
+            let bid = store.add("b", b.clone());
+            let mut g = Graph::new(&mut store, true, 0);
+            let av = if trainable_lhs {
+                g.param(aid)
+            } else {
+                g.constant(a.clone())
+            };
+            let bv = g.param(bid);
+            let y = g.matmul(av, bv);
+            let mut grads = node_grads(&mut g, y, &grad);
+            (
+                grads[av.0].take(),
+                grads[bv.0].take().expect("rhs gradient"),
+            )
+        };
+        let (full_da, full_db) = run(true);
+        let (pruned_da, pruned_db) = run(false);
+        assert!(full_da.is_some());
+        assert!(pruned_da.is_none(), "a constant lhs got a gradient");
+        assert_eq!(bits(&pruned_db), bits(&full_db));
     }
 
     #[test]

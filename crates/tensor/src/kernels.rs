@@ -2,8 +2,9 @@
 //!
 //! This module is the compute layer behind [`crate::Tensor`] and
 //! [`crate::Graph`]: GEMM (plain, `A·Bᵀ` and `Aᵀ·B` variants), im2row for
-//! 1-D convolution, tiled transpose, elementwise maps, row-wise softmax and
-//! embedding gather. All kernels share two contracts:
+//! 1-D convolution, branch-free max-over-time pooling with a `u32` arg-max,
+//! tiled transpose, elementwise maps, row-wise softmax and embedding
+//! gather. All kernels share two contracts:
 //!
 //! * **Accumulation order is fixed.** Every output element is produced by a
 //!   single accumulator that walks the contraction dimension in ascending
@@ -28,6 +29,8 @@
 //! instructions (Rust never contracts `a * b + c` into a fused
 //! multiply-add), so both paths execute the identical rounding sequence and
 //! the bit-exactness contract holds across ISAs as well as thread counts.
+//! The max-over-time kernel is dispatched the same way; it only compares
+//! and selects, so every tier picks the same values and indices.
 
 use crate::par::{self, SendMutPtr};
 use std::ops::Range;
@@ -579,6 +582,96 @@ pub fn im2row(x: &[f32], b: usize, s: usize, d: usize, kw: usize, out: &mut [f32
     });
 }
 
+/// Max over the time dimension of a `[b, s, c]` input (TextCNN's max
+/// pooling): `out[i, j]` becomes the largest `x[i, t, j]` over `t`, and,
+/// when `argmax` is given, `argmax[i, j]` the first `t` that attains it.
+/// Each row starts at `-∞` and takes a value only if it is strictly
+/// greater, so ties keep the earliest `t`, `-0.0` does not replace `+0.0`
+/// (nor the reverse), and NaN never wins — the semantics of the plain
+/// `if v > max` loop, computed with selects instead of branches. On x86-64
+/// the loop runs with AVX2 codegen when the CPU has it.
+///
+/// # Panics
+/// Panics if a slice length disagrees with the given dimensions, or if `s`
+/// does not fit the `u32` arg-max.
+pub fn max_over_time_into(
+    b: usize,
+    s: usize,
+    c: usize,
+    x: &[f32],
+    out: &mut [f32],
+    argmax: Option<&mut [u32]>,
+) {
+    assert!(s > 0, "max_over_time over empty time dimension");
+    assert_eq!(x.len(), b * s * c, "max_over_time: input length mismatch");
+    assert_eq!(out.len(), b * c, "max_over_time: output length mismatch");
+    if let Some(am) = argmax.as_deref() {
+        assert_eq!(am.len(), b * c, "max_over_time: arg-max length mismatch");
+    }
+    assert!(
+        u32::try_from(s).is_ok(),
+        "max_over_time: time dimension {s} overflows the u32 arg-max"
+    );
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if have_avx2() {
+        // SAFETY: AVX2 support was just detected.
+        return unsafe { max_over_time_avx2(s, c, x, out, argmax) };
+    }
+    max_over_time_impl(s, c, x, out, argmax);
+}
+
+/// The select loop behind [`max_over_time_into`]; lengths already checked.
+#[inline(always)]
+fn max_over_time_impl(s: usize, c: usize, x: &[f32], out: &mut [f32], argmax: Option<&mut [u32]>) {
+    if c == 0 {
+        // Nothing to write, and `chunks_exact` rejects a zero width.
+        return;
+    }
+    let windows = x.chunks_exact(s * c).zip(out.chunks_exact_mut(c));
+    match argmax {
+        Some(argmax) => {
+            for ((window, max_row), arg_row) in windows.zip(argmax.chunks_exact_mut(c)) {
+                max_row.fill(f32::NEG_INFINITY);
+                arg_row.fill(0);
+                for (t, x_row) in (0u32..).zip(window.chunks_exact(c)) {
+                    for ((m, a), &v) in max_row.iter_mut().zip(arg_row.iter_mut()).zip(x_row) {
+                        let gt = v > *m;
+                        *m = if gt { v } else { *m };
+                        *a = if gt { t } else { *a };
+                    }
+                }
+            }
+        }
+        None => {
+            for (window, max_row) in windows {
+                max_row.fill(f32::NEG_INFINITY);
+                for x_row in window.chunks_exact(c) {
+                    for (m, &v) in max_row.iter_mut().zip(x_row) {
+                        *m = if v > *m { v } else { *m };
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`max_over_time_impl`] with AVX2 codegen (8-lane compares and blends;
+/// the values selected are the same).
+///
+/// # Safety
+/// The caller must have verified AVX2 support at runtime.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn max_over_time_avx2(
+    s: usize,
+    c: usize,
+    x: &[f32],
+    out: &mut [f32],
+    argmax: Option<&mut [u32]>,
+) {
+    max_over_time_impl(s, c, x, out, argmax);
+}
+
 /// Cache-blocked transpose of a `rows × cols` row-major matrix into `dst`
 /// (`cols × rows`). Tiled in 32×32 blocks so both source reads and
 /// destination writes stay within a few cache lines per tile.
@@ -849,6 +942,94 @@ mod tests {
             rows,
             vec![0.0, 1.0, 2.0, 3.0, 2.0, 3.0, 4.0, 5.0, 4.0, 5.0, 6.0, 7.0]
         );
+    }
+
+    /// The plain branchy loop `Graph::max_over_time` ran before the
+    /// branch-free kernel, kept as the reference it must reproduce.
+    fn max_over_time_reference(
+        b: usize,
+        s: usize,
+        c: usize,
+        x: &[f32],
+        out: &mut [f32],
+        argmax: &mut [usize],
+    ) {
+        out.fill(f32::NEG_INFINITY);
+        argmax.fill(0);
+        for i in 0..b {
+            for t in 0..s {
+                let off = i * s * c + t * c;
+                for j in 0..c {
+                    let v = x[off + j];
+                    if v > out[i * c + j] {
+                        out[i * c + j] = v;
+                        argmax[i * c + j] = t;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hold the dispatched kernel and the baseline `_impl` to the reference
+    /// loop's values (bit for bit) and arg-max, with and without an arg-max.
+    fn assert_max_over_time_matches_reference(b: usize, s: usize, c: usize, x: &[f32]) {
+        let mut want = vec![0.0f32; b * c];
+        let mut want_arg = vec![0usize; b * c];
+        max_over_time_reference(b, s, c, x, &mut want, &mut want_arg);
+        let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        let want_arg: Vec<u32> = want_arg.iter().map(|&t| t as u32).collect();
+        type Kernel = fn(usize, usize, usize, &[f32], &mut [f32], Option<&mut [u32]>);
+        let dispatched: Kernel = max_over_time_into;
+        let baseline: Kernel = |_, s, c, x, out, argmax| max_over_time_impl(s, c, x, out, argmax);
+        for (name, kernel) in [("dispatched", dispatched), ("baseline", baseline)] {
+            // Stale contents must not leak into the result.
+            let mut got = vec![7.0f32; b * c];
+            let mut got_arg = vec![99u32; b * c];
+            kernel(b, s, c, x, &mut got, Some(&mut got_arg));
+            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got_bits, want_bits, "{name} values ({b},{s},{c})");
+            assert_eq!(got_arg, want_arg, "{name} arg-max ({b},{s},{c})");
+            let mut got = vec![7.0f32; b * c];
+            kernel(b, s, c, x, &mut got, None);
+            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got_bits, want_bits,
+                "{name} values, no arg-max ({b},{s},{c})"
+            );
+        }
+    }
+
+    #[test]
+    fn max_over_time_matches_the_branchy_loop() {
+        let mut rng = Prng::new(17);
+        let shapes = [
+            (1, 1, 1),
+            (2, 3, 7),
+            (3, 5, 9),
+            (4, 24, 32),
+            (5, 24, 33),
+            (2, 11, 17),
+            (64, 22, 32),
+        ];
+        for &(b, s, c) in &shapes {
+            let x = randn(b * s * c, &mut rng);
+            assert_max_over_time_matches_reference(b, s, c, &x);
+            // Few distinct levels: ties everywhere, the first `t` must win.
+            let ties: Vec<f32> = x.iter().map(|v| (v * 1.5).round()).collect();
+            assert_max_over_time_matches_reference(b, s, c, &ties);
+            // Signed zeros only: `-0.0 > +0.0` and `+0.0 > -0.0` are both
+            // false, so whichever zero comes first stays.
+            let zeros: Vec<f32> = x
+                .iter()
+                .map(|&v| if v < 0.0 { -0.0 } else { 0.0 })
+                .collect();
+            assert_max_over_time_matches_reference(b, s, c, &zeros);
+            // Every row negative, including rows of a single repeated value.
+            let negative: Vec<f32> = x.iter().map(|v| -v.abs() - 1.0).collect();
+            assert_max_over_time_matches_reference(b, s, c, &negative);
+            let flat = vec![-3.25f32; b * s * c];
+            assert_max_over_time_matches_reference(b, s, c, &flat);
+        }
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! recycled, which keeps the free list bounded by the buffer count of a
 //! single forward pass.
 //!
-//! The pool intentionally has no size classes. Buffers are recycled
-//! most-recently-freed first and grown in place when a request needs more
-//! capacity than the reused buffer carries, which converges after a handful
-//! of calls for the fixed shapes of a serving workload.
+//! The pool has no size classes. A request takes the smallest free buffer
+//! whose capacity holds it, or, when none does, the largest one, grown in
+//! place. Matching by capacity keeps each buffer serving requests of about
+//! its own size; without it, a model with many differently sized
+//! activations would grow every pooled buffer towards its largest shape, and
+//! the idle pool would hold several times one forward pass's memory.
 
 /// A free-list of `f32` buffers with reuse accounting.
 #[derive(Debug, Default)]
@@ -33,7 +35,7 @@ impl BufferPool {
     /// Take a zero-filled buffer of length `n`, reusing a free buffer when
     /// one is available.
     pub fn take_zeroed(&mut self, n: usize) -> Vec<f32> {
-        match self.free.pop() {
+        match self.pop_fit(n) {
             Some(mut buf) => {
                 self.hits += 1;
                 buf.clear();
@@ -51,7 +53,7 @@ impl BufferPool {
     /// destinations that are filled with `extend_from_slice`/`resize` —
     /// skips the zero-fill `take_zeroed` pays.
     pub fn take_empty(&mut self, n: usize) -> Vec<f32> {
-        match self.free.pop() {
+        match self.pop_fit(n) {
             Some(mut buf) => {
                 self.hits += 1;
                 buf.clear();
@@ -72,7 +74,7 @@ impl BufferPool {
     /// `take_zeroed` would pay a full memset that the caller immediately
     /// overwrites.
     pub fn take_for_overwrite(&mut self, n: usize) -> Vec<f32> {
-        match self.free.pop() {
+        match self.pop_fit(n) {
             Some(mut buf) => {
                 self.hits += 1;
                 if buf.len() > n {
@@ -87,6 +89,27 @@ impl BufferPool {
                 vec![0.0; n]
             }
         }
+    }
+
+    /// Remove the free buffer that best fits `n` values: the smallest whose
+    /// capacity is at least `n`, else the largest.
+    fn pop_fit(&mut self, n: usize) -> Option<Vec<f32>> {
+        let mut best: Option<(usize, usize)> = None;
+        for (i, buf) in self.free.iter().enumerate() {
+            let cap = buf.capacity();
+            let better = match best {
+                None => true,
+                Some((_, best_cap)) if best_cap >= n => cap >= n && cap < best_cap,
+                Some((_, best_cap)) => cap > best_cap,
+            };
+            if better {
+                best = Some((i, cap));
+                if cap == n {
+                    break;
+                }
+            }
+        }
+        best.map(|(i, _)| self.free.swap_remove(i))
     }
 
     /// Return a buffer to the free list.
@@ -166,6 +189,22 @@ mod tests {
         assert!(c[4..].iter().all(|&v| v == 0.0));
         pool.give(c);
         assert_eq!(pool.take_for_overwrite(2).len(), 2);
+    }
+
+    #[test]
+    fn takes_pick_the_smallest_buffer_that_fits() {
+        let mut pool = BufferPool::new();
+        for n in [64, 8, 32, 16] {
+            pool.give(vec![0.0; n]);
+        }
+        assert_eq!(pool.take_empty(10).capacity(), 16);
+        assert_eq!(pool.take_for_overwrite(32).capacity(), 32);
+        // Nothing left holds 100 values: the largest buffer grows.
+        let grown = pool.take_zeroed(100);
+        assert_eq!(grown.len(), 100);
+        assert_eq!(pool.idle_buffers(), 1);
+        assert_eq!(pool.take_empty(1).capacity(), 8);
+        assert_eq!((pool.reuse_hits(), pool.alloc_misses()), (4, 0));
     }
 
     #[test]

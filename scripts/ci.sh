@@ -10,8 +10,13 @@
 #      battery (checkpoint_corruption.rs), the committed v1/v2 byte-fixture
 #      compat pins (compat_fixtures.rs) and the zoo-wide
 #      train->save->load->serve bit-parity test (zoo_roundtrip.rs) live in
-#      crates/serve/tests). Three batteries get named in the stage label
+#      crates/serve/tests). Four batteries get named in the stage label
 #      because they gate whole layers:
+#        - training-tape parity (crates/tensor/src/kernels.rs and graph.rs
+#          unit tests): the branch-free max-over-time kernel, dispatched and
+#          baseline, against the plain branchy loop (ties, signed zeros,
+#          all-negative rows, with and without an arg-max), and the pruned
+#          conv/matmul backward against the full nested loop, bit for bit;
 #        - chaos (tests/integration/tests/chaos.rs): a seeded fault plan
 #          kills three prediction workers mid-storm; supervision must heal
 #          the server with zero wrong predictions;
@@ -22,7 +27,7 @@
 #        - hot-swap + zoo (tests/integration/tests/hotswap.rs): 20
 #          mid-traffic reloads with bit-exact answers and reconciled
 #          counters.
-#      CI_QUICK (non-empty and not "0") shrinks all three. The wire
+#      CI_QUICK (non-empty and not "0") shrinks the last three. The wire
 #      batteries run the build's connection driver (epoll on Linux); the
 #      blocking driver every other platform runs is covered in the same
 #      stage by dtdbd-serve's unit tests (the `_under_pool` socket tests
@@ -112,7 +117,7 @@ else
     cargo build --release --workspace --all-targets
 fi
 
-stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, int8 determinism + memory, hot-swap + zoo)" \
+stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, int8 determinism + memory, hot-swap + zoo, max-over-time + conv/matmul backward parity)" \
   cargo test -q --workspace
 
 if [ "$quick" != "1" ]; then
