@@ -15,12 +15,16 @@
 //! Run with: `cargo run --release -p dtdbd-bench --bin kernels [--quick]`
 //!
 //! `--parity-smoke` instead runs a fast seeded bit-parity check of the
-//! blocked/parallel kernels against the naive reference and exits non-zero
-//! on any mismatch — `scripts/ci.sh` uses it as the offline regression gate
-//! for the hot path.
+//! blocked/parallel kernels against the naive reference — including one
+//! convolution whose windows the GEMM reads in place and one `Aᵀ·B` — and
+//! exits non-zero on any mismatch; `scripts/ci.sh` uses it as the offline
+//! regression gate for the hot path.
 
 use dtdbd_metrics::TableBuilder;
-use dtdbd_tensor::kernels::{gemm_into, gemm_naive_branchy, gemm_reference, packed_len};
+use dtdbd_tensor::kernels::{
+    conv1d_into, gemm_atb_into, gemm_into, gemm_naive_branchy, gemm_reference, im2row, packed_len,
+    transpose_into,
+};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::QuantizedMatrix;
 use std::time::{Duration, Instant};
@@ -247,9 +251,18 @@ fn render_json(rows: &[Row]) -> String {
     out
 }
 
+/// Panic with `what` and the first differing element unless `want` and
+/// `got` are bit-identical.
+fn assert_bits(want: &[f32], got: &[f32], what: &str) {
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        assert_eq!(w.to_bits(), g.to_bits(), "{what} elem {i}");
+    }
+}
+
 /// Seeded bit-parity smoke: blocked and blocked+parallel against the naive
-/// reference on a handful of shapes. Exits via panic (non-zero) on any
-/// mismatch so CI fails the gate.
+/// reference on a handful of shapes, plus one in-place-window convolution
+/// and one `Aᵀ·B`. Exits via panic (non-zero) on any mismatch so CI fails
+/// the gate.
 fn parity_smoke() {
     let mut rng = Prng::new(0x51_10CE);
     let shapes = [
@@ -267,13 +280,8 @@ fn parity_smoke() {
         for threads in [1usize, 2, 4] {
             let mut got = vec![0.0f32; m * n];
             gemm_into(m, k, n, &a, &b, &mut got, threads, &mut Vec::new());
-            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    w.to_bits(),
-                    g.to_bits(),
-                    "kernel parity violation: ({m},{k},{n}) t={threads} elem {i}"
-                );
-            }
+            let what = format!("kernel parity violation: ({m},{k},{n}) t={threads}");
+            assert_bits(&want, &got, &what);
         }
         // Int8 determinism: the quantized kernel must be bit-identical to
         // itself at every thread count (its i32 accumulation order is fixed).
@@ -285,16 +293,42 @@ fn parity_smoke() {
         for threads in [2usize, 4] {
             let mut got = vec![0.0f32; m * n];
             qm.matmul_into(&a, m, &bias, &mut got, threads);
-            for (i, (w, g)) in int8_want.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    w.to_bits(),
-                    g.to_bits(),
-                    "int8 determinism violation: ({m},{k},{n}) t={threads} elem {i}"
-                );
-            }
+            let what = format!("int8 determinism violation: ({m},{k},{n}) t={threads}");
+            assert_bits(&int8_want, &got, &what);
         }
     }
+
+    // A TextCNN k=3 branch at batch 8 whose windows the GEMM reads in place,
+    // against im2row + the reference over the transposed weight.
+    let (b, s, d, kw, oc) = (8, 24, 32, 3, 32);
+    let (rows, width) = (b * (s - kw + 1), kw * d);
+    let x: Vec<f32> = (0..b * s * d).map(|_| rng.normal_with(0.0, 1.0)).collect();
+    let w: Vec<f32> = (0..oc * width).map(|_| rng.normal_with(0.0, 1.0)).collect();
+    let mut unfolded = vec![0.0f32; rows * width];
+    im2row(&x, b, s, d, kw, &mut unfolded, 1);
+    let mut wt = vec![0.0f32; oc * width];
+    transpose_into(oc, width, &w, &mut wt);
+    let mut want = vec![0.0f32; rows * oc];
+    gemm_reference(rows, width, oc, &unfolded, &wt, &mut want);
+    // An M3FEND adapter's weight gradient: `[64, 192]ᵀ · [64, 64]`.
+    let (r, m, n) = (64, 192, 64);
+    let a: Vec<f32> = (0..r * m).map(|_| rng.normal_with(0.0, 1.0)).collect();
+    let g: Vec<f32> = (0..r * n).map(|_| rng.normal_with(0.0, 1.0)).collect();
+    let mut at = vec![0.0f32; r * m];
+    transpose_into(r, m, &a, &mut at);
+    let mut atb_want = vec![0.0f32; m * n];
+    gemm_reference(m, r, n, &at, &g, &mut atb_want);
+    for threads in [1usize, 2, 4] {
+        let mut got = vec![0.0f32; rows * oc];
+        conv1d_into(&x, b, s, d, kw, &w, oc, &mut got, threads, &mut Vec::new());
+        let what = format!("conv-window parity violation: ({b},{s},{d},k{kw}) oc={oc} t={threads}");
+        assert_bits(&want, &got, &what);
+        let mut got = vec![0.0f32; m * n];
+        gemm_atb_into(r, m, n, &a, &g, &mut got, threads);
+        let what = format!("atb parity violation: ({r},{m},{n}) t={threads}");
+        assert_bits(&atb_want, &got, &what);
+    }
     println!(
-        "kernel parity OK (blocked/parallel == naive reference, int8 self-deterministic, bit-exact)"
+        "kernel parity OK (blocked/parallel, conv windows and Aᵀ·B == naive reference, int8 self-deterministic, bit-exact)"
     );
 }

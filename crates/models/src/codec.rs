@@ -207,7 +207,7 @@ impl<'a> ByteReader<'a> {
         let count = self.u64()?;
         if count
             .checked_mul(4)
-            .map_or(true, |bytes| bytes > self.remaining() as u64)
+            .is_none_or(|bytes| bytes > self.remaining() as u64)
         {
             return Err(CodecError::LengthOverflow { declared: count });
         }

@@ -192,7 +192,7 @@ impl FakeNewsModel for M3Fend {
         let count_count = r.u64().map_err(codec)?;
         if count_count
             .checked_mul(8)
-            .map_or(true, |needed| needed > r.remaining() as u64)
+            .is_none_or(|needed| needed > r.remaining() as u64)
         {
             return Err(Self::memory_malformed(format!(
                 "count list of {count_count} entries exceeds the chunk"

@@ -1,11 +1,11 @@
 //! TextCNN-style convolutional sequence encoders (Kim, 2014).
 //!
-//! The convolution itself runs as **im2row → blocked GEMM**: the graph op
-//! behind [`dtdbd_tensor::Graph::conv1d`] unfolds the `[b, s, d]` input into
-//! a `[b·(s-k+1), k·d]` row matrix (each window one contiguous memcpy,
-//! because windows are contiguous in a row-major `[s, d]` layout), seeds the
-//! output with the bias, and accumulates the `[oc, k·d]` weight through the
-//! fused `A·Bᵀ` kernel. Per output element the arithmetic order is exactly
+//! The convolution itself runs as **one blocked GEMM over windows read in
+//! place**: the graph op behind [`dtdbd_tensor::Graph::conv1d`] seeds the
+//! output with the bias and accumulates the `[oc, k·d]` weight against the
+//! `k·d`-long windows of the `[b, s, d]` input, which the GEMM reads where
+//! they lie (each window is contiguous in a row-major `[s, d]` layout, so
+//! nothing is unfolded). Per output element the arithmetic order is exactly
 //! the naive nested-loop order (`bias + Σ x·w` over ascending `(ki, j)`),
 //! so the GEMM form is bit-identical to a direct convolution — and, by the
 //! kernels' determinism contract, bit-identical at any intra-op thread

@@ -249,7 +249,7 @@ impl Connection {
         if env.shutdown && matches!(self.phase, Phase::Idle | Phase::Reading) {
             return Some(Action::Close);
         }
-        if self.deadline(env).map_or(true, |deadline| now < deadline) {
+        if self.deadline(env).is_none_or(|deadline| now < deadline) {
             return None;
         }
         Some(match self.phase {

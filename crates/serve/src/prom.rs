@@ -296,7 +296,7 @@ pub fn lint(text: &str) -> Result<(), String> {
             let mut parts = rest.splitn(3, ' ');
             let keyword = parts.next().unwrap_or("");
             match keyword {
-                "HELP" if parts.next().map_or(true, |n| !is_valid_metric_name(n)) => {
+                "HELP" if parts.next().is_none_or(|n| !is_valid_metric_name(n)) => {
                     return fail(format!("HELP with invalid metric name: {line:?}"));
                 }
                 "HELP" => {}

@@ -820,7 +820,7 @@ fn worker_loop(
             let now = Instant::now();
             let (live, expired): (Vec<Job>, Vec<Job>) = jobs
                 .into_iter()
-                .partition(|job| job.deadline.map_or(true, |deadline| now < deadline));
+                .partition(|job| job.deadline.is_none_or(|deadline| now < deadline));
             for job in expired {
                 shared.deadline_dropped.fetch_add(1, Ordering::Relaxed);
                 let _ = job.reply.send(Err(PredictError::DeadlineExceeded));

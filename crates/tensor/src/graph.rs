@@ -838,14 +838,14 @@ impl<'s> Graph<'s> {
         self.push(value, Op::MaxOverTime { argmax }, &[x.0], None, rg)
     }
 
-    /// 1-D convolution over the time dimension, computed as
-    /// im2row → blocked GEMM: the `[b, s, d]` input unfolds into a
-    /// `[b·(s-k+1), k·d]` row matrix (each row one contiguous memcpy), the
-    /// output is seeded with the bias, and [`kernels::gemm_abt_into`]
-    /// accumulates against the `[oc, k·d]` weight. Per output element the
-    /// arithmetic is `bias + Σ x·w` over ascending `(ki, j)` — exactly the
-    /// naive nested-loop order, so the rewrite is bit-identical to it (and
-    /// to itself at any thread count).
+    /// 1-D convolution over the time dimension, computed as one blocked
+    /// GEMM: the output is seeded with the bias, and
+    /// [`kernels::conv1d_into`] accumulates the `[oc, k·d]` weight against
+    /// the input's `k·d`-long windows, which it reads in place (each window
+    /// is contiguous in the `[b, s, d]` input, so nothing is unfolded). Per
+    /// output element the arithmetic is `bias + Σ x·w` over ascending
+    /// `(ki, j)` — exactly the naive nested-loop order, so the GEMM form is
+    /// bit-identical to it (and to itself at any thread count).
     ///
     /// * `x`: `[b, s, d]`
     /// * `weight`: `[out_channels, k, d]`
@@ -871,32 +871,18 @@ impl<'s> Graph<'s> {
             (b, s, d, oc, k)
         };
         let out_s = s - k + 1;
-        let rows = b * out_s;
-        let width = k * d;
         let threads = self.threads;
-        let mut data = self.alloc_for_overwrite(rows * oc);
-        let mut unfolded = self.alloc_for_overwrite(rows * width);
-        let mut scratch = self.alloc_for_overwrite(kernels::packed_len(width, oc));
+        let mut data = self.alloc_for_overwrite(b * out_s * oc);
+        let mut scratch = self.alloc_for_overwrite(kernels::packed_len(k * d, oc));
         {
             let xd = self.nodes[x.0].value.data();
             let wd = self.nodes[weight.0].value.data();
             let bd = self.nodes[bias.0].value.data();
-            kernels::im2row(xd, b, s, d, k, &mut unfolded, threads);
             for row in data.chunks_exact_mut(oc) {
                 row.copy_from_slice(bd);
             }
-            kernels::gemm_abt_into(
-                rows,
-                width,
-                oc,
-                &unfolded,
-                wd,
-                &mut data,
-                threads,
-                &mut scratch,
-            );
+            kernels::conv1d_into(xd, b, s, d, k, wd, oc, &mut data, threads, &mut scratch);
         }
-        self.release_scratch(unfolded);
         self.release_scratch(scratch);
         let value = Tensor::new(vec![b, out_s, oc], data);
         let rg = self.any_requires_grad(&[x.0, weight.0, bias.0]);
@@ -1079,6 +1065,8 @@ impl<'s> Graph<'s> {
         let n = self.nodes.len();
         let mut grads: Vec<Option<Tensor>> = vec![None; n];
         grads[loss.0] = Some(Tensor::scalar(1.0));
+        // One pack buffer for every `A·Bᵀ` product of the pass.
+        let mut pack = Vec::new();
 
         for i in (0..n).rev() {
             if !self.nodes[i].requires_grad {
@@ -1094,7 +1082,7 @@ impl<'s> Graph<'s> {
                 }
                 continue;
             }
-            self.backprop_node(i, &grad, &mut grads);
+            self.backprop_node(i, &grad, &mut grads, &mut pack);
         }
     }
 
@@ -1108,8 +1096,16 @@ impl<'s> Graph<'s> {
         }
     }
 
+    /// Push node `i`'s gradient into its inputs. `pack` is pack scratch
+    /// the caller keeps across the whole backward pass.
     #[allow(clippy::too_many_lines)]
-    fn backprop_node(&mut self, i: usize, grad: &Tensor, grads: &mut [Option<Tensor>]) {
+    fn backprop_node(
+        &mut self,
+        i: usize,
+        grad: &Tensor,
+        grads: &mut [Option<Tensor>],
+        pack: &mut Vec<f32>,
+    ) {
         // Split borrows: everything we read from `self.nodes` is immutable,
         // and writes go through `grads` / the parameter store only.
         let inputs = self.nodes[i].inputs.clone();
@@ -1152,8 +1148,12 @@ impl<'s> Graph<'s> {
                 // `grad·bᵀ` / `aᵀ·grad` products, minus the transpose copies.
                 let (a, b) = (inputs[0], inputs[1]);
                 if self.nodes[a].requires_grad {
-                    let da = grad.matmul_transb(&self.nodes[b].value);
-                    self.accumulate(grads, a, da);
+                    let bv = &self.nodes[b].value;
+                    let (rows, inner, cols) = (grad.shape()[0], grad.shape()[1], bv.shape()[0]);
+                    let mut da = vec![0.0f32; rows * cols];
+                    let (gd, bd) = (grad.data(), bv.data());
+                    kernels::gemm_abt_into(rows, inner, cols, gd, bd, &mut da, 1, pack);
+                    self.accumulate(grads, a, Tensor::new(vec![rows, cols], da));
                 }
                 if self.nodes[b].requires_grad {
                     let db = self.nodes[a].value.matmul_transa(grad);
@@ -1396,19 +1396,26 @@ impl<'s> Graph<'s> {
             Op::PairwiseSqDist => {
                 let xv = &self.nodes[inputs[0]].value;
                 let (b, d) = (xv.shape()[0], xv.shape()[1]);
+                let (xd, gd) = (xv.data(), grad.data());
                 let mut dx = vec![0.0f32; b * d];
-                for i2 in 0..b {
-                    for j in 0..b {
-                        if i2 == j {
-                            continue;
-                        }
-                        let g = grad.data()[i2 * b + j] + grad.data()[j * b + i2];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for t in 0..d {
-                            dx[i2 * d + t] +=
-                                2.0 * g * (xv.data()[i2 * d + t] - xv.data()[j * d + t]);
+                // Row slices let the `t` loop vectorise; each element still
+                // sums its `j` terms in ascending order.
+                if d > 0 {
+                    for (i2, (dx_row, x_i)) in
+                        dx.chunks_exact_mut(d).zip(xd.chunks_exact(d)).enumerate()
+                    {
+                        for (j, x_j) in xd.chunks_exact(d).enumerate() {
+                            if i2 == j {
+                                continue;
+                            }
+                            let g = gd[i2 * b + j] + gd[j * b + i2];
+                            if g == 0.0 {
+                                continue;
+                            }
+                            let g2 = 2.0 * g;
+                            for ((dv, &xi), &xj) in dx_row.iter_mut().zip(x_i).zip(x_j) {
+                                *dv += g2 * (xi - xj);
+                            }
                         }
                     }
                 }
@@ -1788,7 +1795,7 @@ mod tests {
     /// returning the gradient each node received (`None`: never built).
     fn node_grads(g: &mut Graph<'_>, node: Var, grad: &Tensor) -> Vec<Option<Tensor>> {
         let mut grads = vec![None; g.len()];
-        g.backprop_node(node.0, grad, &mut grads);
+        g.backprop_node(node.0, grad, &mut grads, &mut Vec::new());
         grads
     }
 
@@ -1847,6 +1854,52 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The indexed `Op::PairwiseSqDist` backward loop the row-slice one
+    /// replaced.
+    fn pairwise_sq_dist_backward_reference(x: &Tensor, grad: &Tensor) -> Vec<f32> {
+        let (b, d) = (x.shape()[0], x.shape()[1]);
+        let mut dx = vec![0.0f32; b * d];
+        for i2 in 0..b {
+            for j in 0..b {
+                if i2 == j {
+                    continue;
+                }
+                let g = grad.data()[i2 * b + j] + grad.data()[j * b + i2];
+                if g == 0.0 {
+                    continue;
+                }
+                for t in 0..d {
+                    dx[i2 * d + t] += 2.0 * g * (x.data()[i2 * d + t] - x.data()[j * d + t]);
+                }
+            }
+        }
+        dx
+    }
+
+    #[test]
+    fn pairwise_sq_dist_backward_matches_the_indexed_loop_bit_for_bit() {
+        let mut rng = crate::rng::Prng::new(22);
+        for &(b, d) in &[(1, 3), (2, 1), (5, 7), (64, 128), (3, 0)] {
+            let x = randn_tensor(&[b, d], &mut rng);
+            let mut grad = randn_tensor(&[b, b], &mut rng);
+            // Some zero pairs, so the skip is exercised too.
+            for v in grad.data_mut().iter_mut() {
+                if rng.chance(0.3) {
+                    *v = 0.0;
+                }
+            }
+            let want = pairwise_sq_dist_backward_reference(&x, &grad);
+            let mut store = ParamStore::new();
+            let xid = store.add("x", x);
+            let mut g = Graph::new(&mut store, true, 0);
+            let xv = g.param(xid);
+            let y = g.pairwise_sq_dist(xv);
+            let grads = node_grads(&mut g, y, &grad);
+            let got = grads[xv.0].as_ref().expect("x gradient");
+            assert_eq!(bits(got), bits(&Tensor::new(vec![b, d], want)), "({b},{d})");
         }
     }
 

@@ -1,10 +1,12 @@
 //! Cache-blocked, parallel compute kernels.
 //!
 //! This module is the compute layer behind [`crate::Tensor`] and
-//! [`crate::Graph`]: GEMM (plain, `A·Bᵀ` and `Aᵀ·B` variants), im2row for
-//! 1-D convolution, branch-free max-over-time pooling with a `u32` arg-max,
-//! tiled transpose, elementwise maps, row-wise softmax and embedding
-//! gather. All kernels share two contracts:
+//! [`crate::Graph`]: one register-blocked GEMM behind every matrix product
+//! (plain, `A·Bᵀ`, `Aᵀ·B`, and 1-D convolution, which reads its windows
+//! straight from the input), im2row for the int8 convolution, branch-free
+//! max-over-time pooling with a `u32` arg-max, tiled transpose, elementwise
+//! maps, row-wise softmax and embedding gather. All kernels share two
+//! contracts:
 //!
 //! * **Accumulation order is fixed.** Every output element is produced by a
 //!   single accumulator that walks the contraction dimension in ascending
@@ -18,38 +20,46 @@
 //!   panel of the GEMMs, the im2row buffer) take a caller-provided `Vec`
 //!   that the serving path recycles through a [`crate::BufferPool`].
 //!
-//! The GEMM tiling: the RHS is packed once into row-panels of [`NR`]
-//! columns (`panel[p * NR + c] = b[p][j0 + c]`), so the micro-kernel streams
-//! both operands contiguously; the micro-kernel computes an [`MR`]`×`[`NR`]
-//! block of outputs in registers (`4 × 16` = eight 8-lane vectors on AVX2).
+//! The GEMM tiling: the RHS is read in row-panels of [`NR`] columns — packed
+//! once (`panel[p * NR + c] = b[p][j0 + c]`) or read in place — and the
+//! micro-kernel computes a block of outputs in registers. The LHS is never
+//! copied: each block reads its rows where they lie, whether they are rows
+//! of a row-major matrix, convolution windows of a `[b, s, d]` input (each
+//! window is `k·d` contiguous values), or columns of a row-major matrix
+//! (the `Aᵀ` of `Aᵀ·B`).
 //!
-//! On x86-64 the inner kernels are compiled twice — baseline SSE2 and an
-//! AVX2 variant selected once at runtime via `is_x86_feature_detected!`.
-//! The AVX2 path only widens the vectors; multiplies and adds stay separate
-//! instructions (Rust never contracts `a * b + c` into a fused
-//! multiply-add), so both paths execute the identical rounding sequence and
-//! the bit-exactness contract holds across ISAs as well as thread counts.
-//! The max-over-time kernel is dispatched the same way; it only compares
-//! and selects, so every tier picks the same values and indices.
+//! On x86-64 the GEMM has three instruction-set tiers, picked once at
+//! runtime via `is_x86_feature_detected!`: baseline SSE2 and AVX2 compile
+//! the same portable `4 × 16` block, and AVX-512 runs a `12 × 32` block (24
+//! accumulator registers) written with explicit `std::arch` multiplies and
+//! adds. No tier fuses a multiply-add (Rust never contracts `a * b + c`
+//! into an FMA, and the explicit tier issues a separate `mul` and `add`),
+//! so all tiers execute the identical rounding sequence and the
+//! bit-exactness contract holds across ISAs as well as thread counts. The
+//! max-over-time kernel is dispatched between baseline and AVX2 the same
+//! way; it only compares and selects, so every tier picks the same values
+//! and indices.
 
 use crate::par::{self, SendMutPtr};
 use std::ops::Range;
 
-/// Rows of the register-blocked GEMM micro-kernel (all ISA tiers; the
-/// AVX-512 tier widens each block to two panels instead of adding rows —
-/// taller accumulator sets spill under LLVM's current codegen).
+/// Rows of the portable register-blocked GEMM block (baseline and AVX2
+/// tiers; the AVX-512 tier runs taller blocks).
 pub const MR: usize = 4;
-/// Upper bound on micro-kernel rows: sizes the stack-resident packed A
-/// block and the per-thread row-chunk minimum, leaving headroom for a
-/// future taller tier. No current tier runs blocks this tall.
-pub const MR512: usize = 8;
-/// Columns of the register-blocked GEMM micro-kernel (packed panel width).
+/// Columns of one RHS panel (the packed panel width and the lane count of
+/// one AVX-512 vector).
 pub const NR: usize = 16;
 
 /// Minimum FLOP count (2·m·k·n) before a GEMM fans out to the pool.
 const PAR_MIN_FLOPS: usize = 128 * 1024;
 /// Minimum elements per chunk for elementwise / copy kernels.
 const PAR_MIN_ELEMS: usize = 8192;
+/// Rows of the AVX-512 tier's full block, the tallest of any tier: 12 rows
+/// × two panels hold 24 accumulators, which with two RHS vectors and one
+/// broadcast use 27 of the 32 vector registers.
+const MR_AVX512: usize = 12;
+/// Minimum output rows per GEMM thread: one full block of the tallest tier.
+const PAR_MIN_ROWS: usize = MR_AVX512;
 
 /// Scratch length needed to pack a `k × n` RHS (or its transpose).
 pub fn packed_len(k: usize, n: usize) -> usize {
@@ -143,140 +153,67 @@ fn pack_bt(k: usize, n: usize, b: &[f32], packed: &mut [f32], threads: usize) {
     });
 }
 
-/// `MRK × NR` register-blocked block over one `kc`-length contraction
-/// slice: accumulators load from `out`, walk the slice in ascending order,
-/// and store back once. `MRK` is a const so each ISA tier picks the tallest
-/// block its register file holds; per-element arithmetic order is
-/// independent of `MRK`. The A block arrives packed and interleaved
-/// (`apack[p * MRK + r]`), so each `p` step touches one A cache line
-/// instead of `MRK` strided rows.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel<const MRK: usize, const JP: usize>(
-    kc: usize,
-    n: usize,
-    apack: &[f32],
-    panel: &[f32],
-    bstride: usize,
-    pstep: usize,
-    out: &mut [f32],
-    i0: usize,
-    j0: usize,
-) {
-    let mut acc = [[[0.0f32; NR]; JP]; MRK];
-    for (r, acc_row) in acc.iter_mut().enumerate() {
-        for (j, acc_panel) in acc_row.iter_mut().enumerate() {
-            let off = (i0 + r) * n + j0 + j * NR;
-            acc_panel.copy_from_slice(&out[off..off + NR]);
-        }
-    }
-    for p in 0..kc {
-        let a_lane = &apack[p * MRK..p * MRK + MRK];
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = a_lane[r];
-            for (j, acc_panel) in acc_row.iter_mut().enumerate() {
-                let b_lane = &panel[p * bstride + j * pstep..p * bstride + j * pstep + NR];
-                for c in 0..NR {
-                    acc_panel[c] += av * b_lane[c];
-                }
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        for (j, acc_panel) in acc_row.iter().enumerate() {
-            let off = (i0 + r) * n + j0 + j * NR;
-            out[off..off + NR].copy_from_slice(acc_panel);
-        }
-    }
+/// Where the GEMM reads its LHS (`m × k`) from. Every case hands the kernel
+/// the values of the row-major matrix it stands for, in the same order; it
+/// only changes where they lie, so no case needs a copy.
+///
+/// The AVX-512 tier reads through raw pointers, so [`run_blocked`] asserts
+/// that the last row's last element lies inside the slice; rows start at
+/// increasing offsets, so that covers every row.
+#[derive(Clone, Copy)]
+enum ASource<'a> {
+    /// A row-major `m × k` matrix: row `i` is `a[i·k..(i+1)·k]`.
+    Rows { a: &'a [f32], k: usize },
+    /// The convolution windows of a `[b, s, d]` input for a kernel of width
+    /// `s - out_s + 1` (so `k` is that width times `d`): row `i·out_s + t`
+    /// is `x[(i·s + t)·d..][..k]`, contiguous in the row-major input.
+    Windows {
+        x: &'a [f32],
+        s: usize,
+        out_s: usize,
+        d: usize,
+    },
+    /// The columns of a row-major `k × m` matrix (the `Aᵀ` of `Aᵀ·B`): row
+    /// `i` is column `i`, its elements `m` apart.
+    Cols { a: &'a [f32], m: usize },
 }
 
-/// Edge block (`mr < MRK` rows and/or `jw < NR` columns): scalar
-/// accumulators with the same ascending-contraction order, reading the
-/// interleaved A block.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn edge_kernel<const MRK: usize>(
-    kc: usize,
-    n: usize,
-    apack: &[f32],
-    mr: usize,
-    panel: &[f32],
-    bstride: usize,
-    out: &mut [f32],
-    i0: usize,
-    j0: usize,
-    jw: usize,
-) {
-    for r in 0..mr {
-        for c in 0..jw {
-            let mut acc = out[(i0 + r) * n + j0 + c];
-            for p in 0..kc {
-                acc += apack[p * MRK + r] * panel[p * bstride + c];
-            }
-            out[(i0 + r) * n + j0 + c] = acc;
+impl ASource<'_> {
+    fn data(&self) -> &[f32] {
+        match *self {
+            ASource::Rows { a, .. } | ASource::Cols { a, .. } => a,
+            ASource::Windows { x, .. } => x,
         }
     }
-}
 
-/// Run the blocked kernel over a strip of output rows. `out_rows` covers
-/// exactly `rows` (local row 0 = global row `rows.start`).
-#[inline(always)]
-fn macro_kernel_impl<const MRK: usize, const JP: usize>(
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &BSource<'_>,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-) {
-    let m_local = rows.len();
-    let a_rows = &a[rows.start * k..rows.end * k];
-    let panels = n.div_ceil(NR);
-    // Interleaved A block on the stack: apack[p * MRK + r] = A[i + r][p0 + p].
-    // KC-blocking bounds it; between KC slices the accumulators round-trip
-    // through `out`, which is exact, so the contraction order per element is
-    // still plain ascending k.
-    let mut apack = [0.0f32; KC * MR512];
-    let mut p0 = 0usize;
-    while p0 < k {
-        let kc = KC.min(k - p0);
-        let mut i = 0usize;
-        while i < m_local {
-            let mr = MRK.min(m_local - i);
-            for p in 0..kc {
-                for r in 0..mr {
-                    apack[p * MRK + r] = a_rows[(i + r) * k + p0 + p];
-                }
-            }
-            let mut jb = 0usize;
-            while jb < panels {
-                let j0 = jb * NR;
-                let (panel, bstride, pstep) = b.panel(k, n, jb, j0);
-                let panel = &panel[p0 * bstride..];
-                // A JP-wide block needs JP full panels; otherwise fall back
-                // to one panel (full or edge) at a time.
-                if mr == MRK && JP > 1 && j0 + JP * NR <= n {
-                    micro_kernel::<MRK, JP>(kc, n, &apack, panel, bstride, pstep, out_rows, i, j0);
-                    jb += JP;
-                    continue;
-                }
-                let jw = NR.min(n - j0);
-                if mr == MRK && jw == NR {
-                    micro_kernel::<MRK, 1>(kc, n, &apack, panel, bstride, pstep, out_rows, i, j0);
-                } else {
-                    edge_kernel::<MRK>(kc, n, &apack, mr, panel, bstride, out_rows, i, j0, jw);
-                }
-                jb += 1;
-            }
-            i += mr;
+    /// Offset of row `row`'s first element.
+    #[inline(always)]
+    fn row_start(&self, row: usize) -> usize {
+        match *self {
+            ASource::Rows { k, .. } => row * k,
+            ASource::Windows { s, out_s, d, .. } => ((row / out_s) * s + row % out_s) * d,
+            ASource::Cols { .. } => row,
         }
-        p0 += kc;
+    }
+
+    /// Distance between successive contraction elements of one row.
+    #[inline(always)]
+    fn step(&self) -> usize {
+        match *self {
+            ASource::Rows { .. } | ASource::Windows { .. } => 1,
+            ASource::Cols { m, .. } => m,
+        }
+    }
+
+    /// Offsets of rows `row0..row0 + R`, advanced to contraction element
+    /// `p0`. Rows past `last` repeat `last`, so an edge block holds only
+    /// valid offsets.
+    #[inline(always)]
+    fn block_offsets<const R: usize>(&self, row0: usize, last: usize, p0: usize) -> [usize; R] {
+        let step = self.step();
+        std::array::from_fn(|r| self.row_start((row0 + r).min(last)) + p0 * step)
     }
 }
-
-/// Contraction-dimension block length: bounds the stack-resident A block
-/// (`KC × MR512` floats) and keeps one B panel slice plus the A block in L1.
-const KC: usize = 256;
 
 /// Where the micro-kernel reads its RHS panels from: a packed buffer
 /// (lane stride [`NR`]) or the original row-major `B` (lane stride `n`).
@@ -302,41 +239,306 @@ impl BSource<'_> {
     }
 }
 
-/// The strip kernel compiled with AVX2 codegen (wider vectors, same
+/// `MR × NR` register-blocked block over one `kc`-length contraction
+/// slice: accumulators load from `out`, walk the slice in ascending order,
+/// and store back once. Row `r` of the block reads its LHS values at
+/// `a[a_offs[r] + p * a_step]`; those reads skip the bounds check, which
+/// measured 1.7× on the AVX2 tier's convolution.
+///
+/// # Safety
+/// `a_offs[r] + p * a_step` must be in bounds of `a` for every `r < MR`
+/// and `p < kc`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_kernel(
+    kc: usize,
+    n: usize,
+    a: &[f32],
+    a_offs: &[usize; MR],
+    a_step: usize,
+    panel: &[f32],
+    bstride: usize,
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        let off = (i0 + r) * n + j0;
+        acc_row.copy_from_slice(&out[off..off + NR]);
+    }
+    for p in 0..kc {
+        let b_lane = &panel[p * bstride..p * bstride + NR];
+        for (acc_row, &off) in acc.iter_mut().zip(a_offs) {
+            // SAFETY: in bounds by this function's contract.
+            let av = unsafe { *a.get_unchecked(off + p * a_step) };
+            for c in 0..NR {
+                acc_row[c] += av * b_lane[c];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let off = (i0 + r) * n + j0;
+        out[off..off + NR].copy_from_slice(acc_row);
+    }
+}
+
+/// Edge block (`mr < MR` rows and/or `jw < NR` columns): scalar
+/// accumulators with the same ascending-contraction order.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn edge_kernel(
+    kc: usize,
+    n: usize,
+    a: &[f32],
+    a_offs: &[usize; MR],
+    a_step: usize,
+    mr: usize,
+    panel: &[f32],
+    bstride: usize,
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    jw: usize,
+) {
+    for (r, &a_off) in a_offs.iter().enumerate().take(mr) {
+        for c in 0..jw {
+            let mut acc = out[(i0 + r) * n + j0 + c];
+            for p in 0..kc {
+                acc += a[a_off + p * a_step] * panel[p * bstride + c];
+            }
+            out[(i0 + r) * n + j0 + c] = acc;
+        }
+    }
+}
+
+/// The portable blocked kernel over a strip of output rows. `out_rows`
+/// covers exactly `rows` (local row 0 = global row `rows.start`).
+///
+/// # Safety
+/// Every row in `rows` must lie inside `a`'s slice (what [`run_blocked`]
+/// asserts).
+#[inline(always)]
+unsafe fn macro_kernel_impl(
+    k: usize,
+    n: usize,
+    a: &ASource<'_>,
+    b: &BSource<'_>,
+    rows: Range<usize>,
+    out_rows: &mut [f32],
+) {
+    let m_local = rows.len();
+    let data = a.data();
+    let step = a.step();
+    let panels = n.div_ceil(NR);
+    // KC-blocking keeps one B panel slice in L1; between KC slices the
+    // accumulators round-trip through `out`, which is exact, so the
+    // contraction order per element is still plain ascending k.
+    let mut p0 = 0usize;
+    while p0 < k {
+        let kc = KC.min(k - p0);
+        let mut i = 0usize;
+        while i < m_local {
+            let mr = MR.min(m_local - i);
+            let a_offs = a.block_offsets::<MR>(rows.start + i, rows.end - 1, p0);
+            for jb in 0..panels {
+                let j0 = jb * NR;
+                let (panel, bstride, _) = b.panel(k, n, jb, j0);
+                let panel = &panel[p0 * bstride..];
+                let jw = NR.min(n - j0);
+                if mr == MR && jw == NR {
+                    // SAFETY: `a_offs` holds rows of `rows`, which lie
+                    // inside `a` by this function's contract, advanced to
+                    // `p0`, and `p0 + kc <= k`.
+                    unsafe {
+                        micro_kernel(kc, n, data, &a_offs, step, panel, bstride, out_rows, i, j0);
+                    }
+                } else {
+                    edge_kernel(
+                        kc, n, data, &a_offs, step, mr, panel, bstride, out_rows, i, j0, jw,
+                    );
+                }
+            }
+            i += mr;
+        }
+        p0 += kc;
+    }
+}
+
+/// Contraction-dimension block length: keeps the B panel slices one block
+/// reads (`KC × 2·NR` floats on the AVX-512 tier) in L1.
+const KC: usize = 256;
+
+/// The portable kernel compiled with AVX2 codegen (wider vectors, same
 /// mul-then-add rounding sequence — see the module docs).
 ///
 /// # Safety
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime, and meet
+/// [`macro_kernel_impl`]'s contract.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 unsafe fn macro_kernel_avx2(
     k: usize,
     n: usize,
-    a: &[f32],
+    a: &ASource<'_>,
     b: &BSource<'_>,
     rows: Range<usize>,
     out_rows: &mut [f32],
 ) {
-    macro_kernel_impl::<MR, 1>(k, n, a, b, rows, out_rows);
+    macro_kernel_impl(k, n, a, b, rows, out_rows);
 }
 
-/// The strip kernel compiled with AVX-512 codegen, running [`MR`]-row
-/// blocks over two panels at a time (eight accumulator vectors — taller
-/// row blocks spill under LLVM's current codegen, wider wins instead).
-///
-/// # Safety
-/// The caller must have verified AVX-512F support at runtime.
+/// The AVX-512 tier: explicit 16-lane multiplies and adds over blocks of
+/// [`MR_AVX512`] rows and two panels.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn macro_kernel_avx512(
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &BSource<'_>,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-) {
-    macro_kernel_impl::<MR, 2>(k, n, a, b, rows, out_rows);
+mod avx512 {
+    use super::{ASource, BSource, KC, MR_AVX512 as MR, NR};
+    use std::ops::Range;
+
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    /// Lane mask of a panel with `jw` valid columns.
+    #[inline(always)]
+    fn lane_mask(jw: usize) -> __mmask16 {
+        if jw >= NR {
+            !0
+        } else {
+            ((1u32 << jw) - 1) as __mmask16
+        }
+    }
+
+    /// `R × (JP·NR)` block over one `kc`-length contraction slice. Each
+    /// accumulator loads from `out`, adds `a·b` in ascending `p` with a
+    /// separate multiply and add, and is stored back once. Lanes outside
+    /// `last` (a mask over the last panel's columns) are neither read nor
+    /// written.
+    ///
+    /// # Safety
+    /// AVX-512F must be available. For every `r < R` and `p < kc`,
+    /// `a + a_offs[r] + p·a_step` must be readable; for every `p < kc`,
+    /// `j < JP` and unmasked lane `c`, `b + p·bstride + j·pstep + c` must
+    /// be readable and `out + r·n + j·NR + c` readable and writable.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn block<const R: usize, const JP: usize>(
+        kc: usize,
+        a: *const f32,
+        a_offs: &[usize; R],
+        a_step: usize,
+        b: *const f32,
+        bstride: usize,
+        pstep: usize,
+        out: *mut f32,
+        n: usize,
+        last: __mmask16,
+    ) {
+        let mask = |j: usize| if j + 1 == JP { last } else { !0 };
+        let mut acc = [[_mm512_setzero_ps(); JP]; R];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            for (j, v) in acc_row.iter_mut().enumerate() {
+                *v = _mm512_maskz_loadu_ps(mask(j), out.add(r * n + j * NR));
+            }
+        }
+        let a_rows: [*const f32; R] = std::array::from_fn(|r| a.add(a_offs[r]));
+        for p in 0..kc {
+            let mut bv = [_mm512_setzero_ps(); JP];
+            for (j, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_maskz_loadu_ps(mask(j), b.add(p * bstride + j * pstep));
+            }
+            for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = _mm512_set1_ps(*a_row.add(p * a_step));
+                for (v, &bj) in acc_row.iter_mut().zip(&bv) {
+                    *v = _mm512_add_ps(*v, _mm512_mul_ps(av, bj));
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            for (j, &v) in acc_row.iter().enumerate() {
+                _mm512_mask_storeu_ps(out.add(r * n + j * NR), mask(j), v);
+            }
+        }
+    }
+
+    /// Every column of one `R`-row block over one contraction slice: pairs
+    /// of full panels, then a lone full panel, then the masked edge panel.
+    ///
+    /// # Safety
+    /// AVX-512F must be available, and rows `row0..row0 + R` of `a` must
+    /// lie inside both `a` (checked by the caller) and `out_rows` at local
+    /// row `i`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn row_block<const R: usize>(
+        k: usize,
+        n: usize,
+        kc: usize,
+        p0: usize,
+        a: &ASource<'_>,
+        row0: usize,
+        b: &BSource<'_>,
+        out_rows: &mut [f32],
+        i: usize,
+    ) {
+        let a_offs = a.block_offsets::<R>(row0, row0 + R - 1, p0);
+        let (data, step) = (a.data().as_ptr(), a.step());
+        let panels = n.div_ceil(NR);
+        let mut jb = 0usize;
+        while jb < panels {
+            let j0 = jb * NR;
+            let (panel, bstride, pstep) = b.panel(k, n, jb, j0);
+            let bp = panel.as_ptr().add(p0 * bstride);
+            let op = out_rows.as_mut_ptr().add(i * n + j0);
+            if j0 + 2 * NR <= n {
+                block::<R, 2>(kc, data, &a_offs, step, bp, bstride, pstep, op, n, !0);
+                jb += 2;
+            } else {
+                let last = lane_mask(n - j0);
+                block::<R, 1>(kc, data, &a_offs, step, bp, bstride, pstep, op, n, last);
+                jb += 1;
+            }
+        }
+    }
+
+    /// The blocked kernel over a strip of output rows: [`MR`]-row blocks,
+    /// then 4-row and single-row blocks for the remainder.
+    ///
+    /// # Safety
+    /// AVX-512F must be available, every row in `rows` must lie inside
+    /// `a`'s slice, and `out_rows` must cover exactly `rows × n`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn macro_kernel(
+        k: usize,
+        n: usize,
+        a: &ASource<'_>,
+        b: &BSource<'_>,
+        rows: Range<usize>,
+        out_rows: &mut [f32],
+    ) {
+        let m_local = rows.len();
+        let mut p0 = 0usize;
+        while p0 < k {
+            let kc = KC.min(k - p0);
+            let mut i = 0usize;
+            while i < m_local {
+                let row0 = rows.start + i;
+                let left = m_local - i;
+                i += if left >= MR {
+                    row_block::<MR>(k, n, kc, p0, a, row0, b, out_rows, i);
+                    MR
+                } else if left >= 4 {
+                    row_block::<4>(k, n, kc, p0, a, row0, b, out_rows, i);
+                    4
+                } else {
+                    row_block::<1>(k, n, kc, p0, a, row0, b, out_rows, i);
+                    1
+                };
+            }
+            p0 += kc;
+        }
+    }
 }
 
 /// `true` once AVX2 has been detected at runtime (std caches the CPUID
@@ -354,55 +556,105 @@ fn have_avx512() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
 }
 
+/// An instruction-set tier of the blocked GEMM. Every tier produces the
+/// same bits; the public kernels run [`Tier::detect`]'s pick, and the
+/// parity battery runs every tier in [`Tier::available`].
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// The portable block with the target's baseline codegen.
+    Baseline,
+    /// The portable block with AVX2 codegen.
+    Avx2,
+    /// The explicit `12 × 32` AVX-512 block.
+    Avx512,
+}
+
+impl Tier {
+    /// The fastest tier this CPU supports.
+    pub fn detect() -> Tier {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if have_avx512() {
+                return Tier::Avx512;
+            }
+            if have_avx2() {
+                return Tier::Avx2;
+            }
+        }
+        Tier::Baseline
+    }
+
+    /// Every tier this CPU supports, slowest first.
+    pub fn available() -> Vec<Tier> {
+        let best = Tier::detect();
+        [Tier::Baseline, Tier::Avx2, Tier::Avx512]
+            .into_iter()
+            .filter(|&t| t as u8 <= best as u8)
+            .collect()
+    }
+}
+
 fn macro_kernel(
+    tier: Tier,
     k: usize,
     n: usize,
-    a: &[f32],
+    a: &ASource<'_>,
     b: &BSource<'_>,
     rows: Range<usize>,
     out_rows: &mut [f32],
 ) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        if have_avx512() {
-            // SAFETY: AVX-512F support was just detected.
-            return unsafe { macro_kernel_avx512(k, n, a, b, rows, out_rows) };
-        }
-        if have_avx2() {
-            // SAFETY: AVX2 support was just detected.
-            return unsafe { macro_kernel_avx2(k, n, a, b, rows, out_rows) };
-        }
+    match tier {
+        // SAFETY: `Tier::detect` only names a tier whose features were
+        // detected, `run_blocked` checked that every row lies inside `a`,
+        // and `out_rows` covers exactly `rows × n`.
+        Tier::Avx512 => return unsafe { avx512::macro_kernel(k, n, a, b, rows, out_rows) },
+        // SAFETY: as above, AVX2 support was detected.
+        Tier::Avx2 => return unsafe { macro_kernel_avx2(k, n, a, b, rows, out_rows) },
+        Tier::Baseline => {}
     }
-    macro_kernel_impl::<MR, 1>(k, n, a, b, rows, out_rows);
+    // SAFETY: `run_blocked` checked that every row lies inside `a`.
+    unsafe { macro_kernel_impl(k, n, a, b, rows, out_rows) }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_blocked(
+    tier: Tier,
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
+    a: &ASource<'_>,
     b: &BSource<'_>,
     out: &mut [f32],
     threads: usize,
 ) {
+    assert!(
+        tier as u8 <= Tier::detect() as u8,
+        "gemm: tier {tier:?} is not supported by this CPU"
+    );
+    assert!(
+        a.row_start(m - 1) + (k - 1) * a.step() < a.data().len(),
+        "gemm: lhs rows overrun their buffer"
+    );
     let threads = effective_threads(threads, 2 * m * k * n);
     let ptr = SendMutPtr(out.as_mut_ptr());
-    par::for_each_chunk(m, MR512, threads, &|rows: Range<usize>| {
+    par::for_each_chunk(m, PAR_MIN_ROWS, threads, &|rows: Range<usize>| {
         let out_rows = unsafe { ptr.slice_mut(rows.start * n..rows.end * n) };
-        macro_kernel(k, n, a, b, rows, out_rows);
+        macro_kernel(tier, k, n, a, b, rows, out_rows);
     });
 }
 
 /// Packing `B` costs one extra pass over its `k·n` values; it pays off once
-/// the panels are re-read by enough output row blocks. Below this many row
-/// blocks the kernel reads `B` directly instead.
-const PACK_MIN_ROW_BLOCKS: usize = 16;
+/// the panels are re-read by enough output rows. Below this many rows the
+/// kernel reads `B` directly instead.
+const PACK_MIN_ROWS: usize = 128;
 
 /// Whether [`gemm_into`] will pack its RHS (and therefore touch the scratch
 /// buffer) for an `m`-row product. Callers that recycle scratch through a
 /// pool can skip requesting a buffer when this is `false`.
 pub fn gemm_packs(m: usize) -> bool {
-    m >= PACK_MIN_ROW_BLOCKS * MR512
+    m >= PACK_MIN_ROWS
 }
 
 /// Clamp a thread request to what can actually help: never more threads
@@ -440,13 +692,15 @@ pub fn gemm_into(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    let a = ASource::Rows { a, k };
+    let tier = Tier::detect();
     if !gemm_packs(m) {
-        run_blocked(m, k, n, a, &BSource::Direct(b), out, threads);
+        run_blocked(tier, m, k, n, &a, &BSource::Direct(b), out, threads);
         return;
     }
     ensure_len(scratch, packed_len(k, n));
     pack_b(k, n, b, scratch, threads);
-    run_blocked(m, k, n, a, &BSource::Packed(scratch), out, threads);
+    run_blocked(tier, m, k, n, &a, &BSource::Packed(scratch), out, threads);
 }
 
 /// Grow `scratch` to at least `n` values without zero-filling what a pack
@@ -481,15 +735,46 @@ pub fn gemm_abt_into(
     }
     ensure_len(scratch, packed_len(k, n));
     pack_bt(k, n, b, scratch, threads);
-    run_blocked(m, k, n, a, &BSource::Packed(scratch), out, threads);
+    let a = ASource::Rows { a, k };
+    run_blocked(
+        Tier::detect(),
+        m,
+        k,
+        n,
+        &a,
+        &BSource::Packed(scratch),
+        out,
+        threads,
+    );
 }
 
-/// Parallel `out += Aᵀ·B` with `A: r × m`, `B: r × n`, `out: m × n`, computed
-/// as a sequence of rank-1 updates (no packing needed — both operand rows
-/// stream contiguously). Per output element the contraction walks `r` in
-/// ascending order, so the result is bit-identical to
-/// `gemm_reference(m, r, n, transpose(a), b, out)` at any thread count.
+/// Blocked parallel `out += Aᵀ·B` with `A: r × m`, `B: r × n`, `out: m × n`:
+/// the register-blocked GEMM reading `A`'s columns in place as its rows and
+/// `B`'s rows in place as its panels, so neither operand is copied. Per
+/// output element the contraction walks `r` in ascending order, so the
+/// result is bit-identical to `gemm_reference(m, r, n, transpose(a), b,
+/// out)` at any thread count.
 pub fn gemm_atb_into(
+    r: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    threads: usize,
+) {
+    gemm_atb_into_on(Tier::detect(), r, m, n, a, b, out, threads);
+}
+
+/// [`gemm_atb_into`] on a chosen [`Tier`] (for the parity battery).
+///
+/// # Panics
+/// Panics if a slice length disagrees with the given dimensions, or if
+/// `tier` is not in [`Tier::available`].
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_atb_into_on(
+    tier: Tier,
     r: usize,
     m: usize,
     n: usize,
@@ -504,65 +789,87 @@ pub fn gemm_atb_into(
     if m == 0 || n == 0 || r == 0 {
         return;
     }
-    let threads = effective_threads(threads, 2 * r * m * n);
-    let ptr = SendMutPtr(out.as_mut_ptr());
-    par::for_each_chunk(m, 1, threads, &|p_range: Range<usize>| {
-        let out_rows = unsafe { ptr.slice_mut(p_range.start * n..p_range.end * n) };
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if have_avx2() {
-            // SAFETY: AVX2 support was just detected.
-            return unsafe { atb_strip_avx2(r, m, n, a, b, p_range, out_rows) };
-        }
-        atb_strip(r, m, n, a, b, p_range, out_rows);
-    });
+    let a = ASource::Cols { a, m };
+    run_blocked(tier, m, r, n, &a, &BSource::Direct(b), out, threads);
 }
 
-/// Rank-1-update strip of `Aᵀ·B` over output rows `p_range`.
-#[inline(always)]
-fn atb_strip(
-    r: usize,
-    m: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    p_range: Range<usize>,
-    out_rows: &mut [f32],
-) {
-    for i in 0..r {
-        let b_row = &b[i * n..(i + 1) * n];
-        for (p_local, p) in p_range.clone().enumerate() {
-            let av = a[i * m + p];
-            let out_row = &mut out_rows[p_local * n..(p_local + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// [`atb_strip`] with AVX2 codegen (same rounding sequence; see module docs).
+/// 1-D convolution over time as one blocked GEMM: `out += windows(x) · wᵀ`
+/// for a `[b, s, d]` input `x`, kernel width `kw` and a `[oc, kw·d]`
+/// weight, where `out` is `[b·(s-kw+1), oc]` and row `i·(s-kw+1) + t` of
+/// `windows(x)` is the flattened window `x[i, t..t+kw, :]`. The kernel
+/// reads each window in place (it is contiguous in the row-major input),
+/// so no unfolded copy exists; the result is bit-identical to [`im2row`]
+/// followed by [`gemm_abt_into`] at any thread count. `scratch` holds the
+/// packed weight ([`packed_len`]`(kw·d, oc)` values).
 ///
-/// # Safety
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn atb_strip_avx2(
-    r: usize,
-    m: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    p_range: Range<usize>,
-    out_rows: &mut [f32],
+/// # Panics
+/// Panics if a slice length disagrees with the given dimensions or `kw` is
+/// not in `1..=s`.
+#[allow(clippy::too_many_arguments)]
+pub fn conv1d_into(
+    x: &[f32],
+    b: usize,
+    s: usize,
+    d: usize,
+    kw: usize,
+    w: &[f32],
+    oc: usize,
+    out: &mut [f32],
+    threads: usize,
+    scratch: &mut Vec<f32>,
 ) {
-    atb_strip(r, m, n, a, b, p_range, out_rows);
+    conv1d_into_on(Tier::detect(), x, b, s, d, kw, w, oc, out, threads, scratch);
+}
+
+/// [`conv1d_into`] on a chosen [`Tier`] (for the parity battery).
+///
+/// # Panics
+/// As [`conv1d_into`], and if `tier` is not in [`Tier::available`].
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn conv1d_into_on(
+    tier: Tier,
+    x: &[f32],
+    b: usize,
+    s: usize,
+    d: usize,
+    kw: usize,
+    w: &[f32],
+    oc: usize,
+    out: &mut [f32],
+    threads: usize,
+    scratch: &mut Vec<f32>,
+) {
+    assert_eq!(x.len(), b * s * d, "conv1d: input length mismatch");
+    assert!(kw >= 1 && kw <= s, "conv1d: kernel width out of range");
+    let (out_s, width) = (s - kw + 1, kw * d);
+    let rows = b * out_s;
+    assert_eq!(w.len(), oc * width, "conv1d: weight length mismatch");
+    assert_eq!(out.len(), rows * oc, "conv1d: output length mismatch");
+    if rows == 0 || oc == 0 || width == 0 {
+        return;
+    }
+    ensure_len(scratch, packed_len(width, oc));
+    pack_bt(width, oc, w, scratch, threads);
+    let a = ASource::Windows { x, s, out_s, d };
+    run_blocked(
+        tier,
+        rows,
+        width,
+        oc,
+        &a,
+        &BSource::Packed(scratch),
+        out,
+        threads,
+    );
 }
 
 /// im2row for 1-D convolution over time: a `[b, s, d]` input and kernel
 /// width `kw` become a `[b·(s-kw+1), kw·d]` row matrix, each row the
 /// flattened window `x[i, t..t+kw, :]` (contiguous in the row-major input,
-/// so every row is one memcpy). The convolution then becomes
-/// [`gemm_abt_into`] against the `[oc, kw·d]` weight.
+/// so every row is one memcpy). The int8 convolution runs its quantized
+/// `A·Bᵀ` over these rows; the f32 one, [`conv1d_into`], reads the same
+/// windows in place instead.
 pub fn im2row(x: &[f32], b: usize, s: usize, d: usize, kw: usize, out: &mut [f32], threads: usize) {
     assert_eq!(x.len(), b * s * d, "im2row: input length mismatch");
     assert!(kw >= 1 && kw <= s, "im2row: kernel width out of range");
@@ -872,6 +1179,35 @@ mod tests {
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
                     "({m},{k},{n}) threads={threads}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn row_major_operands_match_the_reference_on_every_tier() {
+        let mut rng = Prng::new(18);
+        for &(m, k, n) in &[(1, 1, 1), (13, 31, 7), (25, 300, 33), (130, 40, 64)] {
+            let a = randn(m * k, &mut rng);
+            let b = randn(k * n, &mut rng);
+            let seed = randn(m * n, &mut rng);
+            let mut want = seed.clone();
+            gemm_reference(m, k, n, &a, &b, &mut want);
+            let mut packed = vec![0.0f32; packed_len(k, n)];
+            pack_b(k, n, &b, &mut packed, 1);
+            let a = ASource::Rows { a: &a, k };
+            for tier in Tier::available() {
+                for b in [BSource::Direct(&b), BSource::Packed(&packed)] {
+                    for threads in [1usize, 3] {
+                        let mut got = seed.clone();
+                        run_blocked(tier, m, k, n, &a, &b, &mut got, threads);
+                        assert!(
+                            want.iter()
+                                .zip(&got)
+                                .all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "({m},{k},{n}) {tier:?} threads={threads}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -6,10 +6,13 @@
 //! fused `A·Bᵀ` / `Aᵀ·B` variants against their explicit-transpose
 //! references. This battery drives that contract across adversarial shapes
 //! (degenerate dims, odd primes, tile-boundary ±1, tall/skinny) and random
-//! seeded shapes, at thread counts 1 / 2 / 8.
+//! seeded shapes, at thread counts 1 / 2 / 8. The two operands the kernel
+//! reads in place — convolution windows and the columns of `Aᵀ·B` — are
+//! held to the reference on every instruction-set tier the CPU has.
 
 use dtdbd_tensor::kernels::{
-    gemm_abt_into, gemm_atb_into, gemm_into, gemm_reference, transpose_into, MR, NR,
+    conv1d_into_on, gemm_abt_into, gemm_atb_into, gemm_atb_into_on, gemm_into, gemm_reference,
+    im2row, transpose_into, Tier, MR, NR,
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::Tensor;
@@ -158,4 +161,87 @@ fn tensor_matmul_agrees_with_graph_matmul_at_any_thread_count() {
         );
         g.finish();
     }
+}
+
+/// Output widths of the in-place batteries: one lane, a partial panel, one
+/// and two full panels (the AVX-512 block), and one past each.
+const WIDTHS: [usize; 6] = [1, 9, 16, 32, 33, 64];
+/// Thread counts of the in-place batteries.
+const INPLACE_THREADS: [usize; 3] = [1, 2, 4];
+
+/// In-place window convolution against im2row + the reference GEMM, on
+/// every tier. `(b, s, d, kw)` cover the TextCNN widths, the baseline's
+/// widest branch (`kw = 10`: width 320 > the 256-long contraction block)
+/// and row counts `b·(s-kw+1)` that are not a multiple of any block height.
+#[test]
+fn conv_windows_read_in_place_are_bit_identical_to_im2row_and_reference() {
+    let mut rng = Prng::new(0xC0_4F);
+    let shapes = [
+        (1, 1, 1, 1),
+        (3, 7, 5, 3),
+        (2, 24, 32, 10),
+        (5, 24, 32, 5),
+        (7, 24, 32, 2),
+        (64, 24, 32, 3),
+    ];
+    for (b, s, d, kw) in shapes {
+        let (rows, width) = (b * (s - kw + 1), kw * d);
+        let x = randn(b * s * d, &mut rng);
+        let mut unfolded = vec![0.0f32; rows * width];
+        im2row(&x, b, s, d, kw, &mut unfolded, 1);
+        for oc in WIDTHS {
+            let w = randn(oc * width, &mut rng);
+            let mut wt = vec![0.0f32; oc * width];
+            transpose_into(oc, width, &w, &mut wt);
+            let seed = randn(rows * oc, &mut rng); // the bias-seeded output
+            let mut want = seed.clone();
+            gemm_reference(rows, width, oc, &unfolded, &wt, &mut want);
+            for tier in Tier::available() {
+                for threads in INPLACE_THREADS {
+                    let mut got = seed.clone();
+                    let mut scratch = Vec::new();
+                    let out = &mut got;
+                    conv1d_into_on(tier, &x, b, s, d, kw, &w, oc, out, threads, &mut scratch);
+                    let what = format!("conv ({b},{s},{d},k{kw}) oc={oc} {tier:?} t={threads}");
+                    assert_bits_eq(&want, &got, &what);
+                }
+            }
+        }
+    }
+}
+
+/// Blocked `Aᵀ·B` reading `A`'s columns in place against an explicit
+/// transpose + the reference GEMM, on every tier. Output row counts `m`
+/// include ones that are not a multiple of any block height.
+#[test]
+fn blocked_atb_is_bit_identical_to_explicit_transpose_on_every_tier() {
+    let mut rng = Prng::new(0xA7_B0);
+    for r in [1usize, 64, 300] {
+        for m in [1usize, 7, 13, 50, 192] {
+            let a = randn(r * m, &mut rng);
+            let mut at = vec![0.0f32; r * m];
+            transpose_into(r, m, &a, &mut at);
+            for n in WIDTHS {
+                let b = randn(r * n, &mut rng);
+                let seed = randn(m * n, &mut rng);
+                let mut want = seed.clone();
+                gemm_reference(m, r, n, &at, &b, &mut want);
+                for tier in Tier::available() {
+                    for threads in INPLACE_THREADS {
+                        let mut got = seed.clone();
+                        gemm_atb_into_on(tier, r, m, n, &a, &b, &mut got, threads);
+                        let what = format!("atb r={r} m={m} n={n} {tier:?} t={threads}");
+                        assert_bits_eq(&want, &got, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tier_list_runs_from_the_baseline_to_the_dispatched_tier() {
+    let tiers = Tier::available();
+    assert_eq!(tiers.first(), Some(&Tier::Baseline));
+    assert_eq!(tiers.last(), Some(&Tier::detect()));
 }

@@ -10,8 +10,14 @@
 #      battery (checkpoint_corruption.rs), the committed v1/v2 byte-fixture
 #      compat pins (compat_fixtures.rs) and the zoo-wide
 #      train->save->load->serve bit-parity test (zoo_roundtrip.rs) live in
-#      crates/serve/tests). Four batteries get named in the stage label
+#      crates/serve/tests). Five batteries get named in the stage label
 #      because they gate whole layers:
+#        - in-place GEMM parity (crates/tensor/tests/gemm_parity.rs): the
+#          convolution whose windows the blocked GEMM reads straight from
+#          the input, against im2row + the naive reference, and the blocked
+#          Aᵀ·B reading A's columns in place, against an explicit transpose
+#          + the reference, bit for bit on every ISA tier the CPU has and at
+#          1/2/4 threads;
 #        - training-tape parity (crates/tensor/src/kernels.rs and graph.rs
 #          unit tests): the branch-free max-over-time kernel, dispatched and
 #          baseline, against the plain branchy loop (ties, signed zeros,
@@ -32,9 +38,10 @@
 #      blocking driver every other platform runs is covered in the same
 #      stage by dtdbd-serve's unit tests (the `_under_pool` socket tests
 #      and a multi-client bit-parity test), and clippy below lints it.
-#   3. kernel-parity smoke: the blocked/parallel GEMM must stay bit-identical
-#      to the naive reference on a fixed seed (threads 1/2/4), and the int8
-#      quantized GEMM bit-identical to itself across thread counts
+#   3. kernel-parity smoke: the blocked/parallel GEMM — plain, over in-place
+#      convolution windows, and Aᵀ·B — must stay bit-identical to the naive
+#      reference on a fixed seed (threads 1/2/4), and the int8 quantized GEMM
+#      bit-identical to itself across thread counts
 #   4. bench regression gate (scripts/check_bench.sh): re-runs the quick
 #      kernels/serving benches in a throwaway dir and FAILS if throughput
 #      dropped more than BENCH_GATE_TOLERANCE percent (default 25) below the
@@ -117,7 +124,7 @@ else
     cargo build --release --workspace --all-targets
 fi
 
-stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, int8 determinism + memory, hot-swap + zoo, max-over-time + conv/matmul backward parity)" \
+stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, int8 determinism + memory, hot-swap + zoo, max-over-time + conv/matmul backward parity, in-place conv-window + Aᵀ·B GEMM parity)" \
   cargo test -q --workspace
 
 if [ "$quick" != "1" ]; then

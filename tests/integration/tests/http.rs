@@ -170,7 +170,7 @@ fn malformed_wire_traffic_gets_4xx_and_never_kills_the_server() {
         {
             // Oversized head.
             let mut huge = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
-            huge.extend(std::iter::repeat(b'a').take(64 * 1024));
+            huge.extend(std::iter::repeat_n(b'a', 64 * 1024));
             huge.extend_from_slice(b"\r\n\r\n");
             huge
         },
