@@ -30,11 +30,7 @@ fn bench_conv_forward_backward() {
         store.zero_grad();
         let mut g = Graph::new(&mut store, true, 0);
         let xv = g.constant(x.clone());
-        let wv = g.param(w);
-        let bv = g.param(b);
-        let conv = g.conv1d(xv, wv, bv);
-        let act = g.relu(conv);
-        let pooled = g.max_over_time(act);
+        let pooled = g.conv_relu_max(xv, w, b);
         let loss = g.mean_all(pooled);
         g.backward(loss);
         black_box(g.len());

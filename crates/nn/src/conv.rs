@@ -1,15 +1,17 @@
 //! TextCNN-style convolutional sequence encoders (Kim, 2014).
 //!
-//! The convolution itself runs as **one blocked GEMM over windows read in
-//! place**: the graph op behind [`dtdbd_tensor::Graph::conv1d`] seeds the
-//! output with the bias and accumulates the `[oc, k·d]` weight against the
-//! `k·d`-long windows of the `[b, s, d]` input, which the GEMM reads where
-//! they lie (each window is contiguous in a row-major `[s, d]` layout, so
-//! nothing is unfolded). Per output element the arithmetic order is exactly
-//! the naive nested-loop order (`bias + Σ x·w` over ascending `(ki, j)`),
-//! so the GEMM form is bit-identical to a direct convolution — and, by the
-//! kernels' determinism contract, bit-identical at any intra-op thread
-//! count. `conv_matches_naive_reference_bit_for_bit` below pins both.
+//! Each branch is **one graph op**, [`dtdbd_tensor::Graph::conv_relu_max`]:
+//! the convolution runs as one blocked GEMM that seeds the output with the
+//! bias and accumulates the `[oc, k·d]` weight against the `k·d`-long
+//! windows of the `[b, s, d]` input, read where they lie (each window is
+//! contiguous in a row-major `[s, d]` layout, so nothing is unfolded), and
+//! ReLU and max-over-time pool that activation in the same op. Per
+//! convolution output the arithmetic order is exactly the naive nested-loop
+//! order (`bias + Σ x·w` over ascending `(ki, j)`), so a branch is
+//! bit-identical to a direct convolution followed by ReLU and max pooling —
+//! and, by the kernels' determinism contract, bit-identical at any intra-op
+//! thread count. `conv_matches_naive_reference_bit_for_bit` below pins both.
+//! Training, evaluation and serving all run this one op.
 
 use dtdbd_tensor::init;
 use dtdbd_tensor::rng::Prng;
@@ -60,14 +62,12 @@ impl ConvBranch {
     }
 
     /// Apply conv -> ReLU -> max-over-time to a `[b, s, d]` input, producing
-    /// `[b, channels]`. The convolution dispatches through
-    /// [`Graph::conv1d_param`], so graphs with an int8 registry run the
-    /// fused quantized kernel and every other graph composes the exact
-    /// `param → conv1d` sequence as before.
+    /// `[b, channels]`, as the single op [`Graph::conv_relu_max`] on tape
+    /// and tape-free graphs alike. It reads the weight and bias in place in
+    /// the store; graphs with an int8 registry entry for the weight run the
+    /// quantized convolution inside the same op.
     pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        let conv = g.conv1d_param(x, self.weight, self.bias);
-        let act = g.relu(conv);
-        g.max_over_time(act)
+        g.conv_relu_max(x, self.weight, self.bias)
     }
 }
 
@@ -218,8 +218,9 @@ mod tests {
 
     #[test]
     fn conv_matches_naive_reference_bit_for_bit() {
-        // Direct nested-loop convolution, the pre-im2row arithmetic.
-        fn naive_conv1d(
+        // Direct nested-loop convolution, ReLU and first-maximum pooling:
+        // the arithmetic a branch must reproduce.
+        fn naive_branch(
             x: &[f32],
             w: &[f32],
             bias: &[f32],
@@ -227,7 +228,7 @@ mod tests {
             (oc, k): (usize, usize),
         ) -> Vec<f32> {
             let out_s = s - k + 1;
-            let mut out = vec![0.0f32; b * out_s * oc];
+            let mut out = vec![f32::NEG_INFINITY; b * oc];
             for i in 0..b {
                 for t in 0..out_s {
                     for o in 0..oc {
@@ -239,7 +240,10 @@ mod tests {
                                 acc += x[x_off + j] * w[w_off + j];
                             }
                         }
-                        out[i * out_s * oc + t * oc + o] = acc;
+                        let act = acc.max(0.0);
+                        if act > out[i * oc + o] {
+                            out[i * oc + o] = act;
+                        }
                     }
                 }
             }
@@ -248,19 +252,23 @@ mod tests {
 
         let mut rng = Prng::new(6);
         for (b, s, d, oc, k) in [(1, 3, 1, 1, 2), (3, 11, 5, 7, 3), (4, 16, 8, 6, 5)] {
+            let mut store = ParamStore::new();
+            let branch = ConvBranch::new(&mut store, "conv", d, oc, k, &mut rng);
+            store.get_mut(branch.bias).value = Tensor::randn(&[oc], 0.2, &mut rng);
             let x = Tensor::randn(&[b, s, d], 1.0, &mut rng);
-            let w = Tensor::randn(&[oc, k, d], 0.5, &mut rng);
-            let bias = Tensor::randn(&[oc], 0.2, &mut rng);
-            let want = naive_conv1d(x.data(), w.data(), bias.data(), (b, s, d), (oc, k));
+            let want = naive_branch(
+                x.data(),
+                store.value(branch.weight).data(),
+                store.value(branch.bias).data(),
+                (b, s, d),
+                (oc, k),
+            );
             for threads in [1usize, 2, 4] {
-                let mut store = ParamStore::new();
                 let mut g = Graph::new(&mut store, false, 0);
                 g.set_threads(threads);
                 let xv = g.constant(x.clone());
-                let wv = g.constant(w.clone());
-                let bv = g.constant(bias.clone());
-                let y = g.conv1d(xv, wv, bv);
-                assert_eq!(g.value(y).shape(), &[b, s - k + 1, oc]);
+                let y = branch.forward(&mut g, xv);
+                assert_eq!(g.value(y).shape(), &[b, oc]);
                 for (i, (a, e)) in g.value(y).data().iter().zip(&want).enumerate() {
                     assert_eq!(
                         a.to_bits(),

@@ -118,29 +118,27 @@ mod tests {
 
     #[test]
     fn conv_and_maxpool_pipeline_passes_gradcheck() {
+        // The fused conv → ReLU → max-over-time branch, with a trainable
+        // input so its `dx` is checked beside `dw` and `db`.
         let mut rng = Prng::new(23);
         let mut store = ParamStore::new();
         let w = store.add("conv.w", Tensor::randn(&[3, 2, 4], 0.4, &mut rng));
         let b = store.add("conv.b", Tensor::zeros(&[3]));
         let wo = store.add("out.w", Tensor::randn(&[3, 2], 0.4, &mut rng));
-        let x = Tensor::randn(&[2, 6, 4], 1.0, &mut rng);
+        let x = store.add("x", Tensor::randn(&[2, 6, 4], 1.0, &mut rng));
         let labels = vec![1usize, 0];
         let loss_fn = |store: &mut ParamStore| {
             let mut g = Graph::new(store, false, 0);
-            let xv = g.constant(x.clone());
-            let wv = g.param(w);
-            let bv = g.param(b);
+            let xv = g.param(x);
             let wov = g.param(wo);
-            let conv = g.conv1d(xv, wv, bv);
-            let act = g.relu(conv);
-            let pooled = g.max_over_time(act);
+            let pooled = g.conv_relu_max(xv, w, b);
             let logits = g.matmul(pooled, wov);
             let loss = g.cross_entropy_logits(logits, &labels);
             let value = g.value(loss).item();
             g.backward(loss);
             value
         };
-        let report = check_gradients(&mut store, &[w, b, wo], loss_fn, 1e-2, 16);
+        let report = check_gradients(&mut store, &[w, b, wo, x], loss_fn, 1e-2, 16);
         assert!(
             report.max_rel_error < 3e-2,
             "max rel error {}",

@@ -8,7 +8,8 @@
 //!
 //! The op set is a closed enum covering exactly what the DTDBD models need:
 //! dense algebra, activations, softmax/log-softmax, sequence ops (embedding
-//! lookup, 1-D convolution, max/mean-over-time, time-step selection), the
+//! lookup, the fused TextCNN branch conv → ReLU → max-over-time,
+//! mean-over-time, time-step selection), the
 //! gradient-reversal pseudo-op for domain-adversarial training, a pairwise
 //! squared-Euclidean-distance op for the unbiased-distribution knowledge of
 //! adversarial de-biasing distillation, and a fused softmax cross-entropy.
@@ -92,16 +93,18 @@ enum Op {
     SelectTime { t: usize },
     /// Mean over the time dimension: `[b, s, d] -> [b, d]`.
     MeanOverTime,
-    /// Max over the time dimension. `argmax[i * c + j]` is the first time
-    /// step holding row `i`'s maximum in channel `j`; backward routes each
-    /// gradient element there and nowhere else.
-    MaxOverTime { argmax: Vec<u32> },
-    /// 1-D convolution over the time dimension (inputs: x, weight, bias).
-    /// Backward skips zero output gradients (after ReLU and max-over-time at
-    /// most one time step per row and channel is nonzero) and builds `dx`
-    /// only when the input needs a gradient and `dw` only when the weight
-    /// does; a conv over a frozen embedding gets no `dx` at all.
-    Conv1d,
+    /// One TextCNN branch, `max_t relu(conv1d(x, weight, bias))`, with the
+    /// weight and bias read from the store (input: x). `argmax[i * oc + o]`
+    /// is the first time step holding sample `i`'s maximum in channel `o`.
+    /// Backward visits only those steps, and only where the pooled value
+    /// is positive and its gradient nonzero: it builds `dx` when the input
+    /// needs a gradient and flushes `dw`/`db` into the store for trainable
+    /// parameters, so a conv over a frozen embedding gets no `dx` at all.
+    ConvReluMax {
+        weight: ParamId,
+        bias: ParamId,
+        argmax: Vec<u32>,
+    },
     /// Pairwise squared Euclidean distances between rows: `[b, d] -> [b, b]`.
     PairwiseSqDist,
     /// Column selection: `[r, c] -> [r, 1]`.
@@ -144,8 +147,8 @@ pub struct Graph<'s> {
     /// embedding gather). `None` — the default — skips every clock read;
     /// timing is observation only and never changes computed values.
     kernel_timers: Option<Arc<dyn KernelTimers>>,
-    /// Int8 registry for [`Graph::linear_param`] / [`Graph::conv1d_param`] /
-    /// [`Graph::embedding`]: weights with an entry run the fused quantize →
+    /// Int8 registry for [`Graph::linear_param`] / [`Graph::conv_relu_max`]
+    /// / [`Graph::embedding`]: weights with an entry run the fused quantize →
     /// i32 GEMM → dequantize kernel, and a table with an entry gathers
     /// dequantized int8 rows, instead of the f32 path. Inference graphs only
     /// (the tape cannot differentiate through the integer kernel).
@@ -199,7 +202,7 @@ impl<'s> Graph<'s> {
         self.kernel_timers = sink;
     }
 
-    /// Serve [`Graph::linear_param`] / [`Graph::conv1d_param`] weights with
+    /// Serve [`Graph::linear_param`] / [`Graph::conv_relu_max`] weights with
     /// an entry in `quantized` through the fused int8 kernel, and
     /// [`Graph::embedding`] tables with an entry from their int8 rows. Inference
     /// graphs only: the tape cannot differentiate through integer
@@ -812,134 +815,113 @@ impl<'s> Graph<'s> {
         self.push(value, Op::MeanOverTime, &[x.0], None, rg)
     }
 
-    /// Max over the time dimension: `[b, s, c] -> [b, c]` (max pooling over
-    /// time, as in TextCNN), through the branch-free
-    /// [`kernels::max_over_time_into`]. The arg-max is only recorded when a
-    /// gradient will be routed through it.
-    pub fn max_over_time(&mut self, x: Var) -> Var {
-        let (b, s, c) = {
-            let xv = &self.nodes[x.0].value;
-            assert_eq!(xv.ndim(), 3, "max_over_time expects [b, s, c]");
-            (xv.shape()[0], xv.shape()[1], xv.shape()[2])
-        };
-        assert!(s > 0, "max_over_time over empty time dimension");
-        let rg = self.tape && self.nodes[x.0].requires_grad;
-        let mut data = self.alloc_for_overwrite(b * c);
-        let mut argmax = if rg { vec![0u32; b * c] } else { Vec::new() };
-        kernels::max_over_time_into(
-            b,
-            s,
-            c,
-            self.nodes[x.0].value.data(),
-            &mut data,
-            rg.then_some(argmax.as_mut_slice()),
-        );
-        let value = Tensor::new(vec![b, c], data);
-        self.push(value, Op::MaxOverTime { argmax }, &[x.0], None, rg)
-    }
-
-    /// 1-D convolution over the time dimension, computed as one blocked
-    /// GEMM: the output is seeded with the bias, and
-    /// [`kernels::conv1d_into`] accumulates the `[oc, k·d]` weight against
-    /// the input's `k·d`-long windows, which it reads in place (each window
-    /// is contiguous in the `[b, s, d]` input, so nothing is unfolded). Per
-    /// output element the arithmetic is `bias + Σ x·w` over ascending
-    /// `(ki, j)` — exactly the naive nested-loop order, so the GEMM form is
-    /// bit-identical to it (and to itself at any thread count).
+    /// One TextCNN branch, `max_t relu(conv1d(x, weight, bias))`, as a
+    /// single op: `[b, s, d]` in, `[b, oc]` out.
     ///
     /// * `x`: `[b, s, d]`
-    /// * `weight`: `[out_channels, k, d]`
-    /// * `bias`: `[out_channels]`
-    /// * output: `[b, s - k + 1, out_channels]`
-    pub fn conv1d(&mut self, x: Var, weight: Var, bias: Var) -> Var {
+    /// * `weight`: a `[oc, k, d]` parameter
+    /// * `bias`: an `[oc]` parameter
+    ///
+    /// The convolution runs into scratch through [`kernels::conv1d_into`],
+    /// reading `weight` and `bias` where they lie in the store: the output
+    /// is seeded with the bias and the blocked GEMM accumulates the
+    /// `[oc, k·d]` weight against the input's `k·d`-long windows, read in
+    /// place. Per output element that is `bias + Σ x·w` over ascending
+    /// `(ki, j)`, the naive nested-loop order, at any thread count. When
+    /// the quantized registry has an entry for `weight` the scratch is
+    /// filled by im2row and the fused int8 `A·Bᵀ` kernel instead (inference
+    /// graphs only). [`kernels::relu_max_over_time_into`] then pools the
+    /// scratch, so values and arg-max are those of a ReLU over the whole
+    /// activation followed by max-over-time. The tape keeps only the
+    /// `[b, oc]` output and a `u32` arg-max per (sample, channel).
+    pub fn conv_relu_max(&mut self, x: Var, weight: ParamId, bias: ParamId) -> Var {
         let timers = self.kernel_timers.clone();
         let _timer = KernelSpan::start(timers.as_ref(), "conv1d");
-        let (b, s, d, oc, k) = {
+        let quantized = self
+            .quantized
+            .as_ref()
+            .and_then(|q| q.get(weight))
+            .map(Arc::clone);
+        let (b, s, d) = {
             let xv = &self.nodes[x.0].value;
-            let wv = &self.nodes[weight.0].value;
-            let bv = &self.nodes[bias.0].value;
             assert_eq!(xv.ndim(), 3, "conv1d input must be [b, s, d]");
-            assert_eq!(wv.ndim(), 3, "conv1d weight must be [oc, k, d]");
-            let (b, s, d) = (xv.shape()[0], xv.shape()[1], xv.shape()[2]);
-            let (oc, k, dw) = (wv.shape()[0], wv.shape()[1], wv.shape()[2]);
-            assert_eq!(d, dw, "conv1d feature dimension mismatch");
-            assert_eq!(bv.numel(), oc, "conv1d bias length mismatch");
-            assert!(
-                s >= k,
-                "conv1d: sequence length {s} shorter than kernel {k}"
-            );
-            (b, s, d, oc, k)
+            (xv.shape()[0], xv.shape()[1], xv.shape()[2])
         };
-        let out_s = s - k + 1;
-        let threads = self.threads;
-        let mut data = self.alloc_for_overwrite(b * out_s * oc);
-        let mut scratch = self.alloc_for_overwrite(kernels::packed_len(k * d, oc));
-        {
-            let xd = self.nodes[x.0].value.data();
-            let wd = self.nodes[weight.0].value.data();
-            let bd = self.nodes[bias.0].value.data();
-            for row in data.chunks_exact_mut(oc) {
-                row.copy_from_slice(bd);
-            }
-            kernels::conv1d_into(xd, b, s, d, k, wd, oc, &mut data, threads, &mut scratch);
-        }
-        self.release_scratch(scratch);
-        let value = Tensor::new(vec![b, out_s, oc], data);
-        let rg = self.any_requires_grad(&[x.0, weight.0, bias.0]);
-        self.push(value, Op::Conv1d, &[x.0, weight.0, bias.0], None, rg)
-    }
-
-    /// A whole conv1d layer by parameter id. When `weight` has an entry in
-    /// the quantized registry this runs im2row followed by the fused int8
-    /// `A·Bᵀ` kernel over the unfolded `[b·(s-k+1), k·d]` rows (bias folded
-    /// into the dequantize) and records one tape-free node; otherwise it
-    /// composes the exact f32 sequence (`param` ×2 → `conv1d`) every
-    /// training graph uses, so the f32 path is bit-unchanged.
-    pub fn conv1d_param(&mut self, x: Var, weight: ParamId, bias: ParamId) -> Var {
-        if let Some(qm) = self.quantized.as_ref().and_then(|q| q.get(weight)) {
-            let qm = Arc::clone(qm);
-            let timers = self.kernel_timers.clone();
-            let _timer = KernelSpan::start(timers.as_ref(), "conv1d");
-            // Geometry comes from the input and the quantized matrix alone:
-            // the store may hold only a `[0, k, d]` stub for this weight
-            // (quantization drops the f32 original to reclaim memory).
-            let (b, s, d, oc, k) = {
-                let xv = &self.nodes[x.0].value;
-                assert_eq!(xv.ndim(), 3, "conv1d input must be [b, s, d]");
-                let (b, s, d) = (xv.shape()[0], xv.shape()[1], xv.shape()[2]);
+        // Geometry of a quantized weight comes from its matrix alone: the
+        // store may hold only a `[0, k, d]` stub for it (quantization drops
+        // the f32 original to reclaim memory).
+        let (oc, k) = match &quantized {
+            Some(qm) => {
                 assert_eq!(
                     qm.cols() % d.max(1),
                     0,
                     "quantized conv width {} not a multiple of feature dim {d}",
                     qm.cols()
                 );
-                let k = qm.cols() / d.max(1);
-                let oc = qm.rows();
-                assert!(
-                    s >= k,
-                    "conv1d: sequence length {s} shorter than kernel {k}"
-                );
-                (b, s, d, oc, k)
-            };
-            let out_s = s - k + 1;
-            let rows = b * out_s;
-            let width = k * d;
-            let threads = self.threads;
-            let mut data = self.alloc_for_overwrite(rows * oc);
-            let mut unfolded = self.alloc_for_overwrite(rows * width);
-            {
+                (qm.rows(), qm.cols() / d.max(1))
+            }
+            None => {
+                let wv = self.store.value(weight);
+                assert_eq!(wv.ndim(), 3, "conv1d weight must be [oc, k, d]");
+                assert_eq!(wv.shape()[2], d, "conv1d feature dimension mismatch");
+                (wv.shape()[0], wv.shape()[1])
+            }
+        };
+        assert_eq!(
+            self.store.value(bias).numel(),
+            oc,
+            "conv1d bias length mismatch"
+        );
+        assert!(
+            s >= k,
+            "conv1d: sequence length {s} shorter than kernel {k}"
+        );
+        let out_s = s - k + 1;
+        let threads = self.threads;
+        let mut conv = self.alloc_for_overwrite(b * out_s * oc);
+        match quantized {
+            Some(qm) => {
+                let rows = b * out_s;
+                let mut unfolded = self.alloc_for_overwrite(rows * k * d);
                 let xd = self.nodes[x.0].value.data();
                 let bd = self.store.value(bias).data();
                 kernels::im2row(xd, b, s, d, k, &mut unfolded, threads);
-                qm.matmul_into(&unfolded, rows, bd, &mut data, threads);
+                qm.matmul_into(&unfolded, rows, bd, &mut conv, threads);
+                self.release_scratch(unfolded);
             }
-            self.release_scratch(unfolded);
-            let value = Tensor::new(vec![b, out_s, oc], data);
-            return self.push(value, Op::Leaf, &[], None, false);
+            None => {
+                let mut pack = self.alloc_for_overwrite(kernels::packed_len(k * d, oc));
+                let xd = self.nodes[x.0].value.data();
+                let wd = self.store.value(weight).data();
+                let bd = self.store.value(bias).data();
+                for row in conv.chunks_exact_mut(oc.max(1)) {
+                    row.copy_from_slice(bd);
+                }
+                kernels::conv1d_into(xd, b, s, d, k, wd, oc, &mut conv, threads, &mut pack);
+                self.release_scratch(pack);
+            }
         }
-        let w = self.param(weight);
-        let b = self.param(bias);
-        self.conv1d(x, w, b)
+        let rg = self.tape
+            && (self.nodes[x.0].requires_grad
+                || self.store.get(weight).trainable
+                || self.store.get(bias).trainable);
+        let mut data = self.alloc_for_overwrite(b * oc);
+        let mut argmax = if rg { vec![0u32; b * oc] } else { Vec::new() };
+        kernels::relu_max_over_time_into(
+            b,
+            out_s,
+            oc,
+            &conv,
+            &mut data,
+            rg.then_some(argmax.as_mut_slice()),
+        );
+        self.release_scratch(conv);
+        let op = Op::ConvReluMax {
+            weight,
+            bias,
+            argmax,
+        };
+        self.push(Tensor::new(vec![b, oc], data), op, &[x.0], None, rg)
     }
 
     // ------------------------------------------------------------------
@@ -949,6 +931,13 @@ impl<'s> Graph<'s> {
     /// Pairwise squared Euclidean distances between the rows of a `[b, d]`
     /// feature matrix, producing the `[b, b]` correlation matrix `M` of
     /// Eq. (5) in the paper.
+    ///
+    /// Row `i` of the upper triangle is built from the columns of `x`
+    /// (one transposed copy): for each `t`, every `j > i` adds
+    /// `(x[i, t] - x[j, t])²` to its own accumulator, so each entry still
+    /// sums its terms in ascending `t` — the plain per-pair loop's order and
+    /// bits — while the `j` loop runs over contiguous slices instead of one
+    /// serial add chain per pair.
     pub fn pairwise_sq_dist(&mut self, x: Var) -> Var {
         let (b, d) = {
             let xv = &self.nodes[x.0].value;
@@ -956,18 +945,24 @@ impl<'s> Graph<'s> {
             (xv.shape()[0], xv.shape()[1])
         };
         let mut data = self.alloc_zeroed(b * b);
-        let xd = self.nodes[x.0].value.data();
-        for i in 0..b {
-            for j in (i + 1)..b {
-                let mut acc = 0.0f32;
-                for t in 0..d {
-                    let diff = xd[i * d + t] - xd[j * d + t];
-                    acc += diff * diff;
+        let mut cols = self.alloc_for_overwrite(b * d);
+        if b > 0 {
+            kernels::transpose_into(b, d, self.nodes[x.0].value.data(), &mut cols);
+            for i in 0..b {
+                let upper = &mut data[i * b + i + 1..(i + 1) * b];
+                for col in cols.chunks_exact(b) {
+                    let xi = col[i];
+                    for (acc, &xj) in upper.iter_mut().zip(&col[i + 1..]) {
+                        let diff = xi - xj;
+                        *acc += diff * diff;
+                    }
                 }
-                data[i * b + j] = acc;
-                data[j * b + i] = acc;
+                for j in i + 1..b {
+                    data[j * b + i] = data[i * b + j];
+                }
             }
         }
+        self.release_scratch(cols);
         let value = Tensor::new(vec![b, b], data);
         let rg = self.nodes[x.0].requires_grad;
         self.push(value, Op::PairwiseSqDist, &[x.0], None, rg)
@@ -1325,25 +1320,27 @@ impl<'s> Graph<'s> {
                 }
                 self.accumulate(grads, inputs[0], Tensor::new(x_shape, dx));
             }
-            Op::MaxOverTime { argmax } => {
-                let x_shape = self.nodes[inputs[0]].value.shape().to_vec();
-                let (b, s, c) = (x_shape[0], x_shape[1], x_shape[2]);
-                let mut dx = vec![0.0f32; b * s * c];
-                for i2 in 0..b {
-                    for j in 0..c {
-                        let t = argmax[i2 * c + j] as usize;
-                        dx[i2 * s * c + t * c + j] += grad.data()[i2 * c + j];
-                    }
-                }
-                self.accumulate(grads, inputs[0], Tensor::new(x_shape, dx));
-            }
-            Op::Conv1d => {
-                let (x, w) = (&self.nodes[inputs[0]], &self.nodes[inputs[1]]);
-                let (b, s, d) = (x.value.shape()[0], x.value.shape()[1], x.value.shape()[2]);
-                let (oc, k) = (w.value.shape()[0], w.value.shape()[1]);
-                let (xd, wd, gd) = (x.value.data(), w.value.data(), grad.data());
-                let (out_s, width) = (s - k + 1, k * d);
-                let (need_dx, need_dw) = (x.requires_grad, w.requires_grad);
+            Op::ConvReluMax {
+                weight,
+                bias,
+                argmax,
+            } => {
+                let (weight, bias) = (*weight, *bias);
+                let xn = &self.nodes[inputs[0]];
+                let (b, s, d) = (
+                    xn.value.shape()[0],
+                    xn.value.shape()[1],
+                    xn.value.shape()[2],
+                );
+                let (oc, k) = {
+                    let shape = self.store.value(weight).shape();
+                    (shape[0], shape[1])
+                };
+                let width = k * d;
+                let need_dx = xn.requires_grad;
+                let need_dw = self.store.get(weight).trainable;
+                let need_db = self.store.get(bias).trainable;
+                let (xd, gd, pooled) = (xn.value.data(), grad.data(), self.nodes[i].value.data());
                 let mut dx = if need_dx {
                     vec![0.0f32; b * s * d]
                 } else {
@@ -1354,33 +1351,52 @@ impl<'s> Graph<'s> {
                 } else {
                     Vec::new()
                 };
-                let mut db = vec![0.0f32; oc];
-                // Per nonzero `(i2, t, o)` the `k·d` window of `x` and row
-                // `o` of `w` are both contiguous, and each element of the
-                // window meets one update — the `(i2, t, o, ki, j)` order of
-                // the plain nested loops, so the sums are bit-identical.
+                let mut db = if need_db {
+                    vec![0.0f32; oc]
+                } else {
+                    Vec::new()
+                };
+                // The ReLU passes a gradient only where the pooled value is
+                // positive, and max-over-time routes it to one time step per
+                // (sample, channel). Visiting those hits by ascending sample
+                // gives each `dw`/`db` element the adds of the dense
+                // `(i2, t, o, ki, j)` scan in the same order; `dx`, whose
+                // windows overlap across channels and steps, takes each
+                // sample's hits in ascending `(t, o)` order for the same
+                // reason.
+                let mut hits: Vec<(u32, usize)> = Vec::with_capacity(oc);
                 for i2 in 0..b {
-                    for t in 0..out_s {
-                        let x_off = i2 * s * d + t * d;
-                        let g_off = (i2 * out_s + t) * oc;
-                        for (o, &g) in gd[g_off..g_off + oc].iter().enumerate() {
-                            if g == 0.0 {
-                                continue;
-                            }
+                    hits.clear();
+                    for o in 0..oc {
+                        let idx = i2 * oc + o;
+                        let g = gd[idx];
+                        if g == 0.0 || pooled[idx] <= 0.0 {
+                            continue;
+                        }
+                        let t = argmax[idx];
+                        let x_off = i2 * s * d + t as usize * d;
+                        if need_db {
                             db[o] += g;
-                            let w_row = &wd[o * width..(o + 1) * width];
-                            if need_dx {
-                                for (dv, &wv) in dx[x_off..x_off + width].iter_mut().zip(w_row) {
-                                    *dv += g * wv;
-                                }
+                        }
+                        if need_dw {
+                            let x_win = &xd[x_off..x_off + width];
+                            for (dv, &xv) in dw[o * width..(o + 1) * width].iter_mut().zip(x_win) {
+                                *dv += g * xv;
                             }
-                            if need_dw {
-                                let x_win = &xd[x_off..x_off + width];
-                                for (dv, &xv) in
-                                    dw[o * width..(o + 1) * width].iter_mut().zip(x_win)
-                                {
-                                    *dv += g * xv;
-                                }
+                        }
+                        if need_dx {
+                            hits.push((t, o));
+                        }
+                    }
+                    if need_dx {
+                        hits.sort_unstable();
+                        let wd = self.store.value(weight).data();
+                        for &(t, o) in &hits {
+                            let g = gd[i2 * oc + o];
+                            let x_off = i2 * s * d + t as usize * d;
+                            let w_row = &wd[o * width..(o + 1) * width];
+                            for (dv, &wv) in dx[x_off..x_off + width].iter_mut().zip(w_row) {
+                                *dv += g * wv;
                             }
                         }
                     }
@@ -1389,9 +1405,12 @@ impl<'s> Graph<'s> {
                     self.accumulate(grads, inputs[0], Tensor::new(vec![b, s, d], dx));
                 }
                 if need_dw {
-                    self.accumulate(grads, inputs[1], Tensor::new(vec![oc, k, d], dw));
+                    self.store
+                        .accumulate_grad(weight, &Tensor::new(vec![oc, k, d], dw));
                 }
-                self.accumulate(grads, inputs[2], Tensor::new(vec![oc], db));
+                if need_db {
+                    self.store.accumulate_grad(bias, &Tensor::new(vec![oc], db));
+                }
             }
             Op::PairwiseSqDist => {
                 let xv = &self.nodes[inputs[0]].value;
@@ -1719,36 +1738,39 @@ mod tests {
 
     #[test]
     fn max_over_time_routes_gradient_to_argmax() {
+        // x = [0, 5, 3] over time; channel 0 copies it, channel 1 negates
+        // it, so its ReLU is zero everywhere and it passes no gradient.
         let mut store = ParamStore::new();
-        let w = store.add(
-            "x",
-            Tensor::new(vec![1, 3, 2], vec![0.0, 5.0, 3.0, 1.0, 2.0, 9.0]),
-        );
+        let xid = store.add("x", Tensor::new(vec![1, 3, 1], vec![0.0, 5.0, 3.0]));
+        let w = store.add("w", Tensor::new(vec![2, 1, 1], vec![1.0, -1.0]));
+        let bias = store.add("b", Tensor::zeros(&[2]));
         let mut g = Graph::new(&mut store, false, 0);
-        let x = g.param(w);
-        let m = g.max_over_time(x);
-        assert_eq!(g.value(m).data(), &[3.0, 9.0]);
+        let x = g.param(xid);
+        let m = g.conv_relu_max(x, w, bias);
+        assert_eq!(g.value(m).data(), &[5.0, 0.0]);
         let loss = g.sum_all(m);
         g.backward(loss);
-        let grad = store.grad(w);
-        assert_eq!(grad.data(), &[0.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
+        assert_eq!(store.grad(xid).data(), &[0.0, 1.0, 0.0]);
+        assert_eq!(store.grad(w).data(), &[5.0, 0.0]);
+        assert_eq!(store.grad(bias).data(), &[1.0, 0.0]);
     }
 
     #[test]
     fn conv1d_shapes_and_simple_values() {
+        // x: batch 1, seq 3, dim 1 = [1, 2, 3]; kernel k=2, single channel
+        // w=[1,1]: the conv is [3.5, 5.5] and the branch pools 5.5.
         let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::new(vec![1, 2, 1], vec![1.0, 1.0]));
+        let bias = store.add("b", Tensor::from_vec(vec![0.5]));
         let mut g = Graph::new(&mut store, false, 0);
-        // x: batch 1, seq 3, dim 1 = [1, 2, 3]; kernel k=2, single channel w=[1,1]
         let x = g.constant(Tensor::new(vec![1, 3, 1], vec![1.0, 2.0, 3.0]));
-        let w = g.constant(Tensor::new(vec![1, 2, 1], vec![1.0, 1.0]));
-        let b = g.constant(Tensor::from_vec(vec![0.5]));
-        let y = g.conv1d(x, w, b);
-        assert_eq!(g.value(y).shape(), &[1, 2, 1]);
-        assert_eq!(g.value(y).data(), &[3.5, 5.5]);
+        let y = g.conv_relu_max(x, w, bias);
+        assert_eq!(g.value(y).shape(), &[1, 1]);
+        assert_eq!(g.value(y).data(), &[5.5]);
     }
 
-    /// The nested `Op::Conv1d` backward loop the pruned one replaced,
-    /// always building `dx`, `dw` and `db`.
+    /// The dense `(i2, t, o, ki, j)` convolution backward loop of the
+    /// unfused chain, always building `dx`, `dw` and `db`.
     fn conv1d_backward_reference(x: &Tensor, w: &Tensor, grad: &Tensor) -> [Vec<f32>; 3] {
         let (b, s, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let (oc, k) = (w.shape()[0], w.shape()[1]);
@@ -1779,6 +1801,76 @@ mod tests {
         [dx, dw, db]
     }
 
+    /// What the unfused `conv1d → relu → max_over_time` chain produced for
+    /// one branch: the pooled values, their arg-max, and the gradients of
+    /// an upstream gradient on the pooled output.
+    struct UnfusedBranch {
+        pooled: Vec<f32>,
+        argmax: Vec<u32>,
+        dx: Vec<f32>,
+        dw: Vec<f32>,
+        db: Vec<f32>,
+    }
+
+    /// The unfused chain op for op, as the graph ran it before the fused
+    /// branch op: a bias-seeded [`kernels::conv1d_into`], the ReLU map,
+    /// [`kernels::max_over_time_into`] with arg-max; back through the dense
+    /// max-over-time scatter, the ReLU mask and the dense conv loop.
+    fn unfused_branch_reference(
+        x: &Tensor,
+        w: &Tensor,
+        bias: &Tensor,
+        grad: &Tensor,
+        threads: usize,
+    ) -> UnfusedBranch {
+        let (b, s, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let (oc, k) = (w.shape()[0], w.shape()[1]);
+        let out_s = s - k + 1;
+        let mut conv = vec![0.0f32; b * out_s * oc];
+        for row in conv.chunks_exact_mut(oc) {
+            row.copy_from_slice(bias.data());
+        }
+        let mut pack = Vec::new();
+        kernels::conv1d_into(
+            x.data(),
+            b,
+            s,
+            d,
+            k,
+            w.data(),
+            oc,
+            &mut conv,
+            threads,
+            &mut pack,
+        );
+        let mut act = vec![0.0f32; conv.len()];
+        kernels::map_into(&mut act, &conv, threads, &|v| v.max(0.0));
+        let mut pooled = vec![0.0f32; b * oc];
+        let mut argmax = vec![0u32; b * oc];
+        kernels::max_over_time_into(b, out_s, oc, &act, &mut pooled, Some(&mut argmax));
+        let mut d_act = vec![0.0f32; act.len()];
+        for i2 in 0..b {
+            for o in 0..oc {
+                let t = argmax[i2 * oc + o] as usize;
+                d_act[i2 * out_s * oc + t * oc + o] += grad.data()[i2 * oc + o];
+            }
+        }
+        let d_conv: Vec<f32> = act
+            .iter()
+            .zip(&d_act)
+            .map(|(&y, &g)| if y > 0.0 { g } else { 0.0 })
+            .collect();
+        let [dx, dw, db] =
+            conv1d_backward_reference(x, w, &Tensor::new(vec![b, out_s, oc], d_conv));
+        UnfusedBranch {
+            pooled,
+            argmax,
+            dx,
+            dw,
+            db,
+        }
+    }
+
     fn randn_tensor(shape: &[usize], rng: &mut crate::rng::Prng) -> Tensor {
         let n = shape.iter().product();
         Tensor::new(
@@ -1799,59 +1891,144 @@ mod tests {
         grads
     }
 
-    #[test]
-    fn conv1d_backward_matches_the_nested_loop_bit_for_bit() {
-        let mut rng = crate::rng::Prng::new(21);
-        for &(b, s, d, oc, k) in &[(1, 3, 1, 1, 2), (3, 9, 5, 4, 3), (4, 24, 16, 7, 5)] {
-            let x = randn_tensor(&[b, s, d], &mut rng);
-            let w = randn_tensor(&[oc, k, d], &mut rng);
-            let bias = randn_tensor(&[oc], &mut rng);
-            // Mostly-zero upstream gradient, as after ReLU and max-over-time.
-            let mut grad = randn_tensor(&[b, s - k + 1, oc], &mut rng);
-            for v in grad.data_mut().iter_mut() {
-                if rng.chance(0.7) {
-                    *v = 0.0;
-                }
+    /// The bits a parameter's store gradient holds after one backward pass
+    /// from zero that hands it `delta`, as the unfused chain flushed it.
+    fn flushed_bits(delta: &[f32]) -> Vec<u32> {
+        let mut grad = Tensor::zeros(&[delta.len()]);
+        grad.axpy(1.0, &Tensor::from_vec(delta.to_vec()));
+        bits(&grad)
+    }
+
+    /// One parity case for the fused branch op: tape forward (values and
+    /// arg-max), one backward step under `grad`, and a tape-free forward,
+    /// all against the unfused chain, bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_fused_branch_matches_chain(
+        x: &Tensor,
+        w: &Tensor,
+        bias: &Tensor,
+        grad: &Tensor,
+        threads: usize,
+        [x_on, w_on]: [bool; 2],
+        case: &str,
+    ) {
+        let want = unfused_branch_reference(x, w, bias, grad, threads);
+        let case = format!("{case} threads {threads} trainable [x, w] [{x_on}, {w_on}]");
+        let mut store = ParamStore::new();
+        let xid = if x_on {
+            store.add("x", x.clone())
+        } else {
+            store.add_frozen("x", x.clone())
+        };
+        let wid = if w_on {
+            store.add("w", w.clone())
+        } else {
+            store.add_frozen("w", w.clone())
+        };
+        let bid = store.add("b", bias.clone());
+        let want_pooled = bits(&Tensor::from_vec(want.pooled));
+        let x_grad = {
+            let mut g = Graph::new(&mut store, true, 0);
+            g.set_threads(threads);
+            let xv = g.param(xid);
+            let y = g.conv_relu_max(xv, wid, bid);
+            assert_eq!(g.value(y).shape(), &[x.shape()[0], w.shape()[0]]);
+            assert_eq!(bits(g.value(y)), want_pooled, "pooled {case}");
+            let Op::ConvReluMax { argmax, .. } = &g.nodes[y.0].op else {
+                panic!("not a fused branch node: {case}");
+            };
+            assert_eq!(argmax, &want.argmax, "arg-max {case}");
+            let mut grads = node_grads(&mut g, y, grad);
+            grads[xv.0].take()
+        };
+        match x_grad {
+            Some(dx) => {
+                assert!(x_on, "dx built for a frozen input: {case}");
+                assert_eq!(bits(&dx), bits(&Tensor::from_vec(want.dx)), "dx {case}");
             }
-            let [want_dx, want_dw, want_db] = conv1d_backward_reference(&x, &w, &grad);
-            let want = [
-                Tensor::new(vec![b, s, d], want_dx),
-                Tensor::new(vec![oc, k, d], want_dw),
-            ];
-            for trainable in [[true, true], [false, true], [true, false]] {
-                let mut store = ParamStore::new();
-                let leaf = |store: &mut ParamStore, name: &str, value: &Tensor, on: bool| {
-                    if on {
-                        store.add(name, value.clone())
-                    } else {
-                        store.add_frozen(name, value.clone())
+            None => assert!(!x_on, "no dx for a trainable input: {case}"),
+        }
+        let want_dw = if w_on {
+            flushed_bits(&want.dw)
+        } else {
+            vec![0; want.dw.len()]
+        };
+        assert_eq!(bits(store.grad(wid)), want_dw, "dw {case}");
+        assert_eq!(bits(store.grad(bid)), flushed_bits(&want.db), "db {case}");
+        let mut pool = BufferPool::new();
+        let mut g = Graph::inference(&mut store, &mut pool);
+        g.set_threads(threads);
+        let xv = g.constant(x.clone());
+        let y = g.conv_relu_max(xv, wid, bid);
+        assert_eq!(bits(g.value(y)), want_pooled, "tape-free {case}");
+        g.finish();
+    }
+
+    #[test]
+    fn conv_relu_max_matches_the_unfused_chain_bit_for_bit() {
+        let mut rng = crate::rng::Prng::new(21);
+        let (b, s, d) = (3, 12, 5);
+        for k in [1usize, 2, 3, 5, 10] {
+            for oc in [1usize, 9, 32, 33] {
+                let x = randn_tensor(&[b, s, d], &mut rng);
+                let mut w = randn_tensor(&[oc, k, d], &mut rng);
+                let mut bias = randn_tensor(&[oc], &mut rng);
+                // Upstream gradient with exact and negative zeros.
+                let mut grad = randn_tensor(&[b, oc], &mut rng);
+                for v in grad.data_mut().iter_mut() {
+                    if rng.chance(0.2) {
+                        *v = if rng.chance(0.5) { 0.0 } else { -0.0 };
                     }
+                }
+                let shape = format!("k {k} oc {oc}");
+                for threads in [1usize, 2, 4] {
+                    for trainable in [[true, true], [false, true], [true, false]] {
+                        assert_fused_branch_matches_chain(
+                            &x, &w, &bias, &grad, threads, trainable, &shape,
+                        );
+                    }
+                }
+                // Integer-valued operands: exact sums, so maxima tie and
+                // the earliest step must win.
+                let round = |t: &Tensor, scale: f32| {
+                    Tensor::new(
+                        t.shape().to_vec(),
+                        t.data().iter().map(|v| (v * scale).round()).collect(),
+                    )
                 };
-                let xid = leaf(&mut store, "x", &x, trainable[0]);
-                let wid = leaf(&mut store, "w", &w, trainable[1]);
-                let bid = store.add("b", bias.clone());
-                let mut g = Graph::new(&mut store, true, 0);
-                let (xv, wv, bv) = (g.param(xid), g.param(wid), g.param(bid));
-                let y = g.conv1d(xv, wv, bv);
-                let grads = node_grads(&mut g, y, &grad);
-                let case = format!("({b},{s},{d},{oc},{k}) trainable [x, w] {trainable:?}");
-                let db = grads[bv.0].as_ref().expect("bias gradient");
-                assert_eq!(
-                    bits(db),
-                    bits(&Tensor::from_vec(want_db.clone())),
-                    "db {case}"
+                let (xr, wr, br) = (round(&x, 1.0), round(&w, 1.0), round(&bias, 1.0));
+                assert_fused_branch_matches_chain(
+                    &xr,
+                    &wr,
+                    &br,
+                    &grad,
+                    1,
+                    [true, true],
+                    &format!("{shape} ties"),
                 );
-                for ((name, v), (on, want)) in [("dx", xv), ("dw", wv)]
-                    .into_iter()
-                    .zip(trainable.into_iter().zip(&want))
-                {
-                    match &grads[v.0] {
-                        Some(got) => {
-                            assert!(on, "{name} built for a frozen operand: {case}");
-                            assert_eq!(bits(got), bits(want), "{name} {case}");
-                        }
-                        None => assert!(!on, "no {name} for a trainable operand: {case}"),
-                    }
+                // Channel 0 has `-0.0` pre-activations everywhere (a positive
+                // input against `-0.0` weights, over a `-0.0` bias); the last
+                // channel's are all negative.
+                let xp = Tensor::new(
+                    x.shape().to_vec(),
+                    x.data().iter().map(|v| v.abs() + 0.25).collect(),
+                );
+                w.data_mut()[..k * d].fill(-0.0);
+                bias.data_mut()[0] = -0.0;
+                if oc > 1 {
+                    w.data_mut()[(oc - 1) * k * d..].fill(0.5);
+                    bias.data_mut()[oc - 1] = -1e3;
+                }
+                for threads in [1usize, 4] {
+                    assert_fused_branch_matches_chain(
+                        &xp,
+                        &w,
+                        &bias,
+                        &grad,
+                        threads,
+                        [true, true],
+                        &format!("{shape} signed zeros, nonpositive channel"),
+                    );
                 }
             }
         }
@@ -1900,6 +2077,54 @@ mod tests {
             let grads = node_grads(&mut g, y, &grad);
             let got = grads[xv.0].as_ref().expect("x gradient");
             assert_eq!(bits(got), bits(&Tensor::new(vec![b, d], want)), "({b},{d})");
+        }
+    }
+
+    /// The per-pair `Graph::pairwise_sq_dist` forward loop the column
+    /// form replaced.
+    fn pairwise_sq_dist_forward_reference(x: &Tensor) -> Vec<f32> {
+        let (b, d) = (x.shape()[0], x.shape()[1]);
+        let xd = x.data();
+        let mut out = vec![0.0f32; b * b];
+        for i in 0..b {
+            for j in (i + 1)..b {
+                let mut acc = 0.0f32;
+                for t in 0..d {
+                    let diff = xd[i * d + t] - xd[j * d + t];
+                    acc += diff * diff;
+                }
+                out[i * b + j] = acc;
+                out[j * b + i] = acc;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pairwise_sq_dist_forward_matches_the_per_pair_loop_bit_for_bit() {
+        let mut rng = crate::rng::Prng::new(24);
+        for &(b, d) in &[(0, 4), (1, 3), (2, 1), (5, 7), (64, 128), (33, 64), (3, 0)] {
+            let x = randn_tensor(&[b, d], &mut rng);
+            let want = pairwise_sq_dist_forward_reference(&x);
+            let mut store = ParamStore::new();
+            let mut g = Graph::new(&mut store, false, 0);
+            let xv = g.constant(x.clone());
+            let y = g.pairwise_sq_dist(xv);
+            assert_eq!(
+                bits(g.value(y)),
+                bits(&Tensor::new(vec![b, b], want.clone())),
+                "({b},{d})"
+            );
+            let mut pool = BufferPool::new();
+            let mut g = Graph::inference(&mut store, &mut pool);
+            let xv = g.constant(x);
+            let y = g.pairwise_sq_dist(xv);
+            assert_eq!(
+                bits(g.value(y)),
+                bits(&Tensor::new(vec![b, b], want)),
+                "tape-free ({b},{d})"
+            );
+            g.finish();
         }
     }
 
@@ -2149,11 +2374,7 @@ mod tests {
             g.set_threads(threads);
             assert_eq!(g.threads(), threads.max(1));
             let e = g.embedding(emb, &ids, 4, 8);
-            let cwv = g.param(cw);
-            let cbv = g.param(cb);
-            let conv = g.conv1d(e, cwv, cbv);
-            let conv = g.relu(conv);
-            let pooled = g.max_over_time(conv);
+            let pooled = g.conv_relu_max(e, cw, cb);
             let flat = g.reshape(e, &[4, 8 * 16]);
             let wv = g.param(w);
             let h = g.matmul(flat, wv);

@@ -909,6 +909,37 @@ pub fn max_over_time_into(
     out: &mut [f32],
     argmax: Option<&mut [u32]>,
 ) {
+    pool_over_time::<false>(b, s, c, x, out, argmax);
+}
+
+/// ReLU followed by [`max_over_time_into`], in one pass over `x`: each
+/// `x[i, t, j]` is mapped to `v.max(0.0)` as it is read, so values and
+/// arg-max are bit-identical to running the ReLU over the whole tensor
+/// first (ties, signed zeros and all-nonpositive rows included) without
+/// writing the activated tensor anywhere.
+///
+/// # Panics
+/// As [`max_over_time_into`].
+pub fn relu_max_over_time_into(
+    b: usize,
+    s: usize,
+    c: usize,
+    x: &[f32],
+    out: &mut [f32],
+    argmax: Option<&mut [u32]>,
+) {
+    pool_over_time::<true>(b, s, c, x, out, argmax);
+}
+
+/// Checks and ISA dispatch shared by the two max-over-time kernels.
+fn pool_over_time<const RELU: bool>(
+    b: usize,
+    s: usize,
+    c: usize,
+    x: &[f32],
+    out: &mut [f32],
+    argmax: Option<&mut [u32]>,
+) {
     assert!(s > 0, "max_over_time over empty time dimension");
     assert_eq!(x.len(), b * s * c, "max_over_time: input length mismatch");
     assert_eq!(out.len(), b * c, "max_over_time: output length mismatch");
@@ -922,18 +953,26 @@ pub fn max_over_time_into(
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if have_avx2() {
         // SAFETY: AVX2 support was just detected.
-        return unsafe { max_over_time_avx2(s, c, x, out, argmax) };
+        return unsafe { max_over_time_avx2::<RELU>(s, c, x, out, argmax) };
     }
-    max_over_time_impl(s, c, x, out, argmax);
+    max_over_time_impl::<RELU>(s, c, x, out, argmax);
 }
 
-/// The select loop behind [`max_over_time_into`]; lengths already checked.
+/// The select loop behind the max-over-time kernels (`RELU` maps each
+/// value through `v.max(0.0)` first); lengths already checked.
 #[inline(always)]
-fn max_over_time_impl(s: usize, c: usize, x: &[f32], out: &mut [f32], argmax: Option<&mut [u32]>) {
+fn max_over_time_impl<const RELU: bool>(
+    s: usize,
+    c: usize,
+    x: &[f32],
+    out: &mut [f32],
+    argmax: Option<&mut [u32]>,
+) {
     if c == 0 {
         // Nothing to write, and `chunks_exact` rejects a zero width.
         return;
     }
+    let act = |v: f32| if RELU { v.max(0.0) } else { v };
     let windows = x.chunks_exact(s * c).zip(out.chunks_exact_mut(c));
     match argmax {
         Some(argmax) => {
@@ -942,6 +981,7 @@ fn max_over_time_impl(s: usize, c: usize, x: &[f32], out: &mut [f32], argmax: Op
                 arg_row.fill(0);
                 for (t, x_row) in (0u32..).zip(window.chunks_exact(c)) {
                     for ((m, a), &v) in max_row.iter_mut().zip(arg_row.iter_mut()).zip(x_row) {
+                        let v = act(v);
                         let gt = v > *m;
                         *m = if gt { v } else { *m };
                         *a = if gt { t } else { *a };
@@ -954,6 +994,7 @@ fn max_over_time_impl(s: usize, c: usize, x: &[f32], out: &mut [f32], argmax: Op
                 max_row.fill(f32::NEG_INFINITY);
                 for x_row in window.chunks_exact(c) {
                     for (m, &v) in max_row.iter_mut().zip(x_row) {
+                        let v = act(v);
                         *m = if v > *m { v } else { *m };
                     }
                 }
@@ -969,14 +1010,14 @@ fn max_over_time_impl(s: usize, c: usize, x: &[f32], out: &mut [f32], argmax: Op
 /// The caller must have verified AVX2 support at runtime.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-unsafe fn max_over_time_avx2(
+unsafe fn max_over_time_avx2<const RELU: bool>(
     s: usize,
     c: usize,
     x: &[f32],
     out: &mut [f32],
     argmax: Option<&mut [u32]>,
 ) {
-    max_over_time_impl(s, c, x, out, argmax);
+    max_over_time_impl::<RELU>(s, c, x, out, argmax);
 }
 
 /// Cache-blocked transpose of a `rows × cols` row-major matrix into `dst`
@@ -1280,7 +1321,7 @@ mod tests {
         );
     }
 
-    /// The plain branchy loop `Graph::max_over_time` ran before the
+    /// The plain branchy loop the max-over-time graph op ran before the
     /// branch-free kernel, kept as the reference it must reproduce.
     fn max_over_time_reference(
         b: usize,
@@ -1306,18 +1347,22 @@ mod tests {
         }
     }
 
-    /// Hold the dispatched kernel and the baseline `_impl` to the reference
-    /// loop's values (bit for bit) and arg-max, with and without an arg-max.
-    fn assert_max_over_time_matches_reference(b: usize, s: usize, c: usize, x: &[f32]) {
+    type Kernel = fn(usize, usize, usize, &[f32], &mut [f32], Option<&mut [u32]>);
+
+    /// Hold `kernels`, run over `x`, to the reference loop's values (bit for
+    /// bit) and arg-max over `pooled`, with and without an arg-max.
+    fn assert_pooling_matches_reference(
+        (b, s, c): (usize, usize, usize),
+        x: &[f32],
+        pooled: &[f32],
+        kernels: [(&str, Kernel); 2],
+    ) {
         let mut want = vec![0.0f32; b * c];
         let mut want_arg = vec![0usize; b * c];
-        max_over_time_reference(b, s, c, x, &mut want, &mut want_arg);
+        max_over_time_reference(b, s, c, pooled, &mut want, &mut want_arg);
         let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
         let want_arg: Vec<u32> = want_arg.iter().map(|&t| t as u32).collect();
-        type Kernel = fn(usize, usize, usize, &[f32], &mut [f32], Option<&mut [u32]>);
-        let dispatched: Kernel = max_over_time_into;
-        let baseline: Kernel = |_, s, c, x, out, argmax| max_over_time_impl(s, c, x, out, argmax);
-        for (name, kernel) in [("dispatched", dispatched), ("baseline", baseline)] {
+        for (name, kernel) in kernels {
             // Stale contents must not leak into the result.
             let mut got = vec![7.0f32; b * c];
             let mut got_arg = vec![99u32; b * c];
@@ -1333,6 +1378,28 @@ mod tests {
                 "{name} values, no arg-max ({b},{s},{c})"
             );
         }
+    }
+
+    /// The dispatched kernel and the baseline `_impl` against the reference
+    /// loop; their ReLU forms against the reference run over `x` mapped
+    /// through the same `v.max(0.0)` the graph's ReLU op applies.
+    fn assert_max_over_time_matches_reference(b: usize, s: usize, c: usize, x: &[f32]) {
+        let plain: [(&str, Kernel); 2] = [
+            ("dispatched", max_over_time_into),
+            ("baseline", |_, s, c, x, out, argmax| {
+                max_over_time_impl::<false>(s, c, x, out, argmax);
+            }),
+        ];
+        assert_pooling_matches_reference((b, s, c), x, x, plain);
+        let mut activated = vec![0.0f32; x.len()];
+        map_into(&mut activated, x, 1, &|v| v.max(0.0));
+        let relu: [(&str, Kernel); 2] = [
+            ("relu dispatched", relu_max_over_time_into),
+            ("relu baseline", |_, s, c, x, out, argmax| {
+                max_over_time_impl::<true>(s, c, x, out, argmax);
+            }),
+        ];
+        assert_pooling_matches_reference((b, s, c), x, &activated, relu);
     }
 
     #[test]

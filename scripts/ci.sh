@@ -19,10 +19,13 @@
 #          + the reference, bit for bit on every ISA tier the CPU has and at
 #          1/2/4 threads;
 #        - training-tape parity (crates/tensor/src/kernels.rs and graph.rs
-#          unit tests): the branch-free max-over-time kernel, dispatched and
-#          baseline, against the plain branchy loop (ties, signed zeros,
-#          all-negative rows, with and without an arg-max), and the pruned
-#          conv/matmul backward against the full nested loop, bit for bit;
+#          unit tests): the branch-free max-over-time kernel and its ReLU
+#          form, dispatched and baseline, against the plain branchy loop
+#          (ties, signed zeros, all-negative rows, with and without an
+#          arg-max), and the fused conv → ReLU → max-over-time branch op
+#          against the unfused three-op chain (values, arg-max and the
+#          dx/dw/db bits, on tape and tape-free graphs, at 1/2/4 threads)
+#          and the pruned matmul backward against the full one, bit for bit;
 #        - chaos (tests/integration/tests/chaos.rs): a seeded fault plan
 #          kills three prediction workers mid-storm; supervision must heal
 #          the server with zero wrong predictions;
@@ -124,7 +127,7 @@ else
     cargo build --release --workspace --all-targets
 fi
 
-stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, int8 determinism + memory, hot-swap + zoo, max-over-time + conv/matmul backward parity, in-place conv-window + Aᵀ·B GEMM parity)" \
+stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, int8 determinism + memory, hot-swap + zoo, max-over-time + fused conv-branch + pruned matmul backward parity, in-place conv-window + Aᵀ·B GEMM parity)" \
   cargo test -q --workspace
 
 if [ "$quick" != "1" ]; then
