@@ -14,19 +14,12 @@
 //!
 //! Run with: `cargo run --release -p dtdbd-bench --bin kernels [--quick]`
 //!
-//! `--parity-smoke` instead runs a fast seeded bit-parity check of the
-//! blocked/parallel kernels against the naive reference — including one
-//! convolution whose windows the GEMM reads in place and one `Aᵀ·B` — and
-//! exits non-zero on any mismatch; `scripts/ci.sh` uses it as the offline
-//! regression gate for the hot path.
+//! Bit parity of these kernels is not checked here: `scripts/ci.sh` runs
+//! `crates/tensor/tests/gemm_parity.rs` in release for that.
 
 use dtdbd_metrics::TableBuilder;
-use dtdbd_tensor::kernels::{
-    conv1d_into, gemm_atb_into, gemm_into, gemm_naive_branchy, gemm_reference, im2row, packed_len,
-    transpose_into,
-};
+use dtdbd_tensor::kernels::{gemm_into, gemm_naive_branchy, packed_len};
 use dtdbd_tensor::rng::Prng;
-use dtdbd_tensor::QuantizedMatrix;
 use std::time::{Duration, Instant};
 
 /// Intra-op threads of the `parallel` variant (the acceptance shape of the
@@ -57,20 +50,10 @@ struct Row {
     naive: f64,
     blocked: f64,
     parallel: f64,
-    /// Effective GFLOP/s (same nominal 2mkn work) of the int8 quantized
-    /// kernel, single-threaded and at `PARALLEL_THREADS`. Includes the
-    /// runtime activation-row quantization the serving path pays.
-    int8: f64,
-    int8_parallel: f64,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--parity-smoke") {
-        parity_smoke();
-        return;
-    }
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = std::env::args().any(|a| a == "--quick");
     let budget = if quick {
         Duration::from_millis(90)
     } else {
@@ -83,10 +66,6 @@ fn main() {
         .map(|&(name, m, k, n, serving)| {
             let a: Vec<f32> = (0..m * k).map(|_| rng.normal_with(0.0, 1.0)).collect();
             let b: Vec<f32> = (0..k * n).map(|_| rng.normal_with(0.0, 1.0)).collect();
-            // The quantized kernel is output-major ([n, k] weight rows).
-            let w: Vec<f32> = (0..n * k).map(|_| rng.normal_with(0.0, 1.0)).collect();
-            let qm = QuantizedMatrix::from_rows(n, k, &w);
-            let bias = vec![0.0f32; n];
             let mut out = vec![0.0f32; m * n];
             let mut scratch = vec![0.0f32; packed_len(k, n)];
             let flops = (2 * m * k * n) as f64;
@@ -102,14 +81,6 @@ fn main() {
                 / time_best(budget, &mut || {
                     gemm_into(m, k, n, &a, &b, &mut out, PARALLEL_THREADS, &mut scratch)
                 });
-            let int8 = flops
-                / time_best(budget, &mut || {
-                    qm.matmul_into(&a, m, &bias, &mut out, 1);
-                });
-            let int8_parallel = flops
-                / time_best(budget, &mut || {
-                    qm.matmul_into(&a, m, &bias, &mut out, PARALLEL_THREADS);
-                });
             Row {
                 name,
                 m,
@@ -119,8 +90,6 @@ fn main() {
                 naive,
                 blocked,
                 parallel,
-                int8,
-                int8_parallel,
             }
         })
         .collect();
@@ -168,9 +137,8 @@ fn render_table(rows: &[Row]) {
     let title = format!(
         "GEMM kernels — GFLOP/s (naive vs blocked vs blocked+parallel, {PARALLEL_THREADS} threads)"
     );
-    let mut table = TableBuilder::new(&title).header([
-        "Shape", "m×k×n", "naive", "blocked", "parallel", "int8", "int8(4t)", "speedup",
-    ]);
+    let mut table = TableBuilder::new(&title)
+        .header(["Shape", "m×k×n", "naive", "blocked", "parallel", "speedup"]);
     for r in rows {
         table.row([
             r.name.to_string(),
@@ -178,8 +146,6 @@ fn render_table(rows: &[Row]) {
             format!("{:.2}", r.naive / 1e9),
             format!("{:.2}", r.blocked / 1e9),
             format!("{:.2}", r.parallel / 1e9),
-            format!("{:.2}", r.int8 / 1e9),
-            format!("{:.2}", r.int8_parallel / 1e9),
             format!("{:.2}x", r.parallel / r.naive),
         ]);
     }
@@ -191,8 +157,6 @@ fn render_table(rows: &[Row]) {
         format!("{:.2}", naive_mix / 1e9),
         format!("{:.2}", serving_mix(rows, &|r| r.blocked) / 1e9),
         format!("{:.2}", parallel_mix / 1e9),
-        format!("{:.2}", serving_mix(rows, &|r| r.int8) / 1e9),
-        format!("{:.2}", serving_mix(rows, &|r| r.int8_parallel) / 1e9),
         format!("{:.2}x", parallel_mix / naive_mix),
     ]);
     println!("{}", table.render());
@@ -208,7 +172,7 @@ fn render_json(rows: &[Row]) -> String {
     out.push_str("  \"shapes\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"parallel_gflops\": {:.3}, \"int8_gflops\": {:.3}, \"int8_parallel_gflops\": {:.3}, \"speedup_blocked\": {:.2}, \"speedup_parallel\": {:.2}}}{}\n",
+            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"parallel_gflops\": {:.3}, \"speedup_blocked\": {:.2}, \"speedup_parallel\": {:.2}}}{}\n",
             r.name,
             r.m,
             r.k,
@@ -216,8 +180,6 @@ fn render_json(rows: &[Row]) -> String {
             r.naive / 1e9,
             r.blocked / 1e9,
             r.parallel / 1e9,
-            r.int8 / 1e9,
-            r.int8_parallel / 1e9,
             r.blocked / r.naive,
             r.parallel / r.naive,
             if i + 1 < rows.len() { "," } else { "" }
@@ -227,15 +189,11 @@ fn render_json(rows: &[Row]) -> String {
     let naive_mix = serving_mix(rows, &|r| r.naive);
     let blocked_mix = serving_mix(rows, &|r| r.blocked);
     let parallel_mix = serving_mix(rows, &|r| r.parallel);
-    let int8_mix = serving_mix(rows, &|r| r.int8);
-    let int8_parallel_mix = serving_mix(rows, &|r| r.int8_parallel);
     out.push_str(&format!(
-        "  \"serving_mix\": {{\"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"parallel_gflops\": {:.3}, \"int8_gflops\": {:.3}, \"int8_parallel_gflops\": {:.3}, \"speedup_blocked\": {:.2}, \"speedup_parallel\": {:.2}}},\n",
+        "  \"serving_mix\": {{\"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"parallel_gflops\": {:.3}, \"speedup_blocked\": {:.2}, \"speedup_parallel\": {:.2}}},\n",
         naive_mix / 1e9,
         blocked_mix / 1e9,
         parallel_mix / 1e9,
-        int8_mix / 1e9,
-        int8_parallel_mix / 1e9,
         blocked_mix / naive_mix,
         parallel_mix / naive_mix
     ));
@@ -249,86 +207,4 @@ fn render_json(rows: &[Row]) -> String {
     ));
     out.push_str("}\n");
     out
-}
-
-/// Panic with `what` and the first differing element unless `want` and
-/// `got` are bit-identical.
-fn assert_bits(want: &[f32], got: &[f32], what: &str) {
-    for (i, (w, g)) in want.iter().zip(got).enumerate() {
-        assert_eq!(w.to_bits(), g.to_bits(), "{what} elem {i}");
-    }
-}
-
-/// Seeded bit-parity smoke: blocked and blocked+parallel against the naive
-/// reference on a handful of shapes, plus one in-place-window convolution
-/// and one `Aᵀ·B`. Exits via panic (non-zero) on any mismatch so CI fails
-/// the gate.
-fn parity_smoke() {
-    let mut rng = Prng::new(0x51_10CE);
-    let shapes = [
-        (1, 1, 1),
-        (5, 9, 17),
-        (64, 96, 32),
-        (64, 160, 64),
-        (31, 33, 7),
-    ];
-    for (m, k, n) in shapes {
-        let a: Vec<f32> = (0..m * k).map(|_| rng.normal_with(0.0, 1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.normal_with(0.0, 1.0)).collect();
-        let mut want = vec![0.0f32; m * n];
-        gemm_reference(m, k, n, &a, &b, &mut want);
-        for threads in [1usize, 2, 4] {
-            let mut got = vec![0.0f32; m * n];
-            gemm_into(m, k, n, &a, &b, &mut got, threads, &mut Vec::new());
-            let what = format!("kernel parity violation: ({m},{k},{n}) t={threads}");
-            assert_bits(&want, &got, &what);
-        }
-        // Int8 determinism: the quantized kernel must be bit-identical to
-        // itself at every thread count (its i32 accumulation order is fixed).
-        let w: Vec<f32> = (0..n * k).map(|_| rng.normal_with(0.0, 1.0)).collect();
-        let qm = QuantizedMatrix::from_rows(n, k, &w);
-        let bias = vec![0.0f32; n];
-        let mut int8_want = vec![0.0f32; m * n];
-        qm.matmul_into(&a, m, &bias, &mut int8_want, 1);
-        for threads in [2usize, 4] {
-            let mut got = vec![0.0f32; m * n];
-            qm.matmul_into(&a, m, &bias, &mut got, threads);
-            let what = format!("int8 determinism violation: ({m},{k},{n}) t={threads}");
-            assert_bits(&int8_want, &got, &what);
-        }
-    }
-
-    // A TextCNN k=3 branch at batch 8 whose windows the GEMM reads in place,
-    // against im2row + the reference over the transposed weight.
-    let (b, s, d, kw, oc) = (8, 24, 32, 3, 32);
-    let (rows, width) = (b * (s - kw + 1), kw * d);
-    let x: Vec<f32> = (0..b * s * d).map(|_| rng.normal_with(0.0, 1.0)).collect();
-    let w: Vec<f32> = (0..oc * width).map(|_| rng.normal_with(0.0, 1.0)).collect();
-    let mut unfolded = vec![0.0f32; rows * width];
-    im2row(&x, b, s, d, kw, &mut unfolded, 1);
-    let mut wt = vec![0.0f32; oc * width];
-    transpose_into(oc, width, &w, &mut wt);
-    let mut want = vec![0.0f32; rows * oc];
-    gemm_reference(rows, width, oc, &unfolded, &wt, &mut want);
-    // An M3FEND adapter's weight gradient: `[64, 192]ᵀ · [64, 64]`.
-    let (r, m, n) = (64, 192, 64);
-    let a: Vec<f32> = (0..r * m).map(|_| rng.normal_with(0.0, 1.0)).collect();
-    let g: Vec<f32> = (0..r * n).map(|_| rng.normal_with(0.0, 1.0)).collect();
-    let mut at = vec![0.0f32; r * m];
-    transpose_into(r, m, &a, &mut at);
-    let mut atb_want = vec![0.0f32; m * n];
-    gemm_reference(m, r, n, &at, &g, &mut atb_want);
-    for threads in [1usize, 2, 4] {
-        let mut got = vec![0.0f32; rows * oc];
-        conv1d_into(&x, b, s, d, kw, &w, oc, &mut got, threads, &mut Vec::new());
-        let what = format!("conv-window parity violation: ({b},{s},{d},k{kw}) oc={oc} t={threads}");
-        assert_bits(&want, &got, &what);
-        let mut got = vec![0.0f32; m * n];
-        gemm_atb_into(r, m, n, &a, &g, &mut got, threads);
-        let what = format!("atb parity violation: ({r},{m},{n}) t={threads}");
-        assert_bits(&atb_want, &got, &what);
-    }
-    println!(
-        "kernel parity OK (blocked/parallel, conv windows and Aᵀ·B == naive reference, int8 self-deterministic, bit-exact)"
-    );
 }

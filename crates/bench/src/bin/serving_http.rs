@@ -18,7 +18,7 @@ use dtdbd_metrics::TableBuilder;
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
 use dtdbd_serve::{
-    json, BatchingConfig, Checkpoint, FaultPlan, HttpConfig, Precision, ServerBuilder, ServingStats,
+    json, BatchingConfig, Checkpoint, FaultPlan, HttpConfig, ServerBuilder, ServingStats,
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
@@ -164,18 +164,9 @@ fn main() {
     // `DTDBD_FAULTS` turns the main measured server into a chaos target: a
     // seeded plan (e.g. `seed=7;panic=0@100`) exercises supervision under
     // real wire load. Unset, the hooks compile to no-ops.
-    // `DTDBD_PRECISION=int8` benches the quantized serving path; the JSON
-    // records which precision produced the numbers so byte figures are
-    // never compared across precisions by accident.
-    let precision = match std::env::var("DTDBD_PRECISION").as_deref() {
-        Ok("int8") => Precision::Int8,
-        Ok("fp32") | Err(_) => Precision::Fp32,
-        Ok(other) => panic!("DTDBD_PRECISION: unknown precision {other:?}"),
-    };
     let mut builder = ServerBuilder::new()
         .batching(batching.clone())
         .threads(INTRA_THREADS)
-        .precision(precision)
         .cache_capacity(0);
     match FaultPlan::from_env() {
         Ok(Some(plan)) => {
@@ -220,7 +211,6 @@ fn main() {
     let server_off = ServerBuilder::new()
         .batching(batching.clone())
         .threads(INTRA_THREADS)
-        .precision(precision)
         .cache_capacity(0)
         .telemetry(false)
         .http(HttpConfig {
@@ -269,7 +259,6 @@ fn main() {
     let server_ka = ServerBuilder::new()
         .batching(batching.clone())
         .threads(INTRA_THREADS)
-        .precision(precision)
         .cache_capacity(0)
         .http(HttpConfig {
             backlog: 64,
@@ -316,7 +305,7 @@ fn main() {
     server_ka.shutdown();
 
     eprintln!("[serving_http] two-model zoo level (equal total workers)...");
-    let zoo = run_zoo_level(&checkpoint, precision, &bodies, requests_per_level);
+    let zoo = run_zoo_level(&checkpoint, &bodies, requests_per_level);
 
     render_table(&results, &batching, &telemetry, &zoo, keepalive.as_ref());
     let json_out = render_json(
@@ -464,12 +453,7 @@ fn run_idle_keepalive_level(
 /// prediction worker per tenant, measured against one tenant holding both
 /// workers — equal total worker count, so any throughput gap is the cost of
 /// tenant routing and split queues, not compute.
-fn run_zoo_level(
-    checkpoint: &Checkpoint,
-    precision: Precision,
-    bodies: &[String],
-    total_requests: usize,
-) -> ZooResult {
+fn run_zoo_level(checkpoint: &Checkpoint, bodies: &[String], total_requests: usize) -> ZooResult {
     let connections = 8;
     let http = HttpConfig {
         connection_workers: connections,
@@ -492,7 +476,6 @@ fn run_zoo_level(
     let single = ServerBuilder::new()
         .batching(level_batching(2))
         .threads(INTRA_THREADS)
-        .precision(precision)
         .cache_capacity(0)
         .http(http.clone())
         .tenant("a", checkpoint)
@@ -511,7 +494,6 @@ fn run_zoo_level(
     let zoo = ServerBuilder::new()
         .batching(level_batching(1))
         .threads(INTRA_THREADS)
-        .precision(precision)
         .cache_capacity(0)
         .http(http)
         .tenant("a", checkpoint)
@@ -627,13 +609,11 @@ fn render_json(
     out.push_str("  \"model\": \"TextCNN-S\",\n");
     out.push_str("  \"transport\": \"http/1.1 keep-alive\",\n");
     out.push_str(&format!(
-        "  \"server\": {{\"workers\": {}, \"intra_op_threads\": {INTRA_THREADS}, \"max_batch_size\": {}, \"max_wait_ms\": {:.1}, \"precision\": \"{}\", \"resident_param_bytes_per_worker\": {}, \"quantized_param_bytes_per_worker\": {}}},\n",
+        "  \"server\": {{\"workers\": {}, \"intra_op_threads\": {INTRA_THREADS}, \"max_batch_size\": {}, \"max_wait_ms\": {:.1}, \"resident_param_bytes_per_worker\": {}}},\n",
         batching.workers,
         batching.max_batch_size,
         batching.max_wait.as_secs_f64() * 1e3,
-        serving.precision.name(),
-        serving.resident_param_bytes_per_worker,
-        serving.quantized_param_bytes_per_worker
+        serving.resident_param_bytes_per_worker
     ));
     out.push_str("  \"load_levels\": [\n");
     for (i, r) in results.iter().enumerate() {

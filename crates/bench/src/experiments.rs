@@ -5,6 +5,7 @@ use dtdbd_core::{evaluate, train_model, DistillConfig, DtdbdTrainer, TrainConfig
 use dtdbd_data::{
     english_spec, weibo21_spec, GeneratorConfig, MultiDomainDataset, NewsGenerator, Split,
 };
+use dtdbd_metrics::report::fmt4;
 use dtdbd_metrics::{DomainEvaluation, TableBuilder};
 use dtdbd_models::{
     BertMlp, BiGruModel, DualEmo, Eann, Eddfn, FakeNewsModel, M3Fend, Mdfend, Mmoe, ModelConfig,
@@ -143,6 +144,9 @@ pub struct EvalRow {
     pub fped: f64,
     /// FNED + FPED.
     pub total: f64,
+    /// The model predicted a single class, so FNED/FPED/Total say nothing
+    /// about fairness and render as `n/a` rather than as the best score.
+    pub one_class: bool,
 }
 
 impl EvalRow {
@@ -156,26 +160,33 @@ impl EvalRow {
             fned: bias.fned,
             fped: bias.fped,
             total: bias.total(),
+            one_class: eval.predicts_one_class(),
         }
     }
 
     /// Append this row (per-domain F1 + overall metrics) to a table.
     pub fn push_full(&self, table: &mut TableBuilder) {
-        let mut values = self.domain_f1.clone();
-        values.push(self.overall_f1);
-        values.push(self.fned);
-        values.push(self.fped);
-        values.push(self.total);
-        table.metric_row(&self.name, &values, 4);
+        self.push_cells(table, &self.domain_f1);
     }
 
     /// Append only the overall metrics to a table.
     pub fn push_overall(&self, table: &mut TableBuilder) {
-        table.metric_row(
-            &self.name,
-            &[self.overall_f1, self.fned, self.fped, self.total],
-            4,
-        );
+        self.push_cells(table, &[]);
+    }
+
+    /// `name`, the `f1` cells, overall F1, then FNED/FPED/Total (`n/a` for
+    /// a single-class predictor).
+    fn push_cells(&self, table: &mut TableBuilder, f1: &[f64]) {
+        let mut cells = vec![self.name.clone()];
+        cells.extend(f1.iter().chain([&self.overall_f1]).map(|&v| fmt4(v)));
+        for v in [self.fned, self.fped, self.total] {
+            cells.push(if self.one_class {
+                "n/a".into()
+            } else {
+                fmt4(v)
+            });
+        }
+        table.row(cells);
     }
 }
 
@@ -501,6 +512,24 @@ mod tests {
         row.push_full(&mut table);
         row.push_overall(&mut table);
         assert_eq!(table.n_rows(), 2);
+    }
+
+    #[test]
+    fn single_class_rows_render_bias_as_not_available() {
+        let eval =
+            DomainEvaluation::from_names(&[1, 1, 1, 1], &[1, 0, 0, 1], &[0, 0, 1, 1], &["A", "B"]);
+        let row = EvalRow::from_eval("collapsed", &eval);
+        assert!(row.one_class);
+        let mut table =
+            TableBuilder::new("t").header(["m", "A", "B", "F1", "FNED", "FPED", "Total"]);
+        row.push_full(&mut table);
+        row.push_overall(&mut table);
+        let rendered = table.render();
+        let rows: Vec<&str> = rendered.lines().skip(3).collect();
+        assert_eq!(rows.len(), 2);
+        for line in rows {
+            assert_eq!(line.matches("n/a").count(), 3, "{line}");
+        }
     }
 
     #[test]

@@ -120,8 +120,21 @@ impl DomainEvaluation {
         self.domains.iter().map(DomainMetrics::f1).collect()
     }
 
+    /// Whether every prediction falls in one class (or there are none). Such
+    /// a predictor has the same FNR and FPR (each 0 or 1) in every domain
+    /// that holds both classes, so its FNED and FPED are 0 by construction:
+    /// a low [`DomainEvaluation::bias`] then says nothing about fairness,
+    /// and tables should not rank it.
+    pub fn predicts_one_class(&self) -> bool {
+        let o = &self.overall;
+        o.tp + o.fp == 0 || o.tn + o.fn_ == 0
+    }
+
     /// The FPED / FNED bias metrics (Eq. 16–17). Domains with no evaluated
-    /// items are skipped (they carry no evidence of bias).
+    /// items are skipped (they carry no evidence of bias). A collapsed
+    /// predictor scores 0 here whenever every domain holds both classes;
+    /// check [`DomainEvaluation::predicts_one_class`] before reading a low
+    /// score as unbiased.
     pub fn bias(&self) -> BiasMetrics {
         let overall_fnr = self.overall.fnr();
         let overall_fpr = self.overall.fpr();
@@ -220,6 +233,21 @@ mod tests {
         let eval = DomainEvaluation::from_names(&preds, &labels, &domains, &NAMES);
         let sum: usize = eval.domains().iter().map(DomainMetrics::count).sum();
         assert_eq!(sum, eval.overall().total());
+    }
+
+    #[test]
+    fn single_class_predictors_are_flagged_despite_zero_bias() {
+        let labels = vec![1, 0, 0, 1, 1, 0];
+        let domains = vec![0, 0, 1, 1, 2, 2];
+        for constant in [1, 0] {
+            let preds = vec![constant; labels.len()];
+            let eval = DomainEvaluation::from_names(&preds, &labels, &domains, &NAMES);
+            assert!(eval.predicts_one_class(), "all-{constant} predictor");
+            assert_eq!(eval.bias().total(), 0.0, "zero by construction");
+        }
+        let preds = vec![1, 0, 1, 1, 0, 1];
+        let eval = DomainEvaluation::from_names(&preds, &labels, &domains, &NAMES);
+        assert!(!eval.predicts_one_class());
     }
 
     #[test]

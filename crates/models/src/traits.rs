@@ -3,7 +3,7 @@
 use crate::config::ModelConfig;
 use crate::side_state::{SideState, SideStateError};
 use dtdbd_data::Batch;
-use dtdbd_tensor::{BufferPool, Graph, KernelTimers, ParamStore, QuantizedParams, Tensor, Var};
+use dtdbd_tensor::{BufferPool, Graph, KernelTimers, ParamStore, Tensor, Var};
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,13 +77,6 @@ pub struct InferOptions {
     /// durations to (see [`dtdbd_tensor::KernelTimers`]). `None` — the
     /// default — reads no clock; timing never changes computed bits.
     pub kernel_timers: Option<Arc<dyn KernelTimers>>,
-    /// Int8 registry for the model's quantized weights: linear/conv layers
-    /// with an entry run the fused quantize → i32 GEMM → dequantize kernel,
-    /// and an embedding table with an entry gathers dequantized int8 rows
-    /// (see [`dtdbd_tensor::QuantizedParams`]). `None` — the default —
-    /// serves full f32. Int8 outputs differ from f32 within quantization
-    /// error but are bit-identical to themselves at any thread count.
-    pub quantized: Option<Arc<QuantizedParams>>,
 }
 
 impl fmt::Debug for InferOptions {
@@ -91,7 +84,6 @@ impl fmt::Debug for InferOptions {
         f.debug_struct("InferOptions")
             .field("threads", &self.threads)
             .field("kernel_timers", &self.kernel_timers.is_some())
-            .field("quantized", &self.quantized.is_some())
             .finish()
     }
 }
@@ -211,11 +203,11 @@ pub trait FakeNewsModel {
     }
 
     /// [`FakeNewsModel::infer`] with the full option set — the entry point
-    /// the serving path uses. Without a kernel timing sink or an int8
-    /// registry this delegates to [`FakeNewsModel::infer_with_threads`], so
-    /// a model with a hand-fused override keeps serving; otherwise it runs
-    /// the default graph path with the timing sink and/or registry installed
-    /// (timing is observation only and never changes bits).
+    /// the serving path uses. Without a kernel timing sink this delegates to
+    /// [`FakeNewsModel::infer_with_threads`], so a model with a hand-fused
+    /// override keeps serving; otherwise it runs the default graph path with
+    /// the timing sink installed (timing is observation only and never
+    /// changes bits).
     fn infer_with_opts(
         &self,
         store: &mut ParamStore,
@@ -223,7 +215,7 @@ pub trait FakeNewsModel {
         batch: &Batch,
         opts: &InferOptions,
     ) -> InferenceOutput {
-        if opts.kernel_timers.is_none() && opts.quantized.is_none() {
+        if opts.kernel_timers.is_none() {
             self.infer_with_threads(store, pool, batch, opts.threads)
         } else {
             run_default_infer(self, store, pool, batch, opts)
@@ -244,7 +236,6 @@ fn run_default_infer<M: FakeNewsModel + ?Sized>(
     let mut g = Graph::inference(store, pool);
     g.set_threads(opts.threads);
     g.set_kernel_timers(opts.kernel_timers.clone());
-    g.set_quantized_params(opts.quantized.clone());
     let out = model.forward(&mut g, batch);
     let result = InferenceOutput {
         logits: g.value(out.logits).clone(),

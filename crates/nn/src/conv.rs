@@ -41,7 +41,6 @@ impl ConvBranch {
             format!("{name}.weight"),
             init::xavier_uniform(kernel * in_dim, channels, &[channels, kernel, in_dim], rng),
         );
-        store.get_mut(weight).quantizable = true;
         let bias = store.add(format!("{name}.bias"), init::zeros(&[channels]));
         Self {
             weight,
@@ -64,8 +63,7 @@ impl ConvBranch {
     /// Apply conv -> ReLU -> max-over-time to a `[b, s, d]` input, producing
     /// `[b, channels]`, as the single op [`Graph::conv_relu_max`] on tape
     /// and tape-free graphs alike. It reads the weight and bias in place in
-    /// the store; graphs with an int8 registry entry for the weight run the
-    /// quantized convolution inside the same op.
+    /// the store.
     pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
         g.conv_relu_max(x, self.weight, self.bias)
     }

@@ -27,7 +27,6 @@ impl Linear {
             format!("{name}.weight"),
             init::xavier_uniform(in_dim, out_dim, &[in_dim, out_dim], rng),
         );
-        store.get_mut(weight).quantizable = true;
         let bias = store.add(format!("{name}.bias"), init::zeros(&[out_dim]));
         Self {
             weight,
@@ -52,12 +51,13 @@ impl Linear {
         (self.weight, self.bias)
     }
 
-    /// Apply the layer to a `[batch, in_dim]` input. Dispatches through
-    /// [`Graph::linear_param`], so graphs with an int8 registry run the
-    /// fused quantized kernel and every other graph composes the exact
-    /// `param → matmul → add_bias` sequence as before.
+    /// Apply the layer to a `[batch, in_dim]` input: `param → matmul →
+    /// add_bias`, on tape and tape-free graphs alike.
     pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        g.linear_param(x, self.weight, self.bias)
+        let w = g.param(self.weight);
+        let b = g.param(self.bias);
+        let xw = g.matmul(x, w);
+        g.add_bias(xw, b)
     }
 }
 

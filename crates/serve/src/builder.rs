@@ -18,7 +18,7 @@ use dtdbd_models::{
     BiGruModel, Eann, Eddfn, FakeNewsModel, M3Fend, Mdfend, ModelConfig, TextCnnModel,
 };
 use dtdbd_tensor::rng::Prng;
-use dtdbd_tensor::{ParamStore, Precision};
+use dtdbd_tensor::ParamStore;
 use std::fmt;
 
 /// A boxed model that can cross threads (what the server's workers hold).
@@ -66,13 +66,6 @@ pub enum ConfigError {
         /// Domains of the corpus being served.
         n_domains: usize,
     },
-    /// Int8 precision was requested but the architecture registers neither
-    /// a quantizable weight matrix nor a frozen embedding table — the
-    /// deployment would silently serve f32 under an int8 label.
-    NoQuantizableParams {
-        /// Architecture name of the rejected model.
-        arch: String,
-    },
     /// A zoo start was requested with no tenants registered.
     NoTenants,
     /// Two tenants were registered under the same model id.
@@ -97,13 +90,6 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "drift baseline covers {baseline_domains} domains, corpus has {n_domains}"
-                )
-            }
-            Self::NoQuantizableParams { arch } => {
-                write!(
-                    f,
-                    "int8 precision requested but model {arch:?} has no quantizable weight or \
-                     frozen embedding table"
                 )
             }
             Self::NoTenants => write!(f, "a model zoo needs at least one registered tenant"),
@@ -236,8 +222,6 @@ pub fn session_from_checkpoint(
 ///   contract), so this is purely a throughput knob.
 /// * **`cache_capacity`** — bound of the content-hash → prediction LRU in
 ///   front of the queue (0 disables caching).
-/// * **`precision`** — fp32 (the default) or int8 weights and embedding
-///   table in every worker.
 /// * **`http` / `http_addr`** — configuration of the HTTP front-end the
 ///   two `try_start_http*` methods start (bind address, worker and backlog
 ///   sizing, wire limits, deadlines). The build platform picks
@@ -245,13 +229,12 @@ pub fn session_from_checkpoint(
 ///   a blocking thread pool elsewhere.
 ///
 /// ```no_run
-/// # use dtdbd_serve::{Checkpoint, Precision, ServerBuilder};
+/// # use dtdbd_serve::{Checkpoint, ServerBuilder};
 /// # fn demo(checkpoint: &Checkpoint) -> Result<(), dtdbd_serve::StartError> {
 /// let server = ServerBuilder::new()
 ///     .workers(4)
 ///     .threads(4)
 ///     .cache_capacity(8192)
-///     .precision(Precision::Int8)
 ///     .try_start_from_checkpoint(checkpoint)?;
 /// # drop(server); Ok(()) }
 /// ```
@@ -288,7 +271,7 @@ impl Default for ServerBuilder {
 impl ServerBuilder {
     /// A builder with [`BatchingConfig::default`] and the default tuning
     /// (1 intra-op thread, 1024-entry prediction cache in 8 lock
-    /// partitions, fp32, telemetry on). The HTTP front-end (only
+    /// partitions, telemetry on). The HTTP front-end (only
     /// started by the `try_start_http*` methods) defaults to
     /// [`HttpConfig::default`]: an ephemeral loopback port.
     pub fn new() -> Self {
@@ -336,18 +319,6 @@ impl ServerBuilder {
     /// at zero).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.tuning.cache_capacity = capacity;
-        self
-    }
-
-    /// Inference numeric precision. [`Precision::Fp32`] (the default) is
-    /// the exact training-time arithmetic; [`Precision::Int8`] quantizes
-    /// every worker's weight matrices and the frozen embedding table to
-    /// per-row int8 + scale form at start-up — ~4× less resident parameter
-    /// memory, predictions within quantization error of f32 and
-    /// bit-identical to themselves at any thread count. An arch with
-    /// nothing to quantize is a [`ConfigError::NoQuantizableParams`].
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.tuning.precision = precision;
         self
     }
 

@@ -29,7 +29,6 @@
 
 use crate::session::Prediction;
 use dtdbd_data::EncodedRequest;
-use dtdbd_tensor::Precision;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -50,18 +49,11 @@ impl CacheKey {
     /// request. Two requests build equal keys iff the model would see
     /// identical inputs.
     pub fn of(request: &EncodedRequest) -> Self {
-        Self::of_with_precision(request, Precision::Fp32)
-    }
-
-    /// [`CacheKey::of`] tagged with the serving precision. Int8 predictions
-    /// may legitimately differ from fp32 ones, so a server's keys carry its
-    /// precision and entries from different precisions never alias.
-    pub fn of_with_precision(request: &EncodedRequest, precision: Precision) -> Self {
         let tokens = request.tokens();
         let style = request.style();
         let emotion = request.emotion();
         let mut bytes =
-            Vec::with_capacity(9 + 4 * tokens.len() + 4 * (style.len() + emotion.len()));
+            Vec::with_capacity(8 + 4 * tokens.len() + 4 * (style.len() + emotion.len()));
         bytes.extend_from_slice(&(request.domain() as u64).to_le_bytes());
         for &t in tokens {
             bytes.extend_from_slice(&t.to_le_bytes());
@@ -71,10 +63,6 @@ impl CacheKey {
         for &v in style.iter().chain(emotion) {
             bytes.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        bytes.push(match precision {
-            Precision::Fp32 => 0,
-            Precision::Int8 => 1,
-        });
         let hash = fnv1a(&bytes);
         Self { hash, bytes }
     }
@@ -388,27 +376,6 @@ mod tests {
             logits: [1.0 - p, p],
             domain_scores: None,
         }
-    }
-
-    #[test]
-    fn precision_tags_keep_fp32_and_int8_keys_apart() {
-        let encoder = dtdbd_data::RequestEncoder::new(100, 8, 3);
-        let request = encoder
-            .encode(&dtdbd_data::InferenceRequest {
-                tokens: vec![1, 2, 3],
-                domain: 1,
-                style: None,
-                emotion: None,
-            })
-            .unwrap();
-        let fp32 = CacheKey::of_with_precision(&request, Precision::Fp32);
-        let int8 = CacheKey::of_with_precision(&request, Precision::Int8);
-        assert_ne!(fp32.bytes, int8.bytes);
-        assert_ne!(fp32.hash, int8.hash);
-        // `of` stays the fp32 key, so existing callers are unchanged.
-        let plain = CacheKey::of(&request);
-        assert_eq!(plain.bytes, fp32.bytes);
-        assert_eq!(plain.hash, fp32.hash);
     }
 
     #[test]

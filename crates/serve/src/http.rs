@@ -29,7 +29,7 @@
 //! |----------|------|----------|
 //! | `POST /predict` | single request object, or `{"items": [...]}` | prediction object, or `{"count": n, "predictions": [...]}` — served by the zoo's **default** model |
 //! | `POST /predict/<id>` | as `POST /predict` | the same, served by the tenant registered under `<id>` (`404 unknown_model` otherwise) |
-//! | `GET /model` | — | the routing table: default id plus one descriptor per tenant (arch, version, precision, side-state tags, reload counters) |
+//! | `GET /model` | — | the routing table: default id plus one descriptor per tenant (arch, version, side-state tags, reload counters) |
 //! | `GET /model/<id>` | — | one tenant's descriptor |
 //! | `POST /admin/reload/<id>` | — | atomic hot-swap of `<id>` to the current contents of its checkpoint file: `200 {"model", "version"}`, `404 unknown_model`, `400 not_reloadable`, `503 reload_failed` (+`Retry-After`) |
 //! | `GET /healthz` | — | liveness: `{"status": "ok"}` whenever the process can answer at all |

@@ -15,9 +15,8 @@
 //!    forward passes on [`dtdbd_tensor::Graph::inference`] graphs: no
 //!    autograd tape, and after the first request every activation buffer is
 //!    recycled through a [`dtdbd_tensor::BufferPool`], so the steady-state
-//!    hot path performs no activation allocation. Int8 precision quantizes
-//!    every weight matrix and the frozen embedding table into one
-//!    [`dtdbd_tensor::QuantizedParams`] registry per session.
+//!    hot path performs no activation allocation. Every session serves the
+//!    training-time f32 arithmetic, bit for bit.
 //! 3. **Micro-batching server core** ([`server`]) — [`PredictServer`]
 //!    coalesces concurrent single-item requests from one queue into batches
 //!    (`max_batch_size` / `max_wait`) dispatched to a pool of worker
@@ -94,7 +93,6 @@ pub use builder::{
 pub use cache::{CacheKey, CacheStats, PredictionCache, ShardedPredictionCache};
 pub use checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
 pub use dtdbd_models::{SideState, SideStateError};
-pub use dtdbd_tensor::Precision;
 pub use fault::{FaultParseError, FaultPlan};
 pub use http::{ClientResponse, HttpClient, HttpConfig, HttpServer};
 pub use server::{BatchingConfig, PredictError, PredictServer, PredictionHandle, ServingStats};

@@ -27,8 +27,8 @@
 //! in-flight batch's requests — their handles resolve to a typed
 //! [`PredictError::WorkerCrashed`], never a client-side panic — and the
 //! shell respawns the worker with capped exponential backoff: a fresh
-//! [`InferenceSession`] restored from the retained checkpoint, re-quantized
-//! and with its kernel-timer sink re-wired. While a worker is down
+//! [`InferenceSession`] restored from the retained checkpoint, with its
+//! kernel-timer sink re-wired. While a worker is down
 //! `workers_alive` drops below `workers` (so `/readyz` reports 503); once
 //! the respawn lands the probe flips back to 200. Requests can also carry a **deadline**
 //! ([`PredictServer::submit_encoded_with_deadline`]): a worker drops
@@ -42,7 +42,7 @@ use crate::fault::{FaultPlan, WorkerFaults};
 use crate::session::{InferenceSession, Prediction};
 use crate::telemetry::{DomainBaseline, Stage, Telemetry, TraceContext};
 use dtdbd_data::{EncodedRequest, InferenceRequest, RequestEncoder, RequestError};
-use dtdbd_tensor::{KernelTimers, Precision};
+use dtdbd_tensor::KernelTimers;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
@@ -107,9 +107,6 @@ pub(crate) struct ServerTuning {
     /// Deterministic fault-injection plan ([`crate::fault`]); `None` (the
     /// default) compiles to no hooks at all on the hot path.
     pub fault_plan: Option<FaultPlan>,
-    /// Inference numeric precision: [`Precision::Int8`] quantizes every
-    /// worker session at start-up.
-    pub precision: Precision,
 }
 
 impl Default for ServerTuning {
@@ -120,7 +117,6 @@ impl Default for ServerTuning {
             telemetry: true,
             drift_baseline: None,
             fault_plan: None,
-            precision: Precision::Fp32,
         }
     }
 }
@@ -296,7 +292,7 @@ pub struct ServingStats {
     /// Prediction-cache counters (all zeros when the cache is disabled).
     pub cache: CacheStats,
     /// Mean bytes of parameters resident in each worker's session, the
-    /// embedding table and (under int8) the quantized registry included.
+    /// embedding table included.
     pub resident_param_bytes_per_worker: u64,
     /// Worker batch-loop panics caught by the supervisor shells.
     pub worker_panics: u64,
@@ -305,13 +301,6 @@ pub struct ServingStats {
     /// Requests shed with [`PredictError::DeadlineExceeded`] before
     /// inference because their deadline budget expired in the queue.
     pub requests_deadline_dropped: u64,
-    /// Numeric precision of worker inference ([`Precision::Int8`] when the
-    /// server quantized sessions at start-up).
-    pub precision: Precision,
-    /// Mean bytes of int8 codes + scales resident per worker (0 under
-    /// fp32). Already included in `resident_param_bytes_per_worker`;
-    /// reported separately so the quantization win is observable.
-    pub quantized_param_bytes_per_worker: u64,
 }
 
 /// An in-flight prediction; resolve it with [`PredictionHandle::wait`].
@@ -341,8 +330,6 @@ pub struct PredictServer {
     arch: String,
     threads: usize,
     resident_param_bytes_per_worker: u64,
-    quantized_param_bytes_per_worker: u64,
-    precision: Precision,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -405,21 +392,15 @@ impl PredictServer {
                 .as_ref()
                 .and_then(FaultPlan::backoff_override)
                 .unwrap_or(DEFAULT_RESPAWN_BACKOFF),
-            precision: tuning.precision,
         });
         let mut sessions = Vec::with_capacity(config.workers);
-        sessions.push(respawn.wire(session0)?);
+        sessions.push(respawn.wire(session0));
         for _ in 1..config.workers {
             sessions.push(respawn.restore()?);
         }
         let resident_param_bytes_per_worker = sessions
             .iter()
             .map(InferenceSession::resident_param_bytes)
-            .sum::<u64>()
-            / sessions.len() as u64;
-        let quantized_param_bytes_per_worker = sessions
-            .iter()
-            .map(InferenceSession::quantized_bytes)
             .sum::<u64>()
             / sessions.len() as u64;
 
@@ -467,8 +448,6 @@ impl PredictServer {
             arch: name.to_string(),
             threads,
             resident_param_bytes_per_worker,
-            quantized_param_bytes_per_worker,
-            precision: tuning.precision,
             workers,
         })
     }
@@ -502,9 +481,7 @@ impl PredictServer {
         let (tx, rx) = mpsc::channel();
         let key = match self.shared.cache.as_ref() {
             Some(cache) => {
-                // Keys carry the precision: fp32 and int8 deployments may
-                // legitimately disagree, so their entries must never alias.
-                let key = CacheKey::of_with_precision(&request, self.precision);
+                let key = CacheKey::of(&request);
                 if let Some(hit) = cache.get_traced(&key, &trace) {
                     // A cache hit is a served prediction too: the drift
                     // tracker must see the traffic the clients see.
@@ -602,8 +579,6 @@ impl PredictServer {
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
             worker_restarts: self.shared.worker_restarts.load(Ordering::Relaxed),
             requests_deadline_dropped: self.shared.deadline_dropped.load(Ordering::Relaxed),
-            precision: self.precision,
-            quantized_param_bytes_per_worker: self.quantized_param_bytes_per_worker,
         };
         for counters in &self.shared.counters {
             // Seqlock snapshot: the four fields of one worker are coherent
@@ -645,31 +620,26 @@ impl Drop for PredictServer {
 /// Everything a supervisor shell needs to rebuild a crashed worker's
 /// session exactly the way [`PredictServer::from_checkpoint`] built the
 /// original: the retained checkpoint plus the wiring every session gets
-/// (intra-op threads, precision, kernel-timer sink).
+/// (intra-op threads, kernel-timer sink).
 struct Respawn {
     checkpoint: Checkpoint,
     threads: usize,
     kernel_timers: Option<Arc<dyn KernelTimers>>,
     initial_backoff: Duration,
-    precision: Precision,
 }
 
 impl Respawn {
     /// Apply the server's wiring to a freshly restored session.
-    fn wire(
-        &self,
-        mut session: InferenceSession<BoxedModel>,
-    ) -> Result<InferenceSession<BoxedModel>, ConfigError> {
+    fn wire(&self, mut session: InferenceSession<BoxedModel>) -> InferenceSession<BoxedModel> {
         session.set_threads(self.threads);
-        session.quantize(self.precision)?;
         session.set_kernel_timers(self.kernel_timers.clone());
-        Ok(session)
+        session
     }
 
     /// A session restored from the retained checkpoint and wired like
     /// every other worker's.
     fn restore(&self) -> Result<InferenceSession<BoxedModel>, StartError> {
-        Ok(self.wire(session_from_checkpoint(&self.checkpoint)?)?)
+        Ok(self.wire(session_from_checkpoint(&self.checkpoint)?))
     }
 }
 

@@ -10,20 +10,8 @@
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use dtdbd_data::{Batch, EncodedRequest, RequestEncoder};
 use dtdbd_models::{FakeNewsModel, InferOptions, ModelConfig};
-use dtdbd_tensor::{
-    BufferPool, KernelTimers, ParamId, ParamStore, Precision, QuantizedMatrix, QuantizedParams,
-    Tensor,
-};
-use std::cmp::Ordering;
+use dtdbd_tensor::{BufferPool, KernelTimers, ParamStore};
 use std::sync::Arc;
-
-/// The dominant-table rule int8 quantization uses to find the frozen
-/// embedding table: the larger element count wins, and on equal counts the
-/// lexicographically smallest parameter name, so the choice never depends
-/// on `ParamStore` insertion order.
-fn dominant_table_rank(a: (usize, &str), b: (usize, &str)) -> Ordering {
-    a.0.cmp(&b.0).then_with(|| b.1.cmp(a.1))
-}
 
 /// Per-item serving result.
 #[derive(Debug, Clone)]
@@ -55,13 +43,6 @@ pub struct InferenceSession<M> {
     /// (the serving telemetry registry). `None` keeps the kernels free of
     /// clock reads; the sink never changes prediction bits either way.
     kernel_timers: Option<Arc<dyn KernelTimers>>,
-    /// Inference precision. [`Precision::Int8`] after a successful
-    /// [`InferenceSession::quantize`]; [`Precision::Fp32`] otherwise.
-    precision: Precision,
-    /// Int8 registry built by [`InferenceSession::quantize`]: the quantized
-    /// forms of every quantizable weight and of the frozen embedding table,
-    /// threaded into each forward pass.
-    quantized: Option<Arc<QuantizedParams>>,
 }
 
 impl<M: FakeNewsModel> InferenceSession<M> {
@@ -77,8 +58,6 @@ impl<M: FakeNewsModel> InferenceSession<M> {
             requests_served: 0,
             threads: 1,
             kernel_timers: None,
-            precision: Precision::Fp32,
-            quantized: None,
         }
     }
 
@@ -147,87 +126,9 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         (self.pool.reuse_hits(), self.pool.alloc_misses())
     }
 
-    /// Bytes of parameter values resident in this session's private store,
-    /// plus — after [`InferenceSession::quantize`] — the int8 registry.
+    /// Bytes of parameter values resident in this session's private store.
     pub fn resident_param_bytes(&self) -> u64 {
-        self.store.num_scalars() as u64 * std::mem::size_of::<f32>() as u64 + self.quantized_bytes()
-    }
-
-    /// Inference precision of this session's forward passes.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Bytes of int8 matrices (codes + per-row scales) resident in this
-    /// session, the embedding table included; zero before
-    /// [`InferenceSession::quantize`].
-    pub fn quantized_bytes(&self) -> u64 {
-        self.quantized.as_ref().map_or(0, |q| q.bytes())
-    }
-
-    /// Quantize this session to the given precision. [`Precision::Fp32`] is
-    /// the identity. [`Precision::Int8`] rewrites every quantizable weight
-    /// (linear/conv matrices, marked by the layers that registered them)
-    /// and the frozen embedding table (the largest non-trainable 2-D
-    /// parameter with vocabulary rows) into per-row int8 + scale form in
-    /// one [`QuantizedParams`] registry, and drops the f32 originals to
-    /// empty stubs.
-    ///
-    /// Subsequent forward passes run the fused quantize → i32 GEMM →
-    /// dequantize kernel and gather `code × row_scale` embedding rows:
-    /// predictions differ from f32 within quantization error but are
-    /// bit-identical to themselves at any thread count.
-    ///
-    /// Fails with [`ConfigError::NoQuantizableParams`] when the model has
-    /// neither a quantizable weight nor a frozen embedding table — an int8
-    /// deployment of such an arch would silently serve f32.
-    pub fn quantize(&mut self, precision: Precision) -> Result<(), crate::builder::ConfigError> {
-        use crate::builder::ConfigError;
-        if precision == Precision::Fp32 {
-            return Ok(());
-        }
-        let vocab_rows = self.model.config().vocab_size;
-        let table_id = self
-            .store
-            .iter()
-            .filter(|(_, p)| {
-                !p.trainable && p.value.ndim() == 2 && p.value.shape()[0] == vocab_rows
-            })
-            .max_by(|(_, a), (_, b)| {
-                dominant_table_rank((a.value.numel(), &a.name), (b.value.numel(), &b.name))
-            })
-            .map(|(id, _)| id);
-        let mut registry = QuantizedParams::new();
-        let mut stubs: Vec<(ParamId, Vec<usize>)> = Vec::new();
-        for (id, p) in self.store.iter() {
-            let matrix = if Some(id) == table_id {
-                let (rows, dim) = (p.value.shape()[0], p.value.shape()[1]);
-                QuantizedMatrix::from_rows(rows, dim, p.value.data())
-            } else if !p.quantizable {
-                continue;
-            } else {
-                match p.value.ndim() {
-                    2 => QuantizedMatrix::from_linear(&p.value),
-                    3 => QuantizedMatrix::from_conv(&p.value),
-                    _ => continue,
-                }
-            };
-            registry.insert(id, Arc::new(matrix));
-            let mut stub = p.value.shape().to_vec();
-            stub[0] = 0;
-            stubs.push((id, stub));
-        }
-        if registry.is_empty() {
-            return Err(ConfigError::NoQuantizableParams {
-                arch: self.model.name().to_string(),
-            });
-        }
-        for (id, stub) in stubs {
-            self.store.get_mut(id).value = Tensor::zeros(&stub);
-        }
-        self.quantized = Some(Arc::new(registry));
-        self.precision = Precision::Int8;
-        Ok(())
+        self.store.num_scalars() as u64 * std::mem::size_of::<f32>() as u64
     }
 
     /// Run tape-free inference on a pre-assembled batch.
@@ -235,7 +136,6 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         let opts = InferOptions {
             threads: self.threads,
             kernel_timers: self.kernel_timers.clone(),
-            quantized: self.quantized.clone(),
         };
         let output = self
             .model
@@ -306,23 +206,6 @@ mod tests {
         let (hits, misses) = session.pool_stats();
         assert_eq!(misses, misses_after_first, "steady state allocates nothing");
         assert!(hits > 0);
-    }
-
-    #[test]
-    fn tied_tables_resolve_by_name_not_insertion_order() {
-        assert_eq!(
-            dominant_table_rank((400, "alpha.table"), (400, "omega.table")),
-            Ordering::Greater
-        );
-        assert_eq!(
-            dominant_table_rank((400, "omega.table"), (400, "alpha.table")),
-            Ordering::Less
-        );
-        // Size decides first.
-        assert_eq!(
-            dominant_table_rank((401, "omega.table"), (400, "alpha.table")),
-            Ordering::Greater
-        );
     }
 
     #[test]

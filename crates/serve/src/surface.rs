@@ -228,8 +228,6 @@ static ROWS: &[Row<Snapshot>] = &[
         "Prediction workers whose threads are still running."),
     row(Gauge, "dtdbd_threads", "", "threads", |s| s.top().stats.threads.into(),
         "Intra-op threads each prediction worker's kernels may use."),
-    row(Gauge, "dtdbd_precision", "precision", "precision", |s| s.top().stats.precision.name().into(),
-        "1 for the numeric precision the prediction workers run at (fp32 or int8)."),
     row(Counter, "dtdbd_pool_reuse_hits_total", "", "pool.reuse_hits", |s| s.top().stats.pool_reuse_hits.into(),
         "Activation buffers recycled from the per-worker pools (active version)."),
     row(Counter, "dtdbd_pool_alloc_misses_total", "", "pool.alloc_misses", |s| s.top().stats.pool_alloc_misses.into(),
@@ -245,10 +243,7 @@ static ROWS: &[Row<Snapshot>] = &[
         "Prediction cache capacity bound (0 when the cache is off)."),
     row(Gauge, "dtdbd_resident_param_bytes_per_worker", "", "memory.resident_param_bytes_per_worker",
         |s| s.top().stats.resident_param_bytes_per_worker.into(),
-        "Mean bytes of parameters resident in each worker's session (int8 codes + scales included)."),
-    row(Gauge, "dtdbd_quantized_param_bytes_per_worker", "", "memory.quantized_param_bytes_per_worker",
-        |s| s.top().stats.quantized_param_bytes_per_worker.into(),
-        "Mean bytes of int8 parameter codes + scales resident per worker (0 under fp32)."),
+        "Mean bytes of parameters resident in each worker's session."),
     row(Counter, "dtdbd_worker_panics_total", "", "supervision.worker_panics", |s| s.top().stats.worker_panics.into(),
         "Prediction-worker batch-loop panics caught by the supervisor (active version)."),
     row(Counter, "dtdbd_worker_restarts_total", "", "supervision.worker_restarts", |s| s.top().stats.worker_restarts.into(),
@@ -307,8 +302,6 @@ static MODEL_ROWS: &[Row<TenantSnapshot>] = &[
         "Live prediction workers of each model id's active version."),
     row(Gauge, "dtdbd_model_arch", "arch", "arch", |t| t.model.arch().into(),
         "1 for the architecture each model id serves."),
-    row(Gauge, "dtdbd_model_precision", "precision", "precision", |t| t.stats.precision.name().into(),
-        "1 for the numeric precision each model id's workers run at."),
 ];
 
 #[rustfmt::skip]

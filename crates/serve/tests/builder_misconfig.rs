@@ -7,7 +7,7 @@ use dtdbd_data::{
 };
 use dtdbd_models::{FakeNewsModel, ModelConfig, ModelOutput, TextCnnModel};
 use dtdbd_serve::{
-    Checkpoint, ConfigError, HttpConfig, HttpServer, InferenceSession, Precision, PredictServer,
+    Checkpoint, ConfigError, HttpConfig, HttpServer, InferenceSession, PredictServer,
     ServerBuilder, StartError,
 };
 use dtdbd_tensor::rng::Prng;
@@ -109,11 +109,9 @@ fn cache_capacity_zero_disables_the_cache_with_zero_counters() {
     assert_eq!(stats.requests_served, 5, "every request ran a forward pass");
 }
 
-/// A degenerate model with no parameters at all: no weight matrix and no
-/// frozen table to quantize. Int8 on this arch must be a typed error, not a
-/// silently-fp32 deployment. No checkpoint can carry it (every servable
-/// architecture has parameters), so the test quantizes a session directly,
-/// as every server start does for each worker.
+/// A degenerate model with no parameters at all. No checkpoint can carry it
+/// (every servable architecture has parameters), so the test serves a
+/// session directly.
 struct ConstantModel {
     cfg: ModelConfig,
 }
@@ -134,28 +132,14 @@ impl FakeNewsModel for ConstantModel {
 }
 
 #[test]
-fn int8_without_quantizable_params_is_a_typed_error() {
+fn parameter_free_model_serves_fp32() {
     let ds = dataset();
     let cfg = ModelConfig::tiny(&ds);
-    let session = || InferenceSession::new(ConstantModel { cfg: cfg.clone() }, ParamStore::new());
-    let mut int8 = session();
-    assert_eq!(
-        int8.quantize(Precision::Int8),
-        Err(ConfigError::NoQuantizableParams {
-            arch: "constant".into(),
-        }),
-        "int8 with nothing to quantize must be rejected"
-    );
-    assert_eq!(int8.precision(), Precision::Fp32, "no int8 label on f32");
-    // Fp32 on the same arch still serves: the error is about the knob,
-    // not the model.
-    let mut fp32 = session();
-    fp32.quantize(Precision::Fp32)
-        .expect("fp32 serving needs no quantizable params");
+    let mut session = InferenceSession::new(ConstantModel { cfg }, ParamStore::new());
     let item = &ds.items()[0];
     let request = InferenceRequest::new(item.tokens.clone(), item.domain);
-    let encoded = fp32.encoder().encode(&request).expect("valid request");
-    let prediction = &fp32.predict_requests(&[encoded])[0];
+    let encoded = session.encoder().encode(&request).expect("valid request");
+    let prediction = &session.predict_requests(&[encoded])[0];
     assert_eq!(prediction.fake_prob.to_bits(), 0.5f32.to_bits());
 }
 
@@ -169,11 +153,6 @@ fn config_errors_render_actionable_messages() {
     }
     .to_string();
     assert!(msg.contains("12") && msg.contains('9'), "{msg}");
-    let msg = ConfigError::NoQuantizableParams {
-        arch: "constant".into(),
-    }
-    .to_string();
-    assert!(msg.contains("constant") && msg.contains("int8"), "{msg}");
     let msg = ConfigError::ZeroConnectionWorkers.to_string();
     assert!(msg.contains("connection worker"), "{msg}");
 }

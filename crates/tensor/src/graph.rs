@@ -147,12 +147,6 @@ pub struct Graph<'s> {
     /// embedding gather). `None` — the default — skips every clock read;
     /// timing is observation only and never changes computed values.
     kernel_timers: Option<Arc<dyn KernelTimers>>,
-    /// Int8 registry for [`Graph::linear_param`] / [`Graph::conv_relu_max`]
-    /// / [`Graph::embedding`]: weights with an entry run the fused quantize →
-    /// i32 GEMM → dequantize kernel, and a table with an entry gathers
-    /// dequantized int8 rows, instead of the f32 path. Inference graphs only
-    /// (the tape cannot differentiate through the integer kernel).
-    quantized: Option<Arc<crate::quant::QuantizedParams>>,
 }
 
 impl<'s> Graph<'s> {
@@ -168,7 +162,6 @@ impl<'s> Graph<'s> {
             rng: Prng::new(seed),
             threads: 1,
             kernel_timers: None,
-            quantized: None,
         }
     }
 
@@ -185,7 +178,6 @@ impl<'s> Graph<'s> {
             rng: Prng::new(0),
             threads: 1,
             kernel_timers: None,
-            quantized: None,
         }
     }
 
@@ -200,19 +192,6 @@ impl<'s> Graph<'s> {
     /// sink; a sinkless graph reads no clock at all.
     pub fn set_kernel_timers(&mut self, sink: Option<Arc<dyn KernelTimers>>) {
         self.kernel_timers = sink;
-    }
-
-    /// Serve [`Graph::linear_param`] / [`Graph::conv_relu_max`] weights with
-    /// an entry in `quantized` through the fused int8 kernel, and
-    /// [`Graph::embedding`] tables with an entry from their int8 rows. Inference
-    /// graphs only: the tape cannot differentiate through integer
-    /// arithmetic, so training graphs reject the registry outright.
-    pub fn set_quantized_params(&mut self, quantized: Option<Arc<crate::quant::QuantizedParams>>) {
-        assert!(
-            !self.tape || quantized.is_none(),
-            "quantized params are inference-only; tape graphs must stay f32"
-        );
-        self.quantized = quantized;
     }
 
     /// Intra-op thread count kernels launched from this graph may use.
@@ -513,41 +492,6 @@ impl<'s> Graph<'s> {
         self.push(value, Op::Matmul, &[a.0, b.0], None, rg)
     }
 
-    /// A whole linear layer (`x · W + b`) by parameter id. When `weight`
-    /// has an entry in the quantized registry this runs the fused int8
-    /// kernel (quantize each activation row → i8×i8→i32 `A·Bᵀ` GEMM over
-    /// ascending `k` → dequantize with the bias folded in) and records one
-    /// tape-free node; otherwise it composes the exact f32 op sequence
-    /// (`param` → `matmul` → `add_bias`) every training graph uses, so the
-    /// f32 path is bit-unchanged.
-    pub fn linear_param(&mut self, x: Var, weight: ParamId, bias: ParamId) -> Var {
-        if let Some(qm) = self.quantized.as_ref().and_then(|q| q.get(weight)) {
-            let qm = Arc::clone(qm);
-            let timers = self.kernel_timers.clone();
-            let _timer = KernelSpan::start(timers.as_ref(), "matmul");
-            assert_eq!(self.nodes[x.0].value.ndim(), 2, "linear input must be 2-D");
-            let (m, k) = {
-                let s = self.nodes[x.0].value.shape();
-                (s[0], s[1])
-            };
-            assert_eq!(qm.cols(), k, "quantized linear inner dimension mismatch");
-            let n = qm.rows();
-            let mut out = self.alloc_for_overwrite(m * n);
-            let threads = self.threads;
-            {
-                let xd = self.nodes[x.0].value.data();
-                let bd = self.store.value(bias).data();
-                qm.matmul_into(xd, m, bd, &mut out, threads);
-            }
-            let value = Tensor::new(vec![m, n], out);
-            return self.push(value, Op::Leaf, &[], None, false);
-        }
-        let w = self.param(weight);
-        let b = self.param(bias);
-        let xw = self.matmul(x, w);
-        self.add_bias(xw, b)
-    }
-
     // ------------------------------------------------------------------
     // Activations and normalisations
     // ------------------------------------------------------------------
@@ -720,25 +664,11 @@ impl<'s> Graph<'s> {
     // ------------------------------------------------------------------
 
     /// Embedding lookup. `table` must be a `[vocab, emb]` parameter; `ids`
-    /// has `batch * seq` entries; the output is `[batch, seq, emb]`. When
-    /// `table` has an entry in the quantized registry the rows are gathered
-    /// as `code × row_scale` from its int8 form (the store may hold only a
-    /// `[0, emb]` stub) and one tape-free node is recorded.
+    /// has `batch * seq` entries; the output is `[batch, seq, emb]`.
     pub fn embedding(&mut self, table: ParamId, ids: &[u32], batch: usize, seq: usize) -> Var {
         let timers = self.kernel_timers.clone();
         let _timer = KernelSpan::start(timers.as_ref(), "embedding");
         assert_eq!(ids.len(), batch * seq, "embedding: ids length mismatch");
-        if let Some(qm) = self.quantized.as_ref().and_then(|q| q.get(table)) {
-            let qm = Arc::clone(qm);
-            let (vocab, emb) = (qm.rows(), qm.cols());
-            if let Some(&id) = ids.iter().find(|&&id| id as usize >= vocab) {
-                panic!("token id {id} out of vocabulary ({vocab})");
-            }
-            let mut data = self.alloc_for_overwrite(batch * seq * emb);
-            qm.gather_rows_into(ids, &mut data, self.threads);
-            let value = Tensor::new(vec![batch, seq, emb], data);
-            return self.push(value, Op::Leaf, &[], None, false);
-        }
         assert_eq!(
             self.store.value(table).ndim(),
             2,
@@ -827,45 +757,24 @@ impl<'s> Graph<'s> {
     /// is seeded with the bias and the blocked GEMM accumulates the
     /// `[oc, k·d]` weight against the input's `k·d`-long windows, read in
     /// place. Per output element that is `bias + Σ x·w` over ascending
-    /// `(ki, j)`, the naive nested-loop order, at any thread count. When
-    /// the quantized registry has an entry for `weight` the scratch is
-    /// filled by im2row and the fused int8 `A·Bᵀ` kernel instead (inference
-    /// graphs only). [`kernels::relu_max_over_time_into`] then pools the
-    /// scratch, so values and arg-max are those of a ReLU over the whole
-    /// activation followed by max-over-time. The tape keeps only the
+    /// `(ki, j)`, the naive nested-loop order, at any thread count.
+    /// [`kernels::relu_max_over_time_into`] then pools the scratch, so
+    /// values and arg-max are those of a ReLU over the whole activation
+    /// followed by max-over-time. The tape keeps only the
     /// `[b, oc]` output and a `u32` arg-max per (sample, channel).
     pub fn conv_relu_max(&mut self, x: Var, weight: ParamId, bias: ParamId) -> Var {
         let timers = self.kernel_timers.clone();
         let _timer = KernelSpan::start(timers.as_ref(), "conv1d");
-        let quantized = self
-            .quantized
-            .as_ref()
-            .and_then(|q| q.get(weight))
-            .map(Arc::clone);
         let (b, s, d) = {
             let xv = &self.nodes[x.0].value;
             assert_eq!(xv.ndim(), 3, "conv1d input must be [b, s, d]");
             (xv.shape()[0], xv.shape()[1], xv.shape()[2])
         };
-        // Geometry of a quantized weight comes from its matrix alone: the
-        // store may hold only a `[0, k, d]` stub for it (quantization drops
-        // the f32 original to reclaim memory).
-        let (oc, k) = match &quantized {
-            Some(qm) => {
-                assert_eq!(
-                    qm.cols() % d.max(1),
-                    0,
-                    "quantized conv width {} not a multiple of feature dim {d}",
-                    qm.cols()
-                );
-                (qm.rows(), qm.cols() / d.max(1))
-            }
-            None => {
-                let wv = self.store.value(weight);
-                assert_eq!(wv.ndim(), 3, "conv1d weight must be [oc, k, d]");
-                assert_eq!(wv.shape()[2], d, "conv1d feature dimension mismatch");
-                (wv.shape()[0], wv.shape()[1])
-            }
+        let (oc, k) = {
+            let wv = self.store.value(weight);
+            assert_eq!(wv.ndim(), 3, "conv1d weight must be [oc, k, d]");
+            assert_eq!(wv.shape()[2], d, "conv1d feature dimension mismatch");
+            (wv.shape()[0], wv.shape()[1])
         };
         assert_eq!(
             self.store.value(bias).numel(),
@@ -879,28 +788,15 @@ impl<'s> Graph<'s> {
         let out_s = s - k + 1;
         let threads = self.threads;
         let mut conv = self.alloc_for_overwrite(b * out_s * oc);
-        match quantized {
-            Some(qm) => {
-                let rows = b * out_s;
-                let mut unfolded = self.alloc_for_overwrite(rows * k * d);
-                let xd = self.nodes[x.0].value.data();
-                let bd = self.store.value(bias).data();
-                kernels::im2row(xd, b, s, d, k, &mut unfolded, threads);
-                qm.matmul_into(&unfolded, rows, bd, &mut conv, threads);
-                self.release_scratch(unfolded);
-            }
-            None => {
-                let mut pack = self.alloc_for_overwrite(kernels::packed_len(k * d, oc));
-                let xd = self.nodes[x.0].value.data();
-                let wd = self.store.value(weight).data();
-                let bd = self.store.value(bias).data();
-                for row in conv.chunks_exact_mut(oc.max(1)) {
-                    row.copy_from_slice(bd);
-                }
-                kernels::conv1d_into(xd, b, s, d, k, wd, oc, &mut conv, threads, &mut pack);
-                self.release_scratch(pack);
-            }
+        let mut pack = self.alloc_for_overwrite(kernels::packed_len(k * d, oc));
+        let xd = self.nodes[x.0].value.data();
+        let wd = self.store.value(weight).data();
+        let bd = self.store.value(bias).data();
+        for row in conv.chunks_exact_mut(oc.max(1)) {
+            row.copy_from_slice(bd);
         }
+        kernels::conv1d_into(xd, b, s, d, k, wd, oc, &mut conv, threads, &mut pack);
+        self.release_scratch(pack);
         let rg = self.tape
             && (self.nodes[x.0].requires_grad
                 || self.store.get(weight).trainable
@@ -1494,7 +1390,6 @@ fn rowwise_softmax(x: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::params::ParamStore;
-    use crate::quant::{QuantizedMatrix, QuantizedParams};
 
     fn approx(a: f32, b: f32, tol: f32) -> bool {
         (a - b).abs() < tol
@@ -1659,81 +1554,6 @@ mod tests {
         // Token 1 appears twice, so its grad row accumulates 2.
         assert_eq!(store.grad(table).row(1), &[2.0, 2.0]);
         assert_eq!(store.grad(table).row(2), &[1.0, 1.0]);
-    }
-
-    /// A random int8 table in a `QuantizedParams` registry behind a
-    /// `[0, dim]` store stub (as an int8 session keeps it), random ids, and
-    /// the bits of those rows dequantized by hand.
-    fn quantized_embedding_fixture(
-        vocab: usize,
-        dim: usize,
-    ) -> (
-        ParamStore,
-        ParamId,
-        Arc<QuantizedParams>,
-        Vec<u32>,
-        Vec<u32>,
-    ) {
-        let mut rng = Prng::new(7);
-        let rows: Vec<f32> = (0..vocab * dim).map(|_| rng.normal()).collect();
-        let ids: Vec<u32> = (0..2000)
-            .map(|_| (rng.next_u64() % vocab as u64) as u32)
-            .collect();
-        let qm = QuantizedMatrix::from_rows(vocab, dim, &rows);
-        let mut want = vec![0f32; ids.len() * dim];
-        for (slot, &id) in want.chunks_exact_mut(dim).zip(&ids) {
-            qm.dequantize_row(id as usize, slot);
-        }
-        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        let mut store = ParamStore::new();
-        let table = store.add_frozen("emb", Tensor::zeros(&[0, dim]));
-        let mut registry = QuantizedParams::new();
-        registry.insert(table, Arc::new(qm));
-        (store, table, Arc::new(registry), ids, want)
-    }
-
-    fn gather_quantized_bits(
-        store: &mut ParamStore,
-        pool: &mut BufferPool,
-        registry: &Arc<QuantizedParams>,
-        table: ParamId,
-        ids: &[u32],
-        threads: usize,
-    ) -> Vec<u32> {
-        let mut g = Graph::inference(store, pool);
-        g.set_threads(threads);
-        g.set_quantized_params(Some(Arc::clone(registry)));
-        let e = g.embedding(table, ids, 40, 50);
-        assert_eq!(g.value(e).shape(), &[40, 50, 16]);
-        let got = g.value(e).data().iter().map(|v| v.to_bits()).collect();
-        g.finish();
-        got
-    }
-
-    #[test]
-    fn quantized_embedding_gathers_the_dequantized_registry_rows() {
-        let vocab = 211;
-        let (mut store, table, registry, ids, want) = quantized_embedding_fixture(vocab, 16);
-        let mut pool = BufferPool::new();
-        let got = gather_quantized_bits(&mut store, &mut pool, &registry, table, &ids, 1);
-        assert_eq!(got, want);
-
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut g = Graph::inference(&mut store, &mut pool);
-            g.set_quantized_params(Some(Arc::clone(&registry)));
-            g.embedding(table, &[vocab as u32], 1, 1);
-        }));
-        assert!(result.is_err(), "an out-of-vocabulary id must panic");
-    }
-
-    #[test]
-    fn quantized_embedding_gathers_identically_at_any_thread_count() {
-        let (mut store, table, registry, ids, want) = quantized_embedding_fixture(211, 16);
-        let mut pool = BufferPool::new();
-        for threads in [1usize, 2, 4] {
-            let got = gather_quantized_bits(&mut store, &mut pool, &registry, table, &ids, threads);
-            assert_eq!(got, want, "{threads} threads");
-        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! This module is the compute layer behind [`crate::Tensor`] and
 //! [`crate::Graph`]: one register-blocked GEMM behind every matrix product
 //! (plain, `A·Bᵀ`, `Aᵀ·B`, and 1-D convolution, which reads its windows
-//! straight from the input), im2row for the int8 convolution, branch-free
+//! straight from the input), im2row (the materialised window matrix the
+//! parity battery checks those windows against), branch-free
 //! max-over-time pooling with a `u32` arg-max, tiled transpose, elementwise
 //! maps, row-wise softmax and embedding gather. All kernels share two
 //! contracts:
@@ -867,9 +868,10 @@ pub fn conv1d_into_on(
 /// im2row for 1-D convolution over time: a `[b, s, d]` input and kernel
 /// width `kw` become a `[b·(s-kw+1), kw·d]` row matrix, each row the
 /// flattened window `x[i, t..t+kw, :]` (contiguous in the row-major input,
-/// so every row is one memcpy). The int8 convolution runs its quantized
-/// `A·Bᵀ` over these rows; the f32 one, [`conv1d_into`], reads the same
-/// windows in place instead.
+/// so every row is one memcpy). No model runs it: [`conv1d_into`] reads the
+/// same windows in place. It stays as the reference `gemm_parity.rs` checks
+/// the in-place windows against and for perfbench's
+/// `tensor.kernels.im2row_us`.
 pub fn im2row(x: &[f32], b: usize, s: usize, d: usize, kw: usize, out: &mut [f32], threads: usize) {
     assert_eq!(x.len(), b * s * d, "im2row: input length mismatch");
     assert!(kw >= 1 && kw <= s, "im2row: kernel width out of range");

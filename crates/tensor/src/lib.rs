@@ -41,6 +41,6 @@ pub mod timers;
 pub use graph::{Graph, Var};
 pub use params::{Param, ParamId, ParamStore};
 pub use pool::BufferPool;
-pub use quant::{Precision, QuantizedMatrix, QuantizedParams};
+pub use quant::QuantizedMatrix;
 pub use tensor::Tensor;
 pub use timers::{KernelSpan, KernelTimers};

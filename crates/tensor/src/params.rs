@@ -28,10 +28,6 @@ pub struct Param {
     /// never receive optimizer updates, but still participate in forward
     /// passes.
     pub trainable: bool,
-    /// Weight matrices eligible for int8 quantization at inference time
-    /// (linear/conv weights, marked by the layers that register them).
-    /// Biases, norms and scalar heads stay f32.
-    pub quantizable: bool,
 }
 
 /// Owns every parameter of a model (or of a model family sharing weights).
@@ -67,7 +63,6 @@ impl ParamStore {
             value,
             grad,
             trainable,
-            quantizable: false,
         });
         ParamId(self.params.len() - 1)
     }

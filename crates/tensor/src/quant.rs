@@ -1,21 +1,18 @@
-//! Int8 quantized inference: per-row symmetric quantization of frozen
-//! weight matrices plus a fused quantize → i32 GEMM → dequantize kernel.
+//! Per-row symmetric int8 quantization and a fused quantize → i32 GEMM →
+//! dequantize kernel. No model or server runs it: it is kept only because
+//! perfbench's per-layer metric `tensor.quant.gemm_gflops.serving_mix`
+//! times [`QuantizedMatrix::matmul_into`], and it goes when that metric
+//! does.
 //!
-//! The scheme is the simplest one that preserves the repo's bit-exact
-//! determinism contract:
-//!
-//! * **Per-row scales.** Every weight row (an output feature for linear
-//!   layers, a channel for conv, a vocabulary row for the embedding table)
-//!   gets `scale = maxabs / 127`, and values are stored as
-//!   `round(v / scale)` clamped to `[-127, 127]`. An all-zero row stores
-//!   scale `0` and all-zero codes. `-128` is never produced, so negation
-//!   can never overflow.
+//! * **Per-row scales.** Every row gets `scale = maxabs / 127`, and values
+//!   are stored as `round(v / scale)` clamped to `[-127, 127]`. An all-zero
+//!   row stores scale `0` and all-zero codes. `-128` is never produced, so
+//!   negation can never overflow.
 //! * **i32 accumulation.** The GEMM accumulates `i8 × i8` products in
 //!   `i32` over ascending `k`. Integer addition is associative, so the
-//!   result is bit-identical at any thread count, tile size or ISA tier
-//!   *by construction* — there is nothing to tune and nothing to drift.
-//!   Overflow is impossible for every shape in this workspace:
-//!   `127 · 127 · k` stays far below `2^31` for any `k < 133 000`.
+//!   result is bit-identical at any thread count *by construction*.
+//!   Overflow is impossible while `127 · 127 · k` stays below `2^31`, i.e.
+//!   for any `k < 133 000`.
 //! * **Dequantize at the boundary.** The f32 output is
 //!   `acc as f32 * (a_scale[row] * w_scale[col]) + bias[col]` — one fused
 //!   multiply order, fixed in source, identical everywhere.
@@ -24,32 +21,7 @@
 //! maxabs scan (a deterministic sequential reduction per row).
 
 use crate::par::{self, SendMutPtr};
-use crate::params::ParamId;
-use crate::tensor::Tensor;
 use std::ops::Range;
-use std::sync::Arc;
-
-/// Inference numeric precision knob, threaded from `ServerBuilder` down to
-/// the kernels. `Fp32` is the exact training-time arithmetic; `Int8` is the
-/// opt-in quantized path gated by the CI agreement battery.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Precision {
-    /// Full f32 weights and arithmetic (the default).
-    #[default]
-    Fp32,
-    /// Per-row symmetric int8 weights with i32 accumulation.
-    Int8,
-}
-
-impl Precision {
-    /// Stable lowercase name used in `/stats`, `/metrics` and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::Fp32 => "fp32",
-            Precision::Int8 => "int8",
-        }
-    }
-}
 
 /// Quantize one row: write codes into `dst`, return the row scale.
 /// Deterministic: a sequential maxabs scan then an elementwise round.
@@ -73,14 +45,9 @@ pub fn quantize_row(src: &[f32], dst: &mut [i8]) -> f32 {
     maxabs / 127.0
 }
 
-/// A frozen weight matrix quantized to int8, stored row-major as
-/// `[rows, cols]` with one f32 scale per row. For a linear layer the rows
-/// are *output* features (the f32 `[in, out]` weight is transposed at
-/// quantization time); for a conv branch they are channels (the
-/// `[oc, k, d]` weight flattened to `[oc, k·d]`). Either way the GEMM runs
-/// in `A·Bᵀ` form over contiguous rows of both operands. For the embedding
-/// table the rows are vocabulary rows, read by
-/// [`QuantizedMatrix::gather_rows_into`].
+/// A weight matrix quantized to int8, stored row-major as `[rows, cols]`
+/// with one f32 scale per row. Each row is one output feature, so the GEMM
+/// runs in `A·Bᵀ` form over contiguous rows of both operands.
 #[derive(Debug, Clone)]
 pub struct QuantizedMatrix {
     rows: usize,
@@ -109,30 +76,6 @@ impl QuantizedMatrix {
         }
     }
 
-    /// Quantize a linear weight stored `[in, out]`: transpose to
-    /// `[out, in]` so each output feature becomes one contiguous int8 row.
-    pub fn from_linear(weight: &Tensor) -> Self {
-        assert_eq!(weight.ndim(), 2, "linear weight must be 2-D");
-        let (in_dim, out_dim) = (weight.shape()[0], weight.shape()[1]);
-        let src = weight.data();
-        let mut transposed = vec![0f32; in_dim * out_dim];
-        for i in 0..in_dim {
-            for o in 0..out_dim {
-                transposed[o * in_dim + i] = src[i * out_dim + o];
-            }
-        }
-        Self::from_rows(out_dim, in_dim, &transposed)
-    }
-
-    /// Quantize a conv branch weight stored `[oc, k, d]`: each channel's
-    /// `k·d` taps are already contiguous, so this is a flatten.
-    pub fn from_conv(weight: &Tensor) -> Self {
-        assert_eq!(weight.ndim(), 3, "conv weight must be 3-D");
-        let oc = weight.shape()[0];
-        let width = weight.shape()[1] * weight.shape()[2];
-        Self::from_rows(oc, width, weight.data())
-    }
-
     /// Output features (GEMM `n`).
     pub fn rows(&self) -> usize {
         self.rows
@@ -141,45 +84,6 @@ impl QuantizedMatrix {
     /// Reduction width (GEMM `k`).
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Resident bytes: int8 codes plus the per-row f32 scales.
-    pub fn bytes(&self) -> u64 {
-        (std::mem::size_of_val(self.data.as_slice())
-            + std::mem::size_of_val(self.scales.as_slice())) as u64
-    }
-
-    /// Dequantize row `r` into `dst` (the int8 embedding gather, tests and
-    /// the naive reference; the GEMM path never materializes f32 weights).
-    pub fn dequantize_row(&self, r: usize, dst: &mut [f32]) {
-        let scale = self.scales[r];
-        for (d, &q) in dst
-            .iter_mut()
-            .zip(&self.data[r * self.cols..(r + 1) * self.cols])
-        {
-            *d = q as f32 * scale;
-        }
-    }
-
-    /// Int8 embedding gather: `dst` row `r` becomes row `ids[r]` dequantized
-    /// element-wise (`code × row_scale`, no reduction), so the output is
-    /// bit-identical at any `threads`. Work splits like
-    /// [`crate::kernels::gather_rows`]; every id must already be validated
-    /// against [`QuantizedMatrix::rows`].
-    pub fn gather_rows_into(&self, ids: &[u32], dst: &mut [f32], threads: usize) {
-        let cols = self.cols;
-        assert_eq!(dst.len(), ids.len() * cols, "gather: destination mismatch");
-        let min_rows = (8192 / cols.max(1)).max(1);
-        let ptr = SendMutPtr(dst.as_mut_ptr());
-        par::for_each_chunk(ids.len(), min_rows, threads, &|range: Range<usize>| {
-            // SAFETY: `for_each_chunk` hands every call a disjoint range of
-            // `0..ids.len()`, `dst` holds `ids.len() * cols` floats (asserted
-            // above) and outlives the call, so the slices never overlap.
-            let out = unsafe { ptr.slice_mut(range.start * cols..range.end * cols) };
-            for (slot, &id) in out.chunks_exact_mut(cols).zip(&ids[range]) {
-                self.dequantize_row(id as usize, slot);
-            }
-        });
     }
 
     /// Fused quantized layer: quantize each f32 activation row of
@@ -222,49 +126,6 @@ impl QuantizedMatrix {
     }
 }
 
-/// The int8 side of a quantized model: one [`QuantizedMatrix`] per
-/// quantized parameter (linear and conv weights, and the frozen embedding
-/// table), indexed by [`ParamId`]. Shared (`Arc`) between an
-/// `InferenceSession` and the graphs it builds; parameters without an entry
-/// fall back to the f32 path.
-#[derive(Debug, Default, Clone)]
-pub struct QuantizedParams {
-    matrices: Vec<Option<Arc<QuantizedMatrix>>>,
-}
-
-impl QuantizedParams {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register the quantized form of parameter `id`.
-    pub fn insert(&mut self, id: ParamId, matrix: Arc<QuantizedMatrix>) {
-        if self.matrices.len() <= id.index() {
-            self.matrices.resize(id.index() + 1, None);
-        }
-        self.matrices[id.index()] = Some(matrix);
-    }
-
-    /// The quantized form of `id`, if it was registered.
-    pub fn get(&self, id: ParamId) -> Option<&Arc<QuantizedMatrix>> {
-        self.matrices.get(id.index()).and_then(|m| m.as_ref())
-    }
-
-    /// Number of quantized matrices.
-    pub fn len(&self) -> usize {
-        self.matrices.iter().filter(|m| m.is_some()).count()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total resident bytes of every registered matrix.
-    pub fn bytes(&self) -> u64 {
-        self.matrices.iter().flatten().map(|m| m.bytes()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,11 +161,11 @@ mod tests {
         let mut rng = Prng::new(11);
         let src = random_matrix(&mut rng, 7, 33);
         let qm = QuantizedMatrix::from_rows(7, 33, &src);
-        let mut row = vec![0f32; 33];
         for r in 0..7 {
-            qm.dequantize_row(r, &mut row);
             let scale = qm.scales[r];
-            for (orig, deq) in src[r * 33..(r + 1) * 33].iter().zip(&row) {
+            let codes = &qm.data[r * 33..(r + 1) * 33];
+            for (orig, &q) in src[r * 33..(r + 1) * 33].iter().zip(codes) {
+                let deq = q as f32 * scale;
                 assert!(
                     (orig - deq).abs() <= scale * 0.5 + 1e-7,
                     "row {r}: {orig} vs {deq} (scale {scale})"
@@ -345,35 +206,5 @@ mod tests {
                 assert_eq!(want_bits, got_bits, "m={m} k={k} n={n} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn linear_constructor_transposes_to_output_major_rows() {
-        // weight [in=2, out=3]: column o of the f32 layout becomes row o.
-        let weight = Tensor::new(vec![2, 3], vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0]);
-        let qm = QuantizedMatrix::from_linear(&weight);
-        assert_eq!(qm.rows(), 3);
-        assert_eq!(qm.cols(), 2);
-        let mut row = vec![0f32; 2];
-        qm.dequantize_row(0, &mut row);
-        // Row 0 is [w[0][0], w[1][0]] = [1, 10]; maxabs 10 → step 10/127.
-        assert!((row[0] - 1.0).abs() < 10.0 / 127.0 * 0.51, "{row:?}");
-        assert!((row[1] - 10.0).abs() < 1e-6, "{row:?}");
-    }
-
-    #[test]
-    fn registry_indexes_by_param_id_and_counts_bytes() {
-        use crate::params::ParamStore;
-        let mut store = ParamStore::new();
-        let a = store.add("a", Tensor::new(vec![2, 2], vec![1.0; 4]));
-        let b = store.add("b", Tensor::new(vec![2, 2], vec![2.0; 4]));
-        let mut reg = QuantizedParams::new();
-        let qm = Arc::new(QuantizedMatrix::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]));
-        reg.insert(b, Arc::clone(&qm));
-        assert!(reg.get(a).is_none());
-        assert!(reg.get(b).is_some());
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.bytes(), qm.bytes());
-        assert_eq!(qm.bytes(), 4 + 2 * 4); // 4 codes + 2 row scales
     }
 }

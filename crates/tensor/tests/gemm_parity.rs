@@ -6,7 +6,7 @@
 //! fused `A·Bᵀ` / `Aᵀ·B` variants against their explicit-transpose
 //! references. This battery drives that contract across adversarial shapes
 //! (degenerate dims, odd primes, tile-boundary ±1, tall/skinny) and random
-//! seeded shapes, at thread counts 1 / 2 / 8. The two operands the kernel
+//! seeded shapes, at thread counts 1 / 2 / 4 / 8. The two operands the kernel
 //! reads in place — convolution windows and the columns of `Aᵀ·B` — are
 //! held to the reference on every instruction-set tier the CPU has.
 
@@ -17,7 +17,7 @@ use dtdbd_tensor::kernels::{
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::Tensor;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Adversarial shape list: every dimension degenerate case, odd primes,
 /// the micro-kernel tile boundaries ±1, and extreme aspect ratios.
@@ -35,6 +35,9 @@ fn adversarial_shapes() -> Vec<(usize, usize, usize)> {
         (257, 3, 2),  // tall/skinny
         (2, 3, 257),  // short/wide
         (64, 48, 64), // square-ish serving shape
+        (64, 96, 32), // batch-64 serving shapes
+        (64, 160, 64),
+        (31, 33, 7),
     ];
     // Tile boundaries ±1 for the MR×NR micro-kernel.
     for m in [MR - 1, MR, MR + 1, 2 * MR + 1] {
@@ -182,6 +185,7 @@ fn conv_windows_read_in_place_are_bit_identical_to_im2row_and_reference() {
         (2, 24, 32, 10),
         (5, 24, 32, 5),
         (7, 24, 32, 2),
+        (8, 24, 32, 3),
         (64, 24, 32, 3),
     ];
     for (b, s, d, kw) in shapes {

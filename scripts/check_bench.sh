@@ -17,26 +17,11 @@
 #                       resident memory are recorded alongside, and the
 #                       64 KB/connection memory budget is asserted inside the
 #                       bench binary itself)
-#   BENCH_kernels.json  serving_mix.int8_parallel_gflops (quantized GEMM at
-#                       the deployed 4-thread shape)
 #   BENCH_http.json     zoo.ratio                     (two-model zoo vs single
 #                       tenant at equal total workers; gated as an ABSOLUTE
 #                       >= 0.9 on the fresh ratio — both sides of the ratio
 #                       are measured back-to-back in one run, so box speed
 #                       cancels out and no committed baseline is needed)
-#
-# On top of the baseline-relative throughput gates, two ABSOLUTE int8
-# quality gates run against fresh numbers (no committed baseline — the
-# thresholds are the contract):
-#
-#   BENCH_agreement.json  agreement.agreement_pct   >= 99.5  (int8 vs fp32
-#                         label agreement on a trained student)
-#   BENCH_agreement.json  agreement.macro_f1_delta  <= 0.005 (quantization
-#                         must not move test macro-F1)
-#
-# The int8 memory contract (resident param bytes per worker more than 3x
-# below fp32 on the deployed TextCNN-S student at 8 workers) is a plain test:
-# crates/serve/tests/int8_parity.rs.
 #
 # serving_http runs in FULL mode, not --quick: its quick corpus trains a
 # smaller vocabulary, which changes per-request compute and makes quick
@@ -50,7 +35,7 @@
 #                         trip and watch the failure path.
 #
 # The default tolerance is sized to the CI box, not to the benches: repeated
-# runs of unchanged code on the shared single-core machine vary by ~±20%
+# runs of unchanged code on the shared 2-core CI host vary by ~±20%
 # (kernels GFLOP/s and serving p99 most of all), so a 15% gate trips on load
 # noise about as often as it would on a real regression. 25% against
 # mid-range baselines still catches any structural slowdown while staying
@@ -133,30 +118,10 @@ gate_min_abs() { # <name> <threshold> <fresh>
   fi
 }
 
-# Absolute gate: lower is better. Fresh must be <= the fixed threshold.
-gate_max_abs() { # <name> <threshold> <fresh>
-  local name=$1 threshold=$2 fresh=$3
-  if [ -z "$fresh" ]; then
-    echo "FAIL  $name: could not extract fresh number"
-    fail=1
-    return
-  fi
-  if awk -v f="$fresh" -v t="$threshold" 'BEGIN { exit !(f <= t) }'; then
-    echo "ok    $name: fresh $fresh <= allowed $threshold"
-  else
-    echo "FAIL  $name: fresh $fresh above the allowed $threshold"
-    fail=1
-  fi
-}
-
 echo "==> bench gate: fresh quick benches in $workdir (tolerance ${tol}%)"
 run_bench kernels -- --quick
 run_bench serving -- --quick
 run_bench serving_http
-# Full mode: the agreement thresholds are absolute, and the full corpus
-# keeps the test split large enough that one flipped label cannot move
-# agreement by half a percent.
-run_bench agreement
 
 mix='"serving_mix": {[^}]*}'
 batch64='{"batch_size": 64[^}]*}'
@@ -166,9 +131,6 @@ gate "kernels serving_mix blocked_gflops" \
 gate "kernels serving_mix parallel_gflops" \
   "$(extract "$repo/BENCH_kernels.json" "$mix" parallel_gflops)" \
   "$(extract "$workdir/BENCH_kernels.json" "$mix" parallel_gflops)"
-gate "kernels serving_mix int8_parallel_gflops" \
-  "$(extract "$repo/BENCH_kernels.json" "$mix" int8_parallel_gflops)" \
-  "$(extract "$workdir/BENCH_kernels.json" "$mix" int8_parallel_gflops)"
 gate "serving batch64 items_per_sec" \
   "$(extract "$repo/BENCH_serving.json" "$batch64" items_per_sec)" \
   "$(extract "$workdir/BENCH_serving.json" "$batch64" items_per_sec)"
@@ -186,13 +148,6 @@ gate "http keepalive_c1024 req_per_sec" \
 zoo='"zoo": {[^}]*}'
 gate_min_abs "http zoo two-model/single throughput ratio (equal total workers)" 0.9 \
   "$(extract "$workdir/BENCH_http.json" "$zoo" ratio)"
-
-# Int8 quality contract: absolute thresholds against fresh numbers.
-agreement='"agreement": {[^}]*}'
-gate_min_abs "int8 agreement_pct (vs fp32, trained student)" 99.5 \
-  "$(extract "$workdir/BENCH_agreement.json" "$agreement" agreement_pct)"
-gate_max_abs "int8 macro_f1_delta (vs fp32, trained student)" 0.005 \
-  "$(extract "$workdir/BENCH_agreement.json" "$agreement" macro_f1_delta)"
 
 if [ "$fail" -ne 0 ]; then
   echo "==> bench gate FAILED (throughput regressed beyond ${tol}% of the committed BENCH_*.json baselines)"

@@ -10,7 +10,7 @@
 #      battery (checkpoint_corruption.rs), the committed v1/v2 byte-fixture
 #      compat pins (compat_fixtures.rs) and the zoo-wide
 #      train->save->load->serve bit-parity test (zoo_roundtrip.rs) live in
-#      crates/serve/tests). Five batteries get named in the stage label
+#      crates/serve/tests). Four batteries get named in the stage label
 #      because they gate whole layers:
 #        - in-place GEMM parity (crates/tensor/tests/gemm_parity.rs): the
 #          convolution whose windows the blocked GEMM reads straight from
@@ -29,30 +29,26 @@
 #        - chaos (tests/integration/tests/chaos.rs): a seeded fault plan
 #          kills three prediction workers mid-storm; supervision must heal
 #          the server with zero wrong predictions;
-#        - int8 determinism (crates/serve/tests/int8_parity.rs): quantized
-#          predictions bit-identical to themselves across {1,4} intra-op
-#          threads x {1,2,4} workers, cache on and off, plus the >3x int8
-#          memory win on the deployed TextCNN-S student;
 #        - hot-swap + zoo (tests/integration/tests/hotswap.rs): 20
 #          mid-traffic reloads with bit-exact answers and reconciled
 #          counters.
-#      CI_QUICK (non-empty and not "0") shrinks the last three. The wire
+#      CI_QUICK (non-empty and not "0") shrinks the last two. The wire
 #      batteries run the build's connection driver (epoll on Linux); the
 #      blocking driver every other platform runs is covered in the same
 #      stage by dtdbd-serve's unit tests (the `_under_pool` socket tests
 #      and a multi-client bit-parity test), and clippy below lints it.
-#   3. kernel-parity smoke: the blocked/parallel GEMM — plain, over in-place
-#      convolution windows, and Aᵀ·B — must stay bit-identical to the naive
-#      reference on a fixed seed (threads 1/2/4), and the int8 quantized GEMM
-#      bit-identical to itself across thread counts
+#   3. the GEMM parity battery again, in the release profile
+#      (`cargo test --release -p dtdbd-tensor --test gemm_parity`): stage 2
+#      runs it in the dev profile, and the kernels ship under release
+#      codegen (thin LTO, one codegen unit), so the bits are held to the
+#      naive reference under the optimiser that builds the deployed binary
 #   4. bench regression gate (scripts/check_bench.sh): re-runs the quick
 #      kernels/serving benches in a throwaway dir and FAILS if throughput
 #      dropped more than BENCH_GATE_TOLERANCE percent (default 25) below the
 #      committed BENCH_kernels.json / BENCH_serving.json baselines, or if the
 #      serving p99 rose more than the tolerance above its baseline; also runs
-#      the fp32-vs-int8 agreement report with absolute gates (agreement
-#      >= 99.5%, macro-F1 delta <= 0.005) and the two-model zoo throughput gate
-#      (multi-tenant throughput >= 0.9x single-tenant at equal total workers)
+#      the two-model zoo throughput gate (multi-tenant throughput >= 0.9x
+#      single-tenant at equal total workers)
 #   5. the http_roundtrip end-to-end example (real TCP serving; also scrapes
 #      GET /metrics mid-run, holds the page to the strict exposition lint,
 #      and walks the /readyz drain sequence before shutdown)
@@ -70,8 +66,9 @@
 #
 # Modes / knobs:
 #   CI_QUICK=1             skip every release-profile stage (1, 3-6: the
-#                          release build, parity smoke, bench gate, example,
-#                          perfbench build and run) for a sub-minute inner-loop
+#                          release build, release parity battery, bench
+#                          gate, example, perfbench build and run) for a
+#                          sub-minute inner-loop
 #                          gate on a warm build cache — tests + fmt +
 #                          clippy still run,
 #                          and the dev-profile test suite includes the GEMM
@@ -121,20 +118,20 @@ perfbench() {
 quick=${CI_QUICK:-0}
 
 if [ "$quick" = "1" ]; then
-  echo "==> CI_QUICK=1: skipping release build, parity smoke, bench gate, example and perfbench build + run"
+  echo "==> CI_QUICK=1: skipping release build, release parity battery, bench gate, example and perfbench build + run"
 else
   stage "cargo build --release" \
     cargo build --release --workspace --all-targets
 fi
 
-stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, int8 determinism + memory, hot-swap + zoo, max-over-time + fused conv-branch + pruned matmul backward parity, in-place conv-window + Aᵀ·B GEMM parity)" \
+stage "cargo test (cross-crate scenarios, wire + checkpoint batteries, compat fixtures, zoo parity, chaos, hot-swap + zoo, max-over-time + fused conv-branch + pruned matmul backward parity, in-place conv-window + Aᵀ·B GEMM parity)" \
   cargo test -q --workspace
 
 if [ "$quick" != "1" ]; then
-  stage "kernel parity smoke (blocked/parallel GEMM vs naive reference)" \
-    cargo run --release -q -p dtdbd-bench --bin kernels -- --parity-smoke
+  stage "GEMM parity battery in release (plain, A·Bᵀ, Aᵀ·B and in-place conv windows vs naive reference)" \
+    cargo test --release -q -p dtdbd-tensor --test gemm_parity
 
-  stage "bench regression gate (kernels/serving/http vs committed baselines + int8 agreement)" \
+  stage "bench regression gate (kernels/serving/http vs committed baselines)" \
     scripts/check_bench.sh
 
   stage "http_roundtrip example (train -> checkpoint -> serve over TCP, /metrics lint, /readyz drain)" \

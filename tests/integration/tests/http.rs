@@ -140,13 +140,6 @@ fn sixty_four_concurrent_clients_match_in_process_predictions_bit_for_bit() {
             .and_then(Json::as_u64)
             > Some(0)
     );
-    assert_eq!(
-        memory
-            .get("quantized_param_bytes_per_worker")
-            .and_then(Json::as_u64),
-        Some(0),
-        "fp32 workers hold no int8 codes"
-    );
 }
 
 #[test]
