@@ -17,9 +17,7 @@ use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator}
 use dtdbd_metrics::TableBuilder;
 use dtdbd_models::{ModelConfig, TextCnnModel};
 use dtdbd_serve::http::HttpClient;
-use dtdbd_serve::{
-    json, BatchingConfig, Checkpoint, FaultPlan, HttpConfig, ServerBuilder, ServingStats,
-};
+use dtdbd_serve::{json, BatchingConfig, Checkpoint, HttpConfig, ServerBuilder, ServingStats};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::net::SocketAddr;
@@ -161,22 +159,10 @@ fn main() {
     // pass and the speedup over the PR 2 baseline would conflate cache hits
     // with kernel gains. BENCH_serving.json's "server_cached" entry records
     // the cache win separately.
-    // `DTDBD_FAULTS` turns the main measured server into a chaos target: a
-    // seeded plan (e.g. `seed=7;panic=0@100`) exercises supervision under
-    // real wire load. Unset, the hooks compile to no-ops.
-    let mut builder = ServerBuilder::new()
+    let server = ServerBuilder::new()
         .batching(batching.clone())
         .threads(INTRA_THREADS)
-        .cache_capacity(0);
-    match FaultPlan::from_env() {
-        Ok(Some(plan)) => {
-            eprintln!("[serving_http] fault plan from DTDBD_FAULTS: {plan:?}");
-            builder = builder.fault_plan(plan);
-        }
-        Ok(None) => {}
-        Err(e) => panic!("DTDBD_FAULTS: {e}"),
-    }
-    let server = builder
+        .cache_capacity(0)
         .http(HttpConfig {
             connection_workers: *CONCURRENCY.iter().max().expect("non-empty"),
             backlog: 64,

@@ -154,18 +154,10 @@ pub fn evaluate<M: FakeNewsModel>(
     dataset: &MultiDomainDataset,
     batch_size: usize,
 ) -> DomainEvaluation {
-    let mut predictions = Vec::with_capacity(dataset.len());
-    let mut labels = Vec::with_capacity(dataset.len());
-    let mut domains = Vec::with_capacity(dataset.len());
-    let mut pool = BufferPool::new();
-    for batch in BatchIter::new(dataset, batch_size, 0, false) {
-        let mut g = Graph::inference(store, &mut pool);
-        let out = model.forward(&mut g, &batch);
-        predictions.extend(g.value(out.logits).argmax_rows());
-        g.finish();
-        labels.extend(batch.labels.iter().copied());
-        domains.extend(batch.domains.iter().copied());
-    }
+    let predictions =
+        output_rows(model, store, dataset, batch_size, |out| out.logits).argmax_rows();
+    let labels: Vec<usize> = dataset.items().iter().map(|item| item.label).collect();
+    let domains: Vec<usize> = dataset.items().iter().map(|item| item.domain).collect();
     let names: Vec<String> = dataset
         .domain_names()
         .iter()
@@ -182,19 +174,8 @@ pub fn predict_fake_probs<M: FakeNewsModel>(
     dataset: &MultiDomainDataset,
     batch_size: usize,
 ) -> Vec<f32> {
-    let mut probs = vec![0.0f32; dataset.len()];
-    let mut pool = BufferPool::new();
-    for batch in BatchIter::new(dataset, batch_size, 0, false) {
-        let mut g = Graph::inference(store, &mut pool);
-        let out = model.forward(&mut g, &batch);
-        let soft = g.softmax(out.logits);
-        let values = g.value(soft);
-        for (row, &idx) in batch.indices.iter().enumerate() {
-            probs[idx] = values.at2(row, 1);
-        }
-        g.finish();
-    }
-    probs
+    let probs = output_rows(model, store, dataset, batch_size, |out| out.logits).softmax_rows();
+    (0..probs.shape()[0]).map(|i| probs.at2(i, 1)).collect()
 }
 
 /// Extract the intermediate features of every item (dataset order), together

@@ -58,4 +58,4 @@ pub use registry::{registry, MethodInfo};
 pub use side_state::{is_container_tag, SideState, SideStateError, CONTAINER_TAG_PREFIX};
 pub use style::{DualEmo, StyleLstm};
 pub use textcnn::TextCnnModel;
-pub use traits::{FakeNewsModel, InferOptions, InferenceOutput, ModelOutput};
+pub use traits::{FakeNewsModel, ModelOutput};

@@ -3,9 +3,7 @@
 use crate::config::ModelConfig;
 use crate::side_state::{SideState, SideStateError};
 use dtdbd_data::Batch;
-use dtdbd_tensor::{BufferPool, Graph, KernelTimers, ParamStore, Tensor, Var};
-use std::fmt;
-use std::sync::Arc;
+use dtdbd_tensor::{Graph, Tensor, Var};
 
 /// Result of a model forward pass.
 #[derive(Debug, Clone, Copy)]
@@ -31,69 +29,6 @@ impl ModelOutput {
             features,
             domain_logits: None,
             aux_loss: None,
-        }
-    }
-}
-
-/// Owned result of a tape-free inference pass ([`FakeNewsModel::infer`]).
-///
-/// Unlike [`ModelOutput`], whose `Var` handles borrow a live [`Graph`], this
-/// struct owns plain tensors copied out of the inference graph's scratch
-/// buffers, so it can cross threads and outlive the forward pass — exactly
-/// what a serving layer needs.
-#[derive(Debug, Clone)]
-pub struct InferenceOutput {
-    /// Classification logits `[batch, 2]` (real / fake).
-    pub logits: Tensor,
-    /// Intermediate features `[batch, feature_dim]`.
-    pub features: Tensor,
-    /// Domain-classifier logits `[batch, n_domains]` for models with a
-    /// domain branch.
-    pub domain_logits: Option<Tensor>,
-}
-
-impl InferenceOutput {
-    /// Softmax fake-class probability of every item in the batch.
-    pub fn fake_probs(&self) -> Vec<f32> {
-        let probs = self.logits.softmax_rows();
-        (0..probs.shape()[0]).map(|i| probs.at2(i, 1)).collect()
-    }
-
-    /// Row-softmax domain scores, when the model has a domain branch.
-    pub fn domain_scores(&self) -> Option<Tensor> {
-        self.domain_logits.as_ref().map(Tensor::softmax_rows)
-    }
-}
-
-/// Tuning of a tape-free inference pass ([`FakeNewsModel::infer_with_opts`]).
-///
-/// Every knob preserves the engine's determinism contract: outputs are
-/// bit-identical at any `threads` setting.
-#[derive(Clone, Default)]
-pub struct InferOptions {
-    /// Intra-op threads the compute kernels may fan out to (clamped ≥ 1).
-    pub threads: usize,
-    /// Optional wall-clock sink the inference graph reports per-kernel
-    /// durations to (see [`dtdbd_tensor::KernelTimers`]). `None` — the
-    /// default — reads no clock; timing never changes computed bits.
-    pub kernel_timers: Option<Arc<dyn KernelTimers>>,
-}
-
-impl fmt::Debug for InferOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InferOptions")
-            .field("threads", &self.threads)
-            .field("kernel_timers", &self.kernel_timers.is_some())
-            .finish()
-    }
-}
-
-impl InferOptions {
-    /// Options equivalent to [`FakeNewsModel::infer_with_threads`].
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
         }
     }
 }
@@ -156,94 +91,6 @@ pub trait FakeNewsModel {
             }),
         }
     }
-
-    /// Tape-free inference: run the forward pass on a [`Graph::inference`]
-    /// graph (no gradient bookkeeping, scratch buffers drawn from — and
-    /// returned to — `pool`) and copy the outputs into an owned
-    /// [`InferenceOutput`]. Single-threaded.
-    ///
-    /// The default implementation reuses [`FakeNewsModel::forward`], so every
-    /// model in the zoo serves requests without model-specific code; a model
-    /// may override it with a hand-fused path later (and should then also
-    /// override [`FakeNewsModel::infer_with_threads`] if the fused path is to
-    /// serve at `threads > 1`).
-    fn infer(
-        &self,
-        store: &mut ParamStore,
-        pool: &mut BufferPool,
-        batch: &Batch,
-    ) -> InferenceOutput {
-        run_default_infer(self, store, pool, batch, &InferOptions::with_threads(1))
-    }
-
-    /// [`FakeNewsModel::infer`] with an explicit intra-op thread count for
-    /// the compute kernels. Outputs are bit-identical at any `threads`
-    /// setting (the kernels' determinism contract); the knob only changes
-    /// throughput. At `threads <= 1` this delegates to
-    /// [`FakeNewsModel::infer`], so an overridden hand-fused `infer` keeps
-    /// serving the default deployment.
-    fn infer_with_threads(
-        &self,
-        store: &mut ParamStore,
-        pool: &mut BufferPool,
-        batch: &Batch,
-        threads: usize,
-    ) -> InferenceOutput {
-        if threads <= 1 {
-            self.infer(store, pool, batch)
-        } else {
-            run_default_infer(
-                self,
-                store,
-                pool,
-                batch,
-                &InferOptions::with_threads(threads),
-            )
-        }
-    }
-
-    /// [`FakeNewsModel::infer`] with the full option set — the entry point
-    /// the serving path uses. Without a kernel timing sink this delegates to
-    /// [`FakeNewsModel::infer_with_threads`], so a model with a hand-fused
-    /// override keeps serving; otherwise it runs the default graph path with
-    /// the timing sink installed (timing is observation only and never
-    /// changes bits).
-    fn infer_with_opts(
-        &self,
-        store: &mut ParamStore,
-        pool: &mut BufferPool,
-        batch: &Batch,
-        opts: &InferOptions,
-    ) -> InferenceOutput {
-        if opts.kernel_timers.is_none() {
-            self.infer_with_threads(store, pool, batch, opts.threads)
-        } else {
-            run_default_infer(self, store, pool, batch, opts)
-        }
-    }
-}
-
-/// The shared default inference path behind [`FakeNewsModel::infer`] /
-/// [`FakeNewsModel::infer_with_threads`]: a tape-free graph with the given
-/// intra-op thread count over the model's own `forward`.
-fn run_default_infer<M: FakeNewsModel + ?Sized>(
-    model: &M,
-    store: &mut ParamStore,
-    pool: &mut BufferPool,
-    batch: &Batch,
-    opts: &InferOptions,
-) -> InferenceOutput {
-    let mut g = Graph::inference(store, pool);
-    g.set_threads(opts.threads);
-    g.set_kernel_timers(opts.kernel_timers.clone());
-    let out = model.forward(&mut g, batch);
-    let result = InferenceOutput {
-        logits: g.value(out.logits).clone(),
-        features: g.value(out.features).clone(),
-        domain_logits: out.domain_logits.map(|d| g.value(d).clone()),
-    };
-    g.finish();
-    result
 }
 
 impl<T: FakeNewsModel + ?Sized> FakeNewsModel for Box<T> {
@@ -282,35 +129,6 @@ impl<T: FakeNewsModel + ?Sized> FakeNewsModel for Box<T> {
     fn import_side_state(&mut self, state: &SideState) -> Result<(), SideStateError> {
         (**self).import_side_state(state)
     }
-
-    fn infer(
-        &self,
-        store: &mut ParamStore,
-        pool: &mut BufferPool,
-        batch: &Batch,
-    ) -> InferenceOutput {
-        (**self).infer(store, pool, batch)
-    }
-
-    fn infer_with_threads(
-        &self,
-        store: &mut ParamStore,
-        pool: &mut BufferPool,
-        batch: &Batch,
-        threads: usize,
-    ) -> InferenceOutput {
-        (**self).infer_with_threads(store, pool, batch, threads)
-    }
-
-    fn infer_with_opts(
-        &self,
-        store: &mut ParamStore,
-        pool: &mut BufferPool,
-        batch: &Batch,
-        opts: &InferOptions,
-    ) -> InferenceOutput {
-        (**self).infer_with_opts(store, pool, batch, opts)
-    }
 }
 
 #[cfg(test)]
@@ -320,7 +138,7 @@ pub(crate) mod test_support {
     use super::*;
     use dtdbd_data::{weibo21_spec, BatchIter, GeneratorConfig, MultiDomainDataset, NewsGenerator};
     use dtdbd_tensor::optim::{Adam, Optimizer};
-    use dtdbd_tensor::ParamStore;
+    use dtdbd_tensor::{BufferPool, ParamStore};
 
     /// A small Weibo21-like dataset shared by model tests.
     pub fn tiny_dataset() -> MultiDomainDataset {
@@ -336,6 +154,20 @@ pub(crate) mod test_support {
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Logits of one tape-free [`Graph::inference`] pass over `batch`.
+    fn inference_logits<M: FakeNewsModel>(
+        model: &M,
+        store: &mut ParamStore,
+        pool: &mut BufferPool,
+        batch: &Batch,
+    ) -> Tensor {
+        let mut g = Graph::inference(store, pool);
+        let out = model.forward(&mut g, batch);
+        let logits = g.value(out.logits).clone();
+        g.finish();
+        logits
     }
 
     /// Checks every contract of the `FakeNewsModel` interface on one batch:
@@ -371,26 +203,23 @@ pub(crate) mod test_support {
             g.value(out.logits).clone()
         };
 
-        // Inference contract: the tape-free path reproduces the evaluation
-        // forward pass for every model family.
+        // Inference contract: a tape-free [`Graph::inference`] pass
+        // reproduces the evaluation forward pass for every model family, and
+        // a second pass on the warmed pool allocates nothing.
         {
-            let mut pool = dtdbd_tensor::BufferPool::new();
-            let inferred = model.infer(&mut store, &mut pool, &batch);
-            assert_eq!(inferred.logits.shape(), tape_logits.shape());
-            for (a, b) in inferred.logits.data().iter().zip(tape_logits.data()) {
+            let mut pool = BufferPool::new();
+            let inferred = inference_logits(&model, &mut store, &mut pool, &batch);
+            assert_eq!(inferred.shape(), tape_logits.shape());
+            for (a, b) in inferred.data().iter().zip(tape_logits.data()) {
                 assert!(
                     (a - b).abs() <= 1e-6,
                     "{}: tape-free logits diverge ({a} vs {b})",
                     model.name()
                 );
             }
-            let probs = inferred.fake_probs();
-            assert_eq!(probs.len(), batch.batch_size);
-            assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
-            // A second call reuses the warmed pool instead of allocating.
             let misses = pool.alloc_misses();
-            let again = model.infer(&mut store, &mut pool, &batch);
-            assert_eq!(again.logits.data(), inferred.logits.data());
+            let again = inference_logits(&model, &mut store, &mut pool, &batch);
+            assert_eq!(again.data(), inferred.data());
             assert_eq!(
                 pool.alloc_misses(),
                 misses,
@@ -486,10 +315,10 @@ pub(crate) mod test_support {
                 model.name()
             );
             twin_store.copy_values_from(&store);
-            let mut pool = dtdbd_tensor::BufferPool::new();
-            let original = model.infer(&mut store, &mut pool, &batch);
-            let restored = twin.infer(&mut twin_store, &mut pool, &batch);
-            for (a, b) in original.logits.data().iter().zip(restored.logits.data()) {
+            let mut pool = BufferPool::new();
+            let original = inference_logits(&model, &mut store, &mut pool, &batch);
+            let restored = inference_logits(&twin, &mut twin_store, &mut pool, &batch);
+            for (a, b) in original.data().iter().zip(restored.data()) {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),

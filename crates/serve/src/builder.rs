@@ -12,7 +12,6 @@ use crate::fault::FaultPlan;
 use crate::http::{HttpConfig, HttpServer};
 use crate::server::{BatchingConfig, PredictServer, ServerTuning};
 use crate::session::InferenceSession;
-use crate::telemetry::DomainBaseline;
 use crate::zoo::{ModelZoo, DEFAULT_MODEL_ID};
 use dtdbd_models::{
     BiGruModel, Eann, Eddfn, FakeNewsModel, M3Fend, Mdfend, ModelConfig, TextCnnModel,
@@ -346,15 +345,6 @@ impl ServerBuilder {
     /// `try_start_http*` methods.
     pub fn http_addr(mut self, addr: impl Into<String>) -> Self {
         self.http.addr = addr.into();
-        self
-    }
-
-    /// Score live per-domain prediction distributions against this
-    /// training-time baseline. Every start method wires each checkpoint's
-    /// own `telemetry.baseline` chunk automatically; an explicitly set
-    /// baseline wins over the checkpoint's.
-    pub fn drift_baseline(mut self, baseline: DomainBaseline) -> Self {
-        self.tuning.drift_baseline = Some(baseline);
         self
     }
 

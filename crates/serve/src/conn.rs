@@ -169,10 +169,14 @@ impl Connection {
             ParseOutcome::NeedMore => Action::Read,
             ParseOutcome::Request(request) => {
                 // A pipelined request parsed straight out of the buffer has
-                // no first read of its own and records no span.
+                // no first read of its own and records no span. The span
+                // closes once the parser is done, on a fresh clock (never
+                // before the caller's `now`): closing it at the read's own
+                // `now` would time a request that arrived in one read as 0.
                 if let Some(t0) = self.parse_started.take() {
+                    let end = Instant::now().max(now);
                     env.trace
-                        .record_ns(Stage::HttpParse, (now - t0).as_nanos() as u64);
+                        .record_ns(Stage::HttpParse, (end - t0).as_nanos() as u64);
                 }
                 self.phase = Phase::Dispatching;
                 Action::Dispatch(request)
@@ -409,6 +413,23 @@ mod tests {
         // both routed responses timed their write.
         assert_eq!(server.spans(Stage::HttpParse), 1);
         assert_eq!(server.spans(Stage::ResponseWrite), 2);
+    }
+
+    #[test]
+    fn a_request_in_one_read_times_its_parse() {
+        let server = Server::new();
+        let t0 = Instant::now();
+        let mut conn = Connection::new(&config(), t0);
+        let request = conn.read(b"GET /healthz HTTP/1.1\r\n\r\n", t0, &server.env());
+        assert_eq!(target(request), "/healthz");
+        let parse = server
+            .trace
+            .telemetry()
+            .unwrap()
+            .snapshot()
+            .stage_total(Stage::HttpParse);
+        assert_eq!(parse.count, 1);
+        assert!(parse.sum_ns > 0, "the parser's own work is inside the span");
     }
 
     #[test]

@@ -3,41 +3,23 @@
 //! A [`FaultPlan`] is a seeded, declarative description of the faults a
 //! server run should suffer: worker panics on the Nth batch, artificially
 //! slow forward passes, queue stalls, and NaN-poisoned predictions. Plans
-//! are injected through `ServerBuilder::fault_plan` (or the `DTDBD_FAULTS`
-//! environment variable for the bench binaries) and compiled once at server
-//! start into per-worker [`WorkerFaults`] tables; a server started without a
-//! plan carries `None` and the hot path never consults the subsystem at all.
+//! are injected through `ServerBuilder::fault_plan` and compiled once at
+//! server start into per-worker [`WorkerFaults`] tables; a server started
+//! without a plan carries `None` and the hot path never consults the
+//! subsystem at all.
 //!
 //! Determinism is the point: the chaos battery replays the *same* worker
 //! kills at the *same* batch ordinals on every run, so "the server healed
 //! and answered bit-exactly" is a reproducible assertion, not a flake.
 //!
-//! # Grammar
-//!
-//! A plan is a `;`- or `,`-separated list of entries (spaces allowed):
-//!
-//! | entry         | meaning                                                          |
-//! |---------------|------------------------------------------------------------------|
-//! | `seed=S`      | PRNG seed for the seeded selectors below (default 0)             |
-//! | `panic=W@B`   | worker `W` panics when it picks up its `B`th batch (1-based)     |
-//! | `kill=K@B`    | `K` seed-chosen distinct workers each panic at their `B`th batch |
-//! | `nan=W@B`     | worker `W` poisons its `B`th batch's predictions with NaN        |
-//! | `slow=Dms`    | every forward pass sleeps `D` milliseconds first                 |
-//! | `stall=Dms`   | every batch assembly holds the queue lock `D` ms extra           |
-//! | `backoff=Dms` | overrides the supervisor's initial respawn backoff               |
-//!
-//! Example: `seed=42;kill=3@5;slow=2ms` — three workers picked by seed 42
-//! panic on their fifth batch, and every forward pass is 2 ms slower.
-//!
 //! Batch ordinals count over a worker's whole lifetime (respawns do not
-//! reset them), so a `panic=W@B` entry fires exactly once.
+//! reset them), so a [`FaultPlan::panic_worker`] entry fires exactly once.
 
 use dtdbd_tensor::rng::Prng;
 use std::time::Duration;
 
 /// A seeded, deterministic description of the faults to inject into a
-/// serving run. Build one with the fluent methods or parse the grammar in
-/// the [module docs](self) with [`FaultPlan::parse`].
+/// serving run, built with the fluent methods.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
@@ -51,7 +33,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// An empty plan with the given seed for the seeded selectors
-    /// (`kill=K@B` picks its victims with it).
+    /// ([`FaultPlan::kill_workers`] picks its victims with it).
     pub fn seeded(seed: u64) -> Self {
         Self {
             seed,
@@ -104,62 +86,12 @@ impl FaultPlan {
         self.backoff
     }
 
-    /// Parse the grammar described in the [module docs](self).
-    pub fn parse(text: &str) -> Result<Self, FaultParseError> {
-        let mut plan = Self::default();
-        for entry in text
-            .split([';', ','])
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-        {
-            let (key, value) = entry
-                .split_once('=')
-                .ok_or_else(|| FaultParseError::new(entry, "expected key=value"))?;
-            match key.trim() {
-                "seed" => plan.seed = parse_u64(entry, value)?,
-                "panic" => plan.panics.push(parse_at(entry, value)?),
-                "kill" => plan.kills.push(parse_at(entry, value)?),
-                "nan" => plan.nans.push(parse_at(entry, value)?),
-                "slow" => plan.slow = Some(parse_ms(entry, value)?),
-                "stall" => plan.stall = Some(parse_ms(entry, value)?),
-                "backoff" => plan.backoff = Some(parse_ms(entry, value)?),
-                other => {
-                    return Err(FaultParseError::new(
-                        entry,
-                        &format!("unknown fault kind {other:?}"),
-                    ))
-                }
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Read a plan from the `DTDBD_FAULTS` environment variable. Unset or
-    /// empty means no plan (`Ok(None)`); set but malformed is an error so a
-    /// typo'd chaos run fails loudly instead of running fault-free.
-    pub fn from_env() -> Result<Option<Self>, FaultParseError> {
-        match std::env::var("DTDBD_FAULTS") {
-            Ok(text) if !text.trim().is_empty() => Self::parse(&text).map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    /// True when the plan injects nothing (a parsed empty string).
-    pub fn is_empty(&self) -> bool {
-        self.panics.is_empty()
-            && self.nans.is_empty()
-            && self.kills.is_empty()
-            && self.slow.is_none()
-            && self.stall.is_none()
-            && self.backoff.is_none()
-    }
-
     /// Compile the plan into one fault table per worker. Seeded `kill`
     /// entries resolve to concrete worker indices here — deterministically,
     /// from the plan's seed — so every run of the same plan on the same
     /// worker count kills the same workers. Out-of-range explicit worker
-    /// indices are ignored (a 2-worker deployment of a `panic=7@1` plan
-    /// simply never fires it).
+    /// indices are ignored (a 2-worker deployment of a
+    /// `panic_worker(7, 1)` plan simply never fires it).
     pub(crate) fn compile(&self, workers: usize) -> Vec<WorkerFaults> {
         let mut faults = vec![WorkerFaults::default(); workers];
         for &(worker, batch) in &self.panics {
@@ -192,65 +124,6 @@ impl FaultPlan {
     }
 }
 
-fn parse_u64(entry: &str, value: &str) -> Result<u64, FaultParseError> {
-    value
-        .trim()
-        .parse()
-        .map_err(|_| FaultParseError::new(entry, "expected an unsigned integer"))
-}
-
-/// `W@B` — a worker (or count) paired with a 1-based batch ordinal.
-fn parse_at(entry: &str, value: &str) -> Result<(usize, u64), FaultParseError> {
-    let (worker, batch) = value
-        .split_once('@')
-        .ok_or_else(|| FaultParseError::new(entry, "expected W@B"))?;
-    let worker = worker
-        .trim()
-        .parse()
-        .map_err(|_| FaultParseError::new(entry, "bad worker index"))?;
-    let batch: u64 = batch
-        .trim()
-        .parse()
-        .map_err(|_| FaultParseError::new(entry, "bad batch ordinal"))?;
-    if batch == 0 {
-        return Err(FaultParseError::new(entry, "batch ordinals are 1-based"));
-    }
-    Ok((worker, batch))
-}
-
-/// `Dms` (or a bare integer, also milliseconds).
-fn parse_ms(entry: &str, value: &str) -> Result<Duration, FaultParseError> {
-    let digits = value.trim().trim_end_matches("ms").trim();
-    let ms: u64 = digits
-        .parse()
-        .map_err(|_| FaultParseError::new(entry, "expected a duration like 250ms"))?;
-    Ok(Duration::from_millis(ms))
-}
-
-/// A malformed `DTDBD_FAULTS` / [`FaultPlan::parse`] entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultParseError {
-    entry: String,
-    reason: String,
-}
-
-impl FaultParseError {
-    fn new(entry: &str, reason: &str) -> Self {
-        Self {
-            entry: entry.to_string(),
-            reason: reason.to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for FaultParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "bad fault entry {:?}: {}", self.entry, self.reason)
-    }
-}
-
-impl std::error::Error for FaultParseError {}
-
 /// One worker's compiled fault table. `Default` (all empty) injects
 /// nothing; the worker loop only consults it through an `Option`, so a
 /// server without a plan pays nothing.
@@ -278,44 +151,6 @@ impl WorkerFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grammar_round_trips_every_entry_kind() {
-        let plan = FaultPlan::parse(
-            "seed=42; panic=0@3, kill=3@5; nan=1@2; slow=2ms, stall=1ms; backoff=250ms",
-        )
-        .unwrap();
-        assert_eq!(
-            plan,
-            FaultPlan::seeded(42)
-                .panic_worker(0, 3)
-                .kill_workers(3, 5)
-                .nan_worker(1, 2)
-                .slow_predict(Duration::from_millis(2))
-                .queue_stall(Duration::from_millis(1))
-                .respawn_backoff(Duration::from_millis(250))
-        );
-        assert_eq!(plan.backoff_override(), Some(Duration::from_millis(250)));
-        assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse(" ; , ").unwrap().is_empty());
-    }
-
-    #[test]
-    fn malformed_entries_are_typed_errors() {
-        for bad in [
-            "panic",          // no value
-            "panic=3",        // missing @B
-            "panic=x@1",      // bad worker
-            "panic=1@x",      // bad ordinal
-            "panic=1@0",      // ordinals are 1-based
-            "slow=fast",      // bad duration
-            "warp=1@1",       // unknown kind
-            "seed=minus-one", // bad seed
-        ] {
-            let err = FaultPlan::parse(bad).unwrap_err();
-            assert!(err.to_string().contains("bad fault entry"), "{bad}: {err}");
-        }
-    }
 
     #[test]
     fn seeded_kills_compile_deterministically_to_distinct_workers() {
@@ -354,26 +189,8 @@ mod tests {
         let faults = plan.compile(2);
         assert_eq!(faults[0].panic_on, vec![2]);
         assert!(faults[1].is_empty());
-        // kill=K@B with K > workers kills everyone, once each.
+        // kill_workers(K, B) with K > workers kills everyone, once each.
         let all = FaultPlan::seeded(1).kill_workers(10, 1).compile(3);
         assert!(all.iter().all(|f| f.panic_on == vec![1]));
-    }
-
-    #[test]
-    fn env_parsing_distinguishes_unset_empty_and_malformed() {
-        // Serialize env mutation within this test only; other tests in this
-        // module never touch the variable.
-        std::env::remove_var("DTDBD_FAULTS");
-        assert_eq!(FaultPlan::from_env().unwrap(), None);
-        std::env::set_var("DTDBD_FAULTS", "  ");
-        assert_eq!(FaultPlan::from_env().unwrap(), None);
-        std::env::set_var("DTDBD_FAULTS", "kill=2@3");
-        assert_eq!(
-            FaultPlan::from_env().unwrap(),
-            Some(FaultPlan::default().kill_workers(2, 3))
-        );
-        std::env::set_var("DTDBD_FAULTS", "bogus");
-        assert!(FaultPlan::from_env().is_err());
-        std::env::remove_var("DTDBD_FAULTS");
     }
 }

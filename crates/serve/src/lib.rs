@@ -93,7 +93,7 @@ pub use builder::{
 pub use cache::{CacheKey, CacheStats, PredictionCache, ShardedPredictionCache};
 pub use checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
 pub use dtdbd_models::{SideState, SideStateError};
-pub use fault::{FaultParseError, FaultPlan};
+pub use fault::FaultPlan;
 pub use http::{ClientResponse, HttpClient, HttpConfig, HttpServer};
 pub use server::{BatchingConfig, PredictError, PredictServer, PredictionHandle, ServingStats};
 pub use session::{InferenceSession, Prediction};

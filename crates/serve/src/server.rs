@@ -40,7 +40,7 @@ use crate::cache::{CacheKey, CacheStats, ShardedPredictionCache, DEFAULT_CACHE_S
 use crate::checkpoint::Checkpoint;
 use crate::fault::{FaultPlan, WorkerFaults};
 use crate::session::{InferenceSession, Prediction};
-use crate::telemetry::{DomainBaseline, Stage, Telemetry, TraceContext};
+use crate::telemetry::{Stage, Telemetry, TraceContext};
 use dtdbd_data::{EncodedRequest, InferenceRequest, RequestEncoder, RequestError};
 use dtdbd_tensor::KernelTimers;
 use std::collections::VecDeque;
@@ -101,9 +101,6 @@ pub(crate) struct ServerTuning {
     /// only — predictions are bit-identical either way — so the default is
     /// on; the off switch exists for overhead measurement.
     pub telemetry: bool,
-    /// Training-time per-domain prediction baseline the drift tracker
-    /// scores live traffic against (`None` = live stats without scores).
-    pub drift_baseline: Option<DomainBaseline>,
     /// Deterministic fault-injection plan ([`crate::fault`]); `None` (the
     /// default) compiles to no hooks at all on the hot path.
     pub fault_plan: Option<FaultPlan>,
@@ -115,7 +112,6 @@ impl Default for ServerTuning {
             threads: 1,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             telemetry: true,
-            drift_baseline: None,
             fault_plan: None,
         }
     }
@@ -340,13 +336,13 @@ impl PredictServer {
     /// worker thread spawns.
     ///
     /// The checkpoint is restored once per worker, and the first restore is
-    /// also the up-front validity check. Its drift baseline is wired unless
-    /// `tuning` already carries one. The server keeps its own copy of the
-    /// checkpoint: supervisors restore crashed workers from it.
+    /// also the up-front validity check. Its `telemetry.baseline` chunk, if
+    /// any, is the drift tracker's baseline. The server keeps its own copy
+    /// of the checkpoint: supervisors restore crashed workers from it.
     pub(crate) fn from_checkpoint(
         checkpoint: &Checkpoint,
         config: BatchingConfig,
-        mut tuning: ServerTuning,
+        tuning: ServerTuning,
     ) -> Result<Self, StartError> {
         if config.workers == 0 {
             return Err(ConfigError::ZeroWorkers.into());
@@ -355,14 +351,12 @@ impl PredictServer {
             return Err(ConfigError::ZeroMaxBatchSize.into());
         }
         let session0 = session_from_checkpoint(checkpoint)?;
-        if tuning.drift_baseline.is_none() {
-            tuning.drift_baseline = checkpoint.telemetry_baseline()?;
-        }
+        let drift_baseline = checkpoint.telemetry_baseline()?;
         let threads = tuning.threads.max(1);
         let encoder = session0.encoder().clone();
         let name = session0.model().name();
 
-        if let Some(baseline) = tuning.drift_baseline.as_ref() {
+        if let Some(baseline) = drift_baseline.as_ref() {
             if baseline.n_domains() != encoder.n_domains() {
                 return Err(ConfigError::DriftBaselineGeometry {
                     baseline_domains: baseline.n_domains(),
@@ -376,7 +370,7 @@ impl PredictServer {
                 name,
                 config.workers,
                 encoder.n_domains(),
-                tuning.drift_baseline.clone(),
+                drift_baseline,
             ))
         });
         // Everything a supervisor shell needs to rebuild a crashed worker,

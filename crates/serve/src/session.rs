@@ -3,14 +3,15 @@
 //! An [`InferenceSession`] bundles everything one worker needs to answer
 //! prediction requests: the model, its parameters, a warm [`BufferPool`] of
 //! scratch buffers, and a [`RequestEncoder`] matching the corpus geometry.
-//! Each call runs the model's tape-free [`FakeNewsModel::infer`] path — no
-//! autograd bookkeeping, and after the first call no activation allocation —
-//! and maps the batch outputs back to per-item [`Prediction`]s.
+//! Each call runs the model's own [`FakeNewsModel::forward`] on a tape-free
+//! [`Graph::inference`] graph — no autograd bookkeeping, and after the first
+//! call no activation allocation — and reads the per-item [`Prediction`]s
+//! straight out of the graph's logits and domain logits.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use dtdbd_data::{Batch, EncodedRequest, RequestEncoder};
-use dtdbd_models::{FakeNewsModel, InferOptions, ModelConfig};
-use dtdbd_tensor::{BufferPool, KernelTimers, ParamStore};
+use dtdbd_models::{FakeNewsModel, ModelConfig};
+use dtdbd_tensor::{BufferPool, Graph, KernelTimers, ParamStore};
 use std::sync::Arc;
 
 /// Per-item serving result.
@@ -133,23 +134,23 @@ impl<M: FakeNewsModel> InferenceSession<M> {
 
     /// Run tape-free inference on a pre-assembled batch.
     pub fn predict_batch(&mut self, batch: &Batch) -> Vec<Prediction> {
-        let opts = InferOptions {
-            threads: self.threads,
-            kernel_timers: self.kernel_timers.clone(),
-        };
-        let output = self
-            .model
-            .infer_with_opts(&mut self.store, &mut self.pool, batch, &opts);
-        self.requests_served += batch.batch_size as u64;
-        let probs = output.logits.softmax_rows();
-        let domain_scores = output.domain_scores();
-        (0..batch.batch_size)
+        let mut g = Graph::inference(&mut self.store, &mut self.pool);
+        g.set_threads(self.threads);
+        g.set_kernel_timers(self.kernel_timers.clone());
+        let out = self.model.forward(&mut g, batch);
+        let logits = g.value(out.logits);
+        let probs = logits.softmax_rows();
+        let domain_scores = out.domain_logits.map(|d| g.value(d).softmax_rows());
+        let predictions = (0..batch.batch_size)
             .map(|i| Prediction {
                 fake_prob: probs.at2(i, 1),
-                logits: [output.logits.at2(i, 0), output.logits.at2(i, 1)],
+                logits: [logits.at2(i, 0), logits.at2(i, 1)],
                 domain_scores: domain_scores.as_ref().map(|scores| scores.row(i).to_vec()),
             })
-            .collect()
+            .collect();
+        g.finish();
+        self.requests_served += batch.batch_size as u64;
+        predictions
     }
 
     /// Coalesce encoded requests into one batch and predict them all.

@@ -608,24 +608,23 @@ mod tests {
     fn stats_and_metrics_render_one_snapshot_consistently() {
         let ds =
             NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(8, 0.02);
+        // Two tenants, the default one read from a file so it can be
+        // hot-swapped. The cache and a baseline that leaves the last domain
+        // out give every family data, and some drift values stay null.
+        let observations = (0..ds.n_domains() - 1).flat_map(|d| [(d, 0.2), (d, 0.7)]);
+        let baseline = DomainBaseline::from_observations(ds.n_domains(), observations);
         let checkpoint = |seed| {
             let mut store = ParamStore::new();
             let model =
                 TextCnnModel::student(&mut store, &ModelConfig::tiny(&ds), &mut Prng::new(seed));
-            Checkpoint::capture(&model, &store)
+            let mut checkpoint = Checkpoint::capture(&model, &store);
+            checkpoint.set_telemetry_baseline(&baseline);
+            checkpoint
         };
-        // Two tenants, the default one read from a file so it can be
-        // hot-swapped. The cache and a baseline that leaves the last domain
-        // out give every family data, and some drift values stay null.
         let path = std::env::temp_dir().join(format!("dtdbd-surface-{}", std::process::id()));
         checkpoint(7).save(&path).expect("write checkpoint");
-        let observations = (0..ds.n_domains() - 1).flat_map(|d| [(d, 0.2), (d, 0.7)]);
         let server = ServerBuilder::new()
             .cache_capacity(64)
-            .drift_baseline(DomainBaseline::from_observations(
-                ds.n_domains(),
-                observations,
-            ))
             .tenant_from_path("a", &path)
             .tenant("b", &checkpoint(9))
             .default_model_id("a")

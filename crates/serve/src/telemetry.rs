@@ -300,10 +300,6 @@ impl StageSet {
         self.stages[stage.index()].record_ns(ns);
     }
 
-    fn record_many(&self, stage: Stage, ns_each: u64, n: u64) {
-        self.stages[stage.index()].record_many_ns(ns_each, n);
-    }
-
     fn record_batch(&self, stage: Stage, total_ns: u64, n: u64) {
         self.stages[stage.index()].record_batch_ns(total_ns, n);
     }
@@ -369,12 +365,6 @@ impl Telemetry {
     fn record_worker(&self, worker: usize, stage: Stage, ns: u64) {
         if let Some(set) = self.workers.get(worker) {
             set.record(stage, ns);
-        }
-    }
-
-    fn record_worker_many(&self, worker: usize, stage: Stage, ns_each: u64, n: u64) {
-        if let Some(set) = self.workers.get(worker) {
-            set.record_many(stage, ns_each, n);
         }
     }
 
@@ -505,14 +495,6 @@ impl TraceContext {
         }
     }
 
-    /// Record `n` pro-rata observations of a worker-side stage (batched
-    /// inference time split evenly over the batch).
-    pub fn record_worker_many_ns(&self, worker: usize, stage: Stage, ns_each: u64, n: u64) {
-        if let Some(t) = self.telemetry.as_deref() {
-            t.record_worker_many(worker, stage, ns_each, n);
-        }
-    }
-
     /// Attribute a measured batch span of `total_ns` pro-rata over `n`
     /// items, giving the division remainder to the last item so the
     /// recorded stage sum equals `total_ns` exactly.
@@ -597,7 +579,7 @@ fn prob_bucket(p: f32) -> usize {
 impl DomainBaseline {
     /// Build a baseline over `n_domains` domains from `(domain, fake_prob)`
     /// observations — typically a trained model's predictions over its
-    /// validation split (see `Checkpoint::with_telemetry_baseline`).
+    /// validation split (see `Checkpoint::set_telemetry_baseline`).
     /// Out-of-range domains are ignored.
     pub fn from_observations<I>(n_domains: usize, observations: I) -> Self
     where
@@ -732,8 +714,8 @@ pub struct DomainDrift {
 
 impl DriftTracker {
     /// A tracker over `n_domains` domains. A baseline whose domain count
-    /// differs is rejected upstream (`ConfigError::BaselineGeometry`); here
-    /// it would simply leave the extra domains unscored.
+    /// differs is rejected upstream (`ConfigError::DriftBaselineGeometry`);
+    /// here it would simply leave the extra domains unscored.
     pub fn new(n_domains: usize, baseline: Option<DomainBaseline>) -> Self {
         Self {
             live: (0..n_domains).map(|_| LiveDomain::default()).collect(),
@@ -1038,7 +1020,7 @@ mod tests {
         let ctx = TraceContext::new(Arc::new(t));
         ctx.record_ns(Stage::HttpParse, 1_000);
         ctx.record_worker_ns(0, Stage::QueueWait, 2_000);
-        ctx.record_worker_many_ns(1, Stage::Inference, 5_000, 8);
+        ctx.record_worker_batch_ns(1, Stage::Inference, 40_000, 8);
         ctx.observe_prediction(1, 0.7);
         {
             let _span = ctx.span(Stage::ResponseWrite);

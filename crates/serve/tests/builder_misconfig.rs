@@ -7,8 +7,8 @@ use dtdbd_data::{
 };
 use dtdbd_models::{FakeNewsModel, ModelConfig, ModelOutput, TextCnnModel};
 use dtdbd_serve::{
-    Checkpoint, ConfigError, HttpConfig, HttpServer, InferenceSession, PredictServer,
-    ServerBuilder, StartError,
+    Checkpoint, ConfigError, DomainBaseline, HttpConfig, HttpServer, InferenceSession,
+    PredictServer, ServerBuilder, StartError,
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{Graph, ParamStore, Tensor};
@@ -84,6 +84,31 @@ fn zero_connection_workers_is_a_typed_error_before_any_thread_starts() {
             .try_start_http(),
         "try_start_http",
     );
+}
+
+#[test]
+fn a_baseline_of_the_wrong_domain_count_is_a_typed_error() {
+    let ds = dataset();
+    let n = ds.n_domains();
+    let mut checkpoint = checkpoint(&ds);
+    checkpoint.set_telemetry_baseline(&DomainBaseline::from_observations(n - 1, []));
+    let expected = ConfigError::DriftBaselineGeometry {
+        baseline_domains: n - 1,
+        n_domains: n,
+    };
+    let err = config_err_of(
+        ServerBuilder::new().try_start_from_checkpoint(&checkpoint),
+        "a baseline over n - 1 domains must be rejected",
+    );
+    assert_eq!(err, expected);
+    match ServerBuilder::new()
+        .tenant("m", &checkpoint)
+        .try_start_http()
+    {
+        Err(StartError::Config(e)) => assert_eq!(e, expected),
+        Err(other) => panic!("expected a config error, got {other}"),
+        Ok(_) => panic!("a tenant baseline over n - 1 domains must be rejected"),
+    }
 }
 
 #[test]

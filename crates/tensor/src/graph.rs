@@ -69,8 +69,6 @@ enum Op {
     Sigmoid,
     /// Hyperbolic tangent.
     Tanh,
-    /// `ln(x + eps)`.
-    LogEps { eps: f32 },
     /// Row-wise softmax over the last dimension.
     Softmax,
     /// Row-wise log-softmax over the last dimension.
@@ -509,11 +507,6 @@ impl<'s> Graph<'s> {
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: Var) -> Var {
         self.unary_map(x, Op::Tanh, f32::tanh)
-    }
-
-    /// Natural logarithm with an epsilon guard: `ln(x + eps)`.
-    pub fn log_eps(&mut self, x: Var, eps: f32) -> Var {
-        self.unary_map(x, Op::LogEps { eps }, |v| (v + eps).ln())
     }
 
     /// Softmax over the last dimension (rows fan out across the intra-op
@@ -1083,18 +1076,6 @@ impl<'s> Graph<'s> {
                         .iter()
                         .zip(grad.data().iter())
                         .map(|(&v, &g)| g * (1.0 - v * v))
-                        .collect(),
-                );
-                self.accumulate(grads, inputs[0], dx);
-            }
-            Op::LogEps { eps } => {
-                let x = &self.nodes[inputs[0]].value;
-                let dx = Tensor::new(
-                    x.shape().to_vec(),
-                    x.data()
-                        .iter()
-                        .zip(grad.data().iter())
-                        .map(|(&v, &g)| g / (v + eps))
                         .collect(),
                 );
                 self.accumulate(grads, inputs[0], dx);

@@ -45,11 +45,6 @@ pub fn as_rows_cols(shape: &[usize]) -> (usize, usize) {
     }
 }
 
-/// `true` when the two shapes describe the same extents.
-pub fn same_shape(a: &[usize], b: &[usize]) -> bool {
-    a == b
-}
-
 /// Human readable shape, e.g. `[32, 5, 64]`.
 pub fn fmt_shape(shape: &[usize]) -> String {
     let inner: Vec<String> = shape.iter().map(|d| d.to_string()).collect();

@@ -51,12 +51,7 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
 run_bench() { # <bin> [args...] — run in the throwaway dir, reusing the repo's build cache
-  # DTDBD_FAULTS is force-unset so a fault plan exported in the calling
-  # shell can never leak into the gated numbers: the serving/http gates
-  # below measure the *disabled* fault-injection hooks, and their baselines
-  # predate the hooks — staying within tolerance is the assertion that the
-  # disabled hooks add no measurable overhead to the hot path.
-  (cd "$workdir" && env -u DTDBD_FAULTS cargo run --release -q \
+  (cd "$workdir" && cargo run --release -q \
     --manifest-path "$repo/Cargo.toml" -p dtdbd-bench --bin "$@")
 }
 
