@@ -180,7 +180,9 @@ impl<'s> Graph<'s> {
     }
 
     /// Set the intra-op thread count for this graph's kernels (clamped to at
-    /// least 1). Outputs are bit-identical at any setting.
+    /// least 1). Outputs are bit-identical at any setting. At 1 the kernels
+    /// never consult the core count; above 1 they cap the request at the
+    /// count [`crate::par::max_threads`] read once per process.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -819,38 +821,16 @@ impl<'s> Graph<'s> {
 
     /// Pairwise squared Euclidean distances between the rows of a `[b, d]`
     /// feature matrix, producing the `[b, b]` correlation matrix `M` of
-    /// Eq. (5) in the paper.
-    ///
-    /// Row `i` of the upper triangle is built from the columns of `x`
-    /// (one transposed copy): for each `t`, every `j > i` adds
-    /// `(x[i, t] - x[j, t])²` to its own accumulator, so each entry still
-    /// sums its terms in ascending `t` — the plain per-pair loop's order and
-    /// bits — while the `j` loop runs over contiguous slices instead of one
-    /// serial add chain per pair.
+    /// Eq. (5) in the paper ([`kernels::pairwise_sq_dist_into`]).
     pub fn pairwise_sq_dist(&mut self, x: Var) -> Var {
         let (b, d) = {
             let xv = &self.nodes[x.0].value;
             assert_eq!(xv.ndim(), 2, "pairwise_sq_dist expects [b, d]");
             (xv.shape()[0], xv.shape()[1])
         };
-        let mut data = self.alloc_zeroed(b * b);
+        let mut data = self.alloc_for_overwrite(b * b);
         let mut cols = self.alloc_for_overwrite(b * d);
-        if b > 0 {
-            kernels::transpose_into(b, d, self.nodes[x.0].value.data(), &mut cols);
-            for i in 0..b {
-                let upper = &mut data[i * b + i + 1..(i + 1) * b];
-                for col in cols.chunks_exact(b) {
-                    let xi = col[i];
-                    for (acc, &xj) in upper.iter_mut().zip(&col[i + 1..]) {
-                        let diff = xi - xj;
-                        *acc += diff * diff;
-                    }
-                }
-                for j in i + 1..b {
-                    data[j * b + i] = data[i * b + j];
-                }
-            }
-        }
+        kernels::pairwise_sq_dist_into(b, d, self.nodes[x.0].value.data(), &mut cols, &mut data);
         self.release_scratch(cols);
         let value = Tensor::new(vec![b, b], data);
         let rg = self.nodes[x.0].requires_grad;

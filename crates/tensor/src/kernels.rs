@@ -661,9 +661,12 @@ pub fn gemm_packs(m: usize) -> bool {
 /// Clamp a thread request to what can actually help: never more threads
 /// than hardware cores (oversubscribing a compute-bound kernel only adds
 /// handshake latency), and only one when the job is too small to amortise
-/// the pool wake-up. Results are unaffected either way.
+/// the pool wake-up. A single-thread request returns before anything else
+/// is looked at; a larger one is capped at the core count that
+/// [`par::max_threads`] read once per process, so no GEMM asks the OS.
+/// Results are unaffected either way.
 fn effective_threads(threads: usize, flops: usize) -> usize {
-    if flops < PAR_MIN_FLOPS {
+    if threads <= 1 || flops < PAR_MIN_FLOPS {
         return 1;
     }
     threads.min(par::max_threads()).max(1)
@@ -1047,6 +1050,39 @@ pub fn transpose_into(rows: usize, cols: usize, src: &[f32], dst: &mut [f32]) {
             j0 = j1;
         }
         i0 = i1;
+    }
+}
+
+/// Pairwise squared Euclidean distances between the rows of a `b × d`
+/// row-major matrix `x`: `out[i·b + j] = Σ_t (x[i, t] - x[j, t])²`, a
+/// symmetric `b × b` matrix with a zero diagonal (every entry of `out` is
+/// overwritten). `cols` is `b·d` scratch that receives `xᵀ`.
+///
+/// Row `i` of the upper triangle is built from the columns of `x`: for each
+/// `t`, every `j > i` adds `(x[i, t] - x[j, t])²` to its own accumulator,
+/// so each entry sums its terms from 0.0 in ascending `t` — the plain
+/// per-pair loop's order and bits — while the `j` loop runs over contiguous
+/// slices instead of one serial add chain per pair. The lower triangle is
+/// mirrored from the upper.
+///
+/// # Panics
+/// Panics if a slice length disagrees with the given dimensions.
+pub fn pairwise_sq_dist_into(b: usize, d: usize, x: &[f32], cols: &mut [f32], out: &mut [f32]) {
+    assert_eq!(out.len(), b * b, "pairwise_sq_dist: output length mismatch");
+    transpose_into(b, d, x, cols);
+    out.fill(0.0);
+    for i in 0..b {
+        let upper = &mut out[i * b + i + 1..(i + 1) * b];
+        for col in cols.chunks_exact(b) {
+            let xi = col[i];
+            for (acc, &xj) in upper.iter_mut().zip(&col[i + 1..]) {
+                let diff = xi - xj;
+                *acc += diff * diff;
+            }
+        }
+        for j in i + 1..b {
+            out[j * b + i] = out[i * b + j];
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 //!   head).
 
 use crate::graph::{Graph, Var};
+use crate::kernels;
 use crate::shape::as_rows_cols;
 use crate::tensor::Tensor;
 
@@ -125,22 +126,14 @@ pub fn mse_loss(g: &mut Graph<'_>, a: Var, b: Var) -> Var {
 }
 
 /// Pairwise squared-Euclidean distance matrix computed on plain tensors
-/// (used for the frozen teacher's correlation matrix).
+/// (used for the frozen teacher's correlation matrix); the same kernel and
+/// bits as [`Graph::pairwise_sq_dist`].
 pub fn pairwise_sq_dist_tensor(x: &Tensor) -> Tensor {
     assert_eq!(x.ndim(), 2, "pairwise_sq_dist_tensor expects [b, d]");
     let (b, d) = (x.shape()[0], x.shape()[1]);
     let mut data = vec![0.0f32; b * b];
-    for i in 0..b {
-        for j in (i + 1)..b {
-            let mut acc = 0.0f32;
-            for t in 0..d {
-                let diff = x.data()[i * d + t] - x.data()[j * d + t];
-                acc += diff * diff;
-            }
-            data[i * b + j] = acc;
-            data[j * b + i] = acc;
-        }
-    }
+    let mut cols = vec![0.0f32; b * d];
+    kernels::pairwise_sq_dist_into(b, d, x.data(), &mut cols, &mut data);
     Tensor::new(vec![b, b], data)
 }
 
@@ -284,14 +277,15 @@ mod tests {
     #[test]
     fn pairwise_sq_dist_tensor_matches_graph_op() {
         let mut rng = Prng::new(11);
-        let x = Tensor::randn(&[5, 3], 1.0, &mut rng);
-        let plain = pairwise_sq_dist_tensor(&x);
-        let mut store = ParamStore::new();
-        let mut g = Graph::new(&mut store, false, 0);
-        let xv = g.constant(x);
-        let m = g.pairwise_sq_dist(xv);
-        for (a, b) in plain.data().iter().zip(g.value(m).data().iter()) {
-            assert!(approx(*a, *b, 1e-5));
+        for shape in [[64, 64], [7, 5]] {
+            let x = Tensor::randn(&shape, 1.0, &mut rng);
+            let plain = pairwise_sq_dist_tensor(&x);
+            let mut store = ParamStore::new();
+            let mut g = Graph::new(&mut store, false, 0);
+            let xv = g.constant(x);
+            let m = g.pairwise_sq_dist(xv);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&plain), bits(g.value(m)), "{shape:?}");
         }
     }
 }

@@ -24,6 +24,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread;
 
@@ -92,9 +93,30 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Number of hardware threads, the default for "auto" thread knobs.
+static MAX_THREADS: OnceLock<usize> = OnceLock::new();
+
+/// Times this process has asked the OS for its core count (at most once).
+static CORE_COUNT_READS: AtomicUsize = AtomicUsize::new(0);
+
+/// Number of hardware threads, the default for "auto" thread knobs. The OS
+/// is asked once per process (on Linux that reads the affinity mask and the
+/// cgroup quota files, tens of microseconds); every later call returns the
+/// cached count.
 pub fn max_threads() -> usize {
-    thread::available_parallelism().map_or(1, usize::from)
+    *MAX_THREADS.get_or_init(|| {
+        CORE_COUNT_READS.fetch_add(1, Ordering::Relaxed);
+        // The one place the core count is read; `clippy.toml` forbids the
+        // call everywhere else.
+        #[allow(clippy::disallowed_methods)]
+        let count = thread::available_parallelism();
+        count.map_or(1, usize::from)
+    })
+}
+
+/// How many times [`max_threads`] has queried the OS in this process.
+#[doc(hidden)]
+pub fn core_count_reads() -> usize {
+    CORE_COUNT_READS.load(Ordering::Relaxed)
 }
 
 fn worker_loop(id: usize) {
