@@ -25,7 +25,7 @@ use crate::trainer::{evaluate, output_rows};
 use dtdbd_data::{Batch, BatchIter, MultiDomainDataset};
 use dtdbd_models::FakeNewsModel;
 use dtdbd_tensor::losses::{add_distillation_loss, kd_kl_loss};
-use dtdbd_tensor::optim::{Adam, Optimizer};
+use dtdbd_tensor::optim::Adam;
 use dtdbd_tensor::{Graph, ParamStore, Tensor};
 
 /// Configuration of the dual-teacher distillation stage.
@@ -247,7 +247,7 @@ impl DtdbdTrainer {
         batch: &Batch,
         targets: &TeacherTargets,
         weights: (f32, f32),
-        optimizer: &mut impl Optimizer,
+        optimizer: &mut Adam,
         step_seed: u64,
     ) -> f32 {
         let cfg = &self.config;

@@ -3,7 +3,7 @@
 use dtdbd_data::{Batch, BatchIter, MultiDomainDataset};
 use dtdbd_metrics::DomainEvaluation;
 use dtdbd_models::{FakeNewsModel, ModelOutput};
-use dtdbd_tensor::optim::{Adam, Optimizer};
+use dtdbd_tensor::optim::Adam;
 use dtdbd_tensor::{BufferPool, Graph, ParamStore, Tensor, Var};
 
 /// Hyper-parameters of plain supervised training.
@@ -111,7 +111,7 @@ pub fn train_step<M: FakeNewsModel>(
     model: &mut M,
     store: &mut ParamStore,
     batch: &Batch,
-    optimizer: &mut impl Optimizer,
+    optimizer: &mut Adam,
     config: &TrainConfig,
     step_seed: u64,
 ) -> f32 {

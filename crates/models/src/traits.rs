@@ -137,7 +137,7 @@ pub(crate) mod test_support {
 
     use super::*;
     use dtdbd_data::{weibo21_spec, BatchIter, GeneratorConfig, MultiDomainDataset, NewsGenerator};
-    use dtdbd_tensor::optim::{Adam, Optimizer};
+    use dtdbd_tensor::optim::Adam;
     use dtdbd_tensor::{BufferPool, ParamStore};
 
     /// A small Weibo21-like dataset shared by model tests.

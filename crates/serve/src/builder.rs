@@ -348,9 +348,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Inject a deterministic [`FaultPlan`] (see [`crate::fault`]): seeded
-    /// worker panics, slow forward passes, queue stalls, NaN-poisoned
-    /// predictions. Servers built without a plan compile the hooks to
+    /// Inject a deterministic [`FaultPlan`] (see [`crate::fault`]): worker
+    /// panics, slow forward passes, NaN-poisoned predictions. Servers built without a plan compile the hooks to
     /// nothing — the hot path is untouched.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.tuning.fault_plan = Some(plan);

@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the serving stack.
 //!
-//! A [`FaultPlan`] is a seeded, declarative description of the faults a
-//! server run should suffer: worker panics on the Nth batch, artificially
-//! slow forward passes, queue stalls, and NaN-poisoned predictions. Plans
-//! are injected through `ServerBuilder::fault_plan` and compiled once at
-//! server start into per-worker [`WorkerFaults`] tables; a server started
-//! without a plan carries `None` and the hot path never consults the
-//! subsystem at all.
+//! A [`FaultPlan`] is a declarative description of the faults a server
+//! run should suffer: worker panics on the Nth batch, artificially slow
+//! forward passes, and NaN-poisoned predictions. Plans are injected
+//! through `ServerBuilder::fault_plan` and compiled once at server start
+//! into per-worker [`WorkerFaults`] tables; a server started without a
+//! plan carries `None` and the hot path never consults the subsystem at
+//! all.
 //!
 //! Determinism is the point: the chaos battery replays the *same* worker
 //! kills at the *same* batch ordinals on every run, so "the server healed
@@ -15,43 +15,23 @@
 //! Batch ordinals count over a worker's whole lifetime (respawns do not
 //! reset them), so a [`FaultPlan::panic_worker`] entry fires exactly once.
 
-use dtdbd_tensor::rng::Prng;
 use std::time::Duration;
 
-/// A seeded, deterministic description of the faults to inject into a
-/// serving run, built with the fluent methods.
+/// A deterministic description of the faults to inject into a serving
+/// run, built with the fluent methods from [`FaultPlan::default`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    seed: u64,
     panics: Vec<(usize, u64)>,
     nans: Vec<(usize, u64)>,
-    kills: Vec<(usize, u64)>,
     slow: Option<Duration>,
-    stall: Option<Duration>,
     backoff: Option<Duration>,
 }
 
 impl FaultPlan {
-    /// An empty plan with the given seed for the seeded selectors
-    /// ([`FaultPlan::kill_workers`] picks its victims with it).
-    pub fn seeded(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Self::default()
-        }
-    }
-
     /// Worker `worker` panics when it picks up its `batch`th batch
     /// (1-based, counted over the worker's lifetime across respawns).
     pub fn panic_worker(mut self, worker: usize, batch: u64) -> Self {
         self.panics.push((worker, batch));
-        self
-    }
-
-    /// `count` distinct workers — chosen by the plan's seed at compile
-    /// time — each panic when picking up their `batch`th batch.
-    pub fn kill_workers(mut self, count: usize, batch: u64) -> Self {
-        self.kills.push((count, batch));
         self
     }
 
@@ -68,12 +48,6 @@ impl FaultPlan {
         self
     }
 
-    /// Every batch assembly holds the queue lock this long extra.
-    pub fn queue_stall(mut self, delay: Duration) -> Self {
-        self.stall = Some(delay);
-        self
-    }
-
     /// Override the supervisor's initial respawn backoff (tests use a large
     /// value to hold a worker down long enough to observe `/readyz` 503).
     pub fn respawn_backoff(mut self, backoff: Duration) -> Self {
@@ -86,11 +60,8 @@ impl FaultPlan {
         self.backoff
     }
 
-    /// Compile the plan into one fault table per worker. Seeded `kill`
-    /// entries resolve to concrete worker indices here — deterministically,
-    /// from the plan's seed — so every run of the same plan on the same
-    /// worker count kills the same workers. Out-of-range explicit worker
-    /// indices are ignored (a 2-worker deployment of a
+    /// Compile the plan into one fault table per worker. Out-of-range
+    /// worker indices are ignored (a 2-worker deployment of a
     /// `panic_worker(7, 1)` plan simply never fires it).
     pub(crate) fn compile(&self, workers: usize) -> Vec<WorkerFaults> {
         let mut faults = vec![WorkerFaults::default(); workers];
@@ -104,17 +75,8 @@ impl FaultPlan {
                 f.nan_on.push(batch);
             }
         }
-        let mut rng = Prng::new(self.seed).fork(0xFA17);
-        for &(count, batch) in &self.kills {
-            let mut victims: Vec<usize> = (0..workers).collect();
-            rng.shuffle(&mut victims);
-            for &worker in victims.iter().take(count) {
-                faults[worker].panic_on.push(batch);
-            }
-        }
         for f in &mut faults {
             f.slow = self.slow;
-            f.stall = self.stall;
             f.panic_on.sort_unstable();
             f.panic_on.dedup();
             f.nan_on.sort_unstable();
@@ -135,49 +97,17 @@ pub(crate) struct WorkerFaults {
     pub nan_on: Vec<u64>,
     /// Sleep before every forward pass.
     pub slow: Option<Duration>,
-    /// Extra time the queue lock is held during every batch assembly.
-    pub stall: Option<Duration>,
 }
 
 impl WorkerFaults {
     pub(crate) fn is_empty(&self) -> bool {
-        self.panic_on.is_empty()
-            && self.nan_on.is_empty()
-            && self.slow.is_none()
-            && self.stall.is_none()
+        self.panic_on.is_empty() && self.nan_on.is_empty() && self.slow.is_none()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_kills_compile_deterministically_to_distinct_workers() {
-        let plan = FaultPlan::seeded(42).kill_workers(3, 5);
-        let a = plan.compile(8);
-        let b = plan.compile(8);
-        let victims = |faults: &[WorkerFaults]| {
-            faults
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| !f.panic_on.is_empty())
-                .map(|(i, _)| i)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(victims(&a), victims(&b), "same seed must pick same victims");
-        assert_eq!(victims(&a).len(), 3, "three distinct victims");
-        for f in &a {
-            assert!(f.panic_on.len() <= 1);
-            assert_eq!(f.panic_on.first().copied().unwrap_or(5), 5);
-        }
-        // A different seed is allowed to (and for 3-of-8 usually does)
-        // pick a different set — but must still pick exactly three.
-        assert_eq!(
-            victims(&FaultPlan::seeded(7).kill_workers(3, 5).compile(8)).len(),
-            3
-        );
-    }
 
     #[test]
     fn compile_ignores_out_of_range_workers_and_dedups_ordinals() {
@@ -189,8 +119,5 @@ mod tests {
         let faults = plan.compile(2);
         assert_eq!(faults[0].panic_on, vec![2]);
         assert!(faults[1].is_empty());
-        // kill_workers(K, B) with K > workers kills everyone, once each.
-        let all = FaultPlan::seeded(1).kill_workers(10, 1).compile(3);
-        assert!(all.iter().all(|f| f.panic_on == vec![1]));
     }
 }

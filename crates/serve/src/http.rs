@@ -10,9 +10,9 @@
 //! * **epoll** (Linux x86-64/aarch64, `poll.rs`) — one event-loop thread
 //!   multiplexes every connection nonblocking through a raw-syscall epoll
 //!   instance; complete requests are handed to `connection_workers`
-//!   dispatcher threads, and deadlines live on a
-//!   [`crate::timer::TimerWheel`]. Tens of thousands of mostly-idle
-//!   keep-alive sockets cost a slab slot each, not a thread.
+//!   dispatcher threads, and the loop sleeps until the earliest
+//!   connection deadline in a binary heap. An idle keep-alive socket costs
+//!   a slab slot and about one heap entry, not a thread.
 //! * **pool** (every other platform, `blocking.rs`) — a blocking
 //!   `std::net::TcpListener` accept loop feeding `connection_workers`
 //!   handler threads behind a `backlog`-deep hand-off queue (when both are
@@ -101,8 +101,8 @@ pub struct HttpConfig {
     pub max_body_bytes: usize,
     /// Idle keep-alive deadline: a connection with no request in progress is
     /// closed after this long without bytes (100 ms once the server drains).
-    /// Under epoll it is a timer-wheel deadline (granularity 10 ms, never
-    /// early); the pool checks it between reads of at most 100 ms.
+    /// Under epoll the event loop wakes for it (never early, about 1 ms
+    /// late at most); the pool checks it between reads of at most 100 ms.
     pub read_timeout: Duration,
     /// Overall deadline for one request to arrive completely (first byte to
     /// final body byte). Guards against slow-loris clients that keep each
@@ -2027,15 +2027,34 @@ mod tests {
         );
         let open = http.get("open_connections").and_then(Json::as_u64).unwrap();
         assert!(open >= 50, "only {open} connections open");
-        let armed = http
-            .get("timer_wheel_armed")
-            .and_then(Json::as_u64)
-            .unwrap();
-        assert!(armed >= 1, "idle deadlines should sit on the wheel");
+        let armed = http.get("deadlines_armed").and_then(Json::as_u64).unwrap();
+        assert!(armed >= 1, "idle deadlines should be queued");
         // Every connection is still serviced on a second round.
         for client in &mut clients {
             assert_eq!(client.get("/healthz").unwrap().status, 200);
         }
+    }
+
+    #[test]
+    fn keep_alive_traffic_keeps_about_one_queued_deadline_per_connection() {
+        let ds = dataset();
+        let server = start_http(&ds);
+        if server.connection_model() != "epoll" {
+            return; // no epoll backend on this platform
+        }
+        let mut client = HttpClient::connect(server.local_addr()).unwrap();
+        for _ in 0..200 {
+            assert_eq!(client.get("/healthz").unwrap().status, 200);
+        }
+        let doc = client.get("/stats").unwrap().json().unwrap();
+        let http = doc.get("http").unwrap();
+        let field = |name: &str| http.get(name).and_then(Json::as_u64).unwrap();
+        let (armed, open) = (field("deadlines_armed"), field("open_connections"));
+        assert!(open >= 1);
+        assert!(
+            armed <= 2 * open,
+            "{armed} deadlines queued for {open} open connections after 200 requests"
+        );
     }
 
     #[test]

@@ -78,7 +78,6 @@ pub mod server;
 pub mod session;
 mod surface;
 pub mod telemetry;
-pub mod timer;
 pub mod zoo;
 
 /// The little-endian byte codec behind the checkpoint format. It moved to

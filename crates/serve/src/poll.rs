@@ -9,13 +9,13 @@
 //!
 //! The loop does I/O only; each socket's [`crate::conn::Connection`]
 //! decides what happens next. The loop reads and writes, keeps the
-//! machine's deadline on a [`crate::timer::TimerWheel`] (lazily cancelled
-//! through per-connection generations), sets the epoll interest to what the
-//! machine waits for, and hands complete requests to a **dispatcher pool**
-//! (`connection_workers` threads) that routes them — blocking on the
-//! prediction — and sends the response back through a TCP self-pipe
-//! waker. A full dispatch queue (`backlog` requests beyond one per
-//! dispatcher) is answered `503 overloaded`.
+//! machine's deadline in a [`Deadlines`] heap and sleeps until the earliest
+//! one, sets the epoll interest to what the machine waits for, and hands
+//! complete requests to a **dispatcher pool** (`connection_workers`
+//! threads) that routes them — blocking on the prediction — and sends the
+//! response back through a TCP self-pipe waker. A full dispatch queue
+//! (`backlog` requests beyond one per dispatcher) is answered
+//! `503 overloaded`.
 //!
 //! Draining drops the **accept interest**: no new connections, while open
 //! ones keep running under the machine's drain rules. Shutdown then closes
@@ -26,7 +26,8 @@ use crate::conn::{self, Action, Answer, Connection, Env};
 use crate::http::{Ctx, Driver, HttpRequest};
 use crate::surface::HttpCounter;
 use crate::telemetry::{Stage, TraceContext};
-use crate::timer::TimerWheel;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -34,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Raw epoll syscall shims (no libc)
@@ -268,15 +269,13 @@ struct Conn {
     /// the machine waits for bytes, `EPOLLOUT` while a flush waits for
     /// room, empty while a request is dispatched.
     interest: u32,
-    /// The deadline currently on the wheel, if any.
-    armed: Option<Instant>,
-    /// Timer-wheel generation: bumped on every re-arm/cancel, so stale
-    /// wheel entries are ignored when they fire.
-    timer_gen: u64,
+    /// The earliest entry this connection has in [`Deadlines`], if any.
+    /// Never later than the machine's deadline, so nothing fires late.
+    queued: Option<Instant>,
 }
 
 /// Slot-reusing connection store. Tokens are `index | generation << 32`:
-/// a completion or timer for a connection that died and whose slot was
+/// a completion or deadline for a connection that died and whose slot was
 /// reused fails the generation check instead of hitting the new tenant.
 struct Slab {
     entries: Vec<Option<Conn>>,
@@ -347,6 +346,56 @@ impl Slab {
 /// Split a token into its slab index and slot generation.
 fn split_token(token: u64) -> (usize, u32) {
     ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
+}
+
+// ---------------------------------------------------------------------------
+// Connection deadlines
+// ---------------------------------------------------------------------------
+
+/// Connection deadlines as `(when, token)` entries, earliest first. An entry
+/// is never removed early: one a connection has superseded (or whose
+/// connection closed) pops at its time and only re-arms, which is what
+/// keeps arming O(log n) with no lookup structure.
+#[derive(Default)]
+struct Deadlines {
+    heap: BinaryHeap<Reverse<(Instant, u64)>>,
+}
+
+impl Deadlines {
+    /// Queue `deadline` for `token` unless `queued`, the connection's
+    /// earliest entry, already comes at or before it.
+    fn arm(&mut self, queued: &mut Option<Instant>, deadline: Option<Instant>, token: u64) {
+        match deadline {
+            Some(at) if queued.is_none_or(|q| at < q) => {
+                *queued = Some(at);
+                self.heap.push(Reverse((at, token)));
+            }
+            _ => {}
+        }
+    }
+
+    /// The earliest entry, removed, if it is due at `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<(Instant, u64)> {
+        let Reverse((at, _)) = *self.heap.peek()?;
+        if at > now {
+            return None;
+        }
+        self.heap.pop().map(|Reverse(entry)| entry)
+    }
+
+    /// How long the loop may sleep: `None` (forever) with nothing queued,
+    /// otherwise the milliseconds to the earliest entry, rounded up so it
+    /// is due when the wait ends.
+    fn timeout_ms(&self, now: Instant) -> Option<u64> {
+        let Reverse((at, _)) = self.heap.peek()?;
+        let ns = at.saturating_duration_since(now).as_nanos();
+        Some(u64::try_from(ns.div_ceil(1_000_000)).unwrap_or(u64::MAX))
+    }
+
+    /// Queued entries, superseded ones included.
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -421,10 +470,6 @@ impl Driver for EpollBackend {
 /// The connection model `/stats` reports for this driver.
 pub(crate) const NAME: &str = "epoll";
 
-/// Firing granularity of the connection deadlines (both timeouts are
-/// rounded up to the next 10 ms boundary — the usual timer-wheel trade).
-const TIMER_TICK: Duration = Duration::from_millis(10);
-const TIMER_SLOTS: usize = 1024;
 /// Bound on consecutive reads per readiness event so one fast sender cannot
 /// monopolize the loop; level-triggered epoll re-reports the leftovers.
 const MAX_READS_PER_EVENT: usize = 16;
@@ -460,7 +505,7 @@ pub(crate) fn start(listener: TcpListener, ctx: &Arc<Ctx>) -> io::Result<Box<dyn
             ctx: Arc::clone(ctx),
             trace: ctx.default_model().trace(),
             slab: Slab::new(),
-            wheel: TimerWheel::new(TIMER_TICK, TIMER_SLOTS),
+            deadlines: Deadlines::default(),
             dispatch_tx,
             completions,
             accepting: true,
@@ -482,7 +527,7 @@ struct EventLoop {
     ctx: Arc<Ctx>,
     trace: TraceContext,
     slab: Slab,
-    wheel: TimerWheel,
+    deadlines: Deadlines,
     dispatch_tx: SyncSender<Job>,
     completions: Arc<Completions>,
     accepting: bool,
@@ -514,9 +559,9 @@ impl EventLoop {
         loop {
             self.ctx
                 .stats
-                .get(HttpCounter::TimersArmed)
-                .store(self.wheel.armed() as u64, Ordering::Relaxed);
-            let timeout = match self.wheel.poll_timeout_ms(Instant::now()) {
+                .get(HttpCounter::DeadlinesArmed)
+                .store(self.deadlines.len() as u64, Ordering::Relaxed);
+            let timeout = match self.deadlines.timeout_ms(Instant::now()) {
                 Some(ms) => ms.min(i32::MAX as u64) as i32,
                 None => -1,
             };
@@ -536,8 +581,8 @@ impl EventLoop {
                 self.apply_completion(token, answer);
             }
             let now = Instant::now();
-            for (token, gen) in self.wheel.expired(now) {
-                self.fire_timer(token, gen, now);
+            while let Some((at, token)) = self.deadlines.pop_due(now) {
+                self.fire(at, token, now);
             }
             let Env {
                 draining, shutdown, ..
@@ -549,7 +594,7 @@ impl EventLoop {
                 let _ = self.poller.delete(listener_fd);
                 self.accepting = false;
                 for idx in self.slab.live_indices() {
-                    self.sync_timer(idx);
+                    self.arm_deadline(idx);
                 }
             }
             if accept_ready && self.accepting {
@@ -593,8 +638,7 @@ impl EventLoop {
                         fd,
                         http: Connection::new(&self.ctx.config, Instant::now()),
                         interest: EPOLLIN,
-                        armed: None,
-                        timer_gen: 0,
+                        queued: None,
                     };
                     let (idx, token) = self.slab.insert(conn);
                     if self.poller.add(fd, token, EPOLLIN).is_err() {
@@ -605,7 +649,7 @@ impl EventLoop {
                         .stats
                         .get(HttpCounter::OpenConnections)
                         .fetch_add(1, Ordering::Relaxed);
-                    self.sync_timer(idx);
+                    self.arm_deadline(idx);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return, // WouldBlock (drained) or transient accept error
@@ -674,12 +718,12 @@ impl EventLoop {
         loop {
             action = match action {
                 Action::Read => {
-                    self.sync_timer(idx);
+                    self.arm_deadline(idx);
                     self.set_interest(idx, EPOLLIN);
                     return;
                 }
                 Action::Dispatch(request) => {
-                    self.sync_timer(idx);
+                    self.arm_deadline(idx);
                     // No read interest while a request is in flight:
                     // pipelined bytes wait in the kernel buffer.
                     self.set_interest(idx, 0);
@@ -700,7 +744,7 @@ impl EventLoop {
                     }
                 }
                 Action::Write => {
-                    self.sync_timer(idx);
+                    self.arm_deadline(idx);
                     match self.flush(idx) {
                         Some(next) => next,
                         None => return,
@@ -737,17 +781,22 @@ impl EventLoop {
         }
     }
 
-    fn fire_timer(&mut self, token: u64, gen: u64, now: Instant) {
-        let (idx, slab_gen) = split_token(token);
-        match self.slab.get_checked(idx, slab_gen) {
-            Some(conn) if conn.timer_gen == gen => conn.armed = None,
-            _ => return, // stale deadline: connection re-armed or is gone
+    /// A queued entry came due. The machine's deadline may have moved on
+    /// since it was queued; `check` acts only if it has passed, and
+    /// otherwise re-arms at the current one.
+    fn fire(&mut self, at: Instant, token: u64, now: Instant) {
+        let (idx, gen) = split_token(token);
+        let Some(conn) = self.slab.get_checked(idx, gen) else {
+            return; // the connection is gone
+        };
+        if conn.queued == Some(at) {
+            conn.queued = None;
         }
         self.check(idx, now);
     }
 
     /// Let the machine act on shutdown or a passed deadline; otherwise keep
-    /// its deadline on the wheel.
+    /// its deadline queued.
     fn check(&mut self, idx: usize, now: Instant) {
         let env = Env::of(&self.ctx, &self.trace);
         let action = match self.slab.conn_mut(idx) {
@@ -756,30 +805,20 @@ impl EventLoop {
         };
         match action {
             Some(action) => self.step(idx, action),
-            None => self.sync_timer(idx),
+            None => self.arm_deadline(idx),
         }
     }
 
-    /// Put the machine's current deadline on the wheel if it moved (lazy
-    /// cancellation: the superseded entry fires into a stale generation).
-    fn sync_timer(&mut self, idx: usize) {
+    /// Queue the machine's current deadline if it is earlier than the
+    /// connection's queued entry. A later deadline waits for that entry to
+    /// fire and re-arm, so steady keep-alive traffic keeps one entry per
+    /// connection.
+    fn arm_deadline(&mut self, idx: usize) {
         let env = Env::of(&self.ctx, &self.trace);
         let token = self.slab.token_of(idx);
-        let Some(conn) = self.slab.conn_mut(idx) else {
-            return;
-        };
-        let deadline = conn.http.deadline(&env);
-        if deadline == conn.armed {
-            return;
-        }
-        conn.armed = deadline;
-        conn.timer_gen += 1;
-        if let Some(at) = deadline {
-            // A deadline already behind us (a drain cutting an old idle
-            // gap) fires on the next tick.
-            let now = Instant::now();
-            let after = at.saturating_duration_since(now);
-            self.wheel.schedule(now, after, token, conn.timer_gen);
+        if let Some(conn) = self.slab.conn_mut(idx) {
+            let deadline = conn.http.deadline(&env);
+            self.deadlines.arm(&mut conn.queued, deadline, token);
         }
     }
 
@@ -816,6 +855,7 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn poller_reports_readiness_and_honours_interest_changes() {
@@ -861,6 +901,114 @@ mod tests {
         assert_eq!(data, TOKEN_WAKE);
     }
 
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    #[test]
+    fn a_deadline_never_fires_before_it_is_due() {
+        let mut deadlines = Deadlines::default();
+        let t0 = Instant::now();
+        deadlines.arm(&mut None, Some(t0 + ms(25)), 7);
+        assert_eq!(deadlines.len(), 1);
+        assert_eq!(deadlines.pop_due(t0), None);
+        assert_eq!(deadlines.pop_due(t0 + ms(24)), None);
+        assert_eq!(deadlines.pop_due(t0 + ms(25)), Some((t0 + ms(25), 7)));
+        assert_eq!(deadlines.pop_due(t0 + ms(25)), None, "fires exactly once");
+        assert_eq!(deadlines.len(), 0);
+    }
+
+    #[test]
+    fn a_far_deadline_survives_many_early_polls() {
+        let mut deadlines = Deadlines::default();
+        let t0 = Instant::now();
+        deadlines.arm(&mut None, Some(t0 + ms(95)), 1);
+        for n in (5..95).step_by(5) {
+            assert_eq!(deadlines.pop_due(t0 + ms(n)), None, "fired {n} ms in");
+        }
+        assert_eq!(deadlines.len(), 1);
+        assert_eq!(deadlines.pop_due(t0 + ms(120)), Some((t0 + ms(95), 1)));
+        assert_eq!(deadlines.len(), 0);
+    }
+
+    #[test]
+    fn entries_fire_in_deadline_order() {
+        let mut deadlines = Deadlines::default();
+        let t0 = Instant::now();
+        for token in [5u64, 1, 19, 3, 12, 0, 8] {
+            deadlines.arm(&mut None, Some(t0 + ms(5 + token)), token);
+        }
+        // No deadline: nothing is queued.
+        deadlines.arm(&mut None, None, 99);
+        // One pass after a long pause drains everything, earliest first.
+        let mut fired = Vec::new();
+        while let Some((at, token)) = deadlines.pop_due(t0 + Duration::from_secs(2)) {
+            assert_eq!(at, t0 + ms(5 + token));
+            fired.push(token);
+        }
+        assert_eq!(fired, vec![0, 1, 3, 5, 8, 12, 19]);
+    }
+
+    #[test]
+    fn a_superseded_entry_that_fires_only_re_arms() {
+        let mut deadlines = Deadlines::default();
+        let t0 = Instant::now();
+        let mut queued = None;
+        deadlines.arm(&mut queued, Some(t0 + ms(50)), 3);
+        // A later deadline waits for the queued entry; an earlier one is
+        // queued beside it.
+        deadlines.arm(&mut queued, Some(t0 + ms(80)), 3);
+        assert_eq!((deadlines.len(), queued), (1, Some(t0 + ms(50))));
+        deadlines.arm(&mut queued, Some(t0 + ms(20)), 3);
+        assert_eq!((deadlines.len(), queued), (2, Some(t0 + ms(20))));
+
+        // The loop's handling of a due entry: clear `queued` if this is it,
+        // then re-arm at the machine's current deadline (here 90 ms).
+        let mut fire = |deadlines: &mut Deadlines, now: Instant| {
+            let (at, token) = deadlines.pop_due(now).expect("an entry is due");
+            if queued == Some(at) {
+                queued = None;
+            }
+            deadlines.arm(&mut queued, Some(t0 + ms(90)), token);
+            queued
+        };
+        assert_eq!(fire(&mut deadlines, t0 + ms(20)), Some(t0 + ms(90)));
+        assert_eq!(deadlines.len(), 2);
+        // The superseded 50 ms entry pops and adds nothing.
+        assert_eq!(fire(&mut deadlines, t0 + ms(50)), Some(t0 + ms(90)));
+        assert_eq!(deadlines.len(), 1);
+        assert_eq!(deadlines.pop_due(t0 + ms(89)), None);
+    }
+
+    #[test]
+    fn the_poll_timeout_is_forever_when_empty_and_rounds_up() {
+        let mut deadlines = Deadlines::default();
+        let t0 = Instant::now();
+        assert_eq!(
+            deadlines.timeout_ms(t0),
+            None,
+            "nothing queued: sleep forever"
+        );
+        deadlines.arm(&mut None, Some(t0 + ms(50) + Duration::from_micros(1)), 1);
+        assert_eq!(
+            deadlines.timeout_ms(t0),
+            Some(51),
+            "rounded up, never early"
+        );
+        assert_eq!(deadlines.timeout_ms(t0 + ms(50)), Some(1));
+        assert_eq!(
+            deadlines.timeout_ms(t0 + ms(60)),
+            Some(0),
+            "overdue: no sleep"
+        );
+        deadlines.arm(&mut None, Some(t0 + ms(10)), 2);
+        assert_eq!(
+            deadlines.timeout_ms(t0),
+            Some(10),
+            "the earliest entry counts"
+        );
+    }
+
     #[test]
     fn slab_generations_invalidate_stale_tokens() {
         // A pure-slab test (no sockets): tokens from a removed slot must not
@@ -876,8 +1024,7 @@ mod tests {
                 fd,
                 http: Connection::new(&crate::HttpConfig::default(), Instant::now()),
                 interest: EPOLLIN,
-                armed: None,
-                timer_gen: 0,
+                queued: None,
             }
         };
         let (idx, token) = slab.insert(mk());

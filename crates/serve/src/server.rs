@@ -762,11 +762,6 @@ fn worker_loop(
                     }
                 }
             }
-            // Injected queue stall: hold the queue lock past assembly so
-            // submitters and sibling workers pile up behind it.
-            if let Some(stall) = faults.and_then(|f| f.stall) {
-                thread::sleep(stall);
-            }
             let take = state.jobs.len().min(config.max_batch_size);
             let jobs = state.jobs.drain(..take).collect::<Vec<_>>();
             let assembly_ns = assembly_started.map(|t| t.elapsed().as_nanos() as u64);

@@ -42,10 +42,10 @@ pub(crate) enum HttpCounter {
     RequestTimeouts,
     /// Idle keep-alive connections closed at `read_timeout`.
     IdleTimeouts,
-    /// Entries resident in the event loop's timer wheel (a small
-    /// overestimate of live deadlines — lazily cancelled entries linger
-    /// until their tick passes; 0 under the pool model).
-    TimersArmed,
+    /// Entries in the event loop's deadline queue: about one per open
+    /// connection, plus superseded entries not yet due (0 under the pool
+    /// model).
+    DeadlinesArmed,
     ItemsPredicted,
     // Requests by endpoint.
     Predict,
@@ -272,9 +272,9 @@ static ROWS: &[Row<Snapshot>] = &[
         "Connections cut by a deadline: kind=request is the slow-loris request_timeout (408), \
          kind=idle the keep-alive read_timeout."),
     row(Counter, "dtdbd_http_timeouts_total", "kind=idle", "http.idle_timeouts", |s| s.counter(HttpCounter::IdleTimeouts), ""),
-    row(Gauge, "dtdbd_http_timer_wheel_armed", "", "http.timer_wheel_armed", |s| s.counter(HttpCounter::TimersArmed),
-        "Entries resident in the event loop's timer wheel, including lazily-cancelled ones \
-         awaiting their tick (0 under the pool model)."),
+    row(Gauge, "dtdbd_http_deadlines_armed", "", "http.deadlines_armed", |s| s.counter(HttpCounter::DeadlinesArmed),
+        "Entries in the event loop's deadline queue: about one per open connection, plus \
+         superseded ones not yet due (0 under the pool model)."),
     row(Counter, "dtdbd_items_predicted_total", "", "http.items_predicted", |s| s.counter(HttpCounter::ItemsPredicted),
         "Prediction items received over the wire (batch bodies count each item)."),
     row(Counter, "dtdbd_http_responses_total", "class=2xx", "http.responses_2xx", |s| s.counter(HttpCounter::Responses2xx),

@@ -24,7 +24,7 @@ use dtdbd_serve::{
     build_model, session_from_checkpoint, BoxedModel, Checkpoint, CheckpointError, HttpClient,
     HttpServer, InferenceSession, ServerBuilder, StartError, DEFAULT_MODEL_ID, SUPPORTED_ARCHS,
 };
-use dtdbd_tensor::optim::{Adam, Optimizer};
+use dtdbd_tensor::optim::Adam;
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{Graph, ParamStore};
 

@@ -13,11 +13,12 @@
 //! * [`Graph`] is a per-forward-pass tape. Building an op evaluates it
 //!   eagerly and records a node; [`Graph::backward`] walks the tape in reverse
 //!   and accumulates gradients into the `ParamStore`.
-//! * [`optim`] provides SGD (with momentum) and Adam.
-//! * [`losses`] provides the loss compositions used in the paper:
-//!   cross-entropy, softened KL knowledge-distillation loss, the information
-//!   entropy regularizer of DAT-IE, and the pairwise-distance "unbiased
-//!   distribution" knowledge used by adversarial de-biasing distillation.
+//! * [`optim`] provides the Adam optimizer.
+//! * [`losses`] provides the loss compositions used in the paper: the
+//!   softened KL knowledge-distillation loss, the information entropy
+//!   regularizer of DAT-IE, and the pairwise-distance "unbiased
+//!   distribution" knowledge used by adversarial de-biasing distillation
+//!   (cross-entropy is the graph op [`Graph::cross_entropy_logits`]).
 //!
 //! The op set is closed (an enum) and only contains what the paper's models
 //! need, which keeps the engine easy to verify: every op has a unit test and

@@ -2,7 +2,6 @@
 //!
 //! These are thin, well-tested compositions of [`Graph`] primitives:
 //!
-//! * [`cross_entropy`] — the classification loss `L_CE` used by every model.
 //! * [`kd_kl_loss`] — the softened KL knowledge-distillation loss
 //!   `τ² · KL(softmax(teacher/τ) ‖ softmax(student/τ))` used both by domain
 //!   knowledge distillation (Eq. 12) and, applied to pairwise-distance
@@ -14,16 +13,14 @@
 //!   regularizer of DAT-IE.
 //! * [`mse_loss`] — mean squared error (used by the EDDFN reconstruction
 //!   head).
+//!
+//! The classification loss `L_CE` is the fused graph op
+//! [`Graph::cross_entropy_logits`].
 
 use crate::graph::{Graph, Var};
 use crate::kernels;
 use crate::shape::as_rows_cols;
 use crate::tensor::Tensor;
-
-/// Softmax cross-entropy with hard labels, averaged over the batch.
-pub fn cross_entropy(g: &mut Graph<'_>, logits: Var, labels: &[usize]) -> Var {
-    g.cross_entropy_logits(logits, labels)
-}
 
 /// Softened teacher probabilities `softmax(teacher_logits / tau)` computed
 /// outside any tape (the teacher is frozen during distillation).

@@ -1,116 +1,27 @@
-//! First-order optimizers operating on a [`ParamStore`].
+//! The Adam optimizer, operating on a [`ParamStore`].
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 
-/// Common interface for optimizers.
-pub trait Optimizer {
-    /// Apply one update step using the gradients currently accumulated in
-    /// the store, then leave the gradients untouched (callers normally call
-    /// [`ParamStore::zero_grad`] right after).
-    fn step(&mut self, store: &mut ParamStore);
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
 
-    /// Current base learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Change the base learning rate (used by schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum and weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0, 0.0)
-    }
-
-    /// SGD with momentum and (decoupled) weight decay.
-    pub fn with_momentum(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            weight_decay,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        if self.velocity.len() < store.len() {
-            self.velocity.resize(store.len(), None);
-        }
-        for (id, p) in store.iter_mut() {
-            if !p.trainable {
-                continue;
-            }
-            let idx = id.index();
-            let grad = &p.grad;
-            if self.momentum > 0.0 {
-                let v = self.velocity[idx].get_or_insert_with(|| Tensor::zeros(p.value.shape()));
-                for (vi, gi) in v.data_mut().iter_mut().zip(grad.data().iter()) {
-                    *vi = self.momentum * *vi + gi;
-                }
-                let vclone = v.clone();
-                apply_update(&mut p.value, &vclone, self.lr, self.weight_decay);
-            } else {
-                let g = grad.clone();
-                apply_update(&mut p.value, &g, self.lr, self.weight_decay);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-fn apply_update(value: &mut Tensor, direction: &Tensor, lr: f32, weight_decay: f32) {
-    for (w, d) in value.data_mut().iter_mut().zip(direction.data().iter()) {
-        let decay = weight_decay * *w;
-        *w -= lr * (d + decay);
-    }
-}
-
-/// Adam optimizer (Kingma & Ba, 2015) with decoupled weight decay.
+/// Adam optimizer (Kingma & Ba, 2015) with the standard betas
+/// `(0.9, 0.999)` and `ε = 1e-8`.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Option<Tensor>>,
     v: Vec<Option<Tensor>>,
 }
 
 impl Adam {
-    /// Adam with the standard betas `(0.9, 0.999)`.
+    /// Adam at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self::with_config(lr, 0.9, 0.999, 1e-8, 0.0)
-    }
-
-    /// Fully configurable constructor.
-    pub fn with_config(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
         Self {
             lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -121,17 +32,28 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+    /// Current base learning rate.
+    pub fn learning_rate(&self) -> f32 {
+        self.lr
+    }
+
+    /// Change the base learning rate (used by schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
+        self.lr = lr;
+    }
+
+    /// Apply one update step using the gradients currently accumulated in
+    /// the store, then leave the gradients untouched (callers normally call
+    /// [`ParamStore::zero_grad`] right after).
+    pub fn step(&mut self, store: &mut ParamStore) {
         self.t += 1;
         if self.m.len() < store.len() {
             self.m.resize(store.len(), None);
             self.v.resize(store.len(), None);
         }
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for (id, p) in store.iter_mut() {
             if !p.trainable {
                 continue;
@@ -147,22 +69,13 @@ impl Optimizer for Adam {
                 .zip(m.data_mut().iter_mut())
                 .zip(v.data_mut().iter_mut())
             {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+                *mi = BETA1 * *mi + (1.0 - BETA1) * g;
+                *vi = BETA2 * *vi + (1.0 - BETA2) * g * g;
                 let m_hat = *mi / bc1;
                 let v_hat = *vi / bc2;
-                let update = m_hat / (v_hat.sqrt() + self.eps) + self.weight_decay * *w;
-                *w -= self.lr * update;
+                *w -= self.lr * (m_hat / (v_hat.sqrt() + EPS));
             }
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -183,35 +96,6 @@ mod tests {
         let out = g.value(loss).item();
         g.backward(loss);
         out
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::from_vec(vec![0.0]));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            store.zero_grad();
-            quadratic_loss(&mut store, w);
-            opt.step(&mut store);
-        }
-        assert!((store.value(w).data()[0] - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges_faster_than_plain() {
-        let run = |momentum: f32| {
-            let mut store = ParamStore::new();
-            let w = store.add("w", Tensor::from_vec(vec![0.0]));
-            let mut opt = Sgd::with_momentum(0.01, momentum, 0.0);
-            for _ in 0..40 {
-                store.zero_grad();
-                quadratic_loss(&mut store, w);
-                opt.step(&mut store);
-            }
-            (store.value(w).data()[0] - 3.0).abs()
-        };
-        assert!(run(0.9) < run(0.0));
     }
 
     #[test]
@@ -236,16 +120,6 @@ mod tests {
         let mut opt = Adam::new(0.5);
         opt.step(&mut store);
         assert_eq!(store.value(w).data(), &[1.0]);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights_without_gradient() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::from_vec(vec![1.0]));
-        // No gradient accumulated -> only the decay term acts.
-        let mut opt = Sgd::with_momentum(0.1, 0.0, 0.5);
-        opt.step(&mut store);
-        assert!((store.value(w).data()[0] - 0.95).abs() < 1e-6);
     }
 
     #[test]

@@ -302,33 +302,6 @@ impl Tensor {
         kernels::gemm_into(m, k, n, &self.data, &other.data, out, 1, &mut Vec::new());
     }
 
-    /// Fused `self · otherᵀ` for a `[m, k]` lhs and `[n, k]` rhs — what
-    /// `Linear` backward and attention-style score products use instead of
-    /// materialising a [`Tensor::transpose2`] copy. Bit-identical to
-    /// `self.matmul(&other.transpose2())`.
-    ///
-    /// # Panics
-    /// Panics if either operand is not 2-D or the contraction dims disagree.
-    pub fn matmul_transb(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2, "matmul_transb lhs must be 2-D");
-        assert_eq!(other.ndim(), 2, "matmul_transb rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul_transb contraction mismatch: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        kernels::gemm_abt_into(
-            m,
-            k,
-            n,
-            &self.data,
-            &other.data,
-            &mut out,
-            1,
-            &mut Vec::new(),
-        );
-        Tensor::new(vec![m, n], out)
-    }
-
     /// Fused `selfᵀ · other` for a `[r, m]` lhs and `[r, n]` rhs.
     /// Bit-identical to `self.transpose2().matmul(other)`.
     ///
@@ -519,13 +492,6 @@ mod tests {
     #[test]
     fn fused_transpose_matmuls_match_explicit_transposes_bitwise() {
         let mut rng = Prng::new(9);
-        let a = Tensor::randn(&[5, 7], 1.0, &mut rng);
-        let b = Tensor::randn(&[6, 7], 1.0, &mut rng);
-        let fused = a.matmul_transb(&b);
-        let explicit = a.matmul(&b.transpose2());
-        assert_eq!(fused.shape(), &[5, 6]);
-        assert_eq!(fused.data(), explicit.data());
-
         let c = Tensor::randn(&[7, 4], 1.0, &mut rng);
         let d = Tensor::randn(&[7, 3], 1.0, &mut rng);
         let fused = c.matmul_transa(&d);

@@ -26,7 +26,7 @@
 #          against the unfused three-op chain (values, arg-max and the
 #          dx/dw/db bits, on tape and tape-free graphs, at 1/2/4 threads)
 #          and the pruned matmul backward against the full one, bit for bit;
-#        - chaos (tests/integration/tests/chaos.rs): a seeded fault plan
+#        - chaos (tests/integration/tests/chaos.rs): a fault plan
 #          kills three prediction workers mid-storm; supervision must heal
 #          the server with zero wrong predictions;
 #        - hot-swap + zoo (tests/integration/tests/hotswap.rs): 20
@@ -65,13 +65,14 @@
 #   8. clippy with warnings promoted to errors
 #
 # Modes / knobs:
-#   CI_QUICK=1             skip every release-profile stage (1, 3-6: the
-#                          release build, release parity battery, bench
-#                          gate, example, perfbench build and run) for a
-#                          sub-minute inner-loop
-#                          gate on a warm build cache — tests + fmt +
-#                          clippy still run,
-#                          and the dev-profile test suite includes the GEMM
+#   CI_QUICK               any value other than empty or "0" (the rule the
+#                          chaos and hot-swap batteries use to shrink
+#                          themselves) skips every release-profile stage
+#                          (1, 3-6: the release build, release parity
+#                          battery, bench gate, example, perfbench build
+#                          and run) for a sub-minute inner-loop gate on a
+#                          warm build cache — tests + fmt + clippy still
+#                          run, and the dev-profile test suite includes the GEMM
 #                          bit-parity battery (crates/tensor/tests) plus the
 #                          checkpoint corruption/compat-fixture/zoo-parity
 #                          batteries (crates/serve/tests)
@@ -115,10 +116,14 @@ perfbench() {
     --workload zipf --seed 1 --seconds 2 --trace 0
 }
 
-quick=${CI_QUICK:-0}
+quick=0
+case "${CI_QUICK:-0}" in
+  "" | 0) ;;
+  *) quick=1 ;;
+esac
 
 if [ "$quick" = "1" ]; then
-  echo "==> CI_QUICK=1: skipping release build, release parity battery, bench gate, example and perfbench build + run"
+  echo "==> CI_QUICK=$CI_QUICK: skipping release build, release parity battery, bench gate, example and perfbench build + run"
 else
   stage "cargo build --release" \
     cargo build --release --workspace --all-targets
