@@ -1,14 +1,13 @@
-//! GEMM kernel benchmark: naive vs cache-blocked vs blocked+parallel.
+//! GEMM kernel benchmark: naive vs cache-blocked.
 //!
 //! Measures GFLOP/s on the matrix shapes the serving and training hot paths
 //! actually run — the im2row'd TextCNN convolutions, the MDFEND/TextCNN
-//! feature heads and classifier layers at serving batch 64 — for three
+//! feature heads and classifier layers at serving batch 64 — for two
 //! kernels:
 //!
 //! * `naive` — the pre-overhaul i-k-j loop with its `a == 0.0` branch
 //!   (kept verbatim as [`dtdbd_tensor::kernels::gemm_naive_branchy`]);
-//! * `blocked` — the packed, register-tiled kernel, single-threaded;
-//! * `parallel` — the same kernel row-partitioned over 4 intra-op threads.
+//! * `blocked` — the packed, register-tiled kernel.
 //!
 //! Results are printed as a table and written to `BENCH_kernels.json`.
 //!
@@ -21,10 +20,6 @@ use dtdbd_metrics::TableBuilder;
 use dtdbd_tensor::kernels::{gemm_into, gemm_naive_branchy, packed_len};
 use dtdbd_tensor::rng::Prng;
 use std::time::{Duration, Instant};
-
-/// Intra-op threads of the `parallel` variant (the acceptance shape of the
-/// serving deployment).
-const PARALLEL_THREADS: usize = 4;
 
 /// Model-relevant shapes at serving batch 64, seq 24, emb 32 (the default
 /// `ModelConfig` geometry): the im2row'd convolution branches (the expert
@@ -49,7 +44,6 @@ struct Row {
     serving: bool,
     naive: f64,
     blocked: f64,
-    parallel: f64,
 }
 
 fn main() {
@@ -77,10 +71,6 @@ fn main() {
                 / time_best(budget, &mut || {
                     gemm_into(m, k, n, &a, &b, &mut out, 1, &mut scratch)
                 });
-            let parallel = flops
-                / time_best(budget, &mut || {
-                    gemm_into(m, k, n, &a, &b, &mut out, PARALLEL_THREADS, &mut scratch)
-                });
             Row {
                 name,
                 m,
@@ -89,7 +79,6 @@ fn main() {
                 serving,
                 naive,
                 blocked,
-                parallel,
             }
         })
         .collect();
@@ -134,30 +123,25 @@ fn time_best(budget: Duration, body: &mut dyn FnMut()) -> f64 {
 }
 
 fn render_table(rows: &[Row]) {
-    let title = format!(
-        "GEMM kernels — GFLOP/s (naive vs blocked vs blocked+parallel, {PARALLEL_THREADS} threads)"
-    );
-    let mut table = TableBuilder::new(&title)
-        .header(["Shape", "m×k×n", "naive", "blocked", "parallel", "speedup"]);
+    let mut table = TableBuilder::new("GEMM kernels — GFLOP/s (naive vs blocked)")
+        .header(["Shape", "m×k×n", "naive", "blocked", "speedup"]);
     for r in rows {
         table.row([
             r.name.to_string(),
             format!("{}x{}x{}", r.m, r.k, r.n),
             format!("{:.2}", r.naive / 1e9),
             format!("{:.2}", r.blocked / 1e9),
-            format!("{:.2}", r.parallel / 1e9),
-            format!("{:.2}x", r.parallel / r.naive),
+            format!("{:.2}x", r.blocked / r.naive),
         ]);
     }
     let naive_mix = serving_mix(rows, &|r| r.naive);
-    let parallel_mix = serving_mix(rows, &|r| r.parallel);
+    let blocked_mix = serving_mix(rows, &|r| r.blocked);
     table.row([
         "serving_mix (flops-weighted)".to_string(),
         "-".to_string(),
         format!("{:.2}", naive_mix / 1e9),
-        format!("{:.2}", serving_mix(rows, &|r| r.blocked) / 1e9),
-        format!("{:.2}", parallel_mix / 1e9),
-        format!("{:.2}x", parallel_mix / naive_mix),
+        format!("{:.2}", blocked_mix / 1e9),
+        format!("{:.2}x", blocked_mix / naive_mix),
     ]);
     println!("{}", table.render());
 }
@@ -168,42 +152,32 @@ fn render_json(rows: &[Row]) -> String {
     };
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"parallel_threads\": {PARALLEL_THREADS},\n"));
     out.push_str("  \"shapes\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"parallel_gflops\": {:.3}, \"speedup_blocked\": {:.2}, \"speedup_parallel\": {:.2}}}{}\n",
+            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"speedup_blocked\": {:.2}}}{}\n",
             r.name,
             r.m,
             r.k,
             r.n,
             r.naive / 1e9,
             r.blocked / 1e9,
-            r.parallel / 1e9,
             r.blocked / r.naive,
-            r.parallel / r.naive,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
     let naive_mix = serving_mix(rows, &|r| r.naive);
     let blocked_mix = serving_mix(rows, &|r| r.blocked);
-    let parallel_mix = serving_mix(rows, &|r| r.parallel);
     out.push_str(&format!(
-        "  \"serving_mix\": {{\"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"parallel_gflops\": {:.3}, \"speedup_blocked\": {:.2}, \"speedup_parallel\": {:.2}}},\n",
+        "  \"serving_mix\": {{\"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"speedup_blocked\": {:.2}}},\n",
         naive_mix / 1e9,
         blocked_mix / 1e9,
-        parallel_mix / 1e9,
         blocked_mix / naive_mix,
-        parallel_mix / naive_mix
     ));
     out.push_str(&format!(
-        "  \"geomean_speedup_blocked\": {:.2},\n",
+        "  \"geomean_speedup_blocked\": {:.2}\n",
         geomean(&|r| r.blocked / r.naive)
-    ));
-    out.push_str(&format!(
-        "  \"geomean_speedup_parallel\": {:.2}\n",
-        geomean(&|r| r.parallel / r.naive)
     ));
     out.push_str("}\n");
     out

@@ -30,10 +30,6 @@ const BATCH_SIZES: [usize; 3] = [1, 8, 64];
 /// report the speedup of the new compute layer.
 const PR1_BATCH64_ITEMS_PER_SEC: f64 = 4980.3;
 
-/// Intra-op threads used by the measured sessions (clamped to the host's
-/// cores inside the kernels; predictions are bit-identical regardless).
-const INTRA_THREADS: usize = 4;
-
 struct BatchResult {
     batch_size: usize,
     iterations: usize,
@@ -102,8 +98,6 @@ fn main() {
         })
         .collect();
 
-    assert_thread_parity(&checkpoint, &requests);
-
     let batch_results: Vec<BatchResult> = BATCH_SIZES
         .iter()
         .map(|&bs| bench_direct_batches(&checkpoint, &requests, bs, iters_budget))
@@ -120,31 +114,6 @@ fn main() {
     eprintln!("[serving] wrote BENCH_serving.json");
 }
 
-/// The determinism contract, checked on the deployed artifact: predictions
-/// are bit-identical at every intra-op thread count.
-fn assert_thread_parity(checkpoint: &Checkpoint, requests: &[InferenceRequest]) {
-    let mut reference: Option<Vec<u32>> = None;
-    for threads in [1usize, 2, INTRA_THREADS, 8] {
-        let mut session = session_from_checkpoint(checkpoint).expect("restore");
-        session.set_threads(threads);
-        let encoded: Vec<_> = requests
-            .iter()
-            .take(64)
-            .map(|r| session.encoder().encode(r).expect("valid request"))
-            .collect();
-        let bits: Vec<u32> = session
-            .predict_requests(&encoded)
-            .iter()
-            .map(|p| p.fake_prob.to_bits())
-            .collect();
-        match &reference {
-            None => reference = Some(bits),
-            Some(want) => assert_eq!(want, &bits, "thread parity violated at {threads}"),
-        }
-    }
-    eprintln!("[serving] thread parity OK (1/2/4/8 threads, bit-exact)");
-}
-
 /// Latency of direct `predict_batch` calls at a fixed batch size.
 fn bench_direct_batches(
     checkpoint: &Checkpoint,
@@ -153,7 +122,6 @@ fn bench_direct_batches(
     iters: usize,
 ) -> BatchResult {
     let mut session = session_from_checkpoint(checkpoint).expect("restore");
-    session.set_threads(INTRA_THREADS);
     let encoded: Vec<_> = requests
         .iter()
         .map(|r| session.encoder().encode(r).expect("valid request"))
@@ -201,7 +169,6 @@ fn bench_server(
     let server = Arc::new(
         ServerBuilder::new()
             .batching(config.clone())
-            .threads(INTRA_THREADS)
             .cache_capacity(cache_capacity)
             .try_start_from_checkpoint(checkpoint)
             .expect("valid configuration"),
@@ -297,8 +264,6 @@ fn render_json(
         "  \"checkpoint_bytes\": {},\n",
         checkpoint.to_bytes().len()
     ));
-    out.push_str(&format!("  \"intra_op_threads\": {INTRA_THREADS},\n"));
-    out.push_str("  \"thread_parity\": true,\n");
     out.push_str("  \"batch_latency\": [\n");
     for (i, b) in batches.iter().enumerate() {
         out.push_str(&format!(

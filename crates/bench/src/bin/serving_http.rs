@@ -29,9 +29,6 @@ const CONCURRENCY: [usize; 3] = [1, 8, 32];
 /// before the blocked/parallel kernel overhaul + prediction cache).
 const PR2_C32_REQ_PER_SEC: f64 = 2562.1;
 
-/// Intra-op threads of each prediction worker.
-const INTRA_THREADS: usize = 4;
-
 /// Telemetry must stay close to free on the hot path: the per-request cost
 /// is a handful of `Instant::now` reads and relaxed atomic adds. The bench
 /// fails if the telemetry-on server falls further than this many percent
@@ -161,7 +158,6 @@ fn main() {
     // the cache win separately.
     let server = ServerBuilder::new()
         .batching(batching.clone())
-        .threads(INTRA_THREADS)
         .cache_capacity(0)
         .http(HttpConfig {
             connection_workers: *CONCURRENCY.iter().max().expect("non-empty"),
@@ -196,7 +192,6 @@ fn main() {
     eprintln!("[serving_http] measuring telemetry overhead at 32 connections...");
     let server_off = ServerBuilder::new()
         .batching(batching.clone())
-        .threads(INTRA_THREADS)
         .cache_capacity(0)
         .telemetry(false)
         .http(HttpConfig {
@@ -244,7 +239,6 @@ fn main() {
     // where that server reports epoll.
     let server_ka = ServerBuilder::new()
         .batching(batching.clone())
-        .threads(INTRA_THREADS)
         .cache_capacity(0)
         .http(HttpConfig {
             backlog: 64,
@@ -461,7 +455,6 @@ fn run_zoo_level(checkpoint: &Checkpoint, bodies: &[String], total_requests: usi
 
     let single = ServerBuilder::new()
         .batching(level_batching(2))
-        .threads(INTRA_THREADS)
         .cache_capacity(0)
         .http(http.clone())
         .tenant("a", checkpoint)
@@ -479,7 +472,6 @@ fn run_zoo_level(checkpoint: &Checkpoint, bodies: &[String], total_requests: usi
 
     let zoo = ServerBuilder::new()
         .batching(level_batching(1))
-        .threads(INTRA_THREADS)
         .cache_capacity(0)
         .http(http)
         .tenant("a", checkpoint)
@@ -556,9 +548,8 @@ fn render_table(
         );
     }
     println!(
-        "(server: {} workers, {} intra-op threads, max_batch_size {}, max_wait {:.1} ms)",
+        "(server: {} workers, max_batch_size {}, max_wait {:.1} ms)",
         batching.workers,
-        INTRA_THREADS,
         batching.max_batch_size,
         batching.max_wait.as_secs_f64() * 1e3
     );
@@ -595,7 +586,7 @@ fn render_json(
     out.push_str("  \"model\": \"TextCNN-S\",\n");
     out.push_str("  \"transport\": \"http/1.1 keep-alive\",\n");
     out.push_str(&format!(
-        "  \"server\": {{\"workers\": {}, \"intra_op_threads\": {INTRA_THREADS}, \"max_batch_size\": {}, \"max_wait_ms\": {:.1}, \"resident_param_bytes_per_worker\": {}}},\n",
+        "  \"server\": {{\"workers\": {}, \"max_batch_size\": {}, \"max_wait_ms\": {:.1}, \"resident_param_bytes_per_worker\": {}}},\n",
         batching.workers,
         batching.max_batch_size,
         batching.max_wait.as_secs_f64() * 1e3,

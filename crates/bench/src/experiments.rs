@@ -114,7 +114,6 @@ pub fn train_config(opts: &RunOptions) -> TrainConfig {
         grad_clip: 5.0,
         seed: opts.seed,
         verbose: false,
-        threads: 1,
     }
 }
 

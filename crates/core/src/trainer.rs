@@ -21,10 +21,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Print one line per epoch to stderr.
     pub verbose: bool,
-    /// Intra-op threads for the compute kernels during forward/backward.
-    /// Results are bit-identical at any setting; this only changes
-    /// throughput.
-    pub threads: usize,
 }
 
 impl Default for TrainConfig {
@@ -36,7 +32,6 @@ impl Default for TrainConfig {
             grad_clip: 5.0,
             seed: 42,
             verbose: false,
-            threads: 1,
         }
     }
 }
@@ -121,7 +116,6 @@ pub fn train_step<M: FakeNewsModel>(
         true,
         config.seed ^ step_seed.wrapping_mul(0x9E37_79B9),
     );
-    g.set_threads(config.threads);
     let out = model.forward(&mut g, batch);
     let mut loss = g.cross_entropy_logits(out.logits, &batch.labels);
     if let Some(domain_logits) = out.domain_logits {

@@ -51,16 +51,6 @@ impl DomainAdversary {
         self.n_domains
     }
 
-    /// Gradient-reversal scale.
-    pub fn lambda(&self) -> f32 {
-        self.lambda
-    }
-
-    /// Change the gradient-reversal scale (used by warm-up schedules).
-    pub fn set_lambda(&mut self, lambda: f32) {
-        self.lambda = lambda;
-    }
-
     /// Domain logits computed *through* the gradient-reversal layer: the
     /// domain classifier itself is trained to predict the domain, while the
     /// upstream encoder receives the reversed gradient and is pushed towards
@@ -171,13 +161,5 @@ mod tests {
         for (a, b) in with.iter().zip(without.iter()) {
             assert!((a - b).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn lambda_accessors() {
-        let (_, mut adv, _) = setup(0.3);
-        assert_eq!(adv.lambda(), 0.3);
-        adv.set_lambda(0.9);
-        assert_eq!(adv.lambda(), 0.9);
     }
 }

@@ -8,9 +8,8 @@
 //! ReLU and max-over-time pool that activation in the same op. Per
 //! convolution output the arithmetic order is exactly the naive nested-loop
 //! order (`bias + Σ x·w` over ascending `(ki, j)`), so a branch is
-//! bit-identical to a direct convolution followed by ReLU and max pooling —
-//! and, by the kernels' determinism contract, bit-identical at any intra-op
-//! thread count. `conv_matches_naive_reference_bit_for_bit` below pins both.
+//! bit-identical to a direct convolution followed by ReLU and max pooling.
+//! `conv_matches_naive_reference_bit_for_bit` below pins it.
 //! Training, evaluation and serving all run this one op.
 
 use dtdbd_tensor::init;
@@ -261,19 +260,16 @@ mod tests {
                 (b, s, d),
                 (oc, k),
             );
-            for threads in [1usize, 2, 4] {
-                let mut g = Graph::new(&mut store, false, 0);
-                g.set_threads(threads);
-                let xv = g.constant(x.clone());
-                let y = branch.forward(&mut g, xv);
-                assert_eq!(g.value(y).shape(), &[b, oc]);
-                for (i, (a, e)) in g.value(y).data().iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        e.to_bits(),
-                        "({b},{s},{d},{oc},{k}) t={threads} elem {i}: {a} vs {e}"
-                    );
-                }
+            let mut g = Graph::new(&mut store, false, 0);
+            let xv = g.constant(x.clone());
+            let y = branch.forward(&mut g, xv);
+            assert_eq!(g.value(y).shape(), &[b, oc]);
+            for (i, (a, e)) in g.value(y).data().iter().zip(&want).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    e.to_bits(),
+                    "({b},{s},{d},{oc},{k}) elem {i}: {a} vs {e}"
+                );
             }
         }
     }

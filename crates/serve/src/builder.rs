@@ -216,9 +216,6 @@ pub fn session_from_checkpoint(
 ///
 /// The knobs apply to every worker of every tenant:
 ///
-/// * **`threads`** — intra-op parallelism of each worker's compute kernels.
-///   Predictions are bit-identical at any setting (the kernels' determinism
-///   contract), so this is purely a throughput knob.
 /// * **`cache_capacity`** — bound of the content-hash → prediction LRU in
 ///   front of the queue (0 disables caching).
 /// * **`http` / `http_addr`** — configuration of the HTTP front-end the
@@ -232,7 +229,6 @@ pub fn session_from_checkpoint(
 /// # fn demo(checkpoint: &Checkpoint) -> Result<(), dtdbd_serve::StartError> {
 /// let server = ServerBuilder::new()
 ///     .workers(4)
-///     .threads(4)
 ///     .cache_capacity(8192)
 ///     .try_start_from_checkpoint(checkpoint)?;
 /// # drop(server); Ok(()) }
@@ -269,10 +265,9 @@ impl Default for ServerBuilder {
 
 impl ServerBuilder {
     /// A builder with [`BatchingConfig::default`] and the default tuning
-    /// (1 intra-op thread, 1024-entry prediction cache in 8 lock
-    /// partitions, telemetry on). The HTTP front-end (only
-    /// started by the `try_start_http*` methods) defaults to
-    /// [`HttpConfig::default`]: an ephemeral loopback port.
+    /// (1024-entry prediction cache in 8 lock partitions, telemetry on).
+    /// The HTTP front-end (only started by the `try_start_http*` methods)
+    /// defaults to [`HttpConfig::default`]: an ephemeral loopback port.
     pub fn new() -> Self {
         Self {
             batching: BatchingConfig::default(),
@@ -304,12 +299,6 @@ impl ServerBuilder {
     /// How long a worker holding a non-full batch waits for companions.
     pub fn max_wait(mut self, max_wait: std::time::Duration) -> Self {
         self.batching.max_wait = max_wait;
-        self
-    }
-
-    /// Intra-op threads of each worker's compute kernels (clamped to ≥ 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.tuning.threads = threads;
         self
     }
 

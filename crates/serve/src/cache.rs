@@ -6,7 +6,7 @@
 //! canonical content — padded tokens, domain, shaped side-features — was
 //! predicted before is answered straight from the cache, bypassing the queue
 //! and the forward pass entirely. Because the engine is deterministic
-//! (bit-identical at any batch size and thread count), a cached answer is
+//! (bit-identical at any batch size), a cached answer is
 //! bit-for-bit the answer a fresh forward pass would produce, so the cache
 //! is invisible to clients except in latency.
 //!

@@ -92,8 +92,6 @@ impl Default for BatchingConfig {
 /// [`PredictServer::from_checkpoint`] on top of the [`BatchingConfig`].
 #[derive(Debug, Clone)]
 pub(crate) struct ServerTuning {
-    /// Intra-op threads of each worker's compute kernels.
-    pub threads: usize,
     /// Prediction-cache bound in entries (0 disables the cache).
     pub cache_capacity: usize,
     /// Whether to run the full telemetry pipeline (stage histograms, kernel
@@ -109,7 +107,6 @@ pub(crate) struct ServerTuning {
 impl Default for ServerTuning {
     fn default() -> Self {
         Self {
-            threads: 1,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             telemetry: true,
             fault_plan: None,
@@ -283,8 +280,6 @@ pub struct ServingStats {
     pub pool_alloc_misses: u64,
     /// Number of worker threads.
     pub workers: usize,
-    /// Intra-op threads each worker's compute kernels may use.
-    pub threads: usize,
     /// Prediction-cache counters (all zeros when the cache is disabled).
     pub cache: CacheStats,
     /// Mean bytes of parameters resident in each worker's session, the
@@ -324,7 +319,6 @@ pub struct PredictServer {
     shared: Arc<Shared>,
     encoder: RequestEncoder,
     arch: String,
-    threads: usize,
     resident_param_bytes_per_worker: u64,
     workers: Vec<JoinHandle<()>>,
 }
@@ -352,7 +346,6 @@ impl PredictServer {
         }
         let session0 = session_from_checkpoint(checkpoint)?;
         let drift_baseline = checkpoint.telemetry_baseline()?;
-        let threads = tuning.threads.max(1);
         let encoder = session0.encoder().clone();
         let name = session0.model().name();
 
@@ -377,7 +370,6 @@ impl PredictServer {
         // and the wiring every worker's session gets, the first ones too.
         let respawn = Arc::new(Respawn {
             checkpoint: checkpoint.clone(),
-            threads,
             kernel_timers: telemetry
                 .as_ref()
                 .map(|t| Arc::clone(t) as Arc<dyn KernelTimers>),
@@ -440,7 +432,6 @@ impl PredictServer {
             shared,
             encoder,
             arch: name.to_string(),
-            threads,
             resident_param_bytes_per_worker,
             workers,
         })
@@ -567,7 +558,6 @@ impl PredictServer {
             pool_reuse_hits: 0,
             pool_alloc_misses: 0,
             workers: self.shared.counters.len(),
-            threads: self.threads,
             cache,
             resident_param_bytes_per_worker: self.resident_param_bytes_per_worker,
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
@@ -614,10 +604,9 @@ impl Drop for PredictServer {
 /// Everything a supervisor shell needs to rebuild a crashed worker's
 /// session exactly the way [`PredictServer::from_checkpoint`] built the
 /// original: the retained checkpoint plus the wiring every session gets
-/// (intra-op threads, kernel-timer sink).
+/// (the kernel-timer sink).
 struct Respawn {
     checkpoint: Checkpoint,
-    threads: usize,
     kernel_timers: Option<Arc<dyn KernelTimers>>,
     initial_backoff: Duration,
 }
@@ -625,7 +614,6 @@ struct Respawn {
 impl Respawn {
     /// Apply the server's wiring to a freshly restored session.
     fn wire(&self, mut session: InferenceSession<BoxedModel>) -> InferenceSession<BoxedModel> {
-        session.set_threads(self.threads);
         session.set_kernel_timers(self.kernel_timers.clone());
         session
     }
@@ -1052,19 +1040,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_can_disable_the_cache_and_raise_threads() {
+    fn builder_can_disable_the_cache() {
         use crate::builder::ServerBuilder;
         let ds = dataset();
         let checkpoint = checkpoint(&ds);
-        let build = |threads: usize, cache: usize| {
-            ServerBuilder::new()
-                .workers(1)
-                .threads(threads)
-                .cache_capacity(cache)
-                .try_start_from_checkpoint(&checkpoint)
-                .expect("valid configuration")
-        };
-        let uncached = build(1, 0);
+        let uncached = ServerBuilder::new()
+            .workers(1)
+            .cache_capacity(0)
+            .try_start_from_checkpoint(&checkpoint)
+            .expect("valid configuration");
         let request = request_for(&ds, 0);
         let first = uncached.predict(&request).unwrap();
         let second = uncached.predict(&request).unwrap();
@@ -1073,13 +1057,6 @@ mod tests {
         assert_eq!(stats.cache.capacity, 0, "cache disabled");
         assert_eq!(stats.cache.hits, 0);
         assert_eq!(stats.requests_served, 2);
-        drop(uncached);
-
-        // Intra-op threads change throughput, never bits.
-        let threaded = build(4, 0);
-        let parallel = threaded.predict(&request).unwrap();
-        assert_eq!(threaded.stats().threads, 4);
-        assert_eq!(first.fake_prob.to_bits(), parallel.fake_prob.to_bits());
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub struct InferenceSession<M> {
     pool: BufferPool,
     encoder: RequestEncoder,
     requests_served: u64,
-    threads: usize,
     /// Optional per-kernel duration sink threaded into every forward pass
     /// (the serving telemetry registry). `None` keeps the kernels free of
     /// clock reads; the sink never changes prediction bits either way.
@@ -57,21 +56,8 @@ impl<M: FakeNewsModel> InferenceSession<M> {
             pool: BufferPool::new(),
             encoder,
             requests_served: 0,
-            threads: 1,
             kernel_timers: None,
         }
-    }
-
-    /// Set the intra-op thread count the compute kernels may use per forward
-    /// pass (clamped to at least 1). Predictions are bit-identical at any
-    /// setting; the knob only changes throughput.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Intra-op thread count of this session's forward passes.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Report per-kernel forward-pass durations into `sink` (`None` turns
@@ -135,7 +121,6 @@ impl<M: FakeNewsModel> InferenceSession<M> {
     /// Run tape-free inference on a pre-assembled batch.
     pub fn predict_batch(&mut self, batch: &Batch) -> Vec<Prediction> {
         let mut g = Graph::inference(&mut self.store, &mut self.pool);
-        g.set_threads(self.threads);
         g.set_kernel_timers(self.kernel_timers.clone());
         let out = self.model.forward(&mut g, batch);
         let logits = g.value(out.logits);

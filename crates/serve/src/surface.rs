@@ -226,8 +226,6 @@ static ROWS: &[Row<Snapshot>] = &[
         "Configured prediction workers."),
     row(Gauge, "dtdbd_workers_alive", "", "workers_alive", |s| s.top().workers_alive.into(),
         "Prediction workers whose threads are still running."),
-    row(Gauge, "dtdbd_threads", "", "threads", |s| s.top().stats.threads.into(),
-        "Intra-op threads each prediction worker's kernels may use."),
     row(Counter, "dtdbd_pool_reuse_hits_total", "", "pool.reuse_hits", |s| s.top().stats.pool_reuse_hits.into(),
         "Activation buffers recycled from the per-worker pools (active version)."),
     row(Counter, "dtdbd_pool_alloc_misses_total", "", "pool.alloc_misses", |s| s.top().stats.pool_alloc_misses.into(),

@@ -8,8 +8,8 @@
 //! the restored memory bank must equal the saved one field-for-field, a
 //! checkpoint stripped of its memory must be refused rather than served
 //! half-restored, and the served predictions must stay bit-identical across
-//! the whole deployment matrix ({1,2,4} workers × {1,4} intra-op threads,
-//! plus both HTTP starts, whose `GET /model` must list the memory bank).
+//! the whole deployment matrix ({1,2,4} workers, plus both HTTP starts,
+//! whose `GET /model` must list the memory bank).
 //! Version-1 files of every arch that predates the side-state
 //! section must load and serve unchanged through the v2 reader.
 
@@ -228,24 +228,21 @@ fn m3fend_serves_bit_identically_across_the_deployment_matrix() {
     let want = prediction_bits(&mut in_process, &reqs);
 
     for workers in [1usize, 2, 4] {
-        for threads in [1usize, 4] {
-            let server = ServerBuilder::new()
-                .workers(workers)
-                .threads(threads)
-                .cache_capacity(0)
-                .try_start_from_checkpoint(&ckpt)
-                .unwrap_or_else(|e| panic!("{workers}w/{threads}t: {e}"));
-            for (i, (request, want)) in reqs.iter().zip(&want).enumerate() {
-                let p = server.predict(request).expect("valid request");
-                let got = [
-                    p.fake_prob.to_bits(),
-                    p.logits[0].to_bits(),
-                    p.logits[1].to_bits(),
-                ];
-                assert_eq!(&got, want, "{workers}w/{threads}t: item {i} diverged");
-            }
-            server.shutdown();
+        let server = ServerBuilder::new()
+            .workers(workers)
+            .cache_capacity(0)
+            .try_start_from_checkpoint(&ckpt)
+            .unwrap_or_else(|e| panic!("{workers}w: {e}"));
+        for (i, (request, want)) in reqs.iter().zip(&want).enumerate() {
+            let p = server.predict(request).expect("valid request");
+            let got = [
+                p.fake_prob.to_bits(),
+                p.logits[0].to_bits(),
+                p.logits[1].to_bits(),
+            ];
+            assert_eq!(&got, want, "{workers}w: item {i} diverged");
         }
+        server.shutdown();
     }
 
     // Over the wire, through the single-model start and through a

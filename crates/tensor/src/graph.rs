@@ -136,11 +136,6 @@ pub struct Graph<'s> {
     tape: bool,
     pool: Option<&'s mut BufferPool>,
     rng: Prng,
-    /// Intra-op parallelism: how many threads the compute kernels (GEMM,
-    /// conv, gather, elementwise, softmax) may fan out to. Results are
-    /// bit-identical at any setting (see [`crate::kernels`]); this is purely
-    /// a throughput knob. Defaults to 1.
-    threads: usize,
     /// Optional wall-clock sink for the heavy kernels (GEMM, conv1d,
     /// embedding gather). `None` — the default — skips every clock read;
     /// timing is observation only and never changes computed values.
@@ -158,7 +153,6 @@ impl<'s> Graph<'s> {
             tape: true,
             pool: None,
             rng: Prng::new(seed),
-            threads: 1,
             kernel_timers: None,
         }
     }
@@ -174,17 +168,8 @@ impl<'s> Graph<'s> {
             tape: false,
             pool: Some(pool),
             rng: Prng::new(0),
-            threads: 1,
             kernel_timers: None,
         }
-    }
-
-    /// Set the intra-op thread count for this graph's kernels (clamped to at
-    /// least 1). Outputs are bit-identical at any setting. At 1 the kernels
-    /// never consult the core count; above 1 they cap the request at the
-    /// count [`crate::par::max_threads`] read once per process.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Report the wall-clock duration of each heavy kernel execution (GEMM,
@@ -192,11 +177,6 @@ impl<'s> Graph<'s> {
     /// sink; a sinkless graph reads no clock at all.
     pub fn set_kernel_timers(&mut self, sink: Option<Arc<dyn KernelTimers>>) {
         self.kernel_timers = sink;
-    }
-
-    /// Intra-op thread count kernels launched from this graph may use.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Whether the graph was created in training mode.
@@ -322,19 +302,18 @@ impl<'s> Graph<'s> {
         buf
     }
 
-    /// Unary elementwise op through the scratch allocator (parallel chunks
-    /// when the graph's `threads` knob allows).
-    fn unary_map(&mut self, x: Var, op: Op, f: impl Fn(f32) -> f32 + Sync) -> Var {
+    /// Unary elementwise op through the scratch allocator.
+    fn unary_map(&mut self, x: Var, op: Op, f: impl Fn(f32) -> f32) -> Var {
         let n = self.nodes[x.0].value.numel();
         let shape = self.nodes[x.0].value.shape().to_vec();
         let mut out = self.alloc_for_overwrite(n);
-        kernels::map_into(&mut out, self.nodes[x.0].value.data(), self.threads, &f);
+        kernels::map_into(&mut out, self.nodes[x.0].value.data(), f);
         let rg = self.tape && self.nodes[x.0].requires_grad;
         self.push(Tensor::new(shape, out), op, &[x.0], None, rg)
     }
 
     /// Binary elementwise op (same shapes) through the scratch allocator.
-    fn binary_zip(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f32, f32) -> f32 + Sync) -> Var {
+    fn binary_zip(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f32, f32) -> f32) -> Var {
         assert_eq!(
             self.nodes[a.0].value.shape(),
             self.nodes[b.0].value.shape(),
@@ -349,8 +328,7 @@ impl<'s> Graph<'s> {
             &mut out,
             self.nodes[a.0].value.data(),
             self.nodes[b.0].value.data(),
-            self.threads,
-            &f,
+            f,
         );
         let rg = self.any_requires_grad(&[a.0, b.0]);
         self.push(Tensor::new(shape, out), op, &[a.0, b.0], None, rg)
@@ -483,7 +461,7 @@ impl<'s> Graph<'s> {
             self.nodes[a.0].value.data(),
             self.nodes[b.0].value.data(),
             &mut out,
-            self.threads,
+            1,
             &mut scratch,
         );
         self.release_scratch(scratch);
@@ -511,21 +489,13 @@ impl<'s> Graph<'s> {
         self.unary_map(x, Op::Tanh, f32::tanh)
     }
 
-    /// Softmax over the last dimension (rows fan out across the intra-op
-    /// pool; per-row arithmetic is unchanged, so results are bit-identical
-    /// at any thread count).
+    /// Softmax over the last dimension.
     pub fn softmax(&mut self, x: Var) -> Var {
         let n = self.nodes[x.0].value.numel();
         let shape = self.nodes[x.0].value.shape().to_vec();
         let (rows, cols) = as_rows_cols(&shape);
         let mut out = self.alloc_for_overwrite(n);
-        kernels::softmax_rows_into(
-            rows,
-            cols,
-            self.nodes[x.0].value.data(),
-            &mut out,
-            self.threads,
-        );
+        kernels::softmax_rows_into(rows, cols, self.nodes[x.0].value.data(), &mut out);
         let rg = self.tape && self.nodes[x.0].requires_grad;
         self.push(Tensor::new(shape, out), Op::Softmax, &[x.0], None, rg)
     }
@@ -536,13 +506,7 @@ impl<'s> Graph<'s> {
         let shape = self.nodes[x.0].value.shape().to_vec();
         let (rows, cols) = as_rows_cols(&shape);
         let mut out = self.alloc_for_overwrite(n);
-        kernels::log_softmax_rows_into(
-            rows,
-            cols,
-            self.nodes[x.0].value.data(),
-            &mut out,
-            self.threads,
-        );
+        kernels::log_softmax_rows_into(rows, cols, self.nodes[x.0].value.data(), &mut out);
         let rg = self.tape && self.nodes[x.0].requires_grad;
         self.push(Tensor::new(shape, out), Op::LogSoftmax, &[x.0], None, rg)
     }
@@ -675,13 +639,7 @@ impl<'s> Graph<'s> {
         if let Some(&id) = ids.iter().find(|&&id| id as usize >= vocab) {
             panic!("token id {id} out of vocabulary ({vocab})");
         }
-        kernels::gather_rows(
-            self.store.value(table).data(),
-            emb,
-            ids,
-            &mut data,
-            self.threads,
-        );
+        kernels::gather_rows(self.store.value(table).data(), emb, ids, &mut data, 1);
         let value = Tensor::new(vec![batch, seq, emb], data);
         let requires = self.tape && self.store.get(table).trainable;
         // The ids are only needed to route gradients; skip the copy on
@@ -752,7 +710,7 @@ impl<'s> Graph<'s> {
     /// is seeded with the bias and the blocked GEMM accumulates the
     /// `[oc, k·d]` weight against the input's `k·d`-long windows, read in
     /// place. Per output element that is `bias + Σ x·w` over ascending
-    /// `(ki, j)`, the naive nested-loop order, at any thread count.
+    /// `(ki, j)`, the naive nested-loop order.
     /// [`kernels::relu_max_over_time_into`] then pools the scratch, so
     /// values and arg-max are those of a ReLU over the whole activation
     /// followed by max-over-time. The tape keeps only the
@@ -781,7 +739,6 @@ impl<'s> Graph<'s> {
             "conv1d: sequence length {s} shorter than kernel {k}"
         );
         let out_s = s - k + 1;
-        let threads = self.threads;
         let mut conv = self.alloc_for_overwrite(b * out_s * oc);
         let mut pack = self.alloc_for_overwrite(kernels::packed_len(k * d, oc));
         let xd = self.nodes[x.0].value.data();
@@ -790,7 +747,7 @@ impl<'s> Graph<'s> {
         for row in conv.chunks_exact_mut(oc.max(1)) {
             row.copy_from_slice(bd);
         }
-        kernels::conv1d_into(xd, b, s, d, k, wd, oc, &mut conv, threads, &mut pack);
+        kernels::conv1d_into(xd, b, s, d, k, wd, oc, &mut conv, &mut pack);
         self.release_scratch(pack);
         let rg = self.tape
             && (self.nodes[x.0].requires_grad
@@ -1016,7 +973,7 @@ impl<'s> Graph<'s> {
                     let (rows, inner, cols) = (grad.shape()[0], grad.shape()[1], bv.shape()[0]);
                     let mut da = vec![0.0f32; rows * cols];
                     let (gd, bd) = (grad.data(), bv.data());
-                    kernels::gemm_abt_into(rows, inner, cols, gd, bd, &mut da, 1, pack);
+                    kernels::gemm_abt_into(rows, inner, cols, gd, bd, &mut da, pack);
                     self.accumulate(grads, a, Tensor::new(vec![rows, cols], da));
                 }
                 if self.nodes[b].requires_grad {
@@ -1343,7 +1300,7 @@ impl<'s> Graph<'s> {
 fn rowwise_softmax(x: &Tensor) -> Tensor {
     let (rows, cols) = as_rows_cols(x.shape());
     let mut out = vec![0.0f32; x.numel()];
-    kernels::softmax_rows_into(rows, cols, x.data(), &mut out, 1);
+    kernels::softmax_rows_into(rows, cols, x.data(), &mut out);
     Tensor::new(x.shape().to_vec(), out)
 }
 
@@ -1602,7 +1559,6 @@ mod tests {
         w: &Tensor,
         bias: &Tensor,
         grad: &Tensor,
-        threads: usize,
     ) -> UnfusedBranch {
         let (b, s, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let (oc, k) = (w.shape()[0], w.shape()[1]);
@@ -1612,20 +1568,9 @@ mod tests {
             row.copy_from_slice(bias.data());
         }
         let mut pack = Vec::new();
-        kernels::conv1d_into(
-            x.data(),
-            b,
-            s,
-            d,
-            k,
-            w.data(),
-            oc,
-            &mut conv,
-            threads,
-            &mut pack,
-        );
+        kernels::conv1d_into(x.data(), b, s, d, k, w.data(), oc, &mut conv, &mut pack);
         let mut act = vec![0.0f32; conv.len()];
-        kernels::map_into(&mut act, &conv, threads, &|v| v.max(0.0));
+        kernels::map_into(&mut act, &conv, |v| v.max(0.0));
         let mut pooled = vec![0.0f32; b * oc];
         let mut argmax = vec![0u32; b * oc];
         kernels::max_over_time_into(b, out_s, oc, &act, &mut pooled, Some(&mut argmax));
@@ -1683,18 +1628,16 @@ mod tests {
     /// One parity case for the fused branch op: tape forward (values and
     /// arg-max), one backward step under `grad`, and a tape-free forward,
     /// all against the unfused chain, bit for bit.
-    #[allow(clippy::too_many_arguments)]
     fn assert_fused_branch_matches_chain(
         x: &Tensor,
         w: &Tensor,
         bias: &Tensor,
         grad: &Tensor,
-        threads: usize,
         [x_on, w_on]: [bool; 2],
         case: &str,
     ) {
-        let want = unfused_branch_reference(x, w, bias, grad, threads);
-        let case = format!("{case} threads {threads} trainable [x, w] [{x_on}, {w_on}]");
+        let want = unfused_branch_reference(x, w, bias, grad);
+        let case = format!("{case} trainable [x, w] [{x_on}, {w_on}]");
         let mut store = ParamStore::new();
         let xid = if x_on {
             store.add("x", x.clone())
@@ -1710,7 +1653,6 @@ mod tests {
         let want_pooled = bits(&Tensor::from_vec(want.pooled));
         let x_grad = {
             let mut g = Graph::new(&mut store, true, 0);
-            g.set_threads(threads);
             let xv = g.param(xid);
             let y = g.conv_relu_max(xv, wid, bid);
             assert_eq!(g.value(y).shape(), &[x.shape()[0], w.shape()[0]]);
@@ -1738,7 +1680,6 @@ mod tests {
         assert_eq!(bits(store.grad(bid)), flushed_bits(&want.db), "db {case}");
         let mut pool = BufferPool::new();
         let mut g = Graph::inference(&mut store, &mut pool);
-        g.set_threads(threads);
         let xv = g.constant(x.clone());
         let y = g.conv_relu_max(xv, wid, bid);
         assert_eq!(bits(g.value(y)), want_pooled, "tape-free {case}");
@@ -1762,12 +1703,8 @@ mod tests {
                     }
                 }
                 let shape = format!("k {k} oc {oc}");
-                for threads in [1usize, 2, 4] {
-                    for trainable in [[true, true], [false, true], [true, false]] {
-                        assert_fused_branch_matches_chain(
-                            &x, &w, &bias, &grad, threads, trainable, &shape,
-                        );
-                    }
+                for trainable in [[true, true], [false, true], [true, false]] {
+                    assert_fused_branch_matches_chain(&x, &w, &bias, &grad, trainable, &shape);
                 }
                 // Integer-valued operands: exact sums, so maxima tie and
                 // the earliest step must win.
@@ -1783,7 +1720,6 @@ mod tests {
                     &wr,
                     &br,
                     &grad,
-                    1,
                     [true, true],
                     &format!("{shape} ties"),
                 );
@@ -1800,17 +1736,14 @@ mod tests {
                     w.data_mut()[(oc - 1) * k * d..].fill(0.5);
                     bias.data_mut()[oc - 1] = -1e3;
                 }
-                for threads in [1usize, 4] {
-                    assert_fused_branch_matches_chain(
-                        &xp,
-                        &w,
-                        &bias,
-                        &grad,
-                        threads,
-                        [true, true],
-                        &format!("{shape} signed zeros, nonpositive channel"),
-                    );
-                }
+                assert_fused_branch_matches_chain(
+                    &xp,
+                    &w,
+                    &bias,
+                    &grad,
+                    [true, true],
+                    &format!("{shape} signed zeros, nonpositive channel"),
+                );
             }
         }
     }
@@ -2138,37 +2071,6 @@ mod tests {
             g.finish();
         }
         assert_eq!(store.grad(w).data(), &[0.0]);
-    }
-
-    #[test]
-    fn forward_is_bit_identical_at_any_thread_count() {
-        let mut rng = Prng::new(77);
-        let mut store = ParamStore::new();
-        let emb = store.add("emb", Tensor::randn(&[50, 16], 0.5, &mut rng));
-        let w = store.add("w", Tensor::randn(&[8 * 16, 32], 0.3, &mut rng));
-        let cw = store.add("cw", Tensor::randn(&[6, 3, 16], 0.4, &mut rng));
-        let cb = store.add("cb", Tensor::randn(&[6], 0.1, &mut rng));
-        let ids: Vec<u32> = (0..4 * 8).map(|i| (i * 7 % 50) as u32).collect();
-
-        let run = |store: &mut ParamStore, threads: usize| {
-            let mut g = Graph::new(store, false, 0);
-            g.set_threads(threads);
-            assert_eq!(g.threads(), threads.max(1));
-            let e = g.embedding(emb, &ids, 4, 8);
-            let pooled = g.conv_relu_max(e, cw, cb);
-            let flat = g.reshape(e, &[4, 8 * 16]);
-            let wv = g.param(w);
-            let h = g.matmul(flat, wv);
-            let h = g.tanh(h);
-            let s = g.softmax(h);
-            let mut bits: Vec<u32> = g.value(s).data().iter().map(|v| v.to_bits()).collect();
-            bits.extend(g.value(pooled).data().iter().map(|v| v.to_bits()));
-            bits
-        };
-        let serial = run(&mut store, 1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(run(&mut store, threads), serial, "threads={threads}");
-        }
     }
 
     #[test]

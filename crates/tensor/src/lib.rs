@@ -30,7 +30,6 @@ pub mod init;
 pub mod kernels;
 pub mod losses;
 pub mod optim;
-pub mod par;
 pub mod params;
 pub mod pool;
 pub mod quant;

@@ -33,16 +33,6 @@ impl Adam {
         self.t
     }
 
-    /// Current base learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Change the base learning rate (used by schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Apply one update step using the gradients currently accumulated in
     /// the store, then leave the gradients untouched (callers normally call
     /// [`ParamStore::zero_grad`] right after).
@@ -120,13 +110,5 @@ mod tests {
         let mut opt = Adam::new(0.5);
         opt.step(&mut store);
         assert_eq!(store.value(w).data(), &[1.0]);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.1);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

@@ -9,9 +9,7 @@
 //!   row stores scale `0` and all-zero codes. `-128` is never produced, so
 //!   negation can never overflow.
 //! * **i32 accumulation.** The GEMM accumulates `i8 × i8` products in
-//!   `i32` over ascending `k`. Integer addition is associative, so the
-//!   result is bit-identical at any thread count *by construction*.
-//!   Overflow is impossible while `127 · 127 · k` stays below `2^31`, i.e.
+//!   `i32` over ascending `k`. Overflow is impossible while `127 · 127 · k` stays below `2^31`, i.e.
 //!   for any `k < 133 000`.
 //! * **Dequantize at the boundary.** The f32 output is
 //!   `acc as f32 * (a_scale[row] * w_scale[col]) + bias[col]` — one fused
@@ -19,9 +17,6 @@
 //!
 //! Activations are quantized per input row at run time with the same
 //! maxabs scan (a deterministic sequential reduction per row).
-
-use crate::par::{self, SendMutPtr};
-use std::ops::Range;
 
 /// Quantize one row: write codes into `dst`, return the row scale.
 /// Deterministic: a sequential maxabs scan then an elementwise round.
@@ -89,9 +84,11 @@ impl QuantizedMatrix {
     /// Fused quantized layer: quantize each f32 activation row of
     /// `a` (`[m, cols]`), run the i8×i8→i32 `A·Bᵀ` GEMM with ascending-k
     /// accumulation, and dequantize straight into `out` (`[m, rows]`) with
-    /// the bias added. Bit-identical at any `threads` because rows are
-    /// independent and each row's arithmetic is a fixed integer sequence.
-    pub fn matmul_into(&self, a: &[f32], m: usize, bias: &[f32], out: &mut [f32], threads: usize) {
+    /// the bias added.
+    ///
+    /// `_threads` is unused: kernels run on the calling thread; removed by
+    /// the next `[benchmark]` PR, which owns these call sites.
+    pub fn matmul_into(&self, a: &[f32], m: usize, bias: &[f32], out: &mut [f32], _threads: usize) {
         let (k, n) = (self.cols, self.rows);
         assert_eq!(a.len(), m * k, "activation size mismatch");
         assert_eq!(bias.len(), n, "bias size mismatch");
@@ -101,28 +98,19 @@ impl QuantizedMatrix {
         for r in 0..m {
             a_scales[r] = quantize_row(&a[r * k..(r + 1) * k], &mut qa[r * k..(r + 1) * k]);
         }
-        // Keep chunks worth at least ~8K multiply-adds so tiny batches do
-        // not pay fan-out overhead; the cut points never affect the bits.
-        let min_rows = (8192 / (n * k).max(1)).max(1);
-        let dst = SendMutPtr(out.as_mut_ptr());
-        let qa = &qa;
-        let a_scales = &a_scales;
-        par::for_each_chunk(m, min_rows, threads, &|range: Range<usize>| {
-            let dst = unsafe { dst.slice_mut(range.start * n..range.end * n) };
-            for (idx, i) in range.clone().enumerate() {
-                let arow = &qa[i * k..(i + 1) * k];
-                let a_scale = a_scales[i];
-                let orow = &mut dst[idx * n..(idx + 1) * n];
-                for (o, slot) in orow.iter_mut().enumerate() {
-                    let wrow = &self.data[o * k..(o + 1) * k];
-                    let mut acc = 0i32;
-                    for c in 0..k {
-                        acc += arow[c] as i32 * wrow[c] as i32;
-                    }
-                    *slot = acc as f32 * (a_scale * self.scales[o]) + bias[o];
+        for i in 0..m {
+            let arow = &qa[i * k..(i + 1) * k];
+            let a_scale = a_scales[i];
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (o, slot) in orow.iter_mut().enumerate() {
+                let wrow = &self.data[o * k..(o + 1) * k];
+                let mut acc = 0i32;
+                for c in 0..k {
+                    acc += arow[c] as i32 * wrow[c] as i32;
                 }
+                *slot = acc as f32 * (a_scale * self.scales[o]) + bias[o];
             }
-        });
+        }
     }
 }
 
@@ -137,8 +125,8 @@ mod tests {
             .collect()
     }
 
-    /// Reference implementation: same quantization, naive f64-free loops,
-    /// no parallelism. The kernel must match it bit-for-bit.
+    /// Reference implementation: same quantization, naive f64-free loops.
+    /// The kernel must match it bit-for-bit.
     fn reference_matmul(qm: &QuantizedMatrix, a: &[f32], m: usize, bias: &[f32]) -> Vec<f32> {
         let (k, n) = (qm.cols(), qm.rows());
         let mut out = vec![0f32; m * n];
@@ -185,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_is_bit_identical_across_thread_counts_and_matches_reference() {
+    fn kernel_matches_reference_bit_for_bit() {
         let mut rng = Prng::new(29);
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
@@ -198,13 +186,11 @@ mod tests {
             let bias = random_matrix(&mut rng, 1, n);
             let qm = QuantizedMatrix::from_rows(n, k, &weight);
             let want = reference_matmul(&qm, &a, m, &bias);
-            for threads in [1usize, 2, 4] {
-                let mut got = vec![0f32; m * n];
-                qm.matmul_into(&a, m, &bias, &mut got, threads);
-                let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(want_bits, got_bits, "m={m} k={k} n={n} threads={threads}");
-            }
+            let mut got = vec![0f32; m * n];
+            qm.matmul_into(&a, m, &bias, &mut got, 1);
+            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(want_bits, got_bits, "m={m} k={k} n={n}");
         }
     }
 }

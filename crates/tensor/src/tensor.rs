@@ -286,8 +286,8 @@ impl Tensor {
     /// length `m * n`. This is the buffer-reuse entry point behind tape-free
     /// inference: the serving hot path hands in recycled scratch buffers
     /// instead of allocating a fresh output per call. Runs the cache-blocked
-    /// kernel single-threaded; [`crate::Graph::matmul`] reaches the same
-    /// kernel with its intra-op `threads` knob and pooled pack scratch.
+    /// kernel; [`crate::Graph::matmul`] reaches the same kernel with pooled
+    /// pack scratch.
     ///
     /// # Panics
     /// Panics if either operand is not 2-D, the inner dimensions disagree,
@@ -314,7 +314,7 @@ impl Tensor {
         let (r2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(r, r2, "matmul_transa contraction mismatch: {r} vs {r2}");
         let mut out = vec![0.0f32; m * n];
-        kernels::gemm_atb_into(r, m, n, &self.data, &other.data, &mut out, 1);
+        kernels::gemm_atb_into(r, m, n, &self.data, &other.data, &mut out);
         Tensor::new(vec![m, n], out)
     }
 

@@ -1,14 +1,14 @@
-//! Seeded property battery for the blocked/parallel GEMM kernels.
+//! Seeded property battery for the blocked GEMM kernels.
 //!
 //! The kernel contract (see `dtdbd_tensor::kernels`) is that the blocked,
-//! packed, register-tiled, row-partitioned GEMM is **bit-identical** to the
-//! naive i-k-j reference — for any shape, any thread count, and for the
-//! fused `A·Bᵀ` / `Aᵀ·B` variants against their explicit-transpose
-//! references. This battery drives that contract across adversarial shapes
-//! (degenerate dims, odd primes, tile-boundary ±1, tall/skinny) and random
-//! seeded shapes, at thread counts 1 / 2 / 4 / 8. The two operands the kernel
-//! reads in place — convolution windows and the columns of `Aᵀ·B` — are
-//! held to the reference on every instruction-set tier the CPU has.
+//! packed, register-tiled GEMM is **bit-identical** to the naive i-k-j
+//! reference — for any shape, and for the fused `A·Bᵀ` / `Aᵀ·B` variants
+//! against their explicit-transpose references. This battery drives that
+//! contract across adversarial shapes (degenerate dims, odd primes,
+//! tile-boundary ±1, tall/skinny) and random seeded shapes. The two
+//! operands the kernel reads in place — convolution windows and the columns
+//! of `Aᵀ·B` — are held to the reference on every instruction-set tier the
+//! CPU has.
 
 use dtdbd_tensor::kernels::{
     conv1d_into_on, gemm_abt_into, gemm_atb_into, gemm_atb_into_on, gemm_into, gemm_reference,
@@ -16,8 +16,6 @@ use dtdbd_tensor::kernels::{
 };
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::Tensor;
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Adversarial shape list: every dimension degenerate case, odd primes,
 /// the micro-kernel tile boundaries ±1, and extreme aspect ratios.
@@ -72,12 +70,9 @@ fn blocked_gemm_is_bit_identical_to_reference_on_adversarial_shapes() {
         let seed = randn(m * n, &mut rng); // kernels accumulate into out
         let mut want = seed.clone();
         gemm_reference(m, k, n, &a, &b, &mut want);
-        for threads in THREAD_COUNTS {
-            let mut got = seed.clone();
-            let mut scratch = Vec::new();
-            gemm_into(m, k, n, &a, &b, &mut got, threads, &mut scratch);
-            assert_bits_eq(&want, &got, &format!("gemm ({m},{k},{n}) t={threads}"));
-        }
+        let mut got = seed;
+        gemm_into(m, k, n, &a, &b, &mut got, 1, &mut Vec::new());
+        assert_bits_eq(&want, &got, &format!("gemm ({m},{k},{n})"));
     }
 }
 
@@ -92,11 +87,9 @@ fn fused_transpose_gemms_are_bit_identical_to_explicit_transposes() {
         transpose_into(n, k, &b_nk, &mut bt);
         let mut want = vec![0.0f32; m * n];
         gemm_reference(m, k, n, &a, &bt, &mut want);
-        for threads in THREAD_COUNTS {
-            let mut got = vec![0.0f32; m * n];
-            gemm_abt_into(m, k, n, &a, &b_nk, &mut got, threads, &mut Vec::new());
-            assert_bits_eq(&want, &got, &format!("abt ({m},{k},{n}) t={threads}"));
-        }
+        let mut got = vec![0.0f32; m * n];
+        gemm_abt_into(m, k, n, &a, &b_nk, &mut got, &mut Vec::new());
+        assert_bits_eq(&want, &got, &format!("abt ({m},{k},{n})"));
 
         // Aᵀ·B with A stored [k, m] (contraction over k).
         let a_km = randn(k * m, &mut rng);
@@ -105,16 +98,14 @@ fn fused_transpose_gemms_are_bit_identical_to_explicit_transposes() {
         transpose_into(k, m, &a_km, &mut at);
         let mut want = vec![0.0f32; m * n];
         gemm_reference(m, k, n, &at, &b_kn, &mut want);
-        for threads in THREAD_COUNTS {
-            let mut got = vec![0.0f32; m * n];
-            gemm_atb_into(k, m, n, &a_km, &b_kn, &mut got, threads);
-            assert_bits_eq(&want, &got, &format!("atb ({m},{k},{n}) t={threads}"));
-        }
+        let mut got = vec![0.0f32; m * n];
+        gemm_atb_into(k, m, n, &a_km, &b_kn, &mut got);
+        assert_bits_eq(&want, &got, &format!("atb ({m},{k},{n})"));
     }
 }
 
 #[test]
-fn seeded_random_shapes_stay_bit_identical_across_thread_counts() {
+fn seeded_random_shapes_stay_bit_identical_to_the_reference() {
     let mut rng = Prng::new(0x5EED);
     for case in 0..40u64 {
         let mut dim = |hi: usize| 1 + (rng.uniform(0.0, hi as f32) as usize);
@@ -123,26 +114,14 @@ fn seeded_random_shapes_stay_bit_identical_across_thread_counts() {
         let b = randn(k * n, &mut rng);
         let mut want = vec![0.0f32; m * n];
         gemm_reference(m, k, n, &a, &b, &mut want);
-        let mut first_bits: Option<Vec<u32>> = None;
-        for threads in THREAD_COUNTS {
-            let mut got = vec![0.0f32; m * n];
-            gemm_into(m, k, n, &a, &b, &mut got, threads, &mut Vec::new());
-            assert_bits_eq(
-                &want,
-                &got,
-                &format!("case {case} ({m},{k},{n}) t={threads}"),
-            );
-            let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            match &first_bits {
-                None => first_bits = Some(bits),
-                Some(reference) => assert_eq!(reference, &bits, "case {case} thread variance"),
-            }
-        }
+        let mut got = vec![0.0f32; m * n];
+        gemm_into(m, k, n, &a, &b, &mut got, 1, &mut Vec::new());
+        assert_bits_eq(&want, &got, &format!("case {case} ({m},{k},{n})"));
     }
 }
 
 #[test]
-fn tensor_matmul_agrees_with_graph_matmul_at_any_thread_count() {
+fn tensor_matmul_agrees_with_graph_matmul() {
     use dtdbd_tensor::{BufferPool, Graph, ParamStore};
     let mut rng = Prng::new(0x717);
     let x = Tensor::randn(&[9, 33], 1.0, &mut rng);
@@ -150,27 +129,18 @@ fn tensor_matmul_agrees_with_graph_matmul_at_any_thread_count() {
     let direct = x.matmul(&w);
     let mut store = ParamStore::new();
     let wid = store.add("w", w);
-    for threads in THREAD_COUNTS {
-        let mut pool = BufferPool::new();
-        let mut g = Graph::inference(&mut store, &mut pool);
-        g.set_threads(threads);
-        let xv = g.constant(x.clone());
-        let wv = g.param(wid);
-        let y = g.matmul(xv, wv);
-        assert_bits_eq(
-            direct.data(),
-            g.value(y).data(),
-            &format!("graph matmul t={threads}"),
-        );
-        g.finish();
-    }
+    let mut pool = BufferPool::new();
+    let mut g = Graph::inference(&mut store, &mut pool);
+    let xv = g.constant(x);
+    let wv = g.param(wid);
+    let y = g.matmul(xv, wv);
+    assert_bits_eq(direct.data(), g.value(y).data(), "graph matmul");
+    g.finish();
 }
 
 /// Output widths of the in-place batteries: one lane, a partial panel, one
 /// and two full panels (the AVX-512 block), and one past each.
 const WIDTHS: [usize; 6] = [1, 9, 16, 32, 33, 64];
-/// Thread counts of the in-place batteries.
-const INPLACE_THREADS: [usize; 3] = [1, 2, 4];
 
 /// In-place window convolution against im2row + the reference GEMM, on
 /// every tier. `(b, s, d, kw)` cover the TextCNN widths, the baseline's
@@ -201,14 +171,11 @@ fn conv_windows_read_in_place_are_bit_identical_to_im2row_and_reference() {
             let mut want = seed.clone();
             gemm_reference(rows, width, oc, &unfolded, &wt, &mut want);
             for tier in Tier::available() {
-                for threads in INPLACE_THREADS {
-                    let mut got = seed.clone();
-                    let mut scratch = Vec::new();
-                    let out = &mut got;
-                    conv1d_into_on(tier, &x, b, s, d, kw, &w, oc, out, threads, &mut scratch);
-                    let what = format!("conv ({b},{s},{d},k{kw}) oc={oc} {tier:?} t={threads}");
-                    assert_bits_eq(&want, &got, &what);
-                }
+                let mut got = seed.clone();
+                let mut scratch = Vec::new();
+                conv1d_into_on(tier, &x, b, s, d, kw, &w, oc, &mut got, &mut scratch);
+                let what = format!("conv ({b},{s},{d},k{kw}) oc={oc} {tier:?}");
+                assert_bits_eq(&want, &got, &what);
             }
         }
     }
@@ -231,12 +198,10 @@ fn blocked_atb_is_bit_identical_to_explicit_transpose_on_every_tier() {
                 let mut want = seed.clone();
                 gemm_reference(m, r, n, &at, &b, &mut want);
                 for tier in Tier::available() {
-                    for threads in INPLACE_THREADS {
-                        let mut got = seed.clone();
-                        gemm_atb_into_on(tier, r, m, n, &a, &b, &mut got, threads);
-                        let what = format!("atb r={r} m={m} n={n} {tier:?} t={threads}");
-                        assert_bits_eq(&want, &got, &what);
-                    }
+                    let mut got = seed.clone();
+                    gemm_atb_into_on(tier, r, m, n, &a, &b, &mut got);
+                    let what = format!("atb r={r} m={m} n={n} {tier:?}");
+                    assert_bits_eq(&want, &got, &what);
                 }
             }
         }

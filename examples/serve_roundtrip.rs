@@ -84,9 +84,8 @@ fn main() {
         })
         .collect();
 
-    // 5. Serve the same items through the micro-batching server: 2 workers,
-    //    4 intra-op kernel threads each (bit-identical to any other thread
-    //    count), and the default prediction cache in front of the queue —
+    // 5. Serve the same items through the micro-batching server: 2 workers
+    //    and the default prediction cache in front of the queue —
     //    the request stream repeats items, exactly the traffic shape the
     //    cache exists for. Every worker is a full replica of the model;
     //    step 6 verifies the served answers against the tape forward.
@@ -97,7 +96,6 @@ fn main() {
                 max_wait: Duration::from_millis(2),
                 workers: 2,
             })
-            .threads(4)
             .try_start_from_checkpoint(&checkpoint)
             .expect("valid configuration"),
     );
@@ -159,10 +157,9 @@ fn main() {
     );
     let stats = server.stats();
     println!(
-        "server stats: {} served | {} batches | {} intra-op threads | cache {} hits / {} misses ({} entries)",
+        "server stats: {} served | {} batches | cache {} hits / {} misses ({} entries)",
         stats.requests_served,
         stats.batches,
-        stats.threads,
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.entries,

@@ -6,8 +6,7 @@
 # binaries write BENCH_*.json into their CWD), so the committed baselines at
 # the repo root are never overwritten. Gated metrics:
 #
-#   BENCH_kernels.json  serving_mix.blocked_gflops    (single-thread hot path)
-#   BENCH_kernels.json  serving_mix.parallel_gflops   (deployed 4-thread shape)
+#   BENCH_kernels.json  serving_mix.blocked_gflops    (the GEMM hot path)
 #   BENCH_serving.json  batch_latency[64].items_per_sec (end-to-end serving)
 #   BENCH_serving.json  server.p99_us                 (tail latency, gated the
 #                       other way round: fresh must not sit more than the
@@ -123,9 +122,6 @@ batch64='{"batch_size": 64[^}]*}'
 gate "kernels serving_mix blocked_gflops" \
   "$(extract "$repo/BENCH_kernels.json" "$mix" blocked_gflops)" \
   "$(extract "$workdir/BENCH_kernels.json" "$mix" blocked_gflops)"
-gate "kernels serving_mix parallel_gflops" \
-  "$(extract "$repo/BENCH_kernels.json" "$mix" parallel_gflops)" \
-  "$(extract "$workdir/BENCH_kernels.json" "$mix" parallel_gflops)"
 gate "serving batch64 items_per_sec" \
   "$(extract "$repo/BENCH_serving.json" "$batch64" items_per_sec)" \
   "$(extract "$workdir/BENCH_serving.json" "$batch64" items_per_sec)"

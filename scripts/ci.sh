@@ -16,15 +16,14 @@
 #          convolution whose windows the blocked GEMM reads straight from
 #          the input, against im2row + the naive reference, and the blocked
 #          Aᵀ·B reading A's columns in place, against an explicit transpose
-#          + the reference, bit for bit on every ISA tier the CPU has and at
-#          1/2/4 threads;
+#          + the reference, bit for bit at one thread, on every ISA tier;
 #        - training-tape parity (crates/tensor/src/kernels.rs and graph.rs
 #          unit tests): the branch-free max-over-time kernel and its ReLU
 #          form, dispatched and baseline, against the plain branchy loop
 #          (ties, signed zeros, all-negative rows, with and without an
 #          arg-max), and the fused conv → ReLU → max-over-time branch op
 #          against the unfused three-op chain (values, arg-max and the
-#          dx/dw/db bits, on tape and tape-free graphs, at 1/2/4 threads)
+#          dx/dw/db bits, on tape and tape-free graphs, at one thread)
 #          and the pruned matmul backward against the full one, bit for bit;
 #        - chaos (tests/integration/tests/chaos.rs): a fault plan
 #          kills three prediction workers mid-storm; supervision must heal
