@@ -6,7 +6,7 @@
 //! what signal each token carries.
 
 /// Token-id layout for a corpus.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocabulary {
     n_domains: usize,
     n_topic_groups: usize,

@@ -25,14 +25,40 @@ use dtdbd_data::Vocabulary;
 use dtdbd_nn::Embedding;
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::{ParamStore, Tensor};
+use std::sync::{Mutex, PoisonError};
 
 /// Strength (vector norm) of the shared class direction.
 const CLASS_STRENGTH: f32 = 0.6;
 /// Strength (vector norm) of the token-specific random component.
 const TOKEN_STRENGTH: f32 = 0.45;
 
-/// Build the structured frozen embedding table for a vocabulary.
+/// The last table built in this process, with the `(vocab, dim, seed)` key
+/// it was built for.
+type CachedTable = (Vocabulary, usize, u64, Tensor);
+
+static LAST_TABLE: Mutex<Option<CachedTable>> = Mutex::new(None);
+
+/// The structured frozen embedding table for a vocabulary.
+///
+/// The table is a pure function of `(vocab, dim, seed)`, and a process
+/// builds the same one for every model it constructs (a trained model, each
+/// serving worker, a reload). So the last table built is kept, keyed by the
+/// whole triple, and a repeated key gets a clone of it instead of a second
+/// round of draws. Every value has the same bits as a fresh build.
 pub fn pretrained_table(vocab: &Vocabulary, dim: usize, seed: u64) -> Tensor {
+    let mut last = LAST_TABLE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((v, d, s, table)) = last.as_ref() {
+        if (v, *d, *s) == (vocab, dim, seed) {
+            return table.clone();
+        }
+    }
+    let table = build_table(vocab, dim, seed);
+    *last = Some((vocab.clone(), dim, seed, table.clone()));
+    table
+}
+
+/// Draw the table for `(vocab, dim, seed)` from scratch.
+fn build_table(vocab: &Vocabulary, dim: usize, seed: u64) -> Tensor {
     let mut rng = Prng::new(seed);
     let unit = |rng: &mut Prng| -> Vec<f32> {
         let v: Vec<f32> = (0..dim).map(|_| rng.normal()).collect();
@@ -88,7 +114,8 @@ pub fn pretrained_table(vocab: &Vocabulary, dim: usize, seed: u64) -> Tensor {
 /// Install the simulated frozen pre-trained encoder into a model's parameter
 /// store. Every model built from the same `(vocab, dim, seed)` triple shares
 /// identical frozen vectors, mirroring how all the paper's models share the
-/// same frozen BERT.
+/// same frozen BERT; the table behind them is built once per key per
+/// process (see [`pretrained_table`]).
 pub fn pretrained_embedding(
     store: &mut ParamStore,
     name: &str,
@@ -143,17 +170,33 @@ mod tests {
         assert!(table.row(0).iter().all(|&v| v == 0.0));
     }
 
+    fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+        a.shape() == b.shape()
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
     fn table_is_deterministic_in_the_seed() {
-        let vocab = Vocabulary::standard(3, 3);
-        assert_eq!(
-            pretrained_table(&vocab, 16, 1),
-            pretrained_table(&vocab, 16, 1)
-        );
-        assert_ne!(
-            pretrained_table(&vocab, 16, 1),
-            pretrained_table(&vocab, 16, 2)
-        );
+        let (v3, v4) = (Vocabulary::standard(3, 3), Vocabulary::standard(4, 3));
+        // Alternate A, B, A in each part of the key, so that the third call
+        // follows a miss on another key and a stale slot would show.
+        let keys = [
+            [(&v3, 16, 1), (&v4, 16, 1), (&v3, 16, 1)],
+            [(&v3, 16, 1), (&v3, 24, 1), (&v3, 16, 1)],
+            [(&v3, 16, 1), (&v3, 16, 2), (&v3, 16, 1)],
+        ];
+        for (vocab, dim, seed) in keys.into_iter().flatten() {
+            let table = pretrained_table(vocab, dim, seed);
+            assert!(
+                same_bits(&table, &build_table(vocab, dim, seed)),
+                "{} tokens, dim {dim}, seed {seed}",
+                vocab.size()
+            );
+        }
+        assert_ne!(pretrained_table(&v3, 16, 1), pretrained_table(&v3, 16, 2));
     }
 
     #[test]

@@ -119,3 +119,42 @@ fn bigru_student_session_matches_graph_forward() {
         BiGruModel::student(store, cfg, rng)
     });
 }
+
+#[test]
+fn concurrent_restores_predict_bit_equal_to_a_single_threaded_restore() {
+    let ds = dataset();
+    let cfg = ModelConfig::tiny(&ds);
+    let mut store = ParamStore::new();
+    let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(21));
+    let bytes = Checkpoint::new(model.name(), &cfg, &store).to_bytes();
+    let batch = BatchIter::new(&ds, 24, 5, false).next().unwrap();
+    let predict = |bytes: &[u8]| -> Vec<(u32, [u32; 2])> {
+        let decoded = Checkpoint::from_bytes(bytes).unwrap();
+        session_from_checkpoint(&decoded)
+            .unwrap()
+            .predict_batch(&batch)
+            .iter()
+            .map(|p| (p.fake_prob.to_bits(), p.logits.map(f32::to_bits)))
+            .collect()
+    };
+
+    let single = predict(&bytes);
+    let start = std::sync::Barrier::new(2);
+    let concurrent: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..4).map(|_| predict(&bytes)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    for (i, restored) in concurrent.iter().enumerate() {
+        assert_eq!(restored, &single, "restore {i}");
+    }
+}

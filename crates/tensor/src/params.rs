@@ -180,7 +180,7 @@ impl ParamStore {
                 "param {} shape mismatch",
                 dst.name
             );
-            dst.value = src.value.clone();
+            dst.value.data_mut().copy_from_slice(src.value.data());
         }
     }
 }
