@@ -229,8 +229,11 @@ impl RequestEncoder {
         }
         let style = Self::side_feature("style", request.style.as_deref(), STYLE_DIM)?;
         let emotion = Self::side_feature("emotion", request.emotion.as_deref(), EMOTION_DIM)?;
-        let mut tokens = request.tokens.clone();
-        tokens.truncate(self.seq_len);
+        // Sized once: a clone of the raw tokens would be reallocated by the
+        // padding.
+        let kept = &request.tokens[..request.tokens.len().min(self.seq_len)];
+        let mut tokens = Vec::with_capacity(self.seq_len);
+        tokens.extend_from_slice(kept);
         tokens.resize(self.seq_len, Vocabulary::PAD);
         Ok(EncodedRequest {
             tokens,
@@ -267,15 +270,18 @@ impl RequestEncoder {
     /// Veracity labels are unknown at serving time and filled with zeros
     /// (they only feed training losses, never a forward pass).
     ///
+    /// The requests are borrowed from any slice, `Vec` or iterator of
+    /// references, so the caller copies none of them.
+    ///
     /// # Panics
-    /// Panics on an empty slice.
-    pub fn batch(&self, requests: &[EncodedRequest]) -> Batch {
-        assert!(!requests.is_empty(), "cannot batch zero requests");
-        let batch_size = requests.len();
-        let mut token_ids = Vec::with_capacity(batch_size * self.seq_len);
-        let mut domains = Vec::with_capacity(batch_size);
-        let mut style = Vec::with_capacity(batch_size * STYLE_DIM);
-        let mut emotion = Vec::with_capacity(batch_size * EMOTION_DIM);
+    /// Panics when given no request.
+    pub fn batch<'r>(&self, requests: impl IntoIterator<Item = &'r EncodedRequest>) -> Batch {
+        let requests = requests.into_iter();
+        let hint = requests.size_hint().0;
+        let mut token_ids = Vec::with_capacity(hint * self.seq_len);
+        let mut domains = Vec::with_capacity(hint);
+        let mut style = Vec::with_capacity(hint * STYLE_DIM);
+        let mut emotion = Vec::with_capacity(hint * EMOTION_DIM);
         for request in requests {
             debug_assert_eq!(request.tokens.len(), self.seq_len);
             token_ids.extend_from_slice(&request.tokens);
@@ -283,6 +289,8 @@ impl RequestEncoder {
             style.extend_from_slice(&request.style);
             emotion.extend_from_slice(&request.emotion);
         }
+        let batch_size = domains.len();
+        assert!(batch_size > 0, "cannot batch zero requests");
         Batch {
             token_ids,
             batch_size,
@@ -411,6 +419,22 @@ mod tests {
         assert_eq!(batch.style.shape(), &[5, STYLE_DIM]);
         assert_eq!(batch.emotion.shape(), &[5, EMOTION_DIM]);
         assert_eq!(batch.indices, vec![0, 1, 2, 3, 4]);
+
+        // Borrowed requests picked by an iterator batch the same as a slice.
+        let picked = enc.batch(reqs.iter().rev().step_by(2));
+        let copied: Vec<EncodedRequest> = [4, 2, 0].iter().map(|&i| reqs[i].clone()).collect();
+        let reference = enc.batch(&copied);
+        assert_eq!(picked.batch_size, 3);
+        assert_eq!(picked.token_ids, reference.token_ids);
+        assert_eq!(picked.domains, reference.domains);
+        assert_eq!(picked.style.data(), reference.style.data());
+        assert_eq!(picked.emotion.data(), reference.emotion.data());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot batch zero requests")]
+    fn batching_no_request_panics() {
+        encoder().batch(&[]);
     }
 
     #[test]

@@ -46,8 +46,7 @@ use dtdbd_tensor::KernelTimers;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -154,7 +153,7 @@ struct Job {
     /// Cache key of the request, carried so the worker can populate the
     /// cache after predicting. `None` when the cache is disabled.
     key: Option<CacheKey>,
-    reply: mpsc::Sender<Result<Prediction, PredictError>>,
+    reply: Reply,
     /// When the request entered the queue; `None` with telemetry off (the
     /// disabled path never reads the clock).
     enqueued_at: Option<Instant>,
@@ -294,22 +293,119 @@ pub struct ServingStats {
     pub requests_deadline_dropped: u64,
 }
 
+/// What a request's reply slot holds.
+enum SlotState {
+    /// Not answered yet, and no thread is blocked on it.
+    Empty,
+    /// Not answered yet, and the handle's `wait` is blocked on `ready`.
+    Waiting,
+    /// The answer, moved out by `wait`.
+    Filled(Result<Prediction, PredictError>),
+}
+
+/// The one-shot reply of one request, shared by its [`PredictionHandle`]
+/// and (for a queued request) the [`Reply`] its job carries: a single
+/// allocation of well under 128 bytes.
+struct ReplySlot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+}
+
+impl ReplySlot {
+    fn new(state: SlotState) -> Arc<Self> {
+        Arc::new(Self {
+            state: Mutex::new(state),
+            ready: Condvar::new(),
+        })
+    }
+
+    /// Lock the state. Every update under the lock is one whole-value
+    /// replace, so a poisoned lock still guards a valid state, and neither
+    /// end (the reply's drop included) ever panics on it.
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The worker's end of a reply slot. It fills the slot exactly once: with
+/// [`Reply::send`], or, if the job is dropped unanswered (a worker died
+/// outside the batch's catch scope, or the server went away with the job
+/// queued), with [`PredictError::WorkerCrashed`] on drop.
+struct Reply(Option<Arc<ReplySlot>>);
+
+impl Reply {
+    fn send(mut self, outcome: Result<Prediction, PredictError>) {
+        if let Some(slot) = self.0.take() {
+            Self::fill(&slot, outcome);
+        }
+    }
+
+    fn fill(slot: &Arc<ReplySlot>, outcome: Result<Prediction, PredictError>) {
+        // The handle is gone (it holds the only other reference, and no
+        // new one can be made): nobody will read the answer.
+        if Arc::strong_count(slot) == 1 {
+            return;
+        }
+        let previous = std::mem::replace(&mut *slot.lock(), SlotState::Filled(outcome));
+        // Wake only a thread that is blocked: filling a slot nobody waits
+        // on yet makes no syscall.
+        if matches!(previous, SlotState::Waiting) {
+            slot.ready.notify_one();
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            Self::fill(&slot, Err(PredictError::WorkerCrashed));
+        }
+    }
+}
+
 /// An in-flight prediction; resolve it with [`PredictionHandle::wait`].
+///
+/// It holds the request's one-shot reply slot, which a worker fills once.
+/// A cache hit's handle comes back already filled.
 pub struct PredictionHandle {
-    reply: mpsc::Receiver<Result<Prediction, PredictError>>,
+    slot: Arc<ReplySlot>,
 }
 
 impl PredictionHandle {
+    /// A queued request's handle and the reply its job carries.
+    fn pending() -> (Self, Reply) {
+        let slot = ReplySlot::new(SlotState::Empty);
+        let reply = Reply(Some(Arc::clone(&slot)));
+        (Self { slot }, reply)
+    }
+
+    /// A handle that is already answered.
+    fn ready(outcome: Result<Prediction, PredictError>) -> Self {
+        Self {
+            slot: ReplySlot::new(SlotState::Filled(outcome)),
+        }
+    }
+
     /// Block until the prediction resolves. A worker crash while this
     /// request was in flight degrades to a typed
     /// [`PredictError::WorkerCrashed`] — never a panic — and an expired
-    /// deadline to [`PredictError::DeadlineExceeded`].
+    /// deadline to [`PredictError::DeadlineExceeded`]. A reply dropped
+    /// unanswered (the worker or the whole server went down while holding
+    /// the request) resolves to `WorkerCrashed` too.
     pub fn wait(self) -> Result<Prediction, PredictError> {
-        match self.reply.recv() {
-            Ok(outcome) => outcome,
-            // The sender vanished without an answer: the worker (or the
-            // whole server) went down while holding the request.
-            Err(_) => Err(PredictError::WorkerCrashed),
+        let mut state = self.slot.lock();
+        loop {
+            match std::mem::replace(&mut *state, SlotState::Waiting) {
+                SlotState::Filled(outcome) => return outcome,
+                // Empty, or a spurious wake-up: (still) blocked.
+                _ => {
+                    state = self
+                        .slot
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
+            }
         }
     }
 }
@@ -463,7 +559,6 @@ impl PredictServer {
         deadline: Option<Instant>,
     ) -> PredictionHandle {
         let trace = self.trace();
-        let (tx, rx) = mpsc::channel();
         let key = match self.shared.cache.as_ref() {
             Some(cache) => {
                 let key = CacheKey::of(&request);
@@ -471,25 +566,25 @@ impl PredictServer {
                     // A cache hit is a served prediction too: the drift
                     // tracker must see the traffic the clients see.
                     trace.observe_prediction(request.domain(), hit.fake_prob);
-                    let _ = tx.send(Ok(hit));
-                    return PredictionHandle { reply: rx };
+                    return PredictionHandle::ready(Ok(hit));
                 }
                 Some(key)
             }
             None => None,
         };
+        let (handle, reply) = PredictionHandle::pending();
         {
             let mut state = self.shared.queue.lock().expect("queue poisoned");
             state.jobs.push_back(Job {
                 request,
                 key,
-                reply: tx,
+                reply,
                 enqueued_at: trace.is_enabled().then(Instant::now),
                 deadline,
             });
         }
         self.shared.available.notify_one();
-        PredictionHandle { reply: rx }
+        handle
     }
 
     /// Submit and block for the answer.
@@ -770,7 +865,7 @@ fn worker_loop(
                 .partition(|job| job.deadline.is_none_or(|deadline| now < deadline));
             for job in expired {
                 shared.deadline_dropped.fetch_add(1, Ordering::Relaxed);
-                let _ = job.reply.send(Err(PredictError::DeadlineExceeded));
+                job.reply.send(Err(PredictError::DeadlineExceeded));
             }
             jobs = live;
             if jobs.is_empty() {
@@ -787,7 +882,6 @@ fn worker_loop(
                 }
             }
         }
-        let requests: Vec<EncodedRequest> = jobs.iter().map(|j| j.request.clone()).collect();
         *batches_done += 1;
         let batch_no = *batches_done;
         let inference_started = trace.is_enabled().then(Instant::now);
@@ -804,13 +898,12 @@ fn worker_loop(
                     thread::sleep(delay);
                 }
             }
-            session.predict_requests(&requests)
+            session.predict_requests(jobs.iter().map(|job| &job.request))
         })) {
             Ok(predictions) => predictions,
             Err(payload) => {
-                for job in jobs {
-                    let _ = job.reply.send(Err(PredictError::WorkerCrashed));
-                }
+                // Each dropped reply answers its client `WorkerCrashed`.
+                drop(jobs);
                 resume_unwind(payload);
             }
         };
@@ -842,17 +935,16 @@ fn worker_loop(
         // bit-identical content.
         if let Some(cache) = shared.cache.as_ref() {
             let items: Vec<(CacheKey, Prediction)> = jobs
-                .iter()
+                .iter_mut()
                 .zip(predictions.iter())
-                .filter_map(|(job, prediction)| {
-                    job.key.clone().map(|key| (key, prediction.clone()))
-                })
+                .filter_map(|(job, prediction)| job.key.take().map(|key| (key, prediction.clone())))
                 .collect();
             cache.insert_batch(items);
         }
         for (job, prediction) in jobs.into_iter().zip(predictions) {
-            // A client may have abandoned its handle; that is not an error.
-            let _ = job.reply.send(Ok(prediction));
+            // A client may have abandoned its handle; the send is then a
+            // no-op.
+            job.reply.send(Ok(prediction));
         }
     }
 }
@@ -899,6 +991,109 @@ mod tests {
         let server = start_server(&ds, BatchingConfig::default());
         let prediction = server.predict(&request_for(&ds, 0)).unwrap();
         assert!((0.0..=1.0).contains(&prediction.fake_prob));
+    }
+
+    fn answer(fake_prob: f32) -> Prediction {
+        Prediction {
+            fake_prob,
+            logits: [0.0, fake_prob],
+            domain_scores: None,
+        }
+    }
+
+    fn is_filled(handle: &PredictionHandle) -> bool {
+        let state = handle.slot.lock();
+        matches!(*state, SlotState::Filled(_))
+    }
+
+    #[test]
+    fn reply_slot_is_one_small_allocation() {
+        // An `Arc` allocation is two reference counts plus the slot.
+        let bytes = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<ReplySlot>();
+        assert!(bytes < 128, "reply slot allocation is {bytes} bytes");
+    }
+
+    #[test]
+    fn reply_sent_before_wait_is_returned() {
+        let (handle, reply) = PredictionHandle::pending();
+        reply.send(Ok(answer(0.25)));
+        assert!(is_filled(&handle));
+        assert_eq!(handle.wait().unwrap().fake_prob, 0.25);
+    }
+
+    #[test]
+    fn blocked_wait_wakes_with_the_answer() {
+        let (handle, reply) = PredictionHandle::pending();
+        let slot = Arc::clone(&handle.slot);
+        let waiter = thread::spawn(move || handle.wait());
+        // Fill only once the waiter is blocked on the slot.
+        while !matches!(*slot.lock(), SlotState::Waiting) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        drop(slot);
+        reply.send(Ok(answer(0.75)));
+        assert_eq!(waiter.join().unwrap().unwrap().fake_prob, 0.75);
+    }
+
+    #[test]
+    fn reply_dropped_unanswered_is_a_worker_crash() {
+        let (handle, reply) = PredictionHandle::pending();
+        drop(reply);
+        assert_eq!(handle.wait().unwrap_err(), PredictError::WorkerCrashed);
+
+        // A waiter already blocked is woken by the drop too.
+        let (handle, reply) = PredictionHandle::pending();
+        let slot = Arc::clone(&handle.slot);
+        let waiter = thread::spawn(move || handle.wait());
+        while !matches!(*slot.lock(), SlotState::Waiting) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        drop((slot, reply));
+        assert_eq!(
+            waiter.join().unwrap().unwrap_err(),
+            PredictError::WorkerCrashed
+        );
+    }
+
+    #[test]
+    fn handle_dropped_first_leaves_the_worker_serving() {
+        // Nobody holds the slot but the reply: the fill returns at once.
+        let (handle, reply) = PredictionHandle::pending();
+        drop(handle);
+        reply.send(Ok(answer(0.5)));
+
+        let ds = dataset();
+        // The slow fault keeps the first batch in flight while its handle
+        // is dropped, so the worker's fill finds no reader.
+        let server = start_faulted(
+            &ds,
+            1,
+            FaultPlan::default().slow_predict(Duration::from_millis(20)),
+        );
+        drop(server.submit(&request_for(&ds, 0)).unwrap());
+        let next = server.predict(&request_for(&ds, 1)).unwrap();
+        assert!(next.fake_prob.is_finite());
+        let stats = server.stats();
+        assert_eq!(stats.batches, 2, "the abandoned request was still served");
+        assert_eq!(server.workers_alive(), 1);
+        assert_eq!(stats.worker_panics, 0);
+    }
+
+    #[test]
+    fn cache_hit_resolves_with_no_worker_involved() {
+        let ds = dataset();
+        let server = start_server(&ds, BatchingConfig::default());
+        let request = request_for(&ds, 0);
+        let miss = server.predict(&request).unwrap();
+        let batches = server.stats().batches;
+        let hit = server.submit(&request).unwrap();
+        assert!(is_filled(&hit), "a hit's slot is filled at submit");
+        assert_eq!(Arc::strong_count(&hit.slot), 1, "no job holds the slot");
+        assert_eq!(
+            hit.wait().unwrap().fake_prob.to_bits(),
+            miss.fake_prob.to_bits()
+        );
+        assert_eq!(server.stats().batches, batches, "no forward pass ran");
     }
 
     #[test]

@@ -138,11 +138,16 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         predictions
     }
 
-    /// Coalesce encoded requests into one batch and predict them all.
+    /// Coalesce encoded requests into one batch and predict them all. The
+    /// requests are borrowed: a slice, a `Vec` or an iterator of references
+    /// all work, and none is copied before the batch is built.
     ///
     /// # Panics
-    /// Panics on an empty slice.
-    pub fn predict_requests(&mut self, requests: &[EncodedRequest]) -> Vec<Prediction> {
+    /// Panics when given no request.
+    pub fn predict_requests<'r>(
+        &mut self,
+        requests: impl IntoIterator<Item = &'r EncodedRequest>,
+    ) -> Vec<Prediction> {
         let batch = self.encoder.batch(requests);
         self.predict_batch(&batch)
     }

@@ -113,7 +113,8 @@ enum Op {
     CrossEntropyLogits { labels: Vec<usize>, probs: Tensor },
 }
 
-struct Node {
+#[derive(Debug)]
+pub(crate) struct Node {
     value: Tensor,
     op: Op,
     inputs: Vec<usize>,
@@ -159,11 +160,13 @@ impl<'s> Graph<'s> {
 
     /// Create a tape-free inference graph: evaluation mode (dropout is the
     /// identity), no gradient bookkeeping, and every activation buffer drawn
-    /// from `pool` — call [`Graph::finish`] when done to hand them back.
+    /// from `pool` — call [`Graph::finish`] when done to hand them back. The
+    /// node arena comes from the pool too: a graph finished on the same pool
+    /// left it there, so a warmed-up pool allocates no node storage.
     pub fn inference(store: &'s mut ParamStore, pool: &'s mut BufferPool) -> Self {
         Self {
             store,
-            nodes: Vec::with_capacity(256),
+            nodes: pool.take_nodes(),
             training: false,
             tape: false,
             pool: Some(pool),
@@ -189,12 +192,13 @@ impl<'s> Graph<'s> {
         !self.tape
     }
 
-    /// Consume the graph, handing every activation buffer back to the pool
-    /// (inference graphs; a no-op for tape graphs). The serving hot path
-    /// calls this after copying out its results so the next request reuses
-    /// the same scratch memory. A graph is deliberately *not* recycled on
-    /// implicit drop: an explicit hand-back keeps borrow regions short for
-    /// the many call sites that read the store right after the forward pass.
+    /// Consume the graph, handing every activation buffer and the emptied
+    /// node arena back to the pool (inference graphs; a no-op for tape
+    /// graphs). The serving hot path calls this after copying out its
+    /// results so the next request reuses the same scratch memory. A graph
+    /// is deliberately *not* recycled on implicit drop: an explicit
+    /// hand-back keeps borrow regions short for the many call sites that
+    /// read the store right after the forward pass.
     pub fn finish(mut self) {
         if let Some(pool) = self.pool.as_mut() {
             for node in self.nodes.drain(..) {
@@ -202,6 +206,7 @@ impl<'s> Graph<'s> {
                     pool.give(node.value.into_data());
                 }
             }
+            pool.give_nodes(std::mem::take(&mut self.nodes));
         }
     }
 
@@ -2022,8 +2027,15 @@ mod tests {
             pool.idle_buffers() > 0,
             "finish returns buffers to the pool"
         );
+        let arena = pool.idle_node_capacity();
+        assert!(arena >= 5, "finish keeps the node arena");
         let second = run(&mut store, &mut pool);
         assert_eq!(first, second);
+        assert_eq!(
+            pool.idle_node_capacity(),
+            arena,
+            "the next graph reuses the kept arena"
+        );
         assert_eq!(
             pool.alloc_misses(),
             misses_after_first,

@@ -17,11 +17,20 @@
 //! its own size; without it, a model with many differently sized
 //! activations would grow every pooled buffer towards its largest shape, and
 //! the idle pool would hold several times one forward pass's memory.
+//!
+//! The pool also keeps the graph's node arena between passes: `finish`
+//! hands it back empty and the next inference graph takes it, so a
+//! warmed-up session allocates no node storage either. The arena is not a
+//! buffer, so it counts in neither the reuse hits nor the misses.
+
+use crate::graph::Node;
 
 /// A free-list of `f32` buffers with reuse accounting.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<f32>>,
+    /// The empty node arena of the last finished inference graph.
+    nodes: Vec<Node>,
     hits: u64,
     misses: u64,
 }
@@ -119,6 +128,24 @@ impl BufferPool {
         }
     }
 
+    /// The kept node arena (empty, with the capacity of the last finished
+    /// graph), leaving none behind until it is given back.
+    pub(crate) fn take_nodes(&mut self) -> Vec<Node> {
+        std::mem::take(&mut self.nodes)
+    }
+
+    /// Keep a finished graph's emptied node arena for the next graph.
+    pub(crate) fn give_nodes(&mut self, nodes: Vec<Node>) {
+        debug_assert!(nodes.is_empty(), "a kept node arena holds no nodes");
+        self.nodes = nodes;
+    }
+
+    /// Capacity, in nodes, of the kept node arena.
+    #[cfg(test)]
+    pub(crate) fn idle_node_capacity(&self) -> usize {
+        self.nodes.capacity()
+    }
+
     /// Number of buffers currently on the free list.
     pub fn idle_buffers(&self) -> usize {
         self.free.len()
@@ -139,9 +166,11 @@ impl BufferPool {
         self.free.iter().map(Vec::capacity).sum()
     }
 
-    /// Drop all pooled buffers (e.g. after serving an unusually large batch).
+    /// Drop all pooled buffers and the kept node arena (e.g. after serving
+    /// an unusually large batch).
     pub fn shrink(&mut self) {
         self.free.clear();
+        self.nodes = Vec::new();
     }
 }
 
@@ -211,10 +240,13 @@ mod tests {
     fn shrink_empties_the_free_list() {
         let mut pool = BufferPool::new();
         pool.give(vec![0.0; 16]);
+        pool.give_nodes(Vec::with_capacity(4));
         assert_eq!(pool.idle_buffers(), 1);
         assert!(pool.idle_capacity() >= 16);
+        assert!(pool.idle_node_capacity() >= 4);
         pool.shrink();
         assert_eq!(pool.idle_buffers(), 0);
+        assert_eq!(pool.idle_node_capacity(), 0);
     }
 
     #[test]
