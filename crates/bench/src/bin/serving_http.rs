@@ -29,24 +29,12 @@ const CONCURRENCY: [usize; 3] = [1, 8, 32];
 /// before the blocked/parallel kernel overhaul + prediction cache).
 const PR2_C32_REQ_PER_SEC: f64 = 2562.1;
 
-/// Telemetry must stay close to free on the hot path: the per-request cost
-/// is a handful of `Instant::now` reads and relaxed atomic adds. The bench
-/// fails if the telemetry-on server falls further than this many percent
-/// below the telemetry-off server at 32 connections.
-const MAX_TELEMETRY_OVERHEAD_PCT: f64 = 3.0;
-
 struct LoadResult {
     connections: usize,
     requests: usize,
     p50_ns: f64,
     p99_ns: f64,
     req_per_sec: f64,
-}
-
-struct TelemetryCost {
-    on_req_per_sec: f64,
-    off_req_per_sec: f64,
-    overhead_pct: f64,
 }
 
 /// Two-model zoo level: the same student resident twice behind
@@ -184,54 +172,6 @@ fn main() {
         .map(|&connections| run_level(addr, &bodies, connections, requests_per_level))
         .collect();
 
-    // Telemetry-cost check: the identical server with telemetry off, driven
-    // at the highest load level, back-to-back with a re-run of the
-    // telemetry-on server so both sides are equally warm. Taking the better
-    // of the two telemetry-on runs keeps scheduler noise from reading as
-    // telemetry overhead.
-    eprintln!("[serving_http] measuring telemetry overhead at 32 connections...");
-    let server_off = ServerBuilder::new()
-        .batching(batching.clone())
-        .cache_capacity(0)
-        .telemetry(false)
-        .http(HttpConfig {
-            connection_workers: *CONCURRENCY.iter().max().expect("non-empty"),
-            backlog: 64,
-            ..HttpConfig::default()
-        })
-        .try_start_http_from_checkpoint(&checkpoint)
-        .expect("valid configuration");
-    let addr_off = server_off.local_addr();
-    {
-        let mut client = HttpClient::connect(addr_off).expect("connect");
-        for body in bodies.iter().take(64) {
-            let response = client.post("/predict", body).expect("warmup");
-            assert_eq!(response.status, 200, "{}", response.body);
-        }
-    }
-    let c32 = *CONCURRENCY.iter().max().expect("non-empty");
-    let off = run_level(addr_off, &bodies, c32, requests_per_level);
-    let on_rerun = run_level(addr, &bodies, c32, requests_per_level);
-    let on_first = results
-        .iter()
-        .find(|r| r.connections == c32)
-        .expect("c32 level measured");
-    let on_best = on_first.req_per_sec.max(on_rerun.req_per_sec);
-    let telemetry = TelemetryCost {
-        on_req_per_sec: on_best,
-        off_req_per_sec: off.req_per_sec,
-        overhead_pct: (1.0 - on_best / off.req_per_sec) * 100.0,
-    };
-    server_off.shutdown();
-    assert!(
-        telemetry.overhead_pct < MAX_TELEMETRY_OVERHEAD_PCT,
-        "telemetry costs {:.2}% throughput at {c32} connections \
-         (on {:.0} vs off {:.0} req/sec, budget {MAX_TELEMETRY_OVERHEAD_PCT}%)",
-        telemetry.overhead_pct,
-        telemetry.on_req_per_sec,
-        telemetry.off_req_per_sec,
-    );
-
     // The c1024 mostly-idle keep-alive level needs the epoll connection
     // driver — the blocking thread pool cannot hold a thousand open sockets
     // — so it gets its own server with deadlines long enough that an
@@ -287,15 +227,8 @@ fn main() {
     eprintln!("[serving_http] two-model zoo level (equal total workers)...");
     let zoo = run_zoo_level(&checkpoint, &bodies, requests_per_level);
 
-    render_table(&results, &batching, &telemetry, &zoo, keepalive.as_ref());
-    let json_out = render_json(
-        &results,
-        &batching,
-        &serving,
-        &telemetry,
-        &zoo,
-        keepalive.as_ref(),
-    );
+    render_table(&results, &batching, &zoo, keepalive.as_ref());
+    let json_out = render_json(&results, &batching, &serving, &zoo, keepalive.as_ref());
     std::fs::write("BENCH_http.json", &json_out).expect("write BENCH_http.json");
     eprintln!("[serving_http] wrote BENCH_http.json");
     server.shutdown();
@@ -522,7 +455,6 @@ fn stats_open_connections(addr: SocketAddr) -> u64 {
 fn render_table(
     results: &[LoadResult],
     batching: &BatchingConfig,
-    telemetry: &TelemetryCost,
     zoo: &ZooResult,
     keepalive: Option<&IdleKeepAliveResult>,
 ) {
@@ -562,11 +494,6 @@ fn render_table(
         );
     }
     println!(
-        "(telemetry overhead at 32 connections: {:.2}% — on {:.0} vs off {:.0} req/sec, \
-         budget {MAX_TELEMETRY_OVERHEAD_PCT}%)",
-        telemetry.overhead_pct, telemetry.on_req_per_sec, telemetry.off_req_per_sec
-    );
-    println!(
         "(two-model zoo at {} connections, equal total workers: {:.0} vs single {:.0} req/sec, \
          ratio {:.2} — gate >= {MIN_ZOO_RATIO})",
         zoo.connections, zoo.two_model_req_per_sec, zoo.single_req_per_sec, zoo.ratio
@@ -577,7 +504,6 @@ fn render_json(
     results: &[LoadResult],
     batching: &BatchingConfig,
     serving: &ServingStats,
-    telemetry: &TelemetryCost,
     zoo: &ZooResult,
     keepalive: Option<&IdleKeepAliveResult>,
 ) -> String {
@@ -611,10 +537,6 @@ fn render_json(
         .map_or(0.0, |r| r.req_per_sec / PR2_C32_REQ_PER_SEC);
     out.push_str(&format!(
         "  \"baseline_pr2\": {{\"c32_req_per_sec\": {PR2_C32_REQ_PER_SEC}, \"speedup_c32\": {c32_speedup:.2}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"telemetry\": {{\"c32_req_per_sec_on\": {:.1}, \"c32_req_per_sec_off\": {:.1}, \"overhead_pct\": {:.2}, \"budget_pct\": {MAX_TELEMETRY_OVERHEAD_PCT}}},\n",
-        telemetry.on_req_per_sec, telemetry.off_req_per_sec, telemetry.overhead_pct
     ));
     out.push_str(&format!(
         "  \"zoo\": {{\"connections\": {}, \"single_req_per_sec\": {:.1}, \"two_model_req_per_sec\": {:.1}, \"ratio\": {:.3}, \"min_ratio\": {MIN_ZOO_RATIO}}}",

@@ -119,7 +119,7 @@ fn serve(mut stream: TcpStream, ctx: &Ctx) {
             Action::Close => return,
             Action::Dispatch(request) => {
                 let answer = conn::respond(&request, ctx);
-                conn.answered(answer, Instant::now(), &env)
+                conn.answered(answer, Instant::now())
             }
             waiting => {
                 let now = Instant::now();

@@ -265,7 +265,7 @@ impl Default for ServerBuilder {
 
 impl ServerBuilder {
     /// A builder with [`BatchingConfig::default`] and the default tuning
-    /// (1024-entry prediction cache in 8 lock partitions, telemetry on).
+    /// (a 1024-entry prediction cache).
     /// The HTTP front-end (only started by the `try_start_http*` methods)
     /// defaults to [`HttpConfig::default`]: an ephemeral loopback port.
     pub fn new() -> Self {
@@ -307,16 +307,6 @@ impl ServerBuilder {
     /// at zero).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.tuning.cache_capacity = capacity;
-        self
-    }
-
-    /// Enable or disable the telemetry pipeline (stage histograms, kernel
-    /// timing hooks, drift tracking; on by default). Telemetry is
-    /// wall-clock observation only — predictions are bit-identical either
-    /// way — so the off switch exists for overhead measurement, not
-    /// correctness.
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.tuning.telemetry = enabled;
         self
     }
 

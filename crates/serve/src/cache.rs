@@ -17,20 +17,13 @@
 //! full cache evicts the least-recently-used entry, so memory is bounded by
 //! `capacity` entries regardless of traffic.
 //!
-//! # Lock sharding
-//!
-//! The server wraps the LRU in a [`ShardedPredictionCache`]: N key-hash
-//! partitioned [`PredictionCache`]s, each behind its own mutex, so
-//! concurrent submitters contend only when their keys land in the same
-//! partition (the single global cache mutex was the last shared lock on the
-//! submit path). Each partition keeps its own exact hit/miss/eviction
-//! counters under its own lock; [`ShardedPredictionCache::stats`] aggregates
-//! them, so the totals in `ServingStats` stay exact.
+//! The server holds one cache behind one mutex: a lookup takes the lock
+//! once, a worker takes it once to insert its whole batch, and eviction
+//! follows one global recency order.
 
 use crate::session::Prediction;
 use dtdbd_data::EncodedRequest;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 const NIL: usize = usize::MAX;
 
@@ -242,122 +235,6 @@ impl PredictionCache {
     }
 }
 
-/// Number of lock partitions [`ShardedPredictionCache`] uses unless the
-/// builder overrides it (clamped so every partition holds ≥ 1 entry).
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
-/// A key-hash partitioned [`PredictionCache`]: N independent LRUs, each
-/// behind its own mutex, jointly bounded to `capacity` entries.
-///
-/// The partition of a key is a fold of its content hash, so it is stable for
-/// a given request and uncorrelated with the per-partition `HashMap`
-/// bucketing. Correctness is per-partition (a key always maps to the same
-/// partition, and each partition preserves the byte-compare collision
-/// guarantee); the LRU eviction order is per-partition rather than global,
-/// which bounds memory identically and only reorders *which* cold entry
-/// leaves first.
-pub struct ShardedPredictionCache {
-    shards: Vec<Mutex<PredictionCache>>,
-    capacity: usize,
-}
-
-impl ShardedPredictionCache {
-    /// A cache bounded to `capacity` total entries, split over `n_shards`
-    /// lock partitions. The partition count is clamped to `1..=capacity` so
-    /// every partition can hold at least one entry; capacity is distributed
-    /// as evenly as possible (partition capacities differ by at most one).
-    ///
-    /// # Panics
-    /// Panics on zero capacity (callers gate on it and skip the cache).
-    pub fn new(capacity: usize, n_shards: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        let n = n_shards.clamp(1, capacity);
-        let shards = (0..n)
-            .map(|i| {
-                let per = capacity / n + usize::from(i < capacity % n);
-                Mutex::new(PredictionCache::new(per))
-            })
-            .collect();
-        Self { shards, capacity }
-    }
-
-    /// Number of lock partitions.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Partition index of a key hash: fold the high bits in so the index
-    /// does not reuse the exact bits the per-partition `HashMap` consumes.
-    fn partition(&self, hash: u64) -> usize {
-        ((hash ^ (hash >> 32)) as usize) % self.shards.len()
-    }
-
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<PredictionCache> {
-        &self.shards[self.partition(key.hash)]
-    }
-
-    /// Look a key up in its partition, refreshing recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<Prediction> {
-        self.shard_of(key).lock().expect("cache poisoned").get(key)
-    }
-
-    /// [`ShardedPredictionCache::get`] wrapped in a
-    /// [`crate::telemetry::Stage::CacheLookup`] span: the lookup's
-    /// wall-clock time (lock wait included) lands in the trace's histogram.
-    /// With a disabled trace this is exactly `get` — no clock reads.
-    pub fn get_traced(
-        &self,
-        key: &CacheKey,
-        trace: &crate::telemetry::TraceContext,
-    ) -> Option<Prediction> {
-        let _span = trace.span(crate::telemetry::Stage::CacheLookup);
-        self.get(key)
-    }
-
-    /// Insert (or refresh) one prediction.
-    pub fn insert(&self, key: CacheKey, value: Prediction) {
-        let shard = self.shard_of(&key);
-        shard.lock().expect("cache poisoned").insert(key, value);
-    }
-
-    /// Insert a whole batch, locking each touched partition once (the
-    /// worker's post-batch population path).
-    pub fn insert_batch(&self, items: Vec<(CacheKey, Prediction)>) {
-        let mut per_shard: Vec<Vec<(CacheKey, Prediction)>> = Vec::new();
-        per_shard.resize_with(self.shards.len(), Vec::new);
-        for (key, value) in items {
-            per_shard[self.partition(key.hash)].push((key, value));
-        }
-        for (shard, items) in self.shards.iter().zip(per_shard) {
-            if items.is_empty() {
-                continue;
-            }
-            let mut shard = shard.lock().expect("cache poisoned");
-            for (key, value) in items {
-                shard.insert(key, value);
-            }
-        }
-    }
-
-    /// Aggregate counter snapshot. Each per-partition counter is exact
-    /// (maintained under that partition's lock); the totals are their sums,
-    /// and `capacity` is the configured joint bound.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            capacity: self.capacity,
-            ..CacheStats::default()
-        };
-        for shard in &self.shards {
-            let s = shard.lock().expect("cache poisoned").stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            total.entries += s.entries;
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,11 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_round_trips_and_counts_exactly() {
-        // 40 entries per partition: no partition can evict below, so every
-        // inserted key must survive.
-        let cache = ShardedPredictionCache::new(320, 8);
-        assert_eq!(cache.n_shards(), 8);
+    fn cache_round_trips_and_counts_exactly() {
+        // Capacity to spare: every inserted key must survive.
+        let mut cache = PredictionCache::new(320);
         for i in 0..40u64 {
             cache.insert(key(i), prediction(i as f32 / 40.0));
         }
@@ -504,67 +379,27 @@ mod tests {
         assert_eq!(hits, 40, "all inserted keys must hit (capacity not hit)");
         assert_eq!(misses, 20);
         let stats = cache.stats();
-        assert_eq!(stats.hits, 40, "aggregated hits stay exact");
-        assert_eq!(stats.misses, 20, "aggregated misses stay exact");
+        assert_eq!(stats.hits, 40);
+        assert_eq!(stats.misses, 20);
         assert_eq!(stats.entries, 40);
         assert_eq!(stats.capacity, 320);
     }
 
     #[test]
-    fn sharded_cache_capacity_is_jointly_bounded_under_churn() {
-        let cache = ShardedPredictionCache::new(16, 4);
-        for i in 0..2000u64 {
-            cache.insert(key(i), prediction(0.5));
-            assert!(cache.stats().entries <= 16, "after insert {i}");
-        }
-        let stats = cache.stats();
-        assert!(stats.entries <= 16);
-        assert_eq!(
-            stats.evictions,
-            2000 - stats.entries as u64,
-            "every insert beyond the bound evicts exactly one entry"
-        );
-    }
-
-    #[test]
-    fn shard_count_is_clamped_to_capacity() {
-        let tiny = ShardedPredictionCache::new(3, 64);
-        assert_eq!(tiny.n_shards(), 3, "every partition needs >= 1 entry");
-        let one = ShardedPredictionCache::new(100, 0);
-        assert_eq!(one.n_shards(), 1, "zero partitions falls back to one");
-        assert_eq!(one.stats().capacity, 100);
-    }
-
-    #[test]
-    fn insert_batch_matches_individual_inserts() {
-        let a = ShardedPredictionCache::new(160, 4);
-        let b = ShardedPredictionCache::new(160, 4);
-        let items: Vec<(CacheKey, Prediction)> = (0..20u64)
-            .map(|i| (key(i), prediction(i as f32 / 20.0)))
-            .collect();
-        for (k, v) in items.clone() {
-            a.insert(k, v);
-        }
-        b.insert_batch(items);
-        for i in 0..20u64 {
-            let pa = a.get(&key(i)).expect("individual");
-            let pb = b.get(&key(i)).expect("batch");
-            assert_eq!(pa.fake_prob.to_bits(), pb.fake_prob.to_bits());
-        }
-    }
-
-    #[test]
     fn concurrent_submitters_never_corrupt_counters() {
-        use std::sync::Arc;
-        let cache = Arc::new(ShardedPredictionCache::new(128, 8));
+        use std::sync::{Arc, Mutex};
+        // The server's shape: one cache behind one mutex, shared by every
+        // submitter.
+        let cache = Arc::new(Mutex::new(PredictionCache::new(128)));
         let threads: Vec<_> = (0..4u64)
             .map(|t| {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
                         let k = key(t * 1000 + i % 50);
-                        if cache.get(&k).is_none() {
-                            cache.insert(k, prediction(0.25));
+                        let hit = cache.lock().unwrap().get(&k);
+                        if hit.is_none() {
+                            cache.lock().unwrap().insert(k, prediction(0.25));
                         }
                     }
                 })
@@ -573,7 +408,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let stats = cache.stats();
+        let stats = cache.lock().unwrap().stats();
         assert_eq!(stats.hits + stats.misses, 2000, "every lookup is counted");
         assert!(stats.entries <= 128);
     }

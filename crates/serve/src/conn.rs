@@ -156,7 +156,7 @@ impl Connection {
             self.phase = Phase::Reading;
             self.since = now;
         }
-        if self.parse_started.is_none() && env.trace.is_enabled() {
+        if self.parse_started.is_none() {
             self.parse_started = Some(now);
         }
         self.parser.feed(bytes);
@@ -184,19 +184,19 @@ impl Connection {
             ParseOutcome::Failed(e) => {
                 env.stats.count_response(e.status);
                 let answer = Answer::error(e.status, e.code, &e.message, &[]);
-                self.answered(answer, now, env)
+                self.answered(answer, now)
             }
         }
     }
 
     /// The dispatched request was answered (or shed): queue the response.
-    pub(crate) fn answered(&mut self, answer: Answer, now: Instant, env: &Env) -> Action {
+    pub(crate) fn answered(&mut self, answer: Answer, now: Instant) -> Action {
         self.out = answer.bytes;
         self.out_pos = 0;
         self.keep_after_write = answer.keep;
         self.phase = Phase::Writing;
         self.since = now;
-        self.write_started = (answer.timed && env.trace.is_enabled()).then_some(now);
+        self.write_started = answer.timed.then_some(now);
         Action::Write
     }
 
@@ -265,11 +265,7 @@ impl Connection {
                 env.stats.bump(HttpCounter::RequestTimeouts);
                 env.stats.count_response(408);
                 let message = "request took too long to arrive";
-                self.answered(
-                    Answer::error(408, "request_timeout", message, &[]),
-                    now,
-                    env,
-                )
+                self.answered(Answer::error(408, "request_timeout", message, &[]), now)
             }
             // A response the peer refuses to drain is cut without ceremony:
             // there is no wire left to answer on. (Dispatching has no
@@ -352,12 +348,7 @@ mod tests {
         }
 
         fn spans(&self, stage: Stage) -> u64 {
-            self.trace
-                .telemetry()
-                .unwrap()
-                .snapshot()
-                .stage_total(stage)
-                .count
+            self.trace.telemetry().snapshot().stage_total(stage).count
         }
     }
 
@@ -393,16 +384,13 @@ mod tests {
         assert_eq!(target(conn.read(both, t0, &server.env())), "/a");
         // The second request stays buffered while the first is answered
         // and while its response is still flushing.
-        assert!(matches!(
-            conn.answered(ok(true), t0 + MS, &server.env()),
-            Action::Write
-        ));
+        assert!(matches!(conn.answered(ok(true), t0 + MS), Action::Write));
         let len = conn.unflushed().len();
         assert!(conn.wrote(len - 1, t0 + 2 * MS, &server.env()).is_none());
         assert_eq!(conn.unflushed().len(), 1);
         let next = conn.wrote(1, t0 + 3 * MS, &server.env()).unwrap();
         assert_eq!(target(next), "/b");
-        let answered = conn.answered(ok(true), t0 + 4 * MS, &server.env());
+        let answered = conn.answered(ok(true), t0 + 4 * MS);
         assert!(matches!(answered, Action::Write));
         let len = conn.unflushed().len();
         assert!(matches!(
@@ -425,7 +413,6 @@ mod tests {
         let parse = server
             .trace
             .telemetry()
-            .unwrap()
             .snapshot()
             .stage_total(Stage::HttpParse);
         assert_eq!(parse.count, 1);
@@ -448,7 +435,6 @@ mod tests {
         let parse = server
             .trace
             .telemetry()
-            .unwrap()
             .snapshot()
             .stage_total(Stage::HttpParse);
         assert_eq!(parse.count, 1);
@@ -465,7 +451,7 @@ mod tests {
         let t0 = Instant::now();
         let mut conn = Connection::new(&config(), t0);
         target(conn.read(b"GET / HTTP/1.1\r\n\r\n", t0, &server.env()));
-        conn.answered(ok(true), t0, &server.env());
+        conn.answered(ok(true), t0);
         server.draining = true;
         let len = conn.unflushed().len();
         assert!(matches!(
@@ -476,7 +462,7 @@ mod tests {
         server.draining = false;
         let mut conn = Connection::new(&config(), t0);
         target(conn.read(b"GET / HTTP/1.1\r\n\r\n", t0, &server.env()));
-        conn.answered(ok(true), t0, &server.env());
+        conn.answered(ok(true), t0);
         let len = conn.unflushed().len();
         assert!(matches!(
             conn.wrote(len, t0, &server.env()),
@@ -484,7 +470,7 @@ mod tests {
         ));
         // A response that said close closes even when nobody drains.
         target(conn.read(b"GET / HTTP/1.1\r\n\r\n", t0, &server.env()));
-        conn.answered(ok(false), t0, &server.env());
+        conn.answered(ok(false), t0);
         let len = conn.unflushed().len();
         assert!(matches!(
             conn.wrote(len, t0, &server.env()),
@@ -543,7 +529,7 @@ mod tests {
         assert!(dispatching.check(late, &server.env()).is_none());
 
         // Writing: a stalled reader is cut without a reply.
-        dispatching.answered(ok(true), t0, &server.env());
+        dispatching.answered(ok(true), t0);
         assert!(dispatching.check(t0 + 1999 * MS, &server.env()).is_none());
         assert!(matches!(
             dispatching.check(t0 + 2000 * MS, &server.env()),
@@ -593,7 +579,7 @@ mod tests {
         let mut busy = Connection::new(&config(), t0);
         target(busy.read(b"GET / HTTP/1.1\r\n\r\n", t0, &server.env()));
         assert!(busy.check(t0, &server.env()).is_none());
-        busy.answered(ok(false), t0, &server.env());
+        busy.answered(ok(false), t0);
         assert!(busy.check(t0, &server.env()).is_none());
         assert_eq!(server.count(HttpCounter::IdleTimeouts), 0);
     }

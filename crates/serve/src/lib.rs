@@ -21,7 +21,7 @@
 //!    coalesces concurrent single-item requests from one queue into batches
 //!    (`max_batch_size` / `max_wait`) dispatched to a pool of worker
 //!    threads, each a full replica owning a private session. In front of
-//!    the queue sits a lock-sharded prediction cache ([`cache`]). Every
+//!    the queue sits a prediction cache ([`cache`]). Every
 //!    server starts from a [`Checkpoint`] through [`ServerBuilder`], which
 //!    also sets the knobs.
 //! 4. **Multi-model zoo** ([`zoo`]) — [`ModelZoo`] keeps several resident
@@ -89,7 +89,7 @@ pub use builder::{
     build_model, session_from_checkpoint, BoxedModel, ConfigError, ServerBuilder, StartError,
     SUPPORTED_ARCHS,
 };
-pub use cache::{CacheKey, CacheStats, PredictionCache, ShardedPredictionCache};
+pub use cache::{CacheKey, CacheStats, PredictionCache};
 pub use checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
 pub use dtdbd_models::{SideState, SideStateError};
 pub use fault::FaultPlan;

@@ -408,7 +408,7 @@ struct Job {
     /// When the event loop handed the request off (telemetry `queue_wait`:
     /// under this backend the span covers dispatch-queue **readiness wait**,
     /// merged with the workers' batch-queue waits in snapshots).
-    enqueued: Option<Instant>,
+    enqueued: Instant,
 }
 
 /// Answered requests waiting for the event loop: (token, answer).
@@ -427,9 +427,8 @@ fn dispatcher(
             Ok(job) => job,
             Err(_) => return, // event loop gone and queue drained
         };
-        if let Some(enqueued) = job.enqueued {
-            trace.record_ns(Stage::QueueWait, enqueued.elapsed().as_nanos() as u64);
-        }
+        let waited = job.enqueued.elapsed().as_nanos() as u64;
+        trace.record_ns(Stage::QueueWait, waited);
         let answer = conn::respond(&job.request, &ctx);
         let done = (job.token, answer);
         completions.lock().expect("completions poisoned").push(done);
@@ -707,8 +706,7 @@ impl EventLoop {
         let Some(conn) = self.slab.get_checked(idx, gen) else {
             return; // connection died while its request was in flight
         };
-        let env = Env::of(&self.ctx, &self.trace);
-        let action = conn.http.answered(answer, Instant::now(), &env);
+        let action = conn.http.answered(answer, Instant::now());
         self.step(idx, action);
     }
 
@@ -730,16 +728,15 @@ impl EventLoop {
                     let job = Job {
                         token: self.slab.token_of(idx),
                         request,
-                        enqueued: self.trace.is_enabled().then(Instant::now),
+                        enqueued: Instant::now(),
                     };
                     if self.dispatch_tx.try_send(job).is_ok() {
                         self.in_flight += 1;
                         return;
                     }
                     let answer = conn::shed(&self.ctx, "dispatch queue saturated");
-                    let env = Env::of(&self.ctx, &self.trace);
                     match self.slab.conn_mut(idx) {
-                        Some(conn) => conn.http.answered(answer, Instant::now(), &env),
+                        Some(conn) => conn.http.answered(answer, Instant::now()),
                         None => return,
                     }
                 }

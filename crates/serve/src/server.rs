@@ -13,11 +13,11 @@
 //! with its own copy of the model, and all workers pull from one shared
 //! queue.
 //!
-//! In front of the queue sits a bounded, **lock-sharded prediction cache**
-//! ([`crate::cache::ShardedPredictionCache`]): a request whose canonical
-//! content was answered before resolves immediately — bit-identical to a
-//! fresh forward pass, because the engine is deterministic — without
-//! touching the queue or a worker.
+//! In front of the queue sits a bounded **prediction cache**
+//! ([`crate::cache::PredictionCache`], behind one mutex): a request whose
+//! canonical content was answered before resolves immediately —
+//! bit-identical to a fresh forward pass, because the engine is
+//! deterministic — without touching the queue or a worker.
 //!
 //! Shutdown is graceful: [`PredictServer::shutdown`] (also invoked by drop)
 //! stops intake, lets the workers drain every queued request, and joins them.
@@ -36,7 +36,7 @@
 //! a forward pass on them.
 
 use crate::builder::{session_from_checkpoint, BoxedModel, ConfigError, StartError};
-use crate::cache::{CacheKey, CacheStats, ShardedPredictionCache, DEFAULT_CACHE_SHARDS};
+use crate::cache::{CacheKey, CacheStats, PredictionCache};
 use crate::checkpoint::Checkpoint;
 use crate::fault::{FaultPlan, WorkerFaults};
 use crate::session::{InferenceSession, Prediction};
@@ -93,11 +93,6 @@ impl Default for BatchingConfig {
 pub(crate) struct ServerTuning {
     /// Prediction-cache bound in entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Whether to run the full telemetry pipeline (stage histograms, kernel
-    /// timing hooks, drift tracking). Telemetry is wall-clock observation
-    /// only — predictions are bit-identical either way — so the default is
-    /// on; the off switch exists for overhead measurement.
-    pub telemetry: bool,
     /// Deterministic fault-injection plan ([`crate::fault`]); `None` (the
     /// default) compiles to no hooks at all on the hot path.
     pub fault_plan: Option<FaultPlan>,
@@ -107,7 +102,6 @@ impl Default for ServerTuning {
     fn default() -> Self {
         Self {
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            telemetry: true,
             fault_plan: None,
         }
     }
@@ -154,9 +148,8 @@ struct Job {
     /// cache after predicting. `None` when the cache is disabled.
     key: Option<CacheKey>,
     reply: Reply,
-    /// When the request entered the queue; `None` with telemetry off (the
-    /// disabled path never reads the clock).
-    enqueued_at: Option<Instant>,
+    /// When the request entered the queue.
+    enqueued_at: Instant,
     /// Drop-dead time: a worker sheds the request with
     /// [`PredictError::DeadlineExceeded`] instead of running inference past
     /// this instant. `None` = wait forever (the in-process default).
@@ -245,12 +238,11 @@ struct Shared {
     /// Signalled when a job is queued or shutdown begins.
     available: Condvar,
     counters: Vec<WorkerCounters>,
-    /// Lock-sharded content-hash → prediction cache in front of the queue;
-    /// `None` when disabled. Each partition locks independently, so
-    /// concurrent submitters only contend on key-hash collisions' partitions.
-    cache: Option<ShardedPredictionCache>,
-    /// The telemetry registry (`None` when telemetry is off).
-    telemetry: Option<Arc<Telemetry>>,
+    /// Content-hash → prediction cache in front of the queue; `None` when
+    /// disabled.
+    cache: Option<Mutex<PredictionCache>>,
+    /// The telemetry registry.
+    telemetry: Arc<Telemetry>,
     /// Per-worker liveness, maintained by the supervisor shells: false
     /// while a worker is crashed/backing-off/rebuilding. The readiness
     /// probe compares the count of trues against `workers`.
@@ -454,21 +446,17 @@ impl PredictServer {
                 .into());
             }
         }
-        let telemetry = tuning.telemetry.then(|| {
-            Arc::new(Telemetry::new(
-                name,
-                config.workers,
-                encoder.n_domains(),
-                drift_baseline,
-            ))
-        });
+        let telemetry = Arc::new(Telemetry::new(
+            name,
+            config.workers,
+            encoder.n_domains(),
+            drift_baseline,
+        ));
         // Everything a supervisor shell needs to rebuild a crashed worker,
         // and the wiring every worker's session gets, the first ones too.
         let respawn = Arc::new(Respawn {
             checkpoint: checkpoint.clone(),
-            kernel_timers: telemetry
-                .as_ref()
-                .map(|t| Arc::clone(t) as Arc<dyn KernelTimers>),
+            kernel_timers: Arc::clone(&telemetry) as Arc<dyn KernelTimers>,
             initial_backoff: tuning
                 .fault_plan
                 .as_ref()
@@ -493,8 +481,8 @@ impl PredictServer {
                 .map(|_| WorkerCounters::default())
                 .collect(),
             cache: (tuning.cache_capacity > 0)
-                .then(|| ShardedPredictionCache::new(tuning.cache_capacity, DEFAULT_CACHE_SHARDS)),
-            telemetry: telemetry.clone(),
+                .then(|| Mutex::new(PredictionCache::new(tuning.cache_capacity))),
+            telemetry,
             // Workers count as alive from the moment the server exists, so
             // a readiness probe racing the thread spawns never sees a
             // healthy deployment as degraded.
@@ -562,7 +550,10 @@ impl PredictServer {
         let key = match self.shared.cache.as_ref() {
             Some(cache) => {
                 let key = CacheKey::of(&request);
-                if let Some(hit) = cache.get_traced(&key, &trace) {
+                let span = trace.span(Stage::CacheLookup);
+                let hit = cache.lock().expect("cache poisoned").get(&key);
+                span.finish();
+                if let Some(hit) = hit {
                     // A cache hit is a served prediction too: the drift
                     // tracker must see the traffic the clients see.
                     trace.observe_prediction(request.domain(), hit.fake_prob);
@@ -579,7 +570,7 @@ impl PredictServer {
                 request,
                 key,
                 reply,
-                enqueued_at: trace.is_enabled().then(Instant::now),
+                enqueued_at: Instant::now(),
                 deadline,
             });
         }
@@ -608,19 +599,16 @@ impl PredictServer {
         &self.arch
     }
 
-    /// The telemetry registry, `None` when telemetry was disabled.
+    /// The telemetry registry. Always `Some`; the `Option` stays only so
+    /// that callers which unwrap it keep compiling.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.shared.telemetry.as_ref()
+        Some(&self.shared.telemetry)
     }
 
-    /// A trace handle bound to this server's telemetry (the disabled no-op
-    /// handle when telemetry is off). The HTTP front-end records its wire
-    /// stages through this.
+    /// A trace handle bound to this server's telemetry. The HTTP front-end
+    /// records its wire stages through this.
     pub fn trace(&self) -> TraceContext {
-        match self.shared.telemetry.as_ref() {
-            Some(t) => TraceContext::new(Arc::clone(t)),
-            None => TraceContext::disabled(),
-        }
+        TraceContext::new(Arc::clone(&self.shared.telemetry))
     }
 
     /// Workers currently able to serve. Anything below
@@ -644,7 +632,7 @@ impl PredictServer {
             .shared
             .cache
             .as_ref()
-            .map(ShardedPredictionCache::stats)
+            .map(|cache| cache.lock().expect("cache poisoned").stats())
             .unwrap_or_default();
         let mut stats = ServingStats {
             queue_depth,
@@ -702,14 +690,14 @@ impl Drop for PredictServer {
 /// (the kernel-timer sink).
 struct Respawn {
     checkpoint: Checkpoint,
-    kernel_timers: Option<Arc<dyn KernelTimers>>,
+    kernel_timers: Arc<dyn KernelTimers>,
     initial_backoff: Duration,
 }
 
 impl Respawn {
     /// Apply the server's wiring to a freshly restored session.
     fn wire(&self, mut session: InferenceSession<BoxedModel>) -> InferenceSession<BoxedModel> {
-        session.set_kernel_timers(self.kernel_timers.clone());
+        session.set_kernel_timers(Some(Arc::clone(&self.kernel_timers)));
         session
     }
 
@@ -804,11 +792,7 @@ fn worker_loop(
     faults: Option<&WorkerFaults>,
     batches_done: &mut u64,
 ) {
-    let trace = shared
-        .telemetry
-        .as_ref()
-        .map(|t| TraceContext::new(Arc::clone(t)))
-        .unwrap_or_default();
+    let trace = TraceContext::new(Arc::clone(&shared.telemetry));
     loop {
         let (jobs, assembly_ns) = {
             let mut state = shared.queue.lock().expect("queue poisoned");
@@ -825,11 +809,11 @@ fn worker_loop(
             }
             // Batch assembly starts the moment this worker owns its first
             // request and ends when the batch is drained below.
-            let assembly_started = trace.is_enabled().then(Instant::now);
+            let assembly_started = Instant::now();
             // Dynamic batching: hold the first request at most `max_wait`
             // while companions trickle in, stopping early on a full batch.
             if !config.max_wait.is_zero() {
-                let deadline = Instant::now() + config.max_wait;
+                let deadline = assembly_started + config.max_wait;
                 while state.jobs.len() < config.max_batch_size && !state.shutdown {
                     let now = Instant::now();
                     if now >= deadline {
@@ -847,7 +831,7 @@ fn worker_loop(
             }
             let take = state.jobs.len().min(config.max_batch_size);
             let jobs = state.jobs.drain(..take).collect::<Vec<_>>();
-            let assembly_ns = assembly_started.map(|t| t.elapsed().as_nanos() as u64);
+            let assembly_ns = assembly_started.elapsed().as_nanos() as u64;
             (jobs, assembly_ns)
         };
         if jobs.is_empty() {
@@ -872,19 +856,15 @@ fn worker_loop(
                 continue;
             }
         }
-        if let Some(assembly_ns) = assembly_ns {
-            trace.record_worker_ns(worker_id, Stage::BatchAssembly, assembly_ns);
-            let drained_at = Instant::now();
-            for job in &jobs {
-                if let Some(enqueued_at) = job.enqueued_at {
-                    let waited = drained_at.saturating_duration_since(enqueued_at);
-                    trace.record_worker_ns(worker_id, Stage::QueueWait, waited.as_nanos() as u64);
-                }
-            }
+        trace.record_worker_ns(worker_id, Stage::BatchAssembly, assembly_ns);
+        let drained_at = Instant::now();
+        for job in &jobs {
+            let waited = drained_at.saturating_duration_since(job.enqueued_at);
+            trace.record_worker_ns(worker_id, Stage::QueueWait, waited.as_nanos() as u64);
         }
         *batches_done += 1;
         let batch_no = *batches_done;
-        let inference_started = trace.is_enabled().then(Instant::now);
+        let inference_started = Instant::now();
         // The injected panic and the forward pass share one catch scope:
         // whatever blows up inside it, the in-flight batch's clients get a
         // typed `WorkerCrashed` before the panic continues to the
@@ -916,30 +896,27 @@ fn worker_loop(
                 prediction.logits = [f32::NAN, f32::NAN];
             }
         }
-        if let Some(started) = inference_started {
-            // Pro-rata attribution: a batch of n splits its forward-pass
-            // time evenly over its n requests, remainder to the last one so
-            // the recorded stage sum matches the measured span exactly.
-            let total_ns = started.elapsed().as_nanos() as u64;
-            let n = jobs.len() as u64;
-            trace.record_worker_batch_ns(worker_id, Stage::Inference, total_ns, n);
-            for (job, prediction) in jobs.iter().zip(predictions.iter()) {
-                trace.observe_prediction(job.request.domain(), prediction.fake_prob);
-            }
+        // Pro-rata attribution: a batch of n splits its forward-pass time
+        // evenly over its n requests, remainder to the last one so the
+        // recorded stage sum matches the measured span exactly.
+        let total_ns = inference_started.elapsed().as_nanos() as u64;
+        let n = jobs.len() as u64;
+        trace.record_worker_batch_ns(worker_id, Stage::Inference, total_ns, n);
+        for (job, prediction) in jobs.iter().zip(predictions.iter()) {
+            trace.observe_prediction(job.request.domain(), prediction.fake_prob);
         }
         let (hits, misses) = session.pool_stats();
         shared.counters[worker_id].publish(jobs.len() as u64, hits, misses);
-        // Populate the prediction cache before fanning out, one lock per
-        // touched cache partition for the whole batch. Duplicate in-flight
-        // requests may both reach here; the second insert overwrites with
-        // bit-identical content.
+        // Populate the prediction cache before fanning out, under one lock
+        // for the whole batch. Duplicate in-flight requests may both reach
+        // here; the second insert overwrites with bit-identical content.
         if let Some(cache) = shared.cache.as_ref() {
-            let items: Vec<(CacheKey, Prediction)> = jobs
-                .iter_mut()
-                .zip(predictions.iter())
-                .filter_map(|(job, prediction)| job.key.take().map(|key| (key, prediction.clone())))
-                .collect();
-            cache.insert_batch(items);
+            let mut cache = cache.lock().expect("cache poisoned");
+            for (job, prediction) in jobs.iter_mut().zip(predictions.iter()) {
+                if let Some(key) = job.key.take() {
+                    cache.insert(key, prediction.clone());
+                }
+            }
         }
         for (job, prediction) in jobs.into_iter().zip(predictions) {
             // A client may have abandoned its handle; the send is then a
@@ -1255,6 +1232,32 @@ mod tests {
     }
 
     #[test]
+    fn cache_holds_exactly_the_capacity_most_recent_keys() {
+        use crate::builder::ServerBuilder;
+        let ds = dataset();
+        let server = ServerBuilder::new()
+            .cache_capacity(64)
+            .try_start_from_checkpoint(&checkpoint(&ds))
+            .expect("valid configuration");
+        // 64 distinct two-token requests: exactly the cache's capacity.
+        let requests: Vec<_> = (0..64u32)
+            .map(|i| InferenceRequest::new(vec![2 + i % 8, 2 + i / 8], 0))
+            .collect();
+        for _ in 0..2 {
+            let handles: Vec<_> = (requests.iter())
+                .map(|request| server.submit(request).unwrap())
+                .collect();
+            for handle in handles {
+                handle.wait().unwrap();
+            }
+        }
+        // One global LRU: the second pass finds every key of the first.
+        let cache = server.stats().cache;
+        assert_eq!((cache.hits, cache.evictions), (64, 0), "{cache:?}");
+        assert_eq!((cache.misses, cache.entries), (64, 64));
+    }
+
+    #[test]
     fn stats_snapshots_stay_coherent_under_a_reader_hammer() {
         use std::sync::atomic::AtomicBool;
         // max_batch_size 1 + cache off: every served request is exactly one
@@ -1315,7 +1318,6 @@ mod tests {
             ServerTuning {
                 cache_capacity: 0,
                 fault_plan: Some(plan),
-                ..ServerTuning::default()
             },
         )
     }

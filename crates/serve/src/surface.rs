@@ -143,8 +143,8 @@ pub(crate) struct Snapshot {
     tenants: Vec<TenantSnapshot>,
     /// Index of the default tenant in `tenants`.
     default: usize,
-    /// The default model's telemetry (`None` when disabled).
-    telemetry: Option<TelemetrySnapshot>,
+    /// The default model's telemetry.
+    telemetry: TelemetrySnapshot,
 }
 
 impl Snapshot {
@@ -160,7 +160,7 @@ impl Snapshot {
             ready: is_ready(ctx),
             connection_model: ctx.connection_model,
             http: std::array::from_fn(|i| ctx.stats.0[i].load(Ordering::Relaxed)),
-            telemetry: tenants[default].model.telemetry().map(|t| t.snapshot()),
+            telemetry: tenants[default].model.trace().telemetry().snapshot(),
             tenants,
             default,
         }
@@ -385,19 +385,18 @@ pub(crate) fn stats_json(s: &Snapshot) -> Json {
         (t.id.clone(), Json::Obj(obj))
     });
     root.push(("models".into(), Json::Obj(models.collect())));
-    if let Some(t) = &s.telemetry {
-        let stages = Stage::ALL.map(|st| (st.name().to_string(), quantiles(&t.stage_total(st))));
-        let kernels = t.kernels.iter().map(|(k, h)| (k.to_string(), quantiles(h)));
-        root.push(("stages".into(), Json::Obj(stages.into())));
-        root.push(("kernels".into(), Json::Obj(kernels.collect())));
-        let drift = t.drift.iter().map(|d| {
-            let mut obj = vec![("domain".to_string(), d.domain.into())];
-            put_rows(&mut obj, DRIFT_ROWS, d);
-            Json::Obj(obj)
-        });
-        root.push(("drift".into(), Json::Arr(drift.collect())));
-        put_rows(&mut root, TELEMETRY_ROWS, t);
-    }
+    let t = &s.telemetry;
+    let stages = Stage::ALL.map(|st| (st.name().to_string(), quantiles(&t.stage_total(st))));
+    let kernels = t.kernels.iter().map(|(k, h)| (k.to_string(), quantiles(h)));
+    root.push(("stages".into(), Json::Obj(stages.into())));
+    root.push(("kernels".into(), Json::Obj(kernels.collect())));
+    let drift = t.drift.iter().map(|d| {
+        let mut obj = vec![("domain".to_string(), d.domain.into())];
+        put_rows(&mut obj, DRIFT_ROWS, d);
+        Json::Obj(obj)
+    });
+    root.push(("drift".into(), Json::Arr(drift.collect())));
+    put_rows(&mut root, TELEMETRY_ROWS, t);
     Json::Obj(root)
 }
 
@@ -456,30 +455,29 @@ pub(crate) fn metrics_text(s: &Snapshot) -> String {
         .map(|t| (vec![("model", t.id.as_str())], t))
         .collect();
     write_rows(&mut page, MODEL_ROWS, &tenants);
-    if let Some(t) = &s.telemetry {
-        let stages = t.recorders.iter().flat_map(|(recorder, stages)| {
-            let labels = |st: &Stage| {
-                vec![
-                    ("arch", t.arch),
-                    ("recorder", recorder),
-                    ("stage", st.name()),
-                ]
-            };
-            stages.iter().map(move |(st, h)| (labels(st), h))
-        });
-        write_histograms(&mut page, STAGE_LATENCY, stages);
-        let kernels = t
-            .kernels
-            .iter()
-            .map(|(k, h)| (vec![("arch", t.arch), ("kernel", *k)], h));
-        write_histograms(&mut page, KERNEL_LATENCY, kernels);
-        write_rows(&mut page, TELEMETRY_ROWS, &[(vec![("arch", t.arch)], t)]);
-        let domains: Vec<String> = t.drift.iter().map(|d| d.domain.to_string()).collect();
-        let per_domain: Vec<_> = (t.drift.iter().zip(&domains))
-            .map(|(d, domain)| (vec![("arch", t.arch), ("domain", domain.as_str())], d))
-            .collect();
-        write_rows(&mut page, DRIFT_ROWS, &per_domain);
-    }
+    let t = &s.telemetry;
+    let stages = t.recorders.iter().flat_map(|(recorder, stages)| {
+        let labels = |st: &Stage| {
+            vec![
+                ("arch", t.arch),
+                ("recorder", recorder),
+                ("stage", st.name()),
+            ]
+        };
+        stages.iter().map(move |(st, h)| (labels(st), h))
+    });
+    write_histograms(&mut page, STAGE_LATENCY, stages);
+    let kernels = t
+        .kernels
+        .iter()
+        .map(|(k, h)| (vec![("arch", t.arch), ("kernel", *k)], h));
+    write_histograms(&mut page, KERNEL_LATENCY, kernels);
+    write_rows(&mut page, TELEMETRY_ROWS, &[(vec![("arch", t.arch)], t)]);
+    let domains: Vec<String> = t.drift.iter().map(|d| d.domain.to_string()).collect();
+    let per_domain: Vec<_> = (t.drift.iter().zip(&domains))
+        .map(|(d, domain)| (vec![("arch", t.arch), ("domain", domain.as_str())], d))
+        .collect();
+    write_rows(&mut page, DRIFT_ROWS, &per_domain);
     page.into_string()
 }
 
@@ -654,7 +652,7 @@ mod tests {
         let samples = samples(&page);
         let mut stats = HashMap::new();
         leaves(&doc, String::new(), &mut stats);
-        let arch = snap.telemetry.as_ref().expect("telemetry on").arch;
+        let arch = snap.telemetry.arch;
         let mut links = link(ROWS, "", &[], &stats);
         for id in ["a", "b"] {
             links.extend(link(

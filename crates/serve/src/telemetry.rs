@@ -23,9 +23,8 @@
 //!   surfaces as a prediction-mean shift and a bucketed total-variation
 //!   (PSI-style) score per domain.
 //!
-//! The serving layers thread a cheap [`TraceContext`] handle (an optional
-//! `Arc`) through `http.rs`, `server.rs`, `session.rs` and `cache.rs`; a
-//! disabled context skips every clock read.
+//! The serving layers thread a cheap [`TraceContext`] handle (an `Arc` of
+//! the registry) through the connection layer and `server.rs`.
 
 use dtdbd_models::codec::{ByteReader, ByteWriter};
 use dtdbd_tensor::KernelTimers;
@@ -440,81 +439,62 @@ impl TelemetrySnapshot {
 }
 
 /// A cheap, cloneable handle the serving layers thread through the request
-/// path. Disabled (telemetry off) it is a `None` and every record method —
-/// including [`TraceContext::span`] — skips the clock read entirely.
-#[derive(Clone, Default)]
+/// path.
+#[derive(Clone)]
 pub struct TraceContext {
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
 }
 
 impl TraceContext {
     /// A handle recording into `telemetry`.
     pub fn new(telemetry: Arc<Telemetry>) -> Self {
-        Self {
-            telemetry: Some(telemetry),
-        }
+        Self { telemetry }
     }
 
-    /// The no-op handle (telemetry disabled).
-    pub fn disabled() -> Self {
-        Self::default()
+    /// The registry behind this handle.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
-    /// `true` when records actually land somewhere.
-    pub fn is_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// The registry behind this handle, if enabled.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// RAII span over a wire-side stage: starts the clock now (if enabled)
-    /// and records the elapsed time into `stage` when dropped.
+    /// RAII span over a wire-side stage: starts the clock now and records
+    /// the elapsed time into `stage` when dropped.
     pub fn span(&self, stage: Stage) -> Span<'_> {
         Span {
-            armed: self
-                .telemetry
-                .as_deref()
-                .map(|t| (t, stage, Instant::now())),
+            telemetry: &self.telemetry,
+            stage,
+            started: Instant::now(),
         }
     }
 
     /// Record a wire-side stage duration measured by the caller.
     pub fn record_ns(&self, stage: Stage, ns: u64) {
-        if let Some(t) = self.telemetry.as_deref() {
-            t.record_wire(stage, ns);
-        }
+        self.telemetry.record_wire(stage, ns);
     }
 
     /// Record a worker-side stage duration.
     pub fn record_worker_ns(&self, worker: usize, stage: Stage, ns: u64) {
-        if let Some(t) = self.telemetry.as_deref() {
-            t.record_worker(worker, stage, ns);
-        }
+        self.telemetry.record_worker(worker, stage, ns);
     }
 
     /// Attribute a measured batch span of `total_ns` pro-rata over `n`
     /// items, giving the division remainder to the last item so the
     /// recorded stage sum equals `total_ns` exactly.
     pub fn record_worker_batch_ns(&self, worker: usize, stage: Stage, total_ns: u64, n: u64) {
-        if let Some(t) = self.telemetry.as_deref() {
-            t.record_worker_batch(worker, stage, total_ns, n);
-        }
+        self.telemetry
+            .record_worker_batch(worker, stage, total_ns, n);
     }
 
     /// Feed one served prediction into the drift tracker.
     pub fn observe_prediction(&self, domain: usize, fake_prob: f32) {
-        if let Some(t) = self.telemetry.as_deref() {
-            t.drift.observe(domain, fake_prob);
-        }
+        self.telemetry.drift.observe(domain, fake_prob);
     }
 }
 
 /// RAII guard from [`TraceContext::span`]; records its stage on drop.
 pub struct Span<'a> {
-    armed: Option<(&'a Telemetry, Stage, Instant)>,
+    telemetry: &'a Telemetry,
+    stage: Stage,
+    started: Instant,
 }
 
 impl Span<'_> {
@@ -524,9 +504,8 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some((t, stage, started)) = self.armed.take() {
-            t.record_wire(stage, started.elapsed().as_nanos() as u64);
-        }
+        let ns = self.started.elapsed().as_nanos() as u64;
+        self.telemetry.record_wire(self.stage, ns);
     }
 }
 
@@ -897,7 +876,7 @@ mod tests {
         let t = Telemetry::new("TextCNN-S", 1, 1, None);
         let ctx = TraceContext::new(Arc::new(t));
         ctx.record_worker_batch_ns(0, Stage::Inference, 10_007, 8);
-        let snap = ctx.telemetry().unwrap().snapshot();
+        let snap = ctx.telemetry().snapshot();
         assert_eq!(snap.stage_total(Stage::Inference).count, 8);
         assert_eq!(snap.stage_total(Stage::Inference).sum_ns, 10_007);
     }
@@ -924,7 +903,7 @@ mod tests {
         let ctx = TraceContext::new(Arc::new(t));
         ctx.observe_prediction(0, f32::NAN);
         ctx.observe_prediction(0, 0.25);
-        let snap = ctx.telemetry().unwrap().snapshot();
+        let snap = ctx.telemetry().snapshot();
         assert_eq!(snap.predictions_non_finite, 1);
         assert_eq!(snap.drift[0].live_count, 1);
     }
@@ -1025,7 +1004,7 @@ mod tests {
         {
             let _span = ctx.span(Stage::ResponseWrite);
         }
-        let telemetry = ctx.telemetry().unwrap();
+        let telemetry = ctx.telemetry();
         KernelTimers::record(telemetry.as_ref(), "matmul", 999);
         KernelTimers::record(telemetry.as_ref(), "mystery", 5);
         let snap = telemetry.snapshot();
@@ -1040,11 +1019,5 @@ mod tests {
         assert!(kernels.contains(&("matmul", 1)));
         assert!(kernels.contains(&("other", 1)));
         assert_eq!(snap.drift[1].live_count, 1);
-
-        // A disabled context records nowhere and spans are free.
-        let off = TraceContext::disabled();
-        assert!(!off.is_enabled());
-        off.record_ns(Stage::HttpParse, 1);
-        let _ = off.span(Stage::CacheLookup);
     }
 }

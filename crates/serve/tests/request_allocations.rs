@@ -6,10 +6,12 @@
 //! borrowed requests and reuses the scratch pool's buffers and node arena,
 //! so the per-batch costs spread thin over a burst, and a lone request
 //! allocates a few kilobytes, not a fresh node arena per forward pass.
+//! Telemetry is always on, so these bounds include recording every
+//! request's stage timings.
 
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
 use dtdbd_models::{ModelConfig, TextCnnModel};
-use dtdbd_serve::{Checkpoint, PredictServer, ServerBuilder};
+use dtdbd_serve::{Checkpoint, PredictServer, ServerBuilder, Stage};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -109,6 +111,15 @@ fn distinct_requests(
         .collect()
 }
 
+/// Requests each per-request stage histogram has counted so far: the cache
+/// lookup at submit, then the queue wait and the inference share in the
+/// worker.
+fn stage_counts(server: &PredictServer) -> [u64; 3] {
+    let snapshot = server.trace().telemetry().snapshot();
+    [Stage::CacheLookup, Stage::QueueWait, Stage::Inference]
+        .map(|stage| snapshot.stage_total(stage).count)
+}
+
 /// Submit every request, then wait on every handle.
 fn burst(server: &PredictServer, requests: &[InferenceRequest]) {
     let mut handles = Vec::with_capacity(requests.len());
@@ -128,13 +139,20 @@ fn a_queued_request_costs_a_few_small_allocations() {
     burst(&server, &distinct_requests(0, BURST, vocab, domains));
 
     let requests = distinct_requests(BURST, BURST, vocab, domains);
+    let before = stage_counts(&server);
     let (allocations, bytes) = measure(|| burst(&server, &requests));
+    let after = stage_counts(&server);
     let per_request = allocations as f64 / BURST as f64;
     let bytes_per_request = bytes as f64 / BURST as f64;
     println!(
         "burst of {BURST}: {per_request:.2} allocations, {bytes_per_request:.0} bytes per request"
     );
     assert_eq!(server.stats().cache.hits, 0, "every request was new");
+    let recorded = [0, 1, 2].map(|i| after[i] - before[i]);
+    assert_eq!(
+        recorded, [BURST as u64; 3],
+        "the burst's stage histograms (cache lookup, queue wait, inference) count every request"
+    );
     assert!(
         per_request <= 8.0,
         "{per_request:.2} allocations per queued request (at most 8 expected)"

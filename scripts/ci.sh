@@ -48,10 +48,7 @@
 #      serving p99 rose more than the tolerance above its baseline; also runs
 #      the two-model zoo throughput gate (multi-tenant throughput >= 0.9x
 #      single-tenant at equal total workers)
-#   5. the http_roundtrip end-to-end example (real TCP serving; also scrapes
-#      GET /metrics mid-run, holds the page to the strict exposition lint,
-#      and walks the /readyz drain sequence before shutdown)
-#   6. the benchmark's release build and unit tests (`cargo test --release
+#   5. the benchmark's release build and unit tests (`cargo test --release
 #      --offline --manifest-path perfbench/Cargo.toml`): perfbench has its
 #      own [workspace], so stages 1-2 never compile it, and a dtdbd-serve
 #      API change could otherwise pass CI and still break the benchmark run.
@@ -60,16 +57,21 @@
 #      any output check fails: wire bit parity, the DTDBD students' macro-F1
 #      floor of 0.7, or a failed operation. A broken distillation stage
 #      therefore fails CI, not the next benchmark run
-#   7. formatting check
-#   8. clippy with warnings promoted to errors
+#   6. formatting check
+#   7. clippy with warnings promoted to errors
+#
+# The http_roundtrip example (examples/http_roundtrip.rs) is built by stage 1
+# but not run: stage 2's wire battery (tests/integration/tests/http.rs and
+# dtdbd-serve's HTTP unit tests) and stage 5's wire-parity check cover what
+# it asserts.
 #
 # Modes / knobs:
 #   CI_QUICK               any value other than empty or "0" (the rule the
 #                          chaos and hot-swap batteries use to shrink
 #                          themselves) skips every release-profile stage
-#                          (1, 3-6: the release build, release parity
-#                          battery, bench gate, example, perfbench build
-#                          and run) for a sub-minute inner-loop gate on a
+#                          (1, 3-5: the release build, release parity
+#                          battery, bench gate, perfbench build and run)
+#                          for a sub-minute inner-loop gate on a
 #                          warm build cache — tests + fmt + clippy still
 #                          run, and the dev-profile test suite includes the GEMM
 #                          bit-parity battery (crates/tensor/tests) plus the
@@ -122,7 +124,7 @@ case "${CI_QUICK:-0}" in
 esac
 
 if [ "$quick" = "1" ]; then
-  echo "==> CI_QUICK=$CI_QUICK: skipping release build, release parity battery, bench gate, example and perfbench build + run"
+  echo "==> CI_QUICK=$CI_QUICK: skipping release build, release parity battery, bench gate and perfbench build + run"
 else
   stage "cargo build --release" \
     cargo build --release --workspace --all-targets
@@ -137,9 +139,6 @@ if [ "$quick" != "1" ]; then
 
   stage "bench regression gate (kernels/serving/http vs committed baselines)" \
     scripts/check_bench.sh
-
-  stage "http_roundtrip example (train -> checkpoint -> serve over TCP, /metrics lint, /readyz drain)" \
-    cargo run --release -q -p dtdbd-bench --example http_roundtrip
 
   stage "perfbench release build + unit tests + one 2 s zipf run (own workspace, not built by stage 1)" \
     perfbench

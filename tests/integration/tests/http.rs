@@ -3,7 +3,8 @@
 //! concurrent keep-alive clients across mixed domains — every wire answer
 //! must match the in-process `PredictServer::predict` path **bit for bit**.
 //! A second scenario throws malformed byte streams at the live socket and
-//! requires clean 4xx handling with the server still healthy afterwards.
+//! requires clean 4xx handling with the server still healthy afterwards. A
+//! third walks the drain sequence a load balancer sees.
 
 use dtdbd_core::{train_model, TrainConfig};
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
@@ -253,4 +254,30 @@ fn malformed_wire_traffic_gets_4xx_and_never_kills_the_server() {
         .and_then(Json::as_u64)
         .unwrap();
     assert!(rejected > 0, "the attacks above must have counted as 4xx");
+}
+
+#[test]
+fn draining_drops_readiness_while_accepted_connections_stay_live() {
+    let (checkpoint, _) = trained_checkpoint();
+    let server = start_http(&checkpoint, 4);
+    let addr = server.local_addr();
+    // Under epoll, draining stops new accepts, so both connections are
+    // served once before the drain starts.
+    let mut probe = HttpClient::connect(addr).expect("connect");
+    let mut live = HttpClient::connect(addr).expect("connect");
+    assert_eq!(live.get("/healthz").unwrap().status, 200);
+    assert_eq!(probe.get("/readyz").unwrap().status, 200);
+    server.begin_drain();
+    assert_eq!(
+        probe.get("/readyz").unwrap().status,
+        503,
+        "readiness must drop once draining starts"
+    );
+    assert_eq!(
+        live.get("/healthz").unwrap().status,
+        200,
+        "liveness must survive draining"
+    );
+    drop((probe, live));
+    server.shutdown();
 }
