@@ -1,28 +1,11 @@
 //! Table IV: data statistics of the Chinese corpus (fake / real / total per
 //! domain).
 
-use dtdbd_bench::experiments::{chinese_dataset, RunOptions};
-use dtdbd_metrics::TableBuilder;
+use dtdbd_bench::experiments::{chinese_dataset, dataset_stats_table, RunOptions};
 
 fn main() {
     let opts = RunOptions::from_args();
     let ds = chinese_dataset(&opts);
-    let stats = ds.stats();
-
-    let mut header = vec!["Count".to_string()];
-    header.extend(stats.per_domain.iter().map(|d| d.name.clone()));
-    header.push("All".to_string());
-    let mut table = TableBuilder::new("Table IV — Chinese dataset statistics").header(header);
-
-    let mut fake: Vec<f64> = stats.per_domain.iter().map(|d| d.fake as f64).collect();
-    fake.push(stats.total_fake() as f64);
-    table.metric_row("Fake", &fake, 0);
-    let mut real: Vec<f64> = stats.per_domain.iter().map(|d| d.real as f64).collect();
-    real.push((stats.total() - stats.total_fake()) as f64);
-    table.metric_row("Real", &real, 0);
-    let mut total: Vec<f64> = stats.per_domain.iter().map(|d| d.total() as f64).collect();
-    total.push(stats.total() as f64);
-    table.metric_row("Total", &total, 0);
-
+    let table = dataset_stats_table("Table IV — Chinese dataset statistics", &ds);
     println!("{}", table.render());
 }

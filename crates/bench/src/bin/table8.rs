@@ -26,10 +26,7 @@ fn main() {
     teacher_row.name = "Teacher(M3)".to_string();
 
     for arch in [StudentArch::TextCnn, StudentArch::BiGru] {
-        let arch_name = match arch {
-            StudentArch::TextCnn => "TextCNN-S",
-            StudentArch::BiGru => "BiGRU-S",
-        };
+        let arch_name = arch.name();
         table.row([
             format!("--- {arch_name} ---"),
             String::new(),

@@ -15,10 +15,7 @@ fn main() {
         .header(["Model", "F1", "FNED", "FPED", "Total"]);
 
     for arch in [StudentArch::TextCnn, StudentArch::BiGru] {
-        let arch_name = match arch {
-            StudentArch::TextCnn => "TextCNN-S",
-            StudentArch::BiGru => "BiGRU-S",
-        };
+        let arch_name = arch.name();
         table.row([
             format!("--- {arch_name} ---"),
             String::new(),

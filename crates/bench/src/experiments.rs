@@ -37,36 +37,36 @@ impl Default for RunOptions {
 
 impl RunOptions {
     /// Parse `--quick`, `--seed N` and `--epochs N` from the process
-    /// arguments; unknown arguments are ignored.
+    /// arguments. Anything else prints the error and a usage line to
+    /// stderr and exits with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::from_slice(&args)
+        Self::from_slice(&args).unwrap_or_else(|e| {
+            let bin = args.first().map_or("bin", String::as_str);
+            eprintln!("error: {e}\nusage: {bin} [--quick] [--seed N] [--epochs N]");
+            std::process::exit(2)
+        })
     }
 
-    /// Parse options from an explicit argument slice (testable).
-    pub fn from_slice(args: &[String]) -> Self {
+    /// Parse options from an explicit argument slice whose first element
+    /// is the program name. The error names the flag it rejects.
+    pub fn from_slice(args: &[String]) -> Result<Self, String> {
         let mut opts = Self::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut rest = args.iter().skip(1);
+        while let Some(flag) = rest.next() {
+            let mut value = || {
+                rest.next()
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| format!("{flag} needs a non-negative integer"))
+            };
+            match flag.as_str() {
                 "--quick" => opts.quick = true,
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.seed = v;
-                        i += 1;
-                    }
-                }
-                "--epochs" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.epochs = Some(v);
-                        i += 1;
-                    }
-                }
-                _ => {}
+                "--seed" => opts.seed = value()?,
+                "--epochs" => opts.epochs = Some(value()? as usize),
+                _ => return Err(format!("unknown flag {flag}")),
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 }
 
@@ -126,6 +126,26 @@ pub fn distill_config(opts: &RunOptions) -> DistillConfig {
         seed: opts.seed,
         ..DistillConfig::default()
     }
+}
+
+/// The Table IV/V statistics of a corpus: fake, real and total items per
+/// domain, with an "All" column.
+pub fn dataset_stats_table(title: &str, ds: &MultiDomainDataset) -> TableBuilder {
+    let stats = ds.stats();
+    let mut header = vec!["Count".to_string()];
+    header.extend(stats.per_domain.iter().map(|d| d.name.clone()));
+    header.push("All".to_string());
+    let mut table = TableBuilder::new(title).header(header);
+    let mut fake: Vec<f64> = stats.per_domain.iter().map(|d| d.fake as f64).collect();
+    fake.push(stats.total_fake() as f64);
+    table.metric_row("Fake", &fake, 0);
+    let mut real: Vec<f64> = stats.per_domain.iter().map(|d| d.real as f64).collect();
+    real.push((stats.total() - stats.total_fake()) as f64);
+    table.metric_row("Real", &real, 0);
+    let mut total: Vec<f64> = stats.per_domain.iter().map(|d| d.total() as f64).collect();
+    total.push(stats.total() as f64);
+    table.metric_row("Total", &total, 0);
+    table
 }
 
 /// One row of a results table (per-domain F1 plus overall metrics).
@@ -285,6 +305,14 @@ pub enum StudentArch {
 }
 
 impl StudentArch {
+    /// Baseline-roster name of the student ([`build_baseline`] builds it).
+    pub fn name(&self) -> &'static str {
+        match self {
+            StudentArch::TextCnn => "TextCNN-S",
+            StudentArch::BiGru => "BiGRU-S",
+        }
+    }
+
     /// Build a fresh, untrained student of this architecture.
     pub fn build(
         &self,
@@ -292,10 +320,7 @@ impl StudentArch {
         config: &ModelConfig,
         rng: &mut Prng,
     ) -> Box<dyn FakeNewsModel> {
-        match self {
-            StudentArch::TextCnn => Box::new(TextCnnModel::student(store, config, rng)),
-            StudentArch::BiGru => Box::new(BiGruModel::student(store, config, rng)),
-        }
+        build_baseline(self.name(), store, config, rng)
     }
 }
 
@@ -332,11 +357,7 @@ pub fn train_plain_student(
     split: &Split,
     opts: &RunOptions,
 ) -> (EvalRow, TrainedModel) {
-    let name = match arch {
-        StudentArch::TextCnn => "TextCNN-S",
-        StudentArch::BiGru => "BiGRU-S",
-    };
-    let (mut row, trained) = run_baseline(name, split, opts);
+    let (mut row, trained) = run_baseline(arch.name(), split, opts);
     row.name = "Student".to_string();
     (row, trained)
 }
@@ -470,13 +491,27 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = RunOptions::from_slice(&args);
+        let opts = RunOptions::from_slice(&args).unwrap();
         assert!(opts.quick);
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.epochs, Some(3));
-        let default = RunOptions::from_slice(&["bin".to_string()]);
+        let default = RunOptions::from_slice(&["bin".to_string()]).unwrap();
         assert!(!default.quick);
         assert_eq!(default.seed, 42);
+        for (bad, flag) in [
+            (&["--epoch", "3"][..], "--epoch"),
+            (&["--seed", "x"][..], "--seed"),
+            (&["--seed"][..], "--seed"),
+            (&["--epochs", "-1"][..], "--epochs"),
+            (&["--quick", "extra"][..], "extra"),
+        ] {
+            let args: Vec<String> = std::iter::once("bin")
+                .chain(bad.iter().copied())
+                .map(String::from)
+                .collect();
+            let err = RunOptions::from_slice(&args).unwrap_err();
+            assert!(err.contains(flag), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   numbers);
 //! * `--seed N` — change the global seed (default 42);
 //! * `--epochs N` — override the number of training epochs.
+//!
+//! Any other argument, or a value that is not a non-negative integer,
+//! prints the error and a usage line and exits with status 2.
 
 pub mod experiments;
 pub mod harness;

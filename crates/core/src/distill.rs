@@ -1,7 +1,8 @@
 //! Dual-teacher de-biasing distillation (paper Sec. V, Algorithm 1).
 //!
 //! The student is trained with the weighted combination of three losses
-//! (Eq. 13):
+//! (Eq. 13, with the cross-entropy weight ω_S fixed at 1, so the total is
+//! `L_CE + ω_ADD·L_ADD + ω_DKD·L_DKD`):
 //!
 //! * `L_CE` — ordinary cross-entropy on the hard labels,
 //! * `L_ADD` — adversarial de-biasing distillation (Eq. 5–6): a softened KL
@@ -47,8 +48,6 @@ pub struct DistillConfig {
     pub momentum: f32,
     /// Initial ω_ADD.
     pub initial_w_add: f32,
-    /// Weight of the student's own cross-entropy loss (ω_S, kept at 1).
-    pub w_classification: f32,
     /// Enable the adversarial de-biasing distillation term.
     pub use_add: bool,
     /// Enable the domain knowledge distillation term.
@@ -71,7 +70,6 @@ impl Default for DistillConfig {
             tau: 4.0,
             momentum: 0.7,
             initial_w_add: 0.5,
-            w_classification: 1.0,
             use_add: true,
             use_dkd: true,
             use_daa: true,
@@ -261,8 +259,7 @@ impl DtdbdTrainer {
             cfg.seed ^ step_seed.wrapping_mul(0x1000_0001),
         );
         let out = student.forward(&mut g, batch);
-        let ce = g.cross_entropy_logits(out.logits, &batch.labels);
-        let mut total = g.scale(ce, cfg.w_classification);
+        let mut total = g.cross_entropy_logits(out.logits, &batch.labels);
         if let Some(teacher_logits) = &clean_logits {
             let dkd = kd_kl_loss(&mut g, out.logits, teacher_logits, cfg.tau);
             let dkd = g.scale(dkd, w_dkd);

@@ -109,12 +109,11 @@ pub(crate) fn start(listener: TcpListener, ctx: &Arc<Ctx>) -> io::Result<Box<dyn
 fn serve(mut stream: TcpStream, ctx: &Ctx) {
     let _ = stream.set_read_timeout(Some(ctx.config.read_timeout.min(READ_POLL_INTERVAL)));
     let _ = stream.set_nodelay(true);
-    let trace = ctx.default_model().trace();
     let mut conn = Connection::new(&ctx.config, Instant::now());
     let mut chunk = [0u8; 8192];
     let mut action = Action::Read;
     loop {
-        let env = Env::of(ctx, &trace);
+        let env = Env::of(ctx);
         action = match action {
             Action::Close => return,
             Action::Dispatch(request) => {

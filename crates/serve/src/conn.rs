@@ -25,7 +25,7 @@
 //! from the first byte of a request and again from the moment its response
 //! is queued, none while a request is being answered — the `408`,
 //! parse-error and `503 overloaded` replies with their counters, and the
-//! `http_parse` / `response_write` telemetry spans.
+//! `http_parse` / `response_write` telemetry stages.
 //!
 //! Two drivers run it: the epoll event loop (`poll.rs`, Linux x86-64 and
 //! aarch64) and the blocking thread pool (`blocking.rs`, every other
@@ -37,7 +37,7 @@ use crate::http::{
     CONTENT_TYPE_JSON,
 };
 use crate::surface::{HttpCounter, HttpStats};
-use crate::telemetry::{Stage, TraceContext};
+use crate::telemetry::Stage;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -45,10 +45,24 @@ use std::time::{Duration, Instant};
 /// much quiet time instead of the full `read_timeout`.
 pub(crate) const DRAIN_IDLE_DEADLINE: Duration = Duration::from_millis(100);
 
+/// Where a connection's wire stages (`http_parse`, `response_write`) land.
+pub(crate) trait WireStages {
+    fn record_wire(&self, stage: Stage, ns: u64);
+}
+
+impl WireStages for Ctx {
+    /// Into the default tenant's active version, looked up when the stage
+    /// ends: the registry `/stats` and `/metrics` render, also after a hot
+    /// swap retired the version the connection started on.
+    fn record_wire(&self, stage: Stage, ns: u64) {
+        self.default_model().registry().record_wire(stage, ns);
+    }
+}
+
 /// The server as one connection sees it at one instant.
 pub(crate) struct Env<'a> {
     stats: &'a HttpStats,
-    trace: &'a TraceContext,
+    wire: &'a dyn WireStages,
     /// Drain or shutdown started: no keep-alive past the next response.
     pub(crate) draining: bool,
     /// Shutdown started: connections with no request in flight close now.
@@ -56,11 +70,11 @@ pub(crate) struct Env<'a> {
 }
 
 impl<'a> Env<'a> {
-    /// Read the server's flags once; `trace` records the wire-side spans.
-    pub(crate) fn of(ctx: &'a Ctx, trace: &'a TraceContext) -> Self {
+    /// Read the server's flags once.
+    pub(crate) fn of(ctx: &'a Ctx) -> Self {
         Self {
             stats: &ctx.stats,
-            trace,
+            wire: ctx,
             draining: ctx.draining_or_shutdown(),
             shutdown: ctx.shutdown.load(Ordering::SeqCst),
         }
@@ -175,8 +189,8 @@ impl Connection {
                 // `now` would time a request that arrived in one read as 0.
                 if let Some(t0) = self.parse_started.take() {
                     let end = Instant::now().max(now);
-                    env.trace
-                        .record_ns(Stage::HttpParse, (end - t0).as_nanos() as u64);
+                    env.wire
+                        .record_wire(Stage::HttpParse, (end - t0).as_nanos() as u64);
                 }
                 self.phase = Phase::Dispatching;
                 Action::Dispatch(request)
@@ -213,8 +227,8 @@ impl Connection {
             return None;
         }
         if let Some(t0) = self.write_started.take() {
-            env.trace
-                .record_ns(Stage::ResponseWrite, (now - t0).as_nanos() as u64);
+            env.wire
+                .record_wire(Stage::ResponseWrite, (now - t0).as_nanos() as u64);
         }
         self.out = Vec::new();
         self.out_pos = 0;
@@ -304,7 +318,12 @@ pub(crate) fn shed(ctx: &Ctx, why: &str) -> Answer {
 mod tests {
     use super::*;
     use crate::telemetry::Telemetry;
-    use std::sync::Arc;
+
+    impl WireStages for Telemetry {
+        fn record_wire(&self, stage: Stage, ns: u64) {
+            Telemetry::record_wire(self, stage, ns);
+        }
+    }
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -316,10 +335,10 @@ mod tests {
         }
     }
 
-    /// Stats, a live trace and the two flags the machine reads.
+    /// Stats, a telemetry registry and the two flags the machine reads.
     struct Server {
         stats: HttpStats,
-        trace: TraceContext,
+        telemetry: Telemetry,
         draining: bool,
         shutdown: bool,
     }
@@ -328,7 +347,7 @@ mod tests {
         fn new() -> Self {
             Self {
                 stats: HttpStats::default(),
-                trace: TraceContext::new(Arc::new(Telemetry::new("test", 1, 1, None))),
+                telemetry: Telemetry::new("test", 1, 1, None),
                 draining: false,
                 shutdown: false,
             }
@@ -337,7 +356,7 @@ mod tests {
         fn env(&self) -> Env<'_> {
             Env {
                 stats: &self.stats,
-                trace: &self.trace,
+                wire: &self.telemetry,
                 draining: self.draining,
                 shutdown: self.shutdown,
             }
@@ -348,7 +367,7 @@ mod tests {
         }
 
         fn spans(&self, stage: Stage) -> u64 {
-            self.trace.telemetry().snapshot().stage_total(stage).count
+            self.telemetry.snapshot().stage_total(stage).count
         }
     }
 
@@ -410,11 +429,7 @@ mod tests {
         let mut conn = Connection::new(&config(), t0);
         let request = conn.read(b"GET /healthz HTTP/1.1\r\n\r\n", t0, &server.env());
         assert_eq!(target(request), "/healthz");
-        let parse = server
-            .trace
-            .telemetry()
-            .snapshot()
-            .stage_total(Stage::HttpParse);
+        let parse = server.telemetry.snapshot().stage_total(Stage::HttpParse);
         assert_eq!(parse.count, 1);
         assert!(parse.sum_ns > 0, "the parser's own work is inside the span");
     }
@@ -432,11 +447,7 @@ mod tests {
         assert_eq!(conn.deadline(&server.env()), Some(t0 + MS + 2000 * MS));
         let request = conn.read(b"TP/1.1\r\n\r\n", t0 + 6 * MS, &server.env());
         assert_eq!(target(request), "/healthz");
-        let parse = server
-            .trace
-            .telemetry()
-            .snapshot()
-            .stage_total(Stage::HttpParse);
+        let parse = server.telemetry.snapshot().stage_total(Stage::HttpParse);
         assert_eq!(parse.count, 1);
         assert!(
             parse.quantile_ns(0.5) >= 2.5e6,

@@ -2078,4 +2078,77 @@ mod tests {
         };
         assert!(refused, "listener still answering after drop");
     }
+
+    /// `[http_parse, response_write]` counts from `/stats` plus the http
+    /// recorder's `http_parse` count from `/metrics` (0 when the series is
+    /// absent, as an empty histogram is left off the page).
+    fn wire_stage_counts(client: &mut HttpClient) -> [u64; 3] {
+        let stats = client.get("/stats").unwrap().json().unwrap();
+        let count = |stage: &str| {
+            stats
+                .get("stages")
+                .and_then(|s| s.get(stage))
+                .and_then(|s| s.get("count"))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("no stages.{stage}.count"))
+        };
+        let page = client.get("/metrics").unwrap().body;
+        let series = page
+            .lines()
+            .filter(|l| l.starts_with("dtdbd_stage_latency_seconds_count{"))
+            .find(|l| l.contains("recorder=\"http\",stage=\"http_parse\"}"));
+        let metric = series.map_or(0, |l| l.rsplit(' ').next().unwrap().parse().unwrap());
+        [count("http_parse"), count("response_write"), metric]
+    }
+
+    #[test]
+    fn wire_stages_follow_a_hot_swap_of_the_default_tenant_under_pool() {
+        let ds = dataset();
+        let mut store = ParamStore::new();
+        let model = TextCnnModel::student(&mut store, &ModelConfig::tiny(&ds), &mut Prng::new(7));
+        let path =
+            std::env::temp_dir().join(format!("dtdbd-http-wire-swap-{}.dtdbd", std::process::id()));
+        Checkpoint::capture(&model, &store).save(&path).unwrap();
+        let zoo = ServerBuilder::new()
+            .tenant_from_path(DEFAULT_MODEL_ID, &path)
+            .build_zoo()
+            .expect("valid configuration");
+        let server = HttpServer::start_blocking(zoo, HttpConfig::default()).expect("bind");
+        // One keep-alive connection across the swap: a recorder captured
+        // when it opened would keep feeding the retired version.
+        let mut client = HttpClient::connect(server.local_addr()).unwrap();
+        let n = 5u64;
+        let predict = |client: &mut HttpClient| {
+            for item in ds.items().iter().take(n as usize) {
+                let request = dtdbd_data::InferenceRequest::new(item.tokens.clone(), item.domain);
+                let body = json::encode_request(&request).render();
+                assert_eq!(client.post("/predict", &body).unwrap().status, 200);
+            }
+        };
+        predict(&mut client);
+        let before = wire_stage_counts(&mut client);
+        assert!(before.iter().all(|&c| c >= n), "{before:?}");
+        let reload = client.post("/admin/reload/default", "").unwrap();
+        assert_eq!(reload.status, 200, "{}", reload.body);
+        let swapped = wire_stage_counts(&mut client);
+        predict(&mut client);
+        let after = wire_stage_counts(&mut client);
+        for (i, name) in [
+            "/stats http_parse",
+            "/stats response_write",
+            "/metrics http_parse",
+        ]
+        .iter()
+        .enumerate()
+        {
+            assert!(
+                after[i] >= swapped[i] + n,
+                "{name}: {} after the swap, {} after {n} more predicts",
+                swapped[i],
+                after[i]
+            );
+        }
+        drop(server);
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -98,6 +98,6 @@ pub use server::{BatchingConfig, PredictError, PredictServer, PredictionHandle, 
 pub use session::{InferenceSession, Prediction};
 pub use telemetry::{
     DomainBaseline, DomainDrift, DriftTracker, HistogramSnapshot, LatencyHistogram, Stage,
-    Telemetry, TelemetrySnapshot, TraceContext, BASELINE_TAG,
+    Telemetry, TelemetrySnapshot, BASELINE_TAG,
 };
 pub use zoo::{ModelZoo, ReloadError, Tenant, TenantModel, DEFAULT_MODEL_ID};

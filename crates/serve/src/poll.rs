@@ -22,10 +22,10 @@
 //! connections with no request in flight, lets the others finish, and
 //! exits once the slab is empty, which releases the dispatchers.
 
-use crate::conn::{self, Action, Answer, Connection, Env};
+use crate::conn::{self, Action, Answer, Connection, Env, WireStages};
 use crate::http::{Ctx, Driver, HttpRequest};
 use crate::surface::HttpCounter;
-use crate::telemetry::{Stage, TraceContext};
+use crate::telemetry::Stage;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
@@ -420,7 +420,6 @@ fn dispatcher(
     completions: Arc<Completions>,
     waker: Arc<Waker>,
 ) {
-    let trace = ctx.default_model().trace();
     loop {
         // Hold the lock only to pull the next job.
         let job = match rx.lock().expect("dispatch queue poisoned").recv() {
@@ -428,7 +427,7 @@ fn dispatcher(
             Err(_) => return, // event loop gone and queue drained
         };
         let waited = job.enqueued.elapsed().as_nanos() as u64;
-        trace.record_ns(Stage::QueueWait, waited);
+        ctx.record_wire(Stage::QueueWait, waited);
         let answer = conn::respond(&job.request, &ctx);
         let done = (job.token, answer);
         completions.lock().expect("completions poisoned").push(done);
@@ -502,7 +501,6 @@ pub(crate) fn start(listener: TcpListener, ctx: &Arc<Ctx>) -> io::Result<Box<dyn
             wake_rx,
             poller,
             ctx: Arc::clone(ctx),
-            trace: ctx.default_model().trace(),
             slab: Slab::new(),
             deadlines: Deadlines::default(),
             dispatch_tx,
@@ -524,7 +522,6 @@ struct EventLoop {
     wake_rx: TcpStream,
     poller: Poller,
     ctx: Arc<Ctx>,
-    trace: TraceContext,
     slab: Slab,
     deadlines: Deadlines,
     dispatch_tx: SyncSender<Job>,
@@ -585,7 +582,7 @@ impl EventLoop {
             }
             let Env {
                 draining, shutdown, ..
-            } = Env::of(&self.ctx, &self.trace);
+            } = Env::of(&self.ctx);
             // Drain (or shutdown) drops the accept interest: no new
             // connections, in-flight state machines keep running. Idle
             // connections move to the machine's shorter drain deadline.
@@ -684,7 +681,7 @@ impl EventLoop {
                 // Peer closed: a partial request dies with its connection.
                 Ok(0) => (Action::Close, false),
                 Ok(n) => {
-                    let env = Env::of(&self.ctx, &self.trace);
+                    let env = Env::of(&self.ctx);
                     let action = conn.http.read(&buf[..n], Instant::now(), &env);
                     let more = n == buf.len() && matches!(action, Action::Read);
                     (action, more)
@@ -763,7 +760,7 @@ impl EventLoop {
             match conn.stream.write(conn.http.unflushed()) {
                 Ok(0) => return Some(Action::Close),
                 Ok(n) => {
-                    let env = Env::of(&self.ctx, &self.trace);
+                    let env = Env::of(&self.ctx);
                     if let Some(next) = conn.http.wrote(n, Instant::now(), &env) {
                         return Some(next);
                     }
@@ -795,7 +792,7 @@ impl EventLoop {
     /// Let the machine act on shutdown or a passed deadline; otherwise keep
     /// its deadline queued.
     fn check(&mut self, idx: usize, now: Instant) {
-        let env = Env::of(&self.ctx, &self.trace);
+        let env = Env::of(&self.ctx);
         let action = match self.slab.conn_mut(idx) {
             Some(conn) => conn.http.check(now, &env),
             None => return,
@@ -811,7 +808,7 @@ impl EventLoop {
     /// fire and re-arm, so steady keep-alive traffic keeps one entry per
     /// connection.
     fn arm_deadline(&mut self, idx: usize) {
-        let env = Env::of(&self.ctx, &self.trace);
+        let env = Env::of(&self.ctx);
         let token = self.slab.token_of(idx);
         if let Some(conn) = self.slab.conn_mut(idx) {
             let deadline = conn.http.deadline(&env);

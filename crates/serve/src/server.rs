@@ -40,7 +40,7 @@ use crate::cache::{CacheKey, CacheStats, PredictionCache};
 use crate::checkpoint::Checkpoint;
 use crate::fault::{FaultPlan, WorkerFaults};
 use crate::session::{InferenceSession, Prediction};
-use crate::telemetry::{Stage, Telemetry, TraceContext};
+use crate::telemetry::{Stage, Telemetry};
 use dtdbd_data::{EncodedRequest, InferenceRequest, RequestEncoder, RequestError};
 use dtdbd_tensor::KernelTimers;
 use std::collections::VecDeque;
@@ -546,17 +546,17 @@ impl PredictServer {
         request: EncodedRequest,
         deadline: Option<Instant>,
     ) -> PredictionHandle {
-        let trace = self.trace();
         let key = match self.shared.cache.as_ref() {
             Some(cache) => {
                 let key = CacheKey::of(&request);
-                let span = trace.span(Stage::CacheLookup);
+                let telemetry = &self.shared.telemetry;
+                let started = Instant::now();
                 let hit = cache.lock().expect("cache poisoned").get(&key);
-                span.finish();
+                telemetry.record_wire(Stage::CacheLookup, started.elapsed().as_nanos() as u64);
                 if let Some(hit) = hit {
                     // A cache hit is a served prediction too: the drift
                     // tracker must see the traffic the clients see.
-                    trace.observe_prediction(request.domain(), hit.fake_prob);
+                    telemetry.drift().observe(request.domain(), hit.fake_prob);
                     return PredictionHandle::ready(Ok(hit));
                 }
                 Some(key)
@@ -605,10 +605,10 @@ impl PredictServer {
         Some(&self.shared.telemetry)
     }
 
-    /// A trace handle bound to this server's telemetry. The HTTP front-end
-    /// records its wire stages through this.
-    pub fn trace(&self) -> TraceContext {
-        TraceContext::new(Arc::clone(&self.shared.telemetry))
+    /// The telemetry registry, for the HTTP front-end's wire stages and
+    /// the observability surface.
+    pub(crate) fn registry(&self) -> &Telemetry {
+        &self.shared.telemetry
     }
 
     /// Workers currently able to serve. Anything below
@@ -792,7 +792,7 @@ fn worker_loop(
     faults: Option<&WorkerFaults>,
     batches_done: &mut u64,
 ) {
-    let trace = TraceContext::new(Arc::clone(&shared.telemetry));
+    let telemetry = &shared.telemetry;
     loop {
         let (jobs, assembly_ns) = {
             let mut state = shared.queue.lock().expect("queue poisoned");
@@ -856,11 +856,11 @@ fn worker_loop(
                 continue;
             }
         }
-        trace.record_worker_ns(worker_id, Stage::BatchAssembly, assembly_ns);
+        telemetry.record_worker(worker_id, Stage::BatchAssembly, assembly_ns);
         let drained_at = Instant::now();
         for job in &jobs {
             let waited = drained_at.saturating_duration_since(job.enqueued_at);
-            trace.record_worker_ns(worker_id, Stage::QueueWait, waited.as_nanos() as u64);
+            telemetry.record_worker(worker_id, Stage::QueueWait, waited.as_nanos() as u64);
         }
         *batches_done += 1;
         let batch_no = *batches_done;
@@ -901,9 +901,11 @@ fn worker_loop(
         // recorded stage sum matches the measured span exactly.
         let total_ns = inference_started.elapsed().as_nanos() as u64;
         let n = jobs.len() as u64;
-        trace.record_worker_batch_ns(worker_id, Stage::Inference, total_ns, n);
+        telemetry.record_worker_batch(worker_id, Stage::Inference, total_ns, n);
         for (job, prediction) in jobs.iter().zip(predictions.iter()) {
-            trace.observe_prediction(job.request.domain(), prediction.fake_prob);
+            telemetry
+                .drift()
+                .observe(job.request.domain(), prediction.fake_prob);
         }
         let (hits, misses) = session.pool_stats();
         shared.counters[worker_id].publish(jobs.len() as u64, hits, misses);

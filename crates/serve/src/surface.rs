@@ -160,7 +160,7 @@ impl Snapshot {
             ready: is_ready(ctx),
             connection_model: ctx.connection_model,
             http: std::array::from_fn(|i| ctx.stats.0[i].load(Ordering::Relaxed)),
-            telemetry: tenants[default].model.trace().telemetry().snapshot(),
+            telemetry: tenants[default].model.registry().snapshot(),
             tenants,
             default,
         }

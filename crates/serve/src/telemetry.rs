@@ -23,14 +23,16 @@
 //!   surfaces as a prediction-mean shift and a bucketed total-variation
 //!   (PSI-style) score per domain.
 //!
-//! The serving layers thread a cheap [`TraceContext`] handle (an `Arc` of
-//! the registry) through the connection layer and `server.rs`.
+//! Workers and the submit path record into their own server's registry.
+//! The HTTP front-end holds no registry: each wire stage (HTTP parse,
+//! response write, the epoll dispatcher's queue wait) records into the
+//! default tenant's active version, looked up when the stage ends, so
+//! after a hot swap it lands in the registry `/stats` and `/metrics`
+//! render.
 
 use dtdbd_models::codec::{ByteReader, ByteWriter};
 use dtdbd_tensor::KernelTimers;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Side-state tag under which a checkpoint carries the serialized
 /// [`DomainBaseline`] (a container-level chunk: models never import it).
@@ -313,8 +315,8 @@ impl StageSet {
 
 /// The per-server telemetry registry. One instance lives behind an `Arc` in
 /// the serving core; connection threads and prediction workers record into
-/// it through [`TraceContext`] handles, and the tensor layer reports kernel
-/// durations into it via the [`KernelTimers`] impl.
+/// it directly, and the tensor layer reports kernel durations into it via
+/// the [`KernelTimers`] impl.
 pub struct Telemetry {
     arch: &'static str,
     /// Stages recorded by connection threads (HTTP parse, cache lookup,
@@ -357,17 +359,20 @@ impl Telemetry {
         &self.drift
     }
 
-    fn record_wire(&self, stage: Stage, ns: u64) {
+    pub(crate) fn record_wire(&self, stage: Stage, ns: u64) {
         self.wire.record(stage, ns);
     }
 
-    fn record_worker(&self, worker: usize, stage: Stage, ns: u64) {
+    pub(crate) fn record_worker(&self, worker: usize, stage: Stage, ns: u64) {
         if let Some(set) = self.workers.get(worker) {
             set.record(stage, ns);
         }
     }
 
-    fn record_worker_batch(&self, worker: usize, stage: Stage, total_ns: u64, n: u64) {
+    /// Attribute a measured batch span of `total_ns` pro-rata over `n`
+    /// items, giving the division remainder to the last item so the
+    /// recorded stage sum equals `total_ns` exactly.
+    pub(crate) fn record_worker_batch(&self, worker: usize, stage: Stage, total_ns: u64, n: u64) {
         if let Some(set) = self.workers.get(worker) {
             set.record_batch(stage, total_ns, n);
         }
@@ -435,77 +440,6 @@ impl TelemetrySnapshot {
             }
         }
         total
-    }
-}
-
-/// A cheap, cloneable handle the serving layers thread through the request
-/// path.
-#[derive(Clone)]
-pub struct TraceContext {
-    telemetry: Arc<Telemetry>,
-}
-
-impl TraceContext {
-    /// A handle recording into `telemetry`.
-    pub fn new(telemetry: Arc<Telemetry>) -> Self {
-        Self { telemetry }
-    }
-
-    /// The registry behind this handle.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
-    }
-
-    /// RAII span over a wire-side stage: starts the clock now and records
-    /// the elapsed time into `stage` when dropped.
-    pub fn span(&self, stage: Stage) -> Span<'_> {
-        Span {
-            telemetry: &self.telemetry,
-            stage,
-            started: Instant::now(),
-        }
-    }
-
-    /// Record a wire-side stage duration measured by the caller.
-    pub fn record_ns(&self, stage: Stage, ns: u64) {
-        self.telemetry.record_wire(stage, ns);
-    }
-
-    /// Record a worker-side stage duration.
-    pub fn record_worker_ns(&self, worker: usize, stage: Stage, ns: u64) {
-        self.telemetry.record_worker(worker, stage, ns);
-    }
-
-    /// Attribute a measured batch span of `total_ns` pro-rata over `n`
-    /// items, giving the division remainder to the last item so the
-    /// recorded stage sum equals `total_ns` exactly.
-    pub fn record_worker_batch_ns(&self, worker: usize, stage: Stage, total_ns: u64, n: u64) {
-        self.telemetry
-            .record_worker_batch(worker, stage, total_ns, n);
-    }
-
-    /// Feed one served prediction into the drift tracker.
-    pub fn observe_prediction(&self, domain: usize, fake_prob: f32) {
-        self.telemetry.drift.observe(domain, fake_prob);
-    }
-}
-
-/// RAII guard from [`TraceContext::span`]; records its stage on drop.
-pub struct Span<'a> {
-    telemetry: &'a Telemetry,
-    stage: Stage,
-    started: Instant,
-}
-
-impl Span<'_> {
-    /// End the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let ns = self.started.elapsed().as_nanos() as u64;
-        self.telemetry.record_wire(self.stage, ns);
     }
 }
 
@@ -872,11 +806,10 @@ mod tests {
         h.record_batch_ns(1_000, 0);
         assert_eq!(h.snapshot().count, 0);
         assert_eq!(h.snapshot().sum_ns, 0);
-        // End to end through the worker-side trace handle.
+        // End to end through the worker-side recorder.
         let t = Telemetry::new("TextCNN-S", 1, 1, None);
-        let ctx = TraceContext::new(Arc::new(t));
-        ctx.record_worker_batch_ns(0, Stage::Inference, 10_007, 8);
-        let snap = ctx.telemetry().snapshot();
+        t.record_worker_batch(0, Stage::Inference, 10_007, 8);
+        let snap = t.snapshot();
         assert_eq!(snap.stage_total(Stage::Inference).count, 8);
         assert_eq!(snap.stage_total(Stage::Inference).sum_ns, 10_007);
     }
@@ -900,10 +833,9 @@ mod tests {
         );
         // The snapshot surfaces the counter for /stats and /metrics.
         let t = Telemetry::new("TextCNN-S", 1, 1, None);
-        let ctx = TraceContext::new(Arc::new(t));
-        ctx.observe_prediction(0, f32::NAN);
-        ctx.observe_prediction(0, 0.25);
-        let snap = ctx.telemetry().snapshot();
+        t.drift().observe(0, f32::NAN);
+        t.drift().observe(0, 0.25);
+        let snap = t.snapshot();
         assert_eq!(snap.predictions_non_finite, 1);
         assert_eq!(snap.drift[0].live_count, 1);
     }
@@ -995,18 +927,14 @@ mod tests {
 
     #[test]
     fn telemetry_registry_snapshots_stages_workers_and_kernels() {
-        let t = Telemetry::new("TextCNN-S", 2, 3, None);
-        let ctx = TraceContext::new(Arc::new(t));
-        ctx.record_ns(Stage::HttpParse, 1_000);
-        ctx.record_worker_ns(0, Stage::QueueWait, 2_000);
-        ctx.record_worker_batch_ns(1, Stage::Inference, 40_000, 8);
-        ctx.observe_prediction(1, 0.7);
-        {
-            let _span = ctx.span(Stage::ResponseWrite);
-        }
-        let telemetry = ctx.telemetry();
-        KernelTimers::record(telemetry.as_ref(), "matmul", 999);
-        KernelTimers::record(telemetry.as_ref(), "mystery", 5);
+        let telemetry = Telemetry::new("TextCNN-S", 2, 3, None);
+        telemetry.record_wire(Stage::HttpParse, 1_000);
+        telemetry.record_worker(0, Stage::QueueWait, 2_000);
+        telemetry.record_worker_batch(1, Stage::Inference, 40_000, 8);
+        telemetry.drift().observe(1, 0.7);
+        telemetry.record_wire(Stage::ResponseWrite, 300);
+        KernelTimers::record(&telemetry, "matmul", 999);
+        KernelTimers::record(&telemetry, "mystery", 5);
         let snap = telemetry.snapshot();
         assert_eq!(snap.arch, "TextCNN-S");
         assert_eq!(snap.recorders.len(), 3, "http + 2 workers");

@@ -115,7 +115,7 @@ fn distinct_requests(
 /// lookup at submit, then the queue wait and the inference share in the
 /// worker.
 fn stage_counts(server: &PredictServer) -> [u64; 3] {
-    let snapshot = server.trace().telemetry().snapshot();
+    let snapshot = server.telemetry().expect("telemetry").snapshot();
     [Stage::CacheLookup, Stage::QueueWait, Stage::Inference]
         .map(|stage| snapshot.stage_total(stage).count)
 }

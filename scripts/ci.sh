@@ -57,7 +57,8 @@
 #      any output check fails: wire bit parity, the DTDBD students' macro-F1
 #      floor of 0.7, or a failed operation. A broken distillation stage
 #      therefore fails CI, not the next benchmark run
-#   6. formatting check
+#   6. formatting check of the workspace and of perfbench (its own
+#      workspace, so `cargo fmt --all` never reaches it)
 #   7. clippy with warnings promoted to errors
 #
 # The http_roundtrip example (examples/http_roundtrip.rs) is built by stage 1
@@ -144,8 +145,13 @@ if [ "$quick" != "1" ]; then
     perfbench
 fi
 
-stage "cargo fmt --check" \
+fmt_check() {
   cargo fmt --all --check
+  cargo fmt --check --manifest-path perfbench/Cargo.toml
+}
+
+stage "cargo fmt --check (workspace + perfbench)" \
+  fmt_check
 
 stage "cargo clippy -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings

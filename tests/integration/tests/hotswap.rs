@@ -2,9 +2,10 @@
 //! keep-alive clients stream prediction traffic, and every wire answer must
 //! be bit-identical to exactly one of the two checkpoints that ever lived on
 //! disk — no 5xx, no dropped requests, no mis-versioned responses. The
-//! battery runs under this build's connection driver, and a second scenario
-//! checks that the default tenant's served counter never drops across a
-//! swap.
+//! battery runs under this build's connection driver. Two more scenarios
+//! check that the default tenant's served counter never drops across a
+//! swap, and that the wire stages keep counting into the swapped-in
+//! version.
 
 use dtdbd_core::{train_model, TrainConfig};
 use dtdbd_data::{weibo21_spec, GeneratorConfig, InferenceRequest, NewsGenerator};
@@ -330,6 +331,77 @@ fn unlabelled_served_counter_never_drops_when_the_default_tenant_swaps() {
         stats.get("requests_served"),
         student.get("requests_served_total")
     );
+    drop(server);
+    std::fs::remove_file(&path).ok();
+}
+
+/// `[http_parse, response_write]` counts from `/stats` plus the http
+/// recorder's `http_parse` count from `/metrics` (0 when the series is
+/// absent, as an empty histogram is left off the page).
+fn wire_stage_counts(client: &mut HttpClient) -> [u64; 3] {
+    let stats = client.get("/stats").unwrap().json().unwrap();
+    let count = |stage: &str| {
+        stats
+            .get("stages")
+            .and_then(|s| s.get(stage))
+            .and_then(|s| s.get("count"))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("no stages.{stage}.count"))
+    };
+    let page = client.get("/metrics").unwrap().body;
+    let series = page
+        .lines()
+        .filter(|l| l.starts_with("dtdbd_stage_latency_seconds_count{"))
+        .find(|l| l.contains("recorder=\"http\",stage=\"http_parse\"}"));
+    let metric = series.map_or(0, |l| l.rsplit(' ').next().unwrap().parse().unwrap());
+    [count("http_parse"), count("response_write"), metric]
+}
+
+#[test]
+fn wire_stages_follow_a_hot_swap_of_the_default_tenant_under_epoll() {
+    let (v1, v2, ds) = two_checkpoints();
+    let path = temp_checkpoint_path("wire-stages");
+    v1.save(&path).expect("write v1 checkpoint");
+    let server = ServerBuilder::new()
+        .batching(batching())
+        .tenant_from_path("student", &path)
+        .try_start_http()
+        .expect("start zoo");
+    // One keep-alive connection across the swap: a recorder the listener
+    // captured at start would keep feeding the retired version.
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    let n = 6u64;
+    let predict = |client: &mut HttpClient| {
+        for item in ds.items().iter().take(n as usize) {
+            let request = InferenceRequest::new(item.tokens.clone(), item.domain);
+            let body = json::encode_request(&request).render();
+            assert_eq!(client.post("/predict", &body).unwrap().status, 200);
+        }
+    };
+    predict(&mut client);
+    let before = wire_stage_counts(&mut client);
+    assert!(before.iter().all(|&c| c >= n), "{before:?}");
+    v2.save(&path).expect("flip checkpoint file");
+    let reload = client.post("/admin/reload/student", "").unwrap();
+    assert_eq!(reload.status, 200, "{}", reload.body);
+    let swapped = wire_stage_counts(&mut client);
+    predict(&mut client);
+    let after = wire_stage_counts(&mut client);
+    for (i, name) in [
+        "/stats http_parse",
+        "/stats response_write",
+        "/metrics http_parse",
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert!(
+            after[i] >= swapped[i] + n,
+            "{name}: {} after the swap, {} after {n} more predicts",
+            swapped[i],
+            after[i]
+        );
+    }
     drop(server);
     std::fs::remove_file(&path).ok();
 }
