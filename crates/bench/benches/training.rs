@@ -44,7 +44,7 @@ fn bench_distill_epoch() {
     let ds =
         NewsGenerator::new(weibo21_spec(), GeneratorConfig::default()).generate_scaled(2, 0.03);
     let split = ds.split(0.7, 0.1, 1);
-    let cfg = ModelConfig::for_dataset(&ds);
+    let cfg = ModelConfig::for_dataset(&split.train);
 
     let mut clean_store = ParamStore::new();
     let clean = M3Fend::new(&mut clean_store, &cfg, &mut Prng::new(2));

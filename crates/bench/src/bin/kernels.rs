@@ -47,7 +47,7 @@ struct Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = dtdbd_bench::harness::quick_from_args();
     let budget = if quick {
         Duration::from_millis(90)
     } else {

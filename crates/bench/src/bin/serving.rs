@@ -51,7 +51,7 @@ struct ServerResult {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = dtdbd_bench::harness::quick_from_args();
     let (scale, iters_budget, server_requests) = if quick {
         (0.05, 200usize, 300usize)
     } else {
@@ -93,8 +93,8 @@ fn main() {
         .map(|item| InferenceRequest {
             tokens: item.tokens.clone(),
             domain: item.domain,
-            style: Some(item.style.clone()),
-            emotion: Some(item.emotion.clone()),
+            style: Some(item.style.to_vec()),
+            emotion: Some(item.emotion.to_vec()),
         })
         .collect();
 

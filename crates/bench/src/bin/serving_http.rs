@@ -91,7 +91,7 @@ fn rss_kb() -> u64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = dtdbd_bench::harness::quick_from_args();
     let (scale, requests_per_level) = if quick {
         (0.04, 240usize)
     } else {
@@ -127,8 +127,8 @@ fn main() {
             json::encode_request(&InferenceRequest {
                 tokens: item.tokens.clone(),
                 domain: item.domain,
-                style: Some(item.style.clone()),
-                emotion: Some(item.emotion.clone()),
+                style: Some(item.style.to_vec()),
+                emotion: Some(item.emotion.to_vec()),
             })
             .render()
         })

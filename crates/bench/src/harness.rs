@@ -127,9 +127,54 @@ pub fn bench_with(config: &BenchConfig, name: &str, body: &mut dyn FnMut()) -> B
     stats
 }
 
+/// Parse a bench binary's arguments, program name first: `--quick` or
+/// nothing. The error names the argument it rejects.
+fn quick_from_slice(args: &[String]) -> Result<bool, String> {
+    let mut quick = false;
+    for arg in args.iter().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            _ => return Err(format!("unknown flag {arg}")),
+        }
+    }
+    Ok(quick)
+}
+
+/// Whether the process arguments ask for `--quick`. Anything else prints
+/// the error and a usage line to stderr and exits with status 2.
+pub fn quick_from_args() -> bool {
+    let args: Vec<String> = std::env::args().collect();
+    quick_from_slice(&args).unwrap_or_else(|e| {
+        let bin = args.first().map_or("bin", String::as_str);
+        eprintln!("error: {e}\nusage: {bin} [--quick]");
+        std::process::exit(2)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_is_the_only_flag() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = std::iter::once("bin")
+                .chain(args.iter().copied())
+                .map(String::from)
+                .collect();
+            quick_from_slice(&args)
+        };
+        assert_eq!(parse(&[]), Ok(false));
+        assert_eq!(parse(&["--quick"]), Ok(true));
+        for (bad, named) in [
+            (&["--quik"][..], "--quik"),
+            (&["--quick", "--seed", "3"][..], "--seed"),
+            (&["quick"][..], "quick"),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains(named), "{bad:?}: {err}");
+        }
+    }
 
     #[test]
     fn percentile_interpolates() {

@@ -16,7 +16,10 @@
 //! * `--epochs N` — override the number of training epochs.
 //!
 //! Any other argument, or a value that is not a non-negative integer,
-//! prints the error and a usage line and exits with status 2.
+//! prints the error and a usage line and exits with status 2. The
+//! `kernels`, `serving` and `serving_http` benchmark binaries accept
+//! `--quick` alone and reject anything else the same way
+//! ([`harness::quick_from_args`]).
 
 pub mod experiments;
 pub mod harness;

@@ -316,7 +316,7 @@ mod tests {
     fn dat_ie_training_reduces_domain_bias_compared_to_plain_student() {
         let ds = tiny_dataset();
         let split = ds.split(0.7, 0.1, 5);
-        let cfg = ModelConfig::tiny(&ds);
+        let cfg = ModelConfig::tiny(&split.train);
         let tc = TrainConfig {
             epochs: 3,
             batch_size: 32,

@@ -403,7 +403,7 @@ mod tests {
     fn trained_teachers() -> Teachers {
         let ds = tiny_dataset();
         let split = ds.split(0.7, 0.1, 9);
-        let cfg = ModelConfig::tiny(&ds);
+        let cfg = ModelConfig::tiny(&split.train);
         let tc = tiny_train_config();
         let mut clean_store = ParamStore::new();
         let mut clean = M3Fend::new(&mut clean_store, &cfg, &mut Prng::new(1));
@@ -750,7 +750,7 @@ mod tests {
     fn each_active_teacher_runs_once_per_training_item_whatever_the_epoch_count() {
         let ds = tiny_dataset();
         let split = ds.split(0.7, 0.1, 9);
-        let cfg = ModelConfig::tiny(&ds);
+        let cfg = ModelConfig::tiny(&split.train);
         let mut clean_store = ParamStore::new();
         let clean = Counting::new(M3Fend::new(&mut clean_store, &cfg, &mut Prng::new(1)));
         let mut unbiased_store = ParamStore::new();
@@ -805,7 +805,7 @@ mod tests {
     fn disabling_both_teachers_is_rejected() {
         let ds = tiny_dataset();
         let split = ds.split(0.7, 0.1, 9);
-        let cfg = ModelConfig::tiny(&ds);
+        let cfg = ModelConfig::tiny(&split.train);
         let mut clean_store = ParamStore::new();
         let clean = M3Fend::new(&mut clean_store, &cfg, &mut Prng::new(1));
         let mut unbiased_store = ParamStore::new();

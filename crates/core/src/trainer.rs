@@ -229,7 +229,7 @@ mod tests {
     fn training_reduces_loss_and_beats_chance() {
         let ds = tiny_dataset();
         let split = ds.split(0.7, 0.1, 1);
-        let cfg = ModelConfig::tiny(&ds);
+        let cfg = ModelConfig::tiny(&split.train);
         let mut store = ParamStore::new();
         let mut model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(1));
         let tc = TrainConfig {
@@ -253,7 +253,7 @@ mod tests {
     fn evaluation_covers_every_test_item() {
         let ds = tiny_dataset();
         let split = ds.split(0.7, 0.1, 2);
-        let cfg = ModelConfig::tiny(&ds);
+        let cfg = ModelConfig::tiny(&split.train);
         let mut store = ParamStore::new();
         let model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(2));
         let eval = evaluate(&model, &mut store, &split.test, 32);

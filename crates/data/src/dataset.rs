@@ -171,9 +171,16 @@ impl MultiDomainDataset {
     /// into `train_frac` / `val_frac` / remainder portions, so every split
     /// preserves the per-domain fake rates.
     ///
+    /// The split consumes the corpus: each item moves into its portion, so
+    /// one copy of the items exists before and after. A caller that still
+    /// needs the whole corpus splits a clone, `ds.clone().split(..)`. The
+    /// portions share the corpus spec, vocabulary and sequence length, so
+    /// `split.train` stands in for the parent wherever only those are read
+    /// (a `ModelConfig`, say).
+    ///
     /// # Panics
     /// Panics if the fractions are not in `(0, 1)` or sum to ≥ 1.
-    pub fn split(&self, train_frac: f64, val_frac: f64, seed: u64) -> Split {
+    pub fn split(self, train_frac: f64, val_frac: f64, seed: u64) -> Split {
         assert!(train_frac > 0.0 && val_frac > 0.0 && train_frac + val_frac < 1.0);
         let mut rng = Prng::new(seed);
         let n_domains = self.n_domains();
@@ -199,9 +206,15 @@ impl MultiDomainDataset {
                 }
             }
         }
+        // Same size as `NewsItem` (the `tokens` pointer is the niche), so
+        // this collects in place.
+        let mut slots: Vec<Option<NewsItem>> = self.items.into_iter().map(Some).collect();
         let mut build = |indices: &mut Vec<usize>| {
             rng.shuffle(indices);
-            let items: Vec<NewsItem> = indices.iter().map(|&i| self.items[i].clone()).collect();
+            let items = indices
+                .iter()
+                .map(|&i| slots[i].take().expect("every index is in one portion"))
+                .collect();
             MultiDomainDataset::new(self.spec.clone(), self.vocab.clone(), self.seq_len, items)
         };
         Split {
@@ -290,9 +303,10 @@ mod tests {
     #[test]
     fn split_is_disjoint_and_covers_everything() {
         let ds = dataset();
+        let n = ds.len();
         let split = ds.split(0.6, 0.2, 3);
         let total = split.train.len() + split.val.len() + split.test.len();
-        assert_eq!(total, ds.len());
+        assert_eq!(total, n);
         // Id sets must be disjoint.
         let mut ids: Vec<usize> = split
             .train
@@ -304,14 +318,14 @@ mod tests {
             .collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), ds.len());
+        assert_eq!(ids.len(), n);
     }
 
     #[test]
     fn split_preserves_per_domain_fake_rates() {
         let ds = dataset();
-        let split = ds.split(0.6, 0.2, 4);
         let full = ds.stats();
+        let split = ds.split(0.6, 0.2, 4);
         let train = split.train.stats();
         for (f, t) in full.per_domain.iter().zip(train.per_domain.iter()) {
             assert!(
@@ -327,7 +341,7 @@ mod tests {
     #[test]
     fn split_is_deterministic() {
         let ds = dataset();
-        let a = ds.split(0.6, 0.2, 9);
+        let a = ds.clone().split(0.6, 0.2, 9);
         let b = ds.split(0.6, 0.2, 9);
         let ids = |d: &MultiDomainDataset| d.items().iter().map(|i| i.id).collect::<Vec<_>>();
         assert_eq!(ids(&a.test), ids(&b.test));

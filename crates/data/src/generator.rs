@@ -25,9 +25,9 @@ pub struct NewsItem {
     /// Hard domain label (index into the corpus spec's domains).
     pub domain: usize,
     /// Style side-features (sensationalism, punctuation density, hedging, ...).
-    pub style: Vec<f32>,
+    pub style: [f32; STYLE_DIM],
     /// Emotion side-features (arousal, negativity, fear, joy, ...).
-    pub emotion: Vec<f32>,
+    pub emotion: [f32; EMOTION_DIM],
     /// Whether this item was generated as content-ambiguous (weak cues).
     pub ambiguous: bool,
     /// Stable per-corpus identifier (generation order before shuffling).
@@ -224,8 +224,8 @@ impl NewsGenerator {
         }
         rng.shuffle(&mut tokens);
 
-        let style = self.side_features(domain, label, reliability, StyleOrEmotion::Style, rng);
-        let emotion = self.side_features(domain, label, reliability, StyleOrEmotion::Emotion, rng);
+        let style = self.side_features(domain, label, reliability, 0.0, rng);
+        let emotion = self.side_features(domain, label, reliability, 1.0, rng);
 
         NewsItem {
             tokens,
@@ -257,48 +257,34 @@ impl NewsGenerator {
         }
     }
 
-    fn side_features(
+    /// One side-feature vector, drawn in index order. `phase` is 0 for
+    /// style and 1 for emotion.
+    fn side_features<const DIM: usize>(
         &self,
         domain: usize,
         label: usize,
         reliability: f32,
-        which: StyleOrEmotion,
+        phase: f32,
         rng: &mut Prng,
-    ) -> Vec<f32> {
-        let dim = match which {
-            StyleOrEmotion::Style => STYLE_DIM,
-            StyleOrEmotion::Emotion => EMOTION_DIM,
-        };
+    ) -> [f32; DIM] {
         // The label signal lives in the first half of the vector and scales
         // with content reliability; the second half carries a domain-specific
         // offset; everything is perturbed by noise.
         let sign = if label == 1 { 1.0 } else { -1.0 };
-        let phase = match which {
-            StyleOrEmotion::Style => 0.0,
-            StyleOrEmotion::Emotion => 1.0,
-        };
-        (0..dim)
-            .map(|k| {
-                let label_part = if k < dim / 2 {
-                    sign * reliability * (1.0 + 0.3 * ((k as f32 + phase) * 1.3).sin())
-                } else {
-                    0.0
-                };
-                let domain_part = if k >= dim / 2 {
-                    0.5 * ((domain as f32 + 1.0) * (k as f32 + 1.0 + phase) * 0.7).sin()
-                } else {
-                    0.0
-                };
-                label_part + domain_part + self.config.side_feature_noise * rng.normal()
-            })
-            .collect()
+        std::array::from_fn(|k| {
+            let label_part = if k < DIM / 2 {
+                sign * reliability * (1.0 + 0.3 * ((k as f32 + phase) * 1.3).sin())
+            } else {
+                0.0
+            };
+            let domain_part = if k >= DIM / 2 {
+                0.5 * ((domain as f32 + 1.0) * (k as f32 + 1.0 + phase) * 0.7).sin()
+            } else {
+                0.0
+            };
+            label_part + domain_part + self.config.side_feature_noise * rng.normal()
+        })
     }
-}
-
-#[derive(Clone, Copy)]
-enum StyleOrEmotion {
-    Style,
-    Emotion,
 }
 
 /// Sample an index in `[0, n)` with geometrically decreasing probability
@@ -360,8 +346,6 @@ mod tests {
             assert!(item.tokens.iter().all(|&t| t < vocab_size));
             assert!(item.label <= 1);
             assert!(item.domain < 9);
-            assert_eq!(item.style.len(), STYLE_DIM);
-            assert_eq!(item.emotion.len(), EMOTION_DIM);
         }
     }
 

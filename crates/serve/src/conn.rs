@@ -15,8 +15,8 @@
 //!     |                                                           |
 //!     +-------------- flushed, keep-alive ------------------------+
 //!   (buffered pipelined bytes re-enter reading at once; the connection
-//!    closes instead when the response said `Connection: close` or the
-//!    server has started draining)
+//!    closes instead when the response said `Connection: close`, which
+//!    every response rendered after a drain began says)
 //! ```
 //!
 //! The machine owns the incremental [`RequestParser`], the keep-alive and
@@ -232,10 +232,10 @@ impl Connection {
         }
         self.out = Vec::new();
         self.out_pos = 0;
-        // A response rendered before the drain flag flipped may still say
-        // keep-alive; closing anyway is the benign side of that race — a
-        // draining server releases every connection at its next response.
-        if !self.keep_after_write || env.draining {
+        // A response rendered before the drain flag flipped said keep-alive
+        // and keeps its word: the next response on this connection says
+        // `Connection: close`, or the drain's idle deadline cuts it.
+        if !self.keep_after_write {
             return Some(Action::Close);
         }
         self.parse_started = None;
@@ -457,29 +457,23 @@ mod tests {
     }
 
     #[test]
-    fn a_drain_seen_before_the_flush_turns_keep_alive_into_close() {
+    fn a_drain_seen_before_the_flush_keeps_the_promised_keep_alive() {
         let mut server = Server::new();
         let t0 = Instant::now();
         let mut conn = Connection::new(&config(), t0);
         target(conn.read(b"GET / HTTP/1.1\r\n\r\n", t0, &server.env()));
         conn.answered(ok(true), t0);
+        // The drain flips after the response said keep-alive: the peer may
+        // already be sending its next request, so the connection stays.
         server.draining = true;
-        let len = conn.unflushed().len();
-        assert!(matches!(
-            conn.wrote(len, t0, &server.env()),
-            Some(Action::Close)
-        ));
-        // Without the drain the same exchange keeps the connection.
-        server.draining = false;
-        let mut conn = Connection::new(&config(), t0);
-        target(conn.read(b"GET / HTTP/1.1\r\n\r\n", t0, &server.env()));
-        conn.answered(ok(true), t0);
         let len = conn.unflushed().len();
         assert!(matches!(
             conn.wrote(len, t0, &server.env()),
             Some(Action::Read)
         ));
-        // A response that said close closes even when nobody drains.
+        // Idle now, it waits no longer than the drain's deadline.
+        assert_eq!(conn.deadline(&server.env()), Some(t0 + DRAIN_IDLE_DEADLINE));
+        // A response that said close closes, draining or not.
         target(conn.read(b"GET / HTTP/1.1\r\n\r\n", t0, &server.env()));
         conn.answered(ok(false), t0);
         let len = conn.unflushed().len();

@@ -1603,6 +1603,33 @@ mod tests {
         drain_releases_idle_keep_alive_promptly(start_blocking_as);
     }
 
+    /// A keep-alive response read before the drain began keeps its word:
+    /// the next request on that connection is answered, with
+    /// `Connection: close`, and only then does the connection end.
+    fn a_keep_alive_read_before_the_drain_is_kept(start: Start) {
+        let ds = dataset();
+        let server = start(&ds, HttpConfig::default());
+        let mut client = HttpClient::connect(server.local_addr()).unwrap();
+        let before = client.get("/readyz").unwrap();
+        assert_eq!(before.status, 200, "{}", before.body);
+        assert_ne!(before.header("connection"), Some("close"));
+        server.begin_drain();
+        let after = client.get("/readyz").unwrap();
+        assert_eq!(after.status, 503, "{}", after.body);
+        assert_eq!(after.header("connection"), Some("close"));
+        assert!(client.get("/healthz").is_err(), "the close was announced");
+    }
+
+    #[test]
+    fn a_keep_alive_read_before_the_drain_is_kept_under_epoll() {
+        a_keep_alive_read_before_the_drain_is_kept(start_http_as);
+    }
+
+    #[test]
+    fn a_keep_alive_read_before_the_drain_is_kept_under_pool() {
+        a_keep_alive_read_before_the_drain_is_kept(start_blocking_as);
+    }
+
     #[test]
     fn batch_bodies_answer_in_request_order() {
         let ds = dataset();

@@ -39,8 +39,8 @@ fn requests(ds: &MultiDomainDataset, n: usize) -> Vec<InferenceRequest> {
         .map(|item| InferenceRequest {
             tokens: item.tokens.clone(),
             domain: item.domain,
-            style: Some(item.style.clone()),
-            emotion: Some(item.emotion.clone()),
+            style: Some(item.style.to_vec()),
+            emotion: Some(item.emotion.to_vec()),
         })
         .collect()
 }

@@ -21,7 +21,6 @@ fn main() {
     };
     let dataset =
         NewsGenerator::new(english_spec(), GeneratorConfig::default()).generate_scaled(42, 0.12);
-    let split = dataset.split(0.7, 0.1, 42);
     println!(
         "english corpus sample: {} items, fake rates per domain: {:?}",
         dataset.len(),
@@ -32,6 +31,7 @@ fn main() {
             .map(|p| format!("{p:.1}%"))
             .collect::<Vec<_>>()
     );
+    let split = dataset.split(0.7, 0.1, 42);
 
     let mut table = TableBuilder::new("English corpus — baselines vs DTDBD")
         .header(["Method", "F1", "FNED", "FPED", "Total"]);

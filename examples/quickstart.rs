@@ -17,11 +17,12 @@ fn main() {
     // 1. A Weibo21-like corpus at 20% scale (fast, same per-domain ratios).
     let generator = NewsGenerator::new(weibo21_spec(), GeneratorConfig::default());
     let dataset = generator.generate_scaled(42, 0.2);
+    let (n_items, n_domains) = (dataset.len(), dataset.n_domains());
     let split = dataset.split(0.7, 0.1, 42);
     println!(
         "corpus: {} items across {} domains ({} train / {} val / {} test)",
-        dataset.len(),
-        dataset.n_domains(),
+        n_items,
+        n_domains,
         split.train.len(),
         split.val.len(),
         split.test.len()

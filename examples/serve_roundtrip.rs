@@ -115,8 +115,8 @@ fn main() {
                         InferenceRequest {
                             tokens: item.tokens.clone(),
                             domain: item.domain,
-                            style: Some(item.style.clone()),
-                            emotion: Some(item.emotion.clone()),
+                            style: Some(item.style.to_vec()),
+                            emotion: Some(item.emotion.to_vec()),
                         },
                     )
                 })

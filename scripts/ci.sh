@@ -83,6 +83,8 @@
 #                          the knob to demonstrate stage 4 failing)
 #
 # A per-stage wall-clock summary is printed at the end (also on failure).
+# After the last stage, scripts/loc.sh prints the non-test Rust line count
+# of crates/ for information; it gates nothing.
 #
 # Usage: scripts/ci.sh
 
@@ -155,5 +157,8 @@ stage "cargo fmt --check (workspace + perfbench)" \
 
 stage "cargo clippy -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> non-test Rust lines in crates/ (information only)"
+scripts/loc.sh || true
 
 echo "==> tier-1 gate passed"

@@ -38,7 +38,7 @@ fn reloads() -> u64 {
 /// mirroring how every student sits on the same frozen PLM) but differ in
 /// every trained weight, so their predictions differ in the bits.
 fn train_student(ds: &dtdbd_data::MultiDomainDataset, cfg: &ModelConfig, seed: u64) -> Checkpoint {
-    let split = ds.split(0.7, 0.1, 13);
+    let split = ds.clone().split(0.7, 0.1, 13);
     let mut store = ParamStore::new();
     let mut model = TextCnnModel::student(&mut store, cfg, &mut Prng::new(seed));
     train_model(

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 fn trained_checkpoint() -> (Checkpoint, dtdbd_data::MultiDomainDataset) {
     let ds = NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(11, 0.04);
-    let split = ds.split(0.7, 0.1, 11);
+    let split = ds.clone().split(0.7, 0.1, 11);
     let cfg = ModelConfig::tiny(&ds);
     let mut store = ParamStore::new();
     let mut model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(5));

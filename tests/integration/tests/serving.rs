@@ -15,7 +15,7 @@ use std::time::Duration;
 fn trained_student_survives_checkpointing_and_serves_correctly() {
     let ds = NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(21, 0.04);
     let split = ds.split(0.7, 0.1, 21);
-    let cfg = ModelConfig::tiny(&ds);
+    let cfg = ModelConfig::tiny(&split.train);
     let mut store = ParamStore::new();
     let mut model = TextCnnModel::student(&mut store, &cfg, &mut Prng::new(2));
     train_model(
@@ -51,8 +51,8 @@ fn trained_student_survives_checkpointing_and_serves_correctly() {
             let request = InferenceRequest {
                 tokens: item.tokens.clone(),
                 domain: item.domain,
-                style: Some(item.style.clone()),
-                emotion: Some(item.emotion.clone()),
+                style: Some(item.style.to_vec()),
+                emotion: Some(item.emotion.to_vec()),
             };
             server.submit(&request).unwrap()
         })
