@@ -8,8 +8,7 @@
 //! domain-pure regions — can be checked numerically.
 
 use dtdbd_bench::experiments::{
-    chinese_split, distill_config, run_baseline, train_adversarial_student, train_dtdbd,
-    train_plain_student, CleanTeacherKind, RunOptions, StudentArch,
+    chinese_split, Ablation, CleanTeacherKind, Pipeline, Role, RunOptions, StudentArch,
 };
 use dtdbd_core::dat::DatMode;
 use dtdbd_core::extract_features;
@@ -33,35 +32,28 @@ fn main() {
     let scatter_cfg = ScatterConfig::default();
     let names = split.test.domain_names();
 
-    let mut panels: Vec<(String, dtdbd_tensor::Tensor, Vec<usize>)> = Vec::new();
-
-    eprintln!("training M3FEND ...");
-    let (_, mut m3) = run_baseline("M3FEND", &split, &opts);
-    let (feats, domains, _) = extract_features(&m3.model, &mut m3.store, &viz_set, 256);
-    panels.push(("(a) M3FEND".to_string(), feats, domains));
-
-    eprintln!("training TextCNN-U (plain student) ...");
-    let (_, mut plain) = train_plain_student(StudentArch::TextCnn, &split, &opts);
-    let (feats, domains, _) = extract_features(&plain.model, &mut plain.store, &viz_set, 256);
-    panels.push(("(b) TextCNN-U".to_string(), feats, domains));
-
-    eprintln!("training TextCNN-U + DAT-IE ...");
-    let (_, mut datie) =
-        train_adversarial_student(StudentArch::TextCnn, DatMode::DatIe, &split, &opts);
-    let (feats, domains, _) = extract_features(&datie.model, &mut datie.store, &viz_set, 256);
-    panels.push(("(c) TextCNN-U + DAT-IE".to_string(), feats, domains));
-
-    eprintln!("training TextCNN-U + DTDBD ...");
-    let (_, mut dtdbd) = train_dtdbd(
-        CleanTeacherKind::M3Fend,
-        StudentArch::TextCnn,
-        &split,
-        &opts,
-        distill_config(&opts),
-        "Our(M3)",
-    );
-    let (feats, domains, _) = extract_features(&dtdbd.model, &mut dtdbd.store, &viz_set, 256);
-    panels.push(("(d) TextCNN-U + DTDBD".to_string(), feats, domains));
+    let mut pipeline = Pipeline::new(&split, &opts);
+    let student = StudentArch::TextCnn;
+    let panels: Vec<(&str, dtdbd_tensor::Tensor, Vec<usize>)> = [
+        ("(a) M3FEND", Role::Baseline("M3FEND")),
+        ("(b) TextCNN-U", Role::Student(student)),
+        (
+            "(c) TextCNN-U + DAT-IE",
+            Role::Adversarial(student, DatMode::DatIe),
+        ),
+        (
+            "(d) TextCNN-U + DTDBD",
+            Role::Dtdbd(CleanTeacherKind::M3Fend, student, Ablation::Full),
+        ),
+    ]
+    .into_iter()
+    .map(|(title, role)| {
+        let trained = pipeline.model(role);
+        let (feats, domains, _) =
+            extract_features(&trained.model, &mut trained.store, &viz_set, 256);
+        (title, feats, domains)
+    })
+    .collect();
 
     println!("== Figure 2 — t-SNE of intermediate features (one letter per domain) ==");
     println!(

@@ -9,8 +9,7 @@
 //!    content — the paper's Case 2/3 situation.
 
 use dtdbd_bench::experiments::{
-    chinese_split, distill_config, run_baseline, train_dtdbd, CleanTeacherKind, RunOptions,
-    StudentArch,
+    chinese_split, Ablation, CleanTeacherKind, Pipeline, Role, RunOptions, StudentArch,
 };
 use dtdbd_core::predict_fake_probs;
 use dtdbd_metrics::TableBuilder;
@@ -47,23 +46,18 @@ fn main() {
     })
     .collect();
 
-    eprintln!("training M3FEND ...");
-    let (_, mut m3) = run_baseline("M3FEND", &split, &opts);
-    eprintln!("training MDFEND ...");
-    let (_, mut md) = run_baseline("MDFEND", &split, &opts);
-    eprintln!("training DTDBD (Our(M3)) ...");
-    let (_, mut ours) = train_dtdbd(
+    let mut pipeline = Pipeline::new(&split, &opts);
+    let mut probs = |role| {
+        let trained = pipeline.model(role);
+        predict_fake_probs(&trained.model, &mut trained.store, test, 256)
+    };
+    let m3_probs = probs(Role::Baseline("M3FEND"));
+    let md_probs = probs(Role::Baseline("MDFEND"));
+    let our_probs = probs(Role::Dtdbd(
         CleanTeacherKind::M3Fend,
         StudentArch::TextCnn,
-        &split,
-        &opts,
-        distill_config(&opts),
-        "Our(M3)",
-    );
-
-    let m3_probs = predict_fake_probs(&m3.model, &mut m3.store, test, 256);
-    let md_probs = predict_fake_probs(&md.model, &mut md.store, test, 256);
-    let our_probs = predict_fake_probs(&ours.model, &mut ours.store, test, 256);
+        Ablation::Full,
+    ));
 
     let mut table = TableBuilder::new("Figure 3 — case studies (predicted P(fake))").header([
         "Case",

@@ -2,12 +2,13 @@
 //! M3FEND) on the four most unbalanced domains of the Chinese corpus
 //! (Disaster, Politics, Finance, Entertainment).
 
-use dtdbd_bench::experiments::{chinese_split, run_baseline, RunOptions};
+use dtdbd_bench::experiments::{chinese_split, Pipeline, Role, RunOptions};
 use dtdbd_metrics::TableBuilder;
 
 fn main() {
     let opts = RunOptions::from_args();
     let split = chinese_split(&opts);
+    let mut pipeline = Pipeline::new(&split, &opts);
     let focus = ["Disaster", "Politics", "Finance", "Ent."];
 
     let mut header = vec!["Model".to_string()];
@@ -18,9 +19,7 @@ fn main() {
     let mut table = TableBuilder::new("Table III — FNR/FPR on unbalanced domains").header(header);
 
     for name in ["EANN", "EDDFN", "MDFEND", "M3FEND"] {
-        eprintln!("training {name} ...");
-        let (_, mut trained) = run_baseline(name, &split, &opts);
-        let eval = trained.evaluate(&split.test);
+        let eval = pipeline.model(Role::Baseline(name)).evaluate(&split.test);
         let mut values = Vec::new();
         for domain_name in &focus {
             let dm = eval

@@ -2,14 +2,15 @@
 //! baseline on the English corpus.
 
 use dtdbd_bench::experiments::{
-    baseline_names, distill_config, english_split, run_baseline, train_dtdbd, CleanTeacherKind,
-    RunOptions, StudentArch,
+    baseline_names, english_split, Ablation, CleanTeacherKind, Pipeline, Role, RunOptions,
+    StudentArch,
 };
 use dtdbd_metrics::TableBuilder;
 
 fn main() {
     let opts = RunOptions::from_args();
     let split = english_split(&opts);
+    let mut pipeline = Pipeline::new(&split, &opts);
 
     let mut header = vec!["Method".to_string()];
     header.extend(split.test.domain_names().iter().map(|s| s.to_string()));
@@ -21,21 +22,11 @@ fn main() {
     let mut table = TableBuilder::new("Table VII — English dataset comparison").header(header);
 
     for name in baseline_names() {
-        eprintln!("training {name} ...");
-        let (row, _) = run_baseline(name, &split, &opts);
-        row.push_full(&mut table);
+        pipeline.row(Role::Baseline(name)).push_full(&mut table);
     }
     for kind in [CleanTeacherKind::Mdfend, CleanTeacherKind::M3Fend] {
-        eprintln!("running DTDBD with clean teacher {} ...", kind.model_name());
-        let (row, _) = train_dtdbd(
-            kind,
-            StudentArch::TextCnn,
-            &split,
-            &opts,
-            distill_config(&opts),
-            kind.our_name(),
-        );
-        row.push_full(&mut table);
+        let role = Role::Dtdbd(kind, StudentArch::TextCnn, Ablation::Full);
+        pipeline.row(role).push_full(&mut table);
     }
     println!("{}", table.render());
     println!(

@@ -1,7 +1,7 @@
 //! Shared experiment machinery used by every table/figure binary.
 
 use dtdbd_core::dat::{train_unbiased_teacher, DatConfig, DatMode};
-use dtdbd_core::{evaluate, train_model, DistillConfig, DtdbdTrainer, TrainConfig};
+use dtdbd_core::{evaluate, train_model, DistillConfig, DistillReport, DtdbdTrainer, TrainConfig};
 use dtdbd_data::{
     english_spec, weibo21_spec, GeneratorConfig, MultiDomainDataset, NewsGenerator, Split,
 };
@@ -92,9 +92,8 @@ pub fn chinese_split(opts: &RunOptions) -> Split {
     ds.split(0.7, 0.1, opts.seed)
 }
 
-/// Train/val/test split of the English corpus (subsampled in `--quick` mode;
-/// the full corpus has 28,764 items, so even the non-quick run subsamples the
-/// two largest domains' training portion via fewer epochs rather than data).
+/// Train/val/test split of the English corpus: 12% of the corpus in `--quick`
+/// mode, and half of it otherwise (the full corpus has 28,764 items).
 pub fn english_split(opts: &RunOptions) -> Split {
     let generator = NewsGenerator::new(english_spec(), GeneratorConfig::default());
     let ds = if opts.quick {
@@ -149,7 +148,7 @@ pub fn dataset_stats_table(title: &str, ds: &MultiDomainDataset) -> TableBuilder
 }
 
 /// One row of a results table (per-domain F1 plus overall metrics).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalRow {
     /// Method name.
     pub name: String,
@@ -222,12 +221,6 @@ impl TrainedModel {
     pub fn evaluate(&mut self, dataset: &MultiDomainDataset) -> DomainEvaluation {
         evaluate(&self.model, &mut self.store, dataset, 256)
     }
-
-    /// Evaluate and convert to a table row.
-    pub fn eval_row(&mut self, dataset: &MultiDomainDataset) -> EvalRow {
-        let eval = self.evaluate(dataset);
-        EvalRow::from_eval(self.model.name().to_string(), &eval)
-    }
 }
 
 /// The baseline roster of Tables VI/VII, in the paper's row order.
@@ -281,20 +274,6 @@ pub fn build_baseline(
     }
 }
 
-/// Train a baseline on the split's training portion and return both the row
-/// (evaluated on the test portion) and the trained model.
-pub fn run_baseline(name: &str, split: &Split, opts: &RunOptions) -> (EvalRow, TrainedModel) {
-    let config = ModelConfig::for_dataset(&split.train);
-    let mut store = ParamStore::new();
-    let mut rng = Prng::new(opts.seed ^ 0xBA5E);
-    let mut model = build_baseline(name, &mut store, &config, &mut rng);
-    let tc = train_config(opts);
-    train_model(&mut model, &mut store, &split.train, &tc);
-    let mut trained = TrainedModel { model, store };
-    let row = trained.eval_row(&split.test);
-    (row, trained)
-}
-
 /// Which architecture the student (and therefore the unbiased teacher) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StudentArch {
@@ -311,16 +290,6 @@ impl StudentArch {
             StudentArch::TextCnn => "TextCNN-S",
             StudentArch::BiGru => "BiGRU-S",
         }
-    }
-
-    /// Build a fresh, untrained student of this architecture.
-    pub fn build(
-        &self,
-        store: &mut ParamStore,
-        config: &ModelConfig,
-        rng: &mut Prng,
-    ) -> Box<dyn FakeNewsModel> {
-        build_baseline(self.name(), store, config, rng)
     }
 }
 
@@ -351,120 +320,219 @@ impl CleanTeacherKind {
     }
 }
 
-/// Train a plain (undistilled) student of the given architecture.
-pub fn train_plain_student(
-    arch: StudentArch,
-    split: &Split,
-    opts: &RunOptions,
-) -> (EvalRow, TrainedModel) {
-    let (mut row, trained) = run_baseline(arch.name(), split, opts);
-    row.name = "Student".to_string();
-    (row, trained)
+/// Which distillation terms a DTDBD student trains with (Table VIII).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ablation {
+    /// Both teachers with the dynamic adjustment ("Our(MD)" / "Our(M3)").
+    Full,
+    /// Clean teacher only ("Student+DND").
+    OnlyDkd,
+    /// Unbiased teacher only ("Student+ADD").
+    OnlyAdd,
+    /// Both teachers at fixed weights ("w/o DAA").
+    WithoutDaa,
 }
 
-/// Train an adversarial (DAT or DAT-IE) student of the given architecture;
-/// the returned model doubles as DTDBD's unbiased teacher.
-pub fn train_adversarial_student(
-    arch: StudentArch,
-    mode: DatMode,
-    split: &Split,
-    opts: &RunOptions,
-) -> (EvalRow, TrainedModel) {
-    let config = ModelConfig::for_dataset(&split.train);
-    let mut store = ParamStore::new();
-    let mut rng = Prng::new(opts.seed ^ 0xDA7);
-    let base = arch.build(&mut store, &config, &mut rng);
-    let dat = DatConfig {
-        mode,
-        train: train_config(opts),
-        ..DatConfig::default()
-    };
-    let (wrapped, _) =
-        train_unbiased_teacher(base, &mut store, &config, &dat, &split.train, &mut rng);
-    let name = wrapped.name().to_string();
-    let mut trained = TrainedModel {
-        model: Box::new(wrapped),
-        store,
-    };
-    let eval = trained.evaluate(&split.test);
-    (EvalRow::from_eval(name, &eval), trained)
+impl Ablation {
+    /// [`distill_config`] with this variant's teachers and weights.
+    pub fn distill_config(self, opts: &RunOptions) -> DistillConfig {
+        let preset = match self {
+            Ablation::Full => DistillConfig::default(),
+            Ablation::OnlyDkd => DistillConfig::only_dkd(),
+            Ablation::OnlyAdd => DistillConfig::only_add(),
+            Ablation::WithoutDaa => DistillConfig::without_daa(),
+        };
+        DistillConfig {
+            use_add: preset.use_add,
+            use_dkd: preset.use_dkd,
+            use_daa: preset.use_daa,
+            initial_w_add: preset.initial_w_add,
+            ..distill_config(opts)
+        }
+    }
 }
 
-/// Run the full DTDBD pipeline (Algorithm 1): train the clean teacher, train
-/// the unbiased teacher with DAT-IE, then distil the student with both
-/// teachers under the provided distillation configuration.
-///
-/// Teachers that the configuration disables (`use_add` / `use_dkd`) are not
-/// trained at all, which is what the ablation rows of Table VIII need.
-pub fn train_dtdbd(
-    clean_kind: CleanTeacherKind,
-    arch: StudentArch,
-    split: &Split,
-    opts: &RunOptions,
-    distill: DistillConfig,
-    row_name: &str,
-) -> (EvalRow, TrainedModel) {
-    let config = ModelConfig::for_dataset(&split.train);
-    let tc = train_config(opts);
+/// The part a model plays in the experiments. Each role is one model of a
+/// [`Pipeline`]; the comments give the salt XORed into the run seed for its
+/// initialisation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// A roster baseline by name. "MDFEND" and "M3FEND" are DTDBD's clean
+    /// teachers (`^ 0xC1EA`); every other baseline is seeded `^ 0xBA5E`.
+    Baseline(&'static str),
+    /// The plain student: the DTDBD student's initialisation (`^ 0x57D`)
+    /// trained on labels alone.
+    Student(StudentArch),
+    /// A domain-adversarial student (`^ 0x0B1A`). The DAT-IE one is DTDBD's
+    /// unbiased teacher; DAT differs from it only in objective.
+    Adversarial(StudentArch, DatMode),
+    /// A student (`^ 0x57D`) distilled from the clean teacher of the given
+    /// kind and the DAT-IE student of its architecture.
+    Dtdbd(CleanTeacherKind, StudentArch, Ablation),
+}
 
-    // Clean teacher (frozen afterwards).
-    let mut clean_store = ParamStore::new();
-    let mut clean_rng = Prng::new(opts.seed ^ 0xC1EA);
-    let mut clean = build_baseline(
-        clean_kind.model_name(),
-        &mut clean_store,
-        &config,
-        &mut clean_rng,
-    );
-    if distill.use_dkd {
-        train_model(&mut clean, &mut clean_store, &split.train, &tc);
+impl Role {
+    /// The row name the paper's tables give this model.
+    pub fn label(&self) -> &'static str {
+        match *self {
+            Role::Baseline(name) => name,
+            Role::Student(_) => "Student",
+            Role::Adversarial(_, DatMode::Dat) => "Student+DAT",
+            Role::Adversarial(_, DatMode::DatIe) => "Student+DAT-IE",
+            Role::Dtdbd(kind, _, Ablation::Full) => kind.our_name(),
+            Role::Dtdbd(_, _, Ablation::OnlyDkd) => "Student+DND",
+            Role::Dtdbd(_, _, Ablation::OnlyAdd) => "Student+ADD",
+            Role::Dtdbd(_, _, Ablation::WithoutDaa) => "w/o DAA",
+        }
     }
 
-    // Unbiased teacher (student architecture + DAT-IE, frozen afterwards).
-    let mut unbiased_store = ParamStore::new();
-    let mut unbiased_rng = Prng::new(opts.seed ^ 0x0B1A);
-    let unbiased_base = arch.build(&mut unbiased_store, &config, &mut unbiased_rng);
-    let dat = DatConfig {
-        mode: DatMode::DatIe,
-        train: tc.clone(),
-        ..DatConfig::default()
-    };
-    let unbiased: Box<dyn FakeNewsModel> = if distill.use_add {
-        let (wrapped, _) = train_unbiased_teacher(
-            unbiased_base,
-            &mut unbiased_store,
-            &config,
-            &dat,
-            &split.train,
-            &mut unbiased_rng,
-        );
-        Box::new(wrapped)
-    } else {
-        unbiased_base
-    };
+    /// The clean and unbiased teachers a DTDBD student distils from.
+    fn teachers(&self) -> Option<[Role; 2]> {
+        match *self {
+            Role::Dtdbd(kind, arch, _) => Some([
+                Role::Baseline(kind.model_name()),
+                Role::Adversarial(arch, DatMode::DatIe),
+            ]),
+            _ => None,
+        }
+    }
+}
 
-    // Student.
-    let mut student_store = ParamStore::new();
-    let mut student_rng = Prng::new(opts.seed ^ 0x57D);
-    let mut student = arch.build(&mut student_store, &config, &mut student_rng);
-    let trainer = DtdbdTrainer::new(distill);
-    trainer.distill(
-        &mut student,
-        &mut student_store,
-        &clean,
-        &mut clean_store,
-        &unbiased,
-        &mut unbiased_store,
-        &split.train,
-        &split.val,
-    );
+/// One trained model of a [`Pipeline`].
+struct Slot {
+    role: Role,
+    trained: TrainedModel,
+    report: Option<DistillReport>,
+}
 
-    let mut trained = TrainedModel {
-        model: student,
-        store: student_store,
-    };
-    let eval = trained.evaluate(&split.test);
-    (EvalRow::from_eval(row_name, &eval), trained)
+/// Every model of one (split, [`RunOptions`]) experiment, each trained the
+/// first time a [`Role`] asks for it and never again (Algorithm 1). A DTDBD
+/// student distils from the pipeline's own frozen teachers, so the rows named
+/// "MDFEND", "M3FEND" and "Student+DAT-IE" are the teachers themselves. No
+/// model depends on the order in which roles are asked for.
+pub struct Pipeline<'a> {
+    split: &'a Split,
+    opts: RunOptions,
+    slots: Vec<Slot>,
+}
+
+impl<'a> Pipeline<'a> {
+    /// An empty pipeline over `split`: nothing is trained yet.
+    pub fn new(split: &'a Split, opts: &RunOptions) -> Self {
+        Self {
+            split,
+            opts: opts.clone(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// The model playing `role`, trained on the training portion.
+    pub fn model(&mut self, role: Role) -> &mut TrainedModel {
+        &mut self.slot(role).trained
+    }
+
+    /// The model playing `role`, evaluated on the test portion.
+    pub fn row(&mut self, role: Role) -> EvalRow {
+        let test = &self.split.test;
+        EvalRow::from_eval(role.label(), &self.model(role).evaluate(test))
+    }
+
+    /// The distillation history of a [`Role::Dtdbd`] model; `None` for
+    /// every other role.
+    pub fn report(&mut self, role: Role) -> Option<&DistillReport> {
+        self.slot(role).report.as_ref()
+    }
+
+    fn slot(&mut self, role: Role) -> &mut Slot {
+        let index = match self.slots.iter().position(|s| s.role == role) {
+            Some(index) => index,
+            None => {
+                for teacher in role.teachers().into_iter().flatten() {
+                    self.slot(teacher);
+                }
+                match role {
+                    Role::Baseline(name) => eprintln!("training {name} ..."),
+                    Role::Student(arch) | Role::Adversarial(arch, _) | Role::Dtdbd(_, arch, _) => {
+                        eprintln!("[{}] training {} ...", arch.name(), role.label())
+                    }
+                }
+                let slot = self.train(role);
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        &mut self.slots[index]
+    }
+
+    /// Train `role`'s model; a DTDBD role's teachers are already in `slots`.
+    fn train(&mut self, role: Role) -> Slot {
+        let split = self.split;
+        let config = ModelConfig::for_dataset(&split.train);
+        let tc = train_config(&self.opts);
+        let seed = self.opts.seed;
+        let init = |name: &str, salt: u64| {
+            let (mut store, mut rng) = (ParamStore::new(), Prng::new(seed ^ salt));
+            let model = build_baseline(name, &mut store, &config, &mut rng);
+            (model, store, rng)
+        };
+        let fit = |name: &str, salt: u64| {
+            let (mut model, mut store, _) = init(name, salt);
+            train_model(&mut model, &mut store, &split.train, &tc);
+            (model, store)
+        };
+        let mut report = None;
+        let (model, store) = match role {
+            Role::Baseline(name) => {
+                let clean = [CleanTeacherKind::Mdfend, CleanTeacherKind::M3Fend]
+                    .map(|kind| kind.model_name())
+                    .contains(&name);
+                fit(name, if clean { 0xC1EA } else { 0xBA5E })
+            }
+            Role::Student(arch) => fit(arch.name(), 0x57D),
+            Role::Adversarial(arch, mode) => {
+                let (base, mut store, mut rng) = init(arch.name(), 0x0B1A);
+                let dat = DatConfig {
+                    mode,
+                    train: tc.clone(),
+                    ..DatConfig::default()
+                };
+                let (wrapped, _) =
+                    train_unbiased_teacher(base, &mut store, &config, &dat, &split.train, &mut rng);
+                (Box::new(wrapped) as Box<dyn FakeNewsModel>, store)
+            }
+            Role::Dtdbd(_, arch, ablation) => {
+                let [clean_role, unbiased_role] = role.teachers().expect("a DTDBD role");
+                let (mut clean, mut unbiased) = (None, None);
+                for slot in &mut self.slots {
+                    if slot.role == clean_role {
+                        clean = Some(&mut slot.trained);
+                    } else if slot.role == unbiased_role {
+                        unbiased = Some(&mut slot.trained);
+                    }
+                }
+                let (clean, unbiased) = (clean.expect("trained"), unbiased.expect("trained"));
+                let (mut student, mut store, _) = init(arch.name(), 0x57D);
+                report = Some(
+                    DtdbdTrainer::new(ablation.distill_config(&self.opts)).distill(
+                        &mut student,
+                        &mut store,
+                        &clean.model,
+                        &mut clean.store,
+                        &unbiased.model,
+                        &mut unbiased.store,
+                        &split.train,
+                        &split.val,
+                    ),
+                );
+                (student, store)
+            }
+        };
+        Slot {
+            role,
+            trained: TrainedModel { model, store },
+            report,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -483,6 +551,34 @@ mod tests {
         NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny())
             .generate_scaled(7, 0.04)
             .split(0.7, 0.1, 7)
+    }
+
+    #[test]
+    fn pipeline_rows_do_not_depend_on_request_order_and_teachers_stay_frozen() {
+        let split = tiny_split();
+        let opts = quick_opts();
+        let arch = StudentArch::TextCnn;
+        let dtdbd = |ablation| Role::Dtdbd(CleanTeacherKind::M3Fend, arch, ablation);
+        let clean = Role::Baseline("M3FEND");
+        let unbiased = Role::Adversarial(arch, DatMode::DatIe);
+
+        let mut pipeline = Pipeline::new(&split, &opts);
+        let clean_row = pipeline.row(clean);
+        let unbiased_row = pipeline.row(unbiased);
+        for ablation in [Ablation::OnlyAdd, Ablation::OnlyDkd, Ablation::WithoutDaa] {
+            pipeline.row(dtdbd(ablation));
+        }
+        let full = pipeline.row(dtdbd(Ablation::Full));
+        assert_eq!(full.name, "Our(M3)");
+        assert_eq!(
+            full,
+            Pipeline::new(&split, &opts).row(dtdbd(Ablation::Full))
+        );
+        assert_eq!(pipeline.row(clean), clean_row);
+        assert_eq!(pipeline.row(unbiased), unbiased_row);
+        assert_eq!(pipeline.slots.len(), 6, "each model is trained once");
+        assert!(pipeline.report(dtdbd(Ablation::Full)).is_some());
+        assert!(pipeline.report(clean).is_none());
     }
 
     #[test]

@@ -6,12 +6,28 @@
 //! corpus loading, model construction by name, training, evaluation and
 //! result-row formatting.
 //!
+//! ## Which model each row is
+//!
+//! The training binaries read every model from one [`Pipeline`] per run. It
+//! trains each model the first time a row asks for it and never again, and
+//! every DTDBD row distils from the pipeline's own frozen teachers. A
+//! model's initialisation seed is the run seed XORed with a salt:
+//!
+//! | rows | model | salt |
+//! |---|---|---|
+//! | MDFEND, M3FEND, Teacher(M3) | the clean teacher of Our(MD) / Our(M3), shared by both student architectures | `0xC1EA` |
+//! | Student+DAT-IE | the unbiased teacher of every DTDBD row of its architecture | `0x0B1A` |
+//! | Student+DAT | the DAT-IE student's initialisation, classic DAT objective | `0x0B1A` |
+//! | Student | the DTDBD student's initialisation, trained on labels alone | `0x57D` |
+//! | Our(MD), Our(M3), Student+DND, Student+ADD, w/o DAA | a student distilled from both teachers | `0x57D` |
+//! | every other baseline | trained on labels | `0xBA5E` |
+//!
+//! ## Options
+//!
 //! All binaries accept:
 //!
-//! * `--quick` — subsample the corpora and shorten training so the table
-//!   regenerates in a couple of minutes (the shape of the results is
-//!   preserved; EXPERIMENTS.md records which mode produced the recorded
-//!   numbers);
+//! * `--quick` — subsample the corpora and shorten training to 2 epochs, so
+//!   a table regenerates in seconds;
 //! * `--seed N` — change the global seed (default 42);
 //! * `--epochs N` — override the number of training epochs.
 //!
@@ -25,6 +41,6 @@ pub mod experiments;
 pub mod harness;
 
 pub use experiments::{
-    baseline_names, build_baseline, chinese_split, english_split, run_baseline, train_config,
-    train_dtdbd, CleanTeacherKind, EvalRow, RunOptions, StudentArch,
+    baseline_names, build_baseline, chinese_split, english_split, train_config, Ablation,
+    CleanTeacherKind, EvalRow, Pipeline, Role, RunOptions, StudentArch,
 };

@@ -2,7 +2,7 @@
 //!
 //! The tables printed by `dtdbd-bench` follow the layout of the paper's
 //! tables so the measured values can be compared side by side with the
-//! published ones (see EXPERIMENTS.md).
+//! published ones.
 
 /// A simple fixed-width text table builder.
 #[derive(Debug, Clone, Default)]

@@ -8,7 +8,7 @@
 //! ```
 
 use dtdbd_bench::experiments::{
-    distill_config, run_baseline, train_dtdbd, CleanTeacherKind, RunOptions, StudentArch,
+    Ablation, CleanTeacherKind, Pipeline, Role, RunOptions, StudentArch,
 };
 use dtdbd_data::{english_spec, GeneratorConfig, NewsGenerator};
 use dtdbd_metrics::TableBuilder;
@@ -35,20 +35,18 @@ fn main() {
 
     let mut table = TableBuilder::new("English corpus — baselines vs DTDBD")
         .header(["Method", "F1", "FNED", "FPED", "Total"]);
-    for name in ["TextCNN", "MDFEND", "M3FEND"] {
-        println!("training {name} ...");
-        let (row, _) = run_baseline(name, &split, &opts);
-        row.push_overall(&mut table);
+    let mut pipeline = Pipeline::new(&split, &opts);
+    for role in [
+        Role::Baseline("TextCNN"),
+        Role::Baseline("MDFEND"),
+        Role::Baseline("M3FEND"),
+        Role::Dtdbd(
+            CleanTeacherKind::M3Fend,
+            StudentArch::TextCnn,
+            Ablation::Full,
+        ),
+    ] {
+        pipeline.row(role).push_overall(&mut table);
     }
-    println!("running DTDBD (clean teacher M3FEND) ...");
-    let (row, _) = train_dtdbd(
-        CleanTeacherKind::M3Fend,
-        StudentArch::TextCnn,
-        &split,
-        &opts,
-        distill_config(&opts),
-        "Our(M3)",
-    );
-    row.push_overall(&mut table);
     println!("{}", table.render());
 }

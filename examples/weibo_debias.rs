@@ -1,92 +1,47 @@
 //! End-to-end DTDBD on the Chinese (Weibo21-like) corpus: train the clean
 //! teacher (M3FEND) and the unbiased teacher (TextCNN-S + DAT-IE), distil the
-//! student with both, and compare it against the plain student.
+//! student with both, and compare it against the plain student and the two
+//! teachers it learned from.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release -p dtdbd-bench --example weibo_debias
 //! ```
 
-use dtdbd_core::dat::{train_unbiased_teacher, DatConfig};
-use dtdbd_core::{evaluate, train_model, DistillConfig, DtdbdTrainer, TrainConfig};
+use dtdbd_bench::experiments::{
+    Ablation, CleanTeacherKind, Pipeline, Role, RunOptions, StudentArch,
+};
+use dtdbd_core::dat::DatMode;
 use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
 use dtdbd_metrics::TableBuilder;
-use dtdbd_models::{FakeNewsModel, M3Fend, ModelConfig, TextCnnModel};
-use dtdbd_tensor::rng::Prng;
-use dtdbd_tensor::ParamStore;
 
 fn main() {
-    let dataset =
-        NewsGenerator::new(weibo21_spec(), GeneratorConfig::default()).generate_scaled(42, 0.3);
-    let split = dataset.split(0.7, 0.1, 42);
-    let config = ModelConfig::for_dataset(&split.train);
-    let tc = TrainConfig {
-        epochs: 3,
-        verbose: true,
-        ..TrainConfig::default()
+    let opts = RunOptions {
+        quick: false,
+        seed: 42,
+        epochs: Some(3),
     };
+    let dataset = NewsGenerator::new(weibo21_spec(), GeneratorConfig::default())
+        .generate_scaled(opts.seed, 0.3);
+    let split = dataset.split(0.7, 0.1, opts.seed);
+    let mut pipeline = Pipeline::new(&split, &opts);
 
-    // Plain student (reference point).
-    println!("== training the plain student ==");
-    let mut plain_store = ParamStore::new();
-    let mut plain = TextCnnModel::student(&mut plain_store, &config, &mut Prng::new(10));
-    train_model(&mut plain, &mut plain_store, &split.train, &tc);
-    let plain_eval = evaluate(&plain, &mut plain_store, &split.test, 256);
-
-    // Clean teacher.
-    println!("== training the clean teacher (M3FEND) ==");
-    let mut clean_store = ParamStore::new();
-    let mut clean = M3Fend::new(&mut clean_store, &config, &mut Prng::new(11));
-    train_model(&mut clean, &mut clean_store, &split.train, &tc);
-
-    // Unbiased teacher.
-    println!("== training the unbiased teacher (TextCNN-S + DAT-IE) ==");
-    let mut unbiased_store = ParamStore::new();
-    let base = TextCnnModel::student(&mut unbiased_store, &config, &mut Prng::new(12));
-    let dat = DatConfig {
-        train: tc.clone(),
-        ..DatConfig::default()
-    };
-    let (unbiased, _) = train_unbiased_teacher(
-        base,
-        &mut unbiased_store,
-        &config,
-        &dat,
-        &split.train,
-        &mut Prng::new(13),
-    );
-
-    // DTDBD student.
-    println!("== dual-teacher de-biasing distillation ==");
-    let mut student_store = ParamStore::new();
-    let mut student = TextCnnModel::student(&mut student_store, &config, &mut Prng::new(10));
-    let trainer = DtdbdTrainer::new(DistillConfig {
-        epochs: 3,
-        verbose: true,
-        ..DistillConfig::default()
-    });
-    let report = trainer.distill(
-        &mut student,
-        &mut student_store,
-        &clean,
-        &mut clean_store,
-        &unbiased,
-        &mut unbiased_store,
-        &split.train,
-        &split.val,
-    );
+    let student = StudentArch::TextCnn;
+    let ours = Role::Dtdbd(CleanTeacherKind::M3Fend, student, Ablation::Full);
+    let mut table = TableBuilder::new("Plain student, both teachers and DTDBD (Chinese test set)")
+        .header(["Model", "F1", "FNED", "FPED", "Total"]);
+    for role in [
+        Role::Student(student),
+        Role::Baseline(CleanTeacherKind::M3Fend.model_name()),
+        Role::Adversarial(student, DatMode::DatIe),
+        ours,
+    ] {
+        pipeline.row(role).push_overall(&mut table);
+    }
+    let report = pipeline.report(ours).expect("a DTDBD model has a report");
     println!(
         "teacher weights per epoch (w_ADD, w_DKD): {:?}",
         report.weight_history
     );
-    let student_eval = evaluate(&student, &mut student_store, &split.test, 256);
-
-    let mut table = TableBuilder::new("Plain student vs DTDBD student (Chinese test set)")
-        .header(["Model", "F1", "FNED", "FPED", "Total"]);
-    for (name, eval) in [("Student", &plain_eval), ("Student+DTDBD", &student_eval)] {
-        let b = eval.bias();
-        table.metric_row(name, &[eval.overall_f1(), b.fned, b.fped, b.total()], 4);
-    }
     println!("{}", table.render());
-    let _ = student.name();
 }

@@ -57,9 +57,14 @@
 #      any output check fails: wire bit parity, the DTDBD students' macro-F1
 #      floor of 0.7, or a failed operation. A broken distillation stage
 #      therefore fails CI, not the next benchmark run
-#   6. formatting check of the workspace and of perfbench (its own
+#   6. the paper-table bins `table8` and `table9` at `--quick --epochs 1`
+#      (a few seconds): no other stage runs a table bin's `main`, and
+#      between them they ask the experiment pipeline for every model role
+#      (baseline, plain student, DAT and DAT-IE students, and each DTDBD
+#      ablation distilled from the shared frozen teachers)
+#   7. formatting check of the workspace and of perfbench (its own
 #      workspace, so `cargo fmt --all` never reaches it)
-#   7. clippy with warnings promoted to errors
+#   8. clippy with warnings promoted to errors
 #
 # The http_roundtrip example (examples/http_roundtrip.rs) is built by stage 1
 # but not run: stage 2's wire battery (tests/integration/tests/http.rs and
@@ -70,8 +75,9 @@
 #   CI_QUICK               any value other than empty or "0" (the rule the
 #                          chaos and hot-swap batteries use to shrink
 #                          themselves) skips every release-profile stage
-#                          (1, 3-5: the release build, release parity
-#                          battery, bench gate, perfbench build and run)
+#                          (1, 3-6: the release build, release parity
+#                          battery, bench gate, perfbench build and run,
+#                          table bins)
 #                          for a sub-minute inner-loop gate on a
 #                          warm build cache — tests + fmt + clippy still
 #                          run, and the dev-profile test suite includes the GEMM
@@ -120,6 +126,11 @@ perfbench() {
     --workload zipf --seed 1 --seconds 2 --trace 0
 }
 
+tables() {
+  cargo run --release -q --offline -p dtdbd-bench --bin table8 -- --quick --epochs 1
+  cargo run --release -q --offline -p dtdbd-bench --bin table9 -- --quick --epochs 1
+}
+
 quick=0
 case "${CI_QUICK:-0}" in
   "" | 0) ;;
@@ -127,7 +138,7 @@ case "${CI_QUICK:-0}" in
 esac
 
 if [ "$quick" = "1" ]; then
-  echo "==> CI_QUICK=$CI_QUICK: skipping release build, release parity battery, bench gate and perfbench build + run"
+  echo "==> CI_QUICK=$CI_QUICK: skipping release build, release parity battery, bench gate, perfbench build + run and table bins"
 else
   stage "cargo build --release" \
     cargo build --release --workspace --all-targets
@@ -145,6 +156,9 @@ if [ "$quick" != "1" ]; then
 
   stage "perfbench release build + unit tests + one 2 s zipf run (own workspace, not built by stage 1)" \
     perfbench
+
+  stage "table8 + table9 --quick --epochs 1 (every role of the experiment pipeline)" \
+    tables
 fi
 
 fmt_check() {

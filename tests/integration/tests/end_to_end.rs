@@ -93,7 +93,7 @@ fn dtdbd_pipeline_reduces_bias_without_destroying_accuracy() {
     // Bias: on this heavily subsampled corpus the per-domain error rates are
     // dominated by sampling noise (a handful of test items per domain), so
     // only a coarse sanity bound is asserted here; the sharp comparison is
-    // the Table VI reproduction recorded in EXPERIMENTS.md.
+    // the `table6` bin of dtdbd-bench.
     assert!(
         student_eval.bias().total() <= plain_eval.bias().total() + 0.6,
         "DTDBD total {} vs plain {}",
