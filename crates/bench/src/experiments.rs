@@ -1,16 +1,14 @@
 //! Shared experiment machinery used by every table/figure binary.
 
 use dtdbd_core::dat::{train_unbiased_teacher, DatConfig, DatMode};
+pub use dtdbd_core::Ablation;
 use dtdbd_core::{evaluate, train_model, DistillConfig, DistillReport, DtdbdTrainer, TrainConfig};
 use dtdbd_data::{
     english_spec, weibo21_spec, GeneratorConfig, MultiDomainDataset, NewsGenerator, Split,
 };
 use dtdbd_metrics::report::fmt4;
 use dtdbd_metrics::{DomainEvaluation, TableBuilder};
-use dtdbd_models::{
-    BertMlp, BiGruModel, DualEmo, Eann, Eddfn, FakeNewsModel, M3Fend, Mdfend, Mmoe, ModelConfig,
-    Mose, StyleLstm, TextCnnModel,
-};
+use dtdbd_models::{FakeNewsModel, ModelConfig};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 
@@ -54,15 +52,17 @@ impl RunOptions {
         let mut opts = Self::default();
         let mut rest = args.iter().skip(1);
         while let Some(flag) = rest.next() {
-            let mut value = || {
+            let mut value = |min: u64| {
+                let kind = if min == 0 { "non-negative" } else { "positive" };
                 rest.next()
                     .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("{flag} needs a non-negative integer"))
+                    .filter(|&v| v >= min)
+                    .ok_or_else(|| format!("{flag} needs a {kind} integer"))
             };
             match flag.as_str() {
                 "--quick" => opts.quick = true,
-                "--seed" => opts.seed = value()?,
-                "--epochs" => opts.epochs = Some(value()? as usize),
+                "--seed" => opts.seed = value(0)?,
+                "--epochs" => opts.epochs = Some(value(1)? as usize),
                 _ => return Err(format!("unknown flag {flag}")),
             }
         }
@@ -243,7 +243,7 @@ pub fn baseline_names() -> Vec<&'static str> {
     ]
 }
 
-/// Build a baseline by name.
+/// Build a baseline by name ([`dtdbd_models::build`]).
 ///
 /// # Panics
 /// Panics on an unknown name.
@@ -253,25 +253,8 @@ pub fn build_baseline(
     config: &ModelConfig,
     rng: &mut Prng,
 ) -> Box<dyn FakeNewsModel> {
-    match name {
-        "BiGRU" => Box::new(BiGruModel::baseline(store, config, rng)),
-        "BiGRU-S" => Box::new(BiGruModel::student(store, config, rng)),
-        "TextCNN" => Box::new(TextCnnModel::baseline(store, config, rng)),
-        "TextCNN-S" | "TextCNN-U" => Box::new(TextCnnModel::student(store, config, rng)),
-        "BERT" => Box::new(BertMlp::bert(store, config, rng)),
-        "RoBERTa" => Box::new(BertMlp::roberta(store, config, rng)),
-        "StyleLSTM" => Box::new(StyleLstm::new(store, config, rng)),
-        "DualEmo" => Box::new(DualEmo::new(store, config, rng)),
-        "EANN" => Box::new(Eann::with_dat(store, config, rng)),
-        "EANN_NoDAT" => Box::new(Eann::without_dat(store, config, rng)),
-        "MMoE" => Box::new(Mmoe::new(store, config, rng)),
-        "MoSE" => Box::new(Mose::new(store, config, rng)),
-        "EDDFN" => Box::new(Eddfn::with_dat(store, config, rng)),
-        "EDDFN_NoDAT" => Box::new(Eddfn::without_dat(store, config, rng)),
-        "MDFEND" => Box::new(Mdfend::new(store, config, rng)),
-        "M3FEND" => Box::new(M3Fend::new(store, config, rng)),
-        other => panic!("unknown baseline {other}"),
-    }
+    dtdbd_models::build(name, store, config, rng)
+        .unwrap_or_else(|| panic!("unknown baseline {name}"))
 }
 
 /// Which architecture the student (and therefore the unbiased teacher) uses.
@@ -316,38 +299,6 @@ impl CleanTeacherKind {
         match self {
             CleanTeacherKind::Mdfend => "Our(MD)",
             CleanTeacherKind::M3Fend => "Our(M3)",
-        }
-    }
-}
-
-/// Which distillation terms a DTDBD student trains with (Table VIII).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ablation {
-    /// Both teachers with the dynamic adjustment ("Our(MD)" / "Our(M3)").
-    Full,
-    /// Clean teacher only ("Student+DND").
-    OnlyDkd,
-    /// Unbiased teacher only ("Student+ADD").
-    OnlyAdd,
-    /// Both teachers at fixed weights ("w/o DAA").
-    WithoutDaa,
-}
-
-impl Ablation {
-    /// [`distill_config`] with this variant's teachers and weights.
-    pub fn distill_config(self, opts: &RunOptions) -> DistillConfig {
-        let preset = match self {
-            Ablation::Full => DistillConfig::default(),
-            Ablation::OnlyDkd => DistillConfig::only_dkd(),
-            Ablation::OnlyAdd => DistillConfig::only_add(),
-            Ablation::WithoutDaa => DistillConfig::without_daa(),
-        };
-        DistillConfig {
-            use_add: preset.use_add,
-            use_dkd: preset.use_dkd,
-            use_daa: preset.use_daa,
-            initial_w_add: preset.initial_w_add,
-            ..distill_config(opts)
         }
     }
 }
@@ -513,7 +464,11 @@ impl<'a> Pipeline<'a> {
                 let (clean, unbiased) = (clean.expect("trained"), unbiased.expect("trained"));
                 let (mut student, mut store, _) = init(arch.name(), 0x57D);
                 report = Some(
-                    DtdbdTrainer::new(ablation.distill_config(&self.opts)).distill(
+                    DtdbdTrainer::new(DistillConfig {
+                        ablation,
+                        ..distill_config(&self.opts)
+                    })
+                    .distill(
                         &mut student,
                         &mut store,
                         &clean.model,
@@ -599,6 +554,7 @@ mod tests {
             (&["--seed", "x"][..], "--seed"),
             (&["--seed"][..], "--seed"),
             (&["--epochs", "-1"][..], "--epochs"),
+            (&["--epochs", "0"][..], "--epochs"),
             (&["--quick", "extra"][..], "extra"),
         ] {
             let args: Vec<String> = std::iter::once("bin")
@@ -614,7 +570,8 @@ mod tests {
     fn every_baseline_name_builds() {
         let split = tiny_split();
         let config = ModelConfig::tiny(&split.train);
-        for name in baseline_names() {
+        let students = [StudentArch::TextCnn, StudentArch::BiGru].map(|arch| arch.name());
+        for name in baseline_names().into_iter().chain(students) {
             let mut store = ParamStore::new();
             let model = build_baseline(name, &mut store, &config, &mut Prng::new(1));
             assert_eq!(model.name(), name);

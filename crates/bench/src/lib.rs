@@ -29,10 +29,10 @@
 //! * `--quick` — subsample the corpora and shorten training to 2 epochs, so
 //!   a table regenerates in seconds;
 //! * `--seed N` — change the global seed (default 42);
-//! * `--epochs N` — override the number of training epochs.
+//! * `--epochs N` — override the number of training epochs (N ≥ 1).
 //!
-//! Any other argument, or a value that is not a non-negative integer,
-//! prints the error and a usage line and exits with status 2. The
+//! Any other argument, a value that is not a non-negative integer, or
+//! `--epochs 0`, prints the error and a usage line and exits with status 2. The
 //! `kernels`, `serving` and `serving_http` benchmark binaries accept
 //! `--quick` alone and reject anything else the same way
 //! ([`harness::quick_from_args`]).

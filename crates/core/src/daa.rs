@@ -19,16 +19,13 @@ impl DynamicAdjuster {
     /// # Panics
     /// Panics if the momentum is outside `[0, 1)` or the initial weight is
     /// outside `[0, 1]`.
-    pub fn new(momentum: f32, initial_w_add: f32) -> Self {
+    pub fn new(momentum: f32, w_add: f32) -> Self {
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
         assert!(
-            (0.0..=1.0).contains(&initial_w_add),
+            (0.0..=1.0).contains(&w_add),
             "initial weight must be in [0, 1]"
         );
-        Self {
-            momentum,
-            w_add: initial_w_add,
-        }
+        Self { momentum, w_add }
     }
 
     /// Current `(ω_ADD, ω_DKD)` pair.

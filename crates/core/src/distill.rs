@@ -11,8 +11,10 @@
 //! * `L_DKD` — domain knowledge distillation (Eq. 12): a softened KL between
 //!   the (frozen) clean teacher's and the student's classification logits,
 //!
-//! with `ω_ADD` / `ω_DKD` rebalanced every epoch by the momentum-based
-//! dynamic adjustment algorithm using the student's validation F1 and bias.
+//! with `ω_ADD` / `ω_DKD` set by the [`Ablation`]. The full framework moves
+//! them with the momentum-based dynamic adjustment algorithm, which compares
+//! the student's validation F1 and bias across consecutive epochs: the first
+//! update runs after the second epoch and first applies to the third.
 //!
 //! The teachers are frozen, so each active teacher runs once per training
 //! item, before the first epoch: its evaluation-mode outputs land in one
@@ -22,12 +24,50 @@
 //! gathered rows are exactly what a per-batch teacher pass would give.
 
 use crate::daa::DynamicAdjuster;
-use crate::trainer::{evaluate, output_rows};
-use dtdbd_data::{Batch, BatchIter, MultiDomainDataset};
+use crate::trainer::{epoch_batches, evaluate, optimise, output_rows};
+use dtdbd_data::{Batch, MultiDomainDataset};
 use dtdbd_models::FakeNewsModel;
 use dtdbd_tensor::losses::{add_distillation_loss, kd_kl_loss};
 use dtdbd_tensor::optim::Adam;
-use dtdbd_tensor::{Graph, ParamStore, Tensor};
+use dtdbd_tensor::{ParamStore, Tensor};
+
+/// Which distillation terms a DTDBD student trains with, and at what
+/// weights (the paper's Table VIII ablation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Ablation {
+    /// Both teachers, `(ω_ADD, ω_DKD)` starting at (0.5, 0.5) and moved by
+    /// the dynamic adjustment ("Our(MD)" / "Our(M3)"). The first update runs
+    /// after the second epoch and first applies to the third, so a run of at
+    /// most two epochs equals [`Ablation::WithoutDaa`].
+    #[default]
+    Full,
+    /// Both teachers at the fixed weights (0.5, 0.5) ("w/o DAA").
+    WithoutDaa,
+    /// The unbiased teacher alone, at (1, 0) ("Student+ADD").
+    OnlyAdd,
+    /// The clean teacher alone, at (0, 1) ("Student+DND").
+    OnlyDkd,
+}
+
+impl Ablation {
+    /// The `(ω_ADD, ω_DKD)` held for the whole run; `None` for
+    /// [`Ablation::Full`], whose weights the dynamic adjustment moves.
+    fn fixed_weights(self) -> Option<(f32, f32)> {
+        match self {
+            Ablation::Full => None,
+            Ablation::WithoutDaa => Some((0.5, 0.5)),
+            Ablation::OnlyAdd => Some((1.0, 0.0)),
+            Ablation::OnlyDkd => Some((0.0, 1.0)),
+        }
+    }
+
+    /// Whether the (unbiased, clean) teacher runs: a teacher whose weight
+    /// is fixed at 0 never does.
+    fn active_teachers(self) -> (bool, bool) {
+        self.fixed_weights()
+            .map_or((true, true), |(add, dkd)| (add != 0.0, dkd != 0.0))
+    }
+}
 
 /// Configuration of the dual-teacher distillation stage.
 #[derive(Debug, Clone)]
@@ -46,15 +86,8 @@ pub struct DistillConfig {
     pub tau: f32,
     /// Momentum `m` of the dynamic adjustment algorithm.
     pub momentum: f32,
-    /// Initial ω_ADD.
-    pub initial_w_add: f32,
-    /// Enable the adversarial de-biasing distillation term.
-    pub use_add: bool,
-    /// Enable the domain knowledge distillation term.
-    pub use_dkd: bool,
-    /// Enable the momentum-based dynamic adjustment algorithm; when disabled
-    /// the weights stay at their initial values (the "w/o DAA" ablation).
-    pub use_daa: bool,
+    /// The distillation terms and their weights.
+    pub ablation: Ablation,
     /// Print one line per epoch to stderr.
     pub verbose: bool,
 }
@@ -69,41 +102,8 @@ impl Default for DistillConfig {
             seed: 42,
             tau: 4.0,
             momentum: 0.7,
-            initial_w_add: 0.5,
-            use_add: true,
-            use_dkd: true,
-            use_daa: true,
+            ablation: Ablation::Full,
             verbose: false,
-        }
-    }
-}
-
-impl DistillConfig {
-    /// Ablation: only domain knowledge distillation ("Student+DND").
-    pub fn only_dkd() -> Self {
-        Self {
-            use_add: false,
-            use_daa: false,
-            initial_w_add: 0.0,
-            ..Self::default()
-        }
-    }
-
-    /// Ablation: only adversarial de-biasing distillation ("Student+ADD").
-    pub fn only_add() -> Self {
-        Self {
-            use_dkd: false,
-            use_daa: false,
-            initial_w_add: 1.0,
-            ..Self::default()
-        }
-    }
-
-    /// Ablation: both teachers but fixed equal weights ("w/o DAA").
-    pub fn without_daa() -> Self {
-        Self {
-            use_daa: false,
-            ..Self::default()
         }
     }
 }
@@ -113,7 +113,9 @@ impl DistillConfig {
 pub struct DistillReport {
     /// Mean overall training loss per epoch.
     pub epoch_losses: Vec<f32>,
-    /// `(ω_ADD, ω_DKD)` used during each epoch.
+    /// `(ω_ADD, ω_DKD)` used during each epoch. Under [`Ablation::Full`] the
+    /// first two entries are (0.5, 0.5): the first dynamic adjustment runs
+    /// after the second epoch.
     pub weight_history: Vec<(f32, f32)>,
     /// Validation macro-F1 after each epoch.
     pub val_f1: Vec<f64>,
@@ -144,7 +146,7 @@ impl DtdbdTrainer {
     /// Both teachers are only ever run in evaluation mode and their parameter
     /// stores receive no gradient, which realises the paper's frozen-teacher
     /// setting. Each active teacher runs once per training item, before the
-    /// first epoch; an inactive one (ablation flags) never runs.
+    /// first epoch; one whose weight the [`Ablation`] fixes at 0 never runs.
     #[allow(clippy::too_many_arguments)]
     pub fn distill<S, C, U>(
         &self,
@@ -163,10 +165,6 @@ impl DtdbdTrainer {
         U: FakeNewsModel,
     {
         let cfg = &self.config;
-        assert!(
-            cfg.use_add || cfg.use_dkd,
-            "at least one teacher must be active"
-        );
         let targets = TeacherTargets::compute(
             cfg,
             clean_teacher,
@@ -176,7 +174,7 @@ impl DtdbdTrainer {
             train,
         );
         let mut optimizer = Adam::new(cfg.learning_rate);
-        let mut adjuster = DynamicAdjuster::new(cfg.momentum, cfg.initial_w_add);
+        let mut adjuster = DynamicAdjuster::new(cfg.momentum, 0.5);
         let mut report = DistillReport {
             epoch_losses: Vec::with_capacity(cfg.epochs),
             weight_history: Vec::with_capacity(cfg.epochs),
@@ -187,23 +185,40 @@ impl DtdbdTrainer {
         let mut prev_total: Option<f64> = None;
 
         for epoch in 0..cfg.epochs {
-            let (w_add, w_dkd) = effective_weights(cfg, &adjuster);
+            let (w_add, w_dkd) = cfg
+                .ablation
+                .fixed_weights()
+                .unwrap_or_else(|| adjuster.weights());
             report.weight_history.push((w_add, w_dkd));
 
             let mut epoch_loss = 0.0f32;
             let mut n_batches = 0usize;
-            for batch in epoch_batches(cfg, train, epoch) {
+            for batch in epoch_batches(train, cfg.batch_size, cfg.seed, epoch) {
+                let (clean_logits, unbiased_features) = targets.for_batch(&batch);
                 let step = (epoch * 100_000 + n_batches) as u64;
-                let loss = self.distill_step(
+                let seed = cfg.seed ^ step.wrapping_mul(0x1000_0001);
+                epoch_loss += optimise(
                     student,
                     student_store,
                     &batch,
-                    &targets,
-                    (w_add, w_dkd),
                     &mut optimizer,
-                    step,
+                    cfg.grad_clip,
+                    seed,
+                    |g, out, mut total| {
+                        if let Some(teacher_logits) = &clean_logits {
+                            let dkd = kd_kl_loss(g, out.logits, teacher_logits, cfg.tau);
+                            let dkd = g.scale(dkd, w_dkd);
+                            total = g.add(total, dkd);
+                        }
+                        if let Some(teacher_features) = &unbiased_features {
+                            let add =
+                                add_distillation_loss(g, out.features, teacher_features, cfg.tau);
+                            let add = g.scale(add, w_add);
+                            total = g.add(total, add);
+                        }
+                        total
+                    },
                 );
-                epoch_loss += loss;
                 n_batches += 1;
             }
             report
@@ -211,7 +226,9 @@ impl DtdbdTrainer {
                 .push(epoch_loss / n_batches.max(1) as f32);
 
             // Validation metrics drive the dynamic adjustment (Algorithm 1,
-            // line 11: weights are recomputed from the second epoch on).
+            // line 11). An update needs two epochs' metrics, so the first
+            // one runs here after the second epoch and first applies to the
+            // third.
             let eval = evaluate(student, student_store, val, cfg.batch_size.max(128));
             let f1 = eval.overall_f1();
             let total = eval.bias().total();
@@ -223,7 +240,7 @@ impl DtdbdTrainer {
                     report.epoch_losses[epoch]
                 );
             }
-            if cfg.use_daa {
+            if cfg.ablation == Ablation::Full {
                 if let (Some(pf), Some(pt)) = (prev_f1, prev_total) {
                     let delta_f1 = (f1 - pf) as f32;
                     let delta_bias = (pt - total) as f32; // improvement = reduction of Total
@@ -234,52 +251,6 @@ impl DtdbdTrainer {
             prev_total = Some(total);
         }
         report
-    }
-
-    /// One distillation step on a single batch; returns the batch loss.
-    #[allow(clippy::too_many_arguments)]
-    fn distill_step<S: FakeNewsModel>(
-        &self,
-        student: &mut S,
-        student_store: &mut ParamStore,
-        batch: &Batch,
-        targets: &TeacherTargets,
-        weights: (f32, f32),
-        optimizer: &mut Adam,
-        step_seed: u64,
-    ) -> f32 {
-        let cfg = &self.config;
-        let (w_add, w_dkd) = weights;
-        let (clean_logits, unbiased_features) = targets.for_batch(batch);
-
-        student_store.zero_grad();
-        let mut g = Graph::new(
-            student_store,
-            true,
-            cfg.seed ^ step_seed.wrapping_mul(0x1000_0001),
-        );
-        let out = student.forward(&mut g, batch);
-        let mut total = g.cross_entropy_logits(out.logits, &batch.labels);
-        if let Some(teacher_logits) = &clean_logits {
-            let dkd = kd_kl_loss(&mut g, out.logits, teacher_logits, cfg.tau);
-            let dkd = g.scale(dkd, w_dkd);
-            total = g.add(total, dkd);
-        }
-        if let Some(teacher_features) = &unbiased_features {
-            let add = add_distillation_loss(&mut g, out.features, teacher_features, cfg.tau);
-            let add = g.scale(add, w_add);
-            total = g.add(total, add);
-        }
-        let value = g.value(total).item();
-        g.backward(total);
-        let features = g.value(out.features).clone();
-        drop(g);
-        if cfg.grad_clip > 0.0 {
-            student_store.clip_grad_norm(cfg.grad_clip);
-        }
-        optimizer.step(student_store);
-        student.post_batch(&features, &batch.domains);
-        value
     }
 }
 
@@ -302,13 +273,14 @@ impl TeacherTargets {
         unbiased_store: &mut ParamStore,
         train: &MultiDomainDataset,
     ) -> Self {
+        let (uses_add, uses_dkd) = cfg.ablation.active_teachers();
         Self {
-            clean_logits: cfg.use_dkd.then(|| {
+            clean_logits: uses_dkd.then(|| {
                 output_rows(clean_teacher, clean_store, train, cfg.batch_size, |out| {
                     out.logits
                 })
             }),
-            unbiased_features: cfg.use_add.then(|| {
+            unbiased_features: uses_add.then(|| {
                 output_rows(
                     unbiased_teacher,
                     unbiased_store,
@@ -337,43 +309,16 @@ impl TeacherTargets {
     }
 }
 
-/// The shuffled mini-batches of one distillation epoch.
-fn epoch_batches<'a>(
-    cfg: &DistillConfig,
-    train: &'a MultiDomainDataset,
-    epoch: usize,
-) -> BatchIter<'a> {
-    BatchIter::new(
-        train,
-        cfg.batch_size,
-        cfg.seed ^ ((epoch as u64) << 8),
-        false,
-    )
-}
-
-fn effective_weights(cfg: &DistillConfig, adjuster: &DynamicAdjuster) -> (f32, f32) {
-    let (mut w_add, mut w_dkd) = adjuster.weights();
-    if !cfg.use_add {
-        w_add = 0.0;
-        w_dkd = 1.0;
-    }
-    if !cfg.use_dkd {
-        w_dkd = 0.0;
-        if cfg.use_add && w_add == 0.0 {
-            w_add = 1.0;
-        }
-    }
-    (w_add, w_dkd)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dat::{train_unbiased_teacher, AdversarialStudent, DatConfig};
+    use crate::trainer::tests::{bits32, param_bits_hash};
     use crate::trainer::{train_model, TrainConfig};
     use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator, Split};
     use dtdbd_models::{M3Fend, ModelConfig, ModelOutput, TextCnnModel};
     use dtdbd_tensor::rng::Prng;
+    use dtdbd_tensor::Graph;
     use std::cell::Cell;
 
     fn tiny_dataset() -> MultiDomainDataset {
@@ -432,48 +377,19 @@ mod tests {
         }
     }
 
-    /// `config` shortened to three epochs of 32-item batches.
-    fn tiny_distill_config(config: DistillConfig) -> DistillConfig {
+    /// `ablation`'s default configuration, shortened to three epochs of
+    /// 32-item batches.
+    fn tiny_distill_config(ablation: Ablation) -> DistillConfig {
         DistillConfig {
             epochs: 3,
             batch_size: 32,
-            ..config
+            ablation,
+            ..DistillConfig::default()
         }
-    }
-
-    fn bits32(values: &[f32]) -> Vec<u32> {
-        values.iter().map(|v| v.to_bits()).collect()
     }
 
     fn bits64(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// FNV-1a over the bits of every parameter value, in store order.
-    fn param_bits_hash(store: &ParamStore) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (_, p) in store.iter() {
-            for v in p.value.data() {
-                for b in v.to_bits().to_le_bytes() {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-                }
-            }
-        }
-        h
-    }
-
-    #[test]
-    fn effective_weights_respect_ablation_flags() {
-        let adjuster = DynamicAdjuster::new(0.7, 0.6);
-        let both = DistillConfig::default();
-        let (wa, wd) = effective_weights(&both, &adjuster);
-        assert!((wa - 0.6).abs() < 1e-6 && (wd - 0.4).abs() < 1e-6);
-        let only_dkd = DistillConfig::only_dkd();
-        assert_eq!(effective_weights(&only_dkd, &adjuster), (0.0, 1.0));
-        let only_add = DistillConfig::only_add();
-        let (wa, wd) = effective_weights(&only_add, &adjuster);
-        assert!(wa > 0.0);
-        assert_eq!(wd, 0.0);
     }
 
     #[test]
@@ -501,7 +417,7 @@ mod tests {
         // DTDBD student.
         let mut student_store = ParamStore::new();
         let mut student = TextCnnModel::student(&mut student_store, &cfg, &mut Prng::new(4));
-        let trainer = DtdbdTrainer::new(tiny_distill_config(DistillConfig::default()));
+        let trainer = DtdbdTrainer::new(tiny_distill_config(Ablation::Full));
         let report = trainer.distill(
             &mut student,
             &mut student_store,
@@ -548,12 +464,13 @@ mod tests {
         unbiased_store: &mut ParamStore,
         batch: &Batch,
     ) -> (Option<Tensor>, Option<Tensor>) {
-        let clean_logits = cfg.use_dkd.then(|| {
+        let (uses_add, uses_dkd) = cfg.ablation.active_teachers();
+        let clean_logits = uses_dkd.then(|| {
             let mut g = Graph::new(clean_store, false, 0);
             let out = clean_teacher.forward(&mut g, batch);
             g.value(out.logits).clone()
         });
-        let unbiased_features = cfg.use_add.then(|| {
+        let unbiased_features = uses_add.then(|| {
             let mut g = Graph::new(unbiased_store, false, 0);
             let out = unbiased_teacher.forward(&mut g, batch);
             g.value(out.features).clone()
@@ -571,7 +488,7 @@ mod tests {
             mut unbiased_store,
             ..
         } = trained_teachers();
-        let cfg = tiny_distill_config(DistillConfig::default());
+        let cfg = tiny_distill_config(Ablation::Full);
         let targets = TeacherTargets::compute(
             &cfg,
             &clean,
@@ -582,7 +499,9 @@ mod tests {
         );
         let tensor_bits = |t: Option<Tensor>| t.map(|t| (t.shape().to_vec(), bits32(t.data())));
         for epoch in 0..cfg.epochs {
-            for (i, batch) in epoch_batches(&cfg, &split.train, epoch).enumerate() {
+            for (i, batch) in
+                epoch_batches(&split.train, cfg.batch_size, cfg.seed, epoch).enumerate()
+            {
                 let (logits, features) = targets.for_batch(&batch);
                 let (want_logits, want_features) = per_batch_targets(
                     &cfg,
@@ -630,7 +549,7 @@ mod tests {
         let runs = [
             (
                 "default",
-                DistillConfig::default(),
+                Ablation::Full,
                 Golden {
                     params: 0x2d01_602b_3272_e50a,
                     epoch_losses: [1.0210017, 0.896904, 0.99521345],
@@ -641,7 +560,7 @@ mod tests {
             ),
             (
                 "only_add",
-                DistillConfig::only_add(),
+                Ablation::OnlyAdd,
                 Golden {
                     params: 0xdf38_d46e_683f_3b35,
                     epoch_losses: [1.0930208, 1.0083073, 0.9969967],
@@ -651,8 +570,19 @@ mod tests {
                 },
             ),
             (
+                "without_daa",
+                Ablation::WithoutDaa,
+                Golden {
+                    params: 0xd515_b3ad_e278_a5b7,
+                    epoch_losses: [1.0210017, 0.896904, 0.8811256],
+                    weight_history: [(0.5, 0.5), (0.5, 0.5), (0.5, 0.5)],
+                    val_f1: [0.5735887096774194, 0.723404255319149, 0.6518518518518519],
+                    val_total: [3.196014492753623, 7.25284679089027, 6.008022774327122],
+                },
+            ),
+            (
                 "only_dkd",
-                DistillConfig::only_dkd(),
+                Ablation::OnlyDkd,
                 Golden {
                     params: 0x2c93_e9e7_24f8_b98e,
                     epoch_losses: [0.95237386, 0.7908037, 0.7724663],
@@ -662,10 +592,10 @@ mod tests {
                 },
             ),
         ];
-        for (name, config, want) in runs {
+        for (name, ablation, want) in runs {
             let mut student_store = ParamStore::new();
             let mut student = TextCnnModel::student(&mut student_store, &cfg, &mut Prng::new(4));
-            let report = DtdbdTrainer::new(tiny_distill_config(config)).distill(
+            let report = DtdbdTrainer::new(tiny_distill_config(ablation)).distill(
                 &mut student,
                 &mut student_store,
                 &clean,
@@ -762,10 +692,11 @@ mod tests {
         let batch_size = 32;
         let passes = split.train.len().div_ceil(batch_size);
         assert!(passes > 1, "the split must span several batches");
-        for (name, config, clean_passes, unbiased_passes) in [
-            ("default", DistillConfig::default(), passes, passes),
-            ("only_add", DistillConfig::only_add(), 0, passes),
-            ("only_dkd", DistillConfig::only_dkd(), passes, 0),
+        for (name, ablation, clean_passes, unbiased_passes) in [
+            ("default", Ablation::Full, passes, passes),
+            ("only_add", Ablation::OnlyAdd, 0, passes),
+            ("only_dkd", Ablation::OnlyDkd, passes, 0),
+            ("without_daa", Ablation::WithoutDaa, passes, passes),
         ] {
             for epochs in [1, 3] {
                 let mut student_store = ParamStore::new();
@@ -774,7 +705,8 @@ mod tests {
                 DtdbdTrainer::new(DistillConfig {
                     epochs,
                     batch_size,
-                    ..config.clone()
+                    ablation,
+                    ..DistillConfig::default()
                 })
                 .distill(
                     &mut student,
@@ -798,35 +730,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one teacher")]
-    fn disabling_both_teachers_is_rejected() {
-        let ds = tiny_dataset();
-        let split = ds.split(0.7, 0.1, 9);
-        let cfg = ModelConfig::tiny(&split.train);
-        let mut clean_store = ParamStore::new();
-        let clean = M3Fend::new(&mut clean_store, &cfg, &mut Prng::new(1));
-        let mut unbiased_store = ParamStore::new();
-        let unbiased = TextCnnModel::student(&mut unbiased_store, &cfg, &mut Prng::new(2));
-        let mut student_store = ParamStore::new();
-        let mut student = TextCnnModel::student(&mut student_store, &cfg, &mut Prng::new(3));
-        let bad = DistillConfig {
-            use_add: false,
-            use_dkd: false,
-            ..DistillConfig::default()
-        };
-        let trainer = DtdbdTrainer::new(bad);
-        let _ = trainer.distill(
-            &mut student,
-            &mut student_store,
-            &clean,
-            &mut clean_store,
-            &unbiased,
-            &mut unbiased_store,
-            &split.train,
-            &split.val,
-        );
     }
 }

@@ -26,7 +26,7 @@ pub mod trainer;
 
 pub use daa::DynamicAdjuster;
 pub use dat::{AdversarialStudent, DatConfig, DatMode};
-pub use distill::{DistillConfig, DistillReport, DtdbdTrainer};
+pub use distill::{Ablation, DistillConfig, DistillReport, DtdbdTrainer};
 pub use trainer::{
     evaluate, extract_features, predict_fake_probs, train_model, train_step, TrainConfig,
     TrainReport,

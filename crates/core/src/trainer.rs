@@ -77,13 +77,7 @@ pub fn train_model<M: FakeNewsModel>(
     for epoch in 0..config.epochs {
         let mut epoch_loss = 0.0f32;
         let mut n_batches = 0usize;
-        let iter = BatchIter::new(
-            train,
-            config.batch_size,
-            config.seed ^ (epoch as u64) << 8,
-            false,
-        );
-        for batch in iter {
+        for batch in epoch_batches(train, config.batch_size, config.seed, epoch) {
             let loss = train_step(model, store, &batch, &mut optimizer, config, steps as u64);
             epoch_loss += loss;
             n_batches += 1;
@@ -110,30 +104,65 @@ pub fn train_step<M: FakeNewsModel>(
     config: &TrainConfig,
     step_seed: u64,
 ) -> f32 {
-    store.zero_grad();
-    let mut g = Graph::new(
+    let domain_weight = model.domain_loss_weight();
+    let seed = config.seed ^ step_seed.wrapping_mul(0x9E37_79B9);
+    optimise(
+        model,
         store,
-        true,
-        config.seed ^ step_seed.wrapping_mul(0x9E37_79B9),
-    );
+        batch,
+        optimizer,
+        config.grad_clip,
+        seed,
+        |g, out, mut loss| {
+            if let Some(domain_logits) = out.domain_logits {
+                if domain_weight > 0.0 {
+                    let dl = g.cross_entropy_logits(domain_logits, &batch.domains);
+                    let weighted = g.scale(dl, domain_weight);
+                    loss = g.add(loss, weighted);
+                }
+            }
+            if let Some(aux) = out.aux_loss {
+                loss = g.add(loss, aux);
+            }
+            loss
+        },
+    )
+}
+
+/// The shuffled mini-batches of one training or distillation epoch.
+pub(crate) fn epoch_batches(
+    train: &MultiDomainDataset,
+    batch_size: usize,
+    seed: u64,
+    epoch: usize,
+) -> BatchIter<'_> {
+    BatchIter::new(train, batch_size, seed ^ ((epoch as u64) << 8), false)
+}
+
+/// The optimisation step every trainer shares: a training-mode forward pass
+/// with dropout seeded by `seed`, the label cross-entropy plus whatever
+/// `terms` adds to it, backward, gradient clipping (`grad_clip` > 0), one
+/// Adam step and the model's `post_batch` hook. Returns the batch loss.
+pub(crate) fn optimise<M: FakeNewsModel>(
+    model: &mut M,
+    store: &mut ParamStore,
+    batch: &Batch,
+    optimizer: &mut Adam,
+    grad_clip: f32,
+    seed: u64,
+    terms: impl FnOnce(&mut Graph<'_>, &ModelOutput, Var) -> Var,
+) -> f32 {
+    store.zero_grad();
+    let mut g = Graph::new(store, true, seed);
     let out = model.forward(&mut g, batch);
-    let mut loss = g.cross_entropy_logits(out.logits, &batch.labels);
-    if let Some(domain_logits) = out.domain_logits {
-        if model.domain_loss_weight() > 0.0 {
-            let dl = g.cross_entropy_logits(domain_logits, &batch.domains);
-            let weighted = g.scale(dl, model.domain_loss_weight());
-            loss = g.add(loss, weighted);
-        }
-    }
-    if let Some(aux) = out.aux_loss {
-        loss = g.add(loss, aux);
-    }
+    let ce = g.cross_entropy_logits(out.logits, &batch.labels);
+    let loss = terms(&mut g, &out, ce);
     let value = g.value(loss).item();
     g.backward(loss);
     let features = g.value(out.features).clone();
     drop(g);
-    if config.grad_clip > 0.0 {
-        store.clip_grad_norm(config.grad_clip);
+    if grad_clip > 0.0 {
+        store.clip_grad_norm(grad_clip);
     }
     optimizer.step(store);
     model.post_batch(&features, &batch.domains);
@@ -215,7 +244,7 @@ pub(crate) fn output_rows<M: FakeNewsModel>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
     use dtdbd_models::{ModelConfig, TextCnnModel};
@@ -223,6 +252,69 @@ mod tests {
 
     fn tiny_dataset() -> MultiDomainDataset {
         NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(3, 0.04)
+    }
+
+    pub(crate) fn bits32(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// FNV-1a over the bits of every parameter value, in store order.
+    pub(crate) fn param_bits_hash(store: &ParamStore) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (_, p) in store.iter() {
+            for v in p.value.data() {
+                for b in v.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// A fixed-seed tiny `train_model` run per branch of `train_step`:
+    /// cross-entropy alone (TextCNN-S), the domain term plus the
+    /// reconstruction `aux_loss` (EDDFN with DAT), and the `post_batch`
+    /// memory update (M3FEND). Every bit of the outcome is pinned.
+    #[test]
+    fn train_model_reproduces_its_golden_runs_exactly() {
+        let split = tiny_dataset().split(0.7, 0.1, 1);
+        let cfg = ModelConfig::tiny(&split.train);
+        let tc = TrainConfig {
+            epochs: 3,
+            batch_size: 32,
+            ..TrainConfig::default()
+        };
+        let runs = [
+            (
+                "TextCNN-S",
+                0x9586_0126_2902_002b,
+                [0.7357324, 0.7042636, 0.69141424],
+            ),
+            (
+                "EDDFN",
+                0x5cde_654c_0f2f_5779,
+                [2.9583135, 2.9694762, 2.9613752],
+            ),
+            (
+                "M3FEND",
+                0x89f5_1f0b_017b_7710,
+                [0.70954776, 0.66189563, 0.6212077],
+            ),
+        ];
+        for (name, params, losses) in runs {
+            let mut store = ParamStore::new();
+            let mut model = dtdbd_models::build(name, &mut store, &cfg, &mut Prng::new(5))
+                .expect("a zoo model");
+            let report = train_model(&mut model, &mut store, &split.train, &tc);
+            assert_eq!(report.steps, 3 * split.train.len().div_ceil(32), "{name}");
+            assert_eq!(param_bits_hash(&store), params, "{name}: parameters");
+            assert_eq!(
+                bits32(&report.epoch_losses),
+                bits32(&losses),
+                "{name}: epoch losses {:?}",
+                report.epoch_losses
+            );
+        }
     }
 
     #[test]

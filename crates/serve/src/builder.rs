@@ -3,9 +3,10 @@
 //!
 //! A checkpoint stores the architecture as the model's canonical name (what
 //! [`dtdbd_models::FakeNewsModel::name`] returns at save time). This module
-//! maps those tags back to constructors so a serving process can go from a
-//! file on disk to a ready [`InferenceSession`] without the caller knowing
-//! which concrete type is inside.
+//! maps the servable tags back to their constructors ([`dtdbd_models::build`])
+//! so a serving process can go from a file on disk to a ready
+//! [`InferenceSession`] without the caller knowing which concrete type is
+//! inside.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::fault::FaultPlan;
@@ -13,9 +14,7 @@ use crate::http::{HttpConfig, HttpServer};
 use crate::server::{BatchingConfig, PredictServer, ServerTuning};
 use crate::session::InferenceSession;
 use crate::zoo::{ModelZoo, DEFAULT_MODEL_ID};
-use dtdbd_models::{
-    BiGruModel, Eann, Eddfn, FakeNewsModel, M3Fend, Mdfend, ModelConfig, TextCnnModel,
-};
+use dtdbd_models::{FakeNewsModel, ModelConfig};
 use dtdbd_tensor::rng::Prng;
 use dtdbd_tensor::ParamStore;
 use std::fmt;
@@ -155,34 +154,24 @@ impl From<ConfigError> for StartError {
     }
 }
 
-/// Construct a model of the named architecture, registering freshly
-/// initialised parameters in `store` (the caller then restores checkpoint
-/// values over them). The initialisation seed is irrelevant for restored
-/// models but kept deterministic.
+/// Construct a model of the named architecture, one of [`SUPPORTED_ARCHS`],
+/// registering freshly initialised parameters in `store` (the caller then
+/// restores checkpoint values over them). The initialisation seed is
+/// irrelevant for restored models but kept deterministic.
 pub fn build_model(
     arch: &str,
     store: &mut ParamStore,
     config: &ModelConfig,
 ) -> Result<BoxedModel, CheckpointError> {
-    let mut rng = Prng::new(0xD7DB);
-    let model: BoxedModel = match arch {
-        "TextCNN" => Box::new(TextCnnModel::baseline(store, config, &mut rng)),
-        "TextCNN-S" => Box::new(TextCnnModel::student(store, config, &mut rng)),
-        "BiGRU" => Box::new(BiGruModel::baseline(store, config, &mut rng)),
-        "BiGRU-S" => Box::new(BiGruModel::student(store, config, &mut rng)),
-        "MDFEND" => Box::new(Mdfend::new(store, config, &mut rng)),
-        "M3FEND" => Box::new(M3Fend::new(store, config, &mut rng)),
-        "EANN" => Box::new(Eann::with_dat(store, config, &mut rng)),
-        "EANN_NoDAT" => Box::new(Eann::without_dat(store, config, &mut rng)),
-        "EDDFN" => Box::new(Eddfn::with_dat(store, config, &mut rng)),
-        "EDDFN_NoDAT" => Box::new(Eddfn::without_dat(store, config, &mut rng)),
-        other => {
-            return Err(CheckpointError::Malformed(format!(
-                "unknown architecture tag {other:?} (supported: {SUPPORTED_ARCHS:?})"
-            )))
-        }
-    };
-    Ok(model)
+    SUPPORTED_ARCHS
+        .contains(&arch)
+        .then(|| dtdbd_models::build(arch, store, config, &mut Prng::new(0xD7DB)))
+        .flatten()
+        .ok_or_else(|| {
+            CheckpointError::Malformed(format!(
+                "unknown architecture tag {arch:?} (supported: {SUPPORTED_ARCHS:?})"
+            ))
+        })
 }
 
 /// Turn a decoded [`Checkpoint`] into a ready [`InferenceSession`] for its
@@ -431,5 +420,27 @@ impl ServerBuilder {
         }
         let default_id = self.default_id.unwrap_or_else(|| specs[0].0.clone());
         ModelZoo::from_specs(specs, &default_id, self.batching, self.tuning)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
+
+    #[test]
+    fn build_model_refuses_zoo_models_that_are_not_servable() {
+        let ds =
+            NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(5, 0.02);
+        let cfg = ModelConfig::tiny(&ds);
+        for arch in ["BERT", "MoSE", "TextCNN-U", ""] {
+            assert!(
+                matches!(
+                    build_model(arch, &mut ParamStore::new(), &cfg),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{arch:?} must not build"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! run should suffer: worker panics on the Nth batch, artificially slow
 //! forward passes, and NaN-poisoned predictions. Plans are injected
 //! through `ServerBuilder::fault_plan` and compiled once at server start
-//! into per-worker [`WorkerFaults`] tables; a server started without a
+//! into per-worker `WorkerFaults` tables; a server started without a
 //! plan carries `None` and the hot path never consults the subsystem at
 //! all.
 //!

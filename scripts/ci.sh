@@ -64,7 +64,11 @@
 #      ablation distilled from the shared frozen teachers)
 #   7. formatting check of the workspace and of perfbench (its own
 #      workspace, so `cargo fmt --all` never reaches it)
-#   8. clippy with warnings promoted to errors
+#   8. rustdoc with warnings promoted to errors (`RUSTDOCFLAGS="-D warnings"
+#      cargo doc --offline --no-deps --workspace`, about 7 s from a cold
+#      target dir on 2 cores): a doc link to a deleted, private or
+#      ambiguous name fails CI
+#   9. clippy with warnings promoted to errors
 #
 # The http_roundtrip example (examples/http_roundtrip.rs) is built by stage 1
 # but not run: stage 2's wire battery (tests/integration/tests/http.rs and
@@ -79,8 +83,8 @@
 #                          battery, bench gate, perfbench build and run,
 #                          table bins)
 #                          for a sub-minute inner-loop gate on a
-#                          warm build cache — tests + fmt + clippy still
-#                          run, and the dev-profile test suite includes the GEMM
+#                          warm build cache — tests + fmt + rustdoc +
+#                          clippy still run, and the dev-profile test suite includes the GEMM
 #                          bit-parity battery (crates/tensor/tests) plus the
 #                          checkpoint corruption/compat-fixture/zoo-parity
 #                          batteries (crates/serve/tests)
@@ -168,6 +172,13 @@ fmt_check() {
 
 stage "cargo fmt --check (workspace + perfbench)" \
   fmt_check
+
+doc_check() {
+  RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+}
+
+stage "cargo doc -D warnings (doc links)" \
+  doc_check
 
 stage "cargo clippy -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
