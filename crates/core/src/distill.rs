@@ -195,6 +195,10 @@ impl DtdbdTrainer {
             let mut n_batches = 0usize;
             for batch in epoch_batches(train, cfg.batch_size, cfg.seed, epoch) {
                 let (clean_logits, unbiased_features) = targets.for_batch(&batch);
+                // A term whose weight is exactly 0 (Full's DAA can move a
+                // teacher there) adds nothing: skip its forward and backward.
+                let clean_logits = clean_logits.filter(|_| w_dkd != 0.0);
+                let unbiased_features = unbiased_features.filter(|_| w_add != 0.0);
                 let step = (epoch * 100_000 + n_batches) as u64;
                 let seed = cfg.seed ^ step.wrapping_mul(0x1000_0001);
                 epoch_loss += optimise(

@@ -112,7 +112,7 @@ mod tests {
             };
             let loss = g.cross_entropy_logits(logits, &labels);
             g.backward(loss);
-            store.grad(enc).clone()
+            store.grad(enc).unwrap().clone()
         };
 
         let rev = run(true, 1.0);
@@ -153,7 +153,7 @@ mod tests {
             store
                 .iter()
                 .filter(|(id, p)| *id != enc && p.trainable)
-                .flat_map(|(_, p)| p.grad.data().to_vec())
+                .flat_map(|(_, p)| p.grad.as_ref().unwrap().data().to_vec())
                 .collect()
         };
         let with = grads(true);

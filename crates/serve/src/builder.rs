@@ -427,6 +427,31 @@ impl ServerBuilder {
 mod tests {
     use super::*;
     use dtdbd_data::{weibo21_spec, GeneratorConfig, NewsGenerator};
+    use std::sync::Arc;
+
+    #[test]
+    fn http_tenants_and_their_workers_share_the_checkpoint_weights() {
+        let ds =
+            NewsGenerator::new(weibo21_spec(), GeneratorConfig::tiny()).generate_scaled(5, 0.02);
+        let mut store = ParamStore::new();
+        let model = dtdbd_models::TextCnnModel::student(
+            &mut store,
+            &ModelConfig::tiny(&ds),
+            &mut Prng::new(3),
+        );
+        let ckpt = Checkpoint::capture(&model, &store);
+        let builder = ServerBuilder::new().workers(2).tenant("m", &ckpt);
+        let TenantSource::Resident(source) = &builder.tenants[0].source else {
+            panic!("a checkpoint tenant is resident");
+        };
+        assert!(Arc::ptr_eq(&source.params, &ckpt.params));
+        // Once started, the holders are this test, the server's respawn
+        // source and the two workers' sessions.
+        let http = builder.http_addr("127.0.0.1:0").try_start_http().unwrap();
+        assert_eq!(Arc::strong_count(&ckpt.params), 4);
+        http.shutdown();
+        assert_eq!(Arc::strong_count(&ckpt.params), 1);
+    }
 
     #[test]
     fn build_model_refuses_zoo_models_that_are_not_servable() {

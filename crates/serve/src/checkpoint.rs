@@ -23,7 +23,7 @@
 //! vocabulary layout, and every parameter of the [`ParamStore`] (name,
 //! trainable flag, shape, and the raw IEEE-754 bit patterns of the values).
 //! Gradients are transient optimizer state and are not persisted; a loaded
-//! store starts with zero gradients.
+//! store holds no gradient buffer.
 //!
 //! The **side-state section** carries trained state that lives outside the
 //! `ParamStore` (M3FEND's domain memory bank is the canonical example) as
@@ -56,6 +56,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic, `b"DTDB"`.
 pub const MAGIC: [u8; 4] = *b"DTDB";
@@ -188,8 +189,10 @@ pub struct Checkpoint {
     pub arch: String,
     /// The model's configuration, including the vocabulary layout.
     pub config: ModelConfig,
-    /// The model's parameters (gradients reset to zero).
-    pub params: ParamStore,
+    /// The model's parameters, without gradient buffers. Shared: every
+    /// session restored from this checkpoint serves from this one store,
+    /// and so does every clone of the checkpoint.
+    pub params: Arc<ParamStore>,
     /// Trained state outside the `ParamStore`, as tagged opaque chunks
     /// (empty for purely parametric models and for version-1 files).
     pub side_state: SideState,
@@ -203,7 +206,7 @@ impl Checkpoint {
         Self {
             arch: arch.into(),
             config: config.clone(),
-            params: params.clone(),
+            params: weights_of(params),
             side_state: SideState::new(),
         }
     }
@@ -217,7 +220,7 @@ impl Checkpoint {
         Self {
             arch: model.name().to_string(),
             config: model.config().clone(),
-            params: params.clone(),
+            params: weights_of(params),
             side_state: model.export_side_state(),
         }
     }
@@ -314,7 +317,7 @@ impl Checkpoint {
         Ok(Self {
             arch,
             config,
-            params,
+            params: Arc::new(params),
             side_state,
         })
     }
@@ -497,6 +500,21 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<ModelConfig, CheckpointError>
         emotion_dim: r.u64()? as usize,
         n_experts: r.u64()? as usize,
     })
+}
+
+/// The names, values and trainable flags of `params`, without the gradient
+/// buffers training left in it.
+fn weights_of(params: &ParamStore) -> Arc<ParamStore> {
+    let mut weights = ParamStore::new();
+    for (_, param) in params.iter() {
+        let (name, value) = (param.name.clone(), param.value.clone());
+        if param.trainable {
+            weights.add(name, value);
+        } else {
+            weights.add_frozen(name, value);
+        }
+    }
+    Arc::new(weights)
 }
 
 fn encode_params(w: &mut ByteWriter, params: &ParamStore) {

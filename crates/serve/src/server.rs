@@ -73,7 +73,9 @@ pub struct BatchingConfig {
     pub max_batch_size: usize,
     /// How long a worker holding a non-full batch waits for more requests.
     pub max_wait: Duration,
-    /// Number of worker threads (each owns a full inference session).
+    /// Number of worker threads. Each runs its own inference session
+    /// (scratch buffers and model), and all of them read one shared copy of
+    /// the checkpoint's weights.
     pub workers: usize,
 }
 
@@ -273,8 +275,9 @@ pub struct ServingStats {
     pub workers: usize,
     /// Prediction-cache counters (all zeros when the cache is disabled).
     pub cache: CacheStats,
-    /// Mean bytes of parameters resident in each worker's session, the
-    /// embedding table included.
+    /// Bytes of parameters each worker's session reads, the embedding table
+    /// included. A server's workers share one copy of these weights, so
+    /// the server holds them once, not once per worker.
     pub resident_param_bytes_per_worker: u64,
     /// Worker batch-loop panics caught by the supervisor shells.
     pub worker_panics: u64,
@@ -418,9 +421,11 @@ impl PredictServer {
     /// worker thread spawns.
     ///
     /// The checkpoint is restored once per worker, and the first restore is
-    /// also the up-front validity check. Its `telemetry.baseline` chunk, if
-    /// any, is the drift tracker's baseline. The server keeps its own copy
-    /// of the checkpoint: supervisors restore crashed workers from it.
+    /// also the up-front validity check. Every session serves from the
+    /// checkpoint's shared [`Checkpoint::params`], so the weights are held
+    /// once. Its `telemetry.baseline` chunk, if any, is the drift tracker's
+    /// baseline. The server keeps a clone of the checkpoint (sharing those
+    /// weights): supervisors restore crashed workers from it.
     pub(crate) fn from_checkpoint(
         checkpoint: &Checkpoint,
         config: BatchingConfig,
@@ -831,6 +836,10 @@ fn worker_loop(
             }
             let take = state.jobs.len().min(config.max_batch_size);
             let jobs = state.jobs.drain(..take).collect::<Vec<_>>();
+            // A drained queue gives back the slots a burst grew it to.
+            if state.jobs.is_empty() && state.jobs.capacity() > 4 * config.max_batch_size {
+                state.jobs.shrink_to(config.max_batch_size);
+            }
             let assembly_ns = assembly_started.elapsed().as_nanos() as u64;
             (jobs, assembly_ns)
         };
@@ -1358,6 +1367,86 @@ mod tests {
         assert_eq!(stats.worker_panics, 1);
         assert_eq!(stats.worker_restarts, 1);
         assert_eq!(server.workers_alive(), 1, "capacity restored");
+    }
+
+    #[test]
+    fn workers_and_respawned_workers_serve_the_checkpoint_weights_in_place() {
+        let ds = dataset();
+        let ckpt = checkpoint(&ds);
+        let a = session_from_checkpoint(&ckpt).unwrap();
+        let b = session_from_checkpoint(&ckpt).unwrap();
+        assert!(Arc::ptr_eq(a.params(), &ckpt.params));
+        assert!(Arc::ptr_eq(a.params(), b.params()));
+        drop((a, b));
+
+        // Every worker panics on its first batch and is respawned.
+        let plan = FaultPlan::default()
+            .panic_worker(0, 1)
+            .panic_worker(1, 1)
+            .respawn_backoff(Duration::from_millis(1));
+        let config = BatchingConfig {
+            max_batch_size: 1,
+            max_wait: Duration::ZERO,
+            workers: 2,
+        };
+        let tuning = ServerTuning {
+            cache_capacity: 0,
+            fault_plan: Some(plan),
+        };
+        let server = PredictServer::from_checkpoint(&ckpt, config, tuning).unwrap();
+        // The holders of the one store: this test, the server's respawn
+        // source, and one session per worker. A worker with a store of its
+        // own would not count here.
+        assert_eq!(Arc::strong_count(&ckpt.params), 4);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().worker_restarts < 2 {
+            assert!(Instant::now() < deadline, "workers never respawned");
+            let handles: Vec<_> = (0..8)
+                .map(|i| server.submit(&request_for(&ds, i)).unwrap())
+                .collect();
+            for handle in handles {
+                let _ = handle.wait();
+            }
+        }
+        assert_eq!(
+            Arc::strong_count(&ckpt.params),
+            4,
+            "respawned sessions serve the same store"
+        );
+        server.shutdown();
+        assert_eq!(Arc::strong_count(&ckpt.params), 1);
+    }
+
+    #[test]
+    fn a_drained_queue_gives_back_its_burst_capacity() {
+        let ds = dataset();
+        let max_batch_size = 8;
+        let server = start_with(
+            &ds,
+            BatchingConfig {
+                max_batch_size,
+                max_wait: Duration::ZERO,
+                workers: 1,
+            },
+            ServerTuning {
+                cache_capacity: 0,
+                fault_plan: Some(FaultPlan::default().slow_predict(Duration::from_millis(1))),
+            },
+        );
+        let capacity = || server.shared.queue.lock().unwrap().jobs.capacity();
+        let handles: Vec<_> = (0..3072)
+            .map(|i| server.submit(&request_for(&ds, i % ds.len())).unwrap())
+            .collect();
+        assert!(capacity() > 4 * max_batch_size, "the burst grew the queue");
+        for handle in handles {
+            handle.wait().unwrap();
+        }
+        assert_eq!(server.queue_depth(), 0);
+        assert!(
+            capacity() <= 4 * max_batch_size,
+            "{} slots kept",
+            capacity()
+        );
     }
 
     #[test]

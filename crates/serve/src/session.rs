@@ -1,8 +1,11 @@
 //! Tape-free inference sessions.
 //!
 //! An [`InferenceSession`] bundles everything one worker needs to answer
-//! prediction requests: the model, its parameters, a warm [`BufferPool`] of
-//! scratch buffers, and a [`RequestEncoder`] matching the corpus geometry.
+//! prediction requests: the model, a shared handle on its parameters, a
+//! warm [`BufferPool`] of scratch buffers, and a [`RequestEncoder`]
+//! matching the corpus geometry. Inference only reads the parameters, so
+//! every session restored from one [`Checkpoint`] serves from the
+//! checkpoint's own store.
 //! Each call runs the model's own [`FakeNewsModel::forward`] on a tape-free
 //! [`Graph::inference`] graph — no autograd bookkeeping, and after the first
 //! call no activation allocation — and reads the per-item [`Prediction`]s
@@ -35,7 +38,7 @@ impl Prediction {
 /// A ready-to-serve model: parameters, scratch memory and request encoding.
 pub struct InferenceSession<M> {
     model: M,
-    store: ParamStore,
+    store: Arc<ParamStore>,
     pool: BufferPool,
     encoder: RequestEncoder,
     requests_served: u64,
@@ -46,13 +49,14 @@ pub struct InferenceSession<M> {
 }
 
 impl<M: FakeNewsModel> InferenceSession<M> {
-    /// Wrap a live model and its parameter store.
-    pub fn new(model: M, store: ParamStore) -> Self {
+    /// Wrap a live model and its parameter store (owned, or shared with
+    /// other sessions).
+    pub fn new(model: M, store: impl Into<Arc<ParamStore>>) -> Self {
         let config = model.config();
         let encoder = RequestEncoder::new(config.vocab_size, config.seq_len, config.n_domains);
         Self {
             model,
-            store,
+            store: store.into(),
             pool: BufferPool::new(),
             encoder,
             requests_served: 0,
@@ -68,11 +72,13 @@ impl<M: FakeNewsModel> InferenceSession<M> {
     }
 
     /// Rebuild a model from a checkpoint: `build` constructs the
-    /// architecture (registering randomly initialised parameters in a fresh
-    /// store, exactly as at training time), the checkpoint's values are
-    /// restored over them with a full layout check, and the checkpoint's
-    /// side state is imported into the model — so state outside the store
-    /// (M3FEND's domain memory bank) is restored too. A side state the
+    /// architecture (registering randomly initialised parameters in a
+    /// throwaway store, exactly as at training time), the checkpoint's
+    /// values are restored over them as a full layout check, and the
+    /// checkpoint's side state is imported into the model — so state
+    /// outside the store (M3FEND's domain memory bank) is restored too. The
+    /// session then serves from the checkpoint's own [`Checkpoint::params`]:
+    /// no weight is copied per session. A side state the
     /// model refuses (unknown tag, missing required chunk, malformed body)
     /// is a typed [`CheckpointError::SideState`], never a silently
     /// half-restored model.
@@ -89,12 +95,18 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         model
             .import_side_state(&checkpoint.side_state.model_chunks())
             .map_err(CheckpointError::SideState)?;
-        Ok(Self::new(model, store))
+        Ok(Self::new(model, Arc::clone(&checkpoint.params)))
     }
 
     /// The wrapped model.
     pub fn model(&self) -> &M {
         &self.model
+    }
+
+    /// The parameter store this session reads; sessions restored from one
+    /// checkpoint share it.
+    pub fn params(&self) -> &Arc<ParamStore> {
+        &self.store
     }
 
     /// The request encoder matching this model's corpus geometry.
@@ -113,14 +125,16 @@ impl<M: FakeNewsModel> InferenceSession<M> {
         (self.pool.reuse_hits(), self.pool.alloc_misses())
     }
 
-    /// Bytes of parameter values resident in this session's private store.
+    /// Bytes of parameter values in the store this session reads. Sessions
+    /// restored from one checkpoint share that store, so these bytes are
+    /// resident once however many sessions report them.
     pub fn resident_param_bytes(&self) -> u64 {
         self.store.num_scalars() as u64 * std::mem::size_of::<f32>() as u64
     }
 
     /// Run tape-free inference on a pre-assembled batch.
     pub fn predict_batch(&mut self, batch: &Batch) -> Vec<Prediction> {
-        let mut g = Graph::inference(&mut self.store, &mut self.pool);
+        let mut g = Graph::inference(&self.store, &mut self.pool);
         g.set_kernel_timers(self.kernel_timers.clone());
         let out = self.model.forward(&mut g, batch);
         let logits = g.value(out.logits);

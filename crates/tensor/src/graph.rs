@@ -1,6 +1,8 @@
 //! Tape-based reverse-mode automatic differentiation.
 //!
-//! A [`Graph`] is created per forward pass over a mutable [`ParamStore`].
+//! A [`Graph`] is created per forward pass over a [`ParamStore`]: a tape
+//! graph borrows it mutably to write gradients, an inference graph only
+//! reads it.
 //! Calling an op method evaluates it eagerly, records a node on the tape and
 //! returns a [`Var`] handle. [`Graph::backward`] seeds the gradient of a
 //! scalar loss node and walks the tape in reverse, accumulating parameter
@@ -127,9 +129,38 @@ pub(crate) struct Node {
     pooled: bool,
 }
 
+/// How a graph holds its store: a tape graph may write gradients into it,
+/// an inference graph only reads it, so any number of inference graphs can
+/// share one store.
+enum StoreRef<'s> {
+    Shared(&'s ParamStore),
+    Tape(&'s mut ParamStore),
+}
+
+impl StoreRef<'_> {
+    /// The store for a gradient flush; only tape graphs run backward.
+    fn tape(&mut self) -> &mut ParamStore {
+        match self {
+            StoreRef::Tape(store) => store,
+            StoreRef::Shared(_) => unreachable!("inference graphs write no gradient"),
+        }
+    }
+}
+
+impl std::ops::Deref for StoreRef<'_> {
+    type Target = ParamStore;
+
+    fn deref(&self) -> &ParamStore {
+        match self {
+            StoreRef::Shared(store) => store,
+            StoreRef::Tape(store) => store,
+        }
+    }
+}
+
 /// A per-forward-pass autodiff tape over a [`ParamStore`].
 pub struct Graph<'s> {
-    store: &'s mut ParamStore,
+    store: StoreRef<'s>,
     nodes: Vec<Node>,
     training: bool,
     /// `true` when the graph records a differentiable tape; `false` for
@@ -148,7 +179,7 @@ impl<'s> Graph<'s> {
     /// reproducible.
     pub fn new(store: &'s mut ParamStore, training: bool, seed: u64) -> Self {
         Self {
-            store,
+            store: StoreRef::Tape(store),
             nodes: Vec::with_capacity(256),
             training,
             tape: true,
@@ -162,10 +193,12 @@ impl<'s> Graph<'s> {
     /// identity), no gradient bookkeeping, and every activation buffer drawn
     /// from `pool` — call [`Graph::finish`] when done to hand them back. The
     /// node arena comes from the pool too: a graph finished on the same pool
-    /// left it there, so a warmed-up pool allocates no node storage.
-    pub fn inference(store: &'s mut ParamStore, pool: &'s mut BufferPool) -> Self {
+    /// left it there, so a warmed-up pool allocates no node storage. The
+    /// store is only read, so threads can run inference over one shared
+    /// store.
+    pub fn inference(store: &'s ParamStore, pool: &'s mut BufferPool) -> Self {
         Self {
-            store,
+            store: StoreRef::Shared(store),
             nodes: pool.take_nodes(),
             training: false,
             tape: false,
@@ -227,7 +260,7 @@ impl<'s> Graph<'s> {
 
     /// Borrow the underlying parameter store.
     pub fn store(&self) -> &ParamStore {
-        self.store
+        &self.store
     }
 
     fn push(
@@ -904,7 +937,7 @@ impl<'s> Graph<'s> {
             // Leaf parameters: flush into the store.
             if let Some(pid) = self.nodes[i].param {
                 if self.store.get(pid).trainable {
-                    self.store.accumulate_grad(pid, &grad);
+                    self.store.tape().accumulate_grad(pid, &grad);
                 }
                 continue;
             }
@@ -1114,7 +1147,7 @@ impl<'s> Graph<'s> {
                         *d += s;
                     }
                 }
-                self.store.accumulate_grad(table, &delta);
+                self.store.tape().accumulate_grad(table, &delta);
             }
             Op::SelectTime { t } => {
                 let x_shape = self.nodes[inputs[0]].value.shape().to_vec();
@@ -1225,10 +1258,13 @@ impl<'s> Graph<'s> {
                 }
                 if need_dw {
                     self.store
+                        .tape()
                         .accumulate_grad(weight, &Tensor::new(vec![oc, k, d], dw));
                 }
                 if need_db {
-                    self.store.accumulate_grad(bias, &Tensor::new(vec![oc], db));
+                    self.store
+                        .tape()
+                        .accumulate_grad(bias, &Tensor::new(vec![oc], db));
                 }
             }
             Op::PairwiseSqDist => {
@@ -1343,7 +1379,7 @@ mod tests {
         let loss = g.mean_all(sq);
         assert!(approx(g.value(loss).item(), 36.0, 1e-5));
         g.backward(loss);
-        assert!(approx(store.grad(w).data()[0], 36.0, 1e-4));
+        assert!(approx(store.grad(w).unwrap().data()[0], 36.0, 1e-4));
     }
 
     #[test]
@@ -1358,8 +1394,8 @@ mod tests {
         let c = g.matmul(av, bv);
         let loss = g.sum_all(c);
         g.backward(loss);
-        assert_eq!(store.grad(a).data(), &[11.0, 15.0, 11.0, 15.0]);
-        assert_eq!(store.grad(b).data(), &[4.0, 4.0, 6.0, 6.0]);
+        assert_eq!(store.grad(a).unwrap().data(), &[11.0, 15.0, 11.0, 15.0]);
+        assert_eq!(store.grad(b).unwrap().data(), &[4.0, 4.0, 6.0, 6.0]);
     }
 
     #[test]
@@ -1370,7 +1406,7 @@ mod tests {
         let wv = g.param(w);
         let loss = g.mean_all(wv);
         g.backward(loss);
-        assert_eq!(store.grad(w).data(), &[0.0]);
+        assert!(store.grad(w).is_none(), "a frozen parameter gets no buffer");
     }
 
     #[test]
@@ -1420,7 +1456,7 @@ mod tests {
         assert!(approx(g.value(loss).item(), expect, 1e-5));
         g.backward(loss);
         // Gradient of CE wrt logits is (p - onehot)/b.
-        let grad = store.grad(w);
+        let grad = store.grad(w).unwrap();
         assert!(approx(grad.at2(0, 1), (p1 - 1.0) / 2.0, 1e-5));
         assert!(approx(grad.at2(1, 0), (p2 - 1.0) / 2.0, 1e-5));
     }
@@ -1434,7 +1470,7 @@ mod tests {
         let r = g.grad_reverse(wv, 0.5);
         let loss = g.sum_all(r);
         g.backward(loss);
-        assert_eq!(store.grad(w).data(), &[-0.5, -0.5]);
+        assert_eq!(store.grad(w).unwrap().data(), &[-0.5, -0.5]);
     }
 
     #[test]
@@ -1475,8 +1511,8 @@ mod tests {
         let s = g.sum_all(e);
         g.backward(s);
         // Token 1 appears twice, so its grad row accumulates 2.
-        assert_eq!(store.grad(table).row(1), &[2.0, 2.0]);
-        assert_eq!(store.grad(table).row(2), &[1.0, 1.0]);
+        assert_eq!(store.grad(table).unwrap().row(1), &[2.0, 2.0]);
+        assert_eq!(store.grad(table).unwrap().row(2), &[1.0, 1.0]);
     }
 
     #[test]
@@ -1493,9 +1529,9 @@ mod tests {
         assert_eq!(g.value(m).data(), &[5.0, 0.0]);
         let loss = g.sum_all(m);
         g.backward(loss);
-        assert_eq!(store.grad(xid).data(), &[0.0, 1.0, 0.0]);
-        assert_eq!(store.grad(w).data(), &[5.0, 0.0]);
-        assert_eq!(store.grad(bias).data(), &[1.0, 0.0]);
+        assert_eq!(store.grad(xid).unwrap().data(), &[0.0, 1.0, 0.0]);
+        assert_eq!(store.grad(w).unwrap().data(), &[5.0, 0.0]);
+        assert_eq!(store.grad(bias).unwrap().data(), &[1.0, 0.0]);
     }
 
     #[test]
@@ -1676,15 +1712,15 @@ mod tests {
             }
             None => assert!(!x_on, "no dx for a trainable input: {case}"),
         }
-        let want_dw = if w_on {
-            flushed_bits(&want.dw)
-        } else {
-            vec![0; want.dw.len()]
-        };
-        assert_eq!(bits(store.grad(wid)), want_dw, "dw {case}");
-        assert_eq!(bits(store.grad(bid)), flushed_bits(&want.db), "db {case}");
+        let want_dw = w_on.then(|| flushed_bits(&want.dw));
+        assert_eq!(store.grad(wid).map(bits), want_dw, "dw {case}");
+        assert_eq!(
+            store.grad(bid).map(bits),
+            Some(flushed_bits(&want.db)),
+            "db {case}"
+        );
         let mut pool = BufferPool::new();
-        let mut g = Graph::inference(&mut store, &mut pool);
+        let mut g = Graph::inference(&store, &mut pool);
         let xv = g.constant(x.clone());
         let y = g.conv_relu_max(xv, wid, bid);
         assert_eq!(bits(g.value(y)), want_pooled, "tape-free {case}");
@@ -1835,7 +1871,7 @@ mod tests {
                 "({b},{d})"
             );
             let mut pool = BufferPool::new();
-            let mut g = Graph::inference(&mut store, &mut pool);
+            let mut g = Graph::inference(&store, &mut pool);
             let xv = g.constant(x);
             let y = g.pairwise_sq_dist(xv);
             assert_eq!(
@@ -1911,8 +1947,8 @@ mod tests {
         let y = g.matmul(c, w);
         let loss = g.sum_all(y);
         g.backward(loss);
-        assert_eq!(store.grad(a).data(), &[1.0, 10.0]);
-        assert_eq!(store.grad(b).data(), &[100.0]);
+        assert_eq!(store.grad(a).unwrap().data(), &[1.0, 10.0]);
+        assert_eq!(store.grad(b).unwrap().data(), &[100.0]);
     }
 
     #[test]
@@ -1929,9 +1965,9 @@ mod tests {
         assert_eq!(g.value(scaled).data(), &[0.5, 1.0, 0.75, 1.0]);
         let loss = g.sum_all(scaled);
         g.backward(loss);
-        assert_eq!(store.grad(x).data(), &[0.5, 0.5, 0.25, 0.25]);
+        assert_eq!(store.grad(x).unwrap().data(), &[0.5, 0.5, 0.25, 0.25]);
         // ds = sum_j x[i,j] routed back through the selected column.
-        assert_eq!(store.grad(s).data(), &[0.0, 3.0, 0.0, 7.0]);
+        assert_eq!(store.grad(s).unwrap().data(), &[0.0, 3.0, 0.0, 7.0]);
     }
 
     #[test]
@@ -1946,7 +1982,7 @@ mod tests {
         assert_eq!(g.value(m).data(), &[2.0, 3.0]);
         let loss = g.sum_all(m);
         g.backward(loss);
-        assert_eq!(store.grad(x).data(), &[0.5, 0.5, 0.5, 0.5]);
+        assert_eq!(store.grad(x).unwrap().data(), &[0.5, 0.5, 0.5, 0.5]);
     }
 
     #[test]
@@ -1959,7 +1995,7 @@ mod tests {
         let y = g.add(xv, xv);
         let loss = g.sum_all(y);
         g.backward(loss);
-        assert_eq!(store.grad(x).data(), &[2.0]);
+        assert_eq!(store.grad(x).unwrap().data(), &[2.0]);
     }
 
     #[test]
@@ -1989,7 +2025,7 @@ mod tests {
         };
         let mut pool = BufferPool::new();
         let infer_out = {
-            let mut g = Graph::inference(&mut store, &mut pool);
+            let mut g = Graph::inference(&store, &mut pool);
             assert!(g.is_inference());
             let out = forward(&mut g, &x, w, b);
             let value = g.value(out).clone();
@@ -2009,7 +2045,7 @@ mod tests {
         let w = store.add("w", Tensor::randn(&[6, 6], 0.5, &mut rng));
         let x = Tensor::randn(&[2, 6], 1.0, &mut rng);
         let mut pool = BufferPool::new();
-        let run = |store: &mut ParamStore, pool: &mut BufferPool| {
+        let run = |store: &ParamStore, pool: &mut BufferPool| {
             let mut g = Graph::inference(store, pool);
             let xv = g.constant(x.clone());
             let wv = g.param(w);
@@ -2020,7 +2056,7 @@ mod tests {
             g.finish();
             value
         };
-        let first = run(&mut store, &mut pool);
+        let first = run(&store, &mut pool);
         let misses_after_first = pool.alloc_misses();
         assert!(misses_after_first > 0, "first call must warm the pool");
         assert!(
@@ -2029,7 +2065,7 @@ mod tests {
         );
         let arena = pool.idle_node_capacity();
         assert!(arena >= 5, "finish keeps the node arena");
-        let second = run(&mut store, &mut pool);
+        let second = run(&store, &mut pool);
         assert_eq!(first, second);
         assert_eq!(
             pool.idle_node_capacity(),
@@ -2047,7 +2083,7 @@ mod tests {
         // grow the pool request over request.
         let stable = pool.idle_buffers();
         for _ in 0..10 {
-            run(&mut store, &mut pool);
+            run(&store, &mut pool);
         }
         assert_eq!(
             pool.idle_buffers(),
@@ -2063,7 +2099,7 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::from_vec(vec![1.0, 2.0]));
         let mut pool = BufferPool::new();
-        let mut g = Graph::inference(&mut store, &mut pool);
+        let mut g = Graph::inference(&store, &mut pool);
         let wv = g.param(w);
         let loss = g.sum_all(wv);
         g.backward(loss);
@@ -2074,15 +2110,21 @@ mod tests {
         use crate::pool::BufferPool;
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::from_vec(vec![3.0]));
+        let f = store.add_frozen("f", Tensor::from_vec(vec![2.0]));
         let mut pool = BufferPool::new();
         {
-            let mut g = Graph::inference(&mut store, &mut pool);
+            let mut g = Graph::inference(&store, &mut pool);
             let wv = g.param(w);
-            let y = g.relu(wv);
-            assert_eq!(g.value(y).data(), &[3.0]);
+            let fv = g.param(f);
+            let y = g.mul(wv, fv);
+            let y = g.relu(y);
+            assert_eq!(g.value(y).data(), &[6.0]);
             g.finish();
         }
-        assert_eq!(store.grad(w).data(), &[0.0]);
+        assert!(
+            store.iter().all(|(_, p)| p.grad.is_none()),
+            "a store that only ran inference holds no gradient buffer"
+        );
     }
 
     #[test]
@@ -2105,8 +2147,8 @@ mod tests {
         let logits = g.matmul(h, w2v);
         let loss = g.cross_entropy_logits(logits, &[0, 1, 0, 1, 0, 1]);
         g.backward(loss);
-        assert!(store.grad(w1).norm() > 0.0);
-        assert!(store.grad(w2).norm() > 0.0);
-        assert!(!store.grad(w1).has_non_finite());
+        assert!(store.grad(w1).unwrap().norm() > 0.0);
+        assert!(store.grad(w2).unwrap().norm() > 0.0);
+        assert!(!store.grad(w1).unwrap().has_non_finite());
     }
 }

@@ -189,7 +189,7 @@ mod tests {
             losses.push(g.value(loss).item());
             g.backward(loss);
             // manual SGD
-            let grad = store.grad(s).clone();
+            let grad = store.grad(s).unwrap().clone();
             store.get_mut(s).value.axpy(-0.5, &grad);
         }
         assert!(losses[0] > 0.0);
@@ -246,8 +246,8 @@ mod tests {
         let loss = add_distillation_loss(&mut g, fv, &teacher, 4.0);
         assert!(g.value(loss).item() > 0.0);
         g.backward(loss);
-        assert!(store.grad(f).norm() > 0.0);
-        assert!(!store.grad(f).has_non_finite());
+        assert!(store.grad(f).unwrap().norm() > 0.0);
+        assert!(!store.grad(f).unwrap().has_non_finite());
     }
 
     #[test]
@@ -260,7 +260,7 @@ mod tests {
         let loss = mse_loss(&mut g, av, bv);
         assert!(approx(g.value(loss).item(), 2.5, 1e-6));
         g.backward(loss);
-        assert_eq!(store.grad(a).data(), &[1.0, 2.0]);
+        assert_eq!(store.grad(a).unwrap().data(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -51,11 +51,21 @@ impl Adam {
             let idx = id.index();
             let m = self.m[idx].get_or_insert_with(|| Tensor::zeros(p.value.shape()));
             let v = self.v[idx].get_or_insert_with(|| Tensor::zeros(p.value.shape()));
+            // A parameter no backward pass has reached yet steps on a zero
+            // gradient: its moments still decay.
+            let zeros;
+            let grad = match &p.grad {
+                Some(grad) => grad.data(),
+                None => {
+                    zeros = vec![0.0; p.value.numel()];
+                    &zeros
+                }
+            };
             for (((w, g), mi), vi) in p
                 .value
                 .data_mut()
                 .iter_mut()
-                .zip(p.grad.data().iter())
+                .zip(grad.iter())
                 .zip(m.data_mut().iter_mut())
                 .zip(v.data_mut().iter_mut())
             {

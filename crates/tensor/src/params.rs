@@ -22,8 +22,11 @@ pub struct Param {
     /// Current value.
     pub value: Tensor,
     /// Gradient accumulated by [`crate::Graph::backward`] since the last
-    /// [`ParamStore::zero_grad`].
-    pub grad: Tensor,
+    /// [`ParamStore::zero_grad`]. `None` until the first
+    /// [`ParamStore::accumulate_grad`] creates it, so a frozen parameter
+    /// (which backward skips) and a store that only serves inference hold
+    /// no gradient buffer at all.
+    pub grad: Option<Tensor>,
     /// Frozen parameters (e.g. the simulated pre-trained embedding table)
     /// never receive optimizer updates, but still participate in forward
     /// passes.
@@ -57,11 +60,10 @@ impl ParamStore {
     }
 
     fn push(&mut self, name: String, value: Tensor, trainable: bool) -> ParamId {
-        let grad = Tensor::zeros(value.shape());
         self.params.push(Param {
             name,
             value,
-            grad,
+            grad: None,
             trainable,
         });
         ParamId(self.params.len() - 1)
@@ -106,20 +108,26 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
-    /// Borrow a parameter's gradient.
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.params[id.0].grad
+    /// Borrow a parameter's gradient; `None` when nothing has been
+    /// accumulated into it yet.
+    pub fn grad(&self, id: ParamId) -> Option<&Tensor> {
+        self.params[id.0].grad.as_ref()
     }
 
-    /// Accumulate `delta` into a parameter's gradient.
+    /// Accumulate `delta` into a parameter's gradient, creating the
+    /// zero-initialised buffer on first use.
     pub fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor) {
-        self.params[id.0].grad.axpy(1.0, delta);
+        let p = &mut self.params[id.0];
+        p.grad
+            .get_or_insert_with(|| Tensor::zeros(p.value.shape()))
+            .axpy(1.0, delta);
     }
 
-    /// Reset every gradient to zero (call once per optimization step).
+    /// Reset every existing gradient to zero (call once per optimization
+    /// step). Buffers are kept for the next step's accumulation.
     pub fn zero_grad(&mut self) {
-        for p in &mut self.params {
-            p.grad.fill_zero();
+        for grad in self.params.iter_mut().filter_map(|p| p.grad.as_mut()) {
+            grad.fill_zero();
         }
     }
 
@@ -136,12 +144,14 @@ impl ParamStore {
             .map(|(i, p)| (ParamId(i), p))
     }
 
-    /// Global L2 norm over all trainable gradients.
+    /// Global L2 norm over all trainable gradients (a missing buffer counts
+    /// as zero).
     pub fn grad_norm(&self) -> f32 {
         self.params
             .iter()
             .filter(|p| p.trainable)
-            .map(|p| p.grad.data().iter().map(|g| g * g).sum::<f32>())
+            .filter_map(|p| p.grad.as_ref())
+            .map(|g| g.data().iter().map(|g| g * g).sum::<f32>())
             .sum::<f32>()
             .sqrt()
     }
@@ -156,8 +166,8 @@ impl ParamStore {
         }
         let scale = max_norm / norm;
         for p in &mut self.params {
-            if p.trainable {
-                for g in p.grad.data_mut() {
+            if let (true, Some(grad)) = (p.trainable, p.grad.as_mut()) {
+                for g in grad.data_mut() {
                     *g *= scale;
                 }
             }
@@ -206,11 +216,15 @@ mod tests {
     fn gradients_accumulate_and_reset() {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::zeros(&[2]));
+        assert!(
+            store.grad(w).is_none(),
+            "no buffer before the first gradient"
+        );
         store.accumulate_grad(w, &Tensor::from_vec(vec![1.0, 2.0]));
         store.accumulate_grad(w, &Tensor::from_vec(vec![0.5, 0.5]));
-        assert_eq!(store.grad(w).data(), &[1.5, 2.5]);
+        assert_eq!(store.grad(w).unwrap().data(), &[1.5, 2.5]);
         store.zero_grad();
-        assert_eq!(store.grad(w).data(), &[0.0, 0.0]);
+        assert_eq!(store.grad(w).unwrap().data(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn tensor_matmul_agrees_with_graph_matmul() {
     let mut store = ParamStore::new();
     let wid = store.add("w", w);
     let mut pool = BufferPool::new();
-    let mut g = Graph::inference(&mut store, &mut pool);
+    let mut g = Graph::inference(&store, &mut pool);
     let xv = g.constant(x);
     let wv = g.param(wid);
     let y = g.matmul(xv, wv);

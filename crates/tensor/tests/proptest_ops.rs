@@ -115,7 +115,7 @@ fn linear_gradient_is_exact() {
         let scaled = g.scale(xv, a);
         let loss = g.sum_all(scaled);
         g.backward(loss);
-        for &gv in store.grad(x).data() {
+        for &gv in store.grad(x).unwrap().data() {
             assert!((gv - a).abs() < 1e-5, "case {case}: grad {gv} vs {a}");
         }
     }

@@ -96,6 +96,15 @@
 # After the last stage, scripts/loc.sh prints the non-test Rust line count
 # of crates/ for information; it gates nothing.
 #
+# Manual tools, not stages:
+#   scripts/bench_pairs.sh <parent-ref> <workload> <pairs>
+#                          paired runs of the BENCHMARK.json command, the
+#                          parent ref (built from `git archive` in a temp
+#                          dir) against the working tree, 20 s each, side
+#                          order alternating; prints each end-to-end
+#                          metric's medians, quartiles and pairs won, and
+#                          flags seeds whose macro_f1 or bias_total differ
+#
 # Usage: scripts/ci.sh
 
 set -euo pipefail
