@@ -165,11 +165,9 @@ impl ParamStore {
             return 1.0;
         }
         let scale = max_norm / norm;
-        for p in &mut self.params {
-            if let (true, Some(grad)) = (p.trainable, p.grad.as_mut()) {
-                for g in grad.data_mut() {
-                    *g *= scale;
-                }
+        for p in self.params.iter_mut().filter(|p| p.trainable) {
+            for g in p.grad.iter_mut().flat_map(Tensor::data_mut) {
+                *g *= scale;
             }
         }
         scale

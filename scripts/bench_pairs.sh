@@ -105,7 +105,7 @@ def quartiles(xs):
     return q1, med, q3
 
 print(f"workload {workload}, {pairs} pairs, side order alternating")
-print(f"{'metric':<24} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} "
+print(f"{'metric':<24} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
       f"{'change':>8} {'>spread':>7} {'won':>6}")
 for metric in bench["end_to_end"]:
     name, lower = metric["name"], metric["better"] == "lower"
@@ -122,9 +122,9 @@ for metric in bench["end_to_end"]:
     won = sum((y < x) if lower else (y > x) for _, x, y in both)
     delta = (cmed - pmed) / abs(pmed) * 100 if pmed else float("nan")
     beyond = "yes" if abs(cmed - pmed) > (pq3 - pq1) else "no"
-    print(f"{name:<24} {pmed:>12.4f} [{pq1:.4f}, {pq3:.4f}] "
-          f"{cmed:>12.4f} [{cq1:.4f}, {cq3:.4f}] {delta:>+7.1f}% {beyond:>7} "
-          f"{won:>2}/{len(both)}")
+    sides = [f"{med:.4f} [{q1:.4f}, {q3:.4f}]" for q1, med, q3 in ((pq1, pmed, pq3), (cq1, cmed, cq3))]
+    print(f"{name:<24} {sides[0]:>36} {sides[1]:>36} {delta:>+7.1f}% {beyond:>7} "
+          f"{won:>3}/{len(both)}")
 
 for name in ("macro_f1", "bias_total"):
     for s in seeds:
